@@ -187,8 +187,41 @@ pub struct BenchReport {
 pub fn measure(seed: u64) -> BenchReport {
     let n = jobs_per_point().min(20_000);
     let m = PAPER_M;
-    let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, n, seed).generate();
     let cfg = SimConfig::new(m).with_free_steals();
+
+    // Streaming probe: the same Bing QPS-1000 spec pulled as an endless
+    // source through the streaming engine. `STREAM_FACTOR`× the
+    // materialized job count exercises steady-state retirement (slab and
+    // cursor slots cycling many times over) without meaningfully moving CI
+    // wall time. It runs before any instance is materialized so that
+    // `peak_rss_kb` (process-wide `VmHWM`) is the streaming run's own
+    // high-water mark, not the materialized probes'.
+    let stream_jobs = (n as u64) * STREAM_FACTOR;
+    let stream_spec = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, n, seed);
+    let a0 = crate::alloc_probe::alloc_count();
+    let t = Instant::now();
+    let run = crate::stream::run_stream_ws(
+        &stream_spec,
+        &cfg,
+        StealPolicy::StealKFirst { k: PAPER_K },
+        seed,
+        stream_jobs,
+    )
+    .expect("probe spec is fault-free and sorted");
+    let wall = t.elapsed().as_secs_f64();
+    let allocs = crate::alloc_probe::alloc_count()
+        .zip(a0)
+        .map(|(a, b)| a - b);
+    let stream_ws = StreamThroughput::new(
+        stream_jobs,
+        run.summary.total_rounds,
+        run.summary.stats.steal_attempts,
+        wall,
+        allocs,
+        crate::stream::peak_rss_kb(),
+    );
+
+    let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, n, seed).generate();
 
     let a0 = crate::alloc_probe::alloc_count();
     let t = Instant::now();
@@ -294,36 +327,6 @@ pub fn measure(seed: u64) -> BenchReport {
     // Wall time covers both replicas in the pair; halve the aggregate by
     // reporting the warm replica's rounds against half the pair's wall.
     let giant_m = EngineThroughput::new(warm_rounds, warm_steals, wall / 2.0, warm_allocs);
-
-    // Streaming probe: the same Bing QPS-1000 spec pulled as an endless
-    // source through the streaming engine. `STREAM_FACTOR`× the
-    // materialized job count exercises steady-state retirement (slab and
-    // cursor slots cycling many times over) without meaningfully moving CI
-    // wall time.
-    let stream_jobs = (n as u64) * STREAM_FACTOR;
-    let stream_spec = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, n, seed);
-    let a0 = crate::alloc_probe::alloc_count();
-    let t = Instant::now();
-    let run = crate::stream::run_stream_ws(
-        &stream_spec,
-        &cfg,
-        StealPolicy::StealKFirst { k: PAPER_K },
-        seed,
-        stream_jobs,
-    )
-    .expect("probe spec is fault-free and sorted");
-    let wall = t.elapsed().as_secs_f64();
-    let allocs = crate::alloc_probe::alloc_count()
-        .zip(a0)
-        .map(|(a, b)| a - b);
-    let stream_ws = StreamThroughput::new(
-        stream_jobs,
-        run.summary.total_rounds,
-        run.summary.stats.steal_attempts,
-        wall,
-        allocs,
-        crate::stream::peak_rss_kb(),
-    );
 
     BenchReport {
         schema: 3,

@@ -39,9 +39,10 @@
 //!
 //! Replicas whose config carries a non-empty fault plan are delegated to
 //! the sequential engine (faults are incompatible with the window fast
-//! paths, exactly as in `run_worksteal`'s own `fast_ok` gate); the results
-//! are identical either way.
+//! paths; `run_worksteal` itself sends them to its per-round loop); the
+//! results are identical either way.
 
+use crate::bits::BitWords;
 use crate::calendar::CalendarQueue;
 use crate::config::{SimConfig, StealAmount, StealCost, VictimStrategy};
 use crate::fault::JobStatus;
@@ -86,76 +87,6 @@ const NONE: u32 = u32::MAX;
 /// Steps per lane per scheduling pass: large enough to amortize the lane
 /// switch, small enough that a batch of lanes still interleaves.
 const BURST: u32 = 256;
-
-/// Fixed-size bitset over workers, one `u64` word per 64 workers.
-///
-/// The batched engine's idle/victim bookkeeping is all "which workers are
-/// busy" / "which deques are non-empty" queries; at m = 256/1024 word-wide
-/// popcounts and scans replace the per-worker walks that dominate the
-/// sequential engine's window setup.
-#[derive(Debug, Default)]
-struct BitWords {
-    words: Vec<u64>,
-}
-
-impl BitWords {
-    fn reset(&mut self, m: usize) {
-        self.words.clear();
-        self.words.resize(m.div_ceil(64), 0);
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1 << (i & 63);
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1 << (i & 63));
-    }
-
-    #[inline]
-    fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
-    }
-
-    #[inline]
-    fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Visit set bits in ascending index order.
-    #[inline]
-    fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                f((wi << 6) | b);
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// Visit clear bits `< m` in ascending index order.
-    #[inline]
-    fn for_each_clear(&self, m: usize, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.words.iter().enumerate() {
-            let base = wi << 6;
-            let valid = if m - base >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << (m - base)) - 1
-            };
-            let mut w = !word & valid;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                f(base | b);
-                w &= w - 1;
-            }
-        }
-    }
-}
 
 /// One lane: reusable engine storage plus the scalars of the replica
 /// currently running in it. Buffers (arena slots, deque rings, columns)

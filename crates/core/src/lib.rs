@@ -71,6 +71,7 @@
 #![warn(missing_docs)]
 
 mod batched;
+mod bits;
 mod calendar;
 mod centralized;
 mod config;
@@ -112,12 +113,15 @@ pub use opt::{
     OptTracker,
 };
 pub use result::{BacklogSample, EngineStats, JobOutcome, SimResult};
+
 pub use stream::{
     run_priority_stream, run_priority_stream_observed, run_worksteal_stream,
     run_worksteal_stream_observed, run_worksteal_stream_with_base, InstanceReplay, JobStream,
     OptTap, RetirementStats, StreamError, StreamSummary, StreamedJob,
 };
 pub use trace::{Action, ScheduleTrace, TraceSpan, TraceViolation};
+#[cfg(feature = "reference-engine")]
+pub use worksteal::run_worksteal_reference;
 pub use worksteal::{run_worksteal, run_worksteal_observed, simulate_worksteal, StealPolicy};
 
 #[cfg(test)]

@@ -13,31 +13,39 @@
 //! O(n). Completed [`JobOutcome`]s are pushed into a caller-provided sink
 //! instead of being accumulated.
 //!
-//! **Bit identity.** For any materialized instance, running the streaming
-//! engine over [`InstanceReplay`] reproduces the materialized run exactly:
-//! the same RNG stream (victim selection never reads job ids), the same
-//! [`EngineStats`], the same per-job outcomes in completion order, and the
-//! same [`ScheduleTrace`] when recorded. Internally tasks carry slab *slot*
-//! ids instead of job ids; slots are handed out in arrival order from a
-//! LIFO free list, mirroring the arena recycling of the materialized path,
-//! and every job-visible quantity (trace rows, admission tie-breaks,
-//! outcomes) is translated back through the slot's stored job id. The
-//! differential proptests in `tests/stream_differential.rs` pin this down
-//! for every prefix of random instances.
+//! **One fault-free work-stealing loop.** `step_worksteal` below is the
+//! event-driven stepper — only idle and completing workers act, uneventful
+//! spans are jumped (see its docs and docs/PERFORMANCE.md). Every
+//! `run_worksteal_stream*` entry point runs it directly; the materialized
+//! `run_worksteal`/`run_worksteal_observed`/`simulate_worksteal` with an
+//! empty fault plan run it over [`InstanceReplay`] with a collecting sink,
+//! so "streaming over a replay ≡ materialized" holds by construction. The
+//! per-round loop in `crate::worksteal` serves faulted plans and is the
+//! differential reference: `tests/engine_differential.rs` and
+//! `tests/stream_differential.rs` pin the stepper against it — outcomes in
+//! completion order, [`EngineStats`], samples, [`ScheduleTrace`], obs
+//! report — for every prefix of random instances.
+//!
+//! Internally tasks carry slab *slot* ids instead of job ids; slots are
+//! handed out in arrival order from a LIFO free list, and every
+//! job-visible quantity (trace rows, admission tie-breaks, outcomes) is
+//! translated back through the slot's stored job id. Victim selection
+//! never reads either.
 //!
 //! **Faults are unsupported** on the streaming path ([`StreamError::
 //! FaultsUnsupported`]): crash/stall/panic machinery is inherently bounded
-//! by the fault plan, not the stream, and all of it is a no-op under an
-//! empty plan — which is exactly what the fault-free port here replays.
+//! by the fault plan, not the stream, and needs the per-round loop.
 
+use crate::bits::BitWords;
 use crate::centralized::JobPriority;
-use crate::config::{AdmissionOrder, SimConfig, StealCost, VictimStrategy};
+use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
 use crate::fault::JobStatus;
 use crate::opt::OptTracker;
-use crate::result::{BacklogSample, EngineStats, JobOutcome};
+use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
 use crate::trace::{Action, ScheduleTrace};
 use crate::worksteal::{
-    any_stealable, burn_failed_attempts, steal_into, StealPolicy, Worker, WorkerObs,
+    advance_scan, burn_failed_attempts, burn_uniform_draws, emit_ws_counters, pick_victim,
+    StealPolicy, WorkerObs,
 };
 use parflow_dag::{CursorArena, CursorId, Instance, Job, JobDag, JobId, NodeId, StepOutcome};
 use parflow_obs::{NullRecorder, Recorder};
@@ -408,646 +416,12 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
     rec: &mut dyn Recorder,
     id_base: u64,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
-    let m = config.m;
-    let speed = config.speed;
-    let k = policy.k();
-    if !config.faults.is_empty() {
-        return Err(StreamError::FaultsUnsupported);
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-
-    let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
-    let mut arena = CursorArena::new();
-    let mut slab = JobSlab::default();
-    // The global FIFO holds slab slot ids; arrival order is preserved, so
-    // FIFO admission pops the oldest job exactly like the materialized
-    // queue of job ids.
-    let mut global_queue: VecDeque<u32> = VecDeque::new();
-    let mut stats = EngineStats::default();
-    let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
-    let mut samples: Vec<BacklogSample> = Vec::new();
-
     let obs = rec.enabled();
-    let mut wobs: Vec<WorkerObs> = if obs {
-        vec![WorkerObs::default(); m]
-    } else {
-        Vec::new()
-    };
-    // The fault machinery of the materialized engine is a no-op under an
-    // empty plan; only the blackhole mask survives into the shared steal
-    // helpers (all false here).
-    let blackholed: Vec<bool> = vec![false; m];
-
-    let mut puller = Puller::new(stream, id_base)?;
-    let mut released: u64 = 0;
-    let mut completed: u64 = 0;
-    let mut live_admitted = 0usize;
-    let mut round: Round = 0;
-    let mut last_busy_round: Round = 0;
-    let mut max_flow = Rational::ZERO;
-    let mut jobs_retired: u64 = 0;
-
-    // Same bound as the materialized engine, but over the pulled prefix:
-    // every round the engine can reach is justified by jobs already pulled,
-    // so recomputing from the running totals after each pull keeps the
-    // invariant. (Fault-free, so no plan-dependent stretching.)
-    let cap = |last_arrival: Ticks, total_work: u64, produced: u64| -> Round {
-        speed.first_round_at_or_after(last_arrival)
-            + total_work
-            + (k as Round + 2) * (produced + m as Round)
-            + 64
-    };
-    let mut safety_cap: Round = cap(puller.last_arrival, puller.total_work, puller.produced);
-
-    let fast_ok = !config.record_trace;
-
-    // Scratch buffers hoisted out of the hot loop.
-    let mut ready_scratch: Vec<NodeId> = Vec::new();
-    let mut sources_scratch: Vec<NodeId> = Vec::new();
-
-    'rounds: while puller.pending.is_some() || completed < released {
-        assert!(
-            round <= safety_cap,
-            "streaming work-stealing engine exceeded round cap"
-        );
-
-        // Release arrivals into the global FIFO queue, pulling the next
-        // job after each release (one-job lookahead).
-        while let Some((jid, job)) = puller.pending.as_ref() {
-            if !speed.arrived_by_round(job.arrival, round) {
-                break;
-            }
-            let (jid, job) = (*jid, job.clone());
-            let sid = slab.alloc(Slot {
-                job: Job::weighted(jid, job.arrival, job.weight, job.dag),
-                cursor: None,
-                started: None,
-            });
-            global_queue.push_back(sid);
-            released += 1;
-            puller.advance()?;
-            safety_cap = cap(puller.last_arrival, puller.total_work, puller.produced);
-        }
-
-        if config.sample_every > 0 && round.is_multiple_of(config.sample_every) {
-            samples.push(BacklogSample {
-                round,
-                queued: global_queue.len(),
-                live: live_admitted,
-                deque_tasks: workers.iter().map(|w| w.deque.len()).sum::<usize>(),
-            });
-        }
-
-        // Quiescent fast-forward: nothing admitted is live and nothing is
-        // queued — skip to the next arrival.
-        if live_admitted == 0 && global_queue.is_empty() {
-            // `completed == released` here, so the loop condition
-            // guarantees a pending job exists.
-            let (_, job) = puller
-                .pending
-                .as_ref()
-                .expect("deadlock: nothing live, nothing queued"); // lint: allow(panicking) invariant: loop condition guarantees a pending arrival when the backlog is empty
-            let target = speed.first_round_at_or_after(job.arrival);
-            debug_assert!(target > round, "fast-forward must move time forward");
-            let gap = target - round;
-            stats.idle_steps += gap * m as u64;
-            for (p, w) in workers.iter_mut().enumerate() {
-                w.failed_steals = w.failed_steals.saturating_add(gap);
-                if obs {
-                    let o = &mut wobs[p];
-                    o.failed_steal_rounds += gap;
-                    o.idle_steps += gap;
-                    o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
-                }
-            }
-            if config.sample_every > 0 {
-                let se = config.sample_every;
-                let mut s = (round / se + 1) * se;
-                while s < target {
-                    samples.push(BacklogSample {
-                        round: s,
-                        queued: 0,
-                        live: 0,
-                        deque_tasks: 0,
-                    });
-                    s += se;
-                }
-            }
-            if let Some(t) = trace.as_mut() {
-                t.push_idle_rounds(gap);
-            }
-            round = target;
-            continue;
-        }
-
-        // Event-window fast path — identical to the materialized engine's
-        // (see `run_worksteal_observed` for the full argument), with the
-        // next *pending* arrival capping the span.
-        'window: {
-            if !fast_ok {
-                break 'window;
-            }
-            let arrival_cap = if let Some((_, job)) = puller.pending.as_ref() {
-                speed.first_round_at_or_after(job.arrival) - round
-            } else {
-                u64::MAX
-            };
-            if arrival_cap < 2 {
-                break 'window;
-            }
-            let mut min_rem = u64::MAX;
-            let mut busy = 0usize;
-            let mut deques_empty = true;
-            for w in &workers {
-                if let Some((sid, v)) = w.current {
-                    let cid = slab.get(sid).cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                    let rem = arena
-                        .get(cid)
-                        .remaining_work(v)
-                        .expect("current node in range"); // lint: allow(panicking) invariant: cursors only hold nodes of their own DAG
-                    if rem < 2 {
-                        break 'window;
-                    }
-                    if rem < min_rem {
-                        min_rem = rem;
-                    }
-                    busy += 1;
-                }
-                if !w.deque.is_empty() {
-                    deques_empty = false;
-                }
-            }
-            let eligible = busy > 0 && (busy == m || (global_queue.is_empty() && deques_empty));
-            if eligible {
-                let delta = min_rem.min(arrival_cap);
-                let last = round + delta - 1;
-                if config.sample_every > 0 {
-                    let se = config.sample_every;
-                    let queued = global_queue.len();
-                    let deque_tasks = workers.iter().map(|w| w.deque.len()).sum::<usize>();
-                    let mut s = (round / se + 1) * se;
-                    while s <= last {
-                        samples.push(BacklogSample {
-                            round: s,
-                            queued,
-                            live: live_admitted,
-                            deque_tasks,
-                        });
-                        s += se;
-                    }
-                }
-                if busy < m {
-                    debug_assert!(global_queue.is_empty() && deques_empty);
-                    let per_round: u64 = match config.steal_cost {
-                        StealCost::UnitStep => 1,
-                        StealCost::Free => {
-                            if k == 0 {
-                                2 * m as u64
-                            } else {
-                                k as u64
-                            }
-                        }
-                    };
-                    let idle = (m - busy) as u64;
-                    stats.steal_attempts += delta * per_round * idle;
-                    if obs {
-                        for (p, w) in workers.iter().enumerate() {
-                            if w.current.is_none() {
-                                wobs[p].steal_attempts += delta * per_round;
-                            }
-                        }
-                    }
-                    match config.victim {
-                        VictimStrategy::Uniform => {
-                            crate::worksteal::burn_uniform_draws(
-                                &mut rng,
-                                m,
-                                delta * per_round * idle,
-                            );
-                        }
-                        VictimStrategy::RoundRobinScan => {
-                            for (p, w) in workers.iter_mut().enumerate() {
-                                if w.current.is_none() {
-                                    w.scan_next = crate::worksteal::advance_scan(
-                                        w.scan_next,
-                                        p,
-                                        m,
-                                        delta * per_round,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    match config.steal_cost {
-                        StealCost::UnitStep => {
-                            for (p, w) in workers.iter_mut().enumerate() {
-                                if w.current.is_none() {
-                                    w.failed_steals = w.failed_steals.saturating_add(delta);
-                                    if obs {
-                                        let o = &mut wobs[p];
-                                        o.failed_steal_rounds += delta;
-                                        o.max_failed_streak =
-                                            o.max_failed_streak.max(w.failed_steals);
-                                    }
-                                }
-                            }
-                        }
-                        StealCost::Free => {
-                            stats.idle_steps += delta * idle;
-                            if obs {
-                                for (p, w) in workers.iter().enumerate() {
-                                    if w.current.is_none() {
-                                        wobs[p].idle_steps += delta;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                for (p, w) in workers.iter_mut().enumerate() {
-                    let Some((sid, v)) = w.current else {
-                        continue;
-                    };
-                    let cid = slab.get(sid).cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                    stats.work_steps += delta;
-                    if obs {
-                        wobs[p].work_steps += delta;
-                    }
-                    w.failed_steals = 0;
-                    ready_scratch.clear();
-                    let outcome = {
-                        let slot = slab.get(sid);
-                        arena
-                            .get_mut(cid)
-                            .execute_units(&slot.job.dag, v, delta, &mut ready_scratch)
-                            .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-                    };
-                    match outcome {
-                        StepOutcome::InProgress => {}
-                        StepOutcome::NodeCompleted { job_completed } => {
-                            w.current = None;
-                            let cursor = arena.get_mut(cid);
-                            for &u in ready_scratch.iter() {
-                                cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                                w.pending.push((sid, u));
-                            }
-                            if job_completed {
-                                arena.release(cid);
-                                let slot = slab.retire(sid);
-                                jobs_retired += 1;
-                                live_admitted -= 1;
-                                completed += 1;
-                                let out = JobOutcome {
-                                    job: slot.job.id,
-                                    arrival: slot.job.arrival,
-                                    weight: slot.job.weight,
-                                    start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                                    completion_round: last,
-                                    completion: speed.round_end(last),
-                                    flow: speed.flow_time(slot.job.arrival, last),
-                                    status: JobStatus::Completed,
-                                };
-                                max_flow = max_flow.max(out.flow);
-                                sink(&out);
-                            }
-                        }
-                    }
-                }
-                for w in &mut workers {
-                    for task in w.pending.drain(..) {
-                        w.deque.push_back(task);
-                    }
-                }
-                last_busy_round = last;
-                round += delta;
-                continue 'rounds;
-            }
-        }
-
-        let mut row: Vec<Action> = if config.record_trace {
-            Vec::with_capacity(m)
-        } else {
-            Vec::new()
-        };
-        let mut stealable_cache: Option<bool> = None;
-
-        for p in 0..m {
-            // 1. Acquire work if idle: own deque → (policy) admit/steal.
-            if workers[p].current.is_none() {
-                if let Some(task) = workers[p].deque.pop_back() {
-                    workers[p].current = Some(task);
-                }
-            }
-            if workers[p].current.is_none() {
-                match config.steal_cost {
-                    StealCost::UnitStep => {
-                        let admit_now = match policy {
-                            StealPolicy::AdmitFirst => !global_queue.is_empty(),
-                            StealPolicy::StealKFirst { k } => {
-                                workers[p].failed_steals >= k as u64 && !global_queue.is_empty()
-                            }
-                        };
-                        if admit_now {
-                            let sid =
-                                pop_admission_slot(&mut global_queue, &slab, config.admission)
-                                    .expect("queue non-empty"); // lint: allow(panicking) emptiness checked immediately above
-                            admit_slot(
-                                sid,
-                                p,
-                                &mut slab,
-                                &mut workers,
-                                &mut arena,
-                                &mut sources_scratch,
-                                round,
-                            );
-                            live_admitted += 1;
-                            stats.admissions += 1;
-                            if obs {
-                                wobs[p].admissions += 1;
-                            }
-                            stealable_cache = None;
-                        } else {
-                            stats.steal_attempts += 1;
-                            if obs {
-                                wobs[p].steal_attempts += 1;
-                            }
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            let hit = if stealable {
-                                steal_into(
-                                    p,
-                                    &mut workers,
-                                    &mut rng,
-                                    config.victim,
-                                    config.steal_amount,
-                                    &blackholed,
-                                )
-                            } else {
-                                burn_failed_attempts(&mut rng, &mut workers, p, config.victim, 1);
-                                false
-                            };
-                            if hit {
-                                stats.successful_steals += 1;
-                                workers[p].failed_steals = 0;
-                                if obs {
-                                    wobs[p].successful_steals += 1;
-                                }
-                                stealable_cache = None;
-                            } else {
-                                workers[p].failed_steals =
-                                    workers[p].failed_steals.saturating_add(1);
-                                if obs {
-                                    let o = &mut wobs[p];
-                                    o.failed_steal_rounds += 1;
-                                    o.max_failed_streak =
-                                        o.max_failed_streak.max(workers[p].failed_steals);
-                                }
-                            }
-                            if config.record_trace {
-                                row.push(Action::Steal { hit });
-                            }
-                            continue;
-                        }
-                    }
-                    StealCost::Free => {
-                        if k == 0 {
-                            if let Some(sid) =
-                                pop_admission_slot(&mut global_queue, &slab, config.admission)
-                            {
-                                admit_slot(
-                                    sid,
-                                    p,
-                                    &mut slab,
-                                    &mut workers,
-                                    &mut arena,
-                                    &mut sources_scratch,
-                                    round,
-                                );
-                                live_admitted += 1;
-                                stats.admissions += 1;
-                                if obs {
-                                    wobs[p].admissions += 1;
-                                }
-                                stealable_cache = None;
-                            } else {
-                                let attempts = 2 * m.max(1) as u32; // lint: allow(truncating-cast) m is the processor count; a 2^32-processor instance is unrepresentable
-                                let stealable = match stealable_cache {
-                                    Some(v) => v,
-                                    None => {
-                                        let v = any_stealable(&workers, &blackholed);
-                                        stealable_cache = Some(v);
-                                        v
-                                    }
-                                };
-                                if stealable {
-                                    for _ in 0..attempts {
-                                        stats.steal_attempts += 1;
-                                        if obs {
-                                            wobs[p].steal_attempts += 1;
-                                        }
-                                        if steal_into(
-                                            p,
-                                            &mut workers,
-                                            &mut rng,
-                                            config.victim,
-                                            config.steal_amount,
-                                            &blackholed,
-                                        ) {
-                                            stats.successful_steals += 1;
-                                            if obs {
-                                                wobs[p].successful_steals += 1;
-                                            }
-                                            stealable_cache = None;
-                                            break;
-                                        }
-                                    }
-                                } else {
-                                    stats.steal_attempts += attempts as u64;
-                                    if obs {
-                                        wobs[p].steal_attempts += attempts as u64;
-                                    }
-                                    burn_failed_attempts(
-                                        &mut rng,
-                                        &mut workers,
-                                        p,
-                                        config.victim,
-                                        attempts as u64,
-                                    );
-                                }
-                            }
-                        } else {
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            if stealable {
-                                for _ in 0..k {
-                                    stats.steal_attempts += 1;
-                                    if obs {
-                                        wobs[p].steal_attempts += 1;
-                                    }
-                                    if steal_into(
-                                        p,
-                                        &mut workers,
-                                        &mut rng,
-                                        config.victim,
-                                        config.steal_amount,
-                                        &blackholed,
-                                    ) {
-                                        stats.successful_steals += 1;
-                                        if obs {
-                                            wobs[p].successful_steals += 1;
-                                        }
-                                        stealable_cache = None;
-                                        break;
-                                    }
-                                }
-                            } else {
-                                stats.steal_attempts += k as u64;
-                                if obs {
-                                    wobs[p].steal_attempts += k as u64;
-                                }
-                                burn_failed_attempts(
-                                    &mut rng,
-                                    &mut workers,
-                                    p,
-                                    config.victim,
-                                    k as u64,
-                                );
-                            }
-                            if workers[p].current.is_none() {
-                                if let Some(sid) =
-                                    pop_admission_slot(&mut global_queue, &slab, config.admission)
-                                {
-                                    admit_slot(
-                                        sid,
-                                        p,
-                                        &mut slab,
-                                        &mut workers,
-                                        &mut arena,
-                                        &mut sources_scratch,
-                                        round,
-                                    );
-                                    live_admitted += 1;
-                                    stats.admissions += 1;
-                                    if obs {
-                                        wobs[p].admissions += 1;
-                                    }
-                                    stealable_cache = None;
-                                }
-                            }
-                        }
-                        if workers[p].current.is_none() {
-                            stats.idle_steps += 1;
-                            if obs {
-                                wobs[p].idle_steps += 1;
-                            }
-                            if config.record_trace {
-                                row.push(Action::Idle);
-                            }
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            // 2. Execute one unit of the current node.
-            let (sid, v) = workers[p].current.expect("acquired work above"); // lint: allow(panicking) set on the acquisition path immediately above
-            let cid = slab.get(sid).cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-            let jid = slab.get(sid).job.id;
-            stats.work_steps += 1;
-            if obs {
-                wobs[p].work_steps += 1;
-            }
-            workers[p].failed_steals = 0;
-            ready_scratch.clear();
-            let outcome = {
-                let slot = slab.get(sid);
-                arena
-                    .get_mut(cid)
-                    .execute_unit_into(&slot.job.dag, v, &mut ready_scratch)
-                    .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-            };
-            match outcome {
-                StepOutcome::InProgress => {}
-                StepOutcome::NodeCompleted { job_completed } => {
-                    workers[p].current = None;
-                    let cursor = arena.get_mut(cid);
-                    for &u in ready_scratch.iter() {
-                        cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                        workers[p].pending.push((sid, u));
-                    }
-                    if job_completed {
-                        arena.release(cid);
-                        let slot = slab.retire(sid);
-                        jobs_retired += 1;
-                        live_admitted -= 1;
-                        completed += 1;
-                        let out = JobOutcome {
-                            job: slot.job.id,
-                            arrival: slot.job.arrival,
-                            weight: slot.job.weight,
-                            start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                            completion_round: round,
-                            completion: speed.round_end(round),
-                            flow: speed.flow_time(slot.job.arrival, round),
-                            status: JobStatus::Completed,
-                        };
-                        max_flow = max_flow.max(out.flow);
-                        sink(&out);
-                    }
-                }
-            }
-            if config.record_trace {
-                row.push(Action::Work { job: jid, node: v });
-            }
-        }
-
-        for w in &mut workers {
-            for task in w.pending.drain(..) {
-                w.deque.push_back(task);
-            }
-        }
-
-        last_busy_round = round;
-        if let Some(t) = trace.as_mut() {
-            t.push_row(row);
-        }
-        round += 1;
-    }
-
-    let retire = RetirementStats {
-        jobs_retired,
-        live_jobs_high_water: slab.high_water,
-        slab_slots: slab.slots.len() as u64,
-        cursor_slots: arena.capacity() as u64,
-    };
+    let (summary, trace, wobs) = step_worksteal(stream, config, policy, seed, sink, obs, id_base)?;
     if obs {
-        for (p, o) in wobs.iter().enumerate() {
-            rec.counter_at("ws.worker.work_steps", p, o.work_steps);
-            rec.counter_at("ws.worker.steal_attempts", p, o.steal_attempts);
-            rec.counter_at("ws.worker.successful_steals", p, o.successful_steals);
-            rec.counter_at("ws.worker.failed_steal_rounds", p, o.failed_steal_rounds);
-            rec.counter_at("ws.worker.admissions", p, o.admissions);
-            rec.counter_at("ws.worker.idle_steps", p, o.idle_steps);
-            rec.counter_at("ws.worker.max_failed_streak", p, o.max_failed_streak);
-        }
-        rec.counter("ws.work_steps", stats.work_steps);
-        rec.counter("ws.steal_attempts", stats.steal_attempts);
-        rec.counter("ws.successful_steals", stats.successful_steals);
-        rec.counter("ws.admissions", stats.admissions);
-        rec.counter("ws.idle_steps", stats.idle_steps);
-        rec.gauge("ws.total_rounds", (last_busy_round + 1) as f64);
+        emit_ws_counters(rec, &wobs, &summary.stats);
+        rec.gauge("ws.total_rounds", summary.total_rounds as f64);
+        let retire = &summary.retire;
         rec.counter("ws.stream.jobs_retired", retire.jobs_retired);
         rec.counter(
             "ws.stream.live_jobs_high_water",
@@ -1059,69 +433,696 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
             rec.gauge("ws.stream.slab_reuse_ratio", r);
         }
     }
+    Ok((summary, trace))
+}
+
+/// The materialized fault-free engine: the stepper over a replay of
+/// `instance`, outcomes collected back into job order. Emits the
+/// [`emit_ws_counters`] part of the obs report (no `ws.stream.*` retirement
+/// counters — those belong to the streaming entry points); the caller,
+/// `run_worksteal_observed`, adds the rest.
+pub(crate) fn run_worksteal_replay(
+    instance: &Instance,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    rec: &mut dyn Recorder,
+) -> (SimResult, Option<ScheduleTrace>) {
+    let obs = rec.enabled();
+    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; instance.len()];
+    let mut collect = |o: &JobOutcome| outcomes[o.job as usize] = Some(o.clone());
+    let mut replay = InstanceReplay::new(instance);
+    let (summary, trace, wobs) =
+        step_worksteal(&mut replay, config, policy, seed, &mut collect, obs, 0)
+            .expect("instance replays are sorted, fault-free and within the id space"); // lint: allow(panicking) invariant: Instance guarantees arrival order and u32 ids, and the caller dispatches only empty fault plans here
+    if obs {
+        emit_ws_counters(rec, &wobs, &summary.stats);
+    }
+    let result = SimResult {
+        m: summary.m,
+        speed: summary.speed,
+        total_rounds: summary.total_rounds,
+        outcomes: outcomes
+            .into_iter()
+            .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the stepper exits only after every pulled job completed
+            .collect(),
+        stats: summary.stats,
+        samples: summary.samples,
+        fault_events: Vec::new(),
+    };
+    (result, trace)
+}
+
+/// Lane state of the event-driven stepper: structure-of-arrays worker
+/// columns plus the job store. See [`step_worksteal`] for the loop.
+struct WsLanes<'c> {
+    cfg: &'c SimConfig,
+    k: u64,
+    rng: SmallRng,
+    arena: CursorArena,
+    slab: JobSlab,
+    /// Slab slot ids of released, not yet admitted jobs, in arrival order.
+    queue: VecDeque<u32>,
+    /// Per-worker deques of unstarted `(slot, node)` tasks: back = bottom
+    /// (owner side), front = top (thief side).
+    deques: Vec<VecDeque<(u32, NodeId)>>,
+    /// The node each busy worker holds (stale for idle workers).
+    cur: Vec<(u32, NodeId)>,
+    /// `done[p]`: the round in which busy worker `p`'s node executes its
+    /// last unit; `Round::MAX` while `p` is idle. Fixed at acquisition —
+    /// a started node is never preempted or migrated without faults, and
+    /// deques only ever hold unstarted nodes.
+    done: Vec<Round>,
+    /// `min(done)` and `due = {p : done[p] == min_done}`, the workers that
+    /// complete next. Maintained incrementally: acquisitions lower or join
+    /// them, a flat rescan of the busy workers follows every round in
+    /// which they came due. (A `CalendarQueue` measured the same at m = 16
+    /// and ~10 % faster at m = 256, but costs ~770 bucket allocations per
+    /// run where this costs none.)
+    min_done: Round,
+    due: BitWords,
+    failed_steals: Vec<u64>,
+    scan_next: Vec<usize>,
+    busy: BitWords,
+    deque_ne: BitWords,
+    /// Nodes enabled this round, published to `deques` at the end of it.
+    pending: Vec<(usize, u32, NodeId)>,
+    ready_scratch: Vec<NodeId>,
+    sources_scratch: Vec<NodeId>,
+    stats: EngineStats,
+    /// Per-worker telemetry; empty unless a recorder is enabled.
+    wobs: Vec<WorkerObs>,
+    live_admitted: usize,
+    completed: u64,
+    max_flow: Rational,
+}
+
+impl WsLanes<'_> {
+    #[inline]
+    fn m(&self) -> usize {
+        self.done.len()
+    }
+
+    /// Worker `p` takes `task`, whose first unit runs in `first_round`
+    /// (this round, or the next one after a unit-step steal). Returns the
+    /// job id (for the trace row) and the node's last round; the caller
+    /// either completes it on the spot or [`WsLanes::hold`]s it.
+    #[inline]
+    fn start(&mut self, p: usize, task: (u32, NodeId), first_round: Round) -> (JobId, Round) {
+        let job = &self.slab.get(task.0).job;
+        self.cur[p] = task;
+        self.failed_steals[p] = 0;
+        (job.id, first_round + job.dag.work(task.1) - 1)
+    }
+
+    /// Worker `p` stays busy on its node through round `d`.
+    #[inline]
+    fn hold(&mut self, p: usize, d: Round) {
+        self.done[p] = d;
+        self.busy.set(p);
+        if d < self.min_done {
+            self.min_done = d;
+            self.due.reset(self.done.len());
+        }
+        if d == self.min_done {
+            self.due.set(p);
+        }
+    }
+
+    /// Recompute `min_done` and `due` from scratch.
+    fn rescan_due(&mut self) {
+        let mut min = Round::MAX;
+        self.busy.for_each_set(|p| min = min.min(self.done[p]));
+        self.min_done = min;
+        self.due.reset(self.done.len());
+        self.busy.for_each_set(|p| {
+            if self.done[p] == min {
+                self.due.set(p);
+            }
+        });
+    }
+
+    /// Worker `p`'s node executes its last unit in `round`: run the whole
+    /// node through the cursor at once (no one could observe the partial
+    /// progress in between), stage the enabled successors for end-of-round
+    /// publication and retire the job if this was its last node.
+    fn complete(&mut self, p: usize, round: Round, sink: &mut dyn FnMut(&JobOutcome)) -> Action {
+        let (sid, v) = self.cur[p];
+        self.busy.clear(p);
+        self.done[p] = Round::MAX;
+        let slot = self.slab.get(sid);
+        let jid = slot.job.id;
+        let cid = slot.cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+        let work = slot.job.dag.work(v);
+        self.stats.work_steps += work;
+        if let Some(o) = self.wobs.get_mut(p) {
+            o.work_steps += work;
+        }
+        let cursor = self.arena.get_mut(cid);
+        self.ready_scratch.clear();
+        let outcome = cursor
+            .execute_units(&slot.job.dag, v, work, &mut self.ready_scratch)
+            .expect("current node claimed"); // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
+        let StepOutcome::NodeCompleted { job_completed } = outcome else {
+            unreachable!("a node's full work completes it"); // lint: allow(panicking) invariant: started nodes are unstarted when acquired, so work(v) units finish them
+        };
+        // Claim enabled nodes now (they are exclusively ours) but defer
+        // deque publication to the end of the round.
+        for &u in self.ready_scratch.iter() {
+            cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
+            self.pending.push((p, sid, u));
+        }
+        if job_completed {
+            self.arena.release(cid);
+            let slot = self.slab.retire(sid);
+            self.live_admitted -= 1;
+            self.completed += 1;
+            let speed = self.cfg.speed;
+            let out = JobOutcome {
+                job: jid,
+                arrival: slot.job.arrival,
+                weight: slot.job.weight,
+                start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
+                completion_round: round,
+                completion: speed.round_end(round),
+                flow: speed.flow_time(slot.job.arrival, round),
+                status: JobStatus::Completed,
+            };
+            self.max_flow = self.max_flow.max(out.flow);
+            sink(&out);
+        }
+        Action::Work { job: jid, node: v }
+    }
+
+    /// Admit the next queued job (if any) on worker `p`: create its cursor,
+    /// push all source nodes onto `p`'s deque and hand back the last one.
+    fn admit(&mut self, p: usize, round: Round) -> Option<(u32, NodeId)> {
+        let sid = match self.cfg.admission {
+            AdmissionOrder::Fifo => self.queue.pop_front()?,
+            // Largest weight first; ties to the earlier arrival, i.e. the
+            // smaller job id.
+            AdmissionOrder::ByWeight => {
+                let best = self
+                    .queue
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(_, &sid)| {
+                        let job = &self.slab.get(sid).job;
+                        (job.weight, std::cmp::Reverse(job.id))
+                    })?
+                    .0;
+                self.queue.remove(best)?
+            }
+        };
+        let slot = self.slab.get_mut(sid);
+        let id = self.arena.alloc(&slot.job.dag);
+        slot.cursor = Some(id);
+        slot.started = Some(round);
+        let cur = self.arena.get_mut(id);
+        self.sources_scratch.clear();
+        self.sources_scratch.extend_from_slice(cur.ready_nodes());
+        let deque = &mut self.deques[p];
+        for &s in self.sources_scratch.iter() {
+            cur.claim(s).expect("source ready"); // lint: allow(panicking) invariant: freshly materialized source nodes are unclaimed
+            deque.push_back((sid, s));
+        }
+        let task = deque.pop_back();
+        if !deque.is_empty() {
+            self.deque_ne.set(p);
+        }
+        self.live_admitted += 1;
+        self.stats.admissions += 1;
+        if let Some(o) = self.wobs.get_mut(p) {
+            o.admissions += 1;
+        }
+        task
+    }
+
+    /// Up to `attempts` steal attempts by idle worker `p`, stopping at the
+    /// first hit. A hit takes the victim's top task, plus — under
+    /// [`StealAmount::Half`] — moves the rest of the top half of the
+    /// victim's deque onto `p`'s.
+    ///
+    /// When no deque holds anything every attempt must miss, so only the
+    /// per-attempt state (RNG draws, scan cursor) is consumed, in bulk.
+    /// The exact non-empty bitset makes that call at every site, where a
+    /// per-round "anything stealable?" flag could be stale-true after an
+    /// owner popped the last task; the two agree because attempts that all
+    /// miss consume exactly the draws the bulk burn consumes.
+    fn try_steals(&mut self, p: usize, attempts: u64) -> Option<(u32, NodeId)> {
+        let m = self.m();
+        let (mut tried, mut hit) = (attempts, None);
+        if m <= 1 || !self.deque_ne.any() {
+            let scan_next = &mut self.scan_next[p];
+            burn_failed_attempts(&mut self.rng, scan_next, p, m, self.cfg.victim, attempts);
+        } else {
+            for attempt in 1..=attempts {
+                let scan_next = &mut self.scan_next[p];
+                let victim = pick_victim(p, m, &mut self.rng, self.cfg.victim, scan_next);
+                let Some(task) = self.deques[victim].pop_front() else {
+                    continue;
+                };
+                if self.cfg.steal_amount == StealAmount::Half {
+                    // ceil(len_before/2) − 1 extra tasks follow the first.
+                    let extra = (self.deques[victim].len() + 1).div_ceil(2) - 1;
+                    for _ in 0..extra {
+                        let t = self.deques[victim].pop_front().expect("len checked"); // lint: allow(panicking) emptiness checked immediately above; pop cannot fail
+                        self.deques[p].push_back(t);
+                    }
+                    if extra > 0 {
+                        self.deque_ne.set(p);
+                    }
+                }
+                if self.deques[victim].is_empty() {
+                    self.deque_ne.clear(victim);
+                }
+                (tried, hit) = (attempt, Some(task));
+                break;
+            }
+        }
+        self.stats.steal_attempts += tried;
+        self.stats.successful_steals += hit.is_some() as u64;
+        if let Some(o) = self.wobs.get_mut(p) {
+            o.steal_attempts += tried;
+            o.successful_steals += hit.is_some() as u64;
+        }
+        hit
+    }
+
+    /// One explicit round of worker `p`, which is either idle or holds a
+    /// node completing in `round`. Returns its trace action.
+    fn visit(&mut self, p: usize, round: Round, sink: &mut dyn FnMut(&JobOutcome)) -> Action {
+        if self.busy.get(p) {
+            return self.complete(p, round, sink);
+        }
+        // Acquire: own deque → (policy) admit/steal.
+        let task = if let Some(task) = self.deques[p].pop_back() {
+            if self.deques[p].is_empty() {
+                self.deque_ne.clear(p);
+            }
+            Some(task)
+        } else {
+            match self.cfg.steal_cost {
+                StealCost::UnitStep => {
+                    let admitted = if self.failed_steals[p] >= self.k {
+                        self.admit(p, round)
+                    } else {
+                        None
+                    };
+                    if admitted.is_none() {
+                        // Steal attempt: one full round; the stolen node
+                        // (if any) starts executing next round.
+                        let stolen = self.try_steals(p, 1);
+                        if let Some(task) = stolen {
+                            let (_, d) = self.start(p, task, round + 1);
+                            self.hold(p, d);
+                        } else {
+                            let f = self.failed_steals[p].saturating_add(1);
+                            self.failed_steals[p] = f;
+                            if let Some(o) = self.wobs.get_mut(p) {
+                                o.failed_steal_rounds += 1;
+                                o.max_failed_streak = o.max_failed_streak.max(f);
+                            }
+                        }
+                        return Action::Steal {
+                            hit: stolen.is_some(),
+                        };
+                    }
+                    admitted
+                }
+                // Instantaneous acquisition: steal attempts cost nothing;
+                // only executing work (or finding none) consumes the round.
+                // `k = 0` is admit-first: admit if anything is queued, else
+                // scan 2m victims.
+                StealCost::Free if self.k == 0 => self
+                    .admit(p, round)
+                    .or_else(|| self.try_steals(p, 2 * self.m() as u64)),
+                StealCost::Free => self.try_steals(p, self.k).or_else(|| self.admit(p, round)),
+            }
+        };
+        let Some(task) = task else {
+            self.stats.idle_steps += 1;
+            if let Some(o) = self.wobs.get_mut(p) {
+                o.idle_steps += 1;
+            }
+            return Action::Idle;
+        };
+        let (job, d) = self.start(p, task, round);
+        if d == round {
+            return self.complete(p, round, sink);
+        }
+        self.hold(p, d);
+        Action::Work { job, node: task.1 }
+    }
+
+    /// Total unstarted tasks across all deques (backlog samples).
+    fn deque_tasks(&self) -> usize {
+        self.deques.iter().map(|d| d.len()).sum()
+    }
+
+    /// The first round `≥ round` in which an idle worker might acquire
+    /// something; `round` itself if one might right now.
+    ///
+    /// Idle workers are locked out while nobody is idle; or while the queue
+    /// and every deque are empty, so every steal fails; or (unit-step
+    /// steal-k with a non-empty queue but nothing stealable) while every
+    /// idle worker is still short of its `k` failed steals. The lockout
+    /// ends with the next arrival, or the round after the next completion
+    /// (nodes enabled in round `r` are published at the end of `r`).
+    fn idle_lockout(&self, round: Round, next_arrival_round: Round) -> Round {
+        let m = self.m();
+        let busy = self.busy.count();
+        let event = self.min_done.saturating_add(1).min(next_arrival_round);
+        let stealable = self.deque_ne.any();
+        if busy == m || (busy > 0 && self.queue.is_empty() && !stealable) {
+            event
+        } else if self.cfg.steal_cost == StealCost::UnitStep
+            && self.k > 0
+            && !self.queue.is_empty()
+            && !stealable
+        {
+            let mut burn = u64::MAX;
+            self.busy.for_each_clear(m, |p| {
+                burn = burn.min(self.k.saturating_sub(self.failed_steals[p]));
+            });
+            event.min(round.saturating_add(burn))
+        } else {
+            round
+        }
+    }
+
+    /// Advance idle workers across the uneventful rounds `[round, t)`:
+    /// every steal attempt in the span fails, so counters move
+    /// arithmetically and the per-attempt state (RNG draws, scan cursors)
+    /// is consumed in bulk, landing exactly where per-round stepping would
+    /// leave it. Busy workers need nothing: `done[p]` already says when
+    /// they finish.
+    fn jump(&mut self, round: Round, t: Round) {
+        let m = self.m();
+        let idle = (m - self.busy.count()) as u64;
+        if idle == 0 {
+            return;
+        }
+        let delta = t - round;
+        let unit_step = self.cfg.steal_cost == StealCost::UnitStep;
+        let attempts = delta
+            * match (unit_step, self.k) {
+                (true, _) => 1,
+                (false, 0) => 2 * m as u64,
+                (false, k) => k,
+            };
+        self.stats.steal_attempts += attempts * idle;
+        if !unit_step {
+            // Free attempts cost nothing; the round itself is idle.
+            self.stats.idle_steps += delta * idle;
+        }
+        if m > 1 && self.cfg.victim == VictimStrategy::Uniform {
+            burn_uniform_draws(&mut self.rng, m, attempts * idle);
+        }
+        let scan = m > 1 && self.cfg.victim == VictimStrategy::RoundRobinScan;
+        if !(scan || unit_step || !self.wobs.is_empty()) {
+            return;
+        }
+        self.busy.for_each_clear(m, |p| {
+            if scan {
+                self.scan_next[p] = advance_scan(self.scan_next[p], p, m, attempts);
+            }
+            if unit_step {
+                // A failed unit-cost steal consumes the round and bumps
+                // the failure counter.
+                self.failed_steals[p] = self.failed_steals[p].saturating_add(delta);
+            }
+            if let Some(o) = self.wobs.get_mut(p) {
+                o.steal_attempts += attempts;
+                if unit_step {
+                    o.failed_steal_rounds += delta;
+                    o.max_failed_streak = o.max_failed_streak.max(self.failed_steals[p]);
+                } else {
+                    o.idle_steps += delta;
+                }
+            }
+        });
+    }
+}
+
+/// The fault-free work-stealing loop, event-driven: the one stepper behind
+/// every `run_worksteal_stream*` entry point and (over [`InstanceReplay`])
+/// behind `run_worksteal*` with an empty fault plan.
+///
+/// Each time step of each worker is either a unit of work on the node it
+/// already holds or a steal/admit decision, and only the second kind is
+/// observable. So an explicit round visits only the idle workers and those
+/// whose node finishes in it (`done[p] == round`), in ascending index order
+/// — exactly the order, deque states and RNG draws the per-round loop
+/// (`crate::worksteal`) produces, since the skipped workers touch nothing a
+/// visited one can see. While no idle worker can acquire anything
+/// ([`WsLanes::idle_lockout`]) the idle ones are not visited either: the
+/// engine jumps straight to the next completion or arrival, and in a
+/// completion round inside the lockout only the completing workers act.
+/// With `record_trace` every round stays explicit, every idle worker is
+/// visited and skipped workers' rows come from the `cur` column.
+///
+/// Returns the per-worker telemetry (empty unless `obs`) next to the
+/// summary; entry points emit their own obs reports from it.
+fn step_worksteal<S: JobStream>(
+    stream: &mut S,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    sink: &mut dyn FnMut(&JobOutcome),
+    obs: bool,
+    id_base: u64,
+) -> Result<(StreamSummary, Option<ScheduleTrace>, Vec<WorkerObs>), StreamError> {
+    let m = config.m;
+    let speed = config.speed;
+    let k = policy.k() as u64;
+    if !config.faults.is_empty() {
+        return Err(StreamError::FaultsUnsupported);
+    }
+    let mut st = WsLanes {
+        cfg: config,
+        k,
+        rng: SmallRng::seed_from_u64(seed),
+        arena: CursorArena::new(),
+        slab: JobSlab::default(),
+        queue: VecDeque::new(),
+        deques: (0..m).map(|_| VecDeque::new()).collect(),
+        cur: vec![(0, 0); m],
+        done: vec![Round::MAX; m],
+        min_done: Round::MAX,
+        failed_steals: vec![0; m],
+        // Staggered so scanning thieves probe distinct victims each round
+        // instead of sweeping in lockstep.
+        scan_next: (1..=m).collect(),
+        busy: BitWords::zeroed(m),
+        deque_ne: BitWords::zeroed(m),
+        due: BitWords::zeroed(m),
+        pending: Vec::new(),
+        ready_scratch: Vec::new(),
+        sources_scratch: Vec::new(),
+        stats: EngineStats::default(),
+        wobs: if obs {
+            vec![WorkerObs::default(); m]
+        } else {
+            Vec::new()
+        },
+        live_admitted: 0,
+        completed: 0,
+        max_flow: Rational::ZERO,
+    };
+    let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
+    let mut samples: Vec<BacklogSample> = Vec::new();
+    let se = config.sample_every;
+
+    let mut puller = Puller::new(stream, id_base)?;
+    let mut released: u64 = 0;
+    let mut round: Round = 0;
+    let mut last_busy_round: Round = 0;
+
+    // Rounds with admitted live work always execute ≥ 1 unit; rounds with
+    // only queued jobs admit within ≤ k+1 rounds; quiescent gaps are
+    // skipped. Anything past this cap is an engine bug. Computed over the
+    // pulled prefix: every round the engine can reach is justified by jobs
+    // already pulled, so recomputing after each pull keeps the invariant.
+    let cap = |p: &Puller<'_, S>| -> Round {
+        speed.first_round_at_or_after(p.last_arrival)
+            + p.total_work
+            + (k + 2) * (p.produced + m as Round)
+            + 64
+    };
+    let mut safety_cap: Round = cap(&puller);
+    // `arrived_by_round(a, r) ⇔ r ≥ first_round_at_or_after(a)`, so one
+    // division per pulled job replaces a wide multiply per round.
+    let arrival_round = |p: &Puller<'_, S>| -> Round {
+        p.pending.as_ref().map_or(Round::MAX, |(_, job)| {
+            speed.first_round_at_or_after(job.arrival)
+        })
+    };
+    let mut next_arrival_round = arrival_round(&puller);
+
+    while puller.pending.is_some() || st.completed < released {
+        assert!(
+            round <= safety_cap,
+            "work-stealing engine exceeded round cap"
+        );
+
+        // Release arrivals into the global FIFO queue, pulling the next
+        // job after each release (one-job lookahead).
+        while next_arrival_round <= round {
+            let (jid, job) = puller.pending.take().expect("pending arrival"); // lint: allow(panicking) invariant: next_arrival_round is finite only while a job is pending
+            let sid = st.slab.alloc(Slot {
+                job: Job::weighted(jid, job.arrival, job.weight, job.dag),
+                cursor: None,
+                started: None,
+            });
+            st.queue.push_back(sid);
+            released += 1;
+            puller.advance()?;
+            safety_cap = cap(&puller);
+            next_arrival_round = arrival_round(&puller);
+        }
+
+        if se > 0 && round.is_multiple_of(se) {
+            samples.push(BacklogSample {
+                round,
+                queued: st.queue.len(),
+                live: st.live_admitted,
+                deque_tasks: st.deque_tasks(),
+            });
+        }
+
+        // Quiescent fast-forward: nothing admitted is live and nothing is
+        // queued — skip to the next arrival. The skipped rounds would be
+        // failed steal attempts; count every one of them. Backlog samples
+        // inside the gap are still emitted (empty by construction) so
+        // sampled series stay evenly spaced.
+        let quiescent = st.live_admitted == 0 && st.queue.is_empty();
+        if quiescent {
+            // `completed == released` here, so the loop condition
+            // guarantees a pending job exists.
+            debug_assert!(next_arrival_round > round && next_arrival_round != Round::MAX);
+            let gap = next_arrival_round - round;
+            st.stats.idle_steps += gap * m as u64;
+            for (p, f) in st.failed_steals.iter_mut().enumerate() {
+                *f = f.saturating_add(gap);
+                if let Some(o) = st.wobs.get_mut(p) {
+                    o.failed_steal_rounds += gap;
+                    o.idle_steps += gap;
+                    o.max_failed_streak = o.max_failed_streak.max(*f);
+                }
+            }
+            if let Some(t) = trace.as_mut() {
+                t.push_idle_rounds(gap);
+            }
+        }
+        // A traced run keeps every round explicit and every worker visited.
+        let locked_until = if quiescent {
+            next_arrival_round
+        } else if config.record_trace {
+            round
+        } else {
+            st.idle_lockout(round, next_arrival_round)
+        };
+        let t = locked_until.min(st.min_done);
+        if t > round {
+            if !quiescent {
+                st.jump(round, t);
+                last_busy_round = t - 1;
+            }
+            // Backlog state is constant at the top of every round of the
+            // span, so interior samples all read the same values.
+            if let Some(periods) = round.checked_div(se) {
+                let (queued, live) = (st.queue.len(), st.live_admitted);
+                let deque_tasks = st.deque_tasks();
+                let mut s = (periods + 1) * se;
+                while s < t {
+                    samples.push(BacklogSample {
+                        round: s,
+                        queued,
+                        live,
+                        deque_tasks,
+                    });
+                    s += se;
+                }
+            }
+            round = t;
+            continue;
+        }
+
+        // Explicit round: idle and completing workers act, in index order
+        // — unless the idle ones are locked out through this round too, in
+        // which case theirs is one more forced miss and only the completing
+        // workers are visited.
+        let idle_locked = locked_until > round;
+        if idle_locked {
+            st.jump(round, round + 1);
+        }
+        let completions = st.min_done == round;
+        let mut row: Vec<Action> = Vec::new();
+        if config.record_trace {
+            row.extend((0..m).map(|p| {
+                let (sid, node) = st.cur[p];
+                if st.busy.get(p) {
+                    Action::Work {
+                        job: st.slab.get(sid).job.id,
+                        node,
+                    }
+                } else {
+                    Action::Idle
+                }
+            }));
+        }
+        for wi in 0..st.busy.words().len() {
+            let idle = if idle_locked {
+                0
+            } else {
+                !st.busy.words()[wi] & BitWords::valid_mask(wi, m)
+            };
+            let due = if completions { st.due.words()[wi] } else { 0 };
+            let mut w = idle | due;
+            while w != 0 {
+                let p = (wi << 6) | w.trailing_zeros() as usize;
+                w &= w - 1;
+                let action = st.visit(p, round, sink);
+                if config.record_trace {
+                    row[p] = action;
+                }
+            }
+        }
+        // Publish deferred pushes (bottom of the owner's deque, in enable
+        // order): nodes enabled in round r are first runnable in r + 1.
+        for &(p, sid, u) in st.pending.iter() {
+            st.deques[p].push_back((sid, u));
+            st.deque_ne.set(p);
+        }
+        st.pending.clear();
+        if completions {
+            st.rescan_due();
+        }
+        last_busy_round = round;
+        if let Some(t) = trace.as_mut() {
+            t.push_row(row);
+        }
+        round += 1;
+    }
+
+    let retire = RetirementStats {
+        jobs_retired: st.completed,
+        live_jobs_high_water: st.slab.high_water,
+        slab_slots: st.slab.slots.len() as u64,
+        cursor_slots: st.arena.capacity() as u64,
+    };
     let summary = StreamSummary {
         m,
         speed,
         total_rounds: last_busy_round + 1,
-        jobs: completed,
-        stats,
+        jobs: st.completed,
+        stats: st.stats,
         samples,
-        max_flow,
+        max_flow: st.max_flow,
         retire,
     };
-    Ok((summary, trace))
-}
-
-/// Pop the next slot to admit: the front (FIFO) or the largest-weight
-/// queued job (ties to the earlier arrival, i.e. the smaller job id) —
-/// the slab-indexed mirror of `worksteal::pop_admission`.
-fn pop_admission_slot(
-    queue: &mut VecDeque<u32>,
-    slab: &JobSlab,
-    order: AdmissionOrder,
-) -> Option<u32> {
-    match order {
-        AdmissionOrder::Fifo => queue.pop_front(),
-        AdmissionOrder::ByWeight => {
-            let best = queue
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &sid)| {
-                    let job = &slab.get(sid).job;
-                    (job.weight, std::cmp::Reverse(job.id))
-                })?
-                .0;
-            queue.remove(best)
-        }
-    }
-}
-
-/// Admit the job in slot `sid` on worker `p`: the slab-indexed mirror of
-/// `worksteal::admit_job`, which additionally records the start round in
-/// the slot (the materialized engine keeps an O(n) `started` vector).
-fn admit_slot(
-    sid: u32,
-    p: usize,
-    slab: &mut JobSlab,
-    workers: &mut [Worker],
-    arena: &mut CursorArena,
-    sources: &mut Vec<NodeId>,
-    round: Round,
-) {
-    let slot = slab.get_mut(sid);
-    let id = arena.alloc(&slot.job.dag);
-    slot.cursor = Some(id);
-    slot.started = Some(round);
-    let cur = arena.get_mut(id);
-    sources.clear();
-    sources.extend_from_slice(cur.ready_nodes());
-    for &s in sources.iter() {
-        cur.claim(s).expect("source ready"); // lint: allow(panicking) invariant: freshly materialized source nodes are unclaimed
-        workers[p].deque.push_back((sid, s));
-    }
-    let task = workers[p].deque.pop_back().expect("pushed sources"); // lint: allow(panicking) a source task was pushed just above; the deque is non-empty
-    workers[p].current = Some(task);
-    workers[p].failed_steals = 0;
+    Ok((summary, trace, st.wobs))
 }
 
 /// Simulate a centralized priority scheduler over a [`JobStream`] —

@@ -29,6 +29,19 @@
 //! round; steals observe the victims' deques as already modified by
 //! lower-indexed workers in the same round (modelling racy concurrency
 //! deterministically).
+//!
+//! **Two loops, one model.** This file holds the policy types, the shared
+//! victim-sampling helpers and the *per-round* loop: every worker acts in
+//! every round, busy workers execute one unit at a time, and the full
+//! fault machinery (crashes, stalls, slowdowns, blackholes, injected
+//! panics) hooks in. It serves every run with a non-empty fault plan, and
+//! — as `run_worksteal_reference` under the `reference-engine` feature —
+//! is the independent implementation the differential suites compare
+//! against. Runs with an empty fault plan go to the event-driven stepper
+//! in `crate::stream` (only idle and completing workers act; uneventful
+//! spans are jumped), which replays the instance as a stream and is
+//! bit-identical: same schedule, RNG stream position, stats, samples,
+//! trace and obs report.
 
 use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
 use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate, PPM};
@@ -75,29 +88,27 @@ impl StealPolicy {
     }
 }
 
-/// One worker's private state. Shared with the streaming engine
-/// (`crate::stream`), whose tasks carry slab slot ids in place of job ids
-/// — both are `u32`, so the layout is identical.
+/// One worker's private state in the per-round loop.
 #[derive(Clone, Debug)]
-pub(crate) struct Worker {
+struct Worker {
     /// The node currently being executed across rounds, if any.
-    pub(crate) current: Option<(JobId, NodeId)>,
+    current: Option<(JobId, NodeId)>,
     /// The deque: back = bottom (owner side), front = top (thief side).
-    pub(crate) deque: VecDeque<(JobId, NodeId)>,
+    deque: VecDeque<(JobId, NodeId)>,
     /// Nodes enabled during the current round, flushed to `deque` at round end.
-    pub(crate) pending: Vec<(JobId, NodeId)>,
+    pending: Vec<(JobId, NodeId)>,
     /// Consecutive failed steal attempts since the last success/work.
     /// `u64` so quiescent fast-forwards count every skipped round exactly;
     /// the old `u32` silently saturated past ~4.3e9 rounds.
-    pub(crate) failed_steals: u64,
+    failed_steals: u64,
     /// Next victim index for the round-robin scan strategy.
-    pub(crate) scan_next: usize,
+    scan_next: usize,
 }
 
 impl Worker {
     /// `index` staggers the round-robin scan start so thieves probe
     /// distinct victims each round instead of sweeping in lockstep.
-    pub(crate) fn new(index: usize) -> Self {
+    fn new(index: usize) -> Self {
         Worker {
             current: None,
             deque: VecDeque::new(),
@@ -134,13 +145,42 @@ pub(crate) struct WorkerObs {
     pub(crate) max_failed_streak: u64,
 }
 
-/// One steal attempt by worker `p`; the victim is chosen per `strategy`
-/// (uniform random — the paper's model — or a deterministic cyclic scan).
-/// On success moves the victim's top task into `workers[p].current`, plus
+/// Choose the victim of one steal attempt by worker `p` of `m ≥ 2`:
+/// uniformly at random among the others (the paper's model) or by a
+/// deterministic cyclic scan through `scan_next`.
+#[inline]
+pub(crate) fn pick_victim(
+    p: usize,
+    m: usize,
+    rng: &mut SmallRng,
+    strategy: VictimStrategy,
+    scan_next: &mut usize,
+) -> usize {
+    match strategy {
+        VictimStrategy::Uniform => {
+            let mut v = gen_uniform_below(rng, m - 1);
+            if v >= p {
+                v += 1;
+            }
+            v
+        }
+        VictimStrategy::RoundRobinScan => {
+            let mut v = *scan_next % m;
+            if v == p {
+                v = (v + 1) % m;
+            }
+            *scan_next = (v + 1) % m;
+            v
+        }
+    }
+}
+
+/// One steal attempt by worker `p` (victim per [`pick_victim`]). On
+/// success moves the victim's top task into `workers[p].current`, plus
 /// — under [`StealAmount::Half`] — the rest of the top half of the
 /// victim's deque onto the thief's deque.
 #[inline]
-pub(crate) fn steal_into(
+fn steal_into(
     p: usize,
     workers: &mut [Worker],
     rng: &mut SmallRng,
@@ -152,23 +192,7 @@ pub(crate) fn steal_into(
     if m <= 1 {
         return false;
     }
-    let victim = match strategy {
-        VictimStrategy::Uniform => {
-            let mut v = gen_uniform_below(rng, m - 1);
-            if v >= p {
-                v += 1;
-            }
-            v
-        }
-        VictimStrategy::RoundRobinScan => {
-            let mut v = workers[p].scan_next % m;
-            if v == p {
-                v = (v + 1) % m;
-            }
-            workers[p].scan_next = (v + 1) % m;
-            v
-        }
-    };
+    let victim = pick_victim(p, m, rng, strategy, &mut workers[p].scan_next);
     // A blackholed victim consumes the attempt but never yields work.
     if blackholed[victim] {
         return false;
@@ -188,18 +212,6 @@ pub(crate) fn steal_into(
     } else {
         false
     }
-}
-
-/// True if any steal attempt could currently succeed: some non-blackholed
-/// worker has a non-empty deque. (The thief's own deque is always empty at
-/// a steal site — it pops it before reaching the steal path — so the thief
-/// index needs no exclusion.)
-#[inline]
-pub(crate) fn any_stealable(workers: &[Worker], blackholed: &[bool]) -> bool {
-    workers
-        .iter()
-        .zip(blackholed)
-        .any(|(w, &b)| !b && !w.deque.is_empty())
 }
 
 /// `rng.gen_range(0..bound)` for `usize`, inlined.
@@ -286,24 +298,22 @@ pub(crate) fn advance_scan(start: usize, p: usize, m: usize, count: u64) -> usiz
 
 /// Consume the per-attempt state (RNG stream or scan cursor) of `count`
 /// steal attempts by worker `p` that are known to fail. A no-op for
-/// `m <= 1`, mirroring `steal_into`'s early return.
+/// `m <= 1`, mirroring a steal attempt's early return.
 #[inline]
 pub(crate) fn burn_failed_attempts(
     rng: &mut SmallRng,
-    workers: &mut [Worker],
+    scan_next: &mut usize,
     p: usize,
+    m: usize,
     strategy: VictimStrategy,
     count: u64,
 ) {
-    let m = workers.len();
     if m <= 1 {
         return;
     }
     match strategy {
         VictimStrategy::Uniform => burn_uniform_draws(rng, m, count),
-        VictimStrategy::RoundRobinScan => {
-            workers[p].scan_next = advance_scan(workers[p].scan_next, p, m, count);
-        }
+        VictimStrategy::RoundRobinScan => *scan_next = advance_scan(*scan_next, p, m, count),
     }
 }
 
@@ -376,7 +386,95 @@ pub fn run_worksteal(
 /// failed-steal streak), engine-level `ws.*` counters mirroring
 /// [`EngineStats`], a `ws.total_rounds` gauge and per-job `ws.flow_ticks`
 /// samples are emitted at the end of the run.
+///
+/// An empty fault plan runs on the event-driven stepper (`crate::stream`,
+/// replaying the instance as a stream); a non-empty one on the per-round
+/// loop below, the only one that models faults.
 pub fn run_worksteal_observed(
+    instance: &Instance,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    rec: &mut dyn Recorder,
+) -> (SimResult, Option<ScheduleTrace>) {
+    run_reported(
+        instance,
+        config,
+        policy,
+        seed,
+        rec,
+        config.faults.is_empty(),
+    )
+}
+
+/// [`run_worksteal_observed`] on the per-round loop whatever the fault
+/// plan, including the empty one: every worker acts in every round and
+/// busy workers execute one unit at a time. The independent implementation
+/// the differential suites compare the event-driven stepper against.
+#[cfg(feature = "reference-engine")]
+pub fn run_worksteal_reference(
+    instance: &Instance,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    rec: &mut dyn Recorder,
+) -> (SimResult, Option<ScheduleTrace>) {
+    run_reported(instance, config, policy, seed, rec, false)
+}
+
+/// Validate the plan, run on the chosen loop and complete the obs report.
+fn run_reported(
+    instance: &Instance,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    rec: &mut dyn Recorder,
+    event_driven: bool,
+) -> (SimResult, Option<ScheduleTrace>) {
+    if let Err(e) = config.faults.validate(config.m) {
+        panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
+    }
+    let (result, trace) = if event_driven {
+        crate::stream::run_worksteal_replay(instance, config, policy, seed, rec)
+    } else {
+        run_per_round(instance, config, policy, seed, rec)
+    };
+    if rec.enabled() {
+        rec.counter("ws.faulted_steps", result.stats.faulted_steps);
+        rec.counter("ws.crashed_workers", result.stats.crashed_workers);
+        rec.counter("ws.reinjected_tasks", result.stats.reinjected_tasks);
+        rec.counter("ws.injected_panics", result.stats.injected_panics);
+        rec.gauge("ws.total_rounds", result.total_rounds as f64);
+        for o in &result.outcomes {
+            rec.sample("ws.flow_ticks", o.flow.to_f64());
+        }
+    }
+    (result, trace)
+}
+
+/// Emit the per-worker `ws.worker.*` counters and the engine-level `ws.*`
+/// counters every work-stealing entry point reports.
+pub(crate) fn emit_ws_counters(rec: &mut dyn Recorder, wobs: &[WorkerObs], stats: &EngineStats) {
+    for (p, o) in wobs.iter().enumerate() {
+        rec.counter_at("ws.worker.work_steps", p, o.work_steps);
+        rec.counter_at("ws.worker.steal_attempts", p, o.steal_attempts);
+        rec.counter_at("ws.worker.successful_steals", p, o.successful_steals);
+        rec.counter_at("ws.worker.failed_steal_rounds", p, o.failed_steal_rounds);
+        rec.counter_at("ws.worker.admissions", p, o.admissions);
+        rec.counter_at("ws.worker.idle_steps", p, o.idle_steps);
+        rec.counter_at("ws.worker.max_failed_streak", p, o.max_failed_streak);
+    }
+    rec.counter("ws.work_steps", stats.work_steps);
+    rec.counter("ws.steal_attempts", stats.steal_attempts);
+    rec.counter("ws.successful_steals", stats.successful_steals);
+    rec.counter("ws.admissions", stats.admissions);
+    rec.counter("ws.idle_steps", stats.idle_steps);
+}
+
+/// The round-by-round work-stealing loop with the full fault machinery.
+/// Emits [`emit_ws_counters`]' part of the obs report; the caller adds the
+/// rest.
+fn run_per_round(
     instance: &Instance,
     config: &SimConfig,
     policy: StealPolicy,
@@ -389,9 +487,6 @@ pub fn run_worksteal_observed(
     let speed = config.speed;
     let k = policy.k();
     let faults = &config.faults;
-    if let Err(e) = faults.validate(m) {
-        panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
-    }
     let mut rng = SmallRng::seed_from_u64(seed);
 
     let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
@@ -487,17 +582,11 @@ pub fn run_worksteal_observed(
     };
     let has_stalls = !faults.stalls.is_empty();
     let mut crash_pending = (0..m).any(|p| faults.crash_round_of(p).is_some());
-    // The event-window fast path below bulk-steps uneventful round spans.
-    // It preserves the RNG stream bit-for-bit but compresses bookkeeping,
-    // so it is only taken when no fault can fire (empty plan ⇒ no crashes,
-    // stalls, slowdowns, blackholes or panics) and no trace row is needed.
-    let fast_ok = faults.is_empty() && !config.record_trace;
-
     // Scratch buffers hoisted out of the hot loop.
     let mut ready_scratch: Vec<NodeId> = Vec::new();
     let mut sources_scratch: Vec<NodeId> = Vec::new();
 
-    'rounds: while completed < n {
+    while completed < n {
         assert!(
             round <= safety_cap,
             "work-stealing engine exceeded round cap"
@@ -613,217 +702,11 @@ pub fn run_worksteal_observed(
             continue;
         }
 
-        // Event-window fast path: between events the round-by-round
-        // behaviour is forced. If every worker is busy (nobody pops, admits
-        // or steals), or the idle workers provably cannot acquire anything
-        // (global queue, orphan FIFO and every deque empty — so every steal
-        // attempt fails), then until the next node completion or arrival
-        // each round repeats the same pattern. Consume the whole span at
-        // once: busy workers bulk-execute their current node, idle workers'
-        // failed steal attempts are replayed onto the RNG stream without
-        // computing victims. Completions land in the last round of the
-        // span, exactly where the per-round loop would put them.
-        'window: {
-            if !fast_ok {
-                break 'window;
-            }
-            // Cheapest cap first: if the next arrival lands next round the
-            // span can only be 1 round — skip the worker scan entirely.
-            let arrival_cap = if next_arrival < n {
-                speed.first_round_at_or_after(jobs[next_arrival].arrival) - round
-            } else {
-                u64::MAX
-            };
-            if arrival_cap < 2 {
-                break 'window;
-            }
-            let mut min_rem = u64::MAX;
-            let mut busy = 0usize;
-            let mut deques_empty = true;
-            for w in &workers {
-                if let Some((jid, v)) = w.current {
-                    let rem = arena
-                        .get(cursor_ids[jid as usize].expect("admitted job")) // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                        .remaining_work(v)
-                        .expect("current node in range"); // lint: allow(panicking) invariant: cursors only hold nodes of their own DAG
-                    if rem < 2 {
-                        // The span is capped at 1 round — the per-round
-                        // loop handles that more cheaply than span setup.
-                        break 'window;
-                    }
-                    if rem < min_rem {
-                        min_rem = rem;
-                    }
-                    busy += 1;
-                }
-                if !w.deque.is_empty() {
-                    deques_empty = false;
-                }
-            }
-            let eligible = busy > 0 && (busy == m || (global_queue.is_empty() && deques_empty));
-            if eligible {
-                // ≥ 2 by construction: every remaining-work and the arrival
-                // cap were pre-checked, so the span always beats per-round.
-                let delta = min_rem.min(arrival_cap);
-                {
-                    let last = round + delta - 1;
-                    // Backlog state is constant at the top of every round
-                    // in the span (completions only land *during* the last
-                    // one), so interior samples all read the same values.
-                    if config.sample_every > 0 {
-                        let se = config.sample_every;
-                        let queued = global_queue.len();
-                        let deque_tasks =
-                            workers.iter().map(|w| w.deque.len()).sum::<usize>() + orphans.len();
-                        let mut s = (round / se + 1) * se;
-                        while s <= last {
-                            samples.push(BacklogSample {
-                                round: s,
-                                queued,
-                                live: live_admitted,
-                                deque_tasks,
-                            });
-                            s += se;
-                        }
-                    }
-                    if busy < m {
-                        debug_assert!(global_queue.is_empty() && deques_empty);
-                        debug_assert!(orphans.is_empty(), "no orphans without crashes");
-                        let per_round: u64 = match config.steal_cost {
-                            StealCost::UnitStep => 1,
-                            StealCost::Free => {
-                                if k == 0 {
-                                    2 * m as u64
-                                } else {
-                                    k as u64
-                                }
-                            }
-                        };
-                        let idle = (m - busy) as u64;
-                        stats.steal_attempts += delta * per_round * idle;
-                        if obs {
-                            for (p, w) in workers.iter().enumerate() {
-                                if w.current.is_none() {
-                                    wobs[p].steal_attempts += delta * per_round;
-                                }
-                            }
-                        }
-                        match config.victim {
-                            VictimStrategy::Uniform => {
-                                burn_uniform_draws(&mut rng, m, delta * per_round * idle);
-                            }
-                            VictimStrategy::RoundRobinScan => {
-                                for (p, w) in workers.iter_mut().enumerate() {
-                                    if w.current.is_none() {
-                                        w.scan_next =
-                                            advance_scan(w.scan_next, p, m, delta * per_round);
-                                    }
-                                }
-                            }
-                        }
-                        match config.steal_cost {
-                            StealCost::UnitStep => {
-                                // A failed unit-cost steal consumes the
-                                // round and bumps the failure counter.
-                                for (p, w) in workers.iter_mut().enumerate() {
-                                    if w.current.is_none() {
-                                        w.failed_steals = w.failed_steals.saturating_add(delta);
-                                        if obs {
-                                            let o = &mut wobs[p];
-                                            o.failed_steal_rounds += delta;
-                                            o.max_failed_streak =
-                                                o.max_failed_streak.max(w.failed_steals);
-                                        }
-                                    }
-                                }
-                            }
-                            StealCost::Free => {
-                                // Free attempts cost nothing; the round
-                                // itself is recorded as idle.
-                                stats.idle_steps += delta * idle;
-                                if obs {
-                                    for (p, w) in workers.iter().enumerate() {
-                                        if w.current.is_none() {
-                                            wobs[p].idle_steps += delta;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for (p, w) in workers.iter_mut().enumerate() {
-                        let Some((jid, v)) = w.current else {
-                            continue;
-                        };
-                        let job = &jobs[jid as usize];
-                        let cid = cursor_ids[jid as usize].expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-                        let cursor = arena.get_mut(cid);
-                        stats.work_steps += delta;
-                        if obs {
-                            wobs[p].work_steps += delta;
-                        }
-                        w.failed_steals = 0;
-                        ready_scratch.clear();
-                        match cursor
-                            .execute_units(&job.dag, v, delta, &mut ready_scratch)
-                            .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
-                        {
-                            StepOutcome::InProgress => {}
-                            StepOutcome::NodeCompleted { job_completed } => {
-                                w.current = None;
-                                debug_assert!(
-                                    !sampler.should_panic(jid, v),
-                                    "no injected panics under an empty fault plan"
-                                );
-                                for &u in ready_scratch.iter() {
-                                    cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                                    w.pending.push((jid, u));
-                                }
-                                if job_completed {
-                                    // Last live node of the job: no other
-                                    // worker's `current` can reference this
-                                    // slot, safe to recycle.
-                                    arena.release(
-                                        cursor_ids[jid as usize].take().expect("cursor id"), // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
-                                    );
-                                    live_admitted -= 1;
-                                    completed += 1;
-                                    outcomes[jid as usize] = Some(JobOutcome {
-                                        job: jid,
-                                        arrival: job.arrival,
-                                        weight: job.weight,
-                                        start_round: started[jid as usize].expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                                        completion_round: last,
-                                        completion: speed.round_end(last),
-                                        flow: speed.flow_time(job.arrival, last),
-                                        status: JobStatus::Completed,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    for w in &mut workers {
-                        for task in w.pending.drain(..) {
-                            w.deque.push_back(task);
-                        }
-                    }
-                    last_busy_round = last;
-                    round += delta;
-                    continue 'rounds;
-                }
-            }
-        }
-
         let mut row: Vec<Action> = if config.record_trace {
             Vec::with_capacity(m)
         } else {
             Vec::new()
         };
-        // All-deques-empty knowledge, shared across this round's steal
-        // sites: `Some(false)` ⇒ every attempt fails (burn it), computed at
-        // most once per round and invalidated by any deque push.
-        let mut stealable_cache: Option<bool> = None;
-
         for p in 0..m {
             // 0. Fault gates: dead workers do nothing; stalled workers
             // freeze (their deques stay stealable); slowed workers only
@@ -882,68 +765,70 @@ pub fn run_worksteal_observed(
                 }
             }
             if workers[p].current.is_none() {
+                // Admit the next queued job on `p`, if any: the admitting
+                // worker immediately holds the job's last source node.
+                let mut admit = |workers: &mut [Worker],
+                                 stats: &mut EngineStats,
+                                 wobs: &mut [WorkerObs]|
+                 -> bool {
+                    let Some(jid) = pop_admission(&mut global_queue, jobs, config.admission) else {
+                        return false;
+                    };
+                    admit_job(
+                        jid,
+                        p,
+                        jobs,
+                        workers,
+                        &mut arena,
+                        &mut cursor_ids,
+                        &mut sources_scratch,
+                    );
+                    started[jid as usize] = Some(round);
+                    live_admitted += 1;
+                    stats.admissions += 1;
+                    if obs {
+                        wobs[p].admissions += 1;
+                    }
+                    true
+                };
+                // Up to `attempts` steal attempts, stopping at the first hit.
+                let mut try_steals = |workers: &mut [Worker],
+                                      stats: &mut EngineStats,
+                                      wobs: &mut [WorkerObs],
+                                      attempts: u64|
+                 -> bool {
+                    for _ in 0..attempts {
+                        stats.steal_attempts += 1;
+                        if obs {
+                            wobs[p].steal_attempts += 1;
+                        }
+                        if steal_into(
+                            p,
+                            workers,
+                            &mut rng,
+                            config.victim,
+                            config.steal_amount,
+                            &blackholed,
+                        ) {
+                            stats.successful_steals += 1;
+                            if obs {
+                                wobs[p].successful_steals += 1;
+                            }
+                            return true;
+                        }
+                    }
+                    false
+                };
                 match config.steal_cost {
                     StealCost::UnitStep => {
-                        let admit_now = match policy {
-                            StealPolicy::AdmitFirst => !global_queue.is_empty(),
-                            StealPolicy::StealKFirst { k } => {
-                                workers[p].failed_steals >= k as u64 && !global_queue.is_empty()
-                            }
-                        };
-                        if admit_now {
-                            let jid = pop_admission(&mut global_queue, jobs, config.admission)
-                                .expect("queue non-empty"); // lint: allow(panicking) emptiness checked immediately above
-                            admit_job(
-                                jid,
-                                p,
-                                jobs,
-                                &mut workers,
-                                &mut arena,
-                                &mut cursor_ids,
-                                &mut sources_scratch,
-                            );
-                            started[jid as usize] = Some(round);
-                            live_admitted += 1;
-                            stats.admissions += 1;
-                            if obs {
-                                wobs[p].admissions += 1;
-                            }
-                            stealable_cache = None;
-                        } else {
+                        let admitted = workers[p].failed_steals >= k as u64
+                            && admit(&mut workers, &mut stats, &mut wobs);
+                        if !admitted {
                             // Steal attempt: one full round; the stolen node
                             // (if any) starts executing next round.
-                            stats.steal_attempts += 1;
-                            if obs {
-                                wobs[p].steal_attempts += 1;
-                            }
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            let hit = if stealable {
-                                steal_into(
-                                    p,
-                                    &mut workers,
-                                    &mut rng,
-                                    config.victim,
-                                    config.steal_amount,
-                                    &blackholed,
-                                )
-                            } else {
-                                burn_failed_attempts(&mut rng, &mut workers, p, config.victim, 1);
-                                false
-                            };
+                            let hit = try_steals(&mut workers, &mut stats, &mut wobs, 1);
                             if hit {
-                                stats.successful_steals += 1;
                                 workers[p].failed_steals = 0;
-                                if obs {
-                                    wobs[p].successful_steals += 1;
-                                }
-                                stealable_cache = None;
                             } else {
                                 workers[p].failed_steals =
                                     workers[p].failed_steals.saturating_add(1);
@@ -963,140 +848,14 @@ pub fn run_worksteal_observed(
                     StealCost::Free => {
                         // Instantaneous acquisition: steal attempts cost
                         // nothing; only executing work (or finding none)
-                        // consumes the round. `k = 0` is admit-first.
+                        // consumes the round. `k = 0` is admit-first: admit
+                        // if anything is queued, else scan 2m victims.
                         if k == 0 {
-                            if let Some(jid) =
-                                pop_admission(&mut global_queue, jobs, config.admission)
-                            {
-                                admit_job(
-                                    jid,
-                                    p,
-                                    jobs,
-                                    &mut workers,
-                                    &mut arena,
-                                    &mut cursor_ids,
-                                    &mut sources_scratch,
-                                );
-                                started[jid as usize] = Some(round);
-                                live_admitted += 1;
-                                stats.admissions += 1;
-                                if obs {
-                                    wobs[p].admissions += 1;
-                                }
-                                stealable_cache = None;
-                            } else {
-                                // Scan for stealable work.
-                                let attempts = 2 * m.max(1) as u32; // lint: allow(truncating-cast) m is the processor count; a 2^32-processor instance is unrepresentable
-                                let stealable = match stealable_cache {
-                                    Some(v) => v,
-                                    None => {
-                                        let v = any_stealable(&workers, &blackholed);
-                                        stealable_cache = Some(v);
-                                        v
-                                    }
-                                };
-                                if stealable {
-                                    for _ in 0..attempts {
-                                        stats.steal_attempts += 1;
-                                        if obs {
-                                            wobs[p].steal_attempts += 1;
-                                        }
-                                        if steal_into(
-                                            p,
-                                            &mut workers,
-                                            &mut rng,
-                                            config.victim,
-                                            config.steal_amount,
-                                            &blackholed,
-                                        ) {
-                                            stats.successful_steals += 1;
-                                            if obs {
-                                                wobs[p].successful_steals += 1;
-                                            }
-                                            stealable_cache = None;
-                                            break;
-                                        }
-                                    }
-                                } else {
-                                    stats.steal_attempts += attempts as u64;
-                                    if obs {
-                                        wobs[p].steal_attempts += attempts as u64;
-                                    }
-                                    burn_failed_attempts(
-                                        &mut rng,
-                                        &mut workers,
-                                        p,
-                                        config.victim,
-                                        attempts as u64,
-                                    );
-                                }
+                            if !admit(&mut workers, &mut stats, &mut wobs) {
+                                try_steals(&mut workers, &mut stats, &mut wobs, 2 * m as u64);
                             }
-                        } else {
-                            let stealable = match stealable_cache {
-                                Some(v) => v,
-                                None => {
-                                    let v = any_stealable(&workers, &blackholed);
-                                    stealable_cache = Some(v);
-                                    v
-                                }
-                            };
-                            if stealable {
-                                for _ in 0..k {
-                                    stats.steal_attempts += 1;
-                                    if obs {
-                                        wobs[p].steal_attempts += 1;
-                                    }
-                                    if steal_into(
-                                        p,
-                                        &mut workers,
-                                        &mut rng,
-                                        config.victim,
-                                        config.steal_amount,
-                                        &blackholed,
-                                    ) {
-                                        stats.successful_steals += 1;
-                                        if obs {
-                                            wobs[p].successful_steals += 1;
-                                        }
-                                        stealable_cache = None;
-                                        break;
-                                    }
-                                }
-                            } else {
-                                stats.steal_attempts += k as u64;
-                                if obs {
-                                    wobs[p].steal_attempts += k as u64;
-                                }
-                                burn_failed_attempts(
-                                    &mut rng,
-                                    &mut workers,
-                                    p,
-                                    config.victim,
-                                    k as u64,
-                                );
-                            }
-                            if workers[p].current.is_none() {
-                                if let Some(jid) =
-                                    pop_admission(&mut global_queue, jobs, config.admission)
-                                {
-                                    admit_job(
-                                        jid,
-                                        p,
-                                        jobs,
-                                        &mut workers,
-                                        &mut arena,
-                                        &mut cursor_ids,
-                                        &mut sources_scratch,
-                                    );
-                                    started[jid as usize] = Some(round);
-                                    live_admitted += 1;
-                                    stats.admissions += 1;
-                                    if obs {
-                                        wobs[p].admissions += 1;
-                                    }
-                                    stealable_cache = None;
-                                }
-                            }
+                        } else if !try_steals(&mut workers, &mut stats, &mut wobs, k as u64) {
+                            admit(&mut workers, &mut stats, &mut wobs);
                         }
                         if workers[p].current.is_none() {
                             stats.idle_steps += 1;
@@ -1216,28 +975,7 @@ pub fn run_worksteal_observed(
         .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the engine loop exits only after every job completes
         .collect();
     if obs {
-        for (p, o) in wobs.iter().enumerate() {
-            rec.counter_at("ws.worker.work_steps", p, o.work_steps);
-            rec.counter_at("ws.worker.steal_attempts", p, o.steal_attempts);
-            rec.counter_at("ws.worker.successful_steals", p, o.successful_steals);
-            rec.counter_at("ws.worker.failed_steal_rounds", p, o.failed_steal_rounds);
-            rec.counter_at("ws.worker.admissions", p, o.admissions);
-            rec.counter_at("ws.worker.idle_steps", p, o.idle_steps);
-            rec.counter_at("ws.worker.max_failed_streak", p, o.max_failed_streak);
-        }
-        rec.counter("ws.work_steps", stats.work_steps);
-        rec.counter("ws.steal_attempts", stats.steal_attempts);
-        rec.counter("ws.successful_steals", stats.successful_steals);
-        rec.counter("ws.admissions", stats.admissions);
-        rec.counter("ws.idle_steps", stats.idle_steps);
-        rec.counter("ws.faulted_steps", stats.faulted_steps);
-        rec.counter("ws.crashed_workers", stats.crashed_workers);
-        rec.counter("ws.reinjected_tasks", stats.reinjected_tasks);
-        rec.counter("ws.injected_panics", stats.injected_panics);
-        rec.gauge("ws.total_rounds", (last_busy_round + 1) as f64);
-        for o in &outcomes {
-            rec.sample("ws.flow_ticks", o.flow.to_f64());
-        }
+        emit_ws_counters(rec, &wobs, &stats);
     }
     let result = SimResult {
         m,
@@ -1586,9 +1324,10 @@ mod tests {
 
     #[test]
     fn traced_and_untraced_runs_agree() {
-        // The untraced run may take the event-window fast path; the traced
-        // run never does. Results must be identical either way: same
-        // outcomes, stats, samples and RNG consumption.
+        // The untraced run jumps uneventful spans and skips locked-out idle
+        // workers; the traced run keeps every round explicit. Results must
+        // be identical either way: same outcomes, stats, samples and RNG
+        // consumption.
         let dag = Arc::new(shapes::diamond(6, 3));
         let mut jobs: Vec<Job> = (0..12)
             .map(|i| Job::new(i, (i as u64) * 7, dag.clone()))

@@ -22,28 +22,32 @@ use std::sync::Arc;
 /// including bursts (equal arrivals) and sparse gaps that exercise the
 /// quiescent fast-forward path.
 fn arb_instance() -> impl Strategy<Value = Instance> {
-    (any::<u64>(), 1usize..14, 0u64..60).prop_map(|(seed, njobs, spread)| {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let jobs = (0..njobs)
-            .map(|i| {
-                let arrival = if spread == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..=spread)
-                };
-                let dag = match rng.gen_range(0..5u8) {
-                    0 => shapes::single_node(rng.gen_range(1..25)),
-                    1 => shapes::chain(rng.gen_range(1..6), rng.gen_range(1..5)),
-                    2 => shapes::parallel_for(rng.gen_range(1..40), rng.gen_range(1..8)),
-                    3 => shapes::fork_join(rng.gen_range(0..4), rng.gen_range(1..5)),
-                    _ => shapes::layered_random(&mut rng, shapes::LayeredParams::default()),
-                };
-                let weight = rng.gen_range(1..10u64);
-                Job::weighted(i as u32, arrival, weight, Arc::new(dag))
-            })
-            .collect();
-        Instance::new(jobs)
-    })
+    (any::<u64>(), 1usize..14, 0u64..60)
+        .prop_map(|(seed, njobs, spread)| gen_instance(seed, njobs, spread))
+}
+
+/// `njobs` jobs of mixed shapes with arrivals uniform in `0..=spread`.
+fn gen_instance(seed: u64, njobs: usize, spread: u64) -> Instance {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let jobs = (0..njobs)
+        .map(|i| {
+            let arrival = if spread == 0 {
+                0
+            } else {
+                rng.gen_range(0..=spread)
+            };
+            let dag = match rng.gen_range(0..5u8) {
+                0 => shapes::single_node(rng.gen_range(1..25)),
+                1 => shapes::chain(rng.gen_range(1..6), rng.gen_range(1..5)),
+                2 => shapes::parallel_for(rng.gen_range(1..40), rng.gen_range(1..8)),
+                3 => shapes::fork_join(rng.gen_range(0..4), rng.gen_range(1..5)),
+                _ => shapes::layered_random(&mut rng, shapes::LayeredParams::default()),
+            };
+            let weight = rng.gen_range(1..10u64);
+            Job::weighted(i as u32, arrival, weight, Arc::new(dag))
+        })
+        .collect();
+    Instance::new(jobs)
 }
 
 fn arb_speed() -> impl Strategy<Value = Speed> {
@@ -132,6 +136,376 @@ fn single_processor_long_chain_is_bit_identical() {
     for speed in [Speed::ONE, Speed::new(11, 10)] {
         let cfg = SimConfig::new(1).with_speed(speed).with_trace();
         assert_identical(&inst, &cfg, &Fifo, "chain-gap");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Event-driven stepper differentials: `run_worksteal` with an empty fault
+// plan runs the event-driven stepper (only idle and completing workers act,
+// uneventful spans are jumped); `run_worksteal_reference` is the per-round
+// loop — every worker every round, one unit at a time — kept as the
+// independent behavioural spec. They must agree on outcomes, stats,
+// samples, trace and the whole obs report.
+// ---------------------------------------------------------------------------
+
+use parflow::core::{run_worksteal_observed, run_worksteal_reference};
+use parflow::obs::AggregatingRecorder;
+
+/// Assert stepper and per-round reference agree bit-for-bit, through the
+/// observed entry points so the per-worker telemetry is compared too.
+fn assert_stepper_matches_reference(
+    inst: &Instance,
+    cfg: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    name: &str,
+) {
+    let mut fast_rec = AggregatingRecorder::new();
+    let mut slow_rec = AggregatingRecorder::new();
+    let (fast, fast_trace) = run_worksteal_observed(inst, cfg, policy, seed, &mut fast_rec);
+    let (slow, slow_trace) = run_worksteal_reference(inst, cfg, policy, seed, &mut slow_rec);
+    assert_eq!(fast.outcomes, slow.outcomes, "{name}: outcomes");
+    assert_eq!(fast.stats, slow.stats, "{name}: stats");
+    assert_eq!(fast.samples, slow.samples, "{name}: samples");
+    assert_eq!(fast, slow, "{name}: result");
+    assert_eq!(fast_trace, slow_trace, "{name}: trace");
+    assert_eq!(
+        fast_rec.report().to_json(),
+        slow_rec.report().to_json(),
+        "{name}: obs report"
+    );
+    // The unobserved entry point is the same run.
+    let (plain, plain_trace) = run_worksteal(inst, cfg, policy, seed);
+    assert_eq!(plain, fast, "{name}: NullRecorder result");
+    assert_eq!(plain_trace, fast_trace, "{name}: NullRecorder trace");
+    if let Some(t) = &fast_trace {
+        assert_eq!(t.validate(inst), Ok(()), "{name}: trace validity");
+        let report = parflow_certify::certify_run(inst, cfg, Some(policy), &fast, t);
+        assert!(report.is_clean(), "{name}: {}", report.render());
+    }
+}
+
+/// The full knob grid — steal cost × victim × steal amount × admission
+/// order × k × trace × sampling × m (word boundaries 64/65/130 included) —
+/// on a burst, a steady trickle and a sparse instance with quiescent gaps.
+#[test]
+fn stepper_matches_reference_on_the_full_config_grid() {
+    let instances = [
+        gen_instance(0xA11CE, 12, 0),
+        gen_instance(0xB0B, 13, 40),
+        gen_instance(0xCAB, 9, 600),
+    ];
+    let mut cases = 0u32;
+    for (ii, inst) in instances.iter().enumerate() {
+        for m in [1usize, 2, 7, 16, 64, 65, 130] {
+            for knobs in 0u32..64 {
+                let (free, scan, half, weighted, traced, sampled) = (
+                    knobs & 1 != 0,
+                    knobs & 2 != 0,
+                    knobs & 4 != 0,
+                    knobs & 8 != 0,
+                    knobs & 16 != 0,
+                    knobs & 32 != 0,
+                );
+                let mut cfg = SimConfig::new(m);
+                if free {
+                    cfg = cfg.with_free_steals();
+                }
+                if scan {
+                    cfg = cfg.with_victim_scan();
+                }
+                if half {
+                    cfg = cfg.with_half_steals();
+                }
+                if weighted {
+                    cfg = cfg.with_weighted_admission();
+                }
+                if traced {
+                    cfg = cfg.with_trace();
+                }
+                if sampled {
+                    cfg = cfg.with_sampling(7);
+                }
+                for k in [0u32, 1, 4, 16] {
+                    let policy = if k == 0 {
+                        StealPolicy::AdmitFirst
+                    } else {
+                        StealPolicy::StealKFirst { k }
+                    };
+                    let seed = 0x5eed ^ (knobs as u64) << 8 ^ k as u64;
+                    let name = format!("inst {ii} m {m} knobs {knobs:06b} k {k}");
+                    assert_stepper_matches_reference(inst, &cfg, policy, seed, &name);
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 3 * 7 * 64 * 4);
+}
+
+// Named regressions for the edges the event form introduces. Each runs
+// traced and untraced through `assert_stepper_matches_reference` and pins
+// a concrete value showing the edge was actually hit.
+
+/// Run `cfg` untraced and traced against the reference; hand back the
+/// traced stepper run.
+fn edge_case(
+    inst: &Instance,
+    cfg: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    name: &str,
+) -> (parflow::core::SimResult, parflow::core::ScheduleTrace) {
+    assert_stepper_matches_reference(inst, cfg, policy, seed, name);
+    let traced = cfg.clone().with_trace();
+    assert_stepper_matches_reference(inst, &traced, policy, seed, name);
+    let (result, trace) = run_worksteal(inst, &traced, policy, seed);
+    (result, trace.expect("traced"))
+}
+
+fn one_job(dag: JobDag) -> Instance {
+    Instance::new(vec![Job::new(0, 0, Arc::new(dag))])
+}
+
+#[test]
+fn edge_work_one_nodes_complete_in_their_acquisition_round() {
+    // A chain of unit nodes: every node is popped, executed and completed
+    // in one round, never entering the completion calendar.
+    let inst = one_job(shapes::chain(6, 1));
+    for cfg in [SimConfig::new(2), SimConfig::new(2).with_free_steals()] {
+        let (r, _) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 3, "work-1 chain");
+        assert_eq!(r.outcomes[0].completion_round, 5);
+        assert_eq!(r.stats.work_steps, 6);
+    }
+}
+
+#[test]
+fn edge_unit_step_steal_hit_starts_the_node_next_round() {
+    use parflow::core::Action;
+    // source(1) → two chunks of 4 → sink(1) on two workers. Round 0:
+    // worker 0 admits and finishes the source, worker 1's steal misses.
+    // Round 1: worker 0 pops one chunk, worker 1 steals the other — and
+    // first works on it in round 2, finishing in round 5.
+    let inst = one_job(shapes::parallel_for(8, 2));
+    let (r, t) = edge_case(
+        &inst,
+        &SimConfig::new(2),
+        StealPolicy::AdmitFirst,
+        9,
+        "steal hit",
+    );
+    let rows = t.to_dense();
+    assert_eq!(rows[0][1], Action::Steal { hit: false });
+    assert_eq!(rows[1][1], Action::Steal { hit: true });
+    assert!(matches!(rows[2][1], Action::Work { job: 0, .. }));
+    assert!(matches!(rows[5][1], Action::Work { job: 0, .. }));
+    // The sink lands on worker 1's deque at the end of round 5; worker 0
+    // acts first in round 6, steals it and runs it in round 7.
+    assert_eq!(rows[6][0], Action::Steal { hit: true });
+    assert_eq!(r.outcomes[0].completion_round, 7);
+    assert_eq!(r.stats.successful_steals, 2);
+}
+
+#[test]
+fn edge_arrival_lands_on_the_round_of_the_earliest_completion() {
+    // Job 0 finishes in round 4, exactly when job 1 arrives: the jump
+    // stops at 4 for both reasons and the round is explicit.
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(5))),
+        Job::new(1, 4, Arc::new(shapes::single_node(3))),
+    ]);
+    for m in [1usize, 2] {
+        for cfg in [SimConfig::new(m), SimConfig::new(m).with_free_steals()] {
+            let (r, _) = edge_case(
+                &inst,
+                &cfg,
+                StealPolicy::AdmitFirst,
+                1,
+                "arrival = completion",
+            );
+            assert_eq!(r.outcomes[0].completion_round, 4);
+            // One worker: it is still finishing job 0 in round 4. Two:
+            // the idle one admits job 1 on arrival.
+            assert_eq!(r.outcomes[1].start_round, if m == 1 { 5 } else { 4 });
+        }
+    }
+}
+
+#[test]
+fn edge_k_burn_jump_stops_one_round_before_the_admission() {
+    // Unit-step steal-3-first, nothing stealable: both workers burn
+    // rounds 0..3 in one jump and admit in round 3.
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(1))),
+        Job::new(1, 0, Arc::new(shapes::single_node(1))),
+    ]);
+    let policy = StealPolicy::StealKFirst { k: 3 };
+    let (r, _) = edge_case(&inst, &SimConfig::new(2), policy, 7, "k-burn");
+    assert_eq!(r.outcomes[0].start_round, 3);
+    assert_eq!(r.outcomes[1].start_round, 3);
+    assert_eq!(r.stats.steal_attempts, 6);
+    // An arrival inside the burn caps the jump; a busy worker's completion
+    // inside it does too, and its idle peers keep burning through it.
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(4))),
+        Job::new(1, 2, Arc::new(shapes::single_node(1))),
+        Job::new(2, 2, Arc::new(shapes::single_node(9))),
+    ]);
+    for m in [1usize, 2, 3] {
+        for k in [2u32, 5, 16] {
+            let policy = StealPolicy::StealKFirst { k };
+            edge_case(&inst, &SimConfig::new(m), policy, 7, "k-burn capped");
+            edge_case(
+                &inst,
+                &SimConfig::new(m).with_victim_scan(),
+                policy,
+                7,
+                "k-burn scan",
+            );
+        }
+    }
+}
+
+#[test]
+fn edge_steal_half_refills_the_thiefs_deque_mid_round() {
+    use parflow::core::Action;
+    // Worker 0 holds 16 chunks after round 0. In round 1 worker 1 takes
+    // the top half — one to run, the rest onto its own deque — so a
+    // higher-indexed thief can already hit worker 1 in the same round.
+    let inst = one_job(shapes::diamond(16, 8));
+    let mut two_hits_in_a_round = false;
+    for seed in 0..8 {
+        for cfg in [
+            SimConfig::new(4).with_half_steals(),
+            SimConfig::new(4).with_half_steals().with_free_steals(),
+            SimConfig::new(4).with_half_steals().with_victim_scan(),
+        ] {
+            let (r, t) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, seed, "steal-half");
+            assert_eq!(r.stats.work_steps, inst.total_work());
+            two_hits_in_a_round |= t.to_dense().iter().any(|row| {
+                row.iter()
+                    .filter(|a| **a == Action::Steal { hit: true })
+                    .count()
+                    >= 2
+            });
+        }
+    }
+    assert!(two_hits_in_a_round);
+}
+
+#[test]
+fn edge_by_weight_admission_pops_the_heaviest_queued_job() {
+    let inst = Instance::new(vec![
+        Job::weighted(0, 0, 1, Arc::new(shapes::single_node(3))),
+        Job::weighted(1, 0, 100, Arc::new(shapes::single_node(3))),
+        Job::weighted(2, 0, 10, Arc::new(shapes::single_node(3))),
+        Job::weighted(3, 1, 100, Arc::new(shapes::single_node(3))),
+    ]);
+    for cfg in [
+        SimConfig::new(1).with_weighted_admission(),
+        SimConfig::new(1)
+            .with_weighted_admission()
+            .with_free_steals(),
+    ] {
+        let (r, _) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 3, "by-weight");
+        // 100 (older first), 100, 10, 1.
+        let order = |j: usize| r.outcomes[j].start_round;
+        assert!(order(1) < order(3) && order(3) < order(2) && order(2) < order(0));
+    }
+}
+
+#[test]
+fn edge_single_worker_never_steals_successfully() {
+    // m = 1: every steal attempt misses without consuming a draw; the
+    // k-burn lockout applies with nobody busy at all.
+    let inst = gen_instance(0x51, 10, 30);
+    for cfg in [
+        SimConfig::new(1),
+        SimConfig::new(1).with_free_steals(),
+        SimConfig::new(1).with_victim_scan().with_half_steals(),
+    ] {
+        for k in [0u32, 2, 16] {
+            let policy = if k == 0 {
+                StealPolicy::AdmitFirst
+            } else {
+                StealPolicy::StealKFirst { k }
+            };
+            let (r, _) = edge_case(&inst, &cfg, policy, 5, "m = 1");
+            assert_eq!(r.stats.successful_steals, 0);
+            assert_eq!(r.stats.work_steps, inst.total_work());
+        }
+    }
+}
+
+#[test]
+fn edge_own_deque_refilled_at_round_end_is_popped_next_round() {
+    use parflow::core::Action;
+    // A chain on one worker: each node's successor is published at the
+    // end of the completion round and popped in the very next one, so the
+    // worker works in every round.
+    let inst = one_job(shapes::chain(3, 2));
+    for cfg in [SimConfig::new(1), SimConfig::new(1).with_free_steals()] {
+        let (r, t) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 2, "own-deque refill");
+        assert_eq!(r.outcomes[0].completion_round, 5);
+        assert!(t
+            .to_dense()
+            .iter()
+            .all(|row| matches!(row[0], Action::Work { .. })));
+    }
+}
+
+/// The Figure 2 regime (loaded machine, long busy stretches, frequent
+/// steals): paper workloads at 75 % and 90 % utilization.
+#[test]
+fn stepper_matches_reference_on_paper_workloads() {
+    use parflow::workloads::qps_for_utilization;
+    for (dist, util, m) in [
+        (DistKind::Bing, 0.75, 16usize),
+        (DistKind::Finance, 0.9, 16),
+        (DistKind::LogNormal, 0.75, 4),
+        (DistKind::Bing, 0.5, 48),
+    ] {
+        let qps = qps_for_utilization(dist, m, util);
+        let inst = WorkloadSpec::paper_fig2(dist, qps, 300, 0xF162).generate();
+        for free in [true, false] {
+            for k in [0u32, 16] {
+                let mut cfg = SimConfig::new(m).with_sampling(7);
+                if free {
+                    cfg = cfg.with_free_steals();
+                }
+                let policy = if k == 0 {
+                    StealPolicy::AdmitFirst
+                } else {
+                    StealPolicy::StealKFirst { k }
+                };
+                let name = format!("{dist:?} util {util} m {m} free {free} k {k}");
+                assert_stepper_matches_reference(&inst, &cfg, policy, 77, &name);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random instances × random specs (incl. fractional speeds).
+    #[test]
+    fn stepper_matches_reference_on_random_specs(
+        inst in arb_instance(), spec in arb_replica_spec()
+    ) {
+        assert_stepper_matches_reference(&inst, &spec.config, spec.policy, spec.seed, "random");
+    }
+
+    /// Machines wider than one bitset word, mostly idle.
+    #[test]
+    fn stepper_matches_reference_on_wide_machines(
+        inst in arb_instance(),
+        spec in arb_replica_spec(),
+        m in prop_oneof![Just(63usize), Just(64usize), Just(65usize), Just(130usize), Just(256usize)]
+    ) {
+        let mut cfg = spec.config.clone();
+        cfg.m = m;
+        assert_stepper_matches_reference(&inst, &cfg, spec.policy, spec.seed, "wide");
     }
 }
 

@@ -7,15 +7,18 @@
 //! **every prefix length n**, replaying the first n jobs through the
 //! stream must be bit-identical to the materialized engine run on an
 //! instance of those same n jobs — same stats, round count, outcomes,
-//! backlog samples, max flow and schedule trace. Likewise the incremental
+//! backlog samples, max flow and schedule trace. For work stealing the
+//! materialized side is `run_worksteal_reference`, the per-round loop:
+//! `run_worksteal` is itself the streaming stepper over a replay, so
+//! comparing against it would compare the stepper with itself. Likewise the incremental
 //! [`OptTracker`] must equal the batch lower bounds after every single
 //! arrival, and the `u32` job-id space must fail closed (satellite of the
 //! sweep grid's jobs-axis validation).
 
 use parflow::core::{
     combined_lower_bound, opt_flows, opt_max_flow, run_priority, run_priority_stream,
-    run_worksteal, run_worksteal_stream, run_worksteal_stream_with_base, span_lower_bound, Fifo,
-    InstanceReplay, OptTracker, SimConfig, StreamError,
+    run_worksteal, run_worksteal_reference, run_worksteal_stream, run_worksteal_stream_with_base,
+    span_lower_bound, Fifo, InstanceReplay, OptTracker, SimConfig, StreamError,
 };
 use parflow::prelude::*;
 use proptest::prelude::*;
@@ -66,7 +69,14 @@ fn assert_ws_prefix_identical(
     seed: u64,
 ) {
     let prefix = prefix_instance(inst, n);
-    let (batch, batch_trace) = run_worksteal(&prefix, cfg, policy, seed);
+    let (batch, batch_trace) =
+        run_worksteal_reference(&prefix, cfg, policy, seed, &mut NullRecorder);
+    // The materialized entry point collects the same run back into job order.
+    assert_eq!(
+        run_worksteal(&prefix, cfg, policy, seed),
+        (batch.clone(), batch_trace.clone()),
+        "prefix {n}: materialized"
+    );
     let mut outs = Vec::new();
     let mut replay = InstanceReplay::prefix(inst, n);
     let (sum, trace) = run_worksteal_stream(&mut replay, cfg, policy, seed, &mut |o| {
@@ -125,11 +135,19 @@ proptest! {
         m in 1usize..5,
         k in 0u32..4,
         seed in any::<u64>(),
-        traced in any::<bool>()
+        traced in any::<bool>(),
+        free in any::<bool>(),
+        sample in 0u64..3
     ) {
         let mut cfg = SimConfig::new(m);
         if traced {
             cfg = cfg.with_trace();
+        }
+        if free {
+            cfg = cfg.with_free_steals();
+        }
+        if sample > 0 {
+            cfg = cfg.with_sampling(sample);
         }
         let policy = if k == 0 {
             StealPolicy::AdmitFirst
