@@ -38,9 +38,9 @@ pub fn run(ms: &[usize], n_jobs: usize, seed: u64) -> Vec<ScalingPoint> {
         let qps = qps_for_utilization(DistKind::Bing, m, 0.65);
         let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
         let cfg = SimConfig::new(m).with_free_steals();
-        // Both policies run through one batched lane, so the arena and
-        // worker-state columns grown for steal-16 are recycled for
-        // admit-first (bit-identical to back-to-back `simulate_worksteal`).
+        // Both policies run through one replica-driver call, so the arena
+        // and worker-state columns grown for steal-16 are recycled for
+        // admit-first (the same runs as back-to-back `simulate_worksteal`).
         let specs = [
             ReplicaSpec::new(
                 cfg.clone(),

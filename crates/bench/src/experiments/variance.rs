@@ -52,10 +52,10 @@ pub fn run(qps: f64, n_jobs: usize, runs: usize, seed: u64) -> Vec<VariancePoint
 
     let fifo = simulate_fifo(&inst, &cfg).max_flow().to_f64() * to_ms;
     // Replicas of one policy differ only by seed, so each thread runs its
-    // chunk through the batched engine with a single lane: one arena (and
-    // all the SoA scratch) is recycled across every replica in the chunk
-    // instead of being re-grown per run, and the schedules stay
-    // bit-identical to per-replica `simulate_worksteal`.
+    // chunk through one replica-driver call: one arena (and all the
+    // stepper's buffers) is recycled across every replica in the chunk
+    // instead of being re-grown per run; the schedules are those of
+    // per-replica `simulate_worksteal`.
     let collect = |policy: StealPolicy| -> Vec<f64> {
         let specs: Vec<ReplicaSpec> = (0..runs)
             .map(|i| ReplicaSpec::new(cfg.clone(), policy, seed ^ (i as u64 + 1)))

@@ -12,8 +12,9 @@
 //!    cells, not holes;
 //! 3. **fan-out** — surviving representatives are grouped by generated
 //!    instance and dispatched across the experiment thread pool; all
-//!    work-stealing replicas of one instance share a single batched SoA
-//!    engine run ([`parflow_core::simulate_batched`]);
+//!    work-stealing replicas of one instance share one replica-driver
+//!    call ([`parflow_core::simulate_batched`]: one set of stepper buffers
+//!    for the whole group);
 //! 4. **aggregate** — every cell (simulated, clustered, pruned, reused)
 //!    streams into one jsonl store ([`aggregate`]) with a stable schema.
 //!
@@ -55,8 +56,6 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Dominance-prune factor; ≤ 1 disables pruning.
     pub prune_factor: f64,
-    /// SoA lanes per batched engine call.
-    pub batch_lanes: usize,
     /// Stream cells through the O(active)-memory engines instead of
     /// materializing instances. Enables `jobs` counts that would not fit
     /// in memory; flow statistics come from the streaming layer (exact
@@ -79,7 +78,6 @@ impl Default for SweepOptions {
         SweepOptions {
             threads: par_threads(),
             prune_factor: 4.0,
-            batch_lanes: 8,
             stream: false,
             certify: false,
         }
@@ -232,14 +230,13 @@ fn stream_outcome(run: &crate::stream::StreamRun) -> CellOutcome {
 }
 
 /// Simulate one instance group: generate the instance once, run every
-/// work-stealing cell through a single batched SoA call, and the FIFO
+/// work-stealing cell through a single replica-driver call, and the FIFO
 /// cells through the centralized engine. With `certify`, one
 /// work-stealing cell and one FIFO cell per group are re-run with
 /// tracing and machine-checked against the paper invariants (P1–P5);
 /// streaming cells get the P5 lower-bound check on their exact max flow.
 fn run_instance(
     job: &InstanceJob,
-    batch_lanes: usize,
     stream: bool,
     certify: bool,
 ) -> Result<Vec<(usize, CellOutcome)>, String> {
@@ -335,8 +332,8 @@ fn run_instance(
     if !ws.is_empty() {
         if certify {
             // One replica per group is enough for a spot-check: every
-            // replica shares the instance, and the batched engine is
-            // bit-identical to the sequential one (differential suite).
+            // replica shares the instance, and the replica driver runs the
+            // same stepper as `run_worksteal`.
             if let Some((id, spec)) = ws.first() {
                 certify_cell(&instance, &spec.config, Some(spec.policy), *id, |traced| {
                     run_worksteal(&instance, traced, spec.policy, spec.seed)
@@ -344,7 +341,7 @@ fn run_instance(
             }
         }
         let specs: Vec<ReplicaSpec> = ws.iter().map(|(_, s)| s.clone()).collect();
-        let results = simulate_batched(&instance, &specs, batch_lanes);
+        let results = simulate_batched(&instance, &specs, 1);
         for ((id, _), result) in ws.iter().zip(&results) {
             out.push((*id, outcome_of(result, opt_ms)));
         }
@@ -446,11 +443,10 @@ pub fn run_sweep(
         }
         summary.instances += groups.len();
         let jobs: Vec<InstanceJob> = groups.into_values().collect();
-        let lanes = opts.batch_lanes;
         let stream = opts.stream;
         let certify = opts.certify;
         let results = par_map_with(opts.threads, jobs, |job| {
-            run_instance(&job, lanes, stream, certify)
+            run_instance(&job, stream, certify)
         });
         let mut simulated: BTreeMap<usize, CellOutcome> = BTreeMap::new();
         for group in results {

@@ -23,8 +23,8 @@ use std::time::Instant;
 pub const BATCH_B: usize = 8;
 
 /// Steal bound for the batched sweep: unit-step steal-`k`-first is the
-/// configuration whose idle probing spans the batched engine's k-burn
-/// window collapses, so this series is where batching shows up.
+/// configuration whose idle probing spans the stepper's k-burn lockout
+/// collapses into jumps.
 pub const BATCH_SWEEP_K: u32 = 128;
 
 /// Machine size of the `giant_m` probe (bitset idle/victim tracking).
@@ -55,10 +55,6 @@ pub struct EngineThroughput {
     /// recycling should keep this ≈ 0.
     #[serde(default)]
     pub allocs_per_round: Option<f64>,
-    /// Aggregate rounds/sec divided by the sequential engine's rounds/sec
-    /// on the identical replica set. Present only for batched series.
-    #[serde(default)]
-    pub speedup_vs_sequential: Option<f64>,
 }
 
 impl EngineThroughput {
@@ -72,14 +68,7 @@ impl EngineThroughput {
             steal_attempts_per_sec: steal_attempts as f64 / secs,
             allocs,
             allocs_per_round: allocs.map(|a| a as f64 / rounds.max(1) as f64),
-            speedup_vs_sequential: None,
         }
-    }
-
-    fn with_speedup(mut self, sequential_rounds_per_sec: f64) -> Self {
-        self.speedup_vs_sequential =
-            Some(self.rounds_per_sec / sequential_rounds_per_sec.max(1e-9));
-        self
     }
 }
 
@@ -160,11 +149,10 @@ pub struct BenchReport {
     pub ws_admit: EngineThroughput,
     /// Centralized FIFO engine (event-horizon stepping).
     pub centralized_fifo: EngineThroughput,
-    /// Batched engine, `BATCH_B`-replica seed sweep of unit-step
-    /// steal-`BATCH_SWEEP_K`-first; aggregate across replicas, with
-    /// `speedup_vs_sequential` against per-replica `simulate_worksteal`.
+    /// Replica driver, `BATCH_B`-replica seed sweep of unit-step
+    /// steal-`BATCH_SWEEP_K`-first; aggregate across replicas.
     pub batched_ws: EngineThroughput,
-    /// Batched engine, one replica at m = `GIANT_M` (u64-word bitset
+    /// Replica driver, one warm replica at m = `GIANT_M` (u64-word bitset
     /// idle/victim tracking), free-steal steal-16-first at ~65 % load.
     pub giant_m: EngineThroughput,
     /// Streaming work-stealing engine: the probe spec's endless job source
@@ -250,17 +238,14 @@ pub fn measure(seed: u64) -> BenchReport {
         .map(|(a, b)| a - b);
     let centralized_fifo = EngineThroughput::new(r.total_rounds, 0, wall, allocs);
 
-    // Batched replica sweep: BATCH_B seeds of the unit-step
-    // steal-BATCH_SWEEP_K config on an admission-bound burst — n short
-    // sequential jobs arriving at once, so between admissions every worker
-    // spends k costly probe rounds (the paper's non-free-steal regime).
-    // Those spans are exactly what the batched engine's k-burn window
-    // collapses. Victim selection is the round-robin scan, whose probe
-    // cursor fast-forwards in closed form (`advance_scan`) — uniform
-    // sampling would put an O(k) per-span RNG-burn floor under the window.
-    // The sequential engine is timed on the identical replica set first,
-    // so `speedup_vs_sequential` is an apples-to-apples aggregate-rounds/s
-    // ratio with bit-identical schedules on both sides.
+    // Replica sweep: BATCH_B seeds of the unit-step steal-BATCH_SWEEP_K
+    // config on an admission-bound burst — n short sequential jobs
+    // arriving at once, so between admissions every worker spends k costly
+    // probe rounds (the paper's non-free-steal regime). Those spans are
+    // exactly what the stepper's k-burn lockout jumps over. Victim
+    // selection is the round-robin scan, whose probe cursor fast-forwards
+    // in closed form (`advance_scan`) — uniform sampling would put an O(k)
+    // per-span RNG-burn floor under the jump.
     let sweep_inst = {
         use parflow_dag::{shapes, Instance, Job};
         use std::sync::Arc;
@@ -277,33 +262,27 @@ pub fn measure(seed: u64) -> BenchReport {
             )
         })
         .collect();
-    let t = Instant::now();
-    let mut seq_rounds = 0u64;
-    for s in &specs {
-        seq_rounds += simulate_worksteal(&sweep_inst, &s.config, s.policy, s.seed).total_rounds;
-    }
-    let seq_rps = seq_rounds as f64 / t.elapsed().as_secs_f64().max(1e-9);
-
     let a0 = crate::alloc_probe::alloc_count();
     let t = Instant::now();
-    let rs = simulate_batched(&sweep_inst, &specs, BATCH_B);
+    let rs = simulate_batched(&sweep_inst, &specs, 1);
     let wall = t.elapsed().as_secs_f64();
     let allocs = crate::alloc_probe::alloc_count()
         .zip(a0)
         .map(|(a, b)| a - b);
     let rounds: u64 = rs.iter().map(|r| r.total_rounds).sum();
     let steals: u64 = rs.iter().map(|r| r.stats.steal_attempts).sum();
-    let batched_ws = EngineThroughput::new(rounds, steals, wall, allocs).with_speedup(seq_rps);
+    let batched_ws = EngineThroughput::new(rounds, steals, wall, allocs);
 
     // Giant-m probe: m = GIANT_M, load scaled to ~65 % utilization so the
-    // machine is neither idle nor drowning. Two identical replicas share
-    // one lane (`batch = 1`); the alloc numbers report only the second,
-    // warm replica's marginal allocations. The first replica's one-time
-    // lane growth (deques, bitset words, calendar buckets, arena slots —
-    // O(m + jobs)) would otherwise swamp the signal, and re-running the
-    // *same* seed makes the marginal count a pure leak detector: every
-    // buffer already sits at its high-water mark, so any allocation the
-    // warm replica performs is per-replica overhead that recycling missed.
+    // machine is neither idle nor drowning. The series is the second of
+    // two identical replicas in one driver call — the warm one, whose
+    // buffers (deques, bitset words, slab and arena slots — O(m + jobs))
+    // the first already grew to their high-water marks. Re-running the
+    // *same* seed makes its allocation count a pure leak detector: any
+    // allocation the warm replica performs is per-replica overhead that
+    // buffer reuse missed. The driver gives no hook between replicas, so
+    // the cold replica is measured alone first and subtracted from the
+    // pair, for time and allocations alike.
     let giant_qps = qps_for_utilization(DistKind::Bing, GIANT_M, 0.65);
     let giant_inst = WorkloadSpec::paper_fig2(DistKind::Bing, giant_qps, n, seed).generate();
     let giant_cfg = SimConfig::new(GIANT_M).with_free_steals();
@@ -311,25 +290,28 @@ pub fn measure(seed: u64) -> BenchReport {
     let cold = ReplicaSpec::new(giant_cfg.clone(), giant_policy, seed);
     let warm = ReplicaSpec::new(giant_cfg, giant_policy, seed);
     let a0 = crate::alloc_probe::alloc_count();
+    let t = Instant::now();
     let single = simulate_batched(&giant_inst, std::slice::from_ref(&cold), 1);
+    let cold_wall = t.elapsed().as_secs_f64();
     let a1 = crate::alloc_probe::alloc_count();
     let t = Instant::now();
     let rs = simulate_batched(&giant_inst, &[cold, warm], 1);
-    let wall = t.elapsed().as_secs_f64();
+    let pair_wall = t.elapsed().as_secs_f64();
     let a2 = crate::alloc_probe::alloc_count();
     let cold_allocs = a1.zip(a0).map(|(a, b)| a - b);
     let warm_allocs = a2
         .zip(a1)
         .map(|(a, b)| (a - b).saturating_sub(cold_allocs.unwrap_or(0)));
     debug_assert_eq!(single[0], rs[0]);
-    let warm_rounds = rs[1].total_rounds;
-    let warm_steals = rs[1].stats.steal_attempts;
-    // Wall time covers both replicas in the pair; halve the aggregate by
-    // reporting the warm replica's rounds against half the pair's wall.
-    let giant_m = EngineThroughput::new(warm_rounds, warm_steals, wall / 2.0, warm_allocs);
+    let giant_m = EngineThroughput::new(
+        rs[1].total_rounds,
+        rs[1].stats.steal_attempts,
+        (pair_wall - cold_wall).max(1e-9),
+        warm_allocs,
+    );
 
     BenchReport {
-        schema: 3,
+        schema: 4,
         jobs: n,
         m,
         ws_steal16,
@@ -390,21 +372,16 @@ pub fn to_json(report: &BenchReport) -> String {
             }
             _ => String::new(),
         };
-        let speedup_field = match e.speedup_vs_sequential {
-            Some(s) => format!(",\n    \"speedup_vs_sequential\": {s:.2}"),
-            None => String::new(),
-        };
         format!(
             "  \"{name}\": {{\n    \"rounds\": {},\n    \"steal_attempts\": {},\n    \
              \"wall_seconds\": {:.6},\n    \"rounds_per_sec\": {:.1},\n    \
-             \"steal_attempts_per_sec\": {:.1}{}{}\n  }}",
+             \"steal_attempts_per_sec\": {:.1}{}\n  }}",
             e.rounds,
             e.steal_attempts,
             e.wall_seconds,
             e.rounds_per_sec,
             e.steal_attempts_per_sec,
-            alloc_fields,
-            speedup_field
+            alloc_fields
         )
     }
     fn stream(name: &str, s: &StreamThroughput) -> String {
@@ -471,16 +448,14 @@ mod tests {
         // The batched sweep aggregates BATCH_B replicas of one instance:
         // every replica advances at least as far as the last arrival.
         assert!(rep.batched_ws.rounds >= BATCH_B as u64);
-        assert!(rep.batched_ws.speedup_vs_sequential.unwrap() > 0.0);
         assert!(rep.giant_m.rounds > 0);
-        assert!(rep.giant_m.speedup_vs_sequential.is_none());
         // The streaming probe pulls STREAM_FACTOR× the materialized count.
         assert_eq!(rep.stream_ws.jobs, rep.jobs as u64 * STREAM_FACTOR);
         assert!(rep.stream_ws.rounds > 0);
         assert!(rep.stream_ws.jobs_per_sec > 0.0);
         let json = to_json(&rep);
         for key in [
-            "\"schema\": 3",
+            "\"schema\": 4",
             "\"ws_steal16\"",
             "\"ws_admit\"",
             "\"centralized_fifo\"",
@@ -489,7 +464,6 @@ mod tests {
             "\"stream_ws\"",
             "\"rounds_per_sec\"",
             "\"jobs_per_sec\"",
-            "\"speedup_vs_sequential\"",
             "\"repro_wall_seconds\": null",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
@@ -499,8 +473,6 @@ mod tests {
         assert_eq!(json.matches("\"rounds_per_sec\"").count(), 6);
         // Only the streaming series carries jobs/s.
         assert_eq!(json.matches("\"jobs_per_sec\"").count(), 1);
-        // Only the batched sweep carries a sequential-baseline ratio.
-        assert_eq!(json.matches("\"speedup_vs_sequential\"").count(), 1);
         // Alloc fields appear exactly when the probe is compiled in
         // (bench_check greps them positionally too).
         if cfg!(feature = "bench-alloc") {

@@ -18,7 +18,6 @@ fn opts(threads: usize) -> SweepOptions {
     SweepOptions {
         threads,
         prune_factor: 4.0,
-        batch_lanes: 4,
         stream: false,
         certify: false,
     }

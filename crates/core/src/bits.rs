@@ -1,9 +1,9 @@
-//! Fixed-size bitset over workers, shared by the event-driven stepper
-//! (`crate::stream`) and the batched engine (`crate::batched`).
+//! Fixed-size bitset over workers, for the event-driven stepper
+//! (`crate::stream`).
 
 /// One `u64` word per 64 workers.
 ///
-/// The engines' idle/victim bookkeeping is all "which workers are busy" /
+/// The stepper's idle/victim bookkeeping is all "which workers are busy" /
 /// "which deques are non-empty" queries; word-wide popcounts and scans
 /// replace per-worker walks, and m = 65, 130, 256 just add words.
 #[derive(Debug, Default)]
@@ -12,13 +12,6 @@ pub(crate) struct BitWords {
 }
 
 impl BitWords {
-    /// `m` clear bits.
-    pub(crate) fn zeroed(m: usize) -> Self {
-        BitWords {
-            words: vec![0; m.div_ceil(64)],
-        }
-    }
-
     /// Clear every bit and resize to `m`, keeping capacity.
     pub(crate) fn reset(&mut self, m: usize) {
         self.words.clear();

@@ -8,17 +8,27 @@
 //! FIFO and BWF. Jobs are preempted and re-assigned every round, which is
 //! what makes the idealized scheduler expensive in practice and motivates
 //! work stealing (Section 4).
+//!
+//! This file holds the priority policies, the materialized entry points and
+//! the round-by-round `run_priority_reference`. The loop itself exists once,
+//! as `step_priority` in `crate::stream`: [`run_priority`] runs it over a
+//! replay of the instance and collects the outcomes back into job order.
 
 use crate::config::SimConfig;
-use crate::fault::JobStatus;
-use crate::result::{EngineStats, JobOutcome, SimResult};
-use crate::trace::{Action, ScheduleTrace};
-use parflow_dag::{CursorArena, CursorId, Instance, Job, JobId, NodeId, StepOutcome};
+use crate::result::SimResult;
+use crate::stream::{collect_replay, emit_central_counters, step_priority};
+use crate::trace::ScheduleTrace;
+use parflow_dag::{Instance, Job};
 use parflow_obs::{NullRecorder, Recorder};
-use parflow_time::Round;
 
 #[cfg(any(test, feature = "reference-engine"))]
-use parflow_dag::{DagCursor, UnitOutcome};
+use {
+    crate::fault::JobStatus,
+    crate::result::{EngineStats, JobOutcome},
+    crate::trace::Action,
+    parflow_dag::{DagCursor, JobId, NodeId, UnitOutcome},
+    parflow_time::Round,
+};
 
 /// A total priority order over jobs, fixed at arrival.
 ///
@@ -94,17 +104,13 @@ impl JobPriority for ShortestJobFirst {
 /// Simulate a centralized priority scheduler on `instance`.
 ///
 /// Returns the per-job outcomes plus, if `config.record_trace`, the full
-/// [`ScheduleTrace`].
+/// [`ScheduleTrace`]. `config.faults` is ignored: the centralized schedulers
+/// do not model faults.
 ///
-/// The engine steps by **event horizons** rather than single rounds: the
-/// engine is deterministic and the assignment rule depends only on the
-/// active set and the jobs' ready frontiers, so between two consecutive
-/// events (a job arrival or a node completion) every round repeats the
-/// same processor assignment. The engine computes that assignment once,
-/// derives the span `Δ = min(next arrival, earliest node completion)` and
-/// consumes all `Δ` rounds in one bulk update — bit-identical to the
-/// round-by-round reference (see `run_priority_reference`), but
-/// `O(events)` instead of `O(rounds)` assignment work.
+/// The engine steps by **event horizons** rather than single rounds (see
+/// `step_priority` in `crate::stream`): bit-identical to the round-by-round
+/// reference (`run_priority_reference`), but `O(events)` instead of
+/// `O(rounds)` assignment work.
 pub fn run_priority<P: JobPriority>(
     instance: &Instance,
     config: &SimConfig,
@@ -117,282 +123,28 @@ pub fn run_priority<P: JobPriority>(
 /// disabled the run is bit-identical to `run_priority`. With it enabled,
 /// `central.*` counters (work/idle steps, event horizons, quiescent jumps),
 /// a `central.total_rounds` gauge and per-job `central.flow_ticks` samples
-/// are emitted at the end of the run.
+/// (in job order) are emitted at the end of the run — no `central.stream.*`
+/// retirement counters, which belong to the streaming entry points.
 pub fn run_priority_observed<P: JobPriority>(
     instance: &Instance,
     config: &SimConfig,
     policy: &P,
     rec: &mut dyn Recorder,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    run_priority_scratch(
-        instance,
-        config,
-        policy,
-        rec,
-        &mut CentralScratch::default(),
-    )
-}
-
-/// Reusable storage of the centralized engine, shared across the runs of a
-/// [`run_priority_batch`] call: the cursor arena plus every per-run buffer
-/// whose capacity is worth keeping warm. A fresh (default) scratch makes
-/// `run_priority_scratch` exactly `run_priority_observed`.
-#[derive(Default)]
-struct CentralScratch {
-    arena: CursorArena,
-    cursor_ids: Vec<Option<CursorId>>,
-    active: Vec<((u64, u64, u32), JobId)>,
-    outcomes: Vec<Option<JobOutcome>>,
-    started: Vec<Option<Round>>,
-    claimed: Vec<(JobId, NodeId)>,
-    ready_buf: Vec<NodeId>,
-    ready_scratch: Vec<NodeId>,
-}
-
-/// [`run_priority_observed`] over caller-provided scratch storage. The
-/// scratch is reset on entry, so results are independent of what ran in it
-/// before — only buffer capacity carries over.
-fn run_priority_scratch<P: JobPriority>(
-    instance: &Instance,
-    config: &SimConfig,
-    policy: &P,
-    rec: &mut dyn Recorder,
-    scratch: &mut CentralScratch,
-) -> (SimResult, Option<ScheduleTrace>) {
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let m = config.m;
-    let speed = config.speed;
-
-    // Per-job cursor state lives in a recycled arena: a slot is allocated
-    // at arrival and released at completion, so the number of slots (and
-    // their buffer capacity) is bounded by peak concurrent jobs, not `n`.
-    let CentralScratch {
-        arena,
-        cursor_ids,
-        active,
-        outcomes,
-        started,
-        claimed,
-        ready_buf,
-        ready_scratch,
-    } = scratch;
-    arena.recycle_all();
-    cursor_ids.clear();
-    cursor_ids.resize(n, None);
-    // Active jobs as (key, id), kept sorted ascending by key.
-    active.clear();
-    outcomes.clear();
-    outcomes.resize(n, None);
-    started.clear();
-    started.resize(n, None);
-    let mut stats = EngineStats::default();
-    let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
-
-    let mut next_arrival = 0usize;
-    let mut completed = 0usize;
-    let mut round: Round = 0;
-    let mut last_busy_round: Round = 0;
-
-    // Event-horizon telemetry, kept in locals (not EngineStats, which
-    // goldens bit-compare) and flushed once at the end when observing.
-    let obs = rec.enabled();
-    let mut horizons: u64 = 0;
-    let mut quiescent_jumps: u64 = 0;
-
-    // Every round with an active job executes at least one unit, so this
-    // bound can only be exceeded by an engine bug.
-    let safety_cap: Round = speed.first_round_at_or_after(instance.last_arrival())
-        + instance.total_work()
-        + n as Round
-        + 16;
-
-    while completed < n {
-        assert!(round <= safety_cap, "centralized engine exceeded round cap");
-
-        // Activate arrivals visible at the start of this round.
-        while next_arrival < n && speed.arrived_by_round(jobs[next_arrival].arrival, round) {
-            let job = &jobs[next_arrival];
-            let key = policy.key(job);
-            let pos = active.partition_point(|&(k, _)| k < key);
-            active.insert(pos, (key, job.id));
-            cursor_ids[job.id as usize] = Some(arena.alloc(&job.dag));
-            next_arrival += 1;
-        }
-
-        if active.is_empty() {
-            // Quiescent: fast-forward to the next arrival (run-length
-            // encoded as one idle span when tracing).
-            debug_assert!(next_arrival < n, "no active jobs but none left to arrive");
-            let target = speed.first_round_at_or_after(jobs[next_arrival].arrival);
-            debug_assert!(target > round);
-            let gap = target - round;
-            stats.idle_steps += gap * m as u64;
-            if obs {
-                quiescent_jumps += 1;
-            }
-            if let Some(t) = trace.as_mut() {
-                t.push_idle_rounds(gap);
-            }
-            round = target;
-            continue;
-        }
-
-        // Assignment phase: walk jobs in priority order, claim ready nodes.
-        claimed.clear();
-        let mut avail = m;
-        for &(_, jid) in active.iter() {
-            if avail == 0 {
-                break;
-            }
-            let cursor = arena.get_mut(cursor_ids[jid as usize].expect("active job has cursor")); // lint: allow(panicking) invariant: every active job owns an arena cursor until completion
-            ready_buf.clear();
-            ready_buf.extend_from_slice(cursor.ready_nodes());
-            // Deterministic choice of the "arbitrary set of ready nodes".
-            ready_buf.sort_unstable();
-            for &v in ready_buf.iter().take(avail) {
-                cursor.claim(v).expect("ready node claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                claimed.push((jid, v));
-            }
-            avail -= ready_buf.len().min(avail);
-        }
-        debug_assert!(!claimed.is_empty(), "active jobs must yield ready nodes");
-
-        // Event horizon: the assignment above repeats verbatim until a
-        // claimed node completes or a new job arrives, whichever is first.
-        let mut delta: Round = claimed
-            .iter()
-            .map(|&(jid, v)| {
-                arena
-                    .get(cursor_ids[jid as usize].expect("cursor")) // lint: allow(panicking) invariant: active jobs always own a cursor
-                    .remaining_work(v)
-                    .expect("claimed node in range") // lint: allow(panicking) invariant: claimed nodes index this job DAG
-            })
-            .min()
-            .expect("claimed non-empty"); // lint: allow(panicking) claim set verified non-empty above
-        if next_arrival < n {
-            // ≥ 1: everything due by `round` was activated above.
-            delta = delta.min(speed.first_round_at_or_after(jobs[next_arrival].arrival) - round);
-        }
-        debug_assert!(delta >= 1);
-        let last = round + delta - 1;
-
-        // Execution phase: `delta` units on every claimed node. Nodes
-        // whose remaining work equals `delta` complete during the final
-        // round of the span, exactly where the reference engine completes
-        // them; everything else is released for the next assignment.
-        for &(jid, v) in claimed.iter() {
-            let job = &jobs[jid as usize];
-            started[jid as usize].get_or_insert(round);
-            let cursor = arena.get_mut(cursor_ids[jid as usize].expect("cursor")); // lint: allow(panicking) invariant: active jobs always own a cursor
-            ready_scratch.clear();
-            match cursor
-                .execute_units(&job.dag, v, delta, ready_scratch)
-                .expect("claimed node executes") // lint: allow(panicking) invariant: execute targets were claimed this round
-            {
-                StepOutcome::InProgress => {
-                    cursor.release(v).expect("in-progress node releases"); // lint: allow(panicking) invariant: release follows the successful claim above
-                }
-                StepOutcome::NodeCompleted { job_completed } => {
-                    if job_completed {
-                        // `job_completed` can only fire on the job's last
-                        // claimed node this horizon (is_complete needs all
-                        // nodes done), so no later `claimed` entry touches
-                        // this slot — safe to recycle now.
-                        arena.release(cursor_ids[jid as usize].take().expect("cursor id")); // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
-                        let key = policy.key(job);
-                        let pos = active
-                            .iter()
-                            .position(|&(k, j)| k == key && j == jid)
-                            .expect("completed job was active"); // lint: allow(panicking) invariant: a completing job sits in the active list exactly once
-                        active.remove(pos);
-                        outcomes[jid as usize] = Some(JobOutcome {
-                            job: jid,
-                            arrival: job.arrival,
-                            weight: job.weight,
-                            start_round: started[jid as usize].expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
-                            completion_round: last,
-                            completion: speed.round_end(last),
-                            flow: speed.flow_time(job.arrival, last),
-                            status: JobStatus::Completed,
-                        });
-                        completed += 1;
-                    }
-                }
-            }
-        }
-
-        stats.work_steps += delta * claimed.len() as u64;
-        stats.idle_steps += delta * (m - claimed.len()) as u64;
-        if obs {
-            horizons += 1;
-        }
-        last_busy_round = last;
-
-        if let Some(t) = trace.as_mut() {
-            let mut row: Vec<Action> = claimed
-                .iter()
-                .map(|&(job, node)| Action::Work { job, node })
-                .collect();
-            row.resize(m, Action::Idle);
-            for _ in 1..delta {
-                t.push_row(row.clone());
-            }
-            t.push_row(row);
-        }
-
-        round += delta;
-    }
-
-    let outcomes: Vec<JobOutcome> = outcomes
-        .drain(..)
-        .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the engine loop exits only after every job completes
-        .collect();
-    if obs {
-        rec.counter("central.work_steps", stats.work_steps);
-        rec.counter("central.idle_steps", stats.idle_steps);
-        rec.counter("central.event_horizons", horizons);
-        rec.counter("central.quiescent_jumps", quiescent_jumps);
-        rec.gauge("central.total_rounds", (last_busy_round + 1) as f64);
-        for o in &outcomes {
+    let (result, trace, horizons) = collect_replay(instance, |puller, sink| {
+        step_priority(puller, config, policy, sink)
+    });
+    if rec.enabled() {
+        emit_central_counters(rec, &result.stats, result.total_rounds, horizons);
+        for o in &result.outcomes {
             rec.sample("central.flow_ticks", o.flow.to_f64());
         }
     }
-    let result = SimResult {
-        m,
-        speed,
-        total_rounds: last_busy_round + 1,
-        outcomes,
-        stats,
-        samples: Vec::new(),
-        fault_events: Vec::new(),
-    };
     (result, trace)
 }
 
-/// Run one centralized policy under many configs on the same instance,
-/// reusing a single cursor arena and all assignment scratch buffers across
-/// the runs (the batched counterpart of [`crate::run_batched`] for the
-/// centralized engine).
-///
-/// Each entry of the result is bit-identical to
-/// `run_priority(instance, &configs[i], policy)`: the scratch is reset
-/// between runs, only buffer capacity carries over. Useful for speed /
-/// machine-count sweeps where rebuilding the arena per point dominated.
-pub fn run_priority_batch<P: JobPriority>(
-    instance: &Instance,
-    configs: &[SimConfig],
-    policy: &P,
-) -> Vec<(SimResult, Option<ScheduleTrace>)> {
-    let mut scratch = CentralScratch::default();
-    configs
-        .iter()
-        .map(|cfg| run_priority_scratch(instance, cfg, policy, &mut NullRecorder, &mut scratch))
-        .collect()
-}
-
 /// The original round-by-round engine, kept verbatim as the behavioural
-/// reference for the event-horizon fast path in [`run_priority`].
+/// reference for the event-horizon stepper behind [`run_priority`].
 ///
 /// Compiled only for tests and under the `reference-engine` feature (used
 /// by the cross-crate differential suite); production callers always get

@@ -72,7 +72,6 @@
 
 mod batched;
 mod bits;
-mod calendar;
 mod centralized;
 mod config;
 mod dispatch;
@@ -88,12 +87,11 @@ mod trace;
 mod worksteal;
 
 pub use batched::{run_batched, simulate_batched, simulate_batched_stream, ReplicaSpec};
-pub use calendar::CalendarQueue;
 #[cfg(feature = "reference-engine")]
 pub use centralized::run_priority_reference;
 pub use centralized::{
-    run_priority, run_priority_batch, run_priority_observed, simulate_bwf, simulate_fifo,
-    BiggestWeightFirst, Fifo, JobPriority, Lifo, ShortestJobFirst,
+    run_priority, run_priority_observed, simulate_bwf, simulate_fifo, BiggestWeightFirst, Fifo,
+    JobPriority, Lifo, ShortestJobFirst,
 };
 pub use config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
 pub use dispatch::{ParseSchedulerError, SchedulerKind};

@@ -13,17 +13,19 @@
 //! O(n). Completed [`JobOutcome`]s are pushed into a caller-provided sink
 //! instead of being accumulated.
 //!
-//! **One fault-free work-stealing loop.** `step_worksteal` below is the
-//! event-driven stepper — only idle and completing workers act, uneventful
-//! spans are jumped (see its docs and docs/PERFORMANCE.md). Every
-//! `run_worksteal_stream*` entry point runs it directly; the materialized
-//! `run_worksteal`/`run_worksteal_observed`/`simulate_worksteal` with an
-//! empty fault plan run it over [`InstanceReplay`] with a collecting sink,
-//! so "streaming over a replay ≡ materialized" holds by construction. The
-//! per-round loop in `crate::worksteal` serves faulted plans and is the
-//! differential reference: `tests/engine_differential.rs` and
-//! `tests/stream_differential.rs` pin the stepper against it — outcomes in
-//! completion order, [`EngineStats`], samples, [`ScheduleTrace`], obs
+//! **One fault-free loop per scheduler family.** `step_worksteal` below is
+//! the event-driven work-stealing stepper — only idle and completing workers
+//! act, uneventful spans are jumped (see its docs and docs/PERFORMANCE.md) —
+//! and `step_priority` the event-horizon centralized one. Every
+//! `run_*_stream*` entry point runs its stepper directly; the materialized
+//! `run_worksteal*` (empty fault plan), `run_batched` and `run_priority*`
+//! run the same stepper over [`InstanceReplay`] with a collecting sink
+//! (`collect_replay`), so "streaming over a replay ≡ materialized" holds by
+//! construction. The per-round loops — `crate::worksteal`'s, which also
+//! serves faulted plans, and `run_priority_reference` — are the
+//! differential references: `tests/engine_differential.rs` and
+//! `tests/stream_differential.rs` pin the steppers against them — outcomes
+//! in completion order, [`EngineStats`], samples, [`ScheduleTrace`], obs
 //! report — for every prefix of random instances.
 //!
 //! Internally tasks carry slab *slot* ids instead of job ids; slots are
@@ -177,6 +179,12 @@ pub enum StreamError {
         /// 0-based pull index of the offending job.
         index: u64,
     },
+    /// Job at this pull index has weight 0; weights must be positive, like
+    /// [`Job::weighted`]'s.
+    ZeroWeight {
+        /// 0-based pull index of the offending job.
+        index: u64,
+    },
     /// The config carries a non-empty fault plan; fault injection is only
     /// supported on the materialized path.
     FaultsUnsupported,
@@ -194,6 +202,9 @@ impl std::fmt::Display for StreamError {
                 f,
                 "job stream is not sorted by arrival (job index {index} arrived before its predecessor)"
             ),
+            StreamError::ZeroWeight { index } => {
+                write!(f, "job stream yielded weight 0 (job index {index})")
+            }
             StreamError::FaultsUnsupported => {
                 write!(f, "fault plans are not supported on the streaming path")
             }
@@ -278,6 +289,14 @@ struct JobSlab {
 }
 
 impl JobSlab {
+    /// Forget every slot, keeping the capacity.
+    fn reset(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
+        self.high_water = 0;
+    }
+
     #[inline]
     fn alloc(&mut self, slot: Slot) -> u32 {
         self.live += 1;
@@ -319,9 +338,9 @@ impl JobSlab {
 }
 
 /// One-job-lookahead pull state shared by the streaming engines: assigns
-/// dense ids in pull order, validates id space and arrival monotonicity,
-/// and maintains the running totals the growing safety cap needs.
-struct Puller<'s, S: JobStream> {
+/// dense ids in pull order, validates id space, arrival monotonicity and
+/// weights, and maintains the running totals the growing safety cap needs.
+pub(crate) struct Puller<'s, S: JobStream> {
     stream: &'s mut S,
     id_base: u64,
     produced: u64,
@@ -361,6 +380,9 @@ impl<'s, S: JobStream> Puller<'s, S> {
         }
         if index > 0 && job.arrival < self.last_arrival {
             return Err(StreamError::UnsortedArrivals { index });
+        }
+        if job.weight == 0 {
+            return Err(StreamError::ZeroWeight { index });
         }
         self.produced += 1;
         self.total_work += job.dag.total_work();
@@ -416,8 +438,13 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
     rec: &mut dyn Recorder,
     id_base: u64,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
+    if !config.faults.is_empty() {
+        return Err(StreamError::FaultsUnsupported);
+    }
     let obs = rec.enabled();
-    let (summary, trace, wobs) = step_worksteal(stream, config, policy, seed, sink, obs, id_base)?;
+    let puller = Puller::new(stream, id_base)?;
+    let mut buf = WsBuffers::default();
+    let (summary, trace, wobs) = step_worksteal(puller, config, policy, seed, sink, obs, &mut buf)?;
     if obs {
         emit_ws_counters(rec, &wobs, &summary.stats);
         rec.gauge("ws.total_rounds", summary.total_rounds as f64);
@@ -436,49 +463,71 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
     Ok((summary, trace))
 }
 
-/// The materialized fault-free engine: the stepper over a replay of
-/// `instance`, outcomes collected back into job order. Emits the
-/// [`emit_ws_counters`] part of the obs report (no `ws.stream.*` retirement
-/// counters — those belong to the streaming entry points); the caller,
-/// `run_worksteal_observed`, adds the rest.
-pub(crate) fn run_worksteal_replay(
+/// Run `step` over a replay of `instance` and collect the outcomes, which
+/// reach the sink in completion order, back into job order: how every
+/// materialized entry point drives its family's stepper. The third
+/// component is the stepper's telemetry, passed through.
+pub(crate) fn collect_replay<T>(
     instance: &Instance,
-    config: &SimConfig,
-    policy: StealPolicy,
-    seed: u64,
-    rec: &mut dyn Recorder,
-) -> (SimResult, Option<ScheduleTrace>) {
-    let obs = rec.enabled();
+    step: impl FnOnce(
+        Puller<'_, InstanceReplay<'_>>,
+        &mut dyn FnMut(&JobOutcome),
+    ) -> Result<(StreamSummary, Option<ScheduleTrace>, T), StreamError>,
+) -> (SimResult, Option<ScheduleTrace>, T) {
     let mut outcomes: Vec<Option<JobOutcome>> = vec![None; instance.len()];
     let mut collect = |o: &JobOutcome| outcomes[o.job as usize] = Some(o.clone());
     let mut replay = InstanceReplay::new(instance);
-    let (summary, trace, wobs) =
-        step_worksteal(&mut replay, config, policy, seed, &mut collect, obs, 0)
-            .expect("instance replays are sorted, fault-free and within the id space"); // lint: allow(panicking) invariant: Instance guarantees arrival order and u32 ids, and the caller dispatches only empty fault plans here
-    if obs {
-        emit_ws_counters(rec, &wobs, &summary.stats);
-    }
+    let (summary, trace, telemetry) = Puller::new(&mut replay, 0)
+        .and_then(|puller| step(puller, &mut collect))
+        .expect("instance replays are sorted, positively weighted and within the id space"); // lint: allow(panicking) invariant: Instance guarantees arrival order, positive weights and u32 ids
     let result = SimResult {
         m: summary.m,
         speed: summary.speed,
         total_rounds: summary.total_rounds,
         outcomes: outcomes
             .into_iter()
-            .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the stepper exits only after every pulled job completed
+            .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the steppers exit only after every pulled job completed
             .collect(),
         stats: summary.stats,
         samples: summary.samples,
         fault_events: Vec::new(),
     };
+    (result, trace, telemetry)
+}
+
+/// The materialized fault-free work-stealing engine: the stepper over a
+/// replay of `instance`, on the caller's buffers. `config.faults` must be
+/// empty — faulted plans belong to the per-round loop. Emits the
+/// [`emit_ws_counters`] part of the obs report (no `ws.stream.*` retirement
+/// counters — those belong to the streaming entry points); the caller,
+/// `crate::worksteal`'s `run_reported`, adds the rest.
+pub(crate) fn run_worksteal_replay(
+    instance: &Instance,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    rec: &mut dyn Recorder,
+    buf: &mut WsBuffers,
+) -> (SimResult, Option<ScheduleTrace>) {
+    debug_assert!(config.faults.is_empty(), "faulted plans run per round");
+    let obs = rec.enabled();
+    let (result, trace, wobs) = collect_replay(instance, |puller, sink| {
+        step_worksteal(puller, config, policy, seed, sink, obs, buf)
+    });
+    if obs {
+        emit_ws_counters(rec, &wobs, &result.stats);
+    }
     (result, trace)
 }
 
-/// Lane state of the event-driven stepper: structure-of-arrays worker
-/// columns plus the job store. See [`step_worksteal`] for the loop.
-struct WsLanes<'c> {
-    cfg: &'c SimConfig,
-    k: u64,
-    rng: SmallRng,
+/// The stepper's reusable buffers: the job store plus structure-of-arrays
+/// worker columns, bitsets and scratch. A run starts by [`WsBuffers::reset`]ting
+/// them — everything emptied, capacity kept — so one value serves any
+/// number of consecutive runs (`crate::run_batched` shares one across its
+/// replicas and pays the warm-up allocations once) and no run's schedule
+/// depends on what ran in them before.
+#[derive(Default)]
+pub(crate) struct WsBuffers {
     arena: CursorArena,
     slab: JobSlab,
     /// Slab slot ids of released, not yet admitted jobs, in arrival order.
@@ -493,13 +542,7 @@ struct WsLanes<'c> {
     /// a started node is never preempted or migrated without faults, and
     /// deques only ever hold unstarted nodes.
     done: Vec<Round>,
-    /// `min(done)` and `due = {p : done[p] == min_done}`, the workers that
-    /// complete next. Maintained incrementally: acquisitions lower or join
-    /// them, a flat rescan of the busy workers follows every round in
-    /// which they came due. (A `CalendarQueue` measured the same at m = 16
-    /// and ~10 % faster at m = 256, but costs ~770 bucket allocations per
-    /// run where this costs none.)
-    min_done: Round,
+    /// `{p : done[p] == min_done}`, see [`WsLanes::min_done`].
     due: BitWords,
     failed_steals: Vec<u64>,
     scan_next: Vec<usize>,
@@ -509,6 +552,48 @@ struct WsLanes<'c> {
     pending: Vec<(usize, u32, NodeId)>,
     ready_scratch: Vec<NodeId>,
     sources_scratch: Vec<NodeId>,
+}
+
+impl WsBuffers {
+    /// Empty everything for a fresh run on `m` idle workers.
+    fn reset(&mut self, m: usize) {
+        self.arena.recycle_all();
+        self.slab.reset();
+        self.queue.clear();
+        self.deques.resize_with(m, VecDeque::new);
+        self.deques.iter_mut().for_each(VecDeque::clear);
+        self.cur.clear();
+        self.cur.resize(m, (0, 0));
+        self.done.clear();
+        self.done.resize(m, Round::MAX);
+        self.due.reset(m);
+        self.failed_steals.clear();
+        self.failed_steals.resize(m, 0);
+        // Staggered so scanning thieves probe distinct victims each round
+        // instead of sweeping in lockstep.
+        self.scan_next.clear();
+        self.scan_next.extend(1..=m);
+        self.busy.reset(m);
+        self.deque_ne.reset(m);
+        self.pending.clear();
+    }
+}
+
+/// Lane state of one run of the event-driven stepper: the run's scalars
+/// plus the (reusable) [`WsBuffers`], which it holds for the duration. See
+/// [`step_worksteal`] for the loop.
+struct WsLanes<'c> {
+    cfg: &'c SimConfig,
+    k: u64,
+    rng: SmallRng,
+    buf: WsBuffers,
+    /// `min(done)`; with `buf.due`, the workers that complete next.
+    /// Maintained incrementally: acquisitions lower or join them, a flat
+    /// rescan of the busy workers follows every round in which they came
+    /// due. (A bucketed calendar of completion rounds measured the same at
+    /// m = 16 and ~10 % faster at m = 256, but cost ~770 bucket allocations
+    /// per run where this costs none.)
+    min_done: Round,
     stats: EngineStats,
     /// Per-worker telemetry; empty unless a recorder is enabled.
     wobs: Vec<WorkerObs>,
@@ -520,7 +605,7 @@ struct WsLanes<'c> {
 impl WsLanes<'_> {
     #[inline]
     fn m(&self) -> usize {
-        self.done.len()
+        self.buf.done.len()
     }
 
     /// Worker `p` takes `task`, whose first unit runs in `first_round`
@@ -529,35 +614,37 @@ impl WsLanes<'_> {
     /// either completes it on the spot or [`WsLanes::hold`]s it.
     #[inline]
     fn start(&mut self, p: usize, task: (u32, NodeId), first_round: Round) -> (JobId, Round) {
-        let job = &self.slab.get(task.0).job;
-        self.cur[p] = task;
-        self.failed_steals[p] = 0;
+        let job = &self.buf.slab.get(task.0).job;
+        self.buf.cur[p] = task;
+        self.buf.failed_steals[p] = 0;
         (job.id, first_round + job.dag.work(task.1) - 1)
     }
 
     /// Worker `p` stays busy on its node through round `d`.
     #[inline]
     fn hold(&mut self, p: usize, d: Round) {
-        self.done[p] = d;
-        self.busy.set(p);
+        self.buf.done[p] = d;
+        self.buf.busy.set(p);
         if d < self.min_done {
             self.min_done = d;
-            self.due.reset(self.done.len());
+            self.buf.due.reset(self.buf.done.len());
         }
         if d == self.min_done {
-            self.due.set(p);
+            self.buf.due.set(p);
         }
     }
 
     /// Recompute `min_done` and `due` from scratch.
     fn rescan_due(&mut self) {
         let mut min = Round::MAX;
-        self.busy.for_each_set(|p| min = min.min(self.done[p]));
+        self.buf
+            .busy
+            .for_each_set(|p| min = min.min(self.buf.done[p]));
         self.min_done = min;
-        self.due.reset(self.done.len());
-        self.busy.for_each_set(|p| {
-            if self.done[p] == min {
-                self.due.set(p);
+        self.buf.due.reset(self.buf.done.len());
+        self.buf.busy.for_each_set(|p| {
+            if self.buf.done[p] == min {
+                self.buf.due.set(p);
             }
         });
     }
@@ -567,10 +654,10 @@ impl WsLanes<'_> {
     /// progress in between), stage the enabled successors for end-of-round
     /// publication and retire the job if this was its last node.
     fn complete(&mut self, p: usize, round: Round, sink: &mut dyn FnMut(&JobOutcome)) -> Action {
-        let (sid, v) = self.cur[p];
-        self.busy.clear(p);
-        self.done[p] = Round::MAX;
-        let slot = self.slab.get(sid);
+        let (sid, v) = self.buf.cur[p];
+        self.buf.busy.clear(p);
+        self.buf.done[p] = Round::MAX;
+        let slot = self.buf.slab.get(sid);
         let jid = slot.job.id;
         let cid = slot.cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
         let work = slot.job.dag.work(v);
@@ -578,23 +665,23 @@ impl WsLanes<'_> {
         if let Some(o) = self.wobs.get_mut(p) {
             o.work_steps += work;
         }
-        let cursor = self.arena.get_mut(cid);
-        self.ready_scratch.clear();
+        let cursor = self.buf.arena.get_mut(cid);
+        self.buf.ready_scratch.clear();
         let outcome = cursor
-            .execute_units(&slot.job.dag, v, work, &mut self.ready_scratch)
+            .execute_units(&slot.job.dag, v, work, &mut self.buf.ready_scratch)
             .expect("current node claimed"); // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
         let StepOutcome::NodeCompleted { job_completed } = outcome else {
             unreachable!("a node's full work completes it"); // lint: allow(panicking) invariant: started nodes are unstarted when acquired, so work(v) units finish them
         };
         // Claim enabled nodes now (they are exclusively ours) but defer
         // deque publication to the end of the round.
-        for &u in self.ready_scratch.iter() {
+        for &u in self.buf.ready_scratch.iter() {
             cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-            self.pending.push((p, sid, u));
+            self.buf.pending.push((p, sid, u));
         }
         if job_completed {
-            self.arena.release(cid);
-            let slot = self.slab.retire(sid);
+            self.buf.arena.release(cid);
+            let slot = self.buf.slab.retire(sid);
             self.live_admitted -= 1;
             self.completed += 1;
             let speed = self.cfg.speed;
@@ -618,37 +705,40 @@ impl WsLanes<'_> {
     /// push all source nodes onto `p`'s deque and hand back the last one.
     fn admit(&mut self, p: usize, round: Round) -> Option<(u32, NodeId)> {
         let sid = match self.cfg.admission {
-            AdmissionOrder::Fifo => self.queue.pop_front()?,
+            AdmissionOrder::Fifo => self.buf.queue.pop_front()?,
             // Largest weight first; ties to the earlier arrival, i.e. the
             // smaller job id.
             AdmissionOrder::ByWeight => {
                 let best = self
+                    .buf
                     .queue
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, &sid)| {
-                        let job = &self.slab.get(sid).job;
+                        let job = &self.buf.slab.get(sid).job;
                         (job.weight, std::cmp::Reverse(job.id))
                     })?
                     .0;
-                self.queue.remove(best)?
+                self.buf.queue.remove(best)?
             }
         };
-        let slot = self.slab.get_mut(sid);
-        let id = self.arena.alloc(&slot.job.dag);
+        let slot = self.buf.slab.get_mut(sid);
+        let id = self.buf.arena.alloc(&slot.job.dag);
         slot.cursor = Some(id);
         slot.started = Some(round);
-        let cur = self.arena.get_mut(id);
-        self.sources_scratch.clear();
-        self.sources_scratch.extend_from_slice(cur.ready_nodes());
-        let deque = &mut self.deques[p];
-        for &s in self.sources_scratch.iter() {
+        let cur = self.buf.arena.get_mut(id);
+        self.buf.sources_scratch.clear();
+        self.buf
+            .sources_scratch
+            .extend_from_slice(cur.ready_nodes());
+        let deque = &mut self.buf.deques[p];
+        for &s in self.buf.sources_scratch.iter() {
             cur.claim(s).expect("source ready"); // lint: allow(panicking) invariant: freshly materialized source nodes are unclaimed
             deque.push_back((sid, s));
         }
         let task = deque.pop_back();
         if !deque.is_empty() {
-            self.deque_ne.set(p);
+            self.buf.deque_ne.set(p);
         }
         self.live_admitted += 1;
         self.stats.admissions += 1;
@@ -672,29 +762,29 @@ impl WsLanes<'_> {
     fn try_steals(&mut self, p: usize, attempts: u64) -> Option<(u32, NodeId)> {
         let m = self.m();
         let (mut tried, mut hit) = (attempts, None);
-        if m <= 1 || !self.deque_ne.any() {
-            let scan_next = &mut self.scan_next[p];
+        if m <= 1 || !self.buf.deque_ne.any() {
+            let scan_next = &mut self.buf.scan_next[p];
             burn_failed_attempts(&mut self.rng, scan_next, p, m, self.cfg.victim, attempts);
         } else {
             for attempt in 1..=attempts {
-                let scan_next = &mut self.scan_next[p];
+                let scan_next = &mut self.buf.scan_next[p];
                 let victim = pick_victim(p, m, &mut self.rng, self.cfg.victim, scan_next);
-                let Some(task) = self.deques[victim].pop_front() else {
+                let Some(task) = self.buf.deques[victim].pop_front() else {
                     continue;
                 };
                 if self.cfg.steal_amount == StealAmount::Half {
                     // ceil(len_before/2) − 1 extra tasks follow the first.
-                    let extra = (self.deques[victim].len() + 1).div_ceil(2) - 1;
+                    let extra = (self.buf.deques[victim].len() + 1).div_ceil(2) - 1;
                     for _ in 0..extra {
-                        let t = self.deques[victim].pop_front().expect("len checked"); // lint: allow(panicking) emptiness checked immediately above; pop cannot fail
-                        self.deques[p].push_back(t);
+                        let t = self.buf.deques[victim].pop_front().expect("len checked"); // lint: allow(panicking) emptiness checked immediately above; pop cannot fail
+                        self.buf.deques[p].push_back(t);
                     }
                     if extra > 0 {
-                        self.deque_ne.set(p);
+                        self.buf.deque_ne.set(p);
                     }
                 }
-                if self.deques[victim].is_empty() {
-                    self.deque_ne.clear(victim);
+                if self.buf.deques[victim].is_empty() {
+                    self.buf.deque_ne.clear(victim);
                 }
                 (tried, hit) = (attempt, Some(task));
                 break;
@@ -712,19 +802,19 @@ impl WsLanes<'_> {
     /// One explicit round of worker `p`, which is either idle or holds a
     /// node completing in `round`. Returns its trace action.
     fn visit(&mut self, p: usize, round: Round, sink: &mut dyn FnMut(&JobOutcome)) -> Action {
-        if self.busy.get(p) {
+        if self.buf.busy.get(p) {
             return self.complete(p, round, sink);
         }
         // Acquire: own deque → (policy) admit/steal.
-        let task = if let Some(task) = self.deques[p].pop_back() {
-            if self.deques[p].is_empty() {
-                self.deque_ne.clear(p);
+        let task = if let Some(task) = self.buf.deques[p].pop_back() {
+            if self.buf.deques[p].is_empty() {
+                self.buf.deque_ne.clear(p);
             }
             Some(task)
         } else {
             match self.cfg.steal_cost {
                 StealCost::UnitStep => {
-                    let admitted = if self.failed_steals[p] >= self.k {
+                    let admitted = if self.buf.failed_steals[p] >= self.k {
                         self.admit(p, round)
                     } else {
                         None
@@ -737,8 +827,8 @@ impl WsLanes<'_> {
                             let (_, d) = self.start(p, task, round + 1);
                             self.hold(p, d);
                         } else {
-                            let f = self.failed_steals[p].saturating_add(1);
-                            self.failed_steals[p] = f;
+                            let f = self.buf.failed_steals[p].saturating_add(1);
+                            self.buf.failed_steals[p] = f;
                             if let Some(o) = self.wobs.get_mut(p) {
                                 o.failed_steal_rounds += 1;
                                 o.max_failed_streak = o.max_failed_streak.max(f);
@@ -777,7 +867,7 @@ impl WsLanes<'_> {
 
     /// Total unstarted tasks across all deques (backlog samples).
     fn deque_tasks(&self) -> usize {
-        self.deques.iter().map(|d| d.len()).sum()
+        self.buf.deques.iter().map(|d| d.len()).sum()
     }
 
     /// The first round `≥ round` in which an idle worker might acquire
@@ -791,19 +881,19 @@ impl WsLanes<'_> {
     /// (nodes enabled in round `r` are published at the end of `r`).
     fn idle_lockout(&self, round: Round, next_arrival_round: Round) -> Round {
         let m = self.m();
-        let busy = self.busy.count();
+        let busy = self.buf.busy.count();
         let event = self.min_done.saturating_add(1).min(next_arrival_round);
-        let stealable = self.deque_ne.any();
-        if busy == m || (busy > 0 && self.queue.is_empty() && !stealable) {
+        let stealable = self.buf.deque_ne.any();
+        if busy == m || (busy > 0 && self.buf.queue.is_empty() && !stealable) {
             event
         } else if self.cfg.steal_cost == StealCost::UnitStep
             && self.k > 0
-            && !self.queue.is_empty()
+            && !self.buf.queue.is_empty()
             && !stealable
         {
             let mut burn = u64::MAX;
-            self.busy.for_each_clear(m, |p| {
-                burn = burn.min(self.k.saturating_sub(self.failed_steals[p]));
+            self.buf.busy.for_each_clear(m, |p| {
+                burn = burn.min(self.k.saturating_sub(self.buf.failed_steals[p]));
             });
             event.min(round.saturating_add(burn))
         } else {
@@ -819,7 +909,7 @@ impl WsLanes<'_> {
     /// they finish.
     fn jump(&mut self, round: Round, t: Round) {
         let m = self.m();
-        let idle = (m - self.busy.count()) as u64;
+        let idle = (m - self.buf.busy.count()) as u64;
         if idle == 0 {
             return;
         }
@@ -843,20 +933,20 @@ impl WsLanes<'_> {
         if !(scan || unit_step || !self.wobs.is_empty()) {
             return;
         }
-        self.busy.for_each_clear(m, |p| {
+        self.buf.busy.for_each_clear(m, |p| {
             if scan {
-                self.scan_next[p] = advance_scan(self.scan_next[p], p, m, attempts);
+                self.buf.scan_next[p] = advance_scan(self.buf.scan_next[p], p, m, attempts);
             }
             if unit_step {
                 // A failed unit-cost steal consumes the round and bumps
                 // the failure counter.
-                self.failed_steals[p] = self.failed_steals[p].saturating_add(delta);
+                self.buf.failed_steals[p] = self.buf.failed_steals[p].saturating_add(delta);
             }
             if let Some(o) = self.wobs.get_mut(p) {
                 o.steal_attempts += attempts;
                 if unit_step {
                     o.failed_steal_rounds += delta;
-                    o.max_failed_streak = o.max_failed_streak.max(self.failed_steals[p]);
+                    o.max_failed_streak = o.max_failed_streak.max(self.buf.failed_steals[p]);
                 } else {
                     o.idle_steps += delta;
                 }
@@ -867,7 +957,10 @@ impl WsLanes<'_> {
 
 /// The fault-free work-stealing loop, event-driven: the one stepper behind
 /// every `run_worksteal_stream*` entry point and (over [`InstanceReplay`])
-/// behind `run_worksteal*` with an empty fault plan.
+/// behind `run_worksteal*` with an empty fault plan and `run_batched`. It
+/// does not model faults and never reads `config.faults`: the streaming
+/// entry points reject non-empty plans, the materialized ones send them to
+/// the per-round loop.
 ///
 /// Each time step of each worker is either a unit of work on the node it
 /// already holds or a steal/admit decision, and only the second kind is
@@ -883,43 +976,34 @@ impl WsLanes<'_> {
 /// visited and skipped workers' rows come from the `cur` column.
 ///
 /// Returns the per-worker telemetry (empty unless `obs`) next to the
-/// summary; entry points emit their own obs reports from it.
+/// summary; entry points emit their own obs reports from it. `buf` is reset
+/// on entry and returned warm; the one trace of earlier runs in it is that
+/// `retire.cursor_slots` counts every slot of the arena, so the streaming
+/// entry points, which report it, start from fresh buffers.
 fn step_worksteal<S: JobStream>(
-    stream: &mut S,
+    mut puller: Puller<'_, S>,
     config: &SimConfig,
     policy: StealPolicy,
     seed: u64,
     sink: &mut dyn FnMut(&JobOutcome),
     obs: bool,
-    id_base: u64,
+    buf: &mut WsBuffers,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>, Vec<WorkerObs>), StreamError> {
     let m = config.m;
     let speed = config.speed;
     let k = policy.k() as u64;
-    if !config.faults.is_empty() {
-        return Err(StreamError::FaultsUnsupported);
-    }
+    // The run owns the buffers and hands them back at the end: addressing
+    // the columns through a reference in the hot loop measured ~5 % slower
+    // (`sim_fig2`). An error return drops them, which costs the caller
+    // nothing but warm capacity.
+    let mut owned = std::mem::take(buf);
+    owned.reset(m);
     let mut st = WsLanes {
         cfg: config,
         k,
         rng: SmallRng::seed_from_u64(seed),
-        arena: CursorArena::new(),
-        slab: JobSlab::default(),
-        queue: VecDeque::new(),
-        deques: (0..m).map(|_| VecDeque::new()).collect(),
-        cur: vec![(0, 0); m],
-        done: vec![Round::MAX; m],
+        buf: owned,
         min_done: Round::MAX,
-        failed_steals: vec![0; m],
-        // Staggered so scanning thieves probe distinct victims each round
-        // instead of sweeping in lockstep.
-        scan_next: (1..=m).collect(),
-        busy: BitWords::zeroed(m),
-        deque_ne: BitWords::zeroed(m),
-        due: BitWords::zeroed(m),
-        pending: Vec::new(),
-        ready_scratch: Vec::new(),
-        sources_scratch: Vec::new(),
         stats: EngineStats::default(),
         wobs: if obs {
             vec![WorkerObs::default(); m]
@@ -934,7 +1018,6 @@ fn step_worksteal<S: JobStream>(
     let mut samples: Vec<BacklogSample> = Vec::new();
     let se = config.sample_every;
 
-    let mut puller = Puller::new(stream, id_base)?;
     let mut released: u64 = 0;
     let mut round: Round = 0;
     let mut last_busy_round: Round = 0;
@@ -970,12 +1053,12 @@ fn step_worksteal<S: JobStream>(
         // job after each release (one-job lookahead).
         while next_arrival_round <= round {
             let (jid, job) = puller.pending.take().expect("pending arrival"); // lint: allow(panicking) invariant: next_arrival_round is finite only while a job is pending
-            let sid = st.slab.alloc(Slot {
+            let sid = st.buf.slab.alloc(Slot {
                 job: Job::weighted(jid, job.arrival, job.weight, job.dag),
                 cursor: None,
                 started: None,
             });
-            st.queue.push_back(sid);
+            st.buf.queue.push_back(sid);
             released += 1;
             puller.advance()?;
             safety_cap = cap(&puller);
@@ -985,7 +1068,7 @@ fn step_worksteal<S: JobStream>(
         if se > 0 && round.is_multiple_of(se) {
             samples.push(BacklogSample {
                 round,
-                queued: st.queue.len(),
+                queued: st.buf.queue.len(),
                 live: st.live_admitted,
                 deque_tasks: st.deque_tasks(),
             });
@@ -996,14 +1079,14 @@ fn step_worksteal<S: JobStream>(
         // failed steal attempts; count every one of them. Backlog samples
         // inside the gap are still emitted (empty by construction) so
         // sampled series stay evenly spaced.
-        let quiescent = st.live_admitted == 0 && st.queue.is_empty();
+        let quiescent = st.live_admitted == 0 && st.buf.queue.is_empty();
         if quiescent {
             // `completed == released` here, so the loop condition
             // guarantees a pending job exists.
             debug_assert!(next_arrival_round > round && next_arrival_round != Round::MAX);
             let gap = next_arrival_round - round;
             st.stats.idle_steps += gap * m as u64;
-            for (p, f) in st.failed_steals.iter_mut().enumerate() {
+            for (p, f) in st.buf.failed_steals.iter_mut().enumerate() {
                 *f = f.saturating_add(gap);
                 if let Some(o) = st.wobs.get_mut(p) {
                     o.failed_steal_rounds += gap;
@@ -1032,7 +1115,7 @@ fn step_worksteal<S: JobStream>(
             // Backlog state is constant at the top of every round of the
             // span, so interior samples all read the same values.
             if let Some(periods) = round.checked_div(se) {
-                let (queued, live) = (st.queue.len(), st.live_admitted);
+                let (queued, live) = (st.buf.queue.len(), st.live_admitted);
                 let deque_tasks = st.deque_tasks();
                 let mut s = (periods + 1) * se;
                 while s < t {
@@ -1061,10 +1144,10 @@ fn step_worksteal<S: JobStream>(
         let mut row: Vec<Action> = Vec::new();
         if config.record_trace {
             row.extend((0..m).map(|p| {
-                let (sid, node) = st.cur[p];
-                if st.busy.get(p) {
+                let (sid, node) = st.buf.cur[p];
+                if st.buf.busy.get(p) {
                     Action::Work {
-                        job: st.slab.get(sid).job.id,
+                        job: st.buf.slab.get(sid).job.id,
                         node,
                     }
                 } else {
@@ -1072,13 +1155,17 @@ fn step_worksteal<S: JobStream>(
                 }
             }));
         }
-        for wi in 0..st.busy.words().len() {
+        for wi in 0..st.buf.busy.words().len() {
             let idle = if idle_locked {
                 0
             } else {
-                !st.busy.words()[wi] & BitWords::valid_mask(wi, m)
+                !st.buf.busy.words()[wi] & BitWords::valid_mask(wi, m)
             };
-            let due = if completions { st.due.words()[wi] } else { 0 };
+            let due = if completions {
+                st.buf.due.words()[wi]
+            } else {
+                0
+            };
             let mut w = idle | due;
             while w != 0 {
                 let p = (wi << 6) | w.trailing_zeros() as usize;
@@ -1091,11 +1178,11 @@ fn step_worksteal<S: JobStream>(
         }
         // Publish deferred pushes (bottom of the owner's deque, in enable
         // order): nodes enabled in round r are first runnable in r + 1.
-        for &(p, sid, u) in st.pending.iter() {
-            st.deques[p].push_back((sid, u));
-            st.deque_ne.set(p);
+        for &(p, sid, u) in st.buf.pending.iter() {
+            st.buf.deques[p].push_back((sid, u));
+            st.buf.deque_ne.set(p);
         }
-        st.pending.clear();
+        st.buf.pending.clear();
         if completions {
             st.rescan_due();
         }
@@ -1108,9 +1195,9 @@ fn step_worksteal<S: JobStream>(
 
     let retire = RetirementStats {
         jobs_retired: st.completed,
-        live_jobs_high_water: st.slab.high_water,
-        slab_slots: st.slab.slots.len() as u64,
-        cursor_slots: st.arena.capacity() as u64,
+        live_jobs_high_water: st.buf.slab.high_water,
+        slab_slots: st.buf.slab.slots.len() as u64,
+        cursor_slots: st.buf.arena.capacity() as u64,
     };
     let summary = StreamSummary {
         m,
@@ -1122,6 +1209,7 @@ fn step_worksteal<S: JobStream>(
         max_flow: st.max_flow,
         retire,
     };
+    *buf = st.buf;
     Ok((summary, trace, st.wobs))
 }
 
@@ -1149,71 +1237,132 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
     sink: &mut dyn FnMut(&JobOutcome),
     rec: &mut dyn Recorder,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
-    let m = config.m;
-    let speed = config.speed;
     if !config.faults.is_empty() {
         return Err(StreamError::FaultsUnsupported);
     }
+    let puller = Puller::new(stream, 0)?;
+    let (summary, trace, horizons) = step_priority(puller, config, policy, sink)?;
+    if rec.enabled() {
+        emit_central_counters(rec, &summary.stats, summary.total_rounds, horizons);
+        let retire = &summary.retire;
+        rec.counter("central.stream.jobs_retired", retire.jobs_retired);
+        rec.counter(
+            "central.stream.live_jobs_high_water",
+            retire.live_jobs_high_water,
+        );
+        rec.counter("central.stream.slab_slots", retire.slab_slots);
+        rec.counter("central.stream.cursor_slots", retire.cursor_slots);
+        if let Some(r) = retire.slab_reuse_ratio() {
+            rec.gauge("central.stream.slab_reuse_ratio", r);
+        }
+    }
+    Ok((summary, trace))
+}
 
+/// Event-horizon telemetry of a centralized run. Kept out of
+/// [`EngineStats`], which goldens bit-compare.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct HorizonObs {
+    /// Bulk steps taken (one assignment each).
+    horizons: u64,
+    /// Fast-forwards over rounds with no active job.
+    quiescent_jumps: u64,
+}
+
+/// Emit the `central.*` counters every centralized entry point reports.
+pub(crate) fn emit_central_counters(
+    rec: &mut dyn Recorder,
+    stats: &EngineStats,
+    total_rounds: Round,
+    obs: HorizonObs,
+) {
+    rec.counter("central.work_steps", stats.work_steps);
+    rec.counter("central.idle_steps", stats.idle_steps);
+    rec.counter("central.event_horizons", obs.horizons);
+    rec.counter("central.quiescent_jumps", obs.quiescent_jumps);
+    rec.gauge("central.total_rounds", total_rounds as f64);
+}
+
+/// The centralized priority-list loop: the one stepper behind
+/// `run_priority_stream*` and (over [`InstanceReplay`]) behind
+/// `run_priority*`. Fault plans are not its business: it never reads
+/// `config.faults`.
+///
+/// At the start of a round the active jobs are walked in priority order
+/// and handed processors: one per ready node, until processors or ready
+/// nodes run out. The rule depends only on the active set and the jobs'
+/// ready frontiers, so between two consecutive events (an arrival or the
+/// completion of a claimed node) every round repeats the same assignment.
+/// The loop therefore steps by **event horizons**: it computes the
+/// assignment once, derives the span `Δ = min(next arrival, earliest node
+/// completion)` and consumes all `Δ` rounds in one bulk update —
+/// bit-identical to the round-by-round `run_priority_reference`, in
+/// `O(events)` instead of `O(rounds)` assignment work.
+pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
+    mut puller: Puller<'_, S>,
+    config: &SimConfig,
+    policy: &P,
+    sink: &mut dyn FnMut(&JobOutcome),
+) -> Result<(StreamSummary, Option<ScheduleTrace>, HorizonObs), StreamError> {
+    let m = config.m;
+    let speed = config.speed;
+
+    // Cursor state lives in a recycled arena and jobs in a free-listed
+    // slab: a slot is taken at arrival and released at completion, so both
+    // are bounded by peak concurrent jobs, not by the stream's length.
     let mut arena = CursorArena::new();
     let mut slab = JobSlab::default();
-    // Active jobs as (key, slot id), kept sorted ascending by key; keys
-    // are computed from the slot's `Job` exactly like the materialized
-    // engine's, so the order (and every tie-break) is identical.
+    // Active jobs as (key, slot id), kept sorted ascending by key.
     let mut active: Vec<((u64, u64, u32), u32)> = Vec::new();
     let mut claimed: Vec<(u32, JobId, NodeId)> = Vec::new();
     let mut ready_buf: Vec<NodeId> = Vec::new();
     let mut ready_scratch: Vec<NodeId> = Vec::new();
     let mut stats = EngineStats::default();
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
+    let mut obs = HorizonObs::default();
 
-    let obs = rec.enabled();
-    let mut horizons: u64 = 0;
-    let mut quiescent_jumps: u64 = 0;
-
-    let mut puller = Puller::new(stream, 0)?;
     let mut released: u64 = 0;
     let mut completed: u64 = 0;
     let mut round: Round = 0;
     let mut last_busy_round: Round = 0;
     let mut max_flow = Rational::ZERO;
-    let mut jobs_retired: u64 = 0;
 
-    let cap = |last_arrival: Ticks, total_work: u64, produced: u64| -> Round {
-        speed.first_round_at_or_after(last_arrival) + total_work + produced + 16
+    // Every round with an active job executes at least one unit, so this
+    // bound can only be exceeded by an engine bug. Computed over the pulled
+    // prefix, like the work-stealing stepper's.
+    let cap = |p: &Puller<'_, S>| -> Round {
+        speed.first_round_at_or_after(p.last_arrival) + p.total_work + p.produced + 16
     };
-    let mut safety_cap: Round = cap(puller.last_arrival, puller.total_work, puller.produced);
+    let mut safety_cap: Round = cap(&puller);
 
     while puller.pending.is_some() || completed < released {
-        assert!(
-            round <= safety_cap,
-            "streaming centralized engine exceeded round cap"
-        );
+        assert!(round <= safety_cap, "centralized engine exceeded round cap");
 
         // Activate arrivals visible at the start of this round.
-        while let Some((jid, job)) = puller.pending.as_ref() {
-            if !speed.arrived_by_round(job.arrival, round) {
-                break;
-            }
-            let (jid, job) = (*jid, job.clone());
+        while puller
+            .pending
+            .as_ref()
+            .is_some_and(|(_, job)| speed.arrived_by_round(job.arrival, round))
+        {
+            let (jid, job) = puller.pending.take().expect("pending arrival"); // lint: allow(panicking) presence checked by the loop condition
+            let job = Job::weighted(jid, job.arrival, job.weight, job.dag);
+            let key = policy.key(&job);
+            let cursor = Some(arena.alloc(&job.dag));
             let sid = slab.alloc(Slot {
-                job: Job::weighted(jid, job.arrival, job.weight, job.dag),
-                cursor: None,
+                job,
+                cursor,
                 started: None,
             });
-            {
-                let slot = slab.get_mut(sid);
-                slot.cursor = Some(arena.alloc(&slot.job.dag));
-            }
-            let key = policy.key(&slab.get(sid).job);
             let pos = active.partition_point(|&(k, _)| k < key);
             active.insert(pos, (key, sid));
             released += 1;
             puller.advance()?;
-            safety_cap = cap(puller.last_arrival, puller.total_work, puller.produced);
+            safety_cap = cap(&puller);
         }
 
         if active.is_empty() {
+            // Quiescent: fast-forward to the next arrival (run-length
+            // encoded as one idle span when tracing).
             let (_, job) = puller
                 .pending
                 .as_ref()
@@ -1222,9 +1371,7 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
             debug_assert!(target > round);
             let gap = target - round;
             stats.idle_steps += gap * m as u64;
-            if obs {
-                quiescent_jumps += 1;
-            }
+            obs.quiescent_jumps += 1;
             if let Some(t) = trace.as_mut() {
                 t.push_idle_rounds(gap);
             }
@@ -1245,6 +1392,7 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
             let cursor = arena.get_mut(cid);
             ready_buf.clear();
             ready_buf.extend_from_slice(cursor.ready_nodes());
+            // Deterministic choice of the "arbitrary set of ready nodes".
             ready_buf.sort_unstable();
             for &v in ready_buf.iter().take(avail) {
                 cursor.claim(v).expect("ready node claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
@@ -1254,8 +1402,8 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
         }
         debug_assert!(!claimed.is_empty(), "active jobs must yield ready nodes");
 
-        // Event horizon: the assignment repeats until a claimed node
-        // completes or the pending job arrives, whichever is first.
+        // Event horizon: the assignment repeats verbatim until a claimed
+        // node completes or the pending job arrives, whichever is first.
         let mut delta: Round = claimed
             .iter()
             .map(|&(sid, _, v)| {
@@ -1268,62 +1416,65 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
             .min()
             .expect("claimed non-empty"); // lint: allow(panicking) claim set verified non-empty above
         if let Some((_, job)) = puller.pending.as_ref() {
+            // ≥ 1: everything due by `round` was activated above.
             delta = delta.min(speed.first_round_at_or_after(job.arrival) - round);
         }
         debug_assert!(delta >= 1);
         let last = round + delta - 1;
 
+        // Execution phase: `delta` units on every claimed node. Nodes
+        // whose remaining work equals `delta` complete during the final
+        // round of the span, exactly where the reference engine completes
+        // them; everything else is released for the next assignment.
         for &(sid, _, v) in claimed.iter() {
-            let cid = slab.get(sid).cursor.expect("cursor"); // lint: allow(panicking) invariant: active jobs always own a cursor
-            slab.get_mut(sid).started.get_or_insert(round);
+            let slot = slab.get_mut(sid);
+            slot.started.get_or_insert(round);
+            let cid = slot.cursor.expect("cursor"); // lint: allow(panicking) invariant: active jobs always own a cursor
+            let cursor = arena.get_mut(cid);
             ready_scratch.clear();
-            let outcome = {
-                let slot = slab.get(sid);
-                arena
-                    .get_mut(cid)
-                    .execute_units(&slot.job.dag, v, delta, &mut ready_scratch)
-                    .expect("claimed node executes") // lint: allow(panicking) invariant: execute targets were claimed this round
-            };
-            match outcome {
+            match cursor
+                .execute_units(&slot.job.dag, v, delta, &mut ready_scratch)
+                .expect("claimed node executes") // lint: allow(panicking) invariant: execute targets were claimed this round
+            {
                 StepOutcome::InProgress => {
-                    arena
-                        .get_mut(cid)
-                        .release(v)
-                        .expect("in-progress node releases"); // lint: allow(panicking) invariant: release follows the successful claim above
+                    cursor.release(v).expect("in-progress node releases"); // lint: allow(panicking) invariant: release follows the successful claim above
                 }
-                StepOutcome::NodeCompleted { job_completed } => {
-                    if job_completed {
-                        arena.release(cid);
-                        let pos = active
-                            .iter()
-                            .position(|&(_, s)| s == sid)
-                            .expect("completed job was active"); // lint: allow(panicking) invariant: a completing job sits in the active list exactly once
-                        active.remove(pos);
-                        let slot = slab.retire(sid);
-                        jobs_retired += 1;
-                        completed += 1;
-                        let out = JobOutcome {
-                            job: slot.job.id,
-                            arrival: slot.job.arrival,
-                            weight: slot.job.weight,
-                            start_round: slot.started.expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
-                            completion_round: last,
-                            completion: speed.round_end(last),
-                            flow: speed.flow_time(slot.job.arrival, last),
-                            status: JobStatus::Completed,
-                        };
-                        max_flow = max_flow.max(out.flow);
-                        sink(&out);
-                    }
+                StepOutcome::NodeCompleted {
+                    job_completed: false,
+                } => {}
+                StepOutcome::NodeCompleted {
+                    job_completed: true,
+                } => {
+                    // Only a job's last claimed node of the horizon can
+                    // complete it, so no later `claimed` entry touches
+                    // these slots — safe to recycle now.
+                    arena.release(cid);
+                    let pos = active
+                        .iter()
+                        .position(|&(_, s)| s == sid)
+                        .expect("completed job was active"); // lint: allow(panicking) invariant: a completing job sits in the active list exactly once
+                    active.remove(pos);
+                    let slot = slab.retire(sid);
+                    completed += 1;
+                    let out = JobOutcome {
+                        job: slot.job.id,
+                        arrival: slot.job.arrival,
+                        weight: slot.job.weight,
+                        start_round: slot.started.expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
+                        completion_round: last,
+                        completion: speed.round_end(last),
+                        flow: speed.flow_time(slot.job.arrival, last),
+                        status: JobStatus::Completed,
+                    };
+                    max_flow = max_flow.max(out.flow);
+                    sink(&out);
                 }
             }
         }
 
         stats.work_steps += delta * claimed.len() as u64;
         stats.idle_steps += delta * (m - claimed.len()) as u64;
-        if obs {
-            horizons += 1;
-        }
+        obs.horizons += 1;
         last_busy_round = last;
 
         if let Some(t) = trace.as_mut() {
@@ -1342,28 +1493,11 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
     }
 
     let retire = RetirementStats {
-        jobs_retired,
+        jobs_retired: completed,
         live_jobs_high_water: slab.high_water,
         slab_slots: slab.slots.len() as u64,
         cursor_slots: arena.capacity() as u64,
     };
-    if obs {
-        rec.counter("central.work_steps", stats.work_steps);
-        rec.counter("central.idle_steps", stats.idle_steps);
-        rec.counter("central.event_horizons", horizons);
-        rec.counter("central.quiescent_jumps", quiescent_jumps);
-        rec.gauge("central.total_rounds", (last_busy_round + 1) as f64);
-        rec.counter("central.stream.jobs_retired", retire.jobs_retired);
-        rec.counter(
-            "central.stream.live_jobs_high_water",
-            retire.live_jobs_high_water,
-        );
-        rec.counter("central.stream.slab_slots", retire.slab_slots);
-        rec.counter("central.stream.cursor_slots", retire.cursor_slots);
-        if let Some(r) = retire.slab_reuse_ratio() {
-            rec.gauge("central.stream.slab_reuse_ratio", r);
-        }
-    }
     let summary = StreamSummary {
         m,
         speed,
@@ -1374,7 +1508,7 @@ pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
         max_flow,
         retire,
     };
-    Ok((summary, trace))
+    Ok((summary, trace, obs))
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@
 use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
 use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate, PPM};
 use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
+use crate::stream::WsBuffers;
 use crate::trace::{Action, ScheduleTrace};
 use parflow_dag::{CursorArena, CursorId, Instance, Job, JobId, NodeId, StepOutcome};
 use parflow_obs::{NullRecorder, Recorder};
@@ -403,7 +404,7 @@ pub fn run_worksteal_observed(
         policy,
         seed,
         rec,
-        config.faults.is_empty(),
+        Some(&mut WsBuffers::default()),
     )
 }
 
@@ -419,25 +420,30 @@ pub fn run_worksteal_reference(
     seed: u64,
     rec: &mut dyn Recorder,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    run_reported(instance, config, policy, seed, rec, false)
+    run_reported(instance, config, policy, seed, rec, None)
 }
 
-/// Validate the plan, run on the chosen loop and complete the obs report.
-fn run_reported(
+/// Validate the plan, run on the right loop and complete the obs report.
+/// With `stepper_buf` (the event-driven stepper's storage;
+/// `crate::run_batched` passes one value for all its replicas) an empty
+/// fault plan runs on the stepper; a faulted one, and every plan without
+/// it, on the per-round loop.
+pub(crate) fn run_reported(
     instance: &Instance,
     config: &SimConfig,
     policy: StealPolicy,
     seed: u64,
     rec: &mut dyn Recorder,
-    event_driven: bool,
+    stepper_buf: Option<&mut WsBuffers>,
 ) -> (SimResult, Option<ScheduleTrace>) {
     if let Err(e) = config.faults.validate(config.m) {
         panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
     }
-    let (result, trace) = if event_driven {
-        crate::stream::run_worksteal_replay(instance, config, policy, seed, rec)
-    } else {
-        run_per_round(instance, config, policy, seed, rec)
+    let (result, trace) = match stepper_buf {
+        Some(buf) if config.faults.is_empty() => {
+            crate::stream::run_worksteal_replay(instance, config, policy, seed, rec, buf)
+        }
+        _ => run_per_round(instance, config, policy, seed, rec),
     };
     if rec.enabled() {
         rec.counter("ws.faulted_steps", result.stats.faulted_steps);

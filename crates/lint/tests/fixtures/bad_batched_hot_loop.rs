@@ -1,5 +1,5 @@
-//! Fixture: panicking calls inside a batched-replica hot loop — the shape
-//! L3 exists to keep out of `crates/core/src/batched.rs`.
+//! Fixture: panicking calls inside a replica-stepping hot loop — the shape
+//! L3 exists to keep out of the engine loops under `crates/core/src`.
 //! Exercised by `tests/selftest.rs`; never compiled.
 
 fn step_all_lanes(lanes: &mut Vec<Lane>, specs: &[ReplicaSpec]) {

@@ -104,9 +104,10 @@ fn panicking_fixture_exact_diagnostics() {
 
 #[test]
 fn batched_hot_loop_fixture_exact_diagnostics() {
-    // The batched engine's lane loop is L3-scoped in the real lint.toml;
-    // this fixture pins what the rule catches if a panicking call lands in
-    // that hot loop without a reasoned allow.
+    // A self-contained known-bad engine hot loop. `crates/core/src` is
+    // L3-scoped in the real lint.toml; this fixture pins what the rule
+    // catches if a panicking call lands in such a loop without a reasoned
+    // allow.
     let d = run("panicking", "bad_batched_hot_loop.rs");
     expect(
         &d,

@@ -7,18 +7,21 @@
 //! **every prefix length n**, replaying the first n jobs through the
 //! stream must be bit-identical to the materialized engine run on an
 //! instance of those same n jobs — same stats, round count, outcomes,
-//! backlog samples, max flow and schedule trace. For work stealing the
-//! materialized side is `run_worksteal_reference`, the per-round loop:
-//! `run_worksteal` is itself the streaming stepper over a replay, so
-//! comparing against it would compare the stepper with itself. Likewise the incremental
+//! backlog samples, max flow and schedule trace. The materialized side is
+//! the per-round loop of each family, `run_worksteal_reference` and
+//! `run_priority_reference`: `run_worksteal` and `run_priority` are
+//! themselves the streaming steppers over a replay, so comparing against
+//! them would compare a stepper with itself. Likewise the incremental
 //! [`OptTracker`] must equal the batch lower bounds after every single
 //! arrival, and the `u32` job-id space must fail closed (satellite of the
 //! sweep grid's jobs-axis validation).
 
 use parflow::core::{
-    combined_lower_bound, opt_flows, opt_max_flow, run_priority, run_priority_stream,
-    run_worksteal, run_worksteal_reference, run_worksteal_stream, run_worksteal_stream_with_base,
-    span_lower_bound, Fifo, InstanceReplay, OptTracker, SimConfig, StreamError,
+    combined_lower_bound, opt_flows, opt_max_flow, run_priority, run_priority_reference,
+    run_priority_stream, run_worksteal, run_worksteal_reference, run_worksteal_stream,
+    run_worksteal_stream_with_base, span_lower_bound, BiggestWeightFirst, Fifo, InstanceReplay,
+    JobPriority, JobStream, Lifo, OptTracker, ShortestJobFirst, SimConfig, StreamError,
+    StreamedJob,
 };
 use parflow::prelude::*;
 use proptest::prelude::*;
@@ -103,25 +106,44 @@ fn assert_ws_prefix_identical(
     }
 }
 
-/// Same contract for the centralized streaming engine under FIFO.
-fn assert_fifo_prefix_identical(inst: &Instance, n: usize, cfg: &SimConfig) {
+/// Same contract for the centralized streaming engine under `policy`.
+fn assert_priority_prefix_identical<P: JobPriority>(
+    inst: &Instance,
+    n: usize,
+    cfg: &SimConfig,
+    policy: &P,
+) {
+    let name = policy.name();
     let prefix = prefix_instance(inst, n);
-    let (batch, batch_trace) = run_priority(&prefix, cfg, &Fifo);
+    let (batch, batch_trace) = run_priority_reference(&prefix, cfg, policy);
+    // The materialized entry point collects the same run back into job order.
+    assert_eq!(
+        run_priority(&prefix, cfg, policy),
+        (batch.clone(), batch_trace.clone()),
+        "{name} prefix {n}: materialized"
+    );
     let mut outs = Vec::new();
     let mut replay = InstanceReplay::prefix(inst, n);
-    let (sum, trace) = run_priority_stream(&mut replay, cfg, &Fifo, &mut |o| outs.push(o.clone()))
+    let (sum, trace) = run_priority_stream(&mut replay, cfg, policy, &mut |o| outs.push(o.clone()))
         .expect("replay of an instance is sorted and fault-free");
-    assert_eq!(sum.jobs, n as u64, "prefix {n}: jobs");
-    assert_eq!(sum.stats, batch.stats, "prefix {n}: stats");
-    assert_eq!(sum.total_rounds, batch.total_rounds, "prefix {n}: rounds");
-    assert_eq!(sum.max_flow, batch.max_flow(), "prefix {n}: max flow");
-    assert_eq!(sum.samples, batch.samples, "prefix {n}: samples");
+    assert_eq!(sum.jobs, n as u64, "{name} prefix {n}: jobs");
+    assert_eq!(sum.stats, batch.stats, "{name} prefix {n}: stats");
+    assert_eq!(
+        sum.total_rounds, batch.total_rounds,
+        "{name} prefix {n}: rounds"
+    );
+    assert_eq!(
+        sum.max_flow,
+        batch.max_flow(),
+        "{name} prefix {n}: max flow"
+    );
+    assert_eq!(sum.samples, batch.samples, "{name} prefix {n}: samples");
     outs.sort_by_key(|o| o.job);
-    assert_eq!(outs, batch.outcomes, "prefix {n}: outcomes");
-    assert_eq!(trace, batch_trace, "prefix {n}: trace");
+    assert_eq!(outs, batch.outcomes, "{name} prefix {n}: outcomes");
+    assert_eq!(trace, batch_trace, "{name} prefix {n}: trace");
     if let Some(t) = &batch_trace {
         let report = parflow_certify::certify_run(&prefix, cfg, None, &batch, t);
-        assert!(report.is_clean(), "prefix {n}: {}", report.render());
+        assert!(report.is_clean(), "{name} prefix {n}: {}", report.render());
     }
 }
 
@@ -159,8 +181,9 @@ proptest! {
         }
     }
 
-    /// Centralized stream ≡ materialized run, for every prefix length,
-    /// including fractional speed augmentation and backlog sampling.
+    /// Centralized stream ≡ materialized run, for every prefix length and
+    /// all four priority policies, including fractional speed augmentation
+    /// and backlog sampling.
     #[test]
     fn centralized_stream_is_bit_identical_on_every_prefix(
         inst in arb_instance(),
@@ -176,7 +199,10 @@ proptest! {
             cfg = cfg.with_sampling(sample);
         }
         for n in 1..=inst.len() {
-            assert_fifo_prefix_identical(&inst, n, &cfg);
+            assert_priority_prefix_identical(&inst, n, &cfg, &Fifo);
+            assert_priority_prefix_identical(&inst, n, &cfg, &BiggestWeightFirst);
+            assert_priority_prefix_identical(&inst, n, &cfg, &Lifo);
+            assert_priority_prefix_identical(&inst, n, &cfg, &ShortestJobFirst);
         }
     }
 
@@ -307,4 +333,35 @@ fn unsorted_stream_is_a_checked_error() {
     )
     .expect_err("second job arrives before the first");
     assert_eq!(err, StreamError::UnsortedArrivals { index: 1 });
+}
+
+/// A weight-0 job is a typed error at the pull on both streaming entry
+/// points, not `Job::weighted`'s assertion firing inside the engine loop.
+#[test]
+fn zero_weight_job_is_a_checked_error() {
+    struct ThirdWeightless(u32);
+    impl JobStream for ThirdWeightless {
+        fn next_job(&mut self) -> Option<StreamedJob> {
+            self.0 += 1;
+            (self.0 <= 4).then(|| StreamedJob {
+                arrival: 5 * self.0 as u64,
+                weight: if self.0 == 3 { 0 } else { 1 },
+                dag: Arc::new(shapes::single_node(2)),
+            })
+        }
+    }
+    let cfg = SimConfig::new(2);
+    let err = run_worksteal_stream(
+        &mut ThirdWeightless(0),
+        &cfg,
+        StealPolicy::AdmitFirst,
+        1,
+        &mut |_| {},
+    )
+    .expect_err("third job has weight 0");
+    assert_eq!(err, StreamError::ZeroWeight { index: 2 });
+    assert!(err.to_string().contains("weight 0"));
+    let err = run_priority_stream(&mut ThirdWeightless(0), &cfg, &Fifo, &mut |_| {})
+        .expect_err("third job has weight 0");
+    assert_eq!(err, StreamError::ZeroWeight { index: 2 });
 }
