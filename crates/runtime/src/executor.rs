@@ -14,6 +14,27 @@
 //! pushed onto its own deque (TBB/Cilk spawn semantics) and immediately
 //! executes one.
 //!
+//! ## Who writes what
+//!
+//! A chunk of a fault-free run writes nothing another worker writes, apart
+//! from its own job's `remaining` count and the deque it came from, and
+//! reads no clock unless it is the job's last chunk:
+//!
+//! * event counts live in one [`WorkerCounters`] slot per worker, on a
+//!   cache line of its own, stored to only by that worker; the run totals,
+//!   the per-worker report and the watchdog's progress snapshot are all
+//!   reads of those slots — there is no second, run-wide set;
+//! * everything else in `Shared` that a task touches is read-only after
+//!   start-up, except `completed` (one RMW per *job*, by the worker that
+//!   finishes it) and `submitted` (one per job, by the submitter);
+//! * the loop reads the clock once per iteration only on a worker the
+//!   [`FaultPlan`] gives a crash round or a stall window, and once per
+//!   chunk only on a worker it slows down; the per-job chunk sequence
+//!   number is drawn only when something can panic on purpose (the panic
+//!   sampler is armed or the job is `Poison`). These are facts about the
+//!   plan the run was given, fixed when the worker thread starts — not
+//!   settings — so a faulted worker runs exactly the code it always ran.
+//!
 //! ## Hardening
 //!
 //! The executor is panic- and fault-tolerant:
@@ -115,7 +136,7 @@ impl RuntimeConfig {
     }
 }
 
-/// Per-run statistics aggregated across workers.
+/// Per-run statistics: the sum of the per-worker counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuntimeStats {
     /// Chunk tasks executed.
@@ -132,10 +153,11 @@ pub struct RuntimeStats {
     pub orphaned_tasks: u64,
 }
 
-/// Per-worker counters, collected thread-locally in each worker loop (no
-/// shared-cacheline traffic) and returned when the thread exits. The sum
-/// over workers matches the corresponding [`RuntimeStats`] fields except
-/// for races the aggregate atomics also have.
+/// Per-worker counters: a snapshot, taken after the run, of the slot the
+/// worker counted into while it ran. The slot outlives the worker thread,
+/// so a worker that crashed — or whose thread died — keeps its counts.
+/// [`RuntimeStats`] is computed from the same slots: each of its first five
+/// fields is exactly the sum of the field of the same name over workers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RtWorkerStats {
     /// Chunk tasks executed by this worker.
@@ -447,6 +469,47 @@ impl Backoff {
     }
 }
 
+/// One worker's event counts. Only worker `p` stores to slot `p`; anyone
+/// may load from it at any time (the watchdog does, mid-run). The alignment
+/// gives each slot its own pair of cache lines — x86 prefetches lines in
+/// adjacent pairs — so counting never invalidates a line another worker
+/// uses.
+#[derive(Default)]
+#[repr(align(128))]
+struct WorkerCounters {
+    tasks_executed: AtomicU64,
+    steal_attempts: AtomicU64,
+    successful_steals: AtomicU64,
+    admissions: AtomicU64,
+    task_panics: AtomicU64,
+    adopted_orphans: AtomicU64,
+    /// Tasks this worker handed to the orphan queue when it crashed.
+    orphaned_tasks: AtomicU64,
+}
+
+impl WorkerCounters {
+    /// Add `by` to one of the owner's counts. A load and a store, not an
+    /// RMW: the owner is the only writer, so nothing can land in between,
+    /// and `Relaxed` because a count publishes no other data.
+    fn add(counter: &AtomicU64, by: u64) {
+        counter.store(
+            counter.load(Ordering::Relaxed).saturating_add(by),
+            Ordering::Relaxed,
+        );
+    }
+
+    fn snapshot(&self) -> RtWorkerStats {
+        RtWorkerStats {
+            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
+            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
+            successful_steals: self.successful_steals.load(Ordering::Relaxed),
+            admissions: self.admissions.load(Ordering::Relaxed),
+            task_panics: self.task_panics.load(Ordering::Relaxed),
+            adopted_orphans: self.adopted_orphans.load(Ordering::Relaxed),
+        }
+    }
+}
+
 struct Shared {
     /// Per-job state slab, indexed by dense job id. Owning the slab here
     /// (rather than one `Arc<JobState>` per job) makes tasks plain `Copy`
@@ -468,12 +531,8 @@ struct Shared {
     faults: FaultPlan,
     sampler: PanicSampler,
     blackholed: Vec<bool>,
-    tasks_executed: AtomicU64,
-    steal_attempts: AtomicU64,
-    successful_steals: AtomicU64,
-    admissions: AtomicU64,
-    task_panics: AtomicU64,
-    orphaned_tasks: AtomicU64,
+    /// Slot `p` is written by worker `p` alone; see [`WorkerCounters`].
+    counters: Box<[WorkerCounters]>,
     events: Mutex<Vec<FaultEvent>>,
 }
 
@@ -493,6 +552,24 @@ impl Shared {
         });
     }
 
+    /// Run totals so far: the sum of the slots. Exact once the workers
+    /// have been joined; mid-run, a lower bound that never decreases.
+    fn totals(&self) -> RuntimeStats {
+        let mut t = RuntimeStats::default();
+        for c in self.counters.iter() {
+            let w = c.snapshot();
+            t.tasks_executed = t.tasks_executed.saturating_add(w.tasks_executed);
+            t.steal_attempts = t.steal_attempts.saturating_add(w.steal_attempts);
+            t.successful_steals = t.successful_steals.saturating_add(w.successful_steals);
+            t.admissions = t.admissions.saturating_add(w.admissions);
+            t.task_panics = t.task_panics.saturating_add(w.task_panics);
+            t.orphaned_tasks = t
+                .orphaned_tasks
+                .saturating_add(c.orphaned_tasks.load(Ordering::Relaxed));
+        }
+        t
+    }
+
     /// Count one job as terminal; flips `done` when it was the last.
     fn job_terminal(&self) {
         let done = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
@@ -504,6 +581,15 @@ impl Shared {
 
 fn round_to_duration(round: u64) -> Duration {
     Duration::from_nanos(round.saturating_mul(NS_PER_TICK))
+}
+
+/// `arrival_ns` of a job due `offset` after the run's base instant: the
+/// release time `r_i` of the paper's `F_i = c_i − r_i`, not the moment the
+/// submitter got around to it — a submitter starved of CPU by spinning
+/// workers must not shorten the flows it delays. `max(1)` so that 0 still
+/// means "never arrived".
+fn arrival_stamp(offset: Duration) -> u64 {
+    u64::try_from(offset.as_nanos()).unwrap_or(u64::MAX).max(1)
 }
 
 /// Run a workload: `(arrival offset, spec)` pairs, offsets non-decreasing.
@@ -570,12 +656,9 @@ pub fn try_run_workload(
         blackholed: (0..config.workers)
             .map(|p| config.faults.is_blackhole(p))
             .collect(),
-        tasks_executed: AtomicU64::new(0),
-        steal_attempts: AtomicU64::new(0),
-        successful_steals: AtomicU64::new(0),
-        admissions: AtomicU64::new(0),
-        task_panics: AtomicU64::new(0),
-        orphaned_tasks: AtomicU64::new(0),
+        counters: (0..config.workers)
+            .map(|_| WorkerCounters::default())
+            .collect(),
         events: Mutex::new(Vec::new()),
     });
 
@@ -585,23 +668,23 @@ pub fn try_run_workload(
         let shared = Arc::clone(&shared);
         let offsets: Vec<Duration> = workload.iter().map(|&(d, _)| d).collect();
         std::thread::spawn(move || {
+            // Carried across jobs: a batch of jobs that are all due costs
+            // one clock read, not one per job.
+            let mut now = shared.base.elapsed();
             for (i, offset) in offsets.into_iter().enumerate() {
-                let target = shared.base + offset;
                 loop {
                     if shared.done.load(Ordering::Acquire) {
                         return;
                     }
-                    let now = Instant::now();
-                    if target <= now {
+                    if offset <= now {
                         break;
                     }
-                    std::thread::sleep((target - now).min(Duration::from_millis(10)));
+                    std::thread::sleep((offset - now).min(Duration::from_millis(10)));
+                    now = shared.base.elapsed();
                 }
-                // `max(1)` so arrival_ns == 0 still means "never arrived".
-                let ns = shared.base.elapsed().as_nanos() as u64; // lint: allow(truncating-cast) u64 nanoseconds wrap after ~584 years of run wall-clock
                 shared.states[i]
                     .arrival_ns
-                    .store(ns.max(1), Ordering::Release);
+                    .store(arrival_stamp(offset), Ordering::Release);
                 shared.submitted.fetch_add(1, Ordering::Release);
                 shared.injector.push(i as u32); // lint: allow(truncating-cast) bounded by the TooManyJobs guard at run entry
             }
@@ -609,7 +692,8 @@ pub fn try_run_workload(
     };
 
     // Watchdog: aborts the run when released-but-unfinished jobs exist and
-    // no counter moves for the configured deadline.
+    // no counter moves for the configured deadline. Task-level progress is
+    // read from the workers' own slots.
     let watchdog = config.deadline.map(|deadline| {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
@@ -623,10 +707,11 @@ pub fn try_run_workload(
                     return;
                 }
                 std::thread::sleep(poll);
+                let totals = shared.totals();
                 let snapshot = (
-                    shared.tasks_executed.load(Ordering::Relaxed),
-                    shared.admissions.load(Ordering::Relaxed),
-                    shared.task_panics.load(Ordering::Relaxed),
+                    totals.tasks_executed,
+                    totals.admissions,
+                    totals.task_panics,
                     shared.completed.load(Ordering::Acquire),
                     shared.submitted.load(Ordering::Acquire),
                 );
@@ -656,7 +741,7 @@ pub fn try_run_workload(
         let policy = config.policy;
         let seed = config.seed.wrapping_add(p as u64);
         handles.push(std::thread::spawn(move || {
-            worker_loop(p, &local, policy, seed, &shared)
+            worker_loop(p, &local, policy, seed, &shared);
         }));
     }
 
@@ -664,13 +749,9 @@ pub fn try_run_workload(
     if submitter.join().is_err() {
         error = Some(RuntimeError::SubmitterPanicked);
     }
-    let mut worker_stats = vec![RtWorkerStats::default(); config.workers];
     for (p, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(ws) => worker_stats[p] = ws,
-            Err(_) => {
-                error.get_or_insert(RuntimeError::WorkerPanicked(p));
-            }
+        if h.join().is_err() {
+            error.get_or_insert(RuntimeError::WorkerPanicked(p));
         }
     }
     if let Some(w) = watchdog {
@@ -708,15 +789,12 @@ pub fn try_run_workload(
         .collect();
     let result = RuntimeResult {
         jobs,
-        stats: RuntimeStats {
-            tasks_executed: shared.tasks_executed.load(Ordering::Relaxed),
-            steal_attempts: shared.steal_attempts.load(Ordering::Relaxed),
-            successful_steals: shared.successful_steals.load(Ordering::Relaxed),
-            admissions: shared.admissions.load(Ordering::Relaxed),
-            task_panics: shared.task_panics.load(Ordering::Relaxed),
-            orphaned_tasks: shared.orphaned_tasks.load(Ordering::Relaxed),
-        },
-        worker_stats,
+        stats: shared.totals(),
+        worker_stats: shared
+            .counters
+            .iter()
+            .map(WorkerCounters::snapshot)
+            .collect(),
         elapsed: base.elapsed(),
         aborted: shared.aborted.load(Ordering::Acquire),
         fault_events,
@@ -733,14 +811,8 @@ pub fn try_run_workload(
     }
 }
 
-fn execute(
-    p: usize,
-    task: Task,
-    local: &Deque<Task>,
-    shared: &Shared,
-    rate_ppm: u32,
-    wstats: &mut RtWorkerStats,
-) {
+fn execute(p: usize, task: Task, local: &Deque<Task>, shared: &Shared, rate_ppm: u32) {
+    let counters = &shared.counters[p];
     let job = &shared.states[task.job as usize];
     // Tasks of an already-failed job are dropped, not executed.
     if job.is_failed() {
@@ -764,12 +836,21 @@ fn execute(
             }
         }
         TaskKind::Chunk => {
-            let seq = job.next_seq();
-            // Full-width seq: `as u32` here silently recycled panic
-            // decisions past 2³² chunks per job (see should_panic_seq).
-            let injected =
-                job.shape == JobShape::Poison || shared.sampler.should_panic_seq(job.id, seq);
-            let started = Instant::now();
+            // The sequence number keys the panic sampler and labels the
+            // TaskPanic event; drawing it is an RMW on a line every worker
+            // running this job shares, so it is drawn only when a chunk
+            // can be made to panic. Full-width: `as u32` here silently
+            // recycled panic decisions past 2³² chunks per job (see
+            // should_panic_seq).
+            let poison = job.shape == JobShape::Poison;
+            let seq = if poison || shared.faults.panic_ppm > 0 {
+                job.next_seq()
+            } else {
+                0
+            };
+            let injected = poison || shared.sampler.should_panic_seq(job.id, seq);
+            // Only a slowed-down worker times its chunks.
+            let started = (rate_ppm < PPM).then(Instant::now);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if injected {
                     std::panic::panic_any(InjectedPanic);
@@ -779,9 +860,8 @@ fn execute(
             match outcome {
                 Ok(out) => {
                     std::hint::black_box(out);
-                    shared.tasks_executed.fetch_add(1, Ordering::Relaxed);
-                    wstats.tasks_executed += 1;
-                    if rate_ppm < PPM {
+                    WorkerCounters::add(&counters.tasks_executed, 1);
+                    if let Some(started) = started {
                         // Injected slowdown: stretch the chunk so the worker
                         // delivers `rate_ppm`/1e6 of full throughput.
                         let ns = started.elapsed().as_nanos() as u64; // lint: allow(truncating-cast) u64 nanoseconds wrap after ~584 years of run wall-clock
@@ -794,8 +874,7 @@ fn execute(
                     }
                 }
                 Err(_) => {
-                    shared.task_panics.fetch_add(1, Ordering::Relaxed);
-                    wstats.task_panics += 1;
+                    WorkerCounters::add(&counters.task_panics, 1);
                     shared.push_event(FaultKind::TaskPanic, Some(p), Some(job.id), seq);
                     if job.fail(shared.base) {
                         shared.job_terminal();
@@ -808,12 +887,11 @@ fn execute(
 
 /// Admit one job from the global queue, expanding its chunks onto `local`.
 /// Returns false if the queue was empty.
-fn try_admit(local: &Deque<Task>, shared: &Shared, wstats: &mut RtWorkerStats) -> bool {
+fn try_admit(local: &Deque<Task>, shared: &Shared, counters: &WorkerCounters) -> bool {
     loop {
         match shared.injector.steal() {
             Steal::Success(ji) => {
-                shared.admissions.fetch_add(1, Ordering::Relaxed);
-                wstats.admissions += 1;
+                WorkerCounters::add(&counters.admissions, 1);
                 let job = &shared.states[ji as usize];
                 match job.shape {
                     JobShape::Flat | JobShape::Poison => {
@@ -841,15 +919,9 @@ fn try_admit(local: &Deque<Task>, shared: &Shared, wstats: &mut RtWorkerStats) -
     }
 }
 
-fn worker_loop(
-    p: usize,
-    local: &Deque<Task>,
-    policy: RtPolicy,
-    seed: u64,
-    shared: &Shared,
-) -> RtWorkerStats {
+fn worker_loop(p: usize, local: &Deque<Task>, policy: RtPolicy, seed: u64, shared: &Shared) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut wstats = RtWorkerStats::default();
+    let counters = &shared.counters[p];
     let mut fails: u32 = 0;
     let mut backoff = Backoff::new();
     let mut was_stalled = false;
@@ -871,51 +943,57 @@ fn worker_loop(
         })
         .collect();
 
+    // Does the plan ever ask this worker to look at the time? Fixed for the
+    // whole run, so an unscheduled worker's loop never reads the clock.
+    let scheduled = crash_at.is_some() || !stall_windows.is_empty();
+
     loop {
-        let elapsed = shared.base.elapsed();
+        if scheduled {
+            let elapsed = shared.base.elapsed();
 
-        // Injected crash: drain the local deque into the orphan queue so
-        // survivors adopt the work, then leave service for good.
-        if crash_at.is_some_and(|at| elapsed >= at) {
-            let mut orphaned = 0u64;
-            while let Some(task) = local.pop() {
-                shared.orphans.push(task);
-                orphaned += 1;
+            // Injected crash: drain the local deque into the orphan queue
+            // so survivors adopt the work, then leave service for good.
+            if crash_at.is_some_and(|at| elapsed >= at) {
+                let mut orphaned = 0u64;
+                while let Some(task) = local.pop() {
+                    shared.orphans.push(task);
+                    orphaned += 1;
+                }
+                WorkerCounters::add(&counters.orphaned_tasks, orphaned);
+                shared.push_event(FaultKind::Crash, Some(p), None, 0);
+                if orphaned > 0 {
+                    shared.push_event(FaultKind::OrphanReinjection, Some(p), None, orphaned);
+                }
+                return;
             }
-            shared.orphaned_tasks.fetch_add(orphaned, Ordering::Relaxed);
-            shared.push_event(FaultKind::Crash, Some(p), None, 0);
-            if orphaned > 0 {
-                shared.push_event(FaultKind::OrphanReinjection, Some(p), None, orphaned);
-            }
-            return wstats;
-        }
 
-        // Injected stall: freeze inside the window. The deque stays
-        // stealable the whole time (the blackhole fault is the separate
-        // "deque unreachable" failure mode).
-        if let Some(&(_, until)) = stall_windows
-            .iter()
-            .find(|&&(from, until)| elapsed >= from && elapsed < until)
-        {
-            if !was_stalled {
-                shared.push_event(FaultKind::StallBegin, Some(p), None, 0);
-                was_stalled = true;
+            // Injected stall: freeze inside the window. The deque stays
+            // stealable the whole time (the blackhole fault is the separate
+            // "deque unreachable" failure mode).
+            if let Some(&(_, until)) = stall_windows
+                .iter()
+                .find(|&&(from, until)| elapsed >= from && elapsed < until)
+            {
+                if !was_stalled {
+                    shared.push_event(FaultKind::StallBegin, Some(p), None, 0);
+                    was_stalled = true;
+                }
+                if shared.done.load(Ordering::Acquire) {
+                    return;
+                }
+                let remaining = until.saturating_sub(shared.base.elapsed());
+                std::thread::sleep(remaining.min(Duration::from_micros(200)));
+                continue;
+            } else if was_stalled {
+                shared.push_event(FaultKind::StallEnd, Some(p), None, 0);
+                was_stalled = false;
             }
-            if shared.done.load(Ordering::Acquire) {
-                return wstats;
-            }
-            let remaining = until.saturating_sub(shared.base.elapsed());
-            std::thread::sleep(remaining.min(Duration::from_micros(200)));
-            continue;
-        } else if was_stalled {
-            shared.push_event(FaultKind::StallEnd, Some(p), None, 0);
-            was_stalled = false;
         }
 
         if let Some(task) = local.pop() {
             fails = 0;
             backoff.reset();
-            execute(p, task, local, shared, rate_ppm, &mut wstats);
+            execute(p, task, local, shared, rate_ppm);
             continue;
         }
 
@@ -926,8 +1004,8 @@ fn worker_loop(
             Steal::Success(task) => {
                 fails = 0;
                 backoff.reset();
-                wstats.adopted_orphans += 1;
-                execute(p, task, local, shared, rate_ppm, &mut wstats);
+                WorkerCounters::add(&counters.adopted_orphans, 1);
+                execute(p, task, local, shared, rate_ppm);
                 continue;
             }
             Steal::Retry => continue,
@@ -938,7 +1016,7 @@ fn worker_loop(
             RtPolicy::AdmitFirst => true,
             RtPolicy::StealKFirst { k } => fails >= k,
         };
-        if admit_now && try_admit(local, shared, &mut wstats) {
+        if admit_now && try_admit(local, shared, counters) {
             fails = 0;
             backoff.reset();
             continue;
@@ -946,8 +1024,7 @@ fn worker_loop(
 
         // Steal attempt from a random other worker.
         if m > 1 {
-            shared.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            wstats.steal_attempts += 1;
+            WorkerCounters::add(&counters.steal_attempts, 1);
             let mut victim = rng.gen_range(0..m - 1);
             if victim >= p {
                 victim += 1;
@@ -958,11 +1035,10 @@ fn worker_loop(
             } else {
                 match shared.stealers[victim].steal() {
                     Steal::Success(task) => {
-                        shared.successful_steals.fetch_add(1, Ordering::Relaxed);
-                        wstats.successful_steals += 1;
+                        WorkerCounters::add(&counters.successful_steals, 1);
                         fails = 0;
                         backoff.reset();
-                        execute(p, task, local, shared, rate_ppm, &mut wstats);
+                        execute(p, task, local, shared, rate_ppm);
                         continue;
                     }
                     Steal::Empty => {
@@ -983,7 +1059,7 @@ fn worker_loop(
         // loop above already tried; without this a single worker (m=1) would
         // never admit.
         if let RtPolicy::StealKFirst { k } = policy {
-            if fails >= k && try_admit(local, shared, &mut wstats) {
+            if fails >= k && try_admit(local, shared, counters) {
                 fails = 0;
                 backoff.reset();
                 continue;
@@ -998,7 +1074,6 @@ fn worker_loop(
         // full core each during long arrival gaps.
         backoff.pause();
     }
-    wstats
 }
 
 #[cfg(test)]
@@ -1109,6 +1184,15 @@ mod tests {
         // The second job arrived 5ms in; its flow should be small (machine
         // idle), certainly below the total elapsed time.
         assert!(r.jobs[1].flow <= r.elapsed);
+    }
+
+    #[test]
+    fn arrival_is_stamped_with_the_due_offset() {
+        // The release time, not the time the submitter got to the job;
+        // 0 is reserved for "never arrived".
+        assert_eq!(arrival_stamp(Duration::ZERO), 1);
+        assert_eq!(arrival_stamp(Duration::from_millis(5)), 5_000_000);
+        assert_eq!(arrival_stamp(Duration::MAX), u64::MAX);
     }
 
     #[test]
@@ -1231,6 +1315,27 @@ mod tests {
     }
 
     #[test]
+    fn watchdog_counts_executed_tasks_as_progress() {
+        // One job, admitted in the first microsecond: from then on
+        // `completed`, `submitted` and `admissions` stand still and only
+        // the workers' executed-task counts move. The run lasts many
+        // deadlines; a watchdog that could not see those counts would
+        // abort it.
+        let deadline = Duration::from_millis(10);
+        let cfg = RuntimeConfig::new(2, RtPolicy::AdmitFirst).with_deadline(deadline);
+        let r = run_workload(&cfg, &burst_workload(1, 30_000, 4_000));
+        assert!(
+            r.elapsed >= 3 * deadline,
+            "run too short to prove anything: {:?}",
+            r.elapsed
+        );
+        assert!(!r.aborted);
+        assert!(r.all_completed());
+        assert_eq!(r.stats.tasks_executed, 30_000);
+        assert_eq!(r.stats.admissions, 1);
+    }
+
+    #[test]
     fn watchdog_stays_quiet_on_healthy_runs() {
         let cfg = RuntimeConfig::new(2, RtPolicy::AdmitFirst).with_deadline(Duration::from_secs(5));
         let r = run_workload(&cfg, &burst_workload(8, 2, 1_000));
@@ -1349,15 +1454,42 @@ mod tests {
 
     #[test]
     fn worker_stats_partition_aggregates() {
-        let cfg = RuntimeConfig::new(3, RtPolicy::StealKFirst { k: 4 });
-        let r = run_workload(&cfg, &burst_workload(16, 4, 2_000));
-        assert_eq!(r.worker_stats.len(), 3);
-        let sum = |f: fn(&RtWorkerStats) -> u64| r.worker_stats.iter().map(f).sum::<u64>();
-        assert_eq!(sum(|w| w.tasks_executed), r.stats.tasks_executed);
-        assert_eq!(sum(|w| w.steal_attempts), r.stats.steal_attempts);
-        assert_eq!(sum(|w| w.successful_steals), r.stats.successful_steals);
-        assert_eq!(sum(|w| w.admissions), r.stats.admissions);
-        assert_eq!(sum(|w| w.task_panics), r.stats.task_panics);
+        // Fault-free, and a plan that takes every counting path at once:
+        // worker 0 crashes mid-run (a straggler at 30 ms keeps the run
+        // alive past round 100 = 10 ms) and orphans what it holds, worker 1
+        // sits out the first 5 ms, and one chunk in twenty panics. Under
+        // admit-first each worker fills its own deque, so the crash
+        // normally finds tasks to orphan.
+        let mut faulted_wl = burst_workload(16, 8, 400_000);
+        faulted_wl.push((Duration::from_millis(30), JobSpec::split(4_000, 2)));
+        let faulted = FaultPlan::none()
+            .crash(0, 100)
+            .stall(1, 0, 50)
+            .with_panic_ppm(50_000);
+        let steal4 = RtPolicy::StealKFirst { k: 4 };
+        for (policy, faults, wl) in [
+            (steal4, FaultPlan::none(), burst_workload(16, 4, 2_000)),
+            (RtPolicy::AdmitFirst, faulted, faulted_wl),
+        ] {
+            let cfg = RuntimeConfig::new(3, policy).with_faults(faults);
+            let r = run_workload(&cfg, &wl);
+            assert_eq!(r.worker_stats.len(), 3);
+            let sum = |f: fn(&RtWorkerStats) -> u64| r.worker_stats.iter().map(f).sum::<u64>();
+            assert_eq!(sum(|w| w.tasks_executed), r.stats.tasks_executed);
+            assert_eq!(sum(|w| w.steal_attempts), r.stats.steal_attempts);
+            assert_eq!(sum(|w| w.successful_steals), r.stats.successful_steals);
+            assert_eq!(sum(|w| w.admissions), r.stats.admissions);
+            assert_eq!(sum(|w| w.task_panics), r.stats.task_panics);
+            // A task is adopted at most once, and only after it was orphaned.
+            assert!(r.stats.orphaned_tasks >= sum(|w| w.adopted_orphans));
+            let reinjected: u64 = r
+                .fault_events
+                .iter()
+                .filter(|e| e.kind == FaultKind::OrphanReinjection)
+                .map(|e| e.detail)
+                .sum();
+            assert_eq!(r.stats.orphaned_tasks, reinjected);
+        }
     }
 
     #[test]

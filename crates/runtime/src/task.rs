@@ -109,7 +109,8 @@ pub struct JobState {
     /// even when a panicking chunk races the job's last healthy chunk.
     terminal: AtomicBool,
     /// Chunk execution sequence number, used to key the deterministic
-    /// panic sampler.
+    /// panic sampler. Drawn only for chunks that can be made to panic (see
+    /// [`JobState::next_seq`]), so it is not a count of executed chunks.
     executed: AtomicU64,
 }
 
@@ -163,6 +164,10 @@ impl JobState {
     }
 
     /// Next chunk sequence number (keys the deterministic panic sampler).
+    ///
+    /// An RMW on a line shared by every worker running this job: the
+    /// executor calls it only when the sampler is armed or the job is
+    /// [`JobShape::Poison`], the two cases in which the number is read.
     pub fn next_seq(&self) -> u64 {
         self.executed.fetch_add(1, Ordering::Relaxed)
     }

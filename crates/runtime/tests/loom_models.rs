@@ -14,6 +14,10 @@
 //! * **W6 (bounded stealing)** — steal-k-first admits after exactly `k`
 //!   consecutive failed steal attempts, never more.
 //!
+//! One model has no TLA+ counterpart: the per-worker counter shards, whose
+//! single-writer `Relaxed` load+store must lose no count and must never
+//! show the watchdog a total that goes backwards.
+//!
 //! The models are deliberately small (loom explores every interleaving;
 //! 2–3 threads is the tractable regime) and mirror the protocol shape of
 //! `src/executor.rs` — the same atomics, the same orderings, the same
@@ -32,7 +36,7 @@
 use loom::{
     model,
     sync::{
-        atomic::{AtomicBool, AtomicUsize, Ordering},
+        atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering},
         Arc, Mutex,
     },
     thread,
@@ -41,7 +45,7 @@ use loom::{
 #[cfg(not(loom))]
 use std::{
     sync::{
-        atomic::{AtomicBool, AtomicUsize, Ordering},
+        atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering},
         Arc, Mutex,
     },
     thread,
@@ -154,6 +158,57 @@ fn regression_terminal_latch_release_acquire() {
 
         worker.join().unwrap();
         observer.join().unwrap();
+    });
+}
+
+/// Counter shards: each worker counts into its own slot with a `Relaxed`
+/// load followed by a `Relaxed` store — not an RMW — which is sound only
+/// because the slot has a single writer. The watchdog sums the slots while
+/// the owners are still counting; the run totals are the same sum taken
+/// after the workers are joined.
+///
+/// Mirrors `WorkerCounters::add` / `Shared::totals` in `src/executor.rs`,
+/// orderings included: a mid-run sum is a lower bound on the final one and
+/// never decreases from one read to the next (so a stalled run cannot look
+/// like progress, nor progress like a stall), and after `join` the sum is
+/// exact — no increment is lost.
+#[test]
+fn counter_shards_monotone_sum_exact_total() {
+    model(|| {
+        const OWNERS: usize = 2;
+        const BUMPS: u64 = 2;
+        let slots: Arc<Vec<AtomicU64>> = Arc::new((0..OWNERS).map(|_| AtomicU64::new(0)).collect());
+        let sum = |slots: &[AtomicU64]| {
+            slots
+                .iter()
+                .fold(0u64, |t, c| t.saturating_add(c.load(Ordering::Relaxed)))
+        };
+
+        let owners: Vec<_> = (0..OWNERS)
+            .map(|p| {
+                let slots = slots.clone();
+                thread::spawn(move || {
+                    let mine = &slots[p];
+                    for _ in 0..BUMPS {
+                        mine.store(
+                            mine.load(Ordering::Relaxed).saturating_add(1),
+                            Ordering::Relaxed,
+                        );
+                    }
+                })
+            })
+            .collect();
+
+        // Concurrent observer (the watchdog): two snapshots in a row.
+        let first = sum(&slots);
+        let second = sum(&slots);
+        assert!(first <= second, "a total went backwards");
+        assert!(second <= OWNERS as u64 * BUMPS, "a total overshot");
+
+        for o in owners {
+            o.join().unwrap();
+        }
+        assert_eq!(sum(&slots), OWNERS as u64 * BUMPS, "an increment was lost");
     });
 }
 
