@@ -1,17 +1,16 @@
 //! Bench-only allocation counting (`--features bench-alloc`).
 //!
 //! Wraps the system allocator in a counting shim installed as the global
-//! allocator, so the throughput probe can report heap allocations per
-//! engine run alongside rounds/sec. Compiled out entirely (and
+//! allocator, so `tests/alloc_budget.rs` can hold each engine probe to its
+//! allocation budget and `parflow-perf`'s traced run can report
+//! allocations per round. Compiled out entirely (and
 //! [`alloc_count`] returns `None`) unless the `bench-alloc` feature is on:
 //! production and test builds keep the untouched system allocator.
 //!
 //! The counter tracks allocation *events* (`alloc` + `realloc` calls), not
 //! bytes: the arena work in PR 4 is about eliminating per-job/per-round
 //! allocator round-trips, and an event count is the direct measure of
-//! that. Counting uses one relaxed atomic increment per event — cheap
-//! enough that throughput numbers from a `bench-alloc` build stay within
-//! normal run-to-run noise of an unshimmed build.
+//! that. Counting uses one relaxed atomic increment per event.
 
 // This is the only module in the workspace allowed to contain `unsafe`
 // (every other crate is `#![forbid(unsafe_code)]`); inside it, every

@@ -15,12 +15,10 @@
 //! instead of the named experiments; see `parflow_bench::sweep`.
 //!
 //! Flags: `--csv DIR` persists every table as CSV; `--list` enumerates
-//! experiment names; `--bench-json PATH` appends an engine-throughput
-//! measurement and writes the [`parflow_bench::throughput::BenchReport`]
-//! JSON (the `BENCH_engine.json` trajectory baseline); `--obs-json PATH`
-//! times every experiment as an observability phase, runs instrumented
-//! engine + runtime probes, and writes the `parflow-obs` run report
-//! (counters, per-worker telemetry, latency histograms, phase wall times).
+//! experiment names; `--obs-json PATH` times every experiment as an
+//! observability phase, runs instrumented engine + runtime probes, and
+//! writes the `parflow-obs` run report (counters, per-worker telemetry,
+//! latency histograms, phase wall times).
 //! Environment: `PARFLOW_JOBS=100000` for paper-scale runs, `PARFLOW_SEED`
 //! to reseed, `PARFLOW_THREADS` to size the experiment-point thread pool.
 
@@ -29,7 +27,7 @@ use parflow_bench::experiments::{
     jobs_per_point, lemma_audit, lower_bound, norms, scaling, serve_soak, steal_amount, steal_k,
     theory_bwf, theory_fifo, theory_ws, variance, victim_ablation, weighted_ws,
 };
-use parflow_bench::{throughput, Reporter};
+use parflow_bench::{probes, Reporter};
 use parflow_obs::{AggregatingRecorder, Recorder};
 use parflow_workloads::DistKind;
 use std::cell::RefCell;
@@ -64,8 +62,7 @@ const EXPERIMENTS: &[&str] = &[
 fn usage_error(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     eprintln!(
-        "usage: repro [--csv DIR] [--bench-json PATH] [--obs-json PATH] [--stream] [--jobs N] \
-         [--list] [EXPERIMENT...]"
+        "usage: repro [--csv DIR] [--obs-json PATH] [--stream] [--jobs N] [--list] [EXPERIMENT...]"
     );
     std::process::exit(2);
 }
@@ -137,7 +134,6 @@ fn main() {
     // Extract flags before treating the rest as experiment names.
     let mut args: Vec<String> = Vec::new();
     let mut reporter = Reporter::stdout_only();
-    let mut bench_json: Option<String> = None;
     let mut obs_json: Option<String> = None;
     let mut stream_mode = false;
     let mut jobs_override: Option<u64> = None;
@@ -162,12 +158,6 @@ fn main() {
                 reporter = Reporter::with_csv_dir(&dir).unwrap_or_else(|e| {
                     usage_error(&format!("cannot create csv directory `{dir}`: {e}"))
                 });
-            }
-            "--bench-json" => {
-                bench_json = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage_error("--bench-json needs a file path argument")),
-                );
             }
             "--obs-json" => {
                 obs_json = Some(
@@ -475,34 +465,17 @@ fn main() {
         }
     }
 
-    if let Some(path) = bench_json {
-        banner("Engine throughput baseline (--bench-json)");
-        let mut report = throughput::measure(seed);
-        report.repro_wall_seconds = Some(started.elapsed().as_secs_f64());
-        std::fs::write(&path, throughput::to_json(&report))
-            .unwrap_or_else(|e| usage_error(&format!("cannot write bench json `{path}`: {e}")));
-        println!(
-            "ws steal-16: {:.2e} rounds/s, {:.2e} steal-attempts/s",
-            report.ws_steal16.rounds_per_sec, report.ws_steal16.steal_attempts_per_sec
-        );
-        println!(
-            "ws admit-first: {:.2e} rounds/s; centralized FIFO: {:.2e} rounds/s",
-            report.ws_admit.rounds_per_sec, report.centralized_fifo.rounds_per_sec
-        );
-        println!("(bench json written to {path})");
-    }
-
     if let (Some(path), Some(cell)) = (obs_json, obs.as_ref()) {
         banner("Observability report (--obs-json)");
         {
             let _p = PhaseGuard::begin(obs.as_ref(), "obs.engine_probe");
             let mut rec = cell.borrow_mut();
-            throughput::probe_observed(seed, 2_000, &mut *rec);
+            probes::probe_observed(seed, jobs_per_point().min(2_000), &mut *rec);
         }
         {
             let _p = PhaseGuard::begin(obs.as_ref(), "obs.runtime_probe");
             let mut rec = cell.borrow_mut();
-            throughput::runtime_probe_observed(&mut *rec);
+            probes::runtime_probe_observed(&mut *rec);
         }
         cell.borrow_mut()
             .gauge("repro.wall_seconds", started.elapsed().as_secs_f64());

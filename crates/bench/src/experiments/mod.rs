@@ -1,7 +1,6 @@
 //! Experiment drivers: one module per paper table/figure plus theory
 //! validations and ablations. Each driver returns structured rows and can
-//! render a `parflow_metrics::Table`, so the `repro` binary and the
-//! Criterion benches share the exact same code paths.
+//! render a `parflow_metrics::Table`; the `repro` binary prints them.
 
 pub mod backlog;
 pub mod burst;
@@ -32,7 +31,7 @@ pub const PAPER_M: usize = 16;
 pub const PAPER_K: u32 = 16;
 
 /// Number of jobs per experiment point. The paper uses 100 000; the default
-/// here is 20 000 to keep `cargo bench` turnaround sane. Set
+/// here is 20 000 to keep `repro` turnaround sane. Set
 /// `PARFLOW_JOBS=100000` to run at paper scale.
 pub fn jobs_per_point() -> usize {
     std::env::var("PARFLOW_JOBS")

@@ -42,8 +42,8 @@ pub fn run(ks: &[u32], qps_list: &[f64], seed: u64) -> Vec<StealKPoint> {
     run_sized(ks, qps_list, seed, jobs_per_point())
 }
 
-/// Run with an explicit job count.
-pub fn run_sized(ks: &[u32], qps_list: &[f64], seed: u64, n_jobs: usize) -> Vec<StealKPoint> {
+/// Run with an explicit job count (tests use small `n`).
+fn run_sized(ks: &[u32], qps_list: &[f64], seed: u64, n_jobs: usize) -> Vec<StealKPoint> {
     let cfg = SimConfig::new(PAPER_M).with_free_steals();
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     // Parallelize over (qps, k) pairs; the instance is regenerated per pair

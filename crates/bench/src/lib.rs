@@ -15,16 +15,18 @@
 //! * [`experiments::steal_k`] — the k ablation;
 //! * [`experiments::intervals`] — the Figure 1 interval decomposition.
 //!
-//! Run everything with `cargo run --release -p parflow-bench --bin repro`,
-//! or individual Criterion benches with `cargo bench`.
+//! Run everything with `cargo run --release -p parflow-bench --bin repro`.
+//! This crate reports what the schedulers *did* (flows, ratios, counters);
+//! how fast the engines run is measured by `parflow-perf` (`crates/perf`,
+//! `BENCHMARK.json`) and nowhere else.
 
 #![warn(missing_docs)]
 
 pub mod alloc_probe;
 pub mod experiments;
+pub mod probes;
 pub mod report;
 pub mod stream;
 pub mod sweep;
-pub mod throughput;
 
 pub use report::Reporter;

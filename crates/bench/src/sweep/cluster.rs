@@ -17,7 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use super::grid::{fnv1a64, CellSpec};
+use parflow_obs::fnv1a64;
+
+use super::grid::CellSpec;
 
 /// Structural fingerprint of a cell: FNV-1a over the canonical rendering
 /// of every schedule-relevant field. Replica index and engine seed are

@@ -10,22 +10,12 @@
 //! and must never change for a given canonical spec.
 
 use parflow_core::StealPolicy;
+use parflow_obs::fnv1a64;
 use parflow_time::Speed;
 use parflow_workloads::{qps_for_utilization, DistKind};
 
 /// Results-store format version (the `"sweep"` header field).
 pub const SWEEP_SCHEMA: u32 = 1;
-
-/// 64-bit FNV-1a over a byte string: the deterministic, dependency-free
-/// hash behind cell fingerprints and derived seeds.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A scheduling policy swept over. `fifo` is the centralized control; the
 /// others run on the work-stealing engine.

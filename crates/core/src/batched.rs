@@ -12,7 +12,7 @@
 //! non-empty fault plan go to the per-round loop, like `run_worksteal`'s.
 
 use crate::config::SimConfig;
-use crate::result::{JobOutcome, SimResult};
+use crate::result::SimResult;
 use crate::stream::WsBuffers;
 use crate::trace::ScheduleTrace;
 use crate::worksteal::{run_reported, StealPolicy};
@@ -86,45 +86,6 @@ pub fn simulate_batched(
     run_batched(instance, specs, batch)
         .into_iter()
         .map(|(r, _)| r)
-        .collect()
-}
-
-/// Streaming counterpart of [`simulate_batched`]: run every replica over
-/// its own [`JobStream`](crate::JobStream) in O(active + m) memory,
-/// pushing each completed outcome into `sink` tagged with the replica
-/// index.
-///
-/// Replicas run one after another through the streaming engine — each
-/// result is bit-identical to
-/// `run_worksteal(instance, &spec.config, spec.policy, spec.seed)` on the
-/// materialization of that replica's stream. `make_stream(i)` builds
-/// replica `i`'s stream; replicas with non-empty fault plans fail with
-/// [`StreamError::FaultsUnsupported`](crate::StreamError::FaultsUnsupported),
-/// like every streaming entry point.
-pub fn simulate_batched_stream<S, F>(
-    mut make_stream: F,
-    specs: &[ReplicaSpec],
-    sink: &mut dyn FnMut(usize, &JobOutcome),
-) -> Result<Vec<crate::StreamSummary>, crate::StreamError>
-where
-    S: crate::JobStream,
-    F: FnMut(usize) -> S,
-{
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let mut stream = make_stream(i);
-            let mut per_replica = |o: &JobOutcome| sink(i, o);
-            crate::run_worksteal_stream(
-                &mut stream,
-                &spec.config,
-                spec.policy,
-                spec.seed,
-                &mut per_replica,
-            )
-            .map(|(summary, _)| summary)
-        })
         .collect()
 }
 

@@ -86,7 +86,7 @@ mod stream;
 mod trace;
 mod worksteal;
 
-pub use batched::{run_batched, simulate_batched, simulate_batched_stream, ReplicaSpec};
+pub use batched::{run_batched, simulate_batched, ReplicaSpec};
 #[cfg(feature = "reference-engine")]
 pub use centralized::run_priority_reference;
 pub use centralized::{

@@ -467,9 +467,8 @@ fn json_escape(s: &str) -> String {
 impl ObsReport {
     /// Serialize to pretty JSON with a trailing newline.
     ///
-    /// Hand-rolled for the same reason as `parflow_bench::throughput::to_json`:
-    /// the offline `serde_json` stub cannot serialize, and the schema is
-    /// fixed. Key order is deterministic (sorted labels; phases in
+    /// Hand-rolled: the offline `serde_json` stub cannot serialize, and the
+    /// schema is fixed. Key order is deterministic (sorted labels; phases in
     /// completion order).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -558,8 +557,10 @@ impl ObsReport {
     }
 }
 
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte string: the workspace's one deterministic,
+/// dependency-free hash — behind [`ObsReport::digest`] and the sweep
+/// harness's cell fingerprints and derived seeds.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

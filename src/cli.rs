@@ -18,11 +18,13 @@
 //! rounds, `F` speed factor in `(0,1]`, `P` probability in `[0,1]`).
 //! Faults apply to the work-stealing schedulers and the real executor;
 //! the centralized engines (fifo/bwf/lifo/sjf/equi) model an idealized
-//! reliable machine and ignore the plan. `exec` additionally accepts
-//! `--deadline` (e.g. `30s`, `500ms`) arming the runtime's no-progress
-//! watchdog, and `--obs-json PATH` dumping a machine-readable run report
-//! (counters, per-worker telemetry, latency histograms, phase wall times)
-//! through the `parflow-obs` observability layer.
+//! reliable machine, so `simulate`/`analyze` reject `--faults` with one of
+//! them and `compare` names the rows the plan did not touch. `exec`
+//! additionally accepts `--deadline` (e.g. `30s`, `500ms`) arming the
+//! runtime's no-progress watchdog, and `--obs-json PATH` dumping a
+//! machine-readable run report (counters, per-worker telemetry, latency
+//! histograms, phase wall times) through the `parflow-obs` observability
+//! layer.
 //!
 //! `exec --stream` (or `--stream on`) swaps the threaded executor for the
 //! O(active)-memory streaming simulation core: jobs are pulled one at a
@@ -345,6 +347,22 @@ fn fault_summary(name: &str, r: &crate::core::SimResult) -> Option<String> {
     ))
 }
 
+/// `--faults` with a scheduler that would drop the plan is an error, not
+/// a fault-free run that looks like "the faults had no effect": only the
+/// work-stealing kinds model faults.
+fn reject_ignored_faults(flags: &Flags, kind: SchedulerKind) -> Result<(), CliError> {
+    if flags.get("faults").is_some() && !kind.is_randomized() {
+        return Err(CliError::BadFlag(
+            "faults".into(),
+            format!(
+                "scheduler {kind} models a reliable machine and would ignore the plan \
+                 (faults apply to admit-first and steal-<k>-first)"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
     let (spec, m) = workload_from_flags(flags)?;
     let kind: SchedulerKind =
@@ -354,6 +372,7 @@ fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
             .map_err(|e: crate::core::ParseSchedulerError| {
                 CliError::BadFlag("scheduler".into(), e.0)
             })?;
+    reject_ignored_faults(flags, kind)?;
     let seed: u64 = flags.parse_or("seed", 42u64)?;
     let cfg = config_from_flags(flags, m)?;
     let inst = spec.generate();
@@ -392,6 +411,17 @@ fn compare_cmd(flags: &Flags) -> Result<String, CliError> {
         t.row(row);
         fault_lines.extend(fault_summary(&name, &r));
     }
+    if flags.get("faults").is_some() {
+        let reliable: Vec<String> = SchedulerKind::all()
+            .iter()
+            .filter(|k| !k.is_randomized())
+            .map(|k| k.to_string())
+            .collect();
+        fault_lines.push(format!(
+            "fault-free by construction (these model a reliable machine and ignore --faults): {}",
+            reliable.join(", ")
+        ));
+    }
     let mut out = t.render();
     for l in &fault_lines {
         out.push('\n');
@@ -414,10 +444,6 @@ fn generate_cmd(flags: &Flags) -> Result<String, CliError> {
 
 fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
     let path = flags.require("in")?;
-    let inst = trace_io::load_instance(path).map_err(|e| CliError::Io(e.to_string()))?;
-    if inst.is_empty() {
-        return Err(CliError::Io("instance is empty".into()));
-    }
     let kind: SchedulerKind = flags
         .get("scheduler")
         .unwrap_or("steal-16-first")
@@ -425,6 +451,11 @@ fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
         .map_err(|e: crate::core::ParseSchedulerError| {
             CliError::BadFlag("scheduler".into(), e.0)
         })?;
+    reject_ignored_faults(flags, kind)?;
+    let inst = trace_io::load_instance(path).map_err(|e| CliError::Io(e.to_string()))?;
+    if inst.is_empty() {
+        return Err(CliError::Io("instance is empty".into()));
+    }
     let m: usize = flags.parse_or("m", 16usize)?;
     let seed: u64 = flags.parse_or("seed", 42u64)?;
     let eps = parse_rational("eps", flags.get("eps").unwrap_or("1/10"))?;
@@ -1057,6 +1088,48 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("max flow"));
+    }
+
+    #[test]
+    fn faults_rejected_for_schedulers_that_ignore_them() {
+        for sched in ["fifo", "bwf", "lifo", "sjf", "equi"] {
+            for cmd in [
+                format!("simulate --scheduler {sched} --jobs 200 --m 4 --qps 800"),
+                format!("analyze --in /no/such/file.json --scheduler {sched}"),
+            ] {
+                let e = run_cli(&argv(&format!("{cmd} --faults crash:0@10"))).unwrap_err();
+                assert!(
+                    matches!(e, CliError::BadFlag(ref k, ref v) if k == "faults" && v.contains(sched)),
+                    "{cmd}: {e:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compare_names_fault_free_rows_only_with_faults() {
+        let base = "compare --dist bing --qps 3000 --jobs 150 --m 4";
+        let plain = run_cli(&argv(base)).unwrap();
+        let faulted = run_cli(&argv(&format!("{base} --faults crash:0@10"))).unwrap();
+        // Without the flag the output is the seven-row table and nothing
+        // else; with it, all seven rows stay and the note comes last.
+        assert!(!plain.contains("fault-free by construction"));
+        assert!(plain.lines().last().unwrap().contains("steal-16-first"));
+        let note = faulted.lines().last().unwrap();
+        assert!(
+            note.starts_with("fault-free by construction")
+                && note.ends_with(": fifo, bwf, lifo, sjf, equi"),
+            "{note}"
+        );
+        // The named rows are the ones the plan did not touch.
+        let row = |out: &str, name: &str| {
+            let line = out.lines().find(|l| l.trim_start().starts_with(name));
+            line.unwrap_or_else(|| panic!("no {name} row")).to_string()
+        };
+        for name in ["fifo", "bwf", "lifo", "sjf", "equi"] {
+            assert_eq!(row(&plain, name), row(&faulted, name));
+        }
+        assert_ne!(row(&plain, "admit-first"), row(&faulted, "admit-first"));
     }
 
     #[test]
