@@ -14,8 +14,9 @@
 //! instance, which the differential tests use.
 
 use parflow_core::{
-    run_priority_stream_observed, run_worksteal_stream_observed, Fifo, JobStream, OptTap,
-    OptTracker, SimConfig, StealPolicy, StreamError, StreamSummary, StreamedJob,
+    run_priority_stream_observed, run_worksteal_stream_observed, Fifo, JobOutcome, JobStream,
+    OptTap, OptTracker, ScheduleTrace, SimConfig, StealPolicy, StreamError, StreamSummary,
+    StreamedJob,
 };
 use parflow_dag::JobDag;
 use parflow_metrics::StreamingFlowStats;
@@ -111,10 +112,78 @@ impl StreamRun {
         let bound = self.opt.combined_lower_bound().to_f64();
         (bound > 0.0).then(|| self.summary.max_flow.to_f64() / bound)
     }
+
+    /// The streaming report of `exec --stream` and `repro --stream`, no
+    /// trailing newline: throughput over `wall_s` seconds on `m` workers,
+    /// flow percentiles, the live OPT ratio, the `certificate` line if
+    /// there is one, retirement counters and peak RSS. CI greps these
+    /// lines and `parflow-certify stream-summary` parses them.
+    pub fn render(&self, m: usize, wall_s: f64, certificate: Option<&str>) -> String {
+        let s = &self.summary;
+        let to_ms = 1000.0 / parflow_workloads::TICKS_PER_SECOND;
+        let wall = wall_s.max(1e-9);
+        let mut out = format!(
+            "streamed {} jobs on {m} workers in {wall_s:.1}s ({:.0} jobs/s, {:.2e} rounds/s)\n",
+            s.jobs,
+            s.jobs as f64 / wall,
+            s.total_rounds as f64 / wall,
+        );
+        out.push_str(&format!(
+            "max flow {:.2} ms, mean {:.2} ms, ~p99 {:.2} ms ({} NaN excluded)\n",
+            s.max_flow.to_f64() * to_ms,
+            self.flows.mean().unwrap_or(0.0) * to_ms,
+            self.flows.quantile(0.99).unwrap_or(0.0) * to_ms,
+            self.flows.nan(),
+        ));
+        out.push_str(&format!(
+            "live OPT bound {:.2} ms -> ratio {:.2}\n",
+            self.opt.combined_lower_bound().to_f64() * to_ms,
+            self.competitive_ratio().unwrap_or(0.0),
+        ));
+        if let Some(line) = certificate {
+            out.push_str(&format!("{line}\n"));
+        }
+        out.push_str(&format!(
+            "retirement: {} retired, {} live high-water, {} slab slots (reuse {:.1}%), {} cursor slots",
+            s.retire.jobs_retired,
+            s.retire.live_jobs_high_water,
+            s.retire.slab_slots,
+            s.retire.slab_reuse_ratio().unwrap_or(0.0) * 100.0,
+            s.retire.cursor_slots,
+        ));
+        if let Some(kb) = peak_rss_kb() {
+            out.push_str(&format!("\npeak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0));
+        }
+        out
+    }
+}
+
+/// The engine's result, as the streaming entry points of the core return it.
+type EngineResult = Result<(StreamSummary, Option<ScheduleTrace>), StreamError>;
+
+/// Drive `engine` over the first `jobs` jobs of `spec`, folding flows into
+/// streaming stats and OPT bounds on the fly.
+fn run_stream(
+    spec: &WorkloadSpec,
+    m: usize,
+    jobs: u64,
+    engine: impl FnOnce(&mut OptTap<SpecJobStream>, &mut dyn FnMut(&JobOutcome)) -> EngineResult,
+) -> Result<StreamRun, StreamError> {
+    let mut tap = OptTap::new(SpecJobStream::new(spec, jobs), m);
+    let mut flows = StreamingFlowStats::new(0.0, FLOW_HIST_HI_TICKS, FLOW_HIST_BINS);
+    let (summary, _) = engine(&mut tap, &mut |o| {
+        flows.record(o.flow);
+    })?;
+    let (_, opt) = tap.into_parts();
+    Ok(StreamRun {
+        summary,
+        flows,
+        opt,
+    })
 }
 
 /// Run the streaming work-stealing engine over the first `jobs` jobs of
-/// `spec`, folding flows into streaming stats and OPT bounds on the fly.
+/// `spec`.
 pub fn run_stream_ws(
     spec: &WorkloadSpec,
     config: &SimConfig,
@@ -135,23 +204,8 @@ pub fn run_stream_ws_observed(
     jobs: u64,
     rec: &mut dyn Recorder,
 ) -> Result<StreamRun, StreamError> {
-    let mut tap = OptTap::new(SpecJobStream::new(spec, jobs), config.m);
-    let mut flows = StreamingFlowStats::new(0.0, FLOW_HIST_HI_TICKS, FLOW_HIST_BINS);
-    let (summary, _) = run_worksteal_stream_observed(
-        &mut tap,
-        config,
-        policy,
-        seed,
-        &mut |o| {
-            flows.record(o.flow);
-        },
-        rec,
-    )?;
-    let (_, opt) = tap.into_parts();
-    Ok(StreamRun {
-        summary,
-        flows,
-        opt,
+    run_stream(spec, config.m, jobs, |tap, sink| {
+        run_worksteal_stream_observed(tap, config, policy, seed, sink, rec)
     })
 }
 
@@ -172,22 +226,8 @@ pub fn run_stream_fifo_observed(
     jobs: u64,
     rec: &mut dyn Recorder,
 ) -> Result<StreamRun, StreamError> {
-    let mut tap = OptTap::new(SpecJobStream::new(spec, jobs), config.m);
-    let mut flows = StreamingFlowStats::new(0.0, FLOW_HIST_HI_TICKS, FLOW_HIST_BINS);
-    let (summary, _) = run_priority_stream_observed(
-        &mut tap,
-        config,
-        &Fifo,
-        &mut |o| {
-            flows.record(o.flow);
-        },
-        rec,
-    )?;
-    let (_, opt) = tap.into_parts();
-    Ok(StreamRun {
-        summary,
-        flows,
-        opt,
+    run_stream(spec, config.m, jobs, |tap, sink| {
+        run_priority_stream_observed(tap, config, &Fifo, sink, rec)
     })
 }
 

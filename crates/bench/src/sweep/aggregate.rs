@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use parflow_metrics::{SampleStats, Table};
 
-use super::grid::{CellSpec, SWEEP_SCHEMA};
+use super::grid::{CellSpec, SweepPolicy, SWEEP_SCHEMA};
 
 /// Store line status: the cell was actually simulated.
 pub const STATUS_SIMULATED: &str = "simulated";
@@ -352,10 +352,7 @@ pub fn crossover_rows(cells: &[CellSpec], outcomes: &[Option<CellOutcome>]) -> V
         let admit_ms = mean("admit");
         let mut steal: Option<(u32, f64)> = None;
         for (name, (sum, n)) in &policies {
-            if let Some(k) = name
-                .strip_prefix("steal:")
-                .and_then(|k| k.parse::<u32>().ok())
-            {
+            if let Ok(SweepPolicy::StealK(k)) = SweepPolicy::parse(name) {
                 let v = sum / *n as f64;
                 if steal.map(|(_, best)| v < best).unwrap_or(true) {
                     steal = Some((k, v));

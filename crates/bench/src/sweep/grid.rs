@@ -30,20 +30,18 @@ pub enum SweepPolicy {
 }
 
 impl SweepPolicy {
-    /// Parse `fifo` | `admit` | `steal:K` (with `steal:0` normalized to
-    /// `admit`, so duplicate spellings cluster rather than double-run).
+    /// Parse `fifo`, or any spelling [`StealPolicy`] accepts (`admit`,
+    /// `steal:K`, …; `steal:0` is `admit`, so duplicate spellings cluster
+    /// rather than double-run). No other centralized scheduler is
+    /// sweepable.
     pub fn parse(s: &str) -> Result<SweepPolicy, String> {
-        match s {
-            "fifo" => Ok(SweepPolicy::Fifo),
-            "admit" => Ok(SweepPolicy::AdmitFirst),
-            _ => match s.strip_prefix("steal:") {
-                Some(k) => match k.parse::<u32>() {
-                    Ok(0) => Ok(SweepPolicy::AdmitFirst),
-                    Ok(k) => Ok(SweepPolicy::StealK(k)),
-                    Err(_) => Err(format!("bad steal parameter in `{s}`")),
-                },
-                None => Err(format!("unknown policy `{s}` (want fifo|admit|steal:K)")),
-            },
+        if s == "fifo" {
+            return Ok(SweepPolicy::Fifo);
+        }
+        match s.parse::<StealPolicy>() {
+            Ok(StealPolicy::AdmitFirst) => Ok(SweepPolicy::AdmitFirst),
+            Ok(StealPolicy::StealKFirst { k }) => Ok(SweepPolicy::StealK(k)),
+            Err(_) => Err(format!("unknown policy `{s}` (want fifo|admit|steal:K)")),
         }
     }
 
@@ -212,17 +210,6 @@ fn parse_eps(s: &str) -> Result<(u64, u64), String> {
     Ok((num / g, den / g))
 }
 
-fn parse_dist(s: &str) -> Result<DistKind, String> {
-    match s {
-        "bing" => Ok(DistKind::Bing),
-        "finance" => Ok(DistKind::Finance),
-        "lognormal" | "log-normal" => Ok(DistKind::LogNormal),
-        other => Err(format!(
-            "unknown dist `{other}` (want bing|finance|lognormal)"
-        )),
-    }
-}
-
 /// Named preset: the CI/test smoke grid (12 cells, sub-second).
 pub const PRESET_SMOKE: &str =
     "dist=bing;util=0.6,0.9;policy=fifo,admit,steal:4;m=4;eps=0;seeds=2;jobs=300";
@@ -259,7 +246,7 @@ impl SweepGrid {
             match key {
                 "dist" => {
                     for v in &vals {
-                        dists.push(parse_dist(v)?);
+                        dists.push(v.parse()?);
                     }
                 }
                 "util" => {

@@ -35,6 +35,7 @@ use parflow_core::{
     opt_max_flow, run_priority, run_worksteal, simulate_batched, simulate_fifo, Fifo, ReplicaSpec,
     SimConfig,
 };
+use parflow_obs::args::{ArgError, Args};
 use parflow_workloads::{ShapeKind, WorkloadSpec, TICKS_PER_SECOND};
 
 use crate::experiments::{par_map_with, par_threads};
@@ -577,57 +578,29 @@ lower-bound check. A violation aborts the sweep with the diagnostic.";
 /// `repro sweep` / `parflow sweep` entry point. Returns the rendered
 /// report (summary + crossover table) for the caller to print.
 pub fn cli_main(args: &[String]) -> Result<String, String> {
-    let mut grid_spec = "smoke".to_string();
-    let mut out_path: Option<String> = None;
-    let mut resume = false;
-    let mut opts = SweepOptions::default();
-    let mut seeds: Option<u32> = None;
-    let mut jobs: Option<usize> = None;
-    let mut table = true;
-    let mut markdown = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(USAGE.to_string()),
-            "--grid" => grid_spec = value("--grid")?,
-            "--out" => out_path = Some(value("--out")?),
-            "--resume" => resume = true,
-            "--stream" => opts.stream = true,
-            "--certify" => opts.certify = true,
-            "--no-table" => table = false,
-            "--markdown" => markdown = true,
-            "--threads" => {
-                opts.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads wants a positive integer".to_string())?;
-            }
-            "--prune-factor" => {
-                opts.prune_factor = value("--prune-factor")?
-                    .parse()
-                    .map_err(|_| "--prune-factor wants a number".to_string())?;
-            }
-            "--seeds" => {
-                seeds = Some(
-                    value("--seeds")?
-                        .parse()
-                        .map_err(|_| "--seeds wants a positive integer".to_string())?,
-                );
-            }
-            "--jobs" => {
-                jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|_| "--jobs wants a positive integer".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown sweep flag `{other}`\n{USAGE}")),
-        }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(USAGE.to_string());
     }
+    let usage = |e: ArgError| format!("{e}\n{USAGE}");
+    let bools = ["resume", "stream", "certify", "no-table", "markdown"];
+    let flags = Args::parse(args, &bools).map_err(usage)?;
+    let defaults = SweepOptions::default();
+    let opts = SweepOptions {
+        threads: flags.get_or("threads", defaults.threads).map_err(usage)?,
+        prune_factor: flags
+            .get_or("prune-factor", defaults.prune_factor)
+            .map_err(usage)?,
+        stream: flags.flag("stream"),
+        certify: flags.flag("certify"),
+    };
+    let grid_spec = flags.get_or("grid", "smoke".to_string()).map_err(usage)?;
+    let out_path: Option<String> = flags.get("out").map_err(usage)?;
+    let seeds: Option<u32> = flags.get("seeds").map_err(usage)?;
+    let jobs: Option<usize> = flags.get("jobs").map_err(usage)?;
+    let resume = flags.flag("resume");
+    let table = !flags.flag("no-table");
+    let markdown = flags.flag("markdown");
+    flags.finish().map_err(usage)?;
     let mut grid = SweepGrid::parse(&grid_spec)?;
     if let Some(s) = seeds {
         if s == 0 {
@@ -947,6 +920,18 @@ mod tests {
         let help = cli_main(&["--help".to_string()]).unwrap();
         assert!(help.contains("usage: sweep"));
         assert!(cli_main(&["--bogus".to_string()]).is_err());
+        // Misspelt and repeated flags fail before any cell runs, with the
+        // flag named and this command's usage.
+        let argv = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        let e = cli_main(&argv("--grid smoke --seedz 2")).unwrap_err();
+        assert!(
+            e.starts_with("--seedz: unknown flag") && e.ends_with(USAGE),
+            "{e}"
+        );
+        let e = cli_main(&argv("--resume --grid smoke --resume")).unwrap_err();
+        assert!(e.starts_with("--resume: given more than once"), "{e}");
+        let e = cli_main(&argv("--grid smoke stray")).unwrap_err();
+        assert!(e.starts_with("unexpected argument 'stray'"), "{e}");
         assert!(
             cli_main(&["--resume".to_string()]).is_err(),
             "--resume needs --out"

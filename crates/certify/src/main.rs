@@ -19,6 +19,7 @@ use std::process::ExitCode;
 use parflow_certify::{certify_run, CertReport};
 use parflow_core::{run_priority, run_worksteal, Fifo, SimConfig, StealPolicy};
 use parflow_dag::{shapes, Instance, Job};
+use parflow_obs::args::{ArgError, Args};
 use parflow_time::Speed;
 use parflow_workloads::{qps_for_utilization, DistKind, ShapeKind, WorkloadSpec};
 use std::sync::Arc;
@@ -165,63 +166,30 @@ fn certify_trace(
 /// (ParallelFor grain 10, Poisson arrivals at a target utilization, free
 /// steals) and certify a traced run.
 fn cell(args: &[String]) -> Result<Vec<(String, CertReport)>, String> {
-    let mut dist = DistKind::Bing;
-    let mut util = 0.6f64;
-    let mut m = 2usize;
-    let mut jobs = 200usize;
-    let mut seed = 42u64;
-    let mut policy = "admit".to_string();
-    let mut eps: Option<(u64, u64)> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--dist" => {
-                dist = match value("--dist")?.as_str() {
-                    "bing" => DistKind::Bing,
-                    "finance" => DistKind::Finance,
-                    "lognormal" => DistKind::LogNormal,
-                    other => return Err(format!("unknown dist `{other}`")),
-                };
-            }
-            "--util" => {
-                util = value("--util")?
-                    .parse()
-                    .map_err(|_| "--util wants a number".to_string())?;
-            }
-            "--m" => {
-                m = value("--m")?
-                    .parse()
-                    .map_err(|_| "--m wants a positive integer".to_string())?;
-            }
-            "--jobs" => {
-                jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs wants a positive integer".to_string())?;
-            }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed wants an integer".to_string())?;
-            }
-            "--policy" => policy = value("--policy")?,
-            "--eps" => {
-                let v = value("--eps")?;
-                let (a, b) = v
-                    .split_once('/')
-                    .ok_or_else(|| "--eps wants A/B".to_string())?;
-                eps = Some((
-                    a.parse().map_err(|_| "--eps wants A/B".to_string())?,
-                    b.parse().map_err(|_| "--eps wants A/B".to_string())?,
-                ));
-            }
-            other => return Err(format!("unknown cell flag `{other}`\n{USAGE}")),
-        }
-    }
+    let usage = |e: ArgError| format!("{e}\n{USAGE}");
+    let flags = Args::parse(args, &[]).map_err(usage)?;
+    let dist = flags.get_or("dist", DistKind::Bing).map_err(usage)?;
+    let util = flags.get_or("util", 0.6f64).map_err(usage)?;
+    let m = flags.get_or("m", 2usize).map_err(usage)?;
+    let jobs = flags.get_or("jobs", 200usize).map_err(usage)?;
+    let seed = flags.get_or("seed", 42u64).map_err(usage)?;
+    let policy = flags.get_or("policy", "admit".to_string()).map_err(usage)?;
+    // `fifo` is the centralized control; anything else must name a
+    // work-stealing policy.
+    let steal = match policy.as_str() {
+        "fifo" => None,
+        _ => flags.get::<StealPolicy>("policy").map_err(usage)?,
+    };
+    let eps: Option<(u64, u64)> = flags
+        .get::<String>("eps")
+        .map_err(usage)?
+        .map(|v| {
+            let (a, b) = v.split_once('/').ok_or("--eps wants A/B")?;
+            let part = |s: &str| s.parse().map_err(|_| "--eps wants A/B");
+            Ok::<_, &str>((part(a)?, part(b)?))
+        })
+        .transpose()?;
+    flags.finish().map_err(usage)?;
     // NaN must be rejected too, so compare through partial_cmp.
     if m == 0 || jobs == 0 || util.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err("cell wants --m >= 1, --jobs >= 1, --util > 0".to_string());
@@ -241,25 +209,13 @@ fn cell(args: &[String]) -> Result<Vec<(String, CertReport)>, String> {
     };
     let inst = spec.generate();
     let label = format!("cell util={util} m={m} jobs={jobs} policy={policy}");
-    let report = match policy.as_str() {
-        "fifo" => {
+    let report = match steal {
+        None => {
             let cfg = SimConfig::new(m).with_speed(speed).with_trace();
             let (result, trace) = run_priority(&inst, &cfg, &Fifo);
             certify_trace(&inst, &cfg, None, &result, trace)?
         }
-        other => {
-            let steal = match other {
-                "admit" => StealPolicy::AdmitFirst,
-                _ => match other.strip_prefix("steal:").and_then(|k| k.parse().ok()) {
-                    Some(0) => StealPolicy::AdmitFirst,
-                    Some(k) => StealPolicy::StealKFirst { k },
-                    None => {
-                        return Err(format!(
-                            "unknown policy `{other}` (want fifo|admit|steal:K)"
-                        ))
-                    }
-                },
-            };
+        Some(steal) => {
             let cfg = SimConfig::new(m)
                 .with_speed(speed)
                 .with_free_steals()

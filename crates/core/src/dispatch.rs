@@ -117,28 +117,18 @@ impl FromStr for SchedulerKind {
     type Err = ParseSchedulerError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "fifo" => return Ok(SchedulerKind::Fifo),
-            "bwf" => return Ok(SchedulerKind::Bwf),
-            "lifo" => return Ok(SchedulerKind::Lifo),
-            "sjf" => return Ok(SchedulerKind::Sjf),
-            "equi" => return Ok(SchedulerKind::Equi),
-            "admit-first" | "steal-0-first" => return Ok(SchedulerKind::AdmitFirst),
-            _ => {}
+        match s.to_ascii_lowercase().as_str() {
+            "fifo" => Ok(SchedulerKind::Fifo),
+            "bwf" => Ok(SchedulerKind::Bwf),
+            "lifo" => Ok(SchedulerKind::Lifo),
+            "sjf" => Ok(SchedulerKind::Sjf),
+            "equi" => Ok(SchedulerKind::Equi),
+            other => match other.parse::<StealPolicy>() {
+                Ok(StealPolicy::AdmitFirst) => Ok(SchedulerKind::AdmitFirst),
+                Ok(StealPolicy::StealKFirst { k }) => Ok(SchedulerKind::StealKFirst(k)),
+                Err(_) => Err(ParseSchedulerError(s.to_string())),
+            },
         }
-        if let Some(rest) = lower.strip_prefix("steal-") {
-            if let Some(k) = rest.strip_suffix("-first") {
-                if let Ok(k) = k.parse::<u32>() {
-                    return Ok(if k == 0 {
-                        SchedulerKind::AdmitFirst
-                    } else {
-                        SchedulerKind::StealKFirst(k)
-                    });
-                }
-            }
-        }
-        Err(ParseSchedulerError(s.to_string()))
     }
 }
 

@@ -89,6 +89,31 @@ impl StealPolicy {
     }
 }
 
+/// `admit-first` | `admit` | `steal-<k>-first` | `steal:<k>`,
+/// ASCII-case-insensitive; `k = 0` is [`StealPolicy::AdmitFirst`]
+/// (Corollary 4.3). The only place a policy name from outside is split.
+impl std::str::FromStr for StealPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let lower = s.to_ascii_lowercase();
+        let k = match lower.as_str() {
+            "admit-first" | "admit" => Some(0),
+            name => name
+                .strip_prefix("steal:")
+                .or_else(|| name.strip_prefix("steal-")?.strip_suffix("-first"))
+                .and_then(|k| k.parse::<u32>().ok()),
+        };
+        match k {
+            Some(0) => Ok(StealPolicy::AdmitFirst),
+            Some(k) => Ok(StealPolicy::StealKFirst { k }),
+            None => Err(format!(
+                "unknown policy `{s}` (want admit-first|steal-<k>-first, or admit|steal:<k>)"
+            )),
+        }
+    }
+}
+
 /// One worker's private state in the per-round loop.
 #[derive(Clone, Debug)]
 struct Worker {
@@ -1028,6 +1053,35 @@ mod tests {
         assert_eq!(StealPolicy::StealKFirst { k: 16 }.name(), "steal-16-first");
         assert_eq!(StealPolicy::AdmitFirst.k(), 0);
         assert_eq!(StealPolicy::StealKFirst { k: 4 }.k(), 4);
+    }
+
+    #[test]
+    fn policy_spellings_parse_to_one_value() {
+        let steal4 = StealPolicy::StealKFirst { k: 4 };
+        for (s, want) in [
+            ("admit-first", StealPolicy::AdmitFirst),
+            ("admit", StealPolicy::AdmitFirst),
+            ("steal-0-first", StealPolicy::AdmitFirst),
+            ("steal:0", StealPolicy::AdmitFirst),
+            ("steal-4-first", steal4),
+            ("steal:4", steal4),
+            ("Steal-4-First", steal4),
+        ] {
+            assert_eq!(s.parse::<StealPolicy>(), Ok(want), "{s}");
+            assert_eq!(want.name().parse::<StealPolicy>(), Ok(want));
+        }
+        for bad in [
+            "",
+            "fifo",
+            "steal",
+            "steal-4",
+            "steal-x-first",
+            "steal:",
+            "steal:-1",
+            "warp-first",
+        ] {
+            assert!(bad.parse::<StealPolicy>().is_err(), "{bad}");
+        }
     }
 
     #[test]

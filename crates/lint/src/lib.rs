@@ -45,7 +45,7 @@ pub mod rules;
 pub use config::{Config, ConfigError, RuleCfg};
 pub use rules::{Diagnostic, RULES};
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Lint a set of in-memory files as one workspace: file-scoped rules on
@@ -115,6 +115,68 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut BTreeSet<String>) -> std::io::R
     Ok(())
 }
 
+/// The `--stats` table, in markdown: per workspace crate (the root package
+/// is `parflow`), all Rust lines, the lines of code under `src/` outside
+/// test regions (blank and comment-only lines do not count, so neither
+/// padding nor deleting comments moves the number), and the `pub` items
+/// among those; then two total rows.
+pub fn stats_table(root: &Path) -> std::io::Result<String> {
+    let mut files = BTreeSet::new();
+    for dir in ["src", "tests", "examples", "crates"].map(|d| root.join(d)) {
+        if dir.is_dir() {
+            collect_rs(&dir, root, &mut files)?;
+        }
+    }
+    let add = |a: [usize; 3], b: [usize; 3]| [0, 1, 2].map(|i| a[i] + b[i]);
+    let mut rows: BTreeMap<&str, [usize; 3]> = BTreeMap::new();
+    for rel in &files {
+        let name = match rel.strip_prefix("crates/") {
+            Some(rest) => rest.split('/').next().unwrap_or(rest),
+            None => "parflow",
+        };
+        let in_src = rel.starts_with("src/") || rel.contains("/src/");
+        let size = file_size(&std::fs::read_to_string(root.join(rel))?, in_src);
+        let row = rows.entry(name).or_default();
+        *row = add(*row, size);
+    }
+    let total = |skip: &str| {
+        let kept = rows.iter().filter(|(name, _)| **name != skip);
+        kept.fold([0; 3], |t, (_, s)| add(t, *s))
+    };
+    let totals = [("total", total("")), ("total without perf", total("perf"))];
+    let mut out = String::from(
+        "| crate | Rust lines | non-test code lines | pub items |\n|---|---:|---:|---:|\n",
+    );
+    for (name, [all, non_test, pubs]) in rows.into_iter().chain(totals) {
+        out.push_str(&format!("| {name} | {all} | {non_test} | {pubs} |\n"));
+    }
+    Ok(out)
+}
+
+/// `[all lines, non-test code lines, pub items]` of one file. Only a file
+/// under `src/` has non-test lines; a `pub` item is a line that opens with
+/// `pub` and an item keyword, so `pub(crate)` items and `pub` fields do not
+/// count.
+fn file_size(source: &str, in_src: bool) -> [usize; 3] {
+    const ITEM: &[&str] = &[
+        "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod", "use",
+        "unsafe", "async", "extern",
+    ];
+    let mut size = [source.lines().count(), 0, 0];
+    if in_src {
+        let scrubbed = lexer::scrub(source);
+        let live = scrubbed.code.lines().zip(&scrubbed.test_mask);
+        for (line, _) in live.filter(|(l, is_test)| !**is_test && !l.trim().is_empty()) {
+            let mut words = line.split_whitespace();
+            let is_pub =
+                words.next() == Some("pub") && words.next().is_some_and(|w| ITEM.contains(&w));
+            size[1] += 1;
+            size[2] += usize::from(is_pub);
+        }
+    }
+    size
+}
+
 /// Locate the workspace root: the nearest ancestor of `start` containing
 /// a `lint.toml`.
 pub fn find_root(start: &Path) -> Option<std::path::PathBuf> {
@@ -126,4 +188,53 @@ pub fn find_root(start: &Path) -> Option<std::path::PathBuf> {
         cur = dir.parent();
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn file_size_counts_lines_test_regions_and_pub_items() {
+        let src = "\
+//! doc
+pub struct A {
+    pub field: u32,
+}
+pub(crate) fn hidden() {}
+pub const fn shown() {}
+// pub fn in_a_comment() {}
+#[cfg(test)]
+mod tests {
+    pub fn in_tests() {}
+}
+";
+        // 11 lines; 4 are in the test region and 2 are comments, which
+        // leaves 5 lines of code; `A` and `shown` are the public items (not
+        // the field, the pub(crate) fn, the comment, or the test helper).
+        assert_eq!(file_size(src, true), [11, 5, 2]);
+        assert_eq!(file_size(src, false), [11, 0, 0]);
+    }
+
+    #[test]
+    fn stats_table_has_a_row_per_crate_and_consistent_totals() {
+        let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
+        let table = stats_table(&root).expect("walk");
+        let cell = |name: &str, col: usize| -> usize {
+            let row = table
+                .lines()
+                .find(|l| l.starts_with(&format!("| {name} |")));
+            let row = row.unwrap_or_else(|| panic!("no row {name} in\n{table}"));
+            let text = row.split('|').nth(col + 1).expect("column");
+            text.trim().parse().expect("number")
+        };
+        for col in 1..=3 {
+            assert!(cell("lint", col) > 0 && cell("parflow", col) > 0);
+            assert_eq!(
+                cell("total", col) - cell("perf", col),
+                cell("total without perf", col)
+            );
+        }
+        assert!(cell("lint", 1) >= cell("lint", 2));
+    }
 }

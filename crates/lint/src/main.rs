@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! parflow-lint [--root DIR] [--config FILE] [--json PATH] [--quiet]
+//! parflow-lint [--root DIR] --stats
 //! ```
 //!
 //! With no flags the workspace root is the nearest ancestor directory
@@ -10,19 +11,27 @@
 //! diagnostics as a JSON array (for CI annotation uploads) whether or
 //! not any were found. Exit status is 1 when any violation is found, 2
 //! on usage/configuration errors.
+//!
+//! `--stats` lints nothing: it prints the workspace's tracked size numbers
+//! as one markdown table — per crate, all Rust lines, the lines of code
+//! outside test regions under `src/`, and the `pub` items among those. The
+//! table is committed as `docs/STATS.md` and CI diffs it, so a PR that
+//! grows a crate shows it.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: parflow-lint [--root DIR] [--config FILE] [--json PATH] [--quiet]";
+const USAGE: &str =
+    "usage: parflow-lint [--root DIR] [--config FILE] [--json PATH] [--quiet] | [--root DIR] --stats";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut config: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
     let mut quiet = false;
+    let mut stats = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -39,6 +48,7 @@ fn main() -> ExitCode {
                 None => return usage("--json needs an output path"),
             },
             "--quiet" | "-q" => quiet = true,
+            "--stats" => stats = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -60,6 +70,15 @@ fn main() -> ExitCode {
             }
         }
     };
+    if stats {
+        return match parflow_lint::stats_table(&root) {
+            Ok(table) => {
+                print!("{table}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => fail(&format!("walk failed: {e}")),
+        };
+    }
     let config_path = config.unwrap_or_else(|| root.join("lint.toml"));
     let text = match std::fs::read_to_string(&config_path) {
         Ok(t) => t,

@@ -50,18 +50,11 @@ impl FlowStats {
     /// excluded, the sort is total-order, and the result is `None` only
     /// when no finite samples remain.
     pub fn from_projected(max: Rational, samples: &[f64]) -> Option<FlowStats> {
-        let mut vals: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        let nan = samples.len() - vals.len();
-        if vals.is_empty() {
-            return None;
-        }
-        vals.sort_by(f64::total_cmp);
-        // lint: allow(float-determinism) sums a freshly sorted Vec in index order; the order is pinned by the sort above
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+        let (vals, mean) = sorted_finite(samples)?;
         let pct = |q: f64| try_percentile_sorted(&vals, q).unwrap_or(f64::NAN);
         Some(FlowStats {
             count: vals.len(),
-            nan,
+            nan: samples.len() - vals.len(),
             max,
             mean,
             p50: pct(0.50),
@@ -108,18 +101,11 @@ pub struct SampleStats {
 impl SampleStats {
     /// Summarize a raw sample slice. `None` iff no finite samples remain.
     pub fn from_samples(xs: &[f64]) -> Option<SampleStats> {
-        let mut vals: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-        let nonfinite = xs.len() - vals.len();
-        if vals.is_empty() {
-            return None;
-        }
-        vals.sort_by(f64::total_cmp);
-        // lint: allow(float-determinism) sums a freshly sorted Vec in index order; the order is pinned by the sort above
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+        let (vals, mean) = sorted_finite(xs)?;
         let pct = |q: f64| try_percentile_sorted(&vals, q).unwrap_or(f64::NAN);
         Some(SampleStats {
             count: vals.len(),
-            nonfinite,
+            nonfinite: xs.len() - vals.len(),
             min: vals[0],
             max: vals[vals.len() - 1],
             mean,
@@ -128,6 +114,21 @@ impl SampleStats {
             p99: pct(0.99),
         })
     }
+}
+
+/// The finite samples of `xs` in ascending total order, with their mean
+/// (summed in that order, so it is a function of the sample multiset).
+/// `None` iff no finite sample remains. The one summary body behind
+/// [`FlowStats`], [`SampleStats`] and the obs layer's `HistogramSummary`.
+fn sorted_finite(xs: &[f64]) -> Option<(Vec<f64>, f64)> {
+    let mut vals: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+    if vals.is_empty() {
+        return None;
+    }
+    vals.sort_by(f64::total_cmp);
+    // lint: allow(float-determinism) sums a freshly sorted Vec in index order; the order is pinned by the sort above
+    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+    Some((vals, mean))
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice; `None` when the

@@ -38,7 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parflow_metrics::{try_percentile_sorted, Histogram};
+pub mod args;
+
+use parflow_metrics::{Histogram, SampleStats};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -383,51 +385,34 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     /// Summarize a raw sample stream.
     pub fn from_samples(name: &str, xs: &[f64]) -> Self {
-        let mut finite: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-        finite.sort_by(f64::total_cmp);
-        let nan = xs.iter().filter(|x| x.is_nan()).count() as u64;
-        if finite.is_empty() {
-            return HistogramSummary {
-                name: name.to_string(),
-                count: 0,
-                nan,
-                min: f64::NAN,
-                max: f64::NAN,
-                mean: f64::NAN,
-                p50: f64::NAN,
-                p95: f64::NAN,
-                p99: f64::NAN,
-                bins: vec![0; SUMMARY_BINS],
+        // Degrade, never panic: an empty or all-non-finite sample set
+        // reports NaN fields (rendered `null` in the JSON report) and empty
+        // bins — empty cells are normal once a sweep pruner skips configs.
+        let stats = SampleStats::from_samples(xs);
+        let mut bins = vec![0; SUMMARY_BINS];
+        if let Some(s) = &stats {
+            // Half-open bins need hi > lo; nudge hi so the max lands inside.
+            let hi = if s.max > s.min {
+                s.max + (s.max - s.min) * 1e-9
+            } else {
+                s.min + 1.0
             };
+            let mut h = Histogram::new(s.min, hi, SUMMARY_BINS);
+            h.extend(xs.iter().copied().filter(|x| x.is_finite()));
+            bins = h.counts().to_vec();
         }
-        let min = finite[0];
-        let max = *finite.last().expect("non-empty");
-        let mean = finite.iter().sum::<f64>() / finite.len() as f64;
-        // Half-open bins need hi > lo; nudge hi so the max lands inside.
-        let hi = if max > min {
-            max + (max - min) * 1e-9
-        } else {
-            min + 1.0
-        };
-        let mut h = Histogram::new(min, hi, SUMMARY_BINS);
-        h.extend(finite.iter().copied());
-        // Degrade, never panic: an all-non-finite sample set takes the
-        // early return above, but a percentile failure here must still
-        // surface as NaN (rendered `null` in the JSON report), not abort
-        // the run — empty cells are normal once a sweep pruner skips
-        // configs.
-        let pct = |q: f64| try_percentile_sorted(&finite, q).unwrap_or(f64::NAN);
+        let field = |get: fn(&SampleStats) -> f64| stats.as_ref().map_or(f64::NAN, get);
         HistogramSummary {
             name: name.to_string(),
-            count: finite.len() as u64,
-            nan,
-            min,
-            max,
-            mean,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
-            bins: h.counts().to_vec(),
+            count: stats.map_or(0, |s| s.count as u64),
+            nan: xs.iter().filter(|x| x.is_nan()).count() as u64,
+            min: field(|s| s.min),
+            max: field(|s| s.max),
+            mean: field(|s| s.mean),
+            p50: field(|s| s.p50),
+            p95: field(|s| s.p95),
+            p99: field(|s| s.p99),
+            bins,
         }
     }
 }

@@ -58,11 +58,10 @@ use crate::task::{spin_kernel, JobShape, JobSpec, JobState, Task, TaskKind};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
 use parflow_core::{FaultEvent, FaultKind, FaultPlan, JobStatus, PanicSampler, PPM};
 use parflow_obs::Recorder;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Nanoseconds per simulated round: 1 work unit = 1 tick = 0.1 ms. Used to
@@ -70,18 +69,9 @@ use std::time::{Duration, Instant};
 /// and to timestamp runtime [`FaultEvent`]s in round units.
 pub const NS_PER_TICK: u64 = 100_000;
 
-/// Admission policy of the real runtime (mirrors
-/// `parflow_core::StealPolicy`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RtPolicy {
-    /// Admit whenever the global queue is non-empty; steal otherwise.
-    AdmitFirst,
-    /// Admit only after `k` consecutive failed steal attempts.
-    StealKFirst {
-        /// Failed-steal threshold.
-        k: u32,
-    },
-}
+/// Admission policy of the real runtime: the simulator's policy type, so
+/// a policy name parses once for both.
+pub use parflow_core::StealPolicy as RtPolicy;
 
 /// Executor configuration.
 ///
@@ -542,8 +532,14 @@ impl Shared {
         self.base.elapsed().as_nanos() as u64 / NS_PER_TICK // lint: allow(truncating-cast) u64 nanoseconds wrap after ~584 years of run wall-clock
     }
 
+    /// The fault-event log. Every update is a single `push` or `take`, so
+    /// the data is valid even if a holder panicked: recover the guard.
+    fn events(&self) -> MutexGuard<'_, Vec<FaultEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push_event(&self, kind: FaultKind, worker: Option<usize>, job: Option<u32>, detail: u64) {
-        self.events.lock().push(FaultEvent {
+        self.events().push(FaultEvent {
             round: self.now_round(),
             worker,
             job,
@@ -761,7 +757,7 @@ pub fn try_run_workload(
     }
 
     let end_ns = base.elapsed().as_nanos() as u64; // lint: allow(truncating-cast) u64 nanoseconds wrap after ~584 years of run wall-clock
-    let fault_events = std::mem::take(&mut *shared.events.lock());
+    let fault_events = std::mem::take(&mut *shared.events());
     let jobs = shared
         .states
         .iter()

@@ -11,14 +11,16 @@
 //! [`JobSource`] under the hood) as jsonl; `run` replays jsonl from a file
 //! or stdin (`--input -`); `tcp` serves live connections. All three are
 //! plain functions returning the text they would print, so they are
-//! unit-testable without process spawning.
+//! unit-testable without process spawning. Flags follow the one grammar of
+//! [`parflow_obs::args`]: `--key value`, bare `--digest-only`, and an
+//! unknown or repeated flag is an error before the supervisor starts.
 
 use crate::ingest::{run_jsonl, run_tcp_listener};
 use crate::protocol::Submission;
 use crate::supervisor::{FaultSpec, ServeConfig, Supervisor};
+use parflow_obs::args::{ArgError, Args};
 use parflow_runtime::RuntimeError;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use std::collections::BTreeMap;
 use std::io::BufRead;
 
 const USAGE: &str = "usage: parflow-serve <emit|run|tcp> [--flag value ...]\n\
@@ -27,54 +29,13 @@ const USAGE: &str = "usage: parflow-serve <emit|run|tcp> [--flag value ...]\n\
         --iters-per-unit I --chaos W:AFTER,.. --merged-json P --live-json P --digest-only]\n\
   tcp:  --addr HOST:PORT [--max-conns C + the run flags]";
 
-/// `--key value` flags; a flag followed by another flag (or nothing) is a
-/// boolean `true`, so `--digest-only` needs no operand.
-struct Flags(BTreeMap<String, String>);
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, RuntimeError> {
-        let mut map = BTreeMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
-                .strip_prefix("--")
-                .ok_or_else(|| RuntimeError::Io(format!("expected --flag, got `{}`", args[i])))?;
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                map.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                map.insert(key.to_string(), "true".to_string());
-                i += 1;
-            }
-        }
-        Ok(Flags(map))
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(String::as_str)
-    }
-
-    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, RuntimeError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| RuntimeError::Io(format!("bad value `{v}` for --{key}"))),
-        }
-    }
-
-    fn is_set(&self, key: &str) -> bool {
-        self.get(key) == Some("true")
-    }
+/// A flag problem, with this command's usage under it.
+fn usage(e: ArgError) -> RuntimeError {
+    RuntimeError::Io(format!("{e}\n{USAGE}"))
 }
 
-fn parse_dist(s: &str) -> Result<DistKind, RuntimeError> {
-    match s.to_ascii_lowercase().as_str() {
-        "bing" => Ok(DistKind::Bing),
-        "finance" => Ok(DistKind::Finance),
-        "lognormal" | "log-normal" => Ok(DistKind::LogNormal),
-        other => Err(RuntimeError::Io(format!("unknown dist `{other}`"))),
-    }
+fn parse(args: &[String]) -> Result<Args, RuntimeError> {
+    Args::parse(args, &["digest-only"]).map_err(usage)
 }
 
 /// Dispatch one serve invocation; returns the text to print.
@@ -92,12 +53,13 @@ pub fn run(args: &[String]) -> Result<String, RuntimeError> {
 ///
 /// [`JobSource`]: parflow_workloads::JobSource
 fn emit(args: &[String]) -> Result<String, RuntimeError> {
-    let flags = Flags::parse(args)?;
-    let n: u64 = flags.parse_or("n", 100)?;
-    let qps: f64 = flags.parse_or("qps", 2000.0)?;
-    let seed: u64 = flags.parse_or("seed", 42)?;
-    let poison_every: u64 = flags.parse_or("poison-every", 0)?;
-    let dist = parse_dist(flags.get("dist").unwrap_or("bing"))?;
+    let flags = parse(args)?;
+    let n: u64 = flags.get_or("n", 100).map_err(usage)?;
+    let qps: f64 = flags.get_or("qps", 2000.0).map_err(usage)?;
+    let seed: u64 = flags.get_or("seed", 42).map_err(usage)?;
+    let poison_every: u64 = flags.get_or("poison-every", 0).map_err(usage)?;
+    let dist = flags.get_or("dist", DistKind::Bing).map_err(usage)?;
+    flags.finish().map_err(usage)?;
     let spec = WorkloadSpec::paper_fig2(dist, qps, n as usize, seed);
     let mut source = spec.job_source();
     let mut out = String::new();
@@ -118,73 +80,93 @@ fn emit(args: &[String]) -> Result<String, RuntimeError> {
     Ok(out)
 }
 
-fn config_from(flags: &Flags) -> Result<ServeConfig, RuntimeError> {
-    let mut cfg = ServeConfig::new(flags.parse_or("workers", 2)?);
-    cfg.capacity_slots = flags.parse_or("slots", cfg.capacity_slots)?;
-    cfg.queue_cap = flags.parse_or("queue-cap", cfg.queue_cap)?;
-    cfg.seed = flags.parse_or("seed", cfg.seed)?;
-    cfg.iters_per_unit = flags.parse_or("iters-per-unit", cfg.iters_per_unit)?;
-    cfg.inbox_cap = flags.parse_or("inbox-cap", cfg.inbox_cap)?;
-    cfg.max_restarts = flags.parse_or("max-restarts", cfg.max_restarts)?;
-    if let Some(slo) = flags.get("slo") {
-        cfg.slo_ticks = Some(
-            slo.parse()
-                .map_err(|_| RuntimeError::Io(format!("bad value `{slo}` for --slo")))?,
-        );
+/// How `run` / `tcp` report: read before the supervisor starts, used
+/// after it finishes.
+struct Reporting {
+    merged_json: Option<String>,
+    live_json: Option<String>,
+    digest_only: bool,
+}
+
+/// Everything `run` and `tcp` share. This is the last look at the flags,
+/// so it ends with the unknown-flag check.
+fn run_flags(flags: &Args) -> Result<(ServeConfig, Reporting), ArgError> {
+    let mut cfg = ServeConfig::new(flags.get_or("workers", 2)?);
+    cfg.capacity_slots = flags.get_or("slots", cfg.capacity_slots)?;
+    cfg.queue_cap = flags.get_or("queue-cap", cfg.queue_cap)?;
+    cfg.seed = flags.get_or("seed", cfg.seed)?;
+    cfg.iters_per_unit = flags.get_or("iters-per-unit", cfg.iters_per_unit)?;
+    cfg.inbox_cap = flags.get_or("inbox-cap", cfg.inbox_cap)?;
+    cfg.max_restarts = flags.get_or("max-restarts", cfg.max_restarts)?;
+    cfg.slo_ticks = flags.get("slo")?;
+    if let Some(chaos) = flags.get::<String>("chaos")? {
+        cfg.faults = FaultSpec::parse_list(&chaos).map_err(|problem| ArgError {
+            flag: "chaos".into(),
+            problem,
+        })?;
     }
-    if let Some(chaos) = flags.get("chaos") {
-        cfg.faults = FaultSpec::parse_list(chaos).map_err(RuntimeError::Io)?;
-    }
-    Ok(cfg)
+    let reporting = Reporting {
+        merged_json: flags.get("merged-json")?,
+        live_json: flags.get("live-json")?,
+        digest_only: flags.flag("digest-only"),
+    };
+    flags.finish()?;
+    Ok((cfg, reporting))
 }
 
 /// Finish the supervisor and render per the reporting flags.
-fn report_out(sup: Supervisor, flags: &Flags) -> Result<String, RuntimeError> {
+fn report_out(sup: Supervisor, how: &Reporting) -> Result<String, RuntimeError> {
     let report = sup.finish();
-    if let Some(path) = flags.get("merged-json") {
-        std::fs::write(path, report.merged.to_json())
-            .map_err(|e| RuntimeError::Io(format!("cannot write `{path}`: {e}")))?;
+    for (path, part) in [
+        (&how.merged_json, &report.merged),
+        (&how.live_json, &report.live),
+    ] {
+        if let Some(path) = path {
+            std::fs::write(path, part.to_json())
+                .map_err(|e| RuntimeError::Io(format!("cannot write `{path}`: {e}")))?;
+        }
     }
-    if let Some(path) = flags.get("live-json") {
-        std::fs::write(path, report.live.to_json())
-            .map_err(|e| RuntimeError::Io(format!("cannot write `{path}`: {e}")))?;
-    }
-    if flags.is_set("digest-only") {
+    if how.digest_only {
         Ok(format!("{}\n", report.digest))
     } else {
         Ok(format!("{}\n", report.summary()))
     }
 }
 
+fn required(flags: &Args, key: &str) -> Result<String, RuntimeError> {
+    flags
+        .get(key)
+        .map_err(usage)?
+        .ok_or_else(|| RuntimeError::Io(format!("missing required flag --{key}")))
+}
+
 /// Replay jsonl from a file or stdin through a fresh supervisor.
 fn run_replay(args: &[String]) -> Result<String, RuntimeError> {
-    let flags = Flags::parse(args)?;
-    let input = flags
-        .get("input")
-        .ok_or_else(|| RuntimeError::Io("missing required flag --input".into()))?;
-    let mut sup = Supervisor::new(config_from(&flags)?)?;
+    let flags = parse(args)?;
+    let input = required(&flags, "input")?;
+    let (cfg, reporting) = run_flags(&flags).map_err(usage)?;
+    let mut sup = Supervisor::new(cfg)?;
     if input == "-" {
         run_jsonl(&mut sup, std::io::stdin().lock())?;
     } else {
-        let file = std::fs::File::open(input)
+        let file = std::fs::File::open(&input)
             .map_err(|e| RuntimeError::Io(format!("cannot open `{input}`: {e}")))?;
         run_jsonl(&mut sup, std::io::BufReader::new(file))?;
     };
-    report_out(sup, &flags)
+    report_out(sup, &reporting)
 }
 
 /// Live mode: bind, serve `--max-conns` connections, then report.
 fn run_tcp(args: &[String]) -> Result<String, RuntimeError> {
-    let flags = Flags::parse(args)?;
-    let addr = flags
-        .get("addr")
-        .ok_or_else(|| RuntimeError::Io("missing required flag --addr".into()))?;
-    let max_conns: usize = flags.parse_or("max-conns", 1)?;
-    let listener = std::net::TcpListener::bind(addr)
+    let flags = parse(args)?;
+    let addr = required(&flags, "addr")?;
+    let max_conns: usize = flags.get_or("max-conns", 1).map_err(usage)?;
+    let (cfg, reporting) = run_flags(&flags).map_err(usage)?;
+    let listener = std::net::TcpListener::bind(&addr)
         .map_err(|e| RuntimeError::Io(format!("cannot bind `{addr}`: {e}")))?;
-    let mut sup = Supervisor::new(config_from(&flags)?)?;
+    let mut sup = Supervisor::new(cfg)?;
     run_tcp_listener(&mut sup, &listener, max_conns)?;
-    report_out(sup, &flags)
+    report_out(sup, &reporting)
 }
 
 /// Count non-comment lines of a jsonl body (test helper for the binary).
@@ -238,6 +220,41 @@ mod tests {
         assert_eq!(d1, d2);
         assert_eq!(d1.trim().len(), 16);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_fail_with_this_commands_usage() {
+        for (cmd, names) in [
+            ("emit --n 2 --qsp 5", "--qsp: unknown flag"),
+            ("emit --n 2 --n 3", "--n: given more than once"),
+            (
+                "run --input missing.jsonl --worker 2",
+                "--worker: unknown flag",
+            ),
+            ("run --input a.jsonl --input b.jsonl", "--input: given"),
+            (
+                "run --input missing.jsonl stray",
+                "unexpected argument 'stray'",
+            ),
+            (
+                "tcp --addr 127.0.0.1:0 --max-conn 1",
+                "--max-conn: unknown flag",
+            ),
+            ("tcp --addr 127.0.0.1:0 --addr 127.0.0.1:0", "--addr: given"),
+        ] {
+            let Err(RuntimeError::Io(msg)) = run(&argv(cmd)) else {
+                panic!("{cmd}: must fail");
+            };
+            assert!(
+                msg.starts_with(names) && msg.ends_with(USAGE),
+                "{cmd}: {msg}"
+            );
+        }
+        // `--seed -5` is a (bad) value, not a missing one; `--input -` is stdin.
+        let Err(RuntimeError::Io(msg)) = run(&argv("emit --seed -5")) else {
+            panic!("negative seed must fail");
+        };
+        assert!(msg.starts_with("--seed: bad value '-5'"), "{msg}");
     }
 
     #[test]

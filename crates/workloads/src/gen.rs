@@ -70,6 +70,22 @@ impl DistKind {
     }
 }
 
+/// The paper's three named workloads: `bing`, `finance`, `lognormal` (or
+/// `log-normal`), ASCII-case-insensitive. The only place a workload name
+/// from outside becomes a [`DistKind`].
+impl std::str::FromStr for DistKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "bing" => Ok(DistKind::Bing),
+            "finance" => Ok(DistKind::Finance),
+            "lognormal" | "log-normal" => Ok(DistKind::LogNormal),
+            _ => Err(format!("unknown dist `{s}` (want bing|finance|lognormal)")),
+        }
+    }
+}
+
 /// How each job's work is structured as a DAG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShapeKind {
@@ -297,6 +313,17 @@ pub fn qps_for_utilization(dist: DistKind, m: usize, target: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dist_names_parse_and_round_trip() {
+        for d in [DistKind::Bing, DistKind::Finance, DistKind::LogNormal] {
+            assert_eq!(d.name().parse::<DistKind>(), Ok(d));
+        }
+        assert_eq!("LogNormal".parse::<DistKind>(), Ok(DistKind::LogNormal));
+        assert_eq!("BING".parse::<DistKind>(), Ok(DistKind::Bing));
+        let e = "zipf".parse::<DistKind>().unwrap_err();
+        assert!(e.contains("`zipf`") && e.contains("bing|finance|lognormal"));
+    }
 
     #[test]
     fn generate_is_deterministic() {

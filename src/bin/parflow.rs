@@ -1,29 +1,21 @@
-//! The `parflow` CLI: simulate, compare, generate, analyze, exec, dot.
-//! All logic lives in `parflow::cli` (unit-tested); this wrapper only
-//! forwards arguments and sets the exit code.
+//! The `parflow` CLI: simulate, compare, generate, analyze, exec, serve,
+//! sweep, dot. All logic lives in `parflow::cli` (unit-tested); this
+//! wrapper only forwards arguments and sets the exit code.
+
+use parflow::cli::{run_cli, CliError, USAGE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parflow::cli::run_cli(&args) {
+    match run_cli(&args) {
         Ok(out) => println!("{out}"),
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("usage:");
-            eprintln!("  parflow simulate --dist bing|finance|lognormal --qps N --jobs N \\");
-            eprintln!("                   --m N --scheduler fifo|bwf|lifo|sjf|equi|admit-first|steal-<k>-first \\");
-            eprintln!("                   [--speed NUM[/DEN]] [--steals free|unit] [--seed N] [--grain N]");
-            eprintln!(
-                "                   [--faults crash:W@R,slow:WxF,stall:W@R+D,blackhole:W,panic:P]"
-            );
-            eprintln!("  parflow compare  <same workload flags>");
-            eprintln!("  parflow generate <same workload flags> --out FILE.json");
-            eprintln!("  parflow analyze  --in FILE.json [--scheduler S] [--m N] [--eps NUM/DEN]");
-            eprintln!(
-                "  parflow exec     <workload flags> --policy admit-first|steal-<k>-first \\"
-            );
-            eprintln!("                   [--faults SPEC] [--deadline 30s|500ms] [--compress N] [--iters-per-unit N] [--obs-json FILE]");
-            eprintln!("  parflow dot      --shape single|chain|diamond|parallel-for|fork-join|map-reduce|pipeline|adversarial [shape flags]");
+            // `Io` is a file problem or a delegated command's own message
+            // (serve and sweep append their usage); the root usage would
+            // only bury it.
+            if !matches!(e, CliError::Io(_)) {
+                eprintln!("\n{USAGE}");
+            }
             std::process::exit(2);
         }
     }

@@ -12,6 +12,11 @@
 //! parflow dot      --shape fork-join --depth 3 --leaf 4
 //! ```
 //!
+//! One flag grammar for every command ([`parflow_obs::args`]): `--key
+//! value` pairs, the booleans `--stream` / `--certify` bare or with
+//! `on|off`; an unknown, misspelt or repeated flag is a usage error before
+//! anything runs.
+//!
 //! Fault injection (`simulate`, `compare`, `analyze`, `exec`) takes a
 //! `--faults` spec: comma-separated `crash:W@R`, `slow:WxF`, `stall:W@R+D`,
 //! `blackhole:W`, `panic:P` entries (`W` worker index, `R` round, `D`
@@ -42,15 +47,16 @@
 
 use crate::bridge::{instance_to_workload, BridgeConfig};
 use crate::core::{
-    analyze_intervals, opt_max_flow, FaultPlan, JobStatus, SchedulerKind, SimConfig, PPM,
+    analyze_intervals, opt_max_flow, FaultPlan, JobStatus, SchedulerKind, SimConfig, StealPolicy,
+    PPM,
 };
 use crate::metrics::{FlowStats, Table};
-use crate::runtime::{try_run_workload, RtPolicy, RuntimeConfig, RuntimeError};
+use crate::runtime::{try_run_workload, RuntimeConfig, RuntimeError};
 use crate::time::{Rational, Speed};
 use crate::workloads::{trace_io, DistKind, InstanceStats, ShapeKind, WorkloadSpec};
 use parflow_dag::{shapes, Instance};
-use parflow_obs::{JsonRecorder, Recorder};
-use std::collections::BTreeMap;
+use parflow_obs::args::{ArgError, Args};
+use parflow_obs::{JsonRecorder, NullRecorder, Recorder};
 use std::fmt;
 use std::time::Duration;
 
@@ -59,7 +65,8 @@ use std::time::Duration;
 pub enum CliError {
     /// No subcommand or an unknown one.
     UnknownCommand(String),
-    /// A flag was given without a value or with an unparsable one.
+    /// A problem with a flag: its name (empty for a stray positional) and
+    /// what is wrong — unknown, repeated, valueless, or a bad value.
     BadFlag(String, String),
     /// A required flag is missing.
     MissingFlag(String),
@@ -76,7 +83,8 @@ impl fmt::Display for CliError {
                     "unknown command '{c}'; try simulate|compare|generate|analyze|exec|serve|sweep|dot"
                 )
             }
-            CliError::BadFlag(k, v) => write!(f, "bad value '{v}' for --{k}"),
+            CliError::BadFlag(k, v) if k.is_empty() => write!(f, "{v}"),
+            CliError::BadFlag(k, v) => write!(f, "--{k}: {v}"),
             CliError::MissingFlag(k) => write!(f, "missing required flag --{k}"),
             CliError::Io(msg) => write!(f, "{msg}"),
         }
@@ -85,62 +93,47 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Parsed `--key value` flags.
-pub struct Flags(BTreeMap<String, String>);
-
-impl Flags {
-    /// Parse flags from arguments after the subcommand. Flags must come as
-    /// `--key value` pairs.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
-        let mut map = BTreeMap::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let key = a
-                .strip_prefix("--")
-                .ok_or_else(|| CliError::BadFlag(a.clone(), "expected --flag".into()))?;
-            let value = it
-                .next()
-                .ok_or_else(|| CliError::BadFlag(key.into(), "missing value".into()))?;
-            map.insert(key.to_string(), value.clone());
-        }
-        Ok(Flags(map))
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(String::as_str)
-    }
-
-    fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<T>()
-                .map(Some)
-                .map_err(|_| CliError::BadFlag(key.into(), v.into())),
-        }
-    }
-
-    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        Ok(self.parse_opt(key)?.unwrap_or(default))
-    }
-
-    fn require(&self, key: &str) -> Result<&str, CliError> {
-        self.get(key)
-            .ok_or_else(|| CliError::MissingFlag(key.into()))
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> CliError {
+        CliError::BadFlag(e.flag, e.problem)
     }
 }
 
-fn parse_dist(s: &str) -> Result<DistKind, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "bing" => Ok(DistKind::Bing),
-        "finance" => Ok(DistKind::Finance),
-        "lognormal" | "log-normal" => Ok(DistKind::LogNormal),
-        other => Err(CliError::BadFlag("dist".into(), other.into())),
-    }
+/// A flag whose value parsed but is out of range or otherwise unusable.
+fn bad(key: &str, value: impl fmt::Display) -> CliError {
+    CliError::BadFlag(key.into(), format!("bad value '{value}'"))
 }
+
+fn require<T: std::str::FromStr>(args: &Args, key: &str) -> Result<T, CliError>
+where
+    T::Err: fmt::Display,
+{
+    args.get(key)?
+        .ok_or_else(|| CliError::MissingFlag(key.into()))
+}
+
+/// The root usage text: all eight commands. `serve` and `sweep` print
+/// their own on a bad flag of theirs.
+pub const USAGE: &str = "\
+usage:
+  parflow simulate --dist bing|finance|lognormal --qps N --jobs N \\
+                   --m N --scheduler fifo|bwf|lifo|sjf|equi|admit-first|steal-<k>-first \\
+                   [--speed NUM[/DEN]] [--steals free|unit] [--seed N] [--grain N]
+                   [--faults crash:W@R,slow:WxF,stall:W@R+D,blackhole:W,panic:P]
+  parflow compare  <same workload flags>
+  parflow generate <same workload flags> --out FILE.json
+  parflow analyze  --in FILE.json [--scheduler S] [--m N] [--eps NUM/DEN]
+  parflow exec     <workload flags> --policy admit-first|steal-<k>-first \\
+                   [--faults SPEC] [--deadline 30s|500ms] [--compress N] [--iters-per-unit N] [--obs-json FILE]
+  parflow exec     --stream [--certify] <workload flags> --policy fifo|admit-first|steal-<k>-first \\
+                   [--speed NUM[/DEN]] [--steals free|unit] [--obs-json FILE]
+  parflow serve    emit|run|tcp ...   (the admission service; `parflow serve` prints its flags)
+  parflow sweep    [--grid SPEC|smoke|phase] [--out PATH] ...   (`parflow sweep --help`)
+  parflow dot      --shape single|chain|diamond|parallel-for|fork-join|map-reduce|pipeline|adversarial [shape flags]
+flags are `--key value`; --stream and --certify also stand alone; unknown and repeated flags are errors";
 
 fn parse_speed(s: &str) -> Result<Speed, CliError> {
-    let err = || CliError::BadFlag("speed".into(), s.into());
+    let err = || bad("speed", s);
     if let Some((num, den)) = s.split_once('/') {
         let num: u64 = num.parse().map_err(|_| err())?;
         let den: u64 = den.parse().map_err(|_| err())?;
@@ -158,7 +151,7 @@ fn parse_speed(s: &str) -> Result<Speed, CliError> {
 }
 
 fn parse_rational(key: &str, s: &str) -> Result<Rational, CliError> {
-    let err = || CliError::BadFlag(key.into(), s.into());
+    let err = || bad(key, s);
     if let Some((num, den)) = s.split_once('/') {
         let num: i128 = num.parse().map_err(|_| err())?;
         let den: i128 = den.parse().map_err(|_| err())?;
@@ -175,7 +168,7 @@ fn parse_rational(key: &str, s: &str) -> Result<Rational, CliError> {
 /// Parse a `--faults` specification: comma-separated entries of
 /// `crash:W@R`, `slow:WxF`, `stall:W@R+D`, `blackhole:W`, `panic:P`.
 fn parse_faults(s: &str) -> Result<FaultPlan, CliError> {
-    let err = |part: &str| CliError::BadFlag("faults".into(), part.into());
+    let err = |part: &str| bad("faults", part);
     let mut plan = FaultPlan::none();
     for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let (kind, spec) = part.split_once(':').ok_or_else(|| err(part))?;
@@ -225,7 +218,7 @@ fn parse_faults(s: &str) -> Result<FaultPlan, CliError> {
 
 /// Parse a `--deadline` value: `30s`, `500ms`, or bare seconds (`0.5`).
 fn parse_deadline(s: &str) -> Result<Duration, CliError> {
-    let err = || CliError::BadFlag("deadline".into(), s.into());
+    let err = || bad("deadline", s);
     let (num, scale_ns) = if let Some(v) = s.strip_suffix("ms") {
         (v, 1e6)
     } else if let Some(v) = s.strip_suffix('s') {
@@ -240,18 +233,18 @@ fn parse_deadline(s: &str) -> Result<Duration, CliError> {
     Ok(Duration::from_nanos((v * scale_ns) as u64))
 }
 
-fn workload_from_flags(flags: &Flags) -> Result<(WorkloadSpec, usize), CliError> {
-    let dist = parse_dist(flags.get("dist").unwrap_or("bing"))?;
-    let qps: f64 = flags.parse_or("qps", 1000.0)?;
+fn workload_from_flags(flags: &Args) -> Result<(WorkloadSpec, usize), CliError> {
+    let dist = flags.get_or("dist", DistKind::Bing)?;
+    let qps: f64 = flags.get_or("qps", 1000.0)?;
     if qps <= 0.0 || !qps.is_finite() {
-        return Err(CliError::BadFlag("qps".into(), qps.to_string()));
+        return Err(bad("qps", qps));
     }
-    let jobs: usize = flags.parse_or("jobs", 10_000)?;
-    let seed: u64 = flags.parse_or("seed", 42u64)?;
-    let grain: u64 = flags.parse_or("grain", 10u64)?;
-    let m: usize = flags.parse_or("m", 16usize)?;
+    let jobs: usize = flags.get_or("jobs", 10_000)?;
+    let seed: u64 = flags.get_or("seed", 42u64)?;
+    let grain: u64 = flags.get_or("grain", 10u64)?;
+    let m: usize = flags.get_or("m", 16usize)?;
     if m == 0 {
-        return Err(CliError::BadFlag("m".into(), "0".into()));
+        return Err(bad("m", 0));
     }
     let spec = WorkloadSpec {
         dist,
@@ -266,18 +259,18 @@ fn workload_from_flags(flags: &Flags) -> Result<(WorkloadSpec, usize), CliError>
     Ok((spec, m))
 }
 
-fn config_from_flags(flags: &Flags, m: usize) -> Result<SimConfig, CliError> {
+fn config_from_flags(flags: &Args, m: usize) -> Result<SimConfig, CliError> {
     let mut cfg = SimConfig::new(m);
-    if let Some(s) = flags.get("speed") {
-        cfg = cfg.with_speed(parse_speed(s)?);
+    if let Some(s) = flags.get::<String>("speed")? {
+        cfg = cfg.with_speed(parse_speed(&s)?);
     }
-    match flags.get("steals").unwrap_or("free") {
+    match flags.get_or("steals", "free".to_string())?.as_str() {
         "free" => cfg = cfg.with_free_steals(),
         "unit" => {}
-        other => return Err(CliError::BadFlag("steals".into(), other.into())),
+        other => return Err(bad("steals", other)),
     }
-    if let Some(s) = flags.get("faults") {
-        let plan = parse_faults(s)?;
+    if let Some(s) = flags.get::<String>("faults")? {
+        let plan = parse_faults(&s)?;
         // Validate here so a bad plan is a CLI error, not an engine panic.
         plan.validate(m)
             .map_err(|msg| CliError::BadFlag("faults".into(), msg))?;
@@ -350,8 +343,8 @@ fn fault_summary(name: &str, r: &crate::core::SimResult) -> Option<String> {
 /// `--faults` with a scheduler that would drop the plan is an error, not
 /// a fault-free run that looks like "the faults had no effect": only the
 /// work-stealing kinds model faults.
-fn reject_ignored_faults(flags: &Flags, kind: SchedulerKind) -> Result<(), CliError> {
-    if flags.get("faults").is_some() && !kind.is_randomized() {
+fn reject_ignored_faults(flags: &Args, kind: SchedulerKind) -> Result<(), CliError> {
+    if flags.get::<String>("faults")?.is_some() && !kind.is_randomized() {
         return Err(CliError::BadFlag(
             "faults".into(),
             format!(
@@ -363,21 +356,16 @@ fn reject_ignored_faults(flags: &Flags, kind: SchedulerKind) -> Result<(), CliEr
     Ok(())
 }
 
-fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
+fn simulate_cmd(flags: &Args) -> Result<String, CliError> {
     let (spec, m) = workload_from_flags(flags)?;
-    let kind: SchedulerKind =
-        flags
-            .require("scheduler")?
-            .parse()
-            .map_err(|e: crate::core::ParseSchedulerError| {
-                CliError::BadFlag("scheduler".into(), e.0)
-            })?;
+    let kind: SchedulerKind = require(flags, "scheduler")?;
     reject_ignored_faults(flags, kind)?;
-    let seed: u64 = flags.parse_or("seed", 42u64)?;
+    let seed: u64 = flags.get_or("seed", 42u64)?;
     let cfg = config_from_flags(flags, m)?;
+    flags.finish()?;
     let inst = spec.generate();
     if inst.is_empty() {
-        return Err(CliError::BadFlag("jobs".into(), "0".into()));
+        return Err(bad("jobs", 0));
     }
     let mut t = Table::new(["scheduler", "max flow", "vs OPT", "mean", "p99", "busy"]);
     let (name, row, r) = result_summary(&kind.to_string(), &inst, &cfg, kind, seed);
@@ -396,13 +384,15 @@ fn simulate_cmd(flags: &Flags) -> Result<String, CliError> {
     ))
 }
 
-fn compare_cmd(flags: &Flags) -> Result<String, CliError> {
+fn compare_cmd(flags: &Args) -> Result<String, CliError> {
     let (spec, m) = workload_from_flags(flags)?;
-    let seed: u64 = flags.parse_or("seed", 42u64)?;
+    let seed: u64 = flags.get_or("seed", 42u64)?;
     let cfg = config_from_flags(flags, m)?;
+    let faulted = flags.get::<String>("faults")?.is_some();
+    flags.finish()?;
     let inst = spec.generate();
     if inst.is_empty() {
-        return Err(CliError::BadFlag("jobs".into(), "0".into()));
+        return Err(bad("jobs", 0));
     }
     let mut t = Table::new(["scheduler", "max flow", "vs OPT", "mean", "p99", "busy"]);
     let mut fault_lines = Vec::new();
@@ -411,7 +401,7 @@ fn compare_cmd(flags: &Flags) -> Result<String, CliError> {
         t.row(row);
         fault_lines.extend(fault_summary(&name, &r));
     }
-    if flags.get("faults").is_some() {
+    if faulted {
         let reliable: Vec<String> = SchedulerKind::all()
             .iter()
             .filter(|k| !k.is_randomized())
@@ -430,11 +420,12 @@ fn compare_cmd(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn generate_cmd(flags: &Flags) -> Result<String, CliError> {
+fn generate_cmd(flags: &Args) -> Result<String, CliError> {
     let (spec, _) = workload_from_flags(flags)?;
-    let out = flags.require("out")?;
+    let out: String = require(flags, "out")?;
+    flags.finish()?;
     let inst = spec.generate();
-    trace_io::save_instance(&inst, out).map_err(|e| CliError::Io(e.to_string()))?;
+    trace_io::save_instance(&inst, &out).map_err(|e| CliError::Io(e.to_string()))?;
     Ok(format!(
         "wrote {} jobs ({} total work units) to {out}",
         inst.len(),
@@ -442,27 +433,22 @@ fn generate_cmd(flags: &Flags) -> Result<String, CliError> {
     ))
 }
 
-fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
-    let path = flags.require("in")?;
-    let kind: SchedulerKind = flags
-        .get("scheduler")
-        .unwrap_or("steal-16-first")
-        .parse()
-        .map_err(|e: crate::core::ParseSchedulerError| {
-            CliError::BadFlag("scheduler".into(), e.0)
-        })?;
+fn analyze_cmd(flags: &Args) -> Result<String, CliError> {
+    let path: String = require(flags, "in")?;
+    let kind = flags.get_or("scheduler", SchedulerKind::StealKFirst(16))?;
     reject_ignored_faults(flags, kind)?;
-    let inst = trace_io::load_instance(path).map_err(|e| CliError::Io(e.to_string()))?;
+    let m: usize = flags.get_or("m", 16usize)?;
+    let seed: u64 = flags.get_or("seed", 42u64)?;
+    let eps = parse_rational("eps", &flags.get_or("eps", "1/10".to_string())?)?;
+    if !eps.is_positive() {
+        return Err(bad("eps", eps));
+    }
+    let cfg = config_from_flags(flags, m)?;
+    flags.finish()?;
+    let inst = trace_io::load_instance(&path).map_err(|e| CliError::Io(e.to_string()))?;
     if inst.is_empty() {
         return Err(CliError::Io("instance is empty".into()));
     }
-    let m: usize = flags.parse_or("m", 16usize)?;
-    let seed: u64 = flags.parse_or("seed", 42u64)?;
-    let eps = parse_rational("eps", flags.get("eps").unwrap_or("1/10"))?;
-    if !eps.is_positive() {
-        return Err(CliError::BadFlag("eps".into(), eps.to_string()));
-    }
-    let cfg = config_from_flags(flags, m)?;
     let r = kind.run(&inst, &cfg, seed).0;
     let a = analyze_intervals(&r, eps).expect("non-empty");
     let mut out = format!(
@@ -496,6 +482,40 @@ fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `--obs-json PATH` of `exec`: a JSON recorder bound to the path, or the
+/// null recorder when the flag is absent.
+struct ObsJson {
+    json: Option<(JsonRecorder, String)>,
+    null: NullRecorder,
+}
+
+impl ObsJson {
+    fn from_flags(flags: &Args) -> Result<ObsJson, CliError> {
+        let path: Option<String> = flags.get("obs-json")?;
+        Ok(ObsJson {
+            json: path.map(|p| (JsonRecorder::new(&p), p)),
+            null: NullRecorder,
+        })
+    }
+
+    fn rec(&mut self) -> &mut dyn Recorder {
+        match &mut self.json {
+            Some((rec, _)) => rec,
+            None => &mut self.null,
+        }
+    }
+
+    /// Write the report, if one was asked for, and say so under `out`.
+    fn flush(&self, out: &mut String) -> Result<(), CliError> {
+        if let Some((rec, path)) = &self.json {
+            rec.flush()
+                .map_err(|e| CliError::Io(format!("obs-json: {e}")))?;
+            out.push_str(&format!("\n(obs json written to {path})"));
+        }
+        Ok(())
+    }
+}
+
 /// `exec --stream on`: pull the workload's endless job source through the
 /// O(active)-memory streaming simulation core instead of the threaded
 /// executor. This is the multi-million-job mode (`--jobs 10000000`): the
@@ -503,10 +523,10 @@ fn analyze_cmd(flags: &Flags) -> Result<String, CliError> {
 /// that scale does not fit; the stream retires completed jobs back into a
 /// free-listed slab, tracks the OPT lower bound incrementally, and keeps
 /// exact max flow plus histogram percentiles in O(1) memory.
-fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
+fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
     let (spec, m) = workload_from_flags(flags)?;
-    let seed: u64 = flags.parse_or("seed", 42u64)?;
-    if flags.get("faults").is_some() {
+    let seed: u64 = flags.get_or("seed", 42u64)?;
+    if flags.get::<String>("faults")?.is_some() {
         return Err(CliError::BadFlag(
             "faults".into(),
             "not supported with --stream on (the streaming engines model a reliable machine)"
@@ -514,63 +534,26 @@ fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
         ));
     }
     let cfg = config_from_flags(flags, m)?;
-    let certify = match flags.get("certify") {
-        None | Some("off" | "false" | "0") => false,
-        Some("on" | "true" | "1") => true,
-        Some(other) => return Err(CliError::BadFlag("certify".into(), other.into())),
+    let certify = flags.flag("certify");
+    // `fifo` is the streaming centralized engine; any other name is a
+    // work-stealing policy.
+    let policy = match flags.get::<String>("policy")?.as_deref() {
+        Some("fifo") => None,
+        Some(_) => flags.get::<StealPolicy>("policy")?,
+        None => Some(StealPolicy::StealKFirst { k: 16 }),
     };
+    let mut obs = ObsJson::from_flags(flags)?;
+    flags.finish()?;
     let jobs = spec.n_jobs as u64;
-    let obs_path = flags.get("obs-json").map(str::to_string);
-    let mut rec = obs_path.as_deref().map(JsonRecorder::new);
+    let rec = obs.rec();
     let started = std::time::Instant::now(); // lint: allow(nondeterminism) wall-clock jobs/s reporting only; the schedule is seed-deterministic
-    let run = match flags.get("policy").unwrap_or("steal-16-first") {
-        "fifo" => match rec.as_mut() {
-            Some(r) => parflow_bench::stream::run_stream_fifo_observed(&spec, &cfg, jobs, r),
-            None => parflow_bench::stream::run_stream_fifo(&spec, &cfg, jobs),
-        },
-        s => {
-            let policy = match s {
-                "admit-first" => crate::core::StealPolicy::AdmitFirst,
-                _ => {
-                    let k = s
-                        .strip_prefix("steal-")
-                        .and_then(|t| t.strip_suffix("-first"))
-                        .and_then(|k| k.parse().ok())
-                        .ok_or_else(|| CliError::BadFlag("policy".into(), s.into()))?;
-                    crate::core::StealPolicy::StealKFirst { k }
-                }
-            };
-            match rec.as_mut() {
-                Some(r) => parflow_bench::stream::run_stream_ws_observed(
-                    &spec, &cfg, policy, seed, jobs, r,
-                ),
-                None => parflow_bench::stream::run_stream_ws(&spec, &cfg, policy, seed, jobs),
-            }
-        }
+    let run = match policy {
+        None => parflow_bench::stream::run_stream_fifo_observed(&spec, &cfg, jobs, rec),
+        Some(p) => parflow_bench::stream::run_stream_ws_observed(&spec, &cfg, p, seed, jobs, rec),
     }
     .map_err(|e| CliError::Io(format!("stream: {e}")))?;
     let wall = started.elapsed().as_secs_f64();
-    let to_ms = 1000.0 / crate::workloads::TICKS_PER_SECOND;
-    let mut out = format!(
-        "streamed {} jobs on {m} workers in {:.1}s ({:.0} jobs/s, {:.2e} rounds/s)\n",
-        run.summary.jobs,
-        wall,
-        run.summary.jobs as f64 / wall.max(1e-9),
-        run.summary.total_rounds as f64 / wall.max(1e-9),
-    );
-    out.push_str(&format!(
-        "max flow {:.2} ms, mean {:.2} ms, ~p99 {:.2} ms ({} NaN excluded)\n",
-        run.summary.max_flow.to_f64() * to_ms,
-        run.flows.mean().unwrap_or(0.0) * to_ms,
-        run.flows.quantile(0.99).unwrap_or(0.0) * to_ms,
-        run.flows.nan(),
-    ));
-    out.push_str(&format!(
-        "live OPT bound {:.2} ms -> ratio {:.2}\n",
-        run.opt.combined_lower_bound().to_f64() * to_ms,
-        run.competitive_ratio().unwrap_or(0.0),
-    ));
-    if certify {
+    let certificate = if certify {
         // Exact-arithmetic P5 check: at speed 1 the streamed max flow can
         // never beat the OPT lower bound over the same arrivals. A
         // violation is a hard error (broken engine or tracker), not a line
@@ -584,89 +567,54 @@ fn exec_stream_cmd(flags: &Flags) -> Result<String, CliError> {
         if !report.is_clean() {
             return Err(CliError::Io(report.render()));
         }
-        out.push_str(&format!("{}\n", report.render()));
-    }
-    out.push_str(&format!(
-        "retirement: {} retired, {} live high-water, {} slab slots (reuse {:.1}%), {} cursor slots",
-        run.summary.retire.jobs_retired,
-        run.summary.retire.live_jobs_high_water,
-        run.summary.retire.slab_slots,
-        run.summary.retire.slab_reuse_ratio().unwrap_or(0.0) * 100.0,
-        run.summary.retire.cursor_slots,
-    ));
-    if let Some(kb) = parflow_bench::stream::peak_rss_kb() {
-        out.push_str(&format!("\npeak RSS {:.1} MB (VmHWM)", kb as f64 / 1024.0));
-    }
-    if let Some(rec) = rec.as_mut() {
-        rec.flush()
-            .map_err(|e| CliError::Io(format!("obs-json: {e}")))?;
-        out.push_str(&format!(
-            "\n(obs json written to {})",
-            obs_path.as_deref().unwrap_or_default()
-        ));
-    }
+        Some(report.render())
+    } else {
+        None
+    };
+    let mut out = run.render(m, wall, certificate.as_deref());
+    obs.flush(&mut out)?;
     Ok(out)
 }
 
 /// Run a generated workload on the *real* threaded executor (via the
 /// bridge), with optional fault injection and watchdog deadline.
-fn exec_cmd(flags: &Flags) -> Result<String, CliError> {
-    match flags.get("stream") {
-        Some("on" | "true" | "1") => return exec_stream_cmd(flags),
-        Some("off" | "false" | "0") | None => {}
-        Some(other) => return Err(CliError::BadFlag("stream".into(), other.into())),
+fn exec_cmd(flags: &Args) -> Result<String, CliError> {
+    if flags.flag("stream") {
+        return exec_stream_cmd(flags);
     }
     let (spec, m) = workload_from_flags(flags)?;
-    let seed: u64 = flags.parse_or("seed", 42u64)?;
-    let policy = match flags.get("policy").unwrap_or("admit-first") {
-        "admit-first" => RtPolicy::AdmitFirst,
-        s => {
-            let k = s
-                .strip_prefix("steal-")
-                .and_then(|t| t.strip_suffix("-first"))
-                .and_then(|k| k.parse().ok())
-                .ok_or_else(|| CliError::BadFlag("policy".into(), s.into()))?;
-            RtPolicy::StealKFirst { k }
-        }
-    };
-    let compress: f64 = flags.parse_or("compress", 1000.0)?;
+    let seed: u64 = flags.get_or("seed", 42u64)?;
+    let policy = flags.get_or("policy", StealPolicy::AdmitFirst)?;
+    let compress: f64 = flags.get_or("compress", 1000.0)?;
     if !(compress > 0.0 && compress.is_finite()) {
-        return Err(CliError::BadFlag("compress".into(), compress.to_string()));
+        return Err(bad("compress", compress));
     }
-    let iters: u64 = flags.parse_or("iters-per-unit", 20u64)?;
+    let iters: u64 = flags.get_or("iters-per-unit", 20u64)?;
     if iters == 0 {
-        return Err(CliError::BadFlag("iters-per-unit".into(), "0".into()));
-    }
-    let obs_path = flags.get("obs-json").map(str::to_string);
-    let mut rec = obs_path.as_deref().map(JsonRecorder::new);
-    if let Some(r) = rec.as_mut() {
-        r.span_begin("exec.generate");
-    }
-    let inst = spec.generate();
-    if inst.is_empty() {
-        return Err(CliError::BadFlag("jobs".into(), "0".into()));
-    }
-    let wl = instance_to_workload(&inst, &BridgeConfig::compressed(iters, compress));
-    if let Some(r) = rec.as_mut() {
-        r.span_end("exec.generate");
+        return Err(bad("iters-per-unit", 0));
     }
     let mut cfg = RuntimeConfig::new(m, policy).with_seed(seed);
-    if let Some(s) = flags.get("faults") {
-        cfg = cfg.with_faults(parse_faults(s)?);
+    if let Some(s) = flags.get::<String>("faults")? {
+        cfg = cfg.with_faults(parse_faults(&s)?);
     }
-    if let Some(s) = flags.get("deadline") {
-        cfg = cfg.with_deadline(parse_deadline(s)?);
+    if let Some(s) = flags.get::<String>("deadline")? {
+        cfg = cfg.with_deadline(parse_deadline(&s)?);
     }
-    if let Some(r) = rec.as_mut() {
-        r.span_begin("exec.run");
+    let mut obs = ObsJson::from_flags(flags)?;
+    flags.finish()?;
+    obs.rec().span_begin("exec.generate");
+    let inst = spec.generate();
+    if inst.is_empty() {
+        return Err(bad("jobs", 0));
     }
+    let wl = instance_to_workload(&inst, &BridgeConfig::compressed(iters, compress));
+    obs.rec().span_end("exec.generate");
+    obs.rec().span_begin("exec.run");
     let r = try_run_workload(&cfg, &wl).map_err(|e| match e.error {
         RuntimeError::InvalidFaultPlan(msg) => CliError::BadFlag("faults".into(), msg),
         other => CliError::Io(other.to_string()),
     })?;
-    if let Some(rec) = rec.as_mut() {
-        rec.span_end("exec.run");
-    }
+    obs.rec().span_end("exec.run");
     let count = |s: JobStatus| r.jobs.iter().filter(|j| j.status == s).count();
     let mut out = format!(
         "executed {} jobs on {m} workers in {:.1} ms ({compress}x compressed time)\n",
@@ -699,52 +647,37 @@ fn exec_cmd(flags: &Flags) -> Result<String, CliError> {
         r.stats.orphaned_tasks,
         r.fault_events.len(),
     ));
-    if let Some(rec) = rec.as_mut() {
-        r.observe_into(rec);
-        rec.flush()
-            .map_err(|e| CliError::Io(format!("obs-json: {e}")))?;
-        out.push_str(&format!(
-            "\n(obs json written to {})",
-            obs_path.as_deref().unwrap_or_default()
-        ));
-    }
+    r.observe_into(obs.rec());
+    obs.flush(&mut out)?;
     Ok(out)
 }
 
-fn dot_cmd(flags: &Flags) -> Result<String, CliError> {
-    let shape = flags.require("shape")?;
-    let dag = match shape {
-        "single" => shapes::single_node(flags.parse_or("work", 10u64)?),
-        "chain" => shapes::chain(
-            flags.parse_or("len", 4usize)?,
-            flags.parse_or("work", 2u64)?,
-        ),
-        "diamond" => shapes::diamond(
-            flags.parse_or("width", 4usize)?,
-            flags.parse_or("work", 2u64)?,
-        ),
+fn dot_cmd(flags: &Args) -> Result<String, CliError> {
+    let shape: String = require(flags, "shape")?;
+    let dag = match shape.as_str() {
+        "single" => shapes::single_node(flags.get_or("work", 10u64)?),
+        "chain" => shapes::chain(flags.get_or("len", 4usize)?, flags.get_or("work", 2u64)?),
+        "diamond" => shapes::diamond(flags.get_or("width", 4usize)?, flags.get_or("work", 2u64)?),
         "parallel-for" => shapes::parallel_for(
-            flags.parse_or("work", 40u64)?,
-            flags.parse_or("chunks", 8usize)?,
+            flags.get_or("work", 40u64)?,
+            flags.get_or("chunks", 8usize)?,
         ),
-        "fork-join" => shapes::fork_join(
-            flags.parse_or("depth", 3u32)?,
-            flags.parse_or("leaf", 4u64)?,
-        ),
+        "fork-join" => shapes::fork_join(flags.get_or("depth", 3u32)?, flags.get_or("leaf", 4u64)?),
         "map-reduce" => shapes::map_reduce(
-            flags.parse_or("mappers", 4usize)?,
-            flags.parse_or("map-work", 5u64)?,
-            flags.parse_or("reducers", 2usize)?,
-            flags.parse_or("reduce-work", 3u64)?,
+            flags.get_or("mappers", 4usize)?,
+            flags.get_or("map-work", 5u64)?,
+            flags.get_or("reducers", 2usize)?,
+            flags.get_or("reduce-work", 3u64)?,
         ),
         "pipeline" => shapes::pipeline(
-            flags.parse_or("stages", 3usize)?,
-            flags.parse_or("items", 4usize)?,
-            flags.parse_or("work", 2u64)?,
+            flags.get_or("stages", 3usize)?,
+            flags.get_or("items", 4usize)?,
+            flags.get_or("work", 2u64)?,
         ),
-        "adversarial" => shapes::adversarial_tiny(flags.parse_or("m", 40usize)?),
-        other => return Err(CliError::BadFlag("shape".into(), other.into())),
+        "adversarial" => shapes::adversarial_tiny(flags.get_or("m", 40usize)?),
+        other => return Err(bad("shape", other)),
     };
+    flags.finish()?;
     Ok(dag.to_dot(&shape.replace('-', "_")))
 }
 
@@ -753,46 +686,25 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| CliError::UnknownCommand("<none>".into()))?;
-    if cmd == "serve" {
-        // The streaming admission service has its own flag grammar
-        // (boolean flags, subcommands); delegate before Flags::parse.
-        return parflow_serve::cli::run(rest).map_err(|e| CliError::Io(e.to_string()));
-    }
-    if cmd == "sweep" {
-        // The mega-sweep harness also has boolean flags (--resume);
-        // delegate before Flags::parse.
-        return parflow_bench::sweep::cli_main(rest).map_err(CliError::Io);
-    }
-    // `--stream` and `--certify` read naturally as bare flags (`exec
-    // --stream --certify --jobs 10000000`); Flags::parse wants `--key
-    // value` pairs, so a bare occurrence is normalized to `... on`
-    // before parsing.
-    let normalized: Vec<String>;
-    let is_bare = |a: &str| a == "--stream" || a == "--certify";
-    let rest = if cmd == "exec" && rest.iter().any(|a| is_bare(a)) {
-        let mut v = Vec::with_capacity(rest.len() + 2);
-        let mut it = rest.iter().peekable();
-        while let Some(a) = it.next() {
-            v.push(a.clone());
-            if is_bare(a) && it.peek().is_none_or(|n| n.starts_with("--")) {
-                v.push("on".to_string());
-            }
-        }
-        normalized = v;
-        &normalized[..]
-    } else {
-        rest
+    let run: fn(&Args) -> Result<String, CliError> = match cmd.as_str() {
+        // These two own their flags and their usage text; their errors
+        // come back as `Io` so the root usage is not printed over them.
+        "serve" => return parflow_serve::cli::run(rest).map_err(|e| CliError::Io(e.to_string())),
+        "sweep" => return parflow_bench::sweep::cli_main(rest).map_err(CliError::Io),
+        "simulate" => simulate_cmd,
+        "compare" => compare_cmd,
+        "generate" => generate_cmd,
+        "analyze" => analyze_cmd,
+        "exec" => exec_cmd,
+        "dot" => dot_cmd,
+        other => return Err(CliError::UnknownCommand(other.into())),
     };
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "simulate" => simulate_cmd(&flags),
-        "compare" => compare_cmd(&flags),
-        "generate" => generate_cmd(&flags),
-        "analyze" => analyze_cmd(&flags),
-        "exec" => exec_cmd(&flags),
-        "dot" => dot_cmd(&flags),
-        other => Err(CliError::UnknownCommand(other.into())),
-    }
+    let bools: &[&str] = if cmd == "exec" {
+        &["stream", "certify"]
+    } else {
+        &[]
+    };
+    run(&Args::parse(rest, bools)?)
 }
 
 #[cfg(test)]
@@ -949,11 +861,89 @@ mod tests {
 
     #[test]
     fn flag_parser_rejects_stragglers() {
-        assert!(Flags::parse(&argv("--key")).is_err());
-        assert!(Flags::parse(&argv("orphan value")).is_err());
-        let f = Flags::parse(&argv("--a 1 --b two")).unwrap();
-        assert_eq!(f.get("a"), Some("1"));
-        assert_eq!(f.get("b"), Some("two"));
+        // The grammar table lives with the parser (`parflow_obs::args`);
+        // here: a valueless flag and a stray positional fail every command.
+        for cmd in [
+            "simulate --scheduler fifo",
+            "compare",
+            "generate --out x.json",
+            "analyze --in x.json",
+            "exec",
+            "dot --shape chain",
+        ] {
+            for tail in ["--seed", "orphan value"] {
+                let e = run_cli(&argv(&format!("{cmd} {tail}"))).unwrap_err();
+                assert!(matches!(e, CliError::BadFlag(..)), "{cmd} {tail}: {e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_fail_before_any_work() {
+        // A misspelt flag used to be dropped and the default run instead.
+        for cmd in [
+            "simulate --scheduler fifo --job 50",
+            "compare --jobs 50 --mm 9",
+            "generate --out /no/such/dir/x.json --jobz 5",
+            "analyze --in /no/such/file.json --epz 1/10",
+            "exec --jobs 5 --polcy admit-first",
+            "exec --jobs 5 --certify",
+            "exec --stream --jobs 5 --compress 10",
+            "dot --shape chain --depth 3",
+        ] {
+            let e = run_cli(&argv(cmd)).unwrap_err();
+            assert!(
+                matches!(e, CliError::BadFlag(_, ref v) if v == "unknown flag"),
+                "{cmd}: {e:?}"
+            );
+        }
+        for cmd in [
+            "simulate --scheduler fifo --jobs 50 --jobs 60",
+            "compare --m 4 --m 4",
+            "generate --out a.json --out b.json",
+            "analyze --in a.json --in b.json",
+            "exec --stream --stream",
+            "dot --shape chain --shape chain",
+        ] {
+            let e = run_cli(&argv(cmd)).unwrap_err();
+            assert!(
+                matches!(e, CliError::BadFlag(_, ref v) if v == "given more than once"),
+                "{cmd}: {e:?}"
+            );
+        }
+        let e = run_cli(&argv("simulate --scheduler fifo --job 50")).unwrap_err();
+        assert_eq!(e.to_string(), "--job: unknown flag");
+    }
+
+    #[test]
+    fn one_policy_grammar_on_every_path() {
+        // `steal-0-first` is admit-first, and the sweep's short forms are
+        // accepted, wherever a policy or scheduler is named.
+        let sim = |s: &str| {
+            run_cli(&argv(&format!(
+                "simulate --jobs 60 --m 2 --qps 3000 --scheduler {s}"
+            )))
+            .unwrap()
+        };
+        assert_eq!(sim("steal-0-first"), sim("admit-first"));
+        assert_eq!(sim("admit"), sim("admit-first"));
+        assert_eq!(sim("steal:4"), sim("steal-4-first"));
+        let stream = |s: &str| {
+            let out = run_cli(&argv(&format!(
+                "exec --stream --jobs 100 --m 2 --qps 5000 --policy {s}"
+            )))
+            .unwrap();
+            // Drop the wall-clock and RSS lines.
+            let lines: Vec<&str> = out.lines().collect();
+            lines[1..4].join("\n")
+        };
+        assert_eq!(stream("steal-0-first"), stream("admit-first"));
+        assert_eq!(stream("steal:4"), stream("Steal-4-First"));
+        let out = run_cli(&argv(
+            "exec --jobs 6 --m 2 --qps 5000 --compress 20000 --iters-per-unit 1 --policy steal:4",
+        ))
+        .unwrap();
+        assert!(out.contains("6 completed"), "{out}");
     }
 
     // ---- CliError coverage: every variant, constructed and displayed ----
@@ -967,8 +957,10 @@ mod tests {
         assert!(e.to_string().contains("exec"), "usage must list exec");
         // BadFlag
         let e = run_cli(&argv("simulate --jobs nope --scheduler fifo")).unwrap_err();
-        assert_eq!(e, CliError::BadFlag("jobs".into(), "nope".into()));
-        assert!(e.to_string().contains("bad value 'nope'"));
+        assert!(matches!(e, CliError::BadFlag(ref k, _) if k == "jobs"));
+        assert!(e.to_string().starts_with("--jobs: bad value 'nope'"), "{e}");
+        let e = run_cli(&argv("simulate --m 0 --scheduler fifo")).unwrap_err();
+        assert_eq!(e, CliError::BadFlag("m".into(), "bad value '0'".into()));
         // MissingFlag
         let e = run_cli(&argv("generate --jobs 5")).unwrap_err();
         assert_eq!(e, CliError::MissingFlag("out".into()));
@@ -1225,7 +1217,7 @@ mod tests {
 
     #[test]
     fn exec_stream_runs_and_reports() {
-        // Bare `--stream` is normalized to `--stream on` before parsing.
+        // Bare `--stream` means `--stream on`.
         let out = run_cli(&argv("exec --stream --jobs 200 --m 4 --qps 5000")).unwrap();
         assert!(out.contains("streamed 200 jobs on 4 workers"), "{out}");
         assert!(out.contains("live OPT bound"), "{out}");
@@ -1279,7 +1271,7 @@ mod tests {
 
     #[test]
     fn exec_stream_certify_reports_certificate() {
-        // Bare `--certify` normalizes like `--stream`; the run must pass
+        // Bare `--certify` reads like `--stream`; the run must pass
         // the P5 check and append the certificate line.
         for flags in [
             "exec --stream --certify --jobs 200 --m 4 --qps 5000",

@@ -48,6 +48,35 @@ fn missing_flag_exits_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--scheduler"));
 }
 
+/// A misspelt flag used to be dropped and the paper's defaults run in its
+/// place (exit 0, `n = 10000`); now it is a usage error naming the flag,
+/// before anything is simulated.
+#[test]
+fn misspelt_and_repeated_flags_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (
+            &["simulate", "--scheduler", "fifo", "--job", "50"][..],
+            "--job",
+        ),
+        (&["serve", "emit", "--qsp", "5"][..], "--qsp"),
+        (&["sweep", "--grid", "smoke", "--seedz", "2"][..], "--seedz"),
+        (&["compare", "--m", "4", "--m", "8"][..], "--m"),
+    ] {
+        let out = parflow(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{flag}: ")), "{args:?}: {stderr}");
+        // A delegated command shows its own usage, not `simulate`'s.
+        let root_usage = stderr.contains("parflow simulate");
+        assert_eq!(
+            root_usage,
+            args[0] != "serve" && args[0] != "sweep",
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn dot_pipes_cleanly() {
     let out = parflow(&["dot", "--shape", "fork-join", "--depth", "2", "--leaf", "3"]);
