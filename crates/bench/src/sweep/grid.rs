@@ -183,33 +183,6 @@ fn eps_str(eps: (u64, u64)) -> String {
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.max(1)
-}
-
-fn parse_eps(s: &str) -> Result<(u64, u64), String> {
-    let (num, den) = match s.split_once('/') {
-        Some((n, d)) => (
-            n.parse::<u64>().map_err(|_| format!("bad eps `{s}`"))?,
-            d.parse::<u64>().map_err(|_| format!("bad eps `{s}`"))?,
-        ),
-        None => (s.parse::<u64>().map_err(|_| format!("bad eps `{s}`"))?, 1),
-    };
-    if den == 0 {
-        return Err(format!("bad eps `{s}`: zero denominator"));
-    }
-    if num == 0 {
-        return Ok((0, 1));
-    }
-    let g = gcd(num, den);
-    Ok((num / g, den / g))
-}
-
 /// Named preset: the CI/test smoke grid (12 cells, sub-second).
 pub const PRESET_SMOKE: &str =
     "dist=bing;util=0.6,0.9;policy=fifo,admit,steal:4;m=4;eps=0;seeds=2;jobs=300";
@@ -274,7 +247,7 @@ impl SweepGrid {
                 }
                 "eps" => {
                     for v in &vals {
-                        epss.push(parse_eps(v)?);
+                        epss.push(Speed::parse_eps(v)?);
                     }
                 }
                 "seeds" => {
@@ -483,6 +456,10 @@ mod tests {
         assert!(SweepGrid::parse("dist=bing;util=-1;policy=fifo").is_err());
         assert!(SweepGrid::parse("dist=bing;util=1;policy=steal:x").is_err());
         assert!(SweepGrid::parse("dist=bing;util=1;policy=fifo;eps=1/0").is_err());
+        assert!(
+            SweepGrid::parse("dist=bing;util=1;policy=fifo;eps=18446744073709551615/2").is_err(),
+            "1 + eps must fit u64"
+        );
         assert!(SweepGrid::parse("nonsense").is_err());
         assert!(SweepGrid::parse("dist=bing;util=1").is_err(), "no policies");
     }

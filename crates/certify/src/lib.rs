@@ -21,9 +21,19 @@
 //! feasibility model above is fault-free); certifying one yields a
 //! [`CertReport::skipped`] reason, never a false violation.
 //!
+//! The feasibility facts themselves — all of P1 and P2's row width — are
+//! not implemented here: the certifier drives the one
+//! [`TraceChecker`] that also sits behind `ScheduleTrace::validate`, and
+//! turns its [`TraceViolation`] into a [`Violation`] in one function.
+//! What lives in this crate is policy and accounting: the admission-queue
+//! replay (P3), idle-span conservation and counter tallies (P2), and each
+//! job's reported outcome, checked at the round of its last unit from
+//! the first and last work round the checker reports (P4, P5).
+//!
 //! Policy conformance (P3) replays the global admission queue from the
 //! trace alone: arrivals enter at round start, workers act in index
-//! order, and an admission is the first-ever unit of work on a job. Two
+//! order, and an admission is the first-ever unit of work on a job (an
+//! explicit `Action::Admit`, which no engine records, is rejected). Two
 //! engine behaviours are *not* reconstructable from a trace and are
 //! deliberately unchecked: steal victim choice (the trace does not name
 //! victims) and the free-steal-cost probe counter (free probes leave no
@@ -37,9 +47,9 @@ use std::fmt;
 
 use parflow_core::{
     combined_lower_bound, Action, AdmissionOrder, JobStatus, ScheduleTrace, SimConfig, SimResult,
-    StealCost, StealPolicy, TraceSpan,
+    StealCost, StealPolicy, TraceChecker, TraceSpan, TraceViolation,
 };
-use parflow_dag::{Instance, JobId, NodeId};
+use parflow_dag::{Instance, JobId};
 use parflow_time::{Rational, Round, Speed};
 
 /// The paper-level invariant a certifier finding violates.
@@ -140,6 +150,11 @@ pub struct CertReport {
     /// outside the fault-free feasibility model). A skipped report is
     /// *not* clean-by-default: callers decide how to treat it.
     pub skipped: Option<String>,
+    /// Which invariants the verdict covers, as rendered: `P1-P5` for a
+    /// certified trace, `P5 only` for a stream summary at speed 1,
+    /// `nothing checkable at speed s` for one at any other speed. Empty
+    /// (the default) renders as `nothing checked`.
+    pub checked: String,
 }
 
 impl CertReport {
@@ -156,49 +171,16 @@ impl CertReport {
         match &self.violation {
             Some(v) => format!("certify: VIOLATION {v}"),
             None => format!(
-                "certify: clean ({} rounds, {} units, {} jobs; P1-P5)",
-                self.rounds, self.units, self.jobs
+                "certify: clean ({} rounds, {} units, {} jobs; {})",
+                self.rounds,
+                self.units,
+                self.jobs,
+                match self.checked.as_str() {
+                    "" => "nothing checked",
+                    checked => checked,
+                }
             ),
         }
-    }
-}
-
-/// Per-(job, node) execution bookkeeping for the replay.
-struct NodeLedger {
-    /// Units executed so far, indexed `[job][node]`.
-    executed: Vec<Vec<u64>>,
-    /// Round in which the node received its final unit.
-    completed_in: Vec<Vec<Option<Round>>>,
-    /// Predecessor lists per job, built on first touch.
-    preds: Vec<Option<Vec<Vec<NodeId>>>>,
-}
-
-impl NodeLedger {
-    fn new(instance: &Instance) -> Self {
-        let shape: Vec<usize> = instance.jobs().iter().map(|j| j.dag.num_nodes()).collect();
-        NodeLedger {
-            executed: shape.iter().map(|&n| vec![0; n]).collect(),
-            completed_in: shape.iter().map(|&n| vec![None; n]).collect(),
-            preds: vec![None; shape.len()],
-        }
-    }
-
-    /// Predecessors of `node` within job `j` (computed from the CSR
-    /// successor lists on first use).
-    fn preds_of(&mut self, instance: &Instance, j: usize, node: NodeId) -> &[NodeId] {
-        let dag = &instance.jobs()[j].dag;
-        let preds = self.preds[j].get_or_insert_with(|| {
-            let n = dag.num_nodes();
-            let mut p = vec![Vec::new(); n];
-            // lint: allow(truncating-cast) NodeId is u32; JobDag construction caps node count at u32 range
-            for pid in 0..n as u32 {
-                for &s in dag.succs(pid) {
-                    p[s as usize].push(pid);
-                }
-            }
-            p
-        });
-        &preds[node as usize]
     }
 }
 
@@ -219,30 +201,70 @@ fn violation(
     }
 }
 
-/// Full replay state for one certification.
+/// The one place a feasibility fact found by the shared
+/// [`TraceChecker`] becomes a certifier finding: row width is P2,
+/// everything else P1; the locus carries over, plus the worker when the
+/// fact is about one work unit.
+fn from_trace(v: TraceViolation, worker: Option<usize>) -> Violation {
+    use TraceViolation as T;
+    let (round, job, message) = match v {
+        T::BadRowWidth { round, width, m } => {
+            let message = format!("row covers {width} processors, machine has {m}");
+            return violation(Invariant::Capacity, Some(round), None, None, message);
+        }
+        T::UnknownTarget { round, job, node } => (
+            Some(round),
+            job,
+            format!("work on unknown job or node {node}"),
+        ),
+        T::EarlyStart { round, job } => (Some(round), job, "executed before arrival".to_string()),
+        T::ConcurrentNode { round, job, node } => {
+            let message = format!("node {node} executed on two processors in the same round");
+            (Some(round), job, message)
+        }
+        T::PrecedenceViolation { round, job, node } => {
+            let message = format!("node {node} ran before every predecessor completed");
+            (Some(round), job, message)
+        }
+        T::OverExecution { round, job, node } => {
+            (Some(round), job, format!("node {node} over-executed"))
+        }
+        T::IncompleteNode {
+            job,
+            node,
+            executed,
+        } => {
+            let message =
+                format!("incomplete at end of trace: node {node} received {executed} units");
+            (None, job, message)
+        }
+    };
+    violation(Invariant::Precedence, round, worker, Some(job), message)
+}
+
+/// What the certifier adds to the [`TraceChecker`] it drives: the
+/// admission-queue replay and failed-steal streaks (P3), idle-span
+/// conservation and action tallies (P2), and each job's reported outcome
+/// against its first and last work round (P4, P5).
 struct Replay<'a> {
     instance: &'a Instance,
+    result: &'a SimResult,
     speed: Speed,
     m: usize,
     policy: Option<StealPolicy>,
     unit_steals: bool,
     fifo_admission: bool,
-    /// First round at which each job may execute (`arrival ≤ round start`).
-    eligible: Vec<Round>,
+    checker: TraceChecker<'a>,
     /// Next not-yet-released arrival index (jobs are arrival-sorted).
     next_release: usize,
     /// Released-but-unadmitted jobs, in release (= id) order.
     queue: VecDeque<JobId>,
-    admitted: Vec<bool>,
-    /// Remaining unexecuted units per job.
-    remaining: Vec<u64>,
     /// Admitted jobs that still have unexecuted units.
     live_admitted: usize,
     /// Consecutive failed steal attempts per worker (unit-step replay).
     failed_steals: Vec<u64>,
-    first_work: Vec<Option<Round>>,
-    last_work: Vec<Option<Round>>,
-    ledger: NodeLedger,
+    /// Largest recomputed flow over the jobs completed so far.
+    max_flow: Rational,
     // Action tallies for the P2 counter cross-check.
     work_units: u64,
     steal_actions: u64,
@@ -254,32 +276,24 @@ struct Replay<'a> {
 impl<'a> Replay<'a> {
     fn new(
         instance: &'a Instance,
-        speed: Speed,
-        m: usize,
-        policy: Option<StealPolicy>,
         cfg: &SimConfig,
+        policy: Option<StealPolicy>,
+        result: &'a SimResult,
     ) -> Self {
-        let jobs = instance.jobs();
         Replay {
             instance,
-            speed,
-            m,
+            result,
+            speed: cfg.speed,
+            m: cfg.m,
             policy,
             unit_steals: matches!(cfg.steal_cost, StealCost::UnitStep),
             fifo_admission: matches!(cfg.admission, AdmissionOrder::Fifo),
-            eligible: jobs
-                .iter()
-                .map(|j| speed.first_round_at_or_after(j.arrival))
-                .collect(),
+            checker: TraceChecker::new(instance, cfg.m, cfg.speed),
             next_release: 0,
             queue: VecDeque::new(),
-            admitted: vec![false; jobs.len()],
-            remaining: jobs.iter().map(|j| j.work()).collect(),
             live_admitted: 0,
-            failed_steals: vec![0; m],
-            first_work: vec![None; jobs.len()],
-            last_work: vec![None; jobs.len()],
-            ledger: NodeLedger::new(instance),
+            failed_steals: vec![0; cfg.m],
+            max_flow: Rational::from_int(0),
             work_units: 0,
             steal_actions: 0,
             steal_hits: 0,
@@ -288,12 +302,67 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Move every job whose first eligible round is ≤ `r` into the queue.
+    /// Replay the whole trace, then close it: P1 completeness, the P2
+    /// counter cross-check, and the global halves of P4 and P5.
+    fn run(&mut self, trace: &ScheduleTrace) -> Result<(), Violation> {
+        for span in &trace.spans {
+            let start = self.checker.span(span).map_err(|v| from_trace(v, None))?;
+            match span {
+                TraceSpan::Idle { count } => self.idle_span(start, *count)?,
+                TraceSpan::Busy(row) => self.busy_row(start, row)?,
+            }
+        }
+        self.checker.finish().map_err(|v| from_trace(v, None))?;
+
+        let fail =
+            |invariant, message: String| Err(violation(invariant, None, None, None, message));
+        let stats = &self.result.stats;
+        let mut counter_checks: Vec<(&str, u64, u64)> = vec![
+            ("work_steps", self.work_units, stats.work_steps),
+            ("idle_steps", self.idle_units, stats.idle_steps),
+        ];
+        if self.policy.is_some() {
+            counter_checks.push(("admissions", self.admissions, stats.admissions));
+            if self.unit_steals {
+                let (attempts, hits) = (stats.steal_attempts, stats.successful_steals);
+                counter_checks.push(("steal_attempts", self.steal_actions, attempts));
+                counter_checks.push(("successful_steals", self.steal_hits, hits));
+            }
+        }
+        for (name, traced, reported) in counter_checks {
+            if traced != reported {
+                let message = format!("trace shows {traced} {name}, engine reported {reported}");
+                return fail(Invariant::Capacity, message);
+            }
+        }
+        let (reported, traced) = (self.result.total_rounds, trace.num_rounds());
+        if reported != traced {
+            let message =
+                format!("reported total_rounds {reported} but the trace covers {traced} rounds");
+            return fail(Invariant::FlowAccounting, message);
+        }
+        // Globally at speed 1: no schedule beats OPT's own lower bound
+        // max(W/m, span).
+        if self.speed == Speed::ONE && !self.instance.is_empty() {
+            let (max_flow, bound) = (self.max_flow, combined_lower_bound(self.instance, self.m));
+            if max_flow < bound {
+                let message =
+                    format!("observed max flow {max_flow:?} beats the OPT lower bound {bound:?}");
+                return fail(Invariant::LowerBound, message);
+            }
+        }
+        Ok(())
+    }
+
+    /// Move every job that has arrived by the start of round `r` into the
+    /// queue.
     fn release_arrivals(&mut self, r: Round) {
-        let n = self.instance.len();
-        while self.next_release < n && self.eligible[self.next_release] <= r {
-            // lint: allow(truncating-cast) JobId is u32; dense instance ids are u32 by construction
-            self.queue.push_back(self.next_release as JobId);
+        let jobs = self.instance.jobs();
+        while let Some(job) = jobs.get(self.next_release) {
+            if !self.speed.arrived_by_round(job.arrival, r) {
+                break;
+            }
+            self.queue.push_back(job.id);
             self.next_release += 1;
         }
     }
@@ -304,44 +373,40 @@ impl<'a> Replay<'a> {
     /// conservation (P2): every scheduler in this workspace is greedy.
     fn idle_span(&mut self, start: Round, count: u64) -> Result<(), Violation> {
         self.release_arrivals(start);
-        if self.live_admitted > 0 {
-            let job = self
-                .admitted
-                .iter()
-                .zip(&self.remaining)
-                .position(|(&a, &rem)| a && rem > 0)
-                // lint: allow(truncating-cast) JobId is u32; dense instance ids are u32 by construction
-                .map(|j| j as JobId);
-            return Err(violation(
+        let fail = |round, job, message: String| {
+            Err(violation(
                 Invariant::Capacity,
-                Some(start),
+                Some(round),
                 None,
                 job,
-                format!("idle span of {count} rounds while an admitted job is incomplete"),
-            ));
+                message,
+            ))
+        };
+        if self.live_admitted > 0 {
+            let live = self.live_admitted;
+            return fail(
+                start,
+                None,
+                format!("idle span of {count} rounds while {live} admitted job(s) are incomplete"),
+            );
         }
         if let Some(&job) = self.queue.front() {
-            return Err(violation(
-                Invariant::Capacity,
-                Some(start),
-                None,
+            return fail(
+                start,
                 Some(job),
                 format!("idle span of {count} rounds while the global queue holds an arrived job"),
-            ));
+            );
         }
-        // Arrivals whose first eligible round falls strictly inside the
+        // An arrival whose first eligible round falls strictly inside the
         // span: a greedy engine would have woken exactly at that round.
-        if self.next_release < self.instance.len() {
-            let j = self.next_release;
-            if self.eligible[j] < start + count {
-                return Err(violation(
-                    Invariant::Capacity,
-                    Some(self.eligible[j]),
-                    None,
-                    // lint: allow(truncating-cast) JobId is u32; dense instance ids are u32 by construction
-                    Some(j as JobId),
+        if let Some(job) = self.instance.jobs().get(self.next_release) {
+            let eligible = self.speed.first_round_at_or_after(job.arrival);
+            if eligible < start + count {
+                return fail(
+                    eligible,
+                    Some(job.id),
                     "idle span covers a round in which a new job became eligible".to_string(),
-                ));
+                );
             }
         }
         for c in &mut self.failed_steals {
@@ -351,220 +416,144 @@ impl<'a> Replay<'a> {
         Ok(())
     }
 
-    /// Record an admission of `job` by worker `p` at round `r` and check
-    /// policy conformance.
+    /// Worker `p` admits `job` — its first-ever unit of work — at round
+    /// `r`: pop it from the replayed queue and check policy conformance.
     fn admit(&mut self, r: Round, p: usize, job: JobId) -> Result<(), Violation> {
-        if let Some(policy) = self.policy {
-            if self.fifo_admission {
-                match self.queue.front() {
-                    Some(&front) if front == job => {
-                        self.queue.pop_front();
-                    }
-                    Some(&front) => {
-                        return Err(violation(
-                            Invariant::Policy,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            format!("admitted out of FIFO order (queue front is job {front})"),
-                        ));
-                    }
-                    None => {
-                        return Err(violation(
-                            Invariant::Policy,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            "admitted from an empty global queue".to_string(),
-                        ));
-                    }
+        let fail = |message: String| {
+            Err(violation(
+                Invariant::Policy,
+                Some(r),
+                Some(p),
+                Some(job),
+                message,
+            ))
+        };
+        let queued = if self.fifo_admission && self.policy.is_some() {
+            match self.queue.front() {
+                Some(&front) if front == job => Some(0),
+                Some(&front) => {
+                    return fail(format!(
+                        "admitted out of FIFO order (queue front is job {front})"
+                    ))
                 }
-            } else {
-                match self.queue.iter().position(|&q| q == job) {
-                    Some(pos) => {
-                        self.queue.remove(pos);
-                    }
-                    None => {
-                        return Err(violation(
-                            Invariant::Policy,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            "admitted a job that is not in the global queue".to_string(),
-                        ));
-                    }
-                }
+                None => return fail("admitted from an empty global queue".to_string()),
             }
-            if self.unit_steals {
-                if let StealPolicy::StealKFirst { k } = policy {
-                    let c = self.failed_steals[p];
-                    if c < k as u64 {
-                        return Err(violation(
-                            Invariant::Policy,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            format!("admitted after {c} consecutive failed steals (policy requires {k})"),
-                        ));
-                    }
-                }
+        } else {
+            self.queue.iter().position(|&q| q == job)
+        };
+        match (queued, self.policy) {
+            (Some(pos), _) => {
+                self.queue.remove(pos);
             }
-        } else if let Some(pos) = self.queue.iter().position(|&q| q == job) {
+            (None, Some(_)) => {
+                return fail("admitted a job that is not in the global queue".to_string())
+            }
             // Centralized engines have no admission policy to conform to;
             // the queue only feeds the idle-span work-conservation check.
-            self.queue.remove(pos);
+            (None, None) => {}
         }
-        self.admitted[job as usize] = true;
-        self.live_admitted += 1;
-        self.admissions += 1;
-        self.first_work[job as usize] = Some(r);
-        // The engine clears the failed-steal streak on admission.
-        self.failed_steals[p] = 0;
-        Ok(())
-    }
-
-    /// One unit of work on `(job, node)` by worker `p` at round `r`.
-    fn work(
-        &mut self,
-        r: Round,
-        p: usize,
-        job: JobId,
-        node: NodeId,
-        this_round: &mut Vec<(JobId, NodeId)>,
-    ) -> Result<(), Violation> {
-        let j = job as usize;
-        let jobs = self.instance.jobs();
-        let Some(jref) = jobs.get(j) else {
-            return Err(violation(
-                Invariant::Precedence,
-                Some(r),
-                Some(p),
-                Some(job),
-                format!("work on unknown job (instance has {} jobs)", jobs.len()),
-            ));
-        };
-        if (node as usize) >= jref.dag.num_nodes() {
-            return Err(violation(
-                Invariant::Precedence,
-                Some(r),
-                Some(p),
-                Some(job),
-                format!("work on unknown node {node}"),
-            ));
-        }
-        if !self.speed.arrived_by_round(jref.arrival, r) {
-            return Err(violation(
-                Invariant::Precedence,
-                Some(r),
-                Some(p),
-                Some(job),
-                format!("executed before arrival at tick {}", jref.arrival),
-            ));
-        }
-        if this_round.contains(&(job, node)) {
-            return Err(violation(
-                Invariant::Precedence,
-                Some(r),
-                Some(p),
-                Some(job),
-                format!("node {node} executed on two processors in the same round"),
-            ));
-        }
-        this_round.push((job, node));
-        if !self.admitted[j] {
-            self.admit(r, p, job)?;
-        }
-        if self.ledger.executed[j][node as usize] == 0 {
-            let arrival_round = r;
-            for pi in 0..self.ledger.preds_of(self.instance, j, node).len() {
-                let pid = self.ledger.preds_of(self.instance, j, node)[pi];
-                match self.ledger.completed_in[j][pid as usize] {
-                    Some(cr) if cr < arrival_round => {}
-                    _ => {
-                        return Err(violation(
-                            Invariant::Precedence,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            format!("node {node} ran before predecessor {pid} completed"),
-                        ));
-                    }
-                }
+        if let (true, Some(StealPolicy::StealKFirst { k })) = (self.unit_steals, self.policy) {
+            let c = self.failed_steals[p];
+            if c < k as u64 {
+                return fail(format!(
+                    "admitted after {c} consecutive failed steals (policy requires {k})"
+                ));
             }
         }
-        let units = &mut self.ledger.executed[j][node as usize];
-        *units += 1;
-        let w = jref.dag.work(node);
-        if *units > w {
-            return Err(violation(
-                Invariant::Precedence,
-                Some(r),
-                Some(p),
-                Some(job),
-                format!("node {node} over-executed ({} units of {w})", *units),
-            ));
-        }
-        if *units == w {
-            self.ledger.completed_in[j][node as usize] = Some(r);
-        }
-        self.remaining[j] -= 1;
-        if self.remaining[j] == 0 {
-            self.live_admitted -= 1;
-        }
-        self.last_work[j] = Some(r);
-        self.work_units += 1;
-        // A failed-steal streak is *consecutive*: executing a unit of
-        // work clears it (the engine resets the counter on every work
-        // step, successful steal, and admission).
-        self.failed_steals[p] = 0;
+        self.live_admitted += 1;
+        self.admissions += 1;
         Ok(())
     }
 
-    /// One explicit busy row at round `r`.
-    fn busy_row(&mut self, r: Round, row: &[Action]) -> Result<(), Violation> {
-        if row.len() != self.m {
-            return Err(violation(
-                Invariant::Capacity,
-                Some(r),
-                None,
-                None,
-                format!(
-                    "row covers {} processors, machine has {}",
-                    row.len(),
-                    self.m
-                ),
+    /// P4 and the per-job half of P5 for `job`, whose units the trace
+    /// places in rounds `first ..= last`: every reported outcome field is
+    /// recomputed exactly, and a span of `P_i` units serializes over
+    /// ≥ `P_i` rounds, so `F_i ≥ P_i / s` at any speed `s`.
+    fn job_done(&mut self, job: JobId, first: Round, last: Round) -> Result<(), Violation> {
+        let (spec, o) = (
+            &self.instance.jobs()[job as usize],
+            &self.result.outcomes[job as usize],
+        );
+        let fail =
+            |invariant, message: String| Err(violation(invariant, None, None, Some(job), message));
+        let p4 = |message: String| fail(Invariant::FlowAccounting, message);
+        if (o.job, o.arrival, o.weight) != (job, spec.arrival, spec.weight) {
+            let (j, a, w) = (o.job, o.arrival, o.weight);
+            return p4(format!(
+                "outcome identity mismatch (job {j} arrival {a} weight {w})"
             ));
         }
+        if o.status != JobStatus::Completed {
+            let status = o.status;
+            return p4(format!(
+                "fault-free run reported non-completed status {status:?}"
+            ));
+        }
+        let (start, end) = (o.start_round, o.completion_round);
+        if start != first {
+            return p4(format!(
+                "reported start_round {start} but first trace work is in round {first}"
+            ));
+        }
+        if end != last {
+            return p4(format!(
+                "reported completion_round {end} but last trace work is in round {last}"
+            ));
+        }
+        let (reported, completion) = (o.completion, self.speed.round_end(last));
+        if reported != completion {
+            return p4(format!(
+                "reported completion {reported:?} but round {last} ends at {completion:?}"
+            ));
+        }
+        let (reported, flow) = (o.flow, self.speed.flow_time(spec.arrival, last));
+        if reported != flow {
+            return p4(format!(
+                "reported flow {reported:?} but the trace yields {flow:?}"
+            ));
+        }
+        let (span, num, den) = (spec.span(), self.speed.num(), self.speed.den());
+        let span_bound = Rational::new(span as i128 * den as i128, num as i128);
+        if flow < span_bound {
+            let message = format!(
+                "flow {flow:?} beats the span bound {span_bound:?} (span {span} at speed {num}/{den})"
+            );
+            return fail(Invariant::LowerBound, message);
+        }
+        self.max_flow = self.max_flow.max(flow);
+        Ok(())
+    }
+
+    /// One explicit busy row at round `r`, workers in index order.
+    fn busy_row(&mut self, r: Round, row: &[Action]) -> Result<(), Violation> {
         self.release_arrivals(r);
-        let mut this_round: Vec<(JobId, NodeId)> = Vec::new();
         for (p, action) in row.iter().enumerate() {
             match *action {
-                Action::Work { job, node } => self.work(r, p, job, node, &mut this_round)?,
+                Action::Work { job, node } => {
+                    let unit = self.checker.work(job, node);
+                    let (first, done) = unit.map_err(|v| from_trace(v, Some(p)))?;
+                    if first {
+                        self.admit(r, p, job)?;
+                    }
+                    if let Some(first_round) = done {
+                        self.live_admitted -= 1;
+                        self.job_done(job, first_round, r)?;
+                    }
+                    self.work_units += 1;
+                    // A failed-steal streak is *consecutive*: the engine
+                    // resets the counter on every work step (an admission
+                    // is one), and on a successful steal.
+                    self.failed_steals[p] = 0;
+                }
                 Action::Admit { job } => {
-                    let arrived = self
-                        .instance
-                        .jobs()
-                        .get(job as usize)
-                        .is_some_and(|j| self.speed.arrived_by_round(j.arrival, r));
-                    if !arrived {
-                        return Err(violation(
-                            Invariant::Precedence,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            "admitted before arrival".to_string(),
-                        ));
-                    }
-                    if self.admitted[job as usize] {
-                        return Err(violation(
-                            Invariant::Policy,
-                            Some(r),
-                            Some(p),
-                            Some(job),
-                            "admitted twice".to_string(),
-                        ));
-                    }
-                    self.admit(r, p, job)?;
+                    return Err(violation(
+                        Invariant::Policy,
+                        Some(r),
+                        Some(p),
+                        Some(job),
+                        "explicit admit action: an admission is the job's first unit of work"
+                            .to_string(),
+                    ));
                 }
                 Action::Steal { hit } => self.steal(r, p, hit)?,
                 Action::Idle => self.idle_worker(r, p)?,
@@ -661,7 +650,8 @@ impl<'a> Replay<'a> {
 
 /// Certify a recorded run: replay `trace` against `instance` and
 /// cross-check `result` (invariants P1-P5, stopping at the first
-/// violation).
+/// violation in replay order — a job's P4 / P5 findings surface at the
+/// round of its last unit).
 ///
 /// `policy` selects the P3 conformance model: `Some(_)` for
 /// work-stealing traces (the policy the engine was run with), `None` for
@@ -676,6 +666,7 @@ pub fn certify_run(
 ) -> CertReport {
     let mut report = CertReport {
         jobs: instance.len(),
+        checked: "P1-P5".to_string(),
         ..CertReport::default()
     };
     let stats = &result.stats;
@@ -690,244 +681,56 @@ pub fn certify_run(
         return report;
     }
     // Configuration consistency: the three sources must agree before any
-    // per-round arithmetic can be trusted.
-    if trace.m != cfg.m || result.m != cfg.m {
-        report.violation = Some(violation(
+    // per-round arithmetic (or per-job outcome lookup) can be trusted.
+    let mismatch = if trace.m != cfg.m || result.m != cfg.m {
+        Some((
             Invariant::Capacity,
-            None,
-            None,
-            None,
             format!(
                 "machine-size mismatch: config m={}, trace m={}, result m={}",
                 cfg.m, trace.m, result.m
             ),
-        ));
-        return report;
-    }
-    if trace.speed != cfg.speed || result.speed != cfg.speed {
-        report.violation = Some(violation(
+        ))
+    } else if trace.speed != cfg.speed || result.speed != cfg.speed {
+        Some((
             Invariant::Capacity,
-            None,
-            None,
-            None,
             format!(
                 "speed mismatch: config {:?}, trace {:?}, result {:?}",
                 cfg.speed, trace.speed, result.speed
             ),
-        ));
-        return report;
-    }
-
-    let speed = cfg.speed;
-    let mut replay = Replay::new(instance, speed, cfg.m, policy, cfg);
-    for (start, span) in trace.spans_with_rounds() {
-        let step = match span {
-            TraceSpan::Idle { count } => replay.idle_span(start, *count),
-            TraceSpan::Busy(row) => replay.busy_row(start, row),
-        };
-        if let Err(v) = step {
-            report.rounds = trace.num_rounds();
-            report.units = replay.work_units;
-            report.violation = Some(v);
-            return report;
-        }
-    }
-    report.rounds = trace.num_rounds();
-    report.units = replay.work_units;
-
-    // P1 completeness: every node of every job fully executed.
-    for (j, job) in instance.jobs().iter().enumerate() {
-        if replay.remaining[j] > 0 {
-            let node = replay.ledger.executed[j]
-                .iter()
-                .enumerate()
-                // lint: allow(truncating-cast) NodeId is u32; JobDag construction caps node count at u32 range
-                .find(|(nid, &units)| units < job.dag.work(*nid as NodeId))
-                // lint: allow(truncating-cast) NodeId is u32; JobDag construction caps node count at u32 range
-                .map(|(nid, _)| nid as NodeId);
-            report.violation = Some(violation(
-                Invariant::Precedence,
-                None,
-                None,
-                Some(job.id),
-                format!(
-                    "incomplete at end of trace: {} of {} units missing{}",
-                    replay.remaining[j],
-                    job.work(),
-                    node.map(|n| format!(" (first short node: {n})"))
-                        .unwrap_or_default()
-                ),
-            ));
-            return report;
-        }
-    }
-
-    // P2 counter cross-checks: trace tallies vs reported engine stats.
-    let mut counter_checks: Vec<(&str, u64, u64)> = vec![
-        ("work_steps", replay.work_units, stats.work_steps),
-        ("idle_steps", replay.idle_units, stats.idle_steps),
-    ];
-    if policy.is_some() {
-        counter_checks.push(("admissions", replay.admissions, stats.admissions));
-        if replay.unit_steals {
-            counter_checks.push(("steal_attempts", replay.steal_actions, stats.steal_attempts));
-            counter_checks.push((
-                "successful_steals",
-                replay.steal_hits,
-                stats.successful_steals,
-            ));
-        }
-    }
-    for (name, traced, reported) in counter_checks {
-        if traced != reported {
-            report.violation = Some(violation(
-                Invariant::Capacity,
-                None,
-                None,
-                None,
-                format!("trace shows {traced} {name}, engine reported {reported}"),
-            ));
-            return report;
-        }
-    }
-
-    // P4 flow accounting: recompute every outcome field from the trace.
-    if result.outcomes.len() != instance.len() {
-        report.violation = Some(violation(
+        ))
+    } else if result.outcomes.len() != instance.len() {
+        Some((
             Invariant::FlowAccounting,
-            None,
-            None,
-            None,
             format!(
                 "{} outcomes reported for {} jobs",
                 result.outcomes.len(),
                 instance.len()
             ),
-        ));
+        ))
+    } else {
+        None
+    };
+    if let Some((invariant, message)) = mismatch {
+        report.violation = Some(violation(invariant, None, None, None, message));
         return report;
-    }
-    if result.total_rounds != trace.num_rounds() {
-        report.violation = Some(violation(
-            Invariant::FlowAccounting,
-            None,
-            None,
-            None,
-            format!(
-                "reported total_rounds {} but the trace covers {} rounds",
-                result.total_rounds,
-                trace.num_rounds()
-            ),
-        ));
-        return report;
-    }
-    let mut max_flow = Rational::from_int(0);
-    for (j, (job, outcome)) in instance.jobs().iter().zip(&result.outcomes).enumerate() {
-        let fail = |message: String| -> Violation {
-            violation(Invariant::FlowAccounting, None, None, Some(job.id), message)
-        };
-        if outcome.job != job.id || outcome.arrival != job.arrival || outcome.weight != job.weight {
-            report.violation = Some(fail(format!(
-                "outcome identity mismatch (job {} arrival {} weight {})",
-                outcome.job, outcome.arrival, outcome.weight
-            )));
-            return report;
-        }
-        if outcome.status != JobStatus::Completed {
-            report.violation = Some(fail(format!(
-                "fault-free run reported non-completed status {:?}",
-                outcome.status
-            )));
-            return report;
-        }
-        let (Some(first), Some(last)) = (replay.first_work[j], replay.last_work[j]) else {
-            // Unreachable: completeness above guarantees ≥ 1 unit ran.
-            report.violation = Some(fail("job has no work in the trace".to_string()));
-            return report;
-        };
-        if outcome.start_round != first {
-            report.violation = Some(fail(format!(
-                "reported start_round {} but first trace work is in round {first}",
-                outcome.start_round
-            )));
-            return report;
-        }
-        if outcome.completion_round != last {
-            report.violation = Some(fail(format!(
-                "reported completion_round {} but last trace work is in round {last}",
-                outcome.completion_round
-            )));
-            return report;
-        }
-        let completion = speed.round_end(last);
-        if outcome.completion != completion {
-            report.violation = Some(fail(format!(
-                "reported completion {:?} but round {last} ends at {completion:?}",
-                outcome.completion
-            )));
-            return report;
-        }
-        let flow = speed.flow_time(job.arrival, last);
-        if outcome.flow != flow {
-            report.violation = Some(fail(format!(
-                "reported flow {:?} but the trace yields {flow:?}",
-                outcome.flow
-            )));
-            return report;
-        }
-        if flow > max_flow {
-            max_flow = flow;
-        }
     }
 
-    // P5 lower-bound sanity. Per job: a span of `P_i` units serializes
-    // over ≥ P_i rounds, so F_i ≥ P_i / s at any speed s. Globally at
-    // speed 1: no schedule beats OPT's own lower bound max(W/m, span).
-    for (j, job) in instance.jobs().iter().enumerate() {
-        let span_bound = Rational::new(
-            job.span() as i128 * speed.den() as i128,
-            speed.num() as i128,
-        );
-        let flow = result.outcomes[j].flow;
-        if flow < span_bound {
-            report.violation = Some(violation(
-                Invariant::LowerBound,
-                None,
-                None,
-                Some(job.id),
-                format!(
-                    "flow {:?} beats the span bound {span_bound:?} (span {} at speed {}/{})",
-                    flow,
-                    job.span(),
-                    speed.num(),
-                    speed.den()
-                ),
-            ));
-            return report;
-        }
-    }
-    if speed == Speed::ONE && !instance.is_empty() {
-        let bound = combined_lower_bound(instance, cfg.m);
-        if max_flow < bound {
-            report.violation = Some(violation(
-                Invariant::LowerBound,
-                None,
-                None,
-                None,
-                format!("observed max flow {max_flow:?} beats the OPT lower bound {bound:?}"),
-            ));
-            return report;
-        }
-    }
+    let mut replay = Replay::new(instance, cfg, policy, result);
+    report.violation = replay.run(trace).err();
+    report.rounds = trace.num_rounds();
+    report.units = replay.work_units;
     report
 }
 
 /// P5-only certification for streaming runs, where no trace is retained:
 /// at speed 1 the exact streamed max flow must dominate the incremental
-/// OPT lower bound computed over the same arrivals.
+/// OPT lower bound computed over the same arrivals. P1-P4 are *not*
+/// evaluated on streams, and the report says so.
 ///
-/// Speed-augmented runs are vacuously clean here (the bound constrains
+/// At any other speed nothing is checkable here (the bound constrains
 /// the speed-1 adversary, which an augmented schedule may legitimately
-/// beat); materialized certification covers those paths in full.
+/// beat) and the report says that instead; materialized certification
+/// covers those paths in full.
 pub fn certify_stream_summary(
     speed: Speed,
     jobs: u64,
@@ -938,7 +741,12 @@ pub fn certify_stream_summary(
         jobs: jobs as usize,
         ..CertReport::default()
     };
-    if jobs > 0 && speed == Speed::ONE && max_flow < opt_bound {
+    if speed != Speed::ONE {
+        report.checked = format!("nothing checkable at speed {}/{}", speed.num(), speed.den());
+        return report;
+    }
+    report.checked = "P5 only".to_string();
+    if jobs > 0 && max_flow < opt_bound {
         report.violation = Some(violation(
             Invariant::LowerBound,
             None,
@@ -1007,5 +815,30 @@ mod tests {
             Rational::from_int(5)
         )
         .is_clean());
+    }
+
+    #[test]
+    fn reports_render_what_was_checked() {
+        let five = Rational::from_int(5);
+        let at = |speed| certify_stream_summary(speed, 10, five, five).render();
+        assert_eq!(
+            at(Speed::ONE),
+            "certify: clean (0 rounds, 0 units, 10 jobs; P5 only)"
+        );
+        assert_eq!(
+            at(Speed::new(3, 2)),
+            "certify: clean (0 rounds, 0 units, 10 jobs; nothing checkable at speed 3/2)"
+        );
+        assert!(CertReport::default()
+            .render()
+            .ends_with("; nothing checked)"));
+
+        let inst = two_job_instance();
+        let cfg = SimConfig::new(2).with_trace();
+        let (result, trace) = run_priority(&inst, &cfg, &Fifo);
+        let trace = trace.expect("trace recording was requested");
+        let line = certify_run(&inst, &cfg, None, &result, &trace).render();
+        assert!(line.starts_with("certify: clean ("), "{line}");
+        assert!(line.ends_with(" 2 jobs; P1-P5)"), "{line}");
     }
 }

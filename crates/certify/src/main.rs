@@ -180,29 +180,28 @@ fn cell(args: &[String]) -> Result<Vec<(String, CertReport)>, String> {
         "fifo" => None,
         _ => flags.get::<StealPolicy>("policy").map_err(usage)?,
     };
-    let eps: Option<(u64, u64)> = flags
-        .get::<String>("eps")
-        .map_err(usage)?
-        .map(|v| {
-            let (a, b) = v.split_once('/').ok_or("--eps wants A/B")?;
-            let part = |s: &str| s.parse().map_err(|_| "--eps wants A/B");
-            Ok::<_, &str>((part(a)?, part(b)?))
-        })
-        .transpose()?;
-    flags.finish().map_err(usage)?;
-    // NaN must be rejected too, so compare through partial_cmp.
-    if m == 0 || jobs == 0 || util.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err("cell wants --m >= 1, --jobs >= 1, --util > 0".to_string());
-    }
-    let speed = match eps {
-        // Speed 1 + ε as the reduced fraction (den + num·ε) / den.
-        Some((num, den)) => Speed::new(den + num, den),
+    let speed = match flags.get::<String>("eps").map_err(usage)? {
+        Some(eps) => {
+            let (num, den) = Speed::parse_eps(&eps).map_err(|e| format!("--eps wants A/B: {e}"))?;
+            Speed::augmented(num, den)
+        }
         None => Speed::ONE,
     };
+    flags.finish().map_err(usage)?;
+    // NaN must be rejected too, and so must a load whose arrival rate is
+    // not a finite number.
+    let bad = || "cell wants --m >= 1, --jobs >= 1, finite --util > 0".to_string();
+    if m == 0 || jobs == 0 || util.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err(bad());
+    }
+    let qps = qps_for_utilization(dist, m, util);
+    if !qps.is_finite() {
+        return Err(bad());
+    }
     let spec = WorkloadSpec {
         dist,
         shape: ShapeKind::ParallelFor { grain: 10 },
-        qps: Some(qps_for_utilization(dist, m, util)),
+        qps: Some(qps),
         period_ticks: 0,
         n_jobs: jobs,
         seed,
@@ -242,7 +241,10 @@ fn stream_summary(args: &[String]) -> Result<Vec<(String, CertReport)>, String> 
     // Both values were rounded to 0.01 ms independently; only a gap the
     // rounding cannot explain is a genuine P5 violation.
     let tolerance = 0.011;
-    let mut report = CertReport::default();
+    let mut report = CertReport {
+        checked: "P5 only".to_string(),
+        ..CertReport::default()
+    };
     if opt - max_flow > tolerance {
         report.violation = Some(parflow_certify::Violation {
             invariant: parflow_certify::Invariant::LowerBound,

@@ -44,6 +44,15 @@ fn bad_flags_exit_2_naming_the_flag() {
             "--policy: bad value 'bwf'",
         ),
         (&["cell", "--eps", "half"][..], "--eps wants A/B"),
+        // Numbers that parse but name no speed or load: once a panic in
+        // `Speed::new`, a wrapped `den + num`, a panic in the arrival
+        // process.
+        (&["cell", "--eps", "1/0"][..], "zero denominator"),
+        (
+            &["cell", "--eps", "18446744073709551615/2"][..],
+            "1 + eps overflows",
+        ),
+        (&["cell", "--util", "inf"][..], "finite --util > 0"),
         (&["cell", "--jobs"][..], "--jobs: needs a value"),
     ] {
         let out = certify(args);

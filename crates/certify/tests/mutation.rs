@@ -1,6 +1,6 @@
 //! Mutation harness for the certifier.
 //!
-//! Two obligations, mirroring docs/STATIC_ANALYSIS.md:
+//! Three obligations, mirroring docs/STATIC_ANALYSIS.md:
 //!
 //! 1. **Soundness on real schedules** — every trace produced by the
 //!    engines across random instances, policies, steal-cost models and
@@ -10,10 +10,15 @@
 //!    (the certifier stops at the first violation by construction) that
 //!    names the *right* invariant and locus. A certifier that flags the
 //!    downstream cascade instead of the root cause fails these tests.
+//! 3. **One checker behind both fuzz surfaces** — the corruptions of
+//!    `tests/trace_fuzz.rs` and the P1 / P2 trace mutants below are
+//!    rejected by `ScheduleTrace::validate` *and* by `certify_run`, at the
+//!    same job and round.
 
 use parflow_certify::{certify_run, certify_stream_summary, CertReport, Invariant};
 use parflow_core::{
     run_priority, run_worksteal, Action, Fifo, ScheduleTrace, SimConfig, SimResult, StealPolicy,
+    TraceViolation,
 };
 use parflow_dag::{shapes, Instance, Job};
 use parflow_time::{Rational, Speed};
@@ -185,6 +190,111 @@ fn same_round_pair_violates_precedence() {
     assert_eq!(v.round, Some(0), "{v}");
     assert_eq!(v.worker, Some(1), "{v}");
     assert!(v.message.contains("predecessor"), "{v}");
+}
+
+/// The six corruptions of `tests/trace_fuzz.rs` and the four P1 / P2
+/// trace mutants above, each through both entry points of the one
+/// `TraceChecker`: `validate` and `certify_run` must reject the trace at
+/// the same job and round, row width as P2 and everything else as P1.
+#[test]
+fn validate_and_certify_reject_the_same_job_and_round() {
+    type Rows = Vec<Vec<Action>>;
+    type Corruption = (&'static str, fn(&mut Rows));
+    fn on(job: u32, node: u32) -> Action {
+        Action::Work { job, node }
+    }
+    fn drop_last_row(rows: &mut Rows) {
+        rows.pop();
+    }
+    // The trace_fuzz corruptions run on a centralized FIFO schedule (no
+    // policy to conform to, so no P3 finding can come first): two early
+    // jobs, and one that arrives at tick 40.
+    let fifo_inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::chain(3, 2))),
+        Job::new(1, 1, Arc::new(shapes::fork_join(3, 2))),
+        Job::new(2, 40, Arc::new(shapes::parallel_for(12, 3))),
+    ]);
+    let fifo_cfg = SimConfig::new(2).with_trace();
+    let (fifo_result, fifo_trace) = run_priority(&fifo_inst, &fifo_cfg, &Fifo);
+    let fifo_trace = fifo_trace.expect("trace requested");
+    assert_eq!(fifo_trace.validate(&fifo_inst), Ok(()));
+    let fuzz: Vec<Corruption> = vec![
+        // Processor 1 keeps row 1 busy, so it stays an explicit row.
+        ("drop a work unit", |rows| rows[1][0] = Action::Idle),
+        ("duplicate the terminal unit", |rows| {
+            let last = rows.last().expect("non-empty trace");
+            rows.push(vec![last[0], Action::Idle]);
+        }),
+        ("retarget to an unknown job", |rows| rows[3][0] = on(8, 0)),
+        ("move work before arrival", |rows| {
+            rows.insert(0, vec![on(2, 0), Action::Idle])
+        }),
+        ("reorder chain execution", |rows| rows.swap(0, 2)),
+        ("truncate the tail", drop_last_row),
+    ];
+
+    // The certifier's own P1 / P2 mutants run on work-stealing schedules
+    // under admit-first.
+    let (chain_inst, chain_cfg, chain_result, chain_trace) = chain_baseline();
+    let mutants: Vec<Corruption> = vec![
+        ("swapped spans", |rows| rows.swap(0, 1)),
+        ("dropped completion", drop_last_row),
+        ("exceeded capacity", |rows| rows[1].push(on(0, 1))),
+    ];
+    let pair_inst = Instance::new(vec![Job::new(0, 0, Arc::new(shapes::chain(2, 1)))]);
+    let pair_cfg = SimConfig::new(2).with_trace();
+    let (pair_result, pair_trace) =
+        run_worksteal(&pair_inst, &pair_cfg, StealPolicy::AdmitFirst, 1);
+    let pair_trace = pair_trace.expect("trace requested");
+    let same_round: Vec<Corruption> = vec![("same-round pair", |rows| {
+        *rows = vec![vec![on(0, 0), on(0, 1)]]
+    })];
+
+    let ws = Some(StealPolicy::AdmitFirst);
+    let (chain, pair) = ((&chain_inst, &chain_cfg), (&pair_inst, &pair_cfg));
+    let surfaces = [
+        (
+            (&fifo_inst, &fifo_cfg),
+            None,
+            &fifo_result,
+            &fifo_trace,
+            fuzz,
+        ),
+        (chain, ws, &chain_result, &chain_trace, mutants),
+        (pair, ws, &pair_result, &pair_trace, same_round),
+    ];
+    let mut cases = 0;
+    for ((inst, cfg), policy, result, trace, corruptions) in surfaces {
+        for (name, corrupt) in corruptions {
+            let mut rows = trace.to_dense();
+            corrupt(&mut rows);
+            let bad = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+            let found = bad.validate(inst).expect_err(name);
+            use TraceViolation as T;
+            let (invariant, round, job) = match found {
+                T::BadRowWidth { round, .. } => (Invariant::Capacity, Some(round), None),
+                T::IncompleteNode { job, .. } => (Invariant::Precedence, None, Some(job)),
+                T::UnknownTarget { round, job, .. }
+                | T::EarlyStart { round, job }
+                | T::ConcurrentNode { round, job, .. }
+                | T::PrecedenceViolation { round, job, .. }
+                | T::OverExecution { round, job, .. } => {
+                    (Invariant::Precedence, Some(round), Some(job))
+                }
+            };
+            let report = certify_run(inst, cfg, policy, result, &bad);
+            let v = report
+                .violation
+                .unwrap_or_else(|| panic!("{name}: validate says {found}, certify says clean"));
+            assert_eq!(
+                (v.invariant, v.round, v.job),
+                (invariant, round, job),
+                "{name}: validate says {found}, certify says {v}"
+            );
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 10);
 }
 
 /// Mutation 5: corrupt a reported flow. The trace is untouched; the

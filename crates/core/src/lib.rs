@@ -117,7 +117,7 @@ pub use stream::{
     run_worksteal_stream_observed, run_worksteal_stream_with_base, InstanceReplay, JobStream,
     OptTap, RetirementStats, StreamError, StreamSummary, StreamedJob,
 };
-pub use trace::{Action, ScheduleTrace, TraceSpan, TraceViolation};
+pub use trace::{Action, ScheduleTrace, TraceChecker, TraceSpan, TraceViolation};
 #[cfg(feature = "reference-engine")]
 pub use worksteal::run_worksteal_reference;
 pub use worksteal::{run_worksteal, run_worksteal_observed, simulate_worksteal, StealPolicy};

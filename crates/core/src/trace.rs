@@ -1,20 +1,23 @@
 //! Schedule traces and an independent validity checker.
 //!
-//! Every engine can record what each processor did in each round. The
-//! validator re-checks a recorded trace against the instance *without
+//! Every engine can record what each processor did in each round.
+//! [`TraceChecker`] replays such a record against the instance *without
 //! trusting the engine*: arrivals, precedence constraints, exclusive node
-//! execution and work conservation. Property tests run every scheduler
-//! through this check.
+//! execution and work conservation. It is the one implementation of that
+//! feasibility model — [`ScheduleTrace::validate`] folds a whole trace
+//! through it (property tests run every scheduler through that), and
+//! `parflow-certify` drives the same checker and adds policy and
+//! accounting on top.
 //!
 //! All-idle rounds (quiescent gaps between arrivals) are run-length encoded
 //! as a single [`TraceSpan::Idle`] entry instead of `gap` copies of
 //! `vec![Action::Idle; m]`, so a trace of a sparse instance costs O(busy
 //! rounds), not O(total rounds).
 
-use parflow_dag::{Instance, JobId, NodeId};
-use parflow_time::{Round, Speed};
+use crate::bits::BitWords;
+use parflow_dag::{Instance, Job, JobId, NodeId};
+use parflow_time::{Round, Speed, Work};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What one processor did during one round.
@@ -70,13 +73,18 @@ pub struct ScheduleTrace {
     pub spans: Vec<TraceSpan>,
 }
 
-/// A violation found by [`ScheduleTrace::validate`].
+/// A violation found by [`TraceChecker`] (and so by
+/// [`ScheduleTrace::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceViolation {
     /// A round row has the wrong number of processor entries.
     BadRowWidth {
         /// Offending round.
         round: Round,
+        /// Entries in the row.
+        width: usize,
+        /// Processors of the machine.
+        m: usize,
     },
     /// Work on a job before it arrived.
     EarlyStart {
@@ -87,6 +95,8 @@ pub enum TraceViolation {
     },
     /// Work on an unknown job or node.
     UnknownTarget {
+        /// Offending round.
+        round: Round,
         /// Offending job.
         job: JobId,
         /// Offending node.
@@ -112,6 +122,8 @@ pub enum TraceViolation {
     },
     /// A node received more units than its work.
     OverExecution {
+        /// Offending round.
+        round: Round,
         /// Offending job.
         job: JobId,
         /// Offending node.
@@ -131,12 +143,14 @@ pub enum TraceViolation {
 impl fmt::Display for TraceViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceViolation::BadRowWidth { round } => write!(f, "round {round}: bad row width"),
+            TraceViolation::BadRowWidth { round, width, m } => {
+                write!(f, "round {round}: row covers {width} of {m} processors")
+            }
             TraceViolation::EarlyStart { round, job } => {
                 write!(f, "round {round}: job {job} executed before arrival")
             }
-            TraceViolation::UnknownTarget { job, node } => {
-                write!(f, "unknown target job {job} node {node}")
+            TraceViolation::UnknownTarget { round, job, node } => {
+                write!(f, "round {round}: unknown target job {job} node {node}")
             }
             TraceViolation::ConcurrentNode { round, job, node } => {
                 write!(f, "round {round}: node {node} of job {job} on 2 processors")
@@ -144,8 +158,8 @@ impl fmt::Display for TraceViolation {
             TraceViolation::PrecedenceViolation { round, job, node } => {
                 write!(f, "round {round}: job {job} node {node} ran before preds")
             }
-            TraceViolation::OverExecution { job, node } => {
-                write!(f, "job {job} node {node} over-executed")
+            TraceViolation::OverExecution { round, job, node } => {
+                write!(f, "round {round}: job {job} node {node} over-executed")
             }
             TraceViolation::IncompleteNode {
                 job,
@@ -203,23 +217,6 @@ impl ScheduleTrace {
         })
     }
 
-    /// Iterate spans together with the round at which each span starts.
-    ///
-    /// Replay-style consumers (the certifier, renderers) need absolute
-    /// round numbers without materializing RLE idle gaps; this keeps the
-    /// running offset in one place instead of at every call site.
-    pub fn spans_with_rounds(&self) -> impl Iterator<Item = (Round, &TraceSpan)> {
-        let mut r: Round = 0;
-        self.spans.iter().map(move |s| {
-            let start = r;
-            r += match s {
-                TraceSpan::Busy(_) => 1,
-                TraceSpan::Idle { count } => *count,
-            };
-            (start, s)
-        })
-    }
-
     /// Expand to the dense `rounds[r][p]` form (idle spans materialized).
     pub fn to_dense(&self) -> Vec<Vec<Action>> {
         let mut out = Vec::new();
@@ -246,120 +243,22 @@ impl ScheduleTrace {
         t
     }
 
-    /// Exhaustively validate this trace against `instance`.
-    ///
-    /// Checks, independently of any engine state:
-    /// 1. every explicit round row covers all `m` processors;
-    /// 2. no job is worked on before its arrival becomes visible
-    ///    (`arrival ≤ round-start`);
-    /// 3. no node runs on two processors in the same round;
-    /// 4. a node's first unit comes strictly after the round in which its
-    ///    last predecessor finished (units occupy whole rounds);
-    /// 5. every node receives exactly `work` units over the trace.
+    /// Exhaustively validate this trace against `instance`: a fold of
+    /// every span, and every work unit of every busy row, through one
+    /// [`TraceChecker`].
     pub fn validate(&self, instance: &Instance) -> Result<(), TraceViolation> {
-        // Executed units and completion round per (job, node). Ordered
-        // maps, so any future iteration over validator state is
-        // deterministic by construction, not by accident — the validator
-        // sits on the golden path (property tests run every scheduler
-        // through it) and must never become an ordering side channel.
-        let mut executed: BTreeMap<(JobId, NodeId), u64> = BTreeMap::new();
-        let mut completed_in: BTreeMap<(JobId, NodeId), Round> = BTreeMap::new();
-        let jobs = instance.jobs();
-        // Precompute predecessor lists per job (lazily, shared across rounds).
-        let mut preds_cache: BTreeMap<JobId, Vec<Vec<NodeId>>> = BTreeMap::new();
-
-        let mut r: Round = 0;
+        let mut checker = TraceChecker::new(instance, self.m, self.speed);
         for span in &self.spans {
-            let row = match span {
-                TraceSpan::Idle { count } => {
-                    // An RLE idle span is trivially valid: nothing executes.
-                    r += count;
-                    continue;
-                }
-                TraceSpan::Busy(row) => row,
-            };
-            if row.len() != self.m {
-                return Err(TraceViolation::BadRowWidth { round: r });
-            }
-            let mut this_round: Vec<(JobId, NodeId)> = Vec::new();
-            for action in row {
-                let (job, node) = match *action {
-                    Action::Work { job, node } => (job, node),
-                    _ => continue,
-                };
-                let j = jobs
-                    .get(job as usize)
-                    .ok_or(TraceViolation::UnknownTarget { job, node })?;
-                if (node as usize) >= j.dag.num_nodes() {
-                    return Err(TraceViolation::UnknownTarget { job, node });
-                }
-                if !self.speed.arrived_by_round(j.arrival, r) {
-                    return Err(TraceViolation::EarlyStart { round: r, job });
-                }
-                if this_round.contains(&(job, node)) {
-                    return Err(TraceViolation::ConcurrentNode {
-                        round: r,
-                        job,
-                        node,
-                    });
-                }
-                this_round.push((job, node));
-
-                // Precedence: every predecessor must have completed in a
-                // strictly earlier round. Predecessors are nodes v with
-                // `node ∈ succs(v)`.
-                let units = executed.entry((job, node)).or_insert(0);
-                if *units == 0 {
-                    let preds = preds_cache.entry(job).or_insert_with(|| {
-                        let mut p = vec![Vec::new(); j.dag.num_nodes()];
-                        // lint: allow(truncating-cast) NodeId is u32; JobDag construction caps node count at u32 range
-                        for pid in 0..j.dag.num_nodes() as u32 {
-                            for &s in j.dag.succs(pid) {
-                                p[s as usize].push(pid);
-                            }
-                        }
-                        p
-                    });
-                    for &pid in &preds[node as usize] {
-                        match completed_in.get(&(job, pid)) {
-                            Some(&cr) if cr < r => {}
-                            _ => {
-                                return Err(TraceViolation::PrecedenceViolation {
-                                    round: r,
-                                    job,
-                                    node,
-                                })
-                            }
-                        }
+            checker.span(span)?;
+            if let TraceSpan::Busy(row) = span {
+                for action in row {
+                    if let Action::Work { job, node } = *action {
+                        checker.work(job, node)?;
                     }
                 }
-                *units += 1;
-                let w = j.dag.work(node);
-                if *units > w {
-                    return Err(TraceViolation::OverExecution { job, node });
-                }
-                if *units == w {
-                    completed_in.insert((job, node), r);
-                }
-            }
-            r += 1;
-        }
-
-        // Work conservation: every node of every job fully executed.
-        for j in jobs {
-            // lint: allow(truncating-cast) NodeId is u32; JobDag construction caps node count at u32 range
-            for nid in 0..j.dag.num_nodes() as u32 {
-                let got = executed.get(&(j.id, nid)).copied().unwrap_or(0);
-                if got != j.dag.work(nid) {
-                    return Err(TraceViolation::IncompleteNode {
-                        job: j.id,
-                        node: nid,
-                        executed: got,
-                    });
-                }
             }
         }
-        Ok(())
+        checker.finish()
     }
 
     /// Count processor-rounds by action type: (work, steals, admits, idle).
@@ -381,6 +280,203 @@ impl ScheduleTrace {
             }
         }
         (w, s, a, i)
+    }
+}
+
+/// Replay state of one node of a live job.
+#[derive(Clone, Copy, Default)]
+struct NodeState {
+    /// Units executed so far.
+    executed: Work,
+    /// Predecessors that have received all their units.
+    preds_done: u32,
+    /// The first round the node may run in: one past the latest round in
+    /// which a predecessor finished.
+    ready: Round,
+    /// One past the round of the node's latest unit (0: none yet) — a
+    /// second unit carrying the same stamp ran in the same round.
+    stamp: Round,
+}
+
+/// Node state of one live job: allocated at the job's first unit and
+/// handed back to [`TraceChecker::free`] at its last.
+#[derive(Default)]
+struct LiveJob {
+    first_round: Round,
+    /// Units of the job not yet executed.
+    remaining: Work,
+    nodes: Vec<NodeState>,
+}
+
+/// The feasibility model, replayed one span and one work unit at a time.
+///
+/// Enter each [`TraceSpan`] through [`TraceChecker::span`] (which keeps
+/// the running round), feed every `Work` action of a busy row, in
+/// processor order, through [`TraceChecker::work`], and close the trace
+/// with [`TraceChecker::finish`]. Checked, independently of any engine
+/// state:
+/// 1. every explicit round row covers all `m` processors;
+/// 2. no job is worked on before its arrival becomes visible
+///    (`arrival ≤ round-start`);
+/// 3. no node runs on two processors in the same round;
+/// 4. a node's first unit comes strictly after the round in which its
+///    last predecessor finished (units occupy whole rounds);
+/// 5. every node receives exactly `work` units over the trace.
+///
+/// Node state exists only while a job is live (between its first and
+/// last unit) and is recycled; what grows with the instance is one
+/// completed bit per job.
+pub struct TraceChecker<'a> {
+    jobs: &'a [Job],
+    m: usize,
+    speed: Speed,
+    /// First round of the span entered last.
+    round: Round,
+    /// First round of the span to enter next.
+    next_round: Round,
+    /// Jobs that received all their units.
+    completed: BitWords,
+    /// Live jobs as `(job, index into slabs)`, ascending by job.
+    live: Vec<(JobId, usize)>,
+    slabs: Vec<LiveJob>,
+    /// Slabs of completed jobs, for the next job to start.
+    free: Vec<usize>,
+}
+
+impl<'a> TraceChecker<'a> {
+    /// A checker at round 0 of a schedule of `instance` on `m`
+    /// processors at `speed`.
+    pub fn new(instance: &'a Instance, m: usize, speed: Speed) -> Self {
+        let mut completed = BitWords::default();
+        completed.reset(instance.len());
+        TraceChecker {
+            jobs: instance.jobs(),
+            m,
+            speed,
+            round: 0,
+            next_round: 0,
+            completed,
+            live: Vec::new(),
+            slabs: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Enter the next span and return the round it starts at; a busy row
+    /// must be `m` wide.
+    pub fn span(&mut self, span: &TraceSpan) -> Result<Round, TraceViolation> {
+        self.round = self.next_round;
+        self.next_round += match span {
+            TraceSpan::Idle { count } => *count,
+            TraceSpan::Busy(row) if row.len() == self.m => 1,
+            TraceSpan::Busy(row) => {
+                return Err(TraceViolation::BadRowWidth {
+                    round: self.round,
+                    width: row.len(),
+                    m: self.m,
+                })
+            }
+        };
+        Ok(self.round)
+    }
+
+    /// One unit of work on `node` of `job` in the busy row entered last.
+    ///
+    /// Returns whether this was the job's first unit and, when it was its
+    /// last, the round of its first.
+    pub fn work(
+        &mut self,
+        job: JobId,
+        node: NodeId,
+    ) -> Result<(bool, Option<Round>), TraceViolation> {
+        let round = self.round;
+        let dag = match self.jobs.get(job as usize) {
+            Some(j) if (node as usize) < j.dag.num_nodes() => {
+                if !self.speed.arrived_by_round(j.arrival, round) {
+                    return Err(TraceViolation::EarlyStart { round, job });
+                }
+                &j.dag
+            }
+            _ => return Err(TraceViolation::UnknownTarget { round, job, node }),
+        };
+        if self.completed.get(job as usize) {
+            return Err(TraceViolation::OverExecution { round, job, node });
+        }
+        let (at, first) = match self.live.binary_search_by_key(&job, |&(j, _)| j) {
+            Ok(at) => (at, false),
+            Err(at) => {
+                let slab = self.free.pop().unwrap_or_else(|| {
+                    self.slabs.push(LiveJob::default());
+                    self.slabs.len() - 1
+                });
+                let state = &mut self.slabs[slab];
+                state.first_round = round;
+                state.remaining = dag.total_work();
+                state.nodes.clear();
+                state.nodes.resize(dag.num_nodes(), NodeState::default());
+                self.live.insert(at, (job, slab));
+                (at, true)
+            }
+        };
+        let slab = self.live[at].1;
+        let state = &mut self.slabs[slab];
+        let n = &mut state.nodes[node as usize];
+        if n.stamp == round + 1 {
+            return Err(TraceViolation::ConcurrentNode { round, job, node });
+        }
+        if n.executed == 0 && (n.preds_done < dag.pred_count(node) || n.ready > round) {
+            return Err(TraceViolation::PrecedenceViolation { round, job, node });
+        }
+        if n.executed == dag.work(node) {
+            return Err(TraceViolation::OverExecution { round, job, node });
+        }
+        n.executed += 1;
+        n.stamp = round + 1;
+        if n.executed == dag.work(node) {
+            for &s in dag.succs(node) {
+                let succ = &mut state.nodes[s as usize];
+                succ.preds_done += 1;
+                succ.ready = round + 1;
+            }
+        }
+        state.remaining -= 1;
+        if state.remaining > 0 {
+            return Ok((first, None));
+        }
+        self.completed.set(job as usize);
+        self.live.remove(at);
+        self.free.push(slab);
+        Ok((first, Some(self.slabs[slab].first_round)))
+    }
+
+    /// Close the trace: every node of every job must have received all
+    /// its units.
+    pub fn finish(&self) -> Result<(), TraceViolation> {
+        let Some(short) = self
+            .jobs
+            .iter()
+            .find(|j| !self.completed.get(j.id as usize))
+        else {
+            return Ok(());
+        };
+        // A job that never started is short at node 0; a live one at the
+        // first node still owed units.
+        let (node, executed) = match self.live.binary_search_by_key(&short.id, |&(j, _)| j) {
+            Ok(at) => {
+                let nodes = self.slabs[self.live[at].1].nodes.iter().enumerate();
+                nodes
+                    // lint: allow(truncating-cast) NodeId is u32; JobDag construction caps node count at u32 range
+                    .map(|(v, n)| (v as NodeId, n.executed))
+                    .find(|&(v, executed)| executed < short.dag.work(v))
+                    .unwrap_or((0, 0))
+            }
+            Err(_) => (0, 0),
+        };
+        Err(TraceViolation::IncompleteNode {
+            job: short.id,
+            node,
+            executed,
+        })
     }
 }
 
@@ -531,7 +627,11 @@ mod tests {
         let t = trace(2, vec![vec![Action::Idle]]);
         assert_eq!(
             t.validate(&inst),
-            Err(TraceViolation::BadRowWidth { round: 0 })
+            Err(TraceViolation::BadRowWidth {
+                round: 0,
+                width: 1,
+                m: 2
+            })
         );
     }
 
@@ -596,6 +696,68 @@ mod tests {
         assert_eq!(
             ScheduleTrace::from_dense(1, Speed::ONE, t.to_dense()).validate(&inst),
             Ok(())
+        );
+    }
+
+    #[test]
+    fn checker_state_is_o_live() {
+        // 10 000 chain jobs back to back on one processor: exactly one
+        // job is live at any unit, and the slab of the first job serves
+        // all the others.
+        const JOBS: u32 = 10_000;
+        let dag = Arc::new(shapes::chain(3, 1));
+        let inst = Instance::new(
+            (0..JOBS)
+                .map(|i| Job::new(i, 3 * i as u64, dag.clone()))
+                .collect(),
+        );
+        let mut checker = TraceChecker::new(&inst, 1, Speed::ONE);
+        for job in 0..JOBS {
+            for node in 0..3 {
+                let row = TraceSpan::Busy(vec![Action::Work { job, node }]);
+                assert_eq!(checker.span(&row), Ok(3 * job as u64 + node as u64));
+                let first_round = 3 * job as u64;
+                assert_eq!(
+                    checker.work(job, node),
+                    Ok((node == 0, (node == 2).then_some(first_round)))
+                );
+                assert!(checker.live.len() <= 1);
+                assert_eq!(checker.slabs.len(), 1);
+            }
+            assert!(checker.live.is_empty());
+            assert_eq!(checker.free.len(), 1);
+        }
+        assert_eq!(checker.finish(), Ok(()));
+    }
+
+    #[test]
+    fn wide_row_on_distinct_nodes_validates() {
+        // One m = 256 row, every processor on its own node: exclusivity is
+        // a per-node stamp, not a scan of the row so far.
+        const M: usize = 256;
+        // Node 0 forks into chunks 1..=M, which join in node M + 1.
+        let dag = Arc::new(shapes::parallel_for(M as u64, M));
+        let inst = Instance::new(vec![Job::new(0, 0, dag)]);
+        let alone = |node| {
+            let mut row = vec![Action::Idle; M];
+            row[0] = Action::Work { job: 0, node };
+            row
+        };
+        let wide = (1..=M as NodeId).map(|node| Action::Work { job: 0, node });
+        let mut t = trace(M, vec![alone(0), wide.collect(), alone(M as NodeId + 1)]);
+        assert_eq!(t.validate(&inst), Ok(()));
+        // The same row with one node on two processors is caught at it.
+        let TraceSpan::Busy(row) = &mut t.spans[1] else {
+            panic!("row 1 is busy");
+        };
+        row[M - 1] = row[0];
+        assert_eq!(
+            t.validate(&inst),
+            Err(TraceViolation::ConcurrentNode {
+                round: 1,
+                job: 0,
+                node: 1
+            })
         );
     }
 }

@@ -59,6 +59,33 @@ impl Speed {
         Speed::new(eps_den + eps_num, eps_den)
     }
 
+    /// Parse an augmentation `ε` spelt `A/B` or `A` into the reduced pair
+    /// [`Speed::augmented`] takes (`0/B` is `(0, 1)`). A zero denominator,
+    /// or a pair whose `1 + ε = (A + B) / B` leaves `u64`, is an error —
+    /// never a panic or a wrapped speed.
+    ///
+    /// ```
+    /// use parflow_time::Speed;
+    /// assert_eq!(Speed::parse_eps("2/20"), Ok((1, 10)));
+    /// assert_eq!(Speed::parse_eps("3"), Ok((3, 1)));
+    /// assert!(Speed::parse_eps("1/0").is_err());
+    /// assert!(Speed::parse_eps("18446744073709551615/2").is_err());
+    /// ```
+    pub fn parse_eps(s: &str) -> Result<(u64, u64), String> {
+        let (num, den) = s.split_once('/').unwrap_or((s, "1"));
+        let part = |p: &str| p.parse::<u64>().map_err(|_| format!("bad eps `{s}`"));
+        let (num, den) = (part(num)?, part(den)?);
+        if den == 0 {
+            return Err(format!("bad eps `{s}`: zero denominator"));
+        }
+        let g = crate::rational::gcd(num as i128, den as i128) as u64;
+        let (num, den) = (num / g, den / g);
+        if num.checked_add(den).is_none() {
+            return Err(format!("bad eps `{s}`: 1 + eps overflows"));
+        }
+        Ok((num, den))
+    }
+
     /// Integer speed `s`.
     pub fn integer(s: u64) -> Self {
         Speed::new(s, 1)
