@@ -21,6 +21,7 @@ use parflow_core::{
 use parflow_dag::JobDag;
 use parflow_metrics::StreamingFlowStats;
 use parflow_obs::{NullRecorder, Recorder};
+use parflow_time::Rational;
 use parflow_workloads::{JobSource, ShapeKind, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,6 +105,10 @@ pub struct StreamRun {
     pub flows: StreamingFlowStats,
     /// Incremental OPT lower bounds over every streamed arrival.
     pub opt: OptTracker,
+    /// Maximum flow over the jobs that completed — under fault injection
+    /// the meaningful objective, since a failed job's flow is its
+    /// time-to-failure (`summary.max_flow` covers every job).
+    pub max_completed_flow: Rational,
 }
 
 impl StreamRun {
@@ -171,14 +176,19 @@ fn run_stream(
 ) -> Result<StreamRun, StreamError> {
     let mut tap = OptTap::new(SpecJobStream::new(spec, jobs), m);
     let mut flows = StreamingFlowStats::new(0.0, FLOW_HIST_HI_TICKS, FLOW_HIST_BINS);
+    let mut max_completed_flow = Rational::ZERO;
     let (summary, _) = engine(&mut tap, &mut |o| {
         flows.record(o.flow);
+        if o.status.is_completed() {
+            max_completed_flow = max_completed_flow.max(o.flow);
+        }
     })?;
     let (_, opt) = tap.into_parts();
     Ok(StreamRun {
         summary,
         flows,
         opt,
+        max_completed_flow,
     })
 }
 

@@ -8,8 +8,7 @@
 //! worker columns, bitsets, scratch — which is reset per replica and keeps
 //! its capacity, so only the first replica of a sweep pays warm-up
 //! allocations. Each result is `run_worksteal` on that spec, by
-//! construction: it is the same code path. Replicas whose config carries a
-//! non-empty fault plan go to the per-round loop, like `run_worksteal`'s.
+//! construction: it is the same code path, fault plans included.
 
 use crate::config::SimConfig;
 use crate::result::SimResult;
@@ -48,8 +47,8 @@ impl ReplicaSpec {
 ///
 /// Results are returned in spec order; each entry is
 /// `run_worksteal(instance, &spec.config, spec.policy, spec.seed)`.
-/// `tests/engine_differential.rs` pins outcomes, stats, samples and
-/// `ScheduleTrace` against the per-round reference loop.
+/// `tests/engine_differential.rs` pins outcomes, stats, samples, fault
+/// events and `ScheduleTrace` against the per-round reference loop.
 ///
 /// `batch` is ignored. It was the number of replicas stepped concurrently
 /// when replicas ran in interleaved lanes; it never affected results and
@@ -70,7 +69,7 @@ pub fn run_batched(
                 spec.policy,
                 spec.seed,
                 &mut NullRecorder,
-                Some(&mut buf),
+                &mut buf,
             )
         })
         .collect()
@@ -150,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_replicas_run_on_the_per_round_loop() {
+    fn faulted_replicas_share_the_stepper_buffers() {
         use crate::fault::{CrashFault, FaultPlan};
         let inst = inst_seq(&[(0, 6), (1, 6)]);
         let plan = FaultPlan {

@@ -43,6 +43,17 @@ impl BitWords {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Make this set equal to `other`, keeping capacity.
+    pub(crate) fn copy_from(&mut self, other: &BitWords) {
+        self.words.clone_from(&other.words);
+    }
+
+    /// Word `wi`, cleared.
+    #[inline]
+    pub(crate) fn take_word(&mut self, wi: usize) -> u64 {
+        std::mem::take(&mut self.words[wi])
+    }
+
     /// The raw words, lowest worker indices first.
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {

@@ -37,7 +37,11 @@
 //! result, so experiments can correlate max-flow degradation with the
 //! faults that caused it.
 
+use crate::bits::BitWords;
+use parflow_dag::NodeId;
+use parflow_time::Round;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// One million — the denominator of all ppm probabilities and factors.
 pub const PPM: u32 = 1_000_000;
@@ -77,6 +81,12 @@ impl StallFault {
     /// True if `round` lies inside the stall window.
     pub fn covers(&self, round: u64) -> bool {
         round >= self.from_round && round - self.from_round < self.duration
+    }
+
+    /// True if the window reaches the end of time (`from + duration`
+    /// saturates).
+    fn is_endless(&self) -> bool {
+        self.from_round.saturating_add(self.duration) == u64::MAX
     }
 }
 
@@ -196,6 +206,44 @@ impl FaultPlan {
         crash.max(stall)
     }
 
+    /// The plan the simulator runs on `m` workers: validated (an invalid
+    /// plan panics, the documented contract of every simulator entry
+    /// point), with each stall that reaches the end of time made a crash at
+    /// its start — it cannot be waited out, and a node the worker held
+    /// would never finish; as a crash its node and deque go to survivors.
+    pub(crate) fn simulated(&self, m: usize) -> FaultPlan {
+        if let Err(e) = self.validate(m) {
+            panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
+        }
+        let mut plan = self.clone();
+        plan.stalls.retain(|s| !s.is_endless());
+        for s in self.stalls.iter().filter(|s| s.is_endless()) {
+            plan = plan.crash(s.worker, s.from_round);
+        }
+        plan
+    }
+
+    /// How a fault-free round cap `c` stretches under this plan on `m`
+    /// workers, as `(factor, pad)` for `c · factor + pad` (saturating):
+    /// in the worst case all work runs on the slowest worker that runs at
+    /// all, and stalls and the plan's last round add dead rounds.
+    pub(crate) fn cap_stretch(&self, m: usize) -> (u64, u64) {
+        let slowest = (0..m).map(|p| self.rate_ppm_of(p)).filter(|&r| r > 0).min();
+        let stalls = self.stalls.iter().map(|s| s.duration);
+        let last = self.last_scheduled_round().unwrap_or(0);
+        let pad = stalls.fold(last.saturating_add(64), u64::saturating_add);
+        (u64::from(PPM.div_ceil(slowest.unwrap_or(PPM))), pad)
+    }
+
+    /// The first crash round or stall edge after `round`: the engines'
+    /// jumps over time stop there.
+    pub(crate) fn edge_after(&self, round: u64) -> Option<u64> {
+        let crashes = self.crashes.iter().map(|c| c.at_round);
+        let stall = |s: &StallFault| [s.from_round, s.from_round.saturating_add(s.duration)];
+        let edges = crashes.chain(self.stalls.iter().flat_map(stall));
+        edges.filter(|&e| e > round).min()
+    }
+
     /// Check the plan against a machine of `m` workers: worker indices in
     /// range, probabilities sane, and at least one worker left standing.
     pub fn validate(&self, m: usize) -> Result<(), String> {
@@ -237,12 +285,15 @@ impl FaultPlan {
             ));
         }
         // Progress guarantee: at least one worker must be able to execute
-        // work forever (not crashed, not frozen at rate 0).
-        let can_work = (0..m).any(|p| !crashed.contains(&p) && self.rate_ppm_of(p) > 0);
+        // work forever (not crashed, not frozen at rate 0, not stalled
+        // until the end of time).
+        let forever = |p: usize| self.stalls.iter().any(|s| s.worker == p && s.is_endless());
+        let can_work =
+            (0..m).any(|p| !crashed.contains(&p) && self.rate_ppm_of(p) > 0 && !forever(p));
         if !can_work {
             return Err(format!(
                 "plan leaves no worker of {m} able to make progress \
-                 (all crashed or slowed to rate 0)"
+                 (all crashed, slowed to rate 0 or stalled forever)"
             ));
         }
         Ok(())
@@ -317,6 +368,20 @@ pub struct FaultEvent {
     pub detail: u64,
 }
 
+impl FaultEvent {
+    /// Event `kind` of worker `p` in `round`.
+    pub(crate) fn new(round: u64, p: usize, job: Option<u32>, kind: FaultKind, n: u64) -> Self {
+        let (worker, detail) = (Some(p), n);
+        FaultEvent {
+            round,
+            worker,
+            job,
+            kind,
+            detail,
+        }
+    }
+}
+
 /// Terminal status of one job under fault injection.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobStatus {
@@ -383,6 +448,167 @@ impl PanicSampler {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
         (z % PPM as u64) < self.ppm as u64
+    }
+}
+
+/// A non-empty plan as the event-driven stepper (`crate::stream`) reads it,
+/// plus the fault side of one run.
+///
+/// A worker's [`SlowdownGate`] ticks in every non-quiescent round in which
+/// it is alive and not stalled, whatever it does, so its state is a pure
+/// function of time: after `t` ticks it has opened `⌊t·rate/PPM⌋` times.
+/// `ticks` holds that count at the start of round `settled`; the stepper
+/// advances it once per loop iteration, which lets any later round's gate
+/// be read, and a node's last round be computed, in closed form.
+pub(crate) struct FaultState {
+    pub(crate) sampler: PanicSampler,
+    pub(crate) events: Vec<FaultEvent>,
+    /// Tasks of crashed workers, adopted FIFO before any admit or steal.
+    pub(crate) orphans: VecDeque<(u32, NodeId)>,
+    pub(crate) alive: BitWords,
+    /// Alive workers that act in the current explicit round: not stalled
+    /// and, if slowed, with their gate open.
+    pub(crate) act: BitWords,
+    pub(crate) blackholed: BitWords,
+    /// Holders of a just-panicked job after the panicking worker: idle
+    /// now, they act later in the same round.
+    pub(crate) revisit: BitWords,
+    /// Where this round's per-worker events (stall edges, then panics, in
+    /// worker order) begin in `events`.
+    pub(crate) round_events: usize,
+    /// The plan, as [`FaultPlan::simulated`].
+    pub(crate) plan: FaultPlan,
+    /// Merged `[from, end)` stall windows per worker.
+    stalls: Vec<Vec<(Round, Round)>>,
+    /// Workers that are slowed or ever stalled.
+    faulty: Vec<usize>,
+    ticks: Vec<u64>,
+    rate: Vec<u64>,
+    settled: Round,
+    was_stalled: Vec<bool>,
+}
+
+impl FaultState {
+    /// State for a run of `plan` (already [`FaultPlan::simulated`]) on `m`
+    /// workers, victim seed `seed`.
+    pub(crate) fn new(plan: FaultPlan, m: usize, seed: u64) -> Self {
+        let mut stalls = vec![Vec::new(); m];
+        for s in &plan.stalls {
+            stalls[s.worker].push((s.from_round, s.from_round.saturating_add(s.duration)));
+        }
+        for w in &mut stalls {
+            w.sort_unstable();
+            // Merge overlapping windows (`b` follows the kept `a`).
+            w.dedup_by(|b, a| {
+                let merge = b.0 <= a.1;
+                if merge {
+                    a.1 = a.1.max(b.1);
+                }
+                merge
+            });
+        }
+        let bits = |f: &dyn Fn(usize) -> bool| {
+            let mut b = BitWords::default();
+            b.reset(m);
+            (0..m).filter(|&p| f(p)).for_each(|p| b.set(p));
+            b
+        };
+        FaultState {
+            sampler: PanicSampler::new(seed, plan.panic_ppm),
+            events: Vec::new(),
+            orphans: VecDeque::new(),
+            alive: bits(&|_| true),
+            act: bits(&|_| true),
+            blackholed: bits(&|p| plan.is_blackhole(p)),
+            revisit: bits(&|_| false),
+            round_events: 0,
+            faulty: (0..m)
+                .filter(|&p| plan.rate_ppm_of(p) < PPM || !stalls[p].is_empty())
+                .collect(),
+            rate: (0..m).map(|p| u64::from(plan.rate_ppm_of(p))).collect(),
+            plan,
+            stalls,
+            ticks: vec![0; m],
+            settled: 0,
+            was_stalled: vec![false; m],
+        }
+    }
+
+    /// The next alive worker whose crash round has come by `round`.
+    pub(crate) fn crash_due(&self, round: Round) -> Option<usize> {
+        let due = self.plan.crashes.iter().filter(|c| c.at_round <= round);
+        due.map(|c| c.worker).filter(|&p| self.alive.get(p)).min()
+    }
+
+    /// Start non-quiescent round `round`: open its per-worker event
+    /// section, emit the stall edges crossed since the last such round —
+    /// only these rounds see them, so a stall wholly inside a quiescent gap
+    /// emits nothing — and mark the workers that act in it.
+    pub(crate) fn begin_round(&mut self, round: Round) {
+        self.round_events = self.events.len();
+        self.act.copy_from(&self.alive);
+        for i in 0..self.faulty.len() {
+            let p = self.faulty[i];
+            let stalled = self.free(p, round, round + 1) == 0;
+            if self.alive.get(p) && stalled != self.was_stalled[p] {
+                self.was_stalled[p] = stalled;
+                let kind = [FaultKind::StallEnd, FaultKind::StallBegin][usize::from(stalled)];
+                self.events.push(FaultEvent::new(round, p, None, kind, 0));
+            }
+            if self.nth_exec(p, round, 1) != round {
+                self.act.clear(p);
+            }
+        }
+    }
+
+    /// Account rounds `[round, next)`. In a non-quiescent span every alive
+    /// worker that is stalled or whose gate stays shut in one of them
+    /// loses it (`lost`), and the gates tick; nothing ticks in a
+    /// quiescent gap.
+    pub(crate) fn advance(&mut self, round: Round, next: Round, quiet: bool, lost: &mut u64) {
+        for &p in self.faulty.iter().filter(|_| !quiet) {
+            if self.alive.get(p) {
+                *lost += (next - round) - self.exec_rounds(p, round, next);
+                self.ticks[p] += self.free(p, round, next);
+            }
+        }
+        self.settled = next;
+    }
+
+    /// Rounds of `[a, b)` in which worker `p` is not stalled.
+    fn free(&self, p: usize, a: Round, b: Round) -> u64 {
+        let overlap = |&(s, e): &(Round, Round)| e.min(b).saturating_sub(s.max(a));
+        b.saturating_sub(a) - self.stalls[p].iter().map(overlap).sum::<u64>()
+    }
+
+    /// Rounds of `[a, b)` (`a` ≥ the current round) in which alive worker
+    /// `p` executes: its gate openings over its unstalled rounds.
+    pub(crate) fn exec_rounds(&self, p: usize, a: Round, b: Round) -> u64 {
+        let t = u128::from(self.ticks[p] + self.free(p, self.settled, a));
+        let opens = |t: u128| t * u128::from(self.rate[p]) / u128::from(PPM);
+        // At most `b - a`, so the cast is exact.
+        (opens(t + u128::from(self.free(p, a, b))) - opens(t)) as u64
+    }
+
+    /// The round of worker `p`'s `n`-th (≥ 1) execution at or after round
+    /// `a` (≥ the current round); `Round::MAX` if it never comes.
+    pub(crate) fn nth_exec(&self, p: usize, a: Round, n: u64) -> Round {
+        let (rate, ppm) = (u128::from(self.rate[p]), u128::from(PPM));
+        if rate == 0 {
+            return Round::MAX;
+        }
+        // The tick that brings the opening count to `n` more than at `a`.
+        let t = u128::from(self.ticks[p] + self.free(p, self.settled, a));
+        let ticks = ((t * rate / ppm + u128::from(n)) * ppm).div_ceil(rate) - t;
+        let (mut left, mut cur) = (u64::try_from(ticks).unwrap_or(u64::MAX), a);
+        for &(s, e) in self.stalls[p].iter().filter(|w| w.1 > a) {
+            if s > cur && s - cur >= left {
+                break;
+            }
+            left -= s.saturating_sub(cur);
+            cur = e.max(cur);
+        }
+        cur.saturating_add(left - 1)
     }
 }
 

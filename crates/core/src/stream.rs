@@ -13,20 +13,20 @@
 //! O(n). Completed [`JobOutcome`]s are pushed into a caller-provided sink
 //! instead of being accumulated.
 //!
-//! **One fault-free loop per scheduler family.** `step_worksteal` below is
-//! the event-driven work-stealing stepper — only idle and completing workers
-//! act, uneventful spans are jumped (see its docs and docs/PERFORMANCE.md) —
+//! **One loop per scheduler family.** `step_worksteal` below is the
+//! event-driven work-stealing stepper — only idle and completing workers
+//! act, uneventful spans are jumped (see its docs and docs/PERFORMANCE.md),
+//! and a fault plan adds jump events and worker masks, not a second loop —
 //! and `step_priority` the event-horizon centralized one. Every
 //! `run_*_stream*` entry point runs its stepper directly; the materialized
-//! `run_worksteal*` (empty fault plan), `run_batched` and `run_priority*`
-//! run the same stepper over [`InstanceReplay`] with a collecting sink
-//! (`collect_replay`), so "streaming over a replay ≡ materialized" holds by
-//! construction. The per-round loops — `crate::worksteal`'s, which also
-//! serves faulted plans, and `run_priority_reference` — are the
-//! differential references: `tests/engine_differential.rs` and
+//! `run_worksteal*`, `run_batched` and `run_priority*` run the same stepper
+//! over [`InstanceReplay`] with a collecting sink (`collect_replay`), so
+//! "streaming over a replay ≡ materialized" holds by construction. The
+//! per-round loops — `run_worksteal_reference` and `run_priority_reference`
+//! — are the differential references: `tests/engine_differential.rs` and
 //! `tests/stream_differential.rs` pin the steppers against them — outcomes
-//! in completion order, [`EngineStats`], samples, [`ScheduleTrace`], obs
-//! report — for every prefix of random instances.
+//! in completion order, [`EngineStats`], fault events, samples,
+//! [`ScheduleTrace`], obs report — for every prefix of random instances.
 //!
 //! Internally tasks carry slab *slot* ids instead of job ids; slots are
 //! handed out in arrival order from a LIFO free list, and every
@@ -34,14 +34,16 @@
 //! translated back through the slot's stored job id. Victim selection
 //! never reads either.
 //!
-//! **Faults are unsupported** on the streaming path ([`StreamError::
-//! FaultsUnsupported`]): crash/stall/panic machinery is inherently bounded
-//! by the fault plan, not the stream, and needs the per-round loop.
+//! **Faults** hold on streams as on the materialized path, for the
+//! work-stealing family: the plan's state is O(m + plan), plus one
+//! [`crate::FaultEvent`] per crash, stall edge and injected panic in
+//! [`StreamSummary::fault_events`]. The centralized engines model a
+//! reliable machine and refuse a plan ([`StreamError::FaultsUnsupported`]).
 
 use crate::bits::BitWords;
 use crate::centralized::JobPriority;
 use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
-use crate::fault::JobStatus;
+use crate::fault::{FaultEvent, FaultKind, FaultState, JobStatus};
 use crate::opt::OptTracker;
 use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
 use crate::trace::{Action, ScheduleTrace};
@@ -185,8 +187,8 @@ pub enum StreamError {
         /// 0-based pull index of the offending job.
         index: u64,
     },
-    /// The config carries a non-empty fault plan; fault injection is only
-    /// supported on the materialized path.
+    /// The config carries a non-empty fault plan for a centralized engine,
+    /// which models a reliable machine.
     FaultsUnsupported,
 }
 
@@ -206,7 +208,7 @@ impl std::fmt::Display for StreamError {
                 write!(f, "job stream yielded weight 0 (job index {index})")
             }
             StreamError::FaultsUnsupported => {
-                write!(f, "fault plans are not supported on the streaming path")
+                write!(f, "fault plans are not supported by the centralized engines")
             }
         }
     }
@@ -257,16 +259,22 @@ pub struct StreamSummary {
     pub speed: Speed,
     /// Rounds until the last job completed.
     pub total_rounds: Round,
-    /// Jobs pulled from the stream (all completed).
+    /// Jobs pulled from the stream (all completed, or failed by an
+    /// injected panic).
     pub jobs: u64,
     /// Engine counters — bit-identical to the materialized run's.
     pub stats: EngineStats,
     /// Periodic backlog samples (`config.sample_every`).
     pub samples: Vec<BacklogSample>,
-    /// Maximum flow time over all completed jobs, in ticks (exact).
+    /// Maximum flow time over all jobs, in ticks (exact); a failed job's
+    /// flow is its time-to-failure, as in [`SimResult::max_flow`].
     pub max_flow: Rational,
     /// Slab/arena recycling telemetry.
     pub retire: RetirementStats,
+    /// Faults that fired, in engine-time order (empty without a plan). It
+    /// grows with the plan's crashes and stall edges and with every
+    /// injected panic, so a panic rate makes it O(failed jobs).
+    pub fault_events: Vec<FaultEvent>,
 }
 
 /// A live (released, not yet retired) job in the slab. The `Job` keeps the
@@ -396,9 +404,8 @@ impl<'s, S: JobStream> Puller<'s, S> {
 /// job's [`JobOutcome`] into `sink` (in completion order) instead of
 /// accumulating them. Bit-identical to [`crate::run_worksteal`] when the
 /// stream replays a materialized instance — same RNG stream, same
-/// [`EngineStats`], same trace — but with O(active + m) live memory.
-///
-/// `config.faults` must be empty ([`StreamError::FaultsUnsupported`]).
+/// [`EngineStats`], same trace, same fault events — but with O(active + m)
+/// live memory (plus the fault events, see [`StreamSummary::fault_events`]).
 pub fn run_worksteal_stream<S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
@@ -438,9 +445,6 @@ pub fn run_worksteal_stream_with_base<S: JobStream>(
     rec: &mut dyn Recorder,
     id_base: u64,
 ) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
-    if !config.faults.is_empty() {
-        return Err(StreamError::FaultsUnsupported);
-    }
     let obs = rec.enabled();
     let puller = Puller::new(stream, id_base)?;
     let mut buf = WsBuffers::default();
@@ -490,34 +494,9 @@ pub(crate) fn collect_replay<T>(
             .collect(),
         stats: summary.stats,
         samples: summary.samples,
-        fault_events: Vec::new(),
+        fault_events: summary.fault_events,
     };
     (result, trace, telemetry)
-}
-
-/// The materialized fault-free work-stealing engine: the stepper over a
-/// replay of `instance`, on the caller's buffers. `config.faults` must be
-/// empty — faulted plans belong to the per-round loop. Emits the
-/// [`emit_ws_counters`] part of the obs report (no `ws.stream.*` retirement
-/// counters — those belong to the streaming entry points); the caller,
-/// `crate::worksteal`'s `run_reported`, adds the rest.
-pub(crate) fn run_worksteal_replay(
-    instance: &Instance,
-    config: &SimConfig,
-    policy: StealPolicy,
-    seed: u64,
-    rec: &mut dyn Recorder,
-    buf: &mut WsBuffers,
-) -> (SimResult, Option<ScheduleTrace>) {
-    debug_assert!(config.faults.is_empty(), "faulted plans run per round");
-    let obs = rec.enabled();
-    let (result, trace, wobs) = collect_replay(instance, |puller, sink| {
-        step_worksteal(puller, config, policy, seed, sink, obs, buf)
-    });
-    if obs {
-        emit_ws_counters(rec, &wobs, &result.stats);
-    }
-    (result, trace)
 }
 
 /// The stepper's reusable buffers: the job store plus structure-of-arrays
@@ -579,10 +558,15 @@ impl WsBuffers {
     }
 }
 
+/// Where the stepper sends each job's outcome.
+type Sink<'a> = dyn FnMut(&JobOutcome) + 'a;
+
 /// Lane state of one run of the event-driven stepper: the run's scalars
 /// plus the (reusable) [`WsBuffers`], which it holds for the duration. See
-/// [`step_worksteal`] for the loop.
-struct WsLanes<'c> {
+/// [`step_lanes`] for the loop. `F` says whether the run has a fault plan:
+/// without one the fault state is absent and every fault branch below is
+/// compiled out of the loop.
+struct WsLanes<'c, const F: bool> {
     cfg: &'c SimConfig,
     k: u64,
     rng: SmallRng,
@@ -600,24 +584,44 @@ struct WsLanes<'c> {
     live_admitted: usize,
     completed: u64,
     max_flow: Rational,
+    /// `Some` exactly when `F`. A crashed worker stays busy with
+    /// `done = Round::MAX`, so it is never idle and never due.
+    faults: Option<Box<FaultState>>,
 }
 
-impl WsLanes<'_> {
+impl<const F: bool> WsLanes<'_, F> {
     #[inline]
     fn m(&self) -> usize {
         self.buf.done.len()
     }
 
+    /// The fault state, statically `None` in fault-free runs.
+    #[inline]
+    fn f(&self) -> Option<&FaultState> {
+        if F {
+            self.faults.as_deref()
+        } else {
+            None
+        }
+    }
+
     /// Worker `p` takes `task`, whose first unit runs in `first_round`
     /// (this round, or the next one after a unit-step steal). Returns the
     /// job id (for the trace row) and the node's last round; the caller
-    /// either completes it on the spot or [`WsLanes::hold`]s it.
+    /// either completes it on the spot or [`WsLanes::hold`]s it. Under
+    /// faults the last round is the gate's, and an adopted orphan needs
+    /// only what its crashed holder left.
     #[inline]
     fn start(&mut self, p: usize, task: (u32, NodeId), first_round: Round) -> (JobId, Round) {
-        let job = &self.buf.slab.get(task.0).job;
+        let slot = self.buf.slab.get(task.0);
         self.buf.cur[p] = task;
         self.buf.failed_steals[p] = 0;
-        (job.id, first_round + job.dag.work(task.1) - 1)
+        if let Some(f) = self.faults.as_deref().filter(|_| F) {
+            let cursor = self.buf.arena.get(slot.cursor.expect("admitted job")); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+            let units = cursor.remaining_work(task.1).expect("node in range"); // lint: allow(panicking) invariant: tasks name nodes of their job's DAG
+            return (slot.job.id, f.nth_exec(p, first_round, units));
+        }
+        (slot.job.id, first_round + slot.job.dag.work(task.1) - 1)
     }
 
     /// Worker `p` stays busy on its node through round `d`.
@@ -649,10 +653,20 @@ impl WsLanes<'_> {
         });
     }
 
+    /// Count `units` executed by worker `p` into the stats.
+    #[inline]
+    fn worked(&mut self, p: usize, units: u64) {
+        self.stats.work_steps += units;
+        if let Some(o) = self.wobs.get_mut(p) {
+            o.work_steps += units;
+        }
+    }
+
     /// Worker `p`'s node executes its last unit in `round`: run the whole
     /// node through the cursor at once (no one could observe the partial
     /// progress in between), stage the enabled successors for end-of-round
-    /// publication and retire the job if this was its last node.
+    /// publication and retire the job if this was its last node — or, if
+    /// the node panics, fail the job.
     fn complete(&mut self, p: usize, round: Round, sink: &mut dyn FnMut(&JobOutcome)) -> Action {
         let (sid, v) = self.buf.cur[p];
         self.buf.busy.clear(p);
@@ -660,45 +674,136 @@ impl WsLanes<'_> {
         let slot = self.buf.slab.get(sid);
         let jid = slot.job.id;
         let cid = slot.cursor.expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-        let work = slot.job.dag.work(v);
-        self.stats.work_steps += work;
-        if let Some(o) = self.wobs.get_mut(p) {
-            o.work_steps += work;
-        }
         let cursor = self.buf.arena.get_mut(cid);
+        let work = if F {
+            cursor.remaining_work(v).expect("node in range") // lint: allow(panicking) invariant: tasks name nodes of their job's DAG
+        } else {
+            slot.job.dag.work(v)
+        };
         self.buf.ready_scratch.clear();
         let outcome = cursor
             .execute_units(&slot.job.dag, v, work, &mut self.buf.ready_scratch)
             .expect("current node claimed"); // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
         let StepOutcome::NodeCompleted { job_completed } = outcome else {
-            unreachable!("a node's full work completes it"); // lint: allow(panicking) invariant: started nodes are unstarted when acquired, so work(v) units finish them
+            unreachable!("a node's full work completes it"); // lint: allow(panicking) invariant: the units executed are the node's remaining work
         };
+        self.worked(p, work);
+        if self.f().is_some_and(|f| f.sampler.should_panic(jid, v)) {
+            self.fail(p, sid, v, round, sink);
+            return Action::Work { job: jid, node: v };
+        }
         // Claim enabled nodes now (they are exclusively ours) but defer
         // deque publication to the end of the round.
+        let cursor = self.buf.arena.get_mut(cid);
         for &u in self.buf.ready_scratch.iter() {
             cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
             self.buf.pending.push((p, sid, u));
         }
         if job_completed {
-            self.buf.arena.release(cid);
-            let slot = self.buf.slab.retire(sid);
-            self.live_admitted -= 1;
-            self.completed += 1;
-            let speed = self.cfg.speed;
-            let out = JobOutcome {
-                job: jid,
-                arrival: slot.job.arrival,
-                weight: slot.job.weight,
-                start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                completion_round: round,
-                completion: speed.round_end(round),
-                flow: speed.flow_time(slot.job.arrival, round),
-                status: JobStatus::Completed,
-            };
-            self.max_flow = self.max_flow.max(out.flow);
-            sink(&out);
+            self.retire(sid, round, JobStatus::Completed, sink);
         }
         Action::Work { job: jid, node: v }
+    }
+
+    /// The job in slot `sid` ends in `round` with `status`: free its
+    /// cursor and slot and report its outcome.
+    fn retire(&mut self, sid: u32, round: Round, status: JobStatus, sink: &mut Sink) {
+        let slot = self.buf.slab.retire(sid);
+        self.buf.arena.release(slot.cursor.expect("admitted job")); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+        self.live_admitted -= 1;
+        self.completed += 1;
+        let speed = self.cfg.speed;
+        let out = JobOutcome {
+            job: slot.job.id,
+            arrival: slot.job.arrival,
+            weight: slot.job.weight,
+            start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
+            completion_round: round,
+            completion: speed.round_end(round),
+            flow: speed.flow_time(slot.job.arrival, round),
+            status,
+        };
+        self.max_flow = self.max_flow.max(out.flow);
+        sink(&out);
+    }
+
+    /// Worker `p`'s node `v` of the job in slot `sid` panicked in `round`:
+    /// the job fails and is purged from every deque, the pending list, the
+    /// orphans and every worker holding one of its nodes — whose units run
+    /// so far still count. Holders after `p` act again this round.
+    fn fail(&mut self, p: usize, sid: u32, v: NodeId, round: Round, sink: &mut Sink) {
+        let f = self.faults.as_deref_mut().expect("faulted run"); // lint: allow(panicking) invariant: only faulted runs sample panics
+        let slot = self.buf.slab.get(sid);
+        self.stats.injected_panics += 1;
+        let at = f.events[f.round_events..].partition_point(|e| e.worker <= Some(p));
+        let event = FaultEvent::new(round, p, Some(slot.job.id), FaultKind::TaskPanic, v.into());
+        f.events.insert(f.round_events + at, event);
+        for (q, deque) in self.buf.deques.iter_mut().enumerate() {
+            deque.retain(|t| t.0 != sid);
+            if deque.is_empty() {
+                self.buf.deque_ne.clear(q);
+            }
+        }
+        self.buf.pending.retain(|t| t.1 != sid);
+        f.orphans.retain(|t| t.0 != sid);
+        let cursor = self.buf.arena.get(slot.cursor.expect("admitted job")); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+        for q in 0..self.buf.done.len() {
+            let (qsid, u) = self.buf.cur[q];
+            if qsid != sid || !self.buf.busy.get(q) || !f.alive.get(q) {
+                continue;
+            }
+            let units = cursor.remaining_work(u).expect("node in range"); // lint: allow(panicking) invariant: tasks name nodes of their job's DAG
+            let from = if q < p { round + 1 } else { round };
+            let ran = units - f.exec_rounds(q, from, self.buf.done[q].saturating_add(1));
+            self.stats.work_steps += ran;
+            if let Some(o) = self.wobs.get_mut(q) {
+                o.work_steps += ran;
+            }
+            self.buf.busy.clear(q);
+            self.buf.due.clear(q);
+            self.buf.done[q] = Round::MAX;
+            if q > p && f.act.get(q) {
+                f.revisit.set(q);
+            }
+        }
+        self.retire(sid, round, JobStatus::Failed, sink);
+    }
+
+    /// Worker `p` crashes at the start of `round`: the units it ran on its
+    /// node go into the cursor, and that node, then its deque top to
+    /// bottom, join the orphan FIFO.
+    fn crash(&mut self, p: usize, round: Round) {
+        let f = self.faults.as_deref_mut().expect("faulted run"); // lint: allow(panicking) invariant: only faulted runs schedule crashes
+        self.stats.crashed_workers += 1;
+        let kind = FaultKind::Crash;
+        f.events.push(FaultEvent::new(round, p, None, kind, 0));
+        let mut ran = 0;
+        if self.buf.busy.get(p) {
+            let (sid, v) = self.buf.cur[p];
+            let slot = self.buf.slab.get(sid);
+            let cursor = self.buf.arena.get_mut(slot.cursor.expect("admitted job")); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+            let units = cursor.remaining_work(v).expect("node in range"); // lint: allow(panicking) invariant: tasks name nodes of their job's DAG
+            ran = units - f.exec_rounds(p, round, self.buf.done[p].saturating_add(1));
+            if ran > 0 {
+                let scratch = &mut self.buf.ready_scratch;
+                cursor
+                    .execute_units(&slot.job.dag, v, ran, scratch)
+                    .expect("held node claimed"); // lint: allow(panicking) invariant: a held node is claimed and has more than `ran` units left
+            }
+            f.orphans.push_back((sid, v));
+        }
+        // Tasks reinjected: the held node, then the deque.
+        let n = u64::from(self.buf.busy.get(p)) + self.buf.deques[p].len() as u64;
+        f.orphans.extend(self.buf.deques[p].drain(..));
+        self.buf.deque_ne.clear(p);
+        if n > 0 {
+            self.stats.reinjected_tasks += n;
+            let kind = FaultKind::OrphanReinjection;
+            f.events.push(FaultEvent::new(round, p, None, kind, n));
+        }
+        f.alive.clear(p);
+        self.worked(p, ran);
+        self.hold(p, Round::MAX);
     }
 
     /// Admit the next queued job (if any) on worker `p`: create its cursor,
@@ -748,27 +853,42 @@ impl WsLanes<'_> {
         task
     }
 
+    /// True if some deque a thief could hit holds a task (a blackholed
+    /// worker's never yields one).
+    fn stealable(&self) -> bool {
+        match self.f() {
+            Some(f) => (self.buf.deque_ne.words().iter())
+                .zip(f.blackholed.words())
+                .any(|(d, b)| d & !b != 0),
+            None => self.buf.deque_ne.any(),
+        }
+    }
+
     /// Up to `attempts` steal attempts by idle worker `p`, stopping at the
     /// first hit. A hit takes the victim's top task, plus — under
     /// [`StealAmount::Half`] — moves the rest of the top half of the
-    /// victim's deque onto `p`'s.
+    /// victim's deque onto `p`'s. A blackholed victim consumes the attempt
+    /// but never yields work.
     ///
-    /// When no deque holds anything every attempt must miss, so only the
-    /// per-attempt state (RNG draws, scan cursor) is consumed, in bulk.
-    /// The exact non-empty bitset makes that call at every site, where a
-    /// per-round "anything stealable?" flag could be stale-true after an
-    /// owner popped the last task; the two agree because attempts that all
-    /// miss consume exactly the draws the bulk burn consumes.
+    /// When no deque holds anything stealable every attempt must miss, so
+    /// only the per-attempt state (RNG draws, scan cursor) is consumed, in
+    /// bulk. The exact non-empty bitset makes that call at every site,
+    /// where a per-round "anything stealable?" flag could be stale-true
+    /// after an owner popped the last task; the two agree because attempts
+    /// that all miss consume exactly the draws the bulk burn consumes.
     fn try_steals(&mut self, p: usize, attempts: u64) -> Option<(u32, NodeId)> {
         let m = self.m();
         let (mut tried, mut hit) = (attempts, None);
-        if m <= 1 || !self.buf.deque_ne.any() {
+        if m <= 1 || !self.stealable() {
             let scan_next = &mut self.buf.scan_next[p];
             burn_failed_attempts(&mut self.rng, scan_next, p, m, self.cfg.victim, attempts);
         } else {
             for attempt in 1..=attempts {
                 let scan_next = &mut self.buf.scan_next[p];
                 let victim = pick_victim(p, m, &mut self.rng, self.cfg.victim, scan_next);
+                if self.f().is_some_and(|f| f.blackholed.get(victim)) {
+                    continue;
+                }
                 let Some(task) = self.buf.deques[victim].pop_front() else {
                     continue;
                 };
@@ -805,11 +925,19 @@ impl WsLanes<'_> {
         if self.buf.busy.get(p) {
             return self.complete(p, round, sink);
         }
-        // Acquire: own deque → (policy) admit/steal.
+        // Acquire: own deque → orphan FIFO → (policy) admit/steal.
+        // Adopting an orphan is free, like popping the own deque.
         let task = if let Some(task) = self.buf.deques[p].pop_back() {
             if self.buf.deques[p].is_empty() {
                 self.buf.deque_ne.clear(p);
             }
+            Some(task)
+        } else if let Some(task) = self
+            .faults
+            .as_deref_mut()
+            .filter(|_| F)
+            .and_then(|f| f.orphans.pop_front())
+        {
             Some(task)
         } else {
             match self.cfg.steal_cost {
@@ -865,9 +993,17 @@ impl WsLanes<'_> {
         Action::Work { job, node: task.1 }
     }
 
-    /// Total unstarted tasks across all deques (backlog samples).
+    /// The first crash round or stall edge after `round`.
+    fn edge_after(&self, round: Round) -> Round {
+        let edge = self.f().and_then(|f| f.plan.edge_after(round));
+        edge.unwrap_or(Round::MAX)
+    }
+
+    /// Unstarted tasks across all deques and the orphan FIFO (backlog
+    /// samples).
     fn deque_tasks(&self) -> usize {
-        self.buf.deques.iter().map(|d| d.len()).sum()
+        let orphans = self.f().map_or(0, |f| f.orphans.len());
+        self.buf.deques.iter().map(|d| d.len()).sum::<usize>() + orphans
     }
 
     /// The first round `≥ round` in which an idle worker might acquire
@@ -879,12 +1015,34 @@ impl WsLanes<'_> {
     /// idle worker is still short of its `k` failed steals. The lockout
     /// ends with the next arrival, or the round after the next completion
     /// (nodes enabled in round `r` are published at the end of `r`).
+    ///
+    /// Under faults each idle worker's lockout is its own: it ends at the
+    /// worker's first execution round in which it could acquire (stalled
+    /// and gate-shut rounds do not count), and no later than the next
+    /// crash or stall edge.
     fn idle_lockout(&self, round: Round, next_arrival_round: Round) -> Round {
         let m = self.m();
         let busy = self.buf.busy.count();
         let event = self.min_done.saturating_add(1).min(next_arrival_round);
-        let stealable = self.buf.deque_ne.any();
-        if busy == m || (busy > 0 && self.buf.queue.is_empty() && !stealable) {
+        let stealable = self.stealable();
+        if let Some(f) = self.f() {
+            let anywhere = stealable || !f.orphans.is_empty();
+            let burn = self.cfg.steal_cost == StealCost::UnitStep;
+            let mut end = event.min(self.edge_after(round));
+            self.buf.busy.for_each_clear(m, |p| {
+                let now = anywhere || !self.buf.deques[p].is_empty();
+                if now || !self.buf.queue.is_empty() {
+                    // A unit-step thief first burns the misses it is short of.
+                    let short = if now || !burn {
+                        0
+                    } else {
+                        self.k.saturating_sub(self.buf.failed_steals[p])
+                    };
+                    end = end.min(f.nth_exec(p, round, short + 1));
+                }
+            });
+            end
+        } else if busy == m || (busy > 0 && self.buf.queue.is_empty() && !stealable) {
             event
         } else if self.cfg.steal_cost == StealCost::UnitStep
             && self.k > 0
@@ -906,7 +1064,8 @@ impl WsLanes<'_> {
     /// arithmetically and the per-attempt state (RNG draws, scan cursors)
     /// is consumed in bulk, landing exactly where per-round stepping would
     /// leave it. Busy workers need nothing: `done[p]` already says when
-    /// they finish.
+    /// they finish. Under faults an idle worker acts only in its execution
+    /// rounds of the span.
     fn jump(&mut self, round: Round, t: Round) {
         let m = self.m();
         let idle = (m - self.buf.busy.count()) as u64;
@@ -915,72 +1074,109 @@ impl WsLanes<'_> {
         }
         let delta = t - round;
         let unit_step = self.cfg.steal_cost == StealCost::UnitStep;
-        let attempts = delta
-            * match (unit_step, self.k) {
-                (true, _) => 1,
-                (false, 0) => 2 * m as u64,
-                (false, k) => k,
-            };
-        self.stats.steal_attempts += attempts * idle;
+        // Steal attempts per acting round.
+        let per_round = match (unit_step, self.k) {
+            (true, _) => 1,
+            (false, 0) => 2 * m as u64,
+            (false, k) => k,
+        };
+        let scan = m > 1 && self.cfg.victim == VictimStrategy::RoundRobinScan;
+        // Idle-worker rounds spent acting (and missing) in the span.
+        let mut acted = delta * idle;
+        if F || scan || unit_step || !self.wobs.is_empty() {
+            acted = 0;
+            let faults = self.faults.as_deref().filter(|_| F);
+            self.buf.busy.for_each_clear(m, |p| {
+                let rounds = faults.map_or(delta, |f| f.exec_rounds(p, round, t));
+                let attempts = rounds * per_round;
+                acted += rounds;
+                if scan {
+                    self.buf.scan_next[p] = advance_scan(self.buf.scan_next[p], p, m, attempts);
+                }
+                if unit_step {
+                    // A failed unit-cost steal consumes the round and bumps
+                    // the failure counter.
+                    self.buf.failed_steals[p] = self.buf.failed_steals[p].saturating_add(rounds);
+                }
+                if let Some(o) = self.wobs.get_mut(p) {
+                    o.steal_attempts += attempts;
+                    if unit_step {
+                        o.failed_steal_rounds += rounds;
+                        o.max_failed_streak = o.max_failed_streak.max(self.buf.failed_steals[p]);
+                    } else {
+                        o.idle_steps += rounds;
+                    }
+                }
+            });
+        }
+        self.stats.steal_attempts += acted * per_round;
         if !unit_step {
             // Free attempts cost nothing; the round itself is idle.
-            self.stats.idle_steps += delta * idle;
+            self.stats.idle_steps += acted;
         }
         if m > 1 && self.cfg.victim == VictimStrategy::Uniform {
-            burn_uniform_draws(&mut self.rng, m, attempts * idle);
+            burn_uniform_draws(&mut self.rng, m, acted * per_round);
         }
-        let scan = m > 1 && self.cfg.victim == VictimStrategy::RoundRobinScan;
-        if !(scan || unit_step || !self.wobs.is_empty()) {
-            return;
+    }
+
+    /// Account the fault side of rounds `[round, next)`
+    /// ([`FaultState::advance`]).
+    fn advance_faults(&mut self, round: Round, next: Round, quiescent: bool) {
+        if let Some(f) = self.faults.as_deref_mut().filter(|_| F) {
+            f.advance(round, next, quiescent, &mut self.stats.faulted_steps);
         }
-        self.buf.busy.for_each_clear(m, |p| {
-            if scan {
-                self.buf.scan_next[p] = advance_scan(self.buf.scan_next[p], p, m, attempts);
-            }
-            if unit_step {
-                // A failed unit-cost steal consumes the round and bumps
-                // the failure counter.
-                self.buf.failed_steals[p] = self.buf.failed_steals[p].saturating_add(delta);
-            }
-            if let Some(o) = self.wobs.get_mut(p) {
-                o.steal_attempts += attempts;
-                if unit_step {
-                    o.failed_steal_rounds += delta;
-                    o.max_failed_streak = o.max_failed_streak.max(self.buf.failed_steals[p]);
-                } else {
-                    o.idle_steps += delta;
-                }
-            }
-        });
     }
 }
 
-/// The fault-free work-stealing loop, event-driven: the one stepper behind
-/// every `run_worksteal_stream*` entry point and (over [`InstanceReplay`])
-/// behind `run_worksteal*` with an empty fault plan and `run_batched`. It
-/// does not model faults and never reads `config.faults`: the streaming
-/// entry points reject non-empty plans, the materialized ones send them to
-/// the per-round loop.
+/// The work-stealing loop, event-driven: the one stepper behind every
+/// `run_worksteal_stream*` entry point and (over [`InstanceReplay`])
+/// behind `run_worksteal*` and `run_batched`, whatever the fault plan.
+/// Panics on a plan that fails [`crate::FaultPlan::validate`] for `m`.
+pub(crate) fn step_worksteal<S: JobStream>(
+    puller: Puller<'_, S>,
+    config: &SimConfig,
+    policy: StealPolicy,
+    seed: u64,
+    sink: &mut dyn FnMut(&JobOutcome),
+    obs: bool,
+    buf: &mut WsBuffers,
+) -> Result<(StreamSummary, Option<ScheduleTrace>, Vec<WorkerObs>), StreamError> {
+    if config.faults.is_empty() {
+        step_lanes::<S, false>(puller, config, policy, seed, sink, obs, buf)
+    } else {
+        step_lanes::<S, true>(puller, config, policy, seed, sink, obs, buf)
+    }
+}
+
+/// The body of [`step_worksteal`], once per fault-plan kind.
 ///
 /// Each time step of each worker is either a unit of work on the node it
 /// already holds or a steal/admit decision, and only the second kind is
 /// observable. So an explicit round visits only the idle workers and those
 /// whose node finishes in it (`done[p] == round`), in ascending index order
 /// — exactly the order, deque states and RNG draws the per-round loop
-/// (`crate::worksteal`) produces, since the skipped workers touch nothing a
-/// visited one can see. While no idle worker can acquire anything
+/// (`run_worksteal_reference`) produces, since the skipped workers touch
+/// nothing a visited one can see. While no idle worker can acquire anything
 /// ([`WsLanes::idle_lockout`]) the idle ones are not visited either: the
 /// engine jumps straight to the next completion or arrival, and in a
 /// completion round inside the lockout only the completing workers act.
 /// With `record_trace` every round stays explicit, every idle worker is
 /// visited and skipped workers' rows come from the `cur` column.
 ///
+/// Faults (`F`) add events and masks, not a second loop: crash rounds and
+/// stall edges bound every jump, an explicit round visits only the idle
+/// workers that act in it (alive, not stalled, gate open), a busy
+/// worker's `done` is its gate's, a panic purges the job mid-round and
+/// queues the purged holders after the panicking worker for a visit in
+/// the same round, and the gates tick in closed form
+/// ([`WsLanes::advance_faults`]).
+///
 /// Returns the per-worker telemetry (empty unless `obs`) next to the
 /// summary; entry points emit their own obs reports from it. `buf` is reset
 /// on entry and returned warm; the one trace of earlier runs in it is that
 /// `retire.cursor_slots` counts every slot of the arena, so the streaming
 /// entry points, which report it, start from fresh buffers.
-fn step_worksteal<S: JobStream>(
+fn step_lanes<S: JobStream, const F: bool>(
     mut puller: Puller<'_, S>,
     config: &SimConfig,
     policy: StealPolicy,
@@ -998,7 +1194,7 @@ fn step_worksteal<S: JobStream>(
     // nothing but warm capacity.
     let mut owned = std::mem::take(buf);
     owned.reset(m);
-    let mut st = WsLanes {
+    let mut st = WsLanes::<F> {
         cfg: config,
         k,
         rng: SmallRng::seed_from_u64(seed),
@@ -1013,7 +1209,15 @@ fn step_worksteal<S: JobStream>(
         live_admitted: 0,
         completed: 0,
         max_flow: Rational::ZERO,
+        faults: None,
     };
+    // A fault-free cap stays as it is: (1, 0).
+    let mut stretch = (1, 0);
+    if F {
+        let plan = config.faults.simulated(m);
+        stretch = plan.cap_stretch(m);
+        st.faults = Some(Box::new(FaultState::new(plan, m, seed)));
+    }
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
     let mut samples: Vec<BacklogSample> = Vec::new();
     let se = config.sample_every;
@@ -1027,11 +1231,15 @@ fn step_worksteal<S: JobStream>(
     // skipped. Anything past this cap is an engine bug. Computed over the
     // pulled prefix: every round the engine can reach is justified by jobs
     // already pulled, so recomputing after each pull keeps the invariant.
+    // Saturating, so a plan whose stalls reach the end of time cannot wrap
+    // it.
     let cap = |p: &Puller<'_, S>| -> Round {
-        speed.first_round_at_or_after(p.last_arrival)
-            + p.total_work
-            + (k + 2) * (p.produced + m as Round)
-            + 64
+        let base = speed
+            .first_round_at_or_after(p.last_arrival)
+            .saturating_add(p.total_work)
+            .saturating_add((k + 2).saturating_mul(p.produced + m as Round))
+            .saturating_add(64);
+        base.saturating_mul(stretch.0).saturating_add(stretch.1)
     };
     let mut safety_cap: Round = cap(&puller);
     // `arrived_by_round(a, r) ⇔ r ≥ first_round_at_or_after(a)`, so one
@@ -1045,9 +1253,15 @@ fn step_worksteal<S: JobStream>(
 
     while puller.pending.is_some() || st.completed < released {
         assert!(
-            round <= safety_cap,
+            round <= safety_cap && round < Round::MAX,
             "work-stealing engine exceeded round cap"
         );
+
+        // Crashes fire at the start of their round, in worker order.
+        while let Some(p) = st.f().and_then(|f| f.crash_due(round)) {
+            st.crash(p, round);
+            st.rescan_due();
+        }
 
         // Release arrivals into the global FIFO queue, pulling the next
         // job after each release (one-job lookahead).
@@ -1075,43 +1289,54 @@ fn step_worksteal<S: JobStream>(
         }
 
         // Quiescent fast-forward: nothing admitted is live and nothing is
-        // queued — skip to the next arrival. The skipped rounds would be
-        // failed steal attempts; count every one of them. Backlog samples
-        // inside the gap are still emitted (empty by construction) so
-        // sampled series stay evenly spaced.
+        // queued — skip to the next arrival (or crash). The skipped rounds
+        // would be failed steal attempts of the live workers; count every
+        // one of them. Backlog samples inside the gap are still emitted
+        // (empty by construction) so sampled series stay evenly spaced.
         let quiescent = st.live_admitted == 0 && st.buf.queue.is_empty();
+        let mut locked_until = next_arrival_round;
         if quiescent {
             // `completed == released` here, so the loop condition
             // guarantees a pending job exists.
             debug_assert!(next_arrival_round > round && next_arrival_round != Round::MAX);
-            let gap = next_arrival_round - round;
-            st.stats.idle_steps += gap * m as u64;
-            for (p, f) in st.buf.failed_steals.iter_mut().enumerate() {
-                *f = f.saturating_add(gap);
+            locked_until = locked_until.min(st.edge_after(round));
+            let gap = locked_until - round;
+            let alive = st.f().map_or(m, |f| f.alive.count());
+            st.stats.idle_steps += gap * alive as u64;
+            for p in 0..m {
+                if st.f().is_some_and(|f| !f.alive.get(p)) {
+                    continue;
+                }
+                let f = st.buf.failed_steals[p].saturating_add(gap);
+                st.buf.failed_steals[p] = f;
                 if let Some(o) = st.wobs.get_mut(p) {
                     o.failed_steal_rounds += gap;
                     o.idle_steps += gap;
-                    o.max_failed_streak = o.max_failed_streak.max(*f);
+                    o.max_failed_streak = o.max_failed_streak.max(f);
                 }
             }
             if let Some(t) = trace.as_mut() {
                 t.push_idle_rounds(gap);
             }
-        }
-        // A traced run keeps every round explicit and every worker visited.
-        let locked_until = if quiescent {
-            next_arrival_round
-        } else if config.record_trace {
-            round
         } else {
-            st.idle_lockout(round, next_arrival_round)
-        };
+            if let Some(f) = st.faults.as_deref_mut().filter(|_| F) {
+                f.begin_round(round);
+            }
+            // A traced run keeps every round explicit and every worker
+            // visited.
+            locked_until = if config.record_trace {
+                round
+            } else {
+                st.idle_lockout(round, next_arrival_round)
+            };
+        }
         let t = locked_until.min(st.min_done);
         if t > round {
             if !quiescent {
                 st.jump(round, t);
                 last_busy_round = t - 1;
             }
+            st.advance_faults(round, t, quiescent);
             // Backlog state is constant at the top of every round of the
             // span, so interior samples all read the same values.
             if let Some(periods) = round.checked_div(se) {
@@ -1135,7 +1360,8 @@ fn step_worksteal<S: JobStream>(
         // Explicit round: idle and completing workers act, in index order
         // — unless the idle ones are locked out through this round too, in
         // which case theirs is one more forced miss and only the completing
-        // workers are visited.
+        // workers are visited. Under faults only the workers that act in
+        // this round count as idle, and purged holders join mid-round.
         let idle_locked = locked_until > round;
         if idle_locked {
             st.jump(round, round + 1);
@@ -1145,7 +1371,7 @@ fn step_worksteal<S: JobStream>(
         if config.record_trace {
             row.extend((0..m).map(|p| {
                 let (sid, node) = st.buf.cur[p];
-                if st.buf.busy.get(p) {
+                if st.buf.busy.get(p) && st.f().is_none_or(|f| f.act.get(p)) {
                     Action::Work {
                         job: st.buf.slab.get(sid).job.id,
                         node,
@@ -1156,7 +1382,7 @@ fn step_worksteal<S: JobStream>(
             }));
         }
         for wi in 0..st.buf.busy.words().len() {
-            let idle = if idle_locked {
+            let mut idle = if idle_locked {
                 0
             } else {
                 !st.buf.busy.words()[wi] & BitWords::valid_mask(wi, m)
@@ -1167,12 +1393,19 @@ fn step_worksteal<S: JobStream>(
                 0
             };
             let mut w = idle | due;
+            if let Some(f) = st.faults.as_deref_mut().filter(|_| F) {
+                idle &= f.act.words()[wi];
+                w = idle | due | f.revisit.take_word(wi);
+            }
             while w != 0 {
                 let p = (wi << 6) | w.trailing_zeros() as usize;
                 w &= w - 1;
                 let action = st.visit(p, round, sink);
                 if config.record_trace {
                     row[p] = action;
+                }
+                if let Some(f) = st.faults.as_deref_mut().filter(|_| F) {
+                    w |= f.revisit.take_word(wi);
                 }
             }
         }
@@ -1183,9 +1416,10 @@ fn step_worksteal<S: JobStream>(
             st.buf.deque_ne.set(p);
         }
         st.buf.pending.clear();
-        if completions {
+        if completions || F {
             st.rescan_due();
         }
+        st.advance_faults(round, round + 1, false);
         last_busy_round = round;
         if let Some(t) = trace.as_mut() {
             t.push_row(row);
@@ -1208,6 +1442,7 @@ fn step_worksteal<S: JobStream>(
         samples,
         max_flow: st.max_flow,
         retire,
+        fault_events: st.faults.map_or_else(Vec::new, |f| f.events),
     };
     *buf = st.buf;
     Ok((summary, trace, st.wobs))
@@ -1507,6 +1742,7 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
         samples: Vec::new(),
         max_flow,
         retire,
+        fault_events: Vec::new(),
     };
     Ok((summary, trace, obs))
 }
@@ -1650,18 +1886,26 @@ mod tests {
     }
 
     #[test]
-    fn faulty_config_is_rejected() {
+    fn faults_stream_on_work_stealing_only() {
         use crate::fault::FaultPlan;
-        let plan = FaultPlan {
-            panic_ppm: 1,
-            ..Default::default()
-        };
+        let plan = FaultPlan::none().crash(1, 2).with_panic_ppm(300_000);
         let cfg = SimConfig::new(2).with_faults(plan);
-        let inst = inst_seq(&[(0, 1)]);
-        let mut replay = InstanceReplay::new(&inst);
-        let err = run_worksteal_stream(&mut replay, &cfg, StealPolicy::AdmitFirst, 1, &mut |_| {})
-            .expect_err("fault plans unsupported");
+        let inst = inst_seq(&[(0, 4), (1, 3), (1, 5), (6, 2)]);
+        let err = run_priority_stream(&mut InstanceReplay::new(&inst), &cfg, &Fifo, &mut |_| {})
+            .expect_err("the centralized engines model a reliable machine");
         assert_eq!(err, StreamError::FaultsUnsupported);
+        let policy = StealPolicy::AdmitFirst;
+        let (batch, _) = crate::run_worksteal(&inst, &cfg, policy, 1);
+        let mut outs = Vec::new();
+        let mut replay = InstanceReplay::new(&inst);
+        let (sum, _) =
+            run_worksteal_stream(&mut replay, &cfg, policy, 1, &mut |o| outs.push(o.clone()))
+                .expect("faults stream");
+        outs.sort_by_key(|o| o.job);
+        assert_eq!(outs, batch.outcomes);
+        assert_eq!(sum.fault_events, batch.fault_events);
+        assert_eq!(sum.stats, batch.stats);
+        assert_eq!(sum.stats.crashed_workers, 1);
     }
 
     #[test]

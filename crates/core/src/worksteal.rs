@@ -30,31 +30,28 @@
 //! lower-indexed workers in the same round (modelling racy concurrency
 //! deterministically).
 //!
-//! **Two loops, one model.** This file holds the policy types, the shared
-//! victim-sampling helpers and the *per-round* loop: every worker acts in
-//! every round, busy workers execute one unit at a time, and the full
-//! fault machinery (crashes, stalls, slowdowns, blackholes, injected
-//! panics) hooks in. It serves every run with a non-empty fault plan, and
-//! — as `run_worksteal_reference` under the `reference-engine` feature —
-//! is the independent implementation the differential suites compare
-//! against. Runs with an empty fault plan go to the event-driven stepper
-//! in `crate::stream` (only idle and completing workers act; uneventful
-//! spans are jumped), which replays the instance as a stream and is
-//! bit-identical: same schedule, RNG stream position, stats, samples,
-//! trace and obs report.
+//! **One loop, one reference.** This file holds the policy types, the
+//! shared victim-sampling helpers and the entry points. Every run, whatever
+//! its fault plan, goes to the event-driven stepper in `crate::stream`
+//! (only idle and completing workers act; uneventful spans are jumped;
+//! faults are jump events and worker masks), which replays the instance as
+//! a stream. The *per-round* loop — every worker acts in every round, busy
+//! workers execute one unit at a time, the fault machinery (crashes,
+//! stalls, slowdowns, blackholes, injected panics) hooks in round by round
+//! — compiles only under the `reference-engine` feature, as
+//! `run_worksteal_reference`: the independent implementation the
+//! differential suites hold the stepper to, bit for bit (schedule, RNG
+//! stream position, stats, fault events, samples, trace and obs report).
 
-use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
-use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate, PPM};
-use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
-use crate::stream::WsBuffers;
-use crate::trace::{Action, ScheduleTrace};
-use parflow_dag::{CursorArena, CursorId, Instance, Job, JobId, NodeId, StepOutcome};
+use crate::config::{SimConfig, VictimStrategy};
+use crate::result::{EngineStats, SimResult};
+use crate::stream::{collect_replay, step_worksteal, WsBuffers};
+use crate::trace::ScheduleTrace;
+use parflow_dag::Instance;
 use parflow_obs::{NullRecorder, Recorder};
-use parflow_time::Round;
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Admission policy of the work-stealing scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,37 +111,6 @@ impl std::str::FromStr for StealPolicy {
     }
 }
 
-/// One worker's private state in the per-round loop.
-#[derive(Clone, Debug)]
-struct Worker {
-    /// The node currently being executed across rounds, if any.
-    current: Option<(JobId, NodeId)>,
-    /// The deque: back = bottom (owner side), front = top (thief side).
-    deque: VecDeque<(JobId, NodeId)>,
-    /// Nodes enabled during the current round, flushed to `deque` at round end.
-    pending: Vec<(JobId, NodeId)>,
-    /// Consecutive failed steal attempts since the last success/work.
-    /// `u64` so quiescent fast-forwards count every skipped round exactly;
-    /// the old `u32` silently saturated past ~4.3e9 rounds.
-    failed_steals: u64,
-    /// Next victim index for the round-robin scan strategy.
-    scan_next: usize,
-}
-
-impl Worker {
-    /// `index` staggers the round-robin scan start so thieves probe
-    /// distinct victims each round instead of sweeping in lockstep.
-    fn new(index: usize) -> Self {
-        Worker {
-            current: None,
-            deque: VecDeque::new(),
-            pending: Vec::new(),
-            failed_steals: 0,
-            scan_next: index + 1,
-        }
-    }
-}
-
 /// Per-worker telemetry, maintained only when a [`Recorder`] is enabled
 /// and flushed as `ws.worker.*` counters at the end of the run. Kept out
 /// of [`EngineStats`] (which goldens bit-compare) and out of `Worker`
@@ -198,45 +164,6 @@ pub(crate) fn pick_victim(
             *scan_next = (v + 1) % m;
             v
         }
-    }
-}
-
-/// One steal attempt by worker `p` (victim per [`pick_victim`]). On
-/// success moves the victim's top task into `workers[p].current`, plus
-/// — under [`StealAmount::Half`] — the rest of the top half of the
-/// victim's deque onto the thief's deque.
-#[inline]
-fn steal_into(
-    p: usize,
-    workers: &mut [Worker],
-    rng: &mut SmallRng,
-    strategy: VictimStrategy,
-    amount: StealAmount,
-    blackholed: &[bool],
-) -> bool {
-    let m = workers.len();
-    if m <= 1 {
-        return false;
-    }
-    let victim = pick_victim(p, m, rng, strategy, &mut workers[p].scan_next);
-    // A blackholed victim consumes the attempt but never yields work.
-    if blackholed[victim] {
-        return false;
-    }
-    if let Some(task) = workers[victim].deque.pop_front() {
-        workers[p].current = Some(task);
-        if amount == StealAmount::Half {
-            // Transfer the remainder of the victim's top half (the first
-            // task became `current`). ceil(len_before/2) − 1 extra tasks.
-            let extra = (workers[victim].deque.len() + 1).div_ceil(2) - 1;
-            for _ in 0..extra {
-                let t = workers[victim].deque.pop_front().expect("len checked"); // lint: allow(panicking) emptiness checked immediately above; pop cannot fail
-                workers[p].deque.push_back(t);
-            }
-        }
-        true
-    } else {
-        false
     }
 }
 
@@ -343,54 +270,6 @@ pub(crate) fn burn_failed_attempts(
     }
 }
 
-/// Pop the next job to admit according to the admission order: the front
-/// (FIFO) or the largest-weight queued job (distributed BWF; ties go to
-/// the earlier arrival, i.e. the smaller id).
-pub(crate) fn pop_admission(
-    queue: &mut VecDeque<JobId>,
-    jobs: &[Job],
-    order: AdmissionOrder,
-) -> Option<JobId> {
-    match order {
-        AdmissionOrder::Fifo => queue.pop_front(),
-        AdmissionOrder::ByWeight => {
-            let best = queue
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &jid)| (jobs[jid as usize].weight, std::cmp::Reverse(jid)))?
-                .0;
-            queue.remove(best)
-        }
-    }
-}
-
-/// Admit job `jid` on worker `p`: create its cursor, push all source nodes
-/// onto the worker's deque and take the last one as the current task.
-/// `sources` is a caller-owned scratch buffer (hoisted out of the hot loop).
-fn admit_job(
-    jid: JobId,
-    p: usize,
-    jobs: &[Job],
-    workers: &mut [Worker],
-    arena: &mut CursorArena,
-    cursor_ids: &mut [Option<CursorId>],
-    sources: &mut Vec<NodeId>,
-) {
-    let job = &jobs[jid as usize];
-    let id = arena.alloc(&job.dag);
-    cursor_ids[jid as usize] = Some(id);
-    let cur = arena.get_mut(id);
-    sources.clear();
-    sources.extend_from_slice(cur.ready_nodes());
-    for &s in sources.iter() {
-        cur.claim(s).expect("source ready"); // lint: allow(panicking) invariant: freshly materialized source nodes are unclaimed
-        workers[p].deque.push_back((jid, s));
-    }
-    let task = workers[p].deque.pop_back().expect("pushed sources"); // lint: allow(panicking) a source task was pushed just above; the deque is non-empty
-    workers[p].current = Some(task);
-    workers[p].failed_steals = 0;
-}
-
 /// Simulate work stealing with the given `policy` on `instance`.
 ///
 /// `seed` drives victim selection; runs are bit-reproducible for a given
@@ -413,9 +292,8 @@ pub fn run_worksteal(
 /// [`EngineStats`], a `ws.total_rounds` gauge and per-job `ws.flow_ticks`
 /// samples are emitted at the end of the run.
 ///
-/// An empty fault plan runs on the event-driven stepper (`crate::stream`,
-/// replaying the instance as a stream); a non-empty one on the per-round
-/// loop below, the only one that models faults.
+/// Every fault plan runs on the event-driven stepper (`crate::stream`,
+/// replaying the instance as a stream).
 pub fn run_worksteal_observed(
     instance: &Instance,
     config: &SimConfig,
@@ -429,14 +307,14 @@ pub fn run_worksteal_observed(
         policy,
         seed,
         rec,
-        Some(&mut WsBuffers::default()),
+        &mut WsBuffers::default(),
     )
 }
 
-/// [`run_worksteal_observed`] on the per-round loop whatever the fault
-/// plan, including the empty one: every worker acts in every round and
-/// busy workers execute one unit at a time. The independent implementation
-/// the differential suites compare the event-driven stepper against.
+/// [`run_worksteal_observed`] on the per-round loop: every worker acts in
+/// every round and busy workers execute one unit at a time. The
+/// independent implementation the differential suites compare the
+/// event-driven stepper against, for every fault plan.
 #[cfg(feature = "reference-engine")]
 pub fn run_worksteal_reference(
     instance: &Instance,
@@ -445,31 +323,36 @@ pub fn run_worksteal_reference(
     seed: u64,
     rec: &mut dyn Recorder,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    run_reported(instance, config, policy, seed, rec, None)
+    let (result, trace) = reference::run_per_round(instance, config, policy, seed, rec);
+    report_tail(rec, &result);
+    (result, trace)
 }
 
-/// Validate the plan, run on the right loop and complete the obs report.
-/// With `stepper_buf` (the event-driven stepper's storage;
-/// `crate::run_batched` passes one value for all its replicas) an empty
-/// fault plan runs on the stepper; a faulted one, and every plan without
-/// it, on the per-round loop.
+/// The materialized engine: the stepper over a replay of `instance` on
+/// `buf` (`crate::run_batched` passes one value for all its replicas),
+/// outcomes collected back into job order, and the obs report — without
+/// the streaming entry points' `ws.stream.*` retirement counters.
 pub(crate) fn run_reported(
     instance: &Instance,
     config: &SimConfig,
     policy: StealPolicy,
     seed: u64,
     rec: &mut dyn Recorder,
-    stepper_buf: Option<&mut WsBuffers>,
+    buf: &mut WsBuffers,
 ) -> (SimResult, Option<ScheduleTrace>) {
-    if let Err(e) = config.faults.validate(config.m) {
-        panic!("invalid fault plan: {e}"); // lint: allow(panicking) documented contract: simulator entry points panic on invalid fault plans, validated before any stepping
+    let obs = rec.enabled();
+    let (result, trace, wobs) = collect_replay(instance, |puller, sink| {
+        step_worksteal(puller, config, policy, seed, sink, obs, buf)
+    });
+    if obs {
+        emit_ws_counters(rec, &wobs, &result.stats);
     }
-    let (result, trace) = match stepper_buf {
-        Some(buf) if config.faults.is_empty() => {
-            crate::stream::run_worksteal_replay(instance, config, policy, seed, rec, buf)
-        }
-        _ => run_per_round(instance, config, policy, seed, rec),
-    };
+    report_tail(rec, &result);
+    (result, trace)
+}
+
+/// The materialized runs' part of the obs report beyond [`emit_ws_counters`].
+fn report_tail(rec: &mut dyn Recorder, result: &SimResult) {
     if rec.enabled() {
         rec.counter("ws.faulted_steps", result.stats.faulted_steps);
         rec.counter("ws.crashed_workers", result.stats.crashed_workers);
@@ -480,7 +363,6 @@ pub(crate) fn run_reported(
             rec.sample("ws.flow_ticks", o.flow.to_f64());
         }
     }
-    (result, trace)
 }
 
 /// Emit the per-worker `ws.worker.*` counters and the engine-level `ws.*`
@@ -502,144 +384,195 @@ pub(crate) fn emit_ws_counters(rec: &mut dyn Recorder, wobs: &[WorkerObs], stats
     rec.counter("ws.idle_steps", stats.idle_steps);
 }
 
-/// The round-by-round work-stealing loop with the full fault machinery.
-/// Emits [`emit_ws_counters`]' part of the obs report; the caller adds the
-/// rest.
-fn run_per_round(
+/// Convenience wrapper returning only the [`SimResult`].
+pub fn simulate_worksteal(
     instance: &Instance,
     config: &SimConfig,
     policy: StealPolicy,
     seed: u64,
-    rec: &mut dyn Recorder,
-) -> (SimResult, Option<ScheduleTrace>) {
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let m = config.m;
-    let speed = config.speed;
-    let k = policy.k();
-    let faults = &config.faults;
-    let mut rng = SmallRng::seed_from_u64(seed);
+) -> SimResult {
+    run_worksteal(instance, config, policy, seed).0
+}
 
-    let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
-    // Cursor state lives in a recycled arena (slot allocated at admission,
-    // released at completion/failure): slot count and buffer capacity are
-    // bounded by peak live jobs, so steady state allocates nothing per job.
-    let mut arena = CursorArena::new();
-    let mut cursor_ids: Vec<Option<CursorId>> = vec![None; n];
-    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; n];
-    let mut started: Vec<Option<Round>> = vec![None; n];
-    let mut global_queue: VecDeque<JobId> = VecDeque::new();
-    let mut stats = EngineStats::default();
-    let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
-    let mut samples: Vec<BacklogSample> = Vec::new();
+/// The per-round loop and its helpers: the independent implementation
+/// the differential suites hold the stepper to, compiled only for them.
+#[cfg(feature = "reference-engine")]
+mod reference {
+    use super::{emit_ws_counters, pick_victim, StealPolicy, WorkerObs};
+    use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStrategy};
+    use crate::fault::{FaultEvent, FaultKind, JobStatus, PanicSampler, SlowdownGate};
+    use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
+    use crate::trace::{Action, ScheduleTrace};
+    use parflow_dag::{CursorArena, CursorId, Instance, JobId, NodeId, StepOutcome};
+    use parflow_obs::Recorder;
+    use parflow_time::Round;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::collections::VecDeque;
 
-    // Hoisted once: with the NullRecorder every `if obs` below is a dead
-    // branch and `wobs` stays empty (no allocation).
-    let obs = rec.enabled();
-    let mut wobs: Vec<WorkerObs> = if obs {
-        vec![WorkerObs::default(); m]
-    } else {
-        Vec::new()
-    };
-
-    // Fault machinery. Orphaned tasks from crashed workers go into a
-    // global FIFO of their own: claimed-node state lives in the job's
-    // cursor, so an adopting worker resumes exactly where the dead one
-    // stopped without re-racing for the nodes.
-    let mut fault_events: Vec<FaultEvent> = Vec::new();
-    let mut orphans: VecDeque<(JobId, NodeId)> = VecDeque::new();
-    let mut alive: Vec<bool> = vec![true; m];
-    let mut alive_count = m;
-    let mut was_stalled: Vec<bool> = vec![false; m];
-    let mut gates: Vec<SlowdownGate> = (0..m)
-        .map(|p| SlowdownGate::new(faults.rate_ppm_of(p)))
-        .collect();
-    let blackholed: Vec<bool> = (0..m).map(|p| faults.is_blackhole(p)).collect();
-    let sampler = PanicSampler::new(seed, faults.panic_ppm);
-
-    let mut next_arrival = 0usize;
-    // Jobs that reached a terminal state (completed or failed).
-    let mut completed = 0usize;
-    // Jobs admitted but not yet terminal.
-    let mut live_admitted = 0usize;
-    let mut round: Round = 0;
-    let mut last_busy_round: Round = 0;
-
-    // Rounds with admitted live work always execute ≥ 1 unit; rounds with
-    // only queued jobs admit within ≤ k+1 rounds; quiescent gaps are
-    // skipped. Anything past this cap is an engine bug.
-    let mut safety_cap: Round = speed.first_round_at_or_after(instance.last_arrival())
-        + instance.total_work()
-        + (k as Round + 2) * (n as Round + m as Round)
-        + 64;
-    if !faults.is_empty() {
-        // Stalls add dead rounds, slowdowns stretch execution by up to
-        // PPM/best_rate, and fault boundaries bound fast-forward clamping.
-        let stall_total: Round = faults.stalls.iter().map(|s| s.duration).sum();
-        let best_rate = (0..m)
-            .filter(|&p| faults.crash_round_of(p).is_none())
-            .map(|p| faults.rate_ppm_of(p))
-            .max()
-            .unwrap_or(PPM)
-            .max(1);
-        safety_cap = safety_cap * (PPM as Round).div_ceil(best_rate as Round)
-            + faults.last_scheduled_round().unwrap_or(0)
-            + stall_total
-            + 64;
+    /// One worker's private state in the per-round loop.
+    #[derive(Clone, Debug)]
+    struct Worker {
+        /// The node currently being executed across rounds, if any.
+        current: Option<(JobId, NodeId)>,
+        /// The deque: back = bottom (owner side), front = top (thief side).
+        deque: VecDeque<(JobId, NodeId)>,
+        /// Nodes enabled during the current round, flushed to `deque` at round end.
+        pending: Vec<(JobId, NodeId)>,
+        /// Consecutive failed steal attempts since the last success/work.
+        /// `u64` so quiescent fast-forwards count every skipped round exactly;
+        /// the old `u32` silently saturated past ~4.3e9 rounds.
+        failed_steals: u64,
+        /// Next victim index for the round-robin scan strategy.
+        scan_next: usize,
     }
 
-    // Rounds at which the plan changes some worker's behaviour, sorted
-    // once up front; quiescent fast-forwards must not skip them. The
-    // lookup is a binary search instead of a per-gap rescan of the plan.
-    let fault_boundaries: Vec<Round> = {
-        let mut b: Vec<Round> = faults
-            .crashes
-            .iter()
-            .map(|c| c.at_round)
-            .chain(
-                faults
-                    .stalls
-                    .iter()
-                    .flat_map(|s| [s.from_round, s.from_round.saturating_add(s.duration)]),
-            )
+    impl Worker {
+        /// `index` staggers the round-robin scan start so thieves probe
+        /// distinct victims each round instead of sweeping in lockstep.
+        fn new(index: usize) -> Self {
+            Worker {
+                current: None,
+                deque: VecDeque::new(),
+                pending: Vec::new(),
+                failed_steals: 0,
+                scan_next: index + 1,
+            }
+        }
+    }
+
+    /// One steal attempt by worker `p` (victim per [`pick_victim`]). On
+    /// success moves the victim's top task into `workers[p].current`, plus
+    /// — under [`StealAmount::Half`] — the rest of the top half of the
+    /// victim's deque onto the thief's deque.
+    #[inline]
+    fn steal_into(
+        p: usize,
+        workers: &mut [Worker],
+        rng: &mut SmallRng,
+        strategy: VictimStrategy,
+        amount: StealAmount,
+        blackholed: &[bool],
+    ) -> bool {
+        let m = workers.len();
+        if m <= 1 {
+            return false;
+        }
+        let victim = pick_victim(p, m, rng, strategy, &mut workers[p].scan_next);
+        // A blackholed victim consumes the attempt but never yields work.
+        if blackholed[victim] {
+            return false;
+        }
+        if let Some(task) = workers[victim].deque.pop_front() {
+            workers[p].current = Some(task);
+            if amount == StealAmount::Half {
+                // Transfer the remainder of the victim's top half (the first
+                // task became `current`). ceil(len_before/2) − 1 extra tasks.
+                let extra = (workers[victim].deque.len() + 1).div_ceil(2) - 1;
+                for _ in 0..extra {
+                    let t = workers[victim].deque.pop_front().expect("len checked"); // lint: allow(panicking) emptiness checked immediately above; pop cannot fail
+                    workers[p].deque.push_back(t);
+                }
+            }
+            true
+        } else {
+            false
+        }
+    }
+
+    /// The round-by-round work-stealing loop with the full fault machinery.
+    /// Emits [`emit_ws_counters`]' part of the obs report; the caller adds the
+    /// rest.
+    pub(super) fn run_per_round(
+        instance: &Instance,
+        config: &SimConfig,
+        policy: StealPolicy,
+        seed: u64,
+        rec: &mut dyn Recorder,
+    ) -> (SimResult, Option<ScheduleTrace>) {
+        let jobs = instance.jobs();
+        let n = jobs.len();
+        let m = config.m;
+        let speed = config.speed;
+        let k = policy.k();
+        let faults = &config.faults.simulated(m);
+        let mut rng = SmallRng::seed_from_u64(seed);
+
+        let mut workers: Vec<Worker> = (0..m).map(Worker::new).collect();
+        // Cursor state lives in a recycled arena (slot allocated at admission,
+        // released at completion/failure): slot count and buffer capacity are
+        // bounded by peak live jobs, so steady state allocates nothing per job.
+        let mut arena = CursorArena::new();
+        let mut cursor_ids: Vec<Option<CursorId>> = vec![None; n];
+        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; n];
+        let mut started: Vec<Option<Round>> = vec![None; n];
+        let mut global_queue: VecDeque<JobId> = VecDeque::new();
+        let mut stats = EngineStats::default();
+        let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
+        let mut samples: Vec<BacklogSample> = Vec::new();
+
+        // Hoisted once: with the NullRecorder every `if obs` below is a dead
+        // branch and `wobs` stays empty (no allocation).
+        let obs = rec.enabled();
+        let mut wobs: Vec<WorkerObs> = if obs {
+            vec![WorkerObs::default(); m]
+        } else {
+            Vec::new()
+        };
+
+        // Fault machinery. Orphaned tasks from crashed workers go into a
+        // global FIFO of their own: claimed-node state lives in the job's
+        // cursor, so an adopting worker resumes exactly where the dead one
+        // stopped without re-racing for the nodes.
+        let mut fault_events: Vec<FaultEvent> = Vec::new();
+        let mut orphans: VecDeque<(JobId, NodeId)> = VecDeque::new();
+        let mut alive: Vec<bool> = vec![true; m];
+        let mut was_stalled: Vec<bool> = vec![false; m];
+        let mut gates: Vec<SlowdownGate> = (0..m)
+            .map(|p| SlowdownGate::new(faults.rate_ppm_of(p)))
             .collect();
-        b.sort_unstable();
-        b.dedup();
-        b
-    };
-    let next_fault_boundary = |round: Round| -> Option<Round> {
-        let i = fault_boundaries.partition_point(|&b| b <= round);
-        fault_boundaries.get(i).copied()
-    };
-    let has_stalls = !faults.stalls.is_empty();
-    let mut crash_pending = (0..m).any(|p| faults.crash_round_of(p).is_some());
-    // Scratch buffers hoisted out of the hot loop.
-    let mut ready_scratch: Vec<NodeId> = Vec::new();
-    let mut sources_scratch: Vec<NodeId> = Vec::new();
+        let blackholed: Vec<bool> = (0..m).map(|p| faults.is_blackhole(p)).collect();
+        let sampler = PanicSampler::new(seed, faults.panic_ppm);
 
-    while completed < n {
-        assert!(
-            round <= safety_cap,
-            "work-stealing engine exceeded round cap"
-        );
+        let mut next_arrival = 0usize;
+        // Jobs that reached a terminal state (completed or failed).
+        let mut completed = 0usize;
+        // Jobs admitted but not yet terminal.
+        let mut live_admitted = 0usize;
+        let mut round: Round = 0;
+        let mut last_busy_round: Round = 0;
 
-        // Crash pre-pass: workers whose crash round has come die at the
-        // start of the round; their current task and deque are reinjected
-        // into the global orphan FIFO for survivors to adopt. Skipped
-        // entirely once every scheduled crash has fired.
-        if crash_pending {
+        // Rounds with admitted live work always execute ≥ 1 unit; rounds with
+        // only queued jobs admit within ≤ k+1 rounds; quiescent gaps are
+        // skipped. Anything past this cap is an engine bug.
+        let mut safety_cap: Round = speed
+            .first_round_at_or_after(instance.last_arrival())
+            .saturating_add(instance.total_work())
+            .saturating_add((k as Round + 2).saturating_mul(n as Round + m as Round))
+            .saturating_add(64);
+        if !faults.is_empty() {
+            let (factor, pad) = faults.cap_stretch(m);
+            safety_cap = safety_cap.saturating_mul(factor).saturating_add(pad);
+        }
+
+        // Scratch buffers hoisted out of the hot loop.
+        let mut ready_scratch: Vec<NodeId> = Vec::new();
+        let mut sources_scratch: Vec<NodeId> = Vec::new();
+
+        while completed < n {
+            assert!(
+                round <= safety_cap,
+                "work-stealing engine exceeded round cap"
+            );
+
+            // Crash pre-pass: workers whose crash round has come die at the
+            // start of the round; their current task and deque are reinjected
+            // into the global orphan FIFO for survivors to adopt.
             for p in 0..m {
                 if alive[p] && faults.crash_round_of(p).is_some_and(|cr| cr <= round) {
                     alive[p] = false;
-                    alive_count -= 1;
                     stats.crashed_workers += 1;
-                    fault_events.push(FaultEvent {
-                        round,
-                        worker: Some(p),
-                        job: None,
-                        kind: FaultKind::Crash,
-                        detail: 0,
-                    });
+                    fault_events.push(FaultEvent::new(round, p, None, FaultKind::Crash, 0));
                     let mut reinjected = 0u64;
                     if let Some(task) = workers[p].current.take() {
                         orphans.push_back(task);
@@ -649,120 +582,100 @@ fn run_per_round(
                         orphans.push_back(task);
                         reinjected += 1;
                     }
-                    for task in workers[p].pending.drain(..) {
-                        orphans.push_back(task);
-                        reinjected += 1;
-                    }
                     if reinjected > 0 {
                         stats.reinjected_tasks += reinjected;
-                        fault_events.push(FaultEvent {
-                            round,
-                            worker: Some(p),
-                            job: None,
-                            kind: FaultKind::OrphanReinjection,
-                            detail: reinjected,
+                        let kind = FaultKind::OrphanReinjection;
+                        fault_events.push(FaultEvent::new(round, p, None, kind, reinjected));
+                    }
+                }
+            }
+
+            // Release arrivals into the global FIFO queue.
+            while next_arrival < n && speed.arrived_by_round(jobs[next_arrival].arrival, round) {
+                global_queue.push_back(jobs[next_arrival].id);
+                next_arrival += 1;
+            }
+
+            if config.sample_every > 0 && round.is_multiple_of(config.sample_every) {
+                samples.push(BacklogSample {
+                    round,
+                    queued: global_queue.len(),
+                    live: live_admitted,
+                    deque_tasks: workers.iter().map(|w| w.deque.len()).sum::<usize>()
+                        + orphans.len(),
+                });
+            }
+
+            // Quiescent fast-forward: nothing admitted is live and nothing is
+            // queued — skip to the next arrival. The skipped rounds would be
+            // failed steal attempts; count every one of them (the counter is
+            // `u64`, so no clamping — the old `u32` version saturated here).
+            // Fault boundaries clamp the jump so crash/stall transitions still
+            // fire at their scheduled rounds.
+            if live_admitted == 0 && global_queue.is_empty() && orphans.is_empty() {
+                debug_assert!(next_arrival < n, "deadlock: nothing live, nothing queued");
+                let mut target = speed.first_round_at_or_after(jobs[next_arrival].arrival);
+                if let Some(boundary) = faults.edge_after(round) {
+                    target = target.min(boundary);
+                }
+                debug_assert!(target > round, "fast-forward must move time forward");
+                let gap = target - round;
+                stats.idle_steps += gap * alive.iter().filter(|&&a| a).count() as u64;
+                for (p, w) in workers.iter_mut().enumerate() {
+                    if alive[p] {
+                        w.failed_steals = w.failed_steals.saturating_add(gap);
+                        if obs {
+                            let o = &mut wobs[p];
+                            o.failed_steal_rounds += gap;
+                            o.idle_steps += gap;
+                            o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
+                        }
+                    }
+                }
+                // Backlog samples falling inside the skipped span are still
+                // emitted (the backlog is empty by construction — nothing is
+                // live, queued or orphaned during a quiescent gap), so sampled
+                // series stay evenly spaced across gaps.
+                if config.sample_every > 0 {
+                    let se = config.sample_every;
+                    let mut s = (round / se + 1) * se;
+                    while s < target {
+                        samples.push(BacklogSample {
+                            round: s,
+                            queued: 0,
+                            live: 0,
+                            deque_tasks: 0,
                         });
+                        s += se;
                     }
                 }
-            }
-            crash_pending = (0..m).any(|q| alive[q] && faults.crash_round_of(q).is_some());
-        }
-
-        // Release arrivals into the global FIFO queue.
-        while next_arrival < n && speed.arrived_by_round(jobs[next_arrival].arrival, round) {
-            global_queue.push_back(jobs[next_arrival].id);
-            next_arrival += 1;
-        }
-
-        if config.sample_every > 0 && round.is_multiple_of(config.sample_every) {
-            samples.push(BacklogSample {
-                round,
-                queued: global_queue.len(),
-                live: live_admitted,
-                deque_tasks: workers.iter().map(|w| w.deque.len()).sum::<usize>() + orphans.len(),
-            });
-        }
-
-        // Quiescent fast-forward: nothing admitted is live and nothing is
-        // queued — skip to the next arrival. The skipped rounds would be
-        // failed steal attempts; count every one of them (the counter is
-        // `u64`, so no clamping — the old `u32` version saturated here).
-        // Fault boundaries clamp the jump so crash/stall transitions still
-        // fire at their scheduled rounds.
-        if live_admitted == 0 && global_queue.is_empty() && orphans.is_empty() {
-            debug_assert!(next_arrival < n, "deadlock: nothing live, nothing queued");
-            let mut target = speed.first_round_at_or_after(jobs[next_arrival].arrival);
-            if let Some(boundary) = next_fault_boundary(round) {
-                target = target.min(boundary);
-            }
-            debug_assert!(target > round, "fast-forward must move time forward");
-            let gap = target - round;
-            stats.idle_steps += gap * alive_count as u64;
-            for (p, w) in workers.iter_mut().enumerate() {
-                if alive[p] {
-                    w.failed_steals = w.failed_steals.saturating_add(gap);
-                    if obs {
-                        let o = &mut wobs[p];
-                        o.failed_steal_rounds += gap;
-                        o.idle_steps += gap;
-                        o.max_failed_streak = o.max_failed_streak.max(w.failed_steals);
-                    }
+                if let Some(t) = trace.as_mut() {
+                    t.push_idle_rounds(gap);
                 }
-            }
-            // Backlog samples falling inside the skipped span are still
-            // emitted (the backlog is empty by construction — nothing is
-            // live, queued or orphaned during a quiescent gap), so sampled
-            // series stay evenly spaced across gaps.
-            if config.sample_every > 0 {
-                let se = config.sample_every;
-                let mut s = (round / se + 1) * se;
-                while s < target {
-                    samples.push(BacklogSample {
-                        round: s,
-                        queued: 0,
-                        live: 0,
-                        deque_tasks: 0,
-                    });
-                    s += se;
-                }
-            }
-            if let Some(t) = trace.as_mut() {
-                t.push_idle_rounds(gap);
-            }
-            round = target;
-            continue;
-        }
-
-        let mut row: Vec<Action> = if config.record_trace {
-            Vec::with_capacity(m)
-        } else {
-            Vec::new()
-        };
-        for p in 0..m {
-            // 0. Fault gates: dead workers do nothing; stalled workers
-            // freeze (their deques stay stealable); slowed workers only
-            // act in the rounds their credit gate opens.
-            if !alive[p] {
-                if config.record_trace {
-                    row.push(Action::Idle);
-                }
+                round = target;
                 continue;
             }
-            if has_stalls {
+
+            let mut row: Vec<Action> = Vec::with_capacity(if config.record_trace { m } else { 0 });
+            for p in 0..m {
+                // 0. Fault gates: dead workers do nothing; stalled workers
+                // freeze (their deques stay stealable); slowed workers only
+                // act in the rounds their credit gate opens.
+                if !alive[p] {
+                    if config.record_trace {
+                        row.push(Action::Idle);
+                    }
+                    continue;
+                }
                 let stalled = faults.is_stalled(p, round);
                 if stalled != was_stalled[p] {
                     was_stalled[p] = stalled;
-                    fault_events.push(FaultEvent {
-                        round,
-                        worker: Some(p),
-                        job: None,
-                        kind: if stalled {
-                            FaultKind::StallBegin
-                        } else {
-                            FaultKind::StallEnd
-                        },
-                        detail: 0,
-                    });
+                    let kind = if stalled {
+                        FaultKind::StallBegin
+                    } else {
+                        FaultKind::StallEnd
+                    };
+                    fault_events.push(FaultEvent::new(round, p, None, kind, 0));
                 }
                 if stalled {
                     stats.faulted_steps += 1;
@@ -771,167 +684,180 @@ fn run_per_round(
                     }
                     continue;
                 }
-            }
-            if !gates[p].is_full_speed() && !gates[p].tick() {
-                stats.faulted_steps += 1;
-                if config.record_trace {
-                    row.push(Action::Idle);
-                }
-                continue;
-            }
-
-            // 1. Acquire work if idle: own deque → orphan FIFO →
-            //    (policy) admit/steal. Adopting an orphaned task is free,
-            //    like popping the own deque: the task was already claimed
-            //    by the crashed worker, no coordination is needed.
-            if workers[p].current.is_none() {
-                if let Some(task) = workers[p].deque.pop_back() {
-                    workers[p].current = Some(task);
-                }
-            }
-            if workers[p].current.is_none() {
-                if let Some(task) = orphans.pop_front() {
-                    workers[p].current = Some(task);
-                    workers[p].failed_steals = 0;
-                }
-            }
-            if workers[p].current.is_none() {
-                // Admit the next queued job on `p`, if any: the admitting
-                // worker immediately holds the job's last source node.
-                let mut admit = |workers: &mut [Worker],
-                                 stats: &mut EngineStats,
-                                 wobs: &mut [WorkerObs]|
-                 -> bool {
-                    let Some(jid) = pop_admission(&mut global_queue, jobs, config.admission) else {
-                        return false;
-                    };
-                    admit_job(
-                        jid,
-                        p,
-                        jobs,
-                        workers,
-                        &mut arena,
-                        &mut cursor_ids,
-                        &mut sources_scratch,
-                    );
-                    started[jid as usize] = Some(round);
-                    live_admitted += 1;
-                    stats.admissions += 1;
-                    if obs {
-                        wobs[p].admissions += 1;
+                if !gates[p].is_full_speed() && !gates[p].tick() {
+                    stats.faulted_steps += 1;
+                    if config.record_trace {
+                        row.push(Action::Idle);
                     }
-                    true
-                };
-                // Up to `attempts` steal attempts, stopping at the first hit.
-                let mut try_steals = |workers: &mut [Worker],
-                                      stats: &mut EngineStats,
-                                      wobs: &mut [WorkerObs],
-                                      attempts: u64|
-                 -> bool {
-                    for _ in 0..attempts {
-                        stats.steal_attempts += 1;
+                    continue;
+                }
+
+                // 1. Acquire work if idle: own deque → orphan FIFO →
+                //    (policy) admit/steal. Adopting an orphaned task is free,
+                //    like popping the own deque: the task was already claimed
+                //    by the crashed worker, no coordination is needed.
+                if workers[p].current.is_none() {
+                    if let Some(task) = workers[p].deque.pop_back() {
+                        workers[p].current = Some(task);
+                    }
+                }
+                if workers[p].current.is_none() {
+                    if let Some(task) = orphans.pop_front() {
+                        workers[p].current = Some(task);
+                        workers[p].failed_steals = 0;
+                    }
+                }
+                if workers[p].current.is_none() {
+                    // Admit the next queued job on `p`, if any: the admitting
+                    // worker immediately holds the job's last source node.
+                    let mut admit = |workers: &mut [Worker],
+                                     stats: &mut EngineStats,
+                                     wobs: &mut [WorkerObs]|
+                     -> bool {
+                        // Pop the front (FIFO) or the largest-weight queued
+                        // job (distributed BWF; ties go to the earlier
+                        // arrival, i.e. the smaller id).
+                        let jid = match config.admission {
+                            AdmissionOrder::Fifo => global_queue.pop_front(),
+                            AdmissionOrder::ByWeight => {
+                                let key = |&(_, &j): &(usize, &JobId)| {
+                                    (jobs[j as usize].weight, std::cmp::Reverse(j))
+                                };
+                                let best = global_queue.iter().enumerate().max_by_key(key);
+                                let best = best.map(|(i, _)| i);
+                                best.and_then(|i| global_queue.remove(i))
+                            }
+                        };
+                        let Some(jid) = jid else {
+                            return false;
+                        };
+                        // Create its cursor, push all source nodes onto the
+                        // worker's deque and take the last one as current.
+                        let id = arena.alloc(&jobs[jid as usize].dag);
+                        cursor_ids[jid as usize] = Some(id);
+                        let cursor = arena.get_mut(id);
+                        sources_scratch.clear();
+                        sources_scratch.extend_from_slice(cursor.ready_nodes());
+                        let w = &mut workers[p];
+                        for &s in sources_scratch.iter() {
+                            cursor.claim(s).expect("source ready"); // lint: allow(panicking) invariant: freshly materialized source nodes are unclaimed
+                            w.deque.push_back((jid, s));
+                        }
+                        (w.current, w.failed_steals) = (w.deque.pop_back(), 0);
+                        started[jid as usize] = Some(round);
+                        live_admitted += 1;
+                        stats.admissions += 1;
                         if obs {
-                            wobs[p].steal_attempts += 1;
+                            wobs[p].admissions += 1;
                         }
-                        if steal_into(
-                            p,
-                            workers,
-                            &mut rng,
-                            config.victim,
-                            config.steal_amount,
-                            &blackholed,
-                        ) {
-                            stats.successful_steals += 1;
+                        true
+                    };
+                    // Up to `attempts` steal attempts, stopping at the first hit.
+                    let mut try_steals = |workers: &mut [Worker],
+                                          stats: &mut EngineStats,
+                                          wobs: &mut [WorkerObs],
+                                          attempts: u64|
+                     -> bool {
+                        for _ in 0..attempts {
+                            stats.steal_attempts += 1;
                             if obs {
-                                wobs[p].successful_steals += 1;
+                                wobs[p].steal_attempts += 1;
                             }
-                            return true;
-                        }
-                    }
-                    false
-                };
-                match config.steal_cost {
-                    StealCost::UnitStep => {
-                        let admitted = workers[p].failed_steals >= k as u64
-                            && admit(&mut workers, &mut stats, &mut wobs);
-                        if !admitted {
-                            // Steal attempt: one full round; the stolen node
-                            // (if any) starts executing next round.
-                            let hit = try_steals(&mut workers, &mut stats, &mut wobs, 1);
-                            if hit {
-                                workers[p].failed_steals = 0;
-                            } else {
-                                workers[p].failed_steals =
-                                    workers[p].failed_steals.saturating_add(1);
+                            if steal_into(
+                                p,
+                                workers,
+                                &mut rng,
+                                config.victim,
+                                config.steal_amount,
+                                &blackholed,
+                            ) {
+                                stats.successful_steals += 1;
                                 if obs {
-                                    let o = &mut wobs[p];
-                                    o.failed_steal_rounds += 1;
-                                    o.max_failed_streak =
-                                        o.max_failed_streak.max(workers[p].failed_steals);
+                                    wobs[p].successful_steals += 1;
                                 }
+                                return true;
                             }
-                            if config.record_trace {
-                                row.push(Action::Steal { hit });
-                            }
-                            continue;
                         }
-                    }
-                    StealCost::Free => {
-                        // Instantaneous acquisition: steal attempts cost
-                        // nothing; only executing work (or finding none)
-                        // consumes the round. `k = 0` is admit-first: admit
-                        // if anything is queued, else scan 2m victims.
-                        if k == 0 {
-                            if !admit(&mut workers, &mut stats, &mut wobs) {
-                                try_steals(&mut workers, &mut stats, &mut wobs, 2 * m as u64);
+                        false
+                    };
+                    match config.steal_cost {
+                        StealCost::UnitStep => {
+                            let admitted = workers[p].failed_steals >= k as u64
+                                && admit(&mut workers, &mut stats, &mut wobs);
+                            if !admitted {
+                                // Steal attempt: one full round; the stolen node
+                                // (if any) starts executing next round.
+                                let hit = try_steals(&mut workers, &mut stats, &mut wobs, 1);
+                                if hit {
+                                    workers[p].failed_steals = 0;
+                                } else {
+                                    workers[p].failed_steals =
+                                        workers[p].failed_steals.saturating_add(1);
+                                    if obs {
+                                        let o = &mut wobs[p];
+                                        o.failed_steal_rounds += 1;
+                                        o.max_failed_streak =
+                                            o.max_failed_streak.max(workers[p].failed_steals);
+                                    }
+                                }
+                                if config.record_trace {
+                                    row.push(Action::Steal { hit });
+                                }
+                                continue;
                             }
-                        } else if !try_steals(&mut workers, &mut stats, &mut wobs, k as u64) {
-                            admit(&mut workers, &mut stats, &mut wobs);
                         }
-                        if workers[p].current.is_none() {
-                            stats.idle_steps += 1;
-                            if obs {
-                                wobs[p].idle_steps += 1;
+                        StealCost::Free => {
+                            // Instantaneous acquisition: steal attempts cost
+                            // nothing; only executing work (or finding none)
+                            // consumes the round. `k = 0` is admit-first: admit
+                            // if anything is queued, else scan 2m victims.
+                            if k == 0 {
+                                if !admit(&mut workers, &mut stats, &mut wobs) {
+                                    try_steals(&mut workers, &mut stats, &mut wobs, 2 * m as u64);
+                                }
+                            } else if !try_steals(&mut workers, &mut stats, &mut wobs, k as u64) {
+                                admit(&mut workers, &mut stats, &mut wobs);
                             }
-                            if config.record_trace {
-                                row.push(Action::Idle);
+                            if workers[p].current.is_none() {
+                                stats.idle_steps += 1;
+                                if obs {
+                                    wobs[p].idle_steps += 1;
+                                }
+                                if config.record_trace {
+                                    row.push(Action::Idle);
+                                }
+                                continue;
                             }
-                            continue;
                         }
                     }
                 }
-            }
 
-            // 2. Execute one unit of the current node.
-            let (jid, v) = workers[p].current.expect("acquired work above"); // lint: allow(panicking) set on the acquisition path immediately above
-            let job = &jobs[jid as usize];
-            let cid = cursor_ids[jid as usize].expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
-            let cursor = arena.get_mut(cid);
-            stats.work_steps += 1;
-            if obs {
-                wobs[p].work_steps += 1;
-            }
-            workers[p].failed_steals = 0;
-            ready_scratch.clear();
-            match cursor
+                // 2. Execute one unit of the current node.
+                let (jid, v) = workers[p].current.expect("acquired work above"); // lint: allow(panicking) set on the acquisition path immediately above
+                let job = &jobs[jid as usize];
+                let cid = cursor_ids[jid as usize].expect("admitted job"); // lint: allow(panicking) invariant: every admitted job owns an arena cursor until completion
+                let cursor = arena.get_mut(cid);
+                stats.work_steps += 1;
+                if obs {
+                    wobs[p].work_steps += 1;
+                }
+                workers[p].failed_steals = 0;
+                ready_scratch.clear();
+                match cursor
                 .execute_unit_into(&job.dag, v, &mut ready_scratch)
                 .expect("current node claimed") // lint: allow(panicking) invariant: executed nodes were claimed by this cursor
             {
                 StepOutcome::InProgress => {}
                 StepOutcome::NodeCompleted { job_completed } => {
                     workers[p].current = None;
-                    if sampler.should_panic(jid, v) {
+                    let failed = sampler.should_panic(jid, v);
+                    if failed {
                         // Injected task panic: the job fails and is
                         // abandoned. Purge its tasks everywhere so no
                         // worker touches the dead job again.
                         stats.injected_panics += 1;
-                        fault_events.push(FaultEvent {
-                            round,
-                            worker: Some(p),
-                            job: Some(jid),
-                            kind: FaultKind::TaskPanic,
-                            detail: v as u64,
-                        });
+                        let kind = FaultKind::TaskPanic;
+                        fault_events.push(FaultEvent::new(round, p, Some(jid), kind, v.into()));
                         for w in workers.iter_mut() {
                             w.deque.retain(|t| t.0 != jid);
                             w.pending.retain(|t| t.0 != jid);
@@ -940,32 +866,17 @@ fn run_per_round(
                             }
                         }
                         orphans.retain(|t| t.0 != jid);
-                        arena.release(cursor_ids[jid as usize].take().expect("cursor id")); // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
-                        live_admitted -= 1;
-                        completed += 1;
-                        outcomes[jid as usize] = Some(JobOutcome {
-                            job: jid,
-                            arrival: job.arrival,
-                            weight: job.weight,
-                            start_round: started[jid as usize].expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
-                            completion_round: round,
-                            completion: speed.round_end(round),
-                            flow: speed.flow_time(job.arrival, round),
-                            status: JobStatus::Failed,
-                        });
-                        if config.record_trace {
-                            row.push(Action::Work { job: jid, node: v });
+                    } else {
+                        // Claim enabled nodes now (they are exclusively
+                        // ours) but defer deque publication to the end of
+                        // the round.
+                        let cursor = arena.get_mut(cid);
+                        for &u in ready_scratch.iter() {
+                            cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
+                            workers[p].pending.push((jid, u));
                         }
-                        continue;
                     }
-                    // Claim enabled nodes now (they are exclusively ours)
-                    // but defer deque publication to the end of the round.
-                    let cursor = arena.get_mut(cid);
-                    for &u in ready_scratch.iter() {
-                        cursor.claim(u).expect("newly ready claimable"); // lint: allow(panicking) invariant: nodes entering the ready set are unclaimed
-                        workers[p].pending.push((jid, u));
-                    }
-                    if job_completed {
+                    if failed || job_completed {
                         arena.release(cursor_ids[jid as usize].take().expect("cursor id")); // lint: allow(panicking) invariant: completion releases exactly the cursor admission installed
                         live_admitted -= 1;
                         completed += 1;
@@ -977,57 +888,48 @@ fn run_per_round(
                             completion_round: round,
                             completion: speed.round_end(round),
                             flow: speed.flow_time(job.arrival, round),
-                            status: JobStatus::Completed,
+                            status: [JobStatus::Completed, JobStatus::Failed][usize::from(failed)],
                         });
                     }
                 }
             }
-            if config.record_trace {
-                row.push(Action::Work { job: jid, node: v });
+                if config.record_trace {
+                    row.push(Action::Work { job: jid, node: v });
+                }
             }
-        }
 
-        // Flush deferred pushes (bottom of the owner's deque, enable order).
-        for w in &mut workers {
-            for task in w.pending.drain(..) {
-                w.deque.push_back(task);
+            // Flush deferred pushes (bottom of the owner's deque, enable order).
+            for w in &mut workers {
+                for task in w.pending.drain(..) {
+                    w.deque.push_back(task);
+                }
             }
+
+            last_busy_round = round;
+            if let Some(t) = trace.as_mut() {
+                t.push_row(row);
+            }
+            round += 1;
         }
 
-        last_busy_round = round;
-        if let Some(t) = trace.as_mut() {
-            t.push_row(row);
+        let outcomes: Vec<JobOutcome> = outcomes
+            .into_iter()
+            .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the engine loop exits only after every job completes
+            .collect();
+        if obs {
+            emit_ws_counters(rec, &wobs, &stats);
         }
-        round += 1;
+        let result = SimResult {
+            m,
+            speed,
+            total_rounds: last_busy_round + 1,
+            outcomes,
+            stats,
+            samples,
+            fault_events,
+        };
+        (result, trace)
     }
-
-    let outcomes: Vec<JobOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("all jobs completed")) // lint: allow(panicking) invariant: the engine loop exits only after every job completes
-        .collect();
-    if obs {
-        emit_ws_counters(rec, &wobs, &stats);
-    }
-    let result = SimResult {
-        m,
-        speed,
-        total_rounds: last_busy_round + 1,
-        outcomes,
-        stats,
-        samples,
-        fault_events,
-    };
-    (result, trace)
-}
-
-/// Convenience wrapper returning only the [`SimResult`].
-pub fn simulate_worksteal(
-    instance: &Instance,
-    config: &SimConfig,
-    policy: StealPolicy,
-    seed: u64,
-) -> SimResult {
-    run_worksteal(instance, config, policy, seed).0
 }
 
 #[cfg(test)]

@@ -38,12 +38,14 @@
 //! path would need the whole instance in memory. Reports exact max flow, the
 //! incremental OPT lower bound (live competitive ratio), histogram
 //! percentiles, retirement counters, and peak RSS. `--policy` additionally
-//! accepts `fifo` (the streaming centralized engine); `--faults` is
-//! rejected (the streaming engines model a reliable machine). `--certify`
-//! (or `--certify on`) runs the `parflow-certify` exact-arithmetic P5
-//! check on the streamed summary — at speed 1 the reported max flow can
-//! never beat the incremental OPT lower bound — and appends the
-//! certificate line to the report.
+//! accepts `fifo` (the streaming centralized engine). `--faults` runs on
+//! the work-stealing policies as on the materialized path and adds one
+//! fault-accounting line; with `fifo` it is a usage error (the centralized
+//! engines model a reliable machine). `--certify` (or `--certify on`) runs
+//! the `parflow-certify` exact-arithmetic P5 check on the streamed summary
+//! — at speed 1 the reported max flow can never beat the incremental OPT
+//! lower bound — and appends the certificate line to the report; a run in
+//! which faults fired is `skipped`, as `certify_run` skips one.
 
 use crate::bridge::{instance_to_workload, BridgeConfig};
 use crate::core::{
@@ -126,7 +128,7 @@ usage:
   parflow exec     <workload flags> --policy admit-first|steal-<k>-first \\
                    [--faults SPEC] [--deadline 30s|500ms] [--compress N] [--iters-per-unit N] [--obs-json FILE]
   parflow exec     --stream [--certify] <workload flags> --policy fifo|admit-first|steal-<k>-first \\
-                   [--speed NUM[/DEN]] [--steals free|unit] [--obs-json FILE]
+                   [--speed NUM[/DEN]] [--steals free|unit] [--faults SPEC] [--obs-json FILE]
   parflow serve    emit|run|tcp ...   (the admission service; `parflow serve` prints its flags)
   parflow sweep    [--grid SPEC|smoke|phase] [--out PATH] ...   (`parflow sweep --help`)
   parflow dot      --shape single|chain|diamond|parallel-for|fork-join|map-reduce|pipeline|adversarial [shape flags]
@@ -526,13 +528,6 @@ impl ObsJson {
 fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
     let (spec, m) = workload_from_flags(flags)?;
     let seed: u64 = flags.get_or("seed", 42u64)?;
-    if flags.get::<String>("faults")?.is_some() {
-        return Err(CliError::BadFlag(
-            "faults".into(),
-            "not supported with --stream on (the streaming engines model a reliable machine)"
-                .into(),
-        ));
-    }
     let cfg = config_from_flags(flags, m)?;
     let certify = flags.flag("certify");
     // `fifo` is the streaming centralized engine; any other name is a
@@ -542,6 +537,14 @@ fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
         Some(_) => flags.get::<StealPolicy>("policy")?,
         None => Some(StealPolicy::StealKFirst { k: 16 }),
     };
+    if policy.is_none() && !cfg.faults.is_empty() {
+        return Err(CliError::BadFlag(
+            "faults".into(),
+            "policy fifo models a reliable machine and would ignore the plan \
+             (faults apply to admit-first and steal-<k>-first)"
+                .into(),
+        ));
+    }
     let mut obs = ObsJson::from_flags(flags)?;
     flags.finish()?;
     let jobs = spec.n_jobs as u64;
@@ -553,7 +556,20 @@ fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
     }
     .map_err(|e| CliError::Io(format!("stream: {e}")))?;
     let wall = started.elapsed().as_secs_f64();
-    let certificate = if certify {
+    let (stats, events) = (&run.summary.stats, run.summary.fault_events.len());
+    let fired = events > 0
+        || stats.crashed_workers + stats.reinjected_tasks + stats.injected_panics > 0
+        || stats.faulted_steps > 0;
+    let certificate = if certify && fired {
+        // As `certify_run` does: the fault-free model does not apply, and
+        // a failed job's flow is no service flow to hold P5 to.
+        let reason = "fault-injected run: the fault-free feasibility model does not apply";
+        let skipped = parflow_certify::CertReport {
+            skipped: Some(reason.into()),
+            ..Default::default()
+        };
+        Some(skipped.render())
+    } else if certify {
         // Exact-arithmetic P5 check: at speed 1 the streamed max flow can
         // never beat the OPT lower bound over the same arrivals. A
         // violation is a hard error (broken engine or tracker), not a line
@@ -572,6 +588,21 @@ fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
         None
     };
     let mut out = run.render(m, wall, certificate.as_deref());
+    if !cfg.faults.is_empty() {
+        let failed = stats.injected_panics;
+        out.push_str(&format!(
+            "\nfaults: {}/{} jobs completed, {failed} failed (max completed flow {:.2} ms); \
+             {} crashed workers, {} reinjected tasks, {} injected panics, {} faulted steps, \
+             {events} fault events",
+            run.summary.jobs - failed,
+            run.summary.jobs,
+            run.max_completed_flow.to_f64() * 1000.0 / crate::workloads::TICKS_PER_SECOND,
+            stats.crashed_workers,
+            stats.reinjected_tasks,
+            stats.injected_panics,
+            stats.faulted_steps,
+        ));
+    }
     obs.flush(&mut out)?;
     Ok(out)
 }
@@ -1254,8 +1285,9 @@ mod tests {
 
     #[test]
     fn exec_stream_rejects_faults_and_bad_values() {
+        // Only the centralized stream refuses a plan; work stealing runs it.
         let e = run_cli(&argv(
-            "exec --stream --jobs 100 --m 2 --qps 5000 --faults panic:0.5",
+            "exec --stream --jobs 100 --m 2 --qps 5000 --policy fifo --faults panic:0.5",
         ))
         .unwrap_err();
         assert!(

@@ -116,3 +116,68 @@ fn generate_then_analyze_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("interval decomposition"));
     std::fs::remove_file(path).unwrap();
 }
+
+/// Valid plans run to completion however far into time they reach; a plan
+/// that stalls every worker forever is a usage error naming `--faults`;
+/// and a 10^12-round stall is jumped, not stepped.
+#[test]
+fn far_reaching_fault_plans_exit_cleanly() {
+    let sim = |m: &str, jobs: &str, qps: &str, faults: &str| {
+        let args = [
+            "simulate",
+            "--scheduler",
+            "admit-first",
+            "--m",
+            m,
+            "--jobs",
+            jobs,
+        ];
+        parflow(&[&args[..], &["--qps", qps, "--faults", faults]].concat())
+    };
+    for plan in [
+        "stall:0@5+18446744073709551615",
+        "stall:0@0+18446744073709551000",
+    ] {
+        let out = sim("2", "50", "1000", plan);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{plan}: {out:?}");
+        assert!(stdout.contains("50/50 jobs completed"), "{plan}: {stdout}");
+    }
+    let out = sim(
+        "2",
+        "50",
+        "1000",
+        "stall:0@0+18446744073709551615,stall:1@5+18446744073709551615",
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--faults: "));
+    let started = std::time::Instant::now();
+    let out = sim("1", "5", "10", "stall:0@0+1000000000000");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("5/5 jobs completed"));
+    assert!(started.elapsed().as_secs_f64() < 1.0);
+}
+
+/// `exec --stream --faults` runs on the work-stealing policies and adds one
+/// fault-accounting line; with `--policy fifo` the plan is a usage error.
+#[test]
+fn streamed_faults_run_on_work_stealing_only() {
+    let base = [
+        "exec", "--stream", "--jobs", "3000", "--m", "4", "--qps", "1000",
+    ];
+    let faults = ["--faults", "crash:1@500,slow:2x0.5,panic:0.01", "--certify"];
+    let out = parflow(&[&base[..], &faults].concat());
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.lines().filter(|l| l.starts_with("faults: ")).count(),
+        1
+    );
+    assert!(
+        stdout.contains("certify: skipped (fault-injected run"),
+        "{stdout}"
+    );
+    let out = parflow(&[&base[..], &["--policy", "fifo", "--faults", "crash:1@5"]].concat());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--faults: "));
+}

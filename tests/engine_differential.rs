@@ -148,8 +148,41 @@ fn single_processor_long_chain_is_bit_identical() {
 // samples, trace and the whole obs report.
 // ---------------------------------------------------------------------------
 
-use parflow::core::{run_worksteal_observed, run_worksteal_reference};
+use parflow::core::{run_worksteal_observed, run_worksteal_reference, FaultPlan, PPM};
 use parflow::obs::AggregatingRecorder;
+
+/// Plans on the fault axis.
+const FAULT_AXIS: u8 = 9;
+
+/// The fault axis for a machine of `m`: none, crash, stall, slow 1/2,
+/// slow 1/3, blackhole, panic, certain panic, everything at once. On
+/// `m = 1`, where nobody could adopt a crashed worker's tasks, the crash
+/// becomes a stall.
+fn fault_plan(axis: u8, m: usize) -> FaultPlan {
+    let (last, plan) = (m - 1, FaultPlan::none());
+    let crash = |plan: FaultPlan, at| {
+        if m > 1 {
+            plan.crash(last, at)
+        } else {
+            plan.stall(0, at, 9)
+        }
+    };
+    match axis % FAULT_AXIS {
+        0 => plan,
+        1 => crash(plan, 6),
+        2 => plan.stall(0, 3, 25).stall(0, 20, 30).stall(last, 40, 2),
+        3 => plan.slowdown(0, PPM / 2),
+        4 => plan.slowdown(last, 333_333),
+        5 => plan.blackhole(0),
+        6 => plan.with_panic_ppm(150_000),
+        7 => plan.with_panic_ppm(PPM),
+        _ => crash(plan, 9)
+            .slowdown(0, PPM / 2)
+            .stall(0, 12, 15)
+            .blackhole(last)
+            .with_panic_ppm(50_000),
+    }
+}
 
 /// Assert stepper and per-round reference agree bit-for-bit, through the
 /// observed entry points so the per-worker telemetry is compared too.
@@ -178,7 +211,8 @@ fn assert_stepper_matches_reference(
     let (plain, plain_trace) = run_worksteal(inst, cfg, policy, seed);
     assert_eq!(plain, fast, "{name}: NullRecorder result");
     assert_eq!(plain_trace, fast_trace, "{name}: NullRecorder trace");
-    if let Some(t) = &fast_trace {
+    // The certifier's feasibility model is fault-free (ROADMAP item 2).
+    if let Some(t) = fast_trace.as_ref().filter(|_| cfg.faults.is_empty()) {
         assert_eq!(t.validate(inst), Ok(()), "{name}: trace validity");
         let report = parflow_certify::certify_run(inst, cfg, Some(policy), &fast, t);
         assert!(report.is_clean(), "{name}: {}", report.render());
@@ -188,6 +222,8 @@ fn assert_stepper_matches_reference(
 /// The full knob grid — steal cost × victim × steal amount × admission
 /// order × k × trace × sampling × m (word boundaries 64/65/130 included) —
 /// on a burst, a steady trickle and a sparse instance with quiescent gaps.
+/// Every case runs fault-free and under one plan of the fault axis, the
+/// plan rotating so each knob setting meets every kind of fault.
 #[test]
 fn stepper_matches_reference_on_the_full_config_grid() {
     let instances = [
@@ -226,21 +262,25 @@ fn stepper_matches_reference_on_the_full_config_grid() {
                 if sampled {
                     cfg = cfg.with_sampling(7);
                 }
-                for k in [0u32, 1, 4, 16] {
+                for (ki, k) in [0u32, 1, 4, 16].into_iter().enumerate() {
                     let policy = if k == 0 {
                         StealPolicy::AdmitFirst
                     } else {
                         StealPolicy::StealKFirst { k }
                     };
                     let seed = 0x5eed ^ (knobs as u64) << 8 ^ k as u64;
-                    let name = format!("inst {ii} m {m} knobs {knobs:06b} k {k}");
-                    assert_stepper_matches_reference(inst, &cfg, policy, seed, &name);
-                    cases += 1;
+                    let axis = 1 + (knobs as usize + ki + m + ii) % (FAULT_AXIS as usize - 1);
+                    for axis in [0, axis as u8] {
+                        let cfg = cfg.clone().with_faults(fault_plan(axis, m));
+                        let name = format!("inst {ii} m {m} knobs {knobs:06b} k {k} fault {axis}");
+                        assert_stepper_matches_reference(inst, &cfg, policy, seed, &name);
+                        cases += 1;
+                    }
                 }
             }
         }
     }
-    assert_eq!(cases, 3 * 7 * 64 * 4);
+    assert_eq!(cases, 3 * 7 * 64 * 4 * 2);
 }
 
 // Named regressions for the edges the event form introduces. Each runs
@@ -454,6 +494,182 @@ fn edge_own_deque_refilled_at_round_end_is_popped_next_round() {
     }
 }
 
+// Named regressions for the fault events and masks: each pins what the
+// per-round loop does at one edge the event form has to reproduce.
+
+use parflow::core::{Action, FaultKind, JobStatus, PanicSampler};
+
+fn kinds(r: &parflow::core::SimResult) -> Vec<(u64, Option<usize>, FaultKind)> {
+    r.fault_events
+        .iter()
+        .map(|e| (e.round, e.worker, e.kind))
+        .collect()
+}
+
+#[test]
+fn edge_crash_mid_node_the_adopter_resumes_the_remainder() {
+    // Worker 0 admits a 10-unit node and runs 4 units; it dies at the start
+    // of round 4 and worker 1 adopts the node there, running the 6 left.
+    let inst = one_job(shapes::single_node(10));
+    for cfg in [SimConfig::new(2), SimConfig::new(2).with_free_steals()] {
+        let cfg = cfg.with_faults(FaultPlan::none().crash(0, 4));
+        let (r, t) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 5, "crash mid-node");
+        assert_eq!(r.outcomes[0].completion_round, 9);
+        assert_eq!((r.stats.work_steps, r.stats.reinjected_tasks), (10, 1));
+        let rows = t.to_dense();
+        assert_eq!(rows[3][0], Action::Work { job: 0, node: 0 });
+        assert_eq!((rows[4][0], rows[4][1]), (Action::Idle, rows[3][0]));
+    }
+}
+
+#[test]
+fn edge_crash_while_idle_reinjects_nothing() {
+    let inst = one_job(shapes::single_node(10));
+    let cfg = SimConfig::new(2).with_faults(FaultPlan::none().crash(1, 3));
+    let (r, _) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 5, "crash idle");
+    assert_eq!(kinds(&r), [(3, Some(1), FaultKind::Crash)]);
+    assert_eq!(r.stats.reinjected_tasks, 0);
+}
+
+#[test]
+fn edge_crash_in_a_quiescent_gap_fires_on_time() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(2))),
+        Job::new(1, 1000, Arc::new(shapes::parallel_for(12, 3))),
+    ]);
+    for k in [0u32, 3] {
+        let policy = StealPolicy::StealKFirst { k };
+        let cfg = SimConfig::new(3).with_faults(FaultPlan::none().crash(1, 50));
+        let (r, _) = edge_case(&inst, &cfg, policy, 1, "crash in gap");
+        assert_eq!(kinds(&r), [(50, Some(1), FaultKind::Crash)]);
+    }
+}
+
+#[test]
+fn edge_stall_covering_a_completion_round_postpones_it() {
+    // Rounds 0–2 run, 3–7 are stalled, 8–10 finish the 6-unit node.
+    let inst = one_job(shapes::single_node(6));
+    let cfg = SimConfig::new(1).with_faults(FaultPlan::none().stall(0, 3, 5));
+    let (r, _) = edge_case(
+        &inst,
+        &cfg,
+        StealPolicy::AdmitFirst,
+        2,
+        "stall over completion",
+    );
+    assert_eq!(r.outcomes[0].completion_round, 10);
+    let want = [
+        (3, Some(0), FaultKind::StallBegin),
+        (8, Some(0), FaultKind::StallEnd),
+    ];
+    assert_eq!(kinds(&r), want);
+    assert_eq!(r.stats.faulted_steps, 5);
+}
+
+#[test]
+fn edge_stall_inside_a_quiescent_gap_emits_nothing() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(2))),
+        Job::new(1, 1000, Arc::new(shapes::single_node(300))),
+    ]);
+    // [100, 150) lies wholly in the gap; [900, 1100) begins in it, so its
+    // first explicit round, the arrival, sees it begin.
+    let plan = FaultPlan::none().stall(0, 100, 50).stall(1, 900, 200);
+    let cfg = SimConfig::new(2).with_faults(plan);
+    let (r, _) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 4, "stall in gap");
+    let want = [
+        (1000, Some(1), FaultKind::StallBegin),
+        (1100, Some(1), FaultKind::StallEnd),
+    ];
+    assert_eq!(kinds(&r), want);
+    assert_eq!(r.stats.faulted_steps, 100);
+}
+
+#[test]
+fn edge_slowed_worker_burns_its_k_misses_in_its_own_rounds() {
+    // Unit-step steal-4-first: worker 0 misses rounds 0–3 and admits in 4;
+    // worker 1 runs at 1/3 and misses in its open rounds 2, 5, 8, 11, so
+    // it admits in 14.
+    let inst = Instance::new(
+        (0..3)
+            .map(|i| Job::new(i, 0, Arc::new(shapes::single_node(50))))
+            .collect(),
+    );
+    let cfg = SimConfig::new(2).with_faults(FaultPlan::none().slowdown(1, 333_334));
+    let policy = StealPolicy::StealKFirst { k: 4 };
+    let (r, _) = edge_case(&inst, &cfg, policy, 6, "slow k-burn");
+    assert_eq!(
+        (r.outcomes[0].start_round, r.outcomes[1].start_round),
+        (4, 14)
+    );
+}
+
+#[test]
+fn edge_blackholed_sole_victim_never_yields() {
+    let inst = one_job(shapes::diamond(12, 3));
+    for cfg in [SimConfig::new(3), SimConfig::new(3).with_free_steals()] {
+        let cfg = cfg.with_faults(FaultPlan::none().blackhole(0));
+        let (r, _) = edge_case(&inst, &cfg, StealPolicy::AdmitFirst, 8, "blackhole");
+        assert_eq!(r.stats.successful_steals, 0);
+        assert!(r.stats.steal_attempts > 0);
+        assert_eq!(r.outcomes[0].completion_round + 1, inst.total_work());
+    }
+}
+
+#[test]
+fn edge_panic_purges_holders_on_both_sides_mid_round() {
+    // source → (5, 9, 9) → sink on three workers with free steals: in
+    // round 1 worker 0 pops the last 9, workers 1 and 2 steal the 5 and the
+    // other 9. The 5 completes and panics in round 5, while worker 0 (lower
+    // index) has run its node that round and worker 2 (higher) has not yet
+    // — so worker 2 acts afresh in round 5 and admits the job arriving then.
+    let mut b = DagBuilder::new();
+    let src = b.add_node(1);
+    let sink = b.add_node(1);
+    let kids = [5, 9, 9].map(|w| b.add_node(w));
+    for k in kids {
+        b.add_edge(src, k).unwrap();
+        b.add_edge(k, sink).unwrap();
+    }
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(b.build().unwrap())),
+        Job::new(1, 5, Arc::new(shapes::single_node(3))),
+    ]);
+    let seed = (0u64..)
+        .find(|&s| {
+            let sampler = PanicSampler::new(s, PPM / 2);
+            sampler.should_panic(0, kids[0])
+                && !sampler.should_panic(0, src)
+                && !(0..3).any(|n| sampler.should_panic(1, n))
+        })
+        .unwrap();
+    let cfg = SimConfig::new(3)
+        .with_free_steals()
+        .with_faults(FaultPlan::none().with_panic_ppm(PPM / 2));
+    let (r, t) = edge_case(
+        &inst,
+        &cfg,
+        StealPolicy::AdmitFirst,
+        seed,
+        "panic both sides",
+    );
+    assert_eq!(kinds(&r), [(5, Some(1), FaultKind::TaskPanic)]);
+    assert_eq!(r.outcomes[0].status, JobStatus::Failed);
+    // 1 + 5 + 5 (worker 0 through round 5) + 4 (worker 2 through round 4),
+    // then job 1's 3.
+    assert_eq!(r.stats.work_steps, 15 + 3);
+    let row = &t.to_dense()[5];
+    assert_eq!(
+        row[0],
+        Action::Work {
+            job: 0,
+            node: kids[2]
+        }
+    );
+    assert_eq!(row[2], Action::Work { job: 1, node: 0 });
+    assert_eq!(r.outcomes[1].start_round, 5);
+}
+
 /// The Figure 2 regime (loaded machine, long busy stretches, frequent
 /// steals): paper workloads at 75 % and 90 % utilization.
 #[test]
@@ -534,10 +750,13 @@ fn arb_replica_spec() -> impl Strategy<Value = ReplicaSpec> {
         0u64..4,       // sample_every (0 = off)
         any::<bool>(), // record trace
         any::<u64>(),  // rng seed
+        0..FAULT_AXIS, // fault plan
     )
         .prop_map(
-            |(m, speed, k, free, scan, half, weighted, sample, traced, seed)| {
-                let mut cfg = SimConfig::new(m).with_speed(speed);
+            |(m, speed, k, free, scan, half, weighted, sample, traced, seed, fault)| {
+                let mut cfg = SimConfig::new(m)
+                    .with_speed(speed)
+                    .with_faults(fault_plan(fault, m));
                 if free {
                     cfg = cfg.with_free_steals();
                 }
@@ -581,7 +800,7 @@ fn assert_batch_identical(inst: &Instance, specs: &[ReplicaSpec]) {
         );
         assert_eq!(*result, want_result, "replica {i}: result");
         assert_eq!(*trace, want_trace, "replica {i}: trace");
-        if let Some(t) = trace {
+        if let Some(t) = trace.as_ref().filter(|_| spec.config.faults.is_empty()) {
             assert_eq!(t.validate(inst), Ok(()), "replica {i}: trace validity");
             let report =
                 parflow_certify::certify_run(inst, &spec.config, Some(spec.policy), result, t);

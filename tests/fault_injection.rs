@@ -252,3 +252,81 @@ fn sim_rejects_out_of_range_plan() {
     let cfg = SimConfig::new(2).with_faults(FaultPlan::none().crash(3, 10));
     let _ = simulate_worksteal(&inst, &cfg, StealPolicy::AdmitFirst, 1);
 }
+
+// ---------------------------------------------------------------------------
+// Plans that reach far into time: the simulator's round cap saturates and
+// stalls are jumped, not stepped
+// ---------------------------------------------------------------------------
+
+/// The CLI's `simulate --m 2 --jobs 50 --qps 1000` workload (Bing, grain
+/// 10, seed 42, free steals, admit-first).
+fn cli_run(plan: FaultPlan) -> SimResult {
+    let spec = WorkloadSpec {
+        dist: DistKind::Bing,
+        shape: parflow::workloads::ShapeKind::ParallelFor { grain: 10 },
+        qps: Some(1000.0),
+        period_ticks: 0,
+        n_jobs: 50,
+        seed: 42,
+    };
+    let cfg = SimConfig::new(2).with_free_steals().with_faults(plan);
+    simulate_worksteal(&spec.generate(), &cfg, StealPolicy::AdmitFirst, 42)
+}
+
+#[test]
+fn sim_stalls_reaching_the_end_of_time_do_not_wrap_the_round_cap() {
+    // Both once panicked with "exceeded round cap": the cap's `+` chain
+    // wrapped. Worker 1 is healthy, so every job completes.
+    let end_of_time = FaultPlan::none().stall(0, 5, u64::MAX);
+    let r = cli_run(end_of_time);
+    assert!(r.all_completed(), "{:?}", r.unfinished());
+    // A stall that never ends is a crash at its start: worker 0 held a
+    // node in round 5, which its survivor now finishes.
+    assert_eq!(r.stats.crashed_workers, 1);
+    assert!(r.stats.reinjected_tasks > 0);
+    let almost = FaultPlan::none().stall(0, 0, 18_446_744_073_709_551_000);
+    let r = cli_run(almost);
+    assert!(r.all_completed(), "{:?}", r.unfinished());
+    assert_eq!(r.stats.crashed_workers, 0);
+    // Worker 0 never acts: worker 1 did all the work.
+    assert!(r.fault_events.iter().all(|e| e.worker == Some(0)));
+}
+
+#[test]
+fn stalling_every_worker_forever_is_an_invalid_plan() {
+    let plan = FaultPlan::none()
+        .stall(0, 0, u64::MAX)
+        .stall(1, 5, u64::MAX);
+    let err = plan.validate(2).expect_err("nobody can ever make progress");
+    assert!(err.contains("stalled forever"), "{err}");
+    // One worker left standing is enough.
+    assert!(FaultPlan::none().stall(0, 0, u64::MAX).validate(2).is_ok());
+}
+
+#[test]
+fn sim_a_trillion_round_stall_is_jumped_to_its_analytic_outcome() {
+    // One worker, stalled for 10^12 rounds: nothing runs before the stall
+    // ends, then the jobs run back to back in arrival order (admit-first on
+    // one worker is FIFO), so each job's flow is its stall-delayed FIFO
+    // flow. Stepping it round by round took ~8 000 s.
+    const STALL: u64 = 1_000_000_000_000;
+    let inst = small_instance(5, 24, 3, 7);
+    let cfg = SimConfig::new(1).with_faults(FaultPlan::none().stall(0, 0, STALL));
+    let started = std::time::Instant::now();
+    let r = simulate_worksteal(&inst, &cfg, StealPolicy::AdmitFirst, 3);
+    assert!(started.elapsed().as_secs_f64() < 1.0);
+    let mut finish = STALL - 1;
+    for (o, job) in r.outcomes.iter().zip(inst.jobs()) {
+        finish += job.work();
+        assert_eq!(o.completion_round, finish, "job {}", o.job);
+        assert_eq!(o.start_round, finish + 1 - job.work(), "job {}", o.job);
+        assert_eq!(
+            o.flow,
+            Rational::from_int((finish + 1 - job.arrival) as i128)
+        );
+    }
+    let kinds: Vec<FaultKind> = r.fault_events.iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, [FaultKind::StallBegin, FaultKind::StallEnd]);
+    assert_eq!(r.fault_events[1].round, STALL);
+    assert_eq!(r.stats.faulted_steps, STALL);
+}

@@ -19,9 +19,9 @@
 use parflow::core::{
     combined_lower_bound, opt_flows, opt_max_flow, run_priority, run_priority_reference,
     run_priority_stream, run_worksteal, run_worksteal_reference, run_worksteal_stream,
-    run_worksteal_stream_with_base, span_lower_bound, BiggestWeightFirst, Fifo, InstanceReplay,
-    JobPriority, JobStream, Lifo, OptTracker, ShortestJobFirst, SimConfig, StreamError,
-    StreamedJob,
+    run_worksteal_stream_with_base, span_lower_bound, BiggestWeightFirst, FaultPlan, Fifo,
+    InstanceReplay, JobPriority, JobStream, Lifo, OptTracker, ShortestJobFirst, SimConfig,
+    StreamError, StreamedJob, PPM,
 };
 use parflow::prelude::*;
 use proptest::prelude::*;
@@ -95,12 +95,16 @@ fn assert_ws_prefix_identical(
     outs.sort_by_key(|o| o.job);
     assert_eq!(outs, batch.outcomes, "prefix {n}: outcomes");
     assert_eq!(trace, batch_trace, "prefix {n}: trace");
+    assert_eq!(
+        sum.fault_events, batch.fault_events,
+        "prefix {n}: fault events"
+    );
     // All n jobs retired, and the slab never held more than the prefix.
     assert_eq!(sum.retire.jobs_retired, n as u64, "prefix {n}: retired");
     assert!(sum.retire.live_jobs_high_water <= n as u64, "prefix {n}");
     // The agreed-upon schedule must also satisfy the paper invariants
     // (P1–P5), machine-checked by the independent certifier.
-    if let Some(t) = &batch_trace {
+    if let Some(t) = batch_trace.as_ref().filter(|_| cfg.faults.is_empty()) {
         let report = parflow_certify::certify_run(&prefix, cfg, Some(policy), &batch, t);
         assert!(report.is_clean(), "prefix {n}: {}", report.render());
     }
@@ -170,6 +174,45 @@ proptest! {
         }
         if sample > 0 {
             cfg = cfg.with_sampling(sample);
+        }
+        let policy = if k == 0 {
+            StealPolicy::AdmitFirst
+        } else {
+            StealPolicy::StealKFirst { k }
+        };
+        for n in 1..=inst.len() {
+            assert_ws_prefix_identical(&inst, n, &cfg, policy, seed);
+        }
+    }
+
+    /// The same under faults: a crash, stalls, a slow worker, a blackhole
+    /// and panics, alone and together — the stream runs the one stepper
+    /// the materialized engine runs, and both match the per-round loop.
+    #[test]
+    fn faulted_worksteal_stream_is_bit_identical_on_every_prefix(
+        inst in arb_instance(),
+        m in 1usize..5,
+        k in 0u32..4,
+        seed in any::<u64>(),
+        traced in any::<bool>(),
+        free in any::<bool>(),
+        kind in 0u8..6
+    ) {
+        let last = m - 1;
+        let plan = match kind {
+            0 if m > 1 => FaultPlan::none().crash(last, 7),
+            0 | 1 => FaultPlan::none().stall(0, 4, 20).stall(last, 30, 3),
+            2 => FaultPlan::none().slowdown(last, 333_333),
+            3 => FaultPlan::none().blackhole(0).with_panic_ppm(100_000),
+            4 => FaultPlan::none().with_panic_ppm(PPM),
+            _ => FaultPlan::none().stall(0, 2, 9).slowdown(0, PPM / 2).with_panic_ppm(50_000),
+        };
+        let mut cfg = SimConfig::new(m).with_faults(plan);
+        if traced {
+            cfg = cfg.with_trace();
+        }
+        if free {
+            cfg = cfg.with_free_steals();
         }
         let policy = if k == 0 {
             StealPolicy::AdmitFirst
