@@ -1,5 +1,7 @@
 //! Deterministic gates on the six engine probes: allocation ceilings and
-//! the exact `rounds` / `steal_attempts` of each series.
+//! the exact `rounds` / `steal_attempts` of each series. A seventh probe
+//! holds the serve path (parse → ledger → dispatch → ack) to an
+//! allocations-per-submission ceiling and its merged digest.
 //!
 //! None of this is a timing. Round, steal-attempt and allocation-event
 //! counts of a fixed (instance, config, seed) repeat exactly run to run,
@@ -19,7 +21,8 @@ use parflow_core::{
     run_priority, simulate_batched, simulate_worksteal, Fifo, ReplicaSpec, SimConfig, StealPolicy,
 };
 use parflow_dag::{shapes, Instance, Job};
-use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec};
+use parflow_serve::{run_jsonl, ServeConfig, Submission, Supervisor};
+use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_SECOND};
 use std::sync::Arc;
 
 /// The probe instance: the default experiment seed (`base_seed()` with
@@ -199,5 +202,69 @@ fn engine_probes_stay_within_alloc_budget_and_reproduce_exact_counts() {
         pair[1].total_rounds,
         pair[1].stats.steal_attempts,
         pair_allocs.saturating_sub(cold_allocs),
+    );
+
+    serve_probe();
+}
+
+/// Lines per phase of the serve probe (the `serve_replay` file's size).
+const SERVE_PER_PHASE: u64 = 60_000;
+/// Allocation events per submission of the serve probe's replay. A
+/// ceiling, not an exact count: how many acknowledgements one pump drains
+/// depends on timing, and so do the sample vectors' regrowths.
+const SERVE_ALLOCS_PER_SUBMISSION_CEILING: f64 = 0.5;
+/// The probe's merged digest: a pure function of the file and the ledger
+/// config, shed and SLO rejections included.
+const SERVE_DIGEST: &str = "19640fcb0998a60f";
+
+/// The serve path (parse → ledger → dispatch → ack) under the counter:
+/// `serve_replay`'s two-phase Bing file — 80 % then 200 % utilization of a
+/// 16-slot ledger, SLO 2 s, queue bound 64 — replayed through `run_jsonl`
+/// with one worker and a one-iteration kernel. Only the replay is counted;
+/// spawning the fleet and `finish` are not per-submission work.
+fn serve_probe() {
+    const SLOTS: usize = 16;
+    let mut body = Vec::new();
+    let (mut id, mut base) = (0u64, 0u64);
+    for (util, phase_seed) in [0.8, 2.0].into_iter().zip(SEED..) {
+        let qps = qps_for_utilization(DistKind::Bing, SLOTS, util);
+        let mut source = WorkloadSpec::paper_fig2(DistKind::Bing, qps, 0, phase_seed).job_source();
+        let mut last = base;
+        for _ in 0..SERVE_PER_PHASE {
+            let job = source.next_job();
+            last = base + job.arrival;
+            let sub = Submission {
+                id,
+                arrival: last,
+                work: job.work,
+                poison: false,
+            };
+            body.extend_from_slice(sub.to_jsonl().as_bytes());
+            body.push(b'\n');
+            id += 1;
+        }
+        base = last;
+    }
+    let mut cfg = ServeConfig::new(1);
+    cfg.capacity_slots = SLOTS;
+    cfg.queue_cap = 64;
+    cfg.slo_ticks = Some(2 * TICKS_PER_SECOND as u64);
+    cfg.seed = SEED;
+    cfg.iters_per_unit = 1;
+    let mut sup = Supervisor::new(cfg).expect("probe config is valid");
+    let (stats, allocs) =
+        counted(|| run_jsonl(&mut sup, body.as_slice()).expect("in-memory replay"));
+    let report = sup.finish();
+    assert_eq!(stats.offered, 2 * SERVE_PER_PHASE, "serve: lines offered");
+    assert_eq!(stats.parse_errors, 0, "serve: parse errors");
+    assert_eq!(
+        report.completed, report.admitted,
+        "serve: every admitted job acked"
+    );
+    assert_eq!(report.digest, SERVE_DIGEST, "serve: merged digest");
+    let per_submission = allocs as f64 / stats.offered as f64;
+    assert!(
+        per_submission <= SERVE_ALLOCS_PER_SUBMISSION_CEILING,
+        "serve: {per_submission:.4} allocs/submission above {SERVE_ALLOCS_PER_SUBMISSION_CEILING}"
     );
 }

@@ -163,10 +163,28 @@ impl Recorder for NullRecorder {
     fn record(&mut self, _event: Event<'_>) {}
 }
 
-/// Key of an aggregated metric: name plus optional entity index.
-/// `BTreeMap` ordering (name, then `None` before indices) fixes report
-/// order deterministically.
-type MetricId = (String, Option<usize>);
+/// Aggregated metrics by name, then entity index. Nested `BTreeMap`s
+/// flatten to (name, then `None` before indices) order, which fixes
+/// report order deterministically, and a lookup by `&str` copies the name
+/// only on its first sight.
+type Metrics<T> = BTreeMap<String, BTreeMap<Option<usize>, T>>;
+
+/// Apply `f` to the entry of `name`, creating it (and copying the name)
+/// only if it is new.
+fn update<T: Default>(map: &mut BTreeMap<String, T>, name: &str, f: impl FnOnce(&mut T)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
+/// `(label, value)` rows of `metrics`, in report order.
+fn labelled<T: Copy>(metrics: &Metrics<T>) -> Vec<(String, T)> {
+    metrics
+        .iter()
+        .flat_map(|(name, per)| per.iter().map(move |(&i, &v)| (metric_label(name, i), v)))
+        .collect()
+}
 
 fn metric_label(name: &str, index: Option<usize>) -> String {
     match index {
@@ -177,24 +195,24 @@ fn metric_label(name: &str, index: Option<usize>) -> String {
 
 /// Inverse of [`metric_label`]: `"name[3]"` → `("name", Some(3))`. A label
 /// whose bracket suffix does not parse is treated as a plain name.
-fn split_label(label: &str) -> MetricId {
+fn split_label(label: &str) -> (&str, Option<usize>) {
     if let Some(open) = label.rfind('[') {
         if let Some(idx) = label
             .strip_suffix(']')
             .and_then(|l| l[open + 1..].parse::<usize>().ok())
         {
-            return (label[..open].to_string(), Some(idx));
+            return (&label[..open], Some(idx));
         }
     }
-    (label.to_string(), None)
+    (label, None)
 }
 
 /// In-memory aggregation: counters summed, gauges last-write-wins, samples
 /// collected verbatim, spans timed against a wall clock.
 #[derive(Debug)]
 pub struct AggregatingRecorder {
-    counters: BTreeMap<MetricId, u64>,
-    gauges: BTreeMap<MetricId, f64>,
+    counters: Metrics<u64>,
+    gauges: Metrics<f64>,
     samples: BTreeMap<String, Vec<f64>>,
     /// Completed phases in completion order: `(name, wall_seconds)`.
     phases: Vec<(String, f64)>,
@@ -216,15 +234,13 @@ impl AggregatingRecorder {
 
     /// Current value of counter `name` at `index` (0 when never written).
     pub fn counter_value(&self, name: &str, index: Option<usize>) -> u64 {
-        self.counters
-            .get(&(name.to_string(), index))
-            .copied()
-            .unwrap_or(0)
+        let per = self.counters.get(name);
+        per.and_then(|p| p.get(&index)).copied().unwrap_or(0)
     }
 
     /// Current gauge value, if set.
     pub fn gauge_value(&self, name: &str, index: Option<usize>) -> Option<f64> {
-        self.gauges.get(&(name.to_string(), index)).copied()
+        self.gauges.get(name).and_then(|p| p.get(&index)).copied()
     }
 
     /// Samples collected for distribution `name`.
@@ -244,30 +260,34 @@ impl AggregatingRecorder {
     /// samples instead where distribution fidelity matters.
     pub fn absorb_scalars(&mut self, report: &ObsReport) {
         for (label, v) in &report.counters {
-            let (name, idx) = split_label(label);
-            let slot = self.counters.entry((name, idx)).or_insert(0);
-            *slot = slot.saturating_add(*v);
+            let (name, index) = split_label(label);
+            self.counter_add(name, index, *v);
         }
         for (label, v) in &report.gauges {
-            let (name, idx) = split_label(label);
-            self.gauges.insert((name, idx), *v);
+            let (name, index) = split_label(label);
+            self.gauge_set(name, index, *v);
         }
+    }
+
+    fn counter_add(&mut self, name: &str, index: Option<usize>, delta: u64) {
+        update(&mut self.counters, name, |per| {
+            let slot = per.entry(index).or_insert(0);
+            *slot = slot.saturating_add(delta);
+        });
+    }
+
+    fn gauge_set(&mut self, name: &str, index: Option<usize>, value: f64) {
+        update(&mut self.gauges, name, |per| {
+            per.insert(index, value);
+        });
     }
 
     /// Summarize everything recorded so far into a machine-readable report.
     pub fn report(&self) -> ObsReport {
         ObsReport {
             schema: OBS_SCHEMA,
-            counters: self
-                .counters
-                .iter()
-                .map(|((name, idx), &v)| (metric_label(name, *idx), v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|((name, idx), &v)| (metric_label(name, *idx), v))
-                .collect(),
+            counters: labelled(&self.counters),
+            gauges: labelled(&self.gauges),
             histograms: self
                 .samples
                 .iter()
@@ -287,19 +307,9 @@ impl Default for AggregatingRecorder {
 impl Recorder for AggregatingRecorder {
     fn record(&mut self, event: Event<'_>) {
         match event {
-            Event::Counter { name, index, delta } => {
-                let slot = self.counters.entry((name.to_string(), index)).or_insert(0);
-                *slot = slot.saturating_add(delta);
-            }
-            Event::Gauge { name, index, value } => {
-                self.gauges.insert((name.to_string(), index), value);
-            }
-            Event::Sample { name, value } => {
-                self.samples
-                    .entry(name.to_string())
-                    .or_default()
-                    .push(value);
-            }
+            Event::Counter { name, index, delta } => self.counter_add(name, index, delta),
+            Event::Gauge { name, index, value } => self.gauge_set(name, index, value),
+            Event::Sample { name, value } => update(&mut self.samples, name, |xs| xs.push(value)),
             Event::SpanBegin { name } => {
                 self.open.push((name.to_string(), Instant::now()));
             }
@@ -736,12 +746,12 @@ mod tests {
             ("a[b", None), // bracket inside a plain name survives
         ] {
             let label = metric_label(name, idx);
-            assert_eq!(split_label(&label), (name.to_string(), idx));
+            assert_eq!(split_label(&label), (name, idx));
         }
         // Unparsable bracket suffixes degrade to plain names.
-        assert_eq!(split_label("x[y]"), ("x[y]".to_string(), None));
-        assert_eq!(split_label("x[3"), ("x[3".to_string(), None));
-        assert_eq!(split_label("x]"), ("x]".to_string(), None));
+        assert_eq!(split_label("x[y]"), ("x[y]", None));
+        assert_eq!(split_label("x[3"), ("x[3", None));
+        assert_eq!(split_label("x]"), ("x]", None));
     }
 
     #[test]

@@ -30,13 +30,60 @@ pub struct IngestStats {
     pub parse_errors: u64,
 }
 
-/// Render an outcome as a one-word ack token for the live protocol.
-fn outcome_token(outcome: &Outcome) -> &'static str {
+/// The live protocol's acknowledgement line for an outcome.
+fn ack_line(outcome: &Outcome) -> &'static [u8] {
     match outcome {
-        Outcome::Admitted { .. } => "admitted",
-        Outcome::Shed { .. } => "shed",
-        Outcome::RejectedSlo { .. } => "rejected-slo",
-        Outcome::Duplicate => "duplicate",
+        Outcome::Admitted { .. } => b"ok admitted\n",
+        Outcome::Shed { .. } => b"ok shed\n",
+        Outcome::RejectedSlo { .. } => b"ok rejected-slo\n",
+        Outcome::Duplicate => b"ok duplicate\n",
+    }
+}
+
+fn io_error(e: std::io::Error) -> RuntimeError {
+    RuntimeError::Io(e.to_string())
+}
+
+/// The one line loop: read each line into one reused buffer, skip blank
+/// lines and `#` comments, count malformed lines, offer, pump. With an
+/// ack writer every counted line is acknowledged, and a failed read or
+/// write ends the connection quietly (the client went away; the service
+/// lives on); without one a failed read is an error.
+fn feed<R: BufRead>(
+    sup: &mut Supervisor,
+    mut reader: R,
+    mut acks: Option<&mut dyn Write>,
+    stats: &mut IngestStats,
+) -> Result<(), RuntimeError> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {}
+            Err(_) if acks.is_some() => return Ok(()),
+            Err(e) => return Err(io_error(e)),
+        }
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        let acked = match parse_submission(trimmed) {
+            Ok(sub) => {
+                stats.offered += 1;
+                let outcome = sup.offer(sub);
+                acks.as_mut().map(|w| w.write_all(ack_line(&outcome)))
+            }
+            Err(e) => {
+                stats.parse_errors += 1;
+                acks.as_mut()
+                    .map(|w| w.write_all(format!("err {e}\n").as_bytes()))
+            }
+        };
+        if let Some(Err(_)) = acked {
+            return Ok(());
+        }
+        sup.pump();
     }
 }
 
@@ -45,21 +92,7 @@ fn outcome_token(outcome: &Outcome) -> &'static str {
 /// are counted. This is the deterministic replay path.
 pub fn run_jsonl<R: BufRead>(sup: &mut Supervisor, reader: R) -> Result<IngestStats, RuntimeError> {
     let mut stats = IngestStats::default();
-    for line in reader.lines() {
-        let line = line.map_err(|e| RuntimeError::Io(e.to_string()))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match parse_submission(trimmed) {
-            Ok(sub) => {
-                stats.offered += 1;
-                sup.offer(sub);
-            }
-            Err(_) => stats.parse_errors += 1,
-        }
-        sup.pump();
-    }
+    feed(sup, reader, None, &mut stats)?;
     Ok(stats)
 }
 
@@ -73,37 +106,9 @@ pub fn run_tcp_listener(
 ) -> Result<IngestStats, RuntimeError> {
     let mut stats = IngestStats::default();
     for _ in 0..max_conns {
-        let (stream, _) = listener
-            .accept()
-            .map_err(|e| RuntimeError::Io(e.to_string()))?;
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| RuntimeError::Io(e.to_string()))?;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break, // client went away; the service lives on
-            };
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let ack = match parse_submission(trimmed) {
-                Ok(sub) => {
-                    stats.offered += 1;
-                    format!("ok {}\n", outcome_token(&sup.offer(sub)))
-                }
-                Err(e) => {
-                    stats.parse_errors += 1;
-                    format!("err {e}\n")
-                }
-            };
-            if writer.write_all(ack.as_bytes()).is_err() {
-                break;
-            }
-            sup.pump();
-        }
+        let (stream, _) = listener.accept().map_err(io_error)?;
+        let mut writer = stream.try_clone().map_err(io_error)?;
+        feed(sup, BufReader::new(stream), Some(&mut writer), &mut stats)?;
     }
     Ok(stats)
 }

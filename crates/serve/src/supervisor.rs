@@ -48,7 +48,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionLedger, Outcome};
 use crate::protocol::Submission;
-use crate::worker::{SubmitError, ThreadWorker, WorkOrder, WorkerConfig, WorkerHandle};
+use crate::worker::{Completion, SubmitError, ThreadWorker, WorkOrder, WorkerConfig, WorkerHandle};
 use parflow_obs::{AggregatingRecorder, ObsReport, Recorder};
 use parflow_runtime::RuntimeError;
 use parflow_time::Ticks;
@@ -176,6 +176,9 @@ struct Slot {
     restart_at: Option<Instant>,
     last_hb: u64,
     stalled: u64,
+    /// Outstanding orders assigned to this slot: up on dispatch, down on
+    /// acknowledgement, zeroed on death. The watchdog reads it.
+    holding: usize,
 }
 
 /// Final accounting of one service run. See the module docs for the
@@ -239,6 +242,10 @@ pub struct Supervisor {
     rr: usize,
     checksum_xor: u64,
     duplicate_submissions: u64,
+    /// Scratch reused by every pump: drained acknowledgements, and the
+    /// workers whose inbox filled during one dispatch pass.
+    acks: Vec<Completion>,
+    full: Vec<bool>,
 }
 
 impl Supervisor {
@@ -263,6 +270,8 @@ impl Supervisor {
             rr: 0,
             checksum_xor: 0,
             duplicate_submissions: 0,
+            acks: Vec::new(),
+            full: Vec::new(),
             cfg,
         };
         for w in 0..sup.cfg.workers {
@@ -274,6 +283,7 @@ impl Supervisor {
                 restart_at: None,
                 last_hb: 0,
                 stalled: 0,
+                holding: 0,
             };
             sup.slots.push(slot);
         }
@@ -332,25 +342,14 @@ impl Supervisor {
     /// restart due workers, dispatch pending orders.
     pub fn pump(&mut self) {
         // 1. Drain acknowledgements from every live worker.
-        for w in 0..self.slots.len() {
-            let comps = match &mut self.slots[w].handle {
-                Some(h) => h.drain_completions(),
-                None => Vec::new(),
-            };
-            for c in comps {
-                self.apply_completion(c.id, c.checksum, c.worker);
+        for slot in &mut self.slots {
+            if let Some(h) = &mut slot.handle {
+                h.drain_completions(&mut self.acks);
             }
         }
+        self.apply_acks();
         // 2. Death detection: thread exit (primary) or heartbeat stall
         //    while holding work (hung-thread watchdog).
-        let mut holding = vec![false; self.slots.len()];
-        for o in self.outstanding.values() {
-            if let Some(w) = o.assigned_to {
-                if w < holding.len() {
-                    holding[w] = true;
-                }
-            }
-        }
         let stall_limit = self.cfg.stall_polls;
         let mut deaths = Vec::new();
         for (w, slot) in self.slots.iter_mut().enumerate() {
@@ -359,13 +358,14 @@ impl Supervisor {
                     handle: Some(h),
                     last_hb,
                     stalled,
+                    holding,
                     ..
                 } => {
                     if h.is_finished() {
                         true
                     } else {
                         let hb = h.heartbeat();
-                        if hb == *last_hb && holding.get(w) == Some(&true) {
+                        if hb == *last_hb && *holding > 0 {
                             *stalled += 1;
                         } else {
                             *stalled = 0;
@@ -406,19 +406,32 @@ impl Supervisor {
         self.dispatch_pending();
     }
 
-    fn apply_completion(&mut self, id: u64, checksum: u64, worker: usize) {
-        if self.completed.insert(id) {
+    /// Apply the acknowledgements drained into `self.acks`, keeping its
+    /// buffer for the next drain.
+    fn apply_acks(&mut self) {
+        let mut acks = std::mem::take(&mut self.acks);
+        for c in acks.drain(..) {
+            self.apply_completion(c);
+        }
+        self.acks = acks;
+    }
+
+    fn apply_completion(&mut self, c: Completion) {
+        if self.completed.insert(c.id) {
             // The kernel checksum is a pure function of (id, work, iters),
             // so a fold over the deduplicated completion set is
             // sharding-invariant — it lands in the merged report as an
             // execution-identity probe.
-            self.checksum_xor ^= checksum;
-            if let Some(o) = self.outstanding.remove(&id) {
+            self.checksum_xor ^= c.checksum;
+            if let Some(o) = self.outstanding.remove(&c.id) {
+                if let Some(slot) = o.assigned_to.and_then(|w| self.slots.get_mut(w)) {
+                    slot.holding = slot.holding.saturating_sub(1);
+                }
                 let ms = o.offered.elapsed().as_secs_f64() * 1e3;
                 self.live.sample("serve.wall_flow_ms", ms);
             }
             self.live.counter("serve.completions", 1);
-            self.live.counter_at("serve.worker.completed", worker, 1);
+            self.live.counter_at("serve.worker.completed", c.worker, 1);
         } else {
             // At-least-once dispatch raced: executed twice, counted once.
             self.live.counter("serve.duplicate_completion", 1);
@@ -434,14 +447,15 @@ impl Supervisor {
         };
         // Acks sent before the crash are still buffered in the channel;
         // losing them would turn a clean completion into a duplicate run.
-        for c in handle.drain_completions() {
-            self.apply_completion(c.id, c.checksum, c.worker);
-        }
+        handle.drain_completions(&mut self.acks);
+        self.apply_acks();
         handle.shutdown();
         self.live.counter("serve.worker_deaths", 1);
         self.live.counter_at("serve.worker.deaths", w, 1);
+        self.slots[w].holding = 0;
         // Exactly-once re-admission: everything assigned and unacked goes
         // back to the dispatch queue, poison stripped so retries converge.
+        // The one scan of `outstanding`, paid per death, not per pump.
         let ids: Vec<u64> = self
             .outstanding
             .iter()
@@ -490,15 +504,17 @@ impl Supervisor {
         if n == 0 {
             return;
         }
-        let mut full = vec![false; n];
+        self.full.clear();
+        self.full.resize(n, false);
         while let Some(order) = self.dispatch.pop_front() {
             let mut placed = false;
             for step in 0..n {
                 let w = (self.rr + step) % n;
-                if full[w] {
+                if self.full[w] {
                     continue;
                 }
-                let outcome = match &mut self.slots[w].handle {
+                let slot = &mut self.slots[w];
+                let outcome = match &mut slot.handle {
                     Some(h) => h.try_submit(order),
                     None => continue,
                 };
@@ -506,12 +522,13 @@ impl Supervisor {
                     Ok(()) => {
                         if let Some(o) = self.outstanding.get_mut(&order.id) {
                             o.assigned_to = Some(w);
+                            slot.holding += 1;
                         }
                         self.rr = (w + 1) % n;
                         placed = true;
                         break;
                     }
-                    Err(SubmitError::Full(_)) => full[w] = true,
+                    Err(SubmitError::Full(_)) => self.full[w] = true,
                     Err(SubmitError::Dead(_)) => {} // next pump reaps it
                 }
             }
@@ -547,19 +564,13 @@ impl Supervisor {
             }
             std::thread::sleep(Duration::from_micros(200));
         }
-        for w in 0..self.slots.len() {
-            let comps = match &mut self.slots[w].handle {
-                Some(h) => {
-                    h.shutdown();
-                    h.drain_completions()
-                }
-                None => Vec::new(),
-            };
-            for c in comps {
-                self.apply_completion(c.id, c.checksum, c.worker);
+        for slot in &mut self.slots {
+            if let Some(mut h) = slot.handle.take() {
+                h.shutdown();
+                h.drain_completions(&mut self.acks);
             }
-            self.slots[w].handle = None;
         }
+        self.apply_acks();
         // Merged report: ledger state + deduplicated completions. Nothing
         // here depends on worker count, timing, or restart history.
         self.ledger.record_merged(&mut self.merged);

@@ -18,7 +18,7 @@ use crate::protocol::Submission;
 use parflow_runtime::spin_kernel;
 use parflow_time::Work;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -71,8 +71,9 @@ pub enum SubmitError {
 pub trait WorkerHandle {
     /// Hand an order to the worker without blocking.
     fn try_submit(&mut self, order: WorkOrder) -> Result<(), SubmitError>;
-    /// Drain every acknowledgement produced since the last call.
-    fn drain_completions(&mut self) -> Vec<Completion>;
+    /// Append every acknowledgement produced since the last call to `out`
+    /// (a buffer the caller reuses, so draining allocates nothing).
+    fn drain_completions(&mut self, out: &mut Vec<Completion>);
     /// Monotone liveness counter bumped by the worker loop (watchdog food).
     fn heartbeat(&self) -> u64;
     /// True once the worker thread has exited (crash or shutdown).
@@ -181,14 +182,8 @@ impl WorkerHandle for ThreadWorker {
         }
     }
 
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        let mut out = Vec::new();
-        loop {
-            match self.acks.try_recv() {
-                Ok(c) => out.push(c),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return out,
-            }
-        }
+    fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        out.extend(self.acks.try_iter());
     }
 
     fn heartbeat(&self) -> u64 {
@@ -221,7 +216,7 @@ mod tests {
     fn wait_drain(w: &mut ThreadWorker, n: usize) -> Vec<Completion> {
         let mut out = Vec::new();
         for _ in 0..10_000 {
-            out.extend(w.drain_completions());
+            w.drain_completions(&mut out);
             if out.len() >= n {
                 break;
             }
@@ -282,7 +277,7 @@ mod tests {
         }
         assert!(w.is_finished(), "worker should crash after 2 acks");
         // Orders 2 and 3 were never acknowledged.
-        assert!(w.drain_completions().is_empty());
+        assert!(wait_drain(&mut w, 0).is_empty());
     }
 
     #[test]
@@ -301,7 +296,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
         }
         assert!(w.is_finished());
-        assert!(w.drain_completions().is_empty());
+        assert!(wait_drain(&mut w, 0).is_empty());
     }
 
     #[test]
