@@ -13,10 +13,9 @@ use super::{PAPER_K, PAPER_M};
 use parflow_core::{simulate_worksteal, BacklogSample, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated backlog statistics for one policy.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BacklogProfile {
     /// Policy name.
     pub policy: String,

@@ -13,11 +13,10 @@ use parflow_core::{opt_max_flow, simulate_fifo, simulate_worksteal, SimConfig, S
 use parflow_dag::{Instance, Job};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, ShapeKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One burstiness level.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BurstPoint {
     /// Jobs per burst (1 = periodic arrivals).
     pub burst: usize,

@@ -14,10 +14,9 @@ use parflow_core::{opt_max_flow, simulate_equi, simulate_fifo, SimConfig};
 use parflow_metrics::{lk_norm, Table};
 use parflow_time::Rational;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// One load level.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EquiPoint {
     /// Queries per second.
     pub qps: f64,

@@ -17,10 +17,9 @@ use super::{jobs_per_point, PAPER_K, PAPER_M};
 use parflow_core::{simulate_worksteal, FaultPlan, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// One severity level of the fault sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultLevel {
     /// Workers crashed (staggered, one every 500 rounds from round 500).
     pub crashes: usize,
@@ -77,7 +76,7 @@ pub fn default_levels() -> Vec<FaultLevel> {
 }
 
 /// One `(policy, level)` data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FaultPoint {
     /// Steal-k threshold (0 = admit-first).
     pub k: u32,

@@ -10,7 +10,6 @@ use super::{jobs_per_point, par_map, PAPER_K, PAPER_M};
 use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// The paper's QPS levels per workload (low / medium / high load).
 pub fn paper_qps(dist: DistKind) -> [f64; 3] {
@@ -21,7 +20,7 @@ pub fn paper_qps(dist: DistKind) -> [f64; 3] {
 }
 
 /// One Figure 2 data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig2Point {
     /// Queries per second.
     pub qps: f64,

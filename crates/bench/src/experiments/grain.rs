@@ -10,10 +10,9 @@ use super::PAPER_M;
 use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, ShapeKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// One grain data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GrainPoint {
     /// Chunk grain in work units (1 unit = 0.1 ms).
     pub grain: u64,

@@ -16,10 +16,9 @@ use parflow_core::{
 use parflow_metrics::Table;
 use parflow_time::Rational;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// The audit summary.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LemmaAudit {
     /// Worst job-wise ratio non-full-rounds / span under FIFO (bound: 1).
     pub fifo_nonfull_worst: f64,

@@ -15,10 +15,9 @@
 use parflow_core::{opt_max_flow, simulate_fifo, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::lower_bound_instance;
-use serde::{Deserialize, Serialize};
 
 /// One row of the lower-bound sweep.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LbPoint {
     /// Number of processors (`m = Θ(log n)`).
     pub m: usize,

@@ -17,10 +17,9 @@ use parflow_dag::Instance;
 use parflow_metrics::{lk_norm, max_stretch, Table};
 use parflow_time::Rational;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// One scheduler's norm profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NormPoint {
     /// Scheduler name.
     pub scheduler: String,

@@ -9,10 +9,9 @@
 use parflow_core::{opt_max_flow, simulate_batched, ReplicaSpec, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// One machine size.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScalingPoint {
     /// Processors.
     pub m: usize,

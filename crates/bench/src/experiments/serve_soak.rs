@@ -20,13 +20,12 @@ use parflow_metrics::Table;
 use parflow_serve::protocol::Submission;
 use parflow_serve::supervisor::{ServeConfig, Supervisor};
 use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// Flow-time SLO for the soak: 2 simulated seconds.
 pub const SOAK_SLO_TICKS: u64 = 2 * TICKS_PER_SECOND as u64;
 
 /// One utilization level of the soak sweep.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SoakPoint {
     /// Target utilization of the modelled 16-slot machine.
     pub utilization: f64,

@@ -7,10 +7,9 @@ use super::{PAPER_K, PAPER_M};
 use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// One load level.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StealAmountPoint {
     /// Queries per second.
     pub qps: f64,

@@ -10,10 +10,9 @@ use super::{jobs_per_point, PAPER_M};
 use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// One `(k, qps)` data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StealKPoint {
     /// The k parameter (0 = admit-first).
     pub k: u32,

@@ -15,11 +15,10 @@ use parflow_time::Speed;
 use parflow_workloads::{DistKind, ShapeKind, WorkloadSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One ε data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BwfPoint {
     /// ε (speed = 1 + ε).
     pub epsilon: f64,

@@ -11,10 +11,9 @@ use parflow_core::{opt_max_flow, simulate_fifo, SimConfig};
 use parflow_metrics::Table;
 use parflow_time::Speed;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// One ε data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FifoPoint {
     /// ε as a fraction (speed = 1 + ε).
     pub epsilon: f64,

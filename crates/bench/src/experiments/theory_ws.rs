@@ -12,10 +12,9 @@ use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_time::Speed;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// One `(k, ε, n)` data point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WsPoint {
     /// steal-k-first parameter.
     pub k: u32,

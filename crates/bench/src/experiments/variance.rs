@@ -11,10 +11,9 @@ use super::{PAPER_K, PAPER_M};
 use parflow_core::{simulate_batched, simulate_fifo, ReplicaSpec, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
-use serde::{Deserialize, Serialize};
 
 /// Variance summary of one policy across seeds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VariancePoint {
     /// Policy name.
     pub policy: String,

@@ -24,10 +24,9 @@
 use parflow_core::{opt_max_flow, simulate_worksteal, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::lower_bound_instance;
-use serde::{Deserialize, Serialize};
 
 /// One row: the adversarial instance under the three machine models.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct VictimPoint {
     /// Processors.
     pub m: usize,

@@ -2,11 +2,10 @@
 //! id order with a fixed key order, plus the parser that `--resume` uses
 //! to re-load it.
 //!
-//! The offline `serde_json` stub cannot serialize, so both directions are
-//! hand-rolled against a deliberately rigid schema: the emitter writes
-//! keys in one fixed order with `f64` values in Rust's shortest
-//! round-trip `Display` form, and the parser extracts fields positionally
-//! by key. Because `Display → parse → Display` is the identity for `f64`,
+//! Both directions are hand-rolled against a deliberately rigid schema:
+//! the emitter writes keys in one fixed order with `f64` values in Rust's
+//! shortest round-trip `Display` form, and the parser extracts fields
+//! positionally by key. Because `Display → parse → Display` is the identity for `f64`,
 //! a line copied through a resume cycle (or a clustered member derived
 //! from a parsed representative) is byte-identical to the line a fresh
 //! run would have written — the property the determinism proptests pin.

@@ -658,11 +658,6 @@ pub fn cli_main(args: &[String]) -> Result<String, String> {
     Ok(report)
 }
 
-/// The phase-diagram section body for EXPERIMENTS.md (markdown table).
-pub fn markdown_crossover(outcome: &SweepOutcome) -> String {
-    render_crossover_markdown(&outcome.crossover())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,6 @@
 
 use crate::fault::FaultPlan;
 use parflow_time::Speed;
-use serde::{Deserialize, Serialize};
 
 /// How much simulated time a steal attempt consumes (work stealing only).
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 ///   orders of magnitude cheaper than a 0.1 ms work unit: acquiring work is
 ///   instantaneous and only executing work (or having none) consumes the
 ///   round. Use this to reproduce Figure 2.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StealCost {
     /// A steal attempt takes one full time step (paper Section 4 model).
     #[default]
@@ -34,7 +33,7 @@ pub enum StealCost {
 /// (each thief sweeps the workers cyclically), which finds any loaded
 /// deque within `m−1` attempts — the `lb_logn` ablation shows the lower
 /// bound collapsing under it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VictimStrategy {
     /// Uniformly random victim among the other workers (the paper's model).
     #[default]
@@ -51,7 +50,7 @@ pub enum VictimStrategy {
 /// chunks across workers in `O(log chunks)` steals instead of one steal
 /// per chunk — the `steal_amount` ablation quantifies the effect on max
 /// flow time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StealAmount {
     /// Steal one task from the top (the paper's model).
     #[default]
@@ -68,7 +67,7 @@ pub enum StealAmount {
 /// largest-weight queued job instead of the oldest. Combined with
 /// steal-k-first this approximates centralized BWF without global
 /// preemption — see the `weighted-ws` experiment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionOrder {
     /// Oldest job first (the paper's global FIFO queue).
     #[default]
@@ -81,7 +80,7 @@ pub enum AdmissionOrder {
 ///
 /// Not `Copy`: the fault plan owns heap-allocated fault lists. Clone it
 /// explicitly where a second copy is needed.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Number of identical processors `m`.
     pub m: usize,
@@ -104,7 +103,6 @@ pub struct SimConfig {
     pub admission: AdmissionOrder,
     /// Faults to inject (crashes, slowdowns, stalls, blackholes, task
     /// panics). Empty by default; see [`FaultPlan`].
-    #[serde(default)]
     pub faults: FaultPlan,
 }
 

@@ -8,12 +8,11 @@ use crate::result::SimResult;
 use crate::trace::ScheduleTrace;
 use crate::worksteal::{run_worksteal, StealPolicy};
 use parflow_dag::Instance;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Every scheduler this workspace implements, as a value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// First-In-First-Out (Section 3).
     Fifo,

@@ -40,14 +40,13 @@
 use crate::bits::BitWords;
 use parflow_dag::NodeId;
 use parflow_time::Round;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One million — the denominator of all ppm probabilities and factors.
 pub const PPM: u32 = 1_000_000;
 
 /// A worker crash: permanent removal from service.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CrashFault {
     /// Worker index (`0..m`).
     pub worker: usize,
@@ -57,7 +56,7 @@ pub struct CrashFault {
 
 /// A worker slowdown: the worker executes work in only a fraction of
 /// rounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SlowdownFault {
     /// Worker index (`0..m`).
     pub worker: usize,
@@ -67,7 +66,7 @@ pub struct SlowdownFault {
 }
 
 /// A temporary worker stall (freeze window).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StallFault {
     /// Worker index (`0..m`).
     pub worker: usize,
@@ -92,22 +91,17 @@ impl StallFault {
 
 /// What faults to inject into a run. Empty by default; see the module
 /// docs for per-fault semantics.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Permanent worker crashes.
-    #[serde(default)]
     pub crashes: Vec<CrashFault>,
     /// Per-worker slowdown rates.
-    #[serde(default)]
     pub slowdowns: Vec<SlowdownFault>,
     /// Temporary worker freezes.
-    #[serde(default)]
     pub stalls: Vec<StallFault>,
     /// Workers whose deques never yield to thieves.
-    #[serde(default)]
     pub blackholes: Vec<usize>,
     /// Probability (ppm) that any executed task fails/panics.
-    #[serde(default)]
     pub panic_ppm: u32,
 }
 
@@ -337,7 +331,7 @@ impl SlowdownGate {
 }
 
 /// What kind of fault fired (for [`FaultEvent`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// A worker crashed and left service.
     Crash,
@@ -354,7 +348,7 @@ pub enum FaultKind {
 }
 
 /// One fault that actually fired during a run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Engine time (simulator round / runtime tick estimate) of the event.
     pub round: u64,
@@ -383,7 +377,7 @@ impl FaultEvent {
 }
 
 /// Terminal status of one job under fault injection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JobStatus {
     /// Ran to completion.
     #[default]

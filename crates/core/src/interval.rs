@@ -19,10 +19,9 @@
 use crate::result::SimResult;
 use parflow_dag::JobId;
 use parflow_time::Rational;
-use serde::{Deserialize, Serialize};
 
 /// One interval of the decomposition, with the job that defines it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Interval {
     /// Interval start (the defining job's arrival time).
     pub start: Rational,
@@ -45,7 +44,7 @@ impl Interval {
 }
 
 /// The full decomposition for the maximum-flow job of a run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IntervalAnalysis {
     /// The maximum-flow job `J_i`.
     pub job: JobId,

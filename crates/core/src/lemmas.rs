@@ -27,7 +27,6 @@ use crate::result::SimResult;
 use crate::trace::{Action, ScheduleTrace};
 use parflow_dag::{Instance, JobId};
 use parflow_time::{Rational, Round};
-use serde::{Deserialize, Serialize};
 
 /// Per-round activity counts extracted from a trace, with prefix sums for
 /// O(1) range queries.
@@ -113,7 +112,7 @@ impl RoundActivity {
 }
 
 /// A violation of the deterministic non-full-rounds bound.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GreedyViolation {
     /// The job whose window violated the bound.
     pub job: JobId,
@@ -153,7 +152,7 @@ pub fn check_greedy_nonfull_bound(
 }
 
 /// Per-job idling measurement for the Lemma 4.5 bound.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WsIdlingReport {
     /// For each job: idling steps during `[e_i, c_i]` divided by
     /// `m·P_i + ln n` (the lemma bounds this by 64 w.h.p., constants 64/32).
@@ -186,7 +185,7 @@ pub fn ws_idling_report(
 }
 
 /// The Theorem 4.1 work accounting over `[t_β, c_i]`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IntervalAccounting {
     /// Start of the decomposition window (`t_β`).
     pub t_beta: Rational,

@@ -3,10 +3,9 @@
 use crate::fault::{FaultEvent, JobStatus};
 use parflow_dag::JobId;
 use parflow_time::{Rational, Round, Speed, Ticks};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one job in a simulated schedule.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobOutcome {
     /// The job's id (dense, in arrival order).
     pub job: JobId,
@@ -27,7 +26,6 @@ pub struct JobOutcome {
     /// How the job ended. [`JobStatus::Completed`] in fault-free runs; for
     /// [`JobStatus::Failed`] / [`JobStatus::Aborted`] jobs the completion
     /// fields record the moment the job was given up, not a real finish.
-    #[serde(default)]
     pub status: JobStatus,
 }
 
@@ -40,7 +38,7 @@ impl JobOutcome {
 
 /// Aggregate counters of engine activity, used to cross-check the lemmas
 /// about idling/steal bounds and to report utilization.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Total processor-rounds in which a unit of job work was executed.
     pub work_steps: u64,
@@ -53,16 +51,12 @@ pub struct EngineStats {
     /// Processor-rounds with nothing to do at all.
     pub idle_steps: u64,
     /// Workers removed from service by injected crashes.
-    #[serde(default)]
     pub crashed_workers: u64,
     /// Tasks reinjected into the global queue from crashed workers' deques.
-    #[serde(default)]
     pub reinjected_tasks: u64,
     /// Executed tasks that failed via injected panics.
-    #[serde(default)]
     pub injected_panics: u64,
     /// Processor-rounds lost to injected stalls and slowdowns.
-    #[serde(default)]
     pub faulted_steps: u64,
 }
 
@@ -76,7 +70,7 @@ impl EngineStats {
 
 /// A sampled snapshot of work-stealing backlog state (see
 /// `SimConfig::with_sampling`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BacklogSample {
     /// Round at which the sample was taken.
     pub round: Round,
@@ -89,7 +83,7 @@ pub struct BacklogSample {
 }
 
 /// The result of simulating one scheduler on one instance.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimResult {
     /// Number of processors used.
     pub m: usize,
@@ -105,7 +99,6 @@ pub struct SimResult {
     /// `SimConfig::with_sampling`).
     pub samples: Vec<BacklogSample>,
     /// Faults that actually fired during the run, in engine-time order.
-    #[serde(default)]
     pub fault_events: Vec<FaultEvent>,
 }
 

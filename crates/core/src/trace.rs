@@ -17,11 +17,10 @@
 use crate::bits::BitWords;
 use parflow_dag::{Instance, Job, JobId, NodeId};
 use parflow_time::{Round, Speed, Work};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What one processor did during one round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
     /// Executed one unit of work of node `node` of job `job`.
     Work {
@@ -46,7 +45,7 @@ pub enum Action {
 }
 
 /// A run of consecutive rounds in a [`ScheduleTrace`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceSpan {
     /// One explicit round: what each of the `m` processors did.
     Busy(Vec<Action>),
@@ -63,7 +62,7 @@ pub enum TraceSpan {
 /// encoded. Use [`ScheduleTrace::rounds`] to iterate per-round rows
 /// (idle rounds yield `None`), or [`ScheduleTrace::to_dense`] for the
 /// expanded `rounds[r][p]` form.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleTrace {
     /// Number of processors.
     pub m: usize,

@@ -51,10 +51,9 @@ use parflow_dag::Instance;
 use parflow_obs::{NullRecorder, Recorder};
 use rand::rngs::SmallRng;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Admission policy of the work-stealing scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StealPolicy {
     /// Admit from the global queue whenever the local deque is empty and
     /// the queue is non-empty; steal only when the queue is empty.

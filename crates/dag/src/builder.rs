@@ -75,74 +75,23 @@ impl DagBuilder {
         self.works.is_empty()
     }
 
-    /// Validate and produce the immutable [`JobDag`].
-    pub fn build(self) -> Result<JobDag, DagError> {
-        if self.works.is_empty() {
-            return Err(DagError::Empty);
+    /// Validate and produce the immutable [`JobDag`]: lay the edges out
+    /// as CSR columns, then [`JobDag::from_csr`] checks them.
+    pub fn build(mut self) -> Result<JobDag, DagError> {
+        // A stable sort by source keeps each node's successors in
+        // edge-insertion order, which engine determinism (newly-ready push
+        // order) relies on.
+        self.edges.sort_by_key(|&(from, _)| from);
+        u32::try_from(self.edges.len()).map_err(|_| DagError::BadCsr)?;
+        let mut succ_offsets = vec![0u32; self.works.len() + 1];
+        for &(from, _) in &self.edges {
+            succ_offsets[from as usize + 1] += 1;
         }
-        for (i, &w) in self.works.iter().enumerate() {
-            if w == 0 {
-                return Err(DagError::ZeroWork { node: i as u32 });
-            }
+        for i in 1..succ_offsets.len() {
+            succ_offsets[i] += succ_offsets[i - 1];
         }
-        let n = self.works.len();
-        assert!(
-            self.edges.len() <= u32::MAX as usize,
-            "DAG edge count exceeds u32 offset range"
-        );
-        let mut edge_set = std::collections::BTreeSet::new();
-        let mut succ_counts = vec![0u32; n];
-        let mut pred_counts = vec![0u32; n];
-        for &(from, to) in &self.edges {
-            if !edge_set.insert((from, to)) {
-                return Err(DagError::DuplicateEdge { from, to });
-            }
-            succ_counts[from as usize] += 1;
-            pred_counts[to as usize] += 1;
-        }
-        // CSR adjacency: prefix-sum the successor counts into offsets, then
-        // scatter edges into the slab. Iterating `edges` in declaration
-        // order keeps each node's successor list in edge-insertion order,
-        // which engine determinism (newly-ready push order) relies on.
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        succ_offsets.push(0u32);
-        for i in 0..n {
-            succ_offsets.push(succ_offsets[i] + succ_counts[i]);
-        }
-        let mut fill: Vec<u32> = succ_offsets[..n].to_vec();
-        let mut succs = vec![0 as NodeId; self.edges.len()];
-        for &(from, to) in &self.edges {
-            let slot = fill[from as usize];
-            succs[slot as usize] = to;
-            fill[from as usize] = slot + 1;
-        }
-        // Kahn's algorithm: compute a topological order and detect cycles.
-        let mut indeg = pred_counts.clone();
-        let mut queue: std::collections::VecDeque<NodeId> = (0..n as NodeId)
-            .filter(|&i| indeg[i as usize] == 0)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            topo.push(v);
-            let lo = succ_offsets[v as usize] as usize;
-            let hi = succ_offsets[v as usize + 1] as usize;
-            for &u in &succs[lo..hi] {
-                indeg[u as usize] -= 1;
-                if indeg[u as usize] == 0 {
-                    queue.push_back(u);
-                }
-            }
-        }
-        if topo.len() != n {
-            return Err(DagError::Cycle);
-        }
-        Ok(JobDag::from_validated(
-            self.works,
-            pred_counts,
-            succ_offsets,
-            succs,
-            topo,
-        ))
+        let succs = self.edges.iter().map(|&(_, to)| to).collect();
+        JobDag::from_csr(self.works, succ_offsets, succs)
     }
 }
 

@@ -32,6 +32,11 @@ pub enum DagError {
     },
     /// The edge set contains a directed cycle, so the graph is not a DAG.
     Cycle,
+    /// The CSR columns disagree: offsets are not `num_nodes + 1` values
+    /// rising from 0 to the slab length, or ids or edges overflow `u32`.
+    BadCsr,
+    /// The node works sum past `u64`.
+    WorkOverflow,
 }
 
 impl fmt::Display for DagError {
@@ -49,6 +54,8 @@ impl fmt::Display for DagError {
                 write!(f, "duplicate edge {from} -> {to}")
             }
             DagError::Cycle => write!(f, "edge set contains a directed cycle"),
+            DagError::BadCsr => write!(f, "inconsistent CSR offsets"),
+            DagError::WorkOverflow => write!(f, "total work overflows u64"),
         }
     }
 }

@@ -2,31 +2,13 @@
 
 use crate::error::DagError;
 use parflow_time::Work;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within one job's DAG.
 pub type NodeId = u32;
 
-/// One node (task) of a job DAG in the *serialized* representation: a
-/// strand of sequential work of length `work` units that becomes ready
-/// when all its predecessors complete.
-///
-/// In memory the [`JobDag`] stores nodes column-wise (CSR adjacency, see
-/// below); this row-wise struct is the stable JSON wire format that
-/// persisted instances use, and the shape tests assert against.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Node {
-    /// Processing time `p_v` in work units (always ≥ 1).
-    pub work: Work,
-    /// Successor node indices (edges `v -> u`).
-    pub succs: Vec<NodeId>,
-    /// Number of predecessor edges into this node.
-    pub pred_count: u32,
-}
-
 /// An immutable, validated DAG describing one job's internal structure.
 ///
-/// Invariants (enforced by [`crate::DagBuilder`]):
+/// Invariants (enforced by [`JobDag::from_csr`]):
 /// * at least one node, every node has `work ≥ 1`;
 /// * the edge relation is acyclic with no self-loops or duplicates;
 /// * `topo_order` is a topological order of all nodes.
@@ -46,12 +28,7 @@ pub struct Node {
 /// one `Vec` per node) and makes the completion hot path a pure slice
 /// scan. Per-node successor order is edge-insertion order, which the
 /// engines' determinism depends on.
-///
-/// Serialization still uses the row-wise `{nodes, topo_order, total_work,
-/// span}` format (see [`Node`]); the `#[serde(from/into)]` bridge converts
-/// at the boundary so persisted instances stay readable.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "JobDagRepr", into = "JobDagRepr")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobDag {
     pub(crate) works: Vec<Work>,
     pub(crate) pred_counts: Vec<u32>,
@@ -64,108 +41,110 @@ pub struct JobDag {
     span: Work,
 }
 
-/// Row-wise serde bridge for [`JobDag`]: the on-disk JSON format predates
-/// the CSR layout and is kept stable so saved instances round-trip across
-/// versions. Conversion is infallible in both directions; semantic checks
-/// on untrusted input remain the job of [`JobDag::validate`].
-#[derive(Clone, Serialize, Deserialize)]
-struct JobDagRepr {
-    nodes: Vec<Node>,
-    topo_order: Vec<NodeId>,
-    total_work: Work,
-    span: Work,
-}
-
-impl From<JobDagRepr> for JobDag {
-    fn from(repr: JobDagRepr) -> Self {
-        let n = repr.nodes.len();
-        let mut works = Vec::with_capacity(n);
-        let mut pred_counts = Vec::with_capacity(n);
-        let mut succ_offsets = Vec::with_capacity(n + 1);
-        let edge_total: usize = repr.nodes.iter().map(|nd| nd.succs.len()).sum();
-        assert!(
-            edge_total <= u32::MAX as usize,
-            "DAG edge count exceeds u32 offset range"
-        );
-        let mut succs = Vec::with_capacity(edge_total);
-        succ_offsets.push(0);
-        for node in &repr.nodes {
-            works.push(node.work);
-            pred_counts.push(node.pred_count);
-            succs.extend_from_slice(&node.succs);
-            succ_offsets.push(succs.len() as u32);
-        }
-        // Deserialized totals are taken as stored (like the old derive
-        // did); `validate` is the gate for untrusted input.
-        JobDag {
-            works,
-            pred_counts,
-            succ_offsets,
-            succs,
-            topo_order: repr.topo_order,
-            total_work: repr.total_work,
-            span: repr.span,
-        }
-    }
-}
-
-impl From<JobDag> for JobDagRepr {
-    fn from(dag: JobDag) -> Self {
-        let nodes = (0..dag.num_nodes() as NodeId)
-            .map(|v| Node {
-                work: dag.work(v),
-                succs: dag.succs(v).to_vec(),
-                pred_count: dag.pred_count(v),
-            })
-            .collect();
-        JobDagRepr {
-            nodes,
-            topo_order: dag.topo_order,
-            total_work: dag.total_work,
-            span: dag.span,
-        }
-    }
-}
-
 impl JobDag {
-    /// Internal constructor used by the builder after validation. The CSR
-    /// arrays must be structurally consistent (offsets monotone, in-range
-    /// successors, matching `pred_counts`).
-    pub(crate) fn from_validated(
+    /// Build a DAG from its CSR columns — node works, successor offsets
+    /// (`num_nodes + 1` of them, from 0 up to `succs.len()`) and the
+    /// successor slab — checking every invariant on the way.
+    ///
+    /// This is the one structural checker: [`crate::DagBuilder::build`]
+    /// scatters its edges into these columns and lands here, and
+    /// [`JobDag::validate`] re-runs the same check. `pred_counts`,
+    /// `topo_order` (Kahn's algorithm, FIFO over sources in id order),
+    /// `total_work` and `span` are derived, never taken on trust.
+    ///
+    /// ```
+    /// use parflow_dag::{DagError, JobDag};
+    /// // 0 -> {1, 2}
+    /// let dag = JobDag::from_csr(vec![1, 2, 3], vec![0, 2, 2, 2], vec![1, 2]).unwrap();
+    /// assert_eq!((dag.total_work(), dag.span()), (6, 4));
+    /// let dup = JobDag::from_csr(vec![1, 1], vec![0, 2, 2], vec![1, 1]);
+    /// assert_eq!(dup, Err(DagError::DuplicateEdge { from: 0, to: 1 }));
+    /// ```
+    pub fn from_csr(
         works: Vec<Work>,
-        pred_counts: Vec<u32>,
         succ_offsets: Vec<u32>,
         succs: Vec<NodeId>,
-        topo_order: Vec<NodeId>,
-    ) -> Self {
-        let total_work: Work = works.iter().sum();
-        let mut dag = JobDag {
+    ) -> Result<JobDag, DagError> {
+        let n = works.len();
+        if n == 0 {
+            return Err(DagError::Empty);
+        }
+        if n > NodeId::MAX as usize
+            || succ_offsets.len() != n + 1
+            || succ_offsets[0] != 0
+            || succ_offsets[n] as usize != succs.len()
+            || succ_offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(DagError::BadCsr);
+        }
+        let mut total_work: Work = 0;
+        for (v, &w) in works.iter().enumerate() {
+            if w == 0 {
+                return Err(DagError::ZeroWork { node: v as NodeId });
+            }
+            total_work = total_work.checked_add(w).ok_or(DagError::WorkOverflow)?;
+        }
+        let row = |v: NodeId| {
+            &succs[succ_offsets[v as usize] as usize..succ_offsets[v as usize + 1] as usize]
+        };
+        let mut pred_counts = vec![0u32; n];
+        // One scratch column, used three ways in turn: a duplicate-edge
+        // stamp (`scratch[u] == v` while scanning `v`'s successors marks
+        // `u` as seen), Kahn's in-degrees, then earliest start times.
+        let mut scratch = vec![Work::MAX; n];
+        for v in 0..n as NodeId {
+            for &u in row(v) {
+                if u as usize >= n {
+                    return Err(DagError::UnknownNode { node: u });
+                }
+                if u == v {
+                    return Err(DagError::SelfLoop { node: u });
+                }
+                if scratch[u as usize] == Work::from(v) {
+                    return Err(DagError::DuplicateEdge { from: v, to: u });
+                }
+                scratch[u as usize] = Work::from(v);
+                pred_counts[u as usize] += 1;
+            }
+        }
+        // Kahn's algorithm, FIFO: `topo` doubles as the queue.
+        for (d, &p) in scratch.iter_mut().zip(&pred_counts) {
+            *d = Work::from(p);
+        }
+        let mut topo_order: Vec<NodeId> = Vec::with_capacity(n);
+        topo_order.extend((0..n as NodeId).filter(|&v| pred_counts[v as usize] == 0));
+        let mut head = 0;
+        while let Some(&v) = topo_order.get(head) {
+            head += 1;
+            for &u in row(v) {
+                scratch[u as usize] -= 1;
+                if scratch[u as usize] == 0 {
+                    topo_order.push(u);
+                }
+            }
+        }
+        if topo_order.len() != n {
+            return Err(DagError::Cycle);
+        }
+        // Every in-degree is now 0. The span is the longest weighted path,
+        // a DP over the topological order; no sum exceeds `total_work`.
+        let mut span = 0;
+        for &v in &topo_order {
+            let finish = scratch[v as usize] + works[v as usize];
+            span = span.max(finish);
+            for &u in row(v) {
+                scratch[u as usize] = scratch[u as usize].max(finish);
+            }
+        }
+        Ok(JobDag {
             works,
             pred_counts,
             succ_offsets,
             succs,
             topo_order,
             total_work,
-            span: 0,
-        };
-        dag.span = dag.compute_span();
-        dag
-    }
-
-    /// Longest weighted path through the DAG (the critical-path length
-    /// `P_i`), computed by DP over the topological order.
-    fn compute_span(&self) -> Work {
-        let mut finish: Vec<Work> = vec![0; self.works.len()];
-        let mut best = 0;
-        for &v in &self.topo_order {
-            let f = finish[v as usize] + self.works[v as usize];
-            best = best.max(f);
-            for &u in self.succs(v) {
-                let u = u as usize;
-                finish[u] = finish[u].max(f);
-            }
-        }
-        best
+            span,
+        })
     }
 
     /// Number of nodes in the DAG.
@@ -260,65 +239,13 @@ impl JobDag {
         &self.topo_order
     }
 
-    /// Exhaustively re-checks the structural invariants. `JobDag` values
-    /// built through [`crate::DagBuilder`] always pass; this exists so tests
-    /// and the trace validator can independently verify deserialized DAGs.
+    /// Re-runs [`JobDag::from_csr`] on this DAG's own columns and confirms
+    /// the derived ones match. A `JobDag` can only be made through that
+    /// check, so this always passes; tests use it as an independent witness.
     pub fn validate(&self) -> Result<(), DagError> {
-        if self.works.is_empty() {
-            return Err(DagError::Empty);
-        }
-        let n = self.works.len() as u32;
-        // Structural consistency of the CSR arrays themselves. Built DAGs
-        // satisfy this by construction; deserialized ones satisfy it
-        // because the serde bridge derives offsets from the node rows.
-        debug_assert_eq!(self.pred_counts.len(), self.works.len());
-        debug_assert_eq!(self.succ_offsets.len(), self.works.len() + 1);
-        debug_assert_eq!(
-            *self.succ_offsets.last().unwrap() as usize,
-            self.succs.len()
-        );
-        let mut pred_counts = vec![0u32; n as usize];
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..n {
-            if self.works[i as usize] == 0 {
-                return Err(DagError::ZeroWork { node: i });
-            }
-            seen.clear();
-            for &s in self.succs(i) {
-                if s >= n {
-                    return Err(DagError::UnknownNode { node: s });
-                }
-                if s == i {
-                    return Err(DagError::SelfLoop { node: s });
-                }
-                if !seen.insert(s) {
-                    return Err(DagError::DuplicateEdge { from: i, to: s });
-                }
-                pred_counts[s as usize] += 1;
-            }
-        }
-        if pred_counts != self.pred_counts {
-            // Inconsistent pred counts make the cursor misbehave; treat
-            // as a cycle-class integrity failure.
-            return Err(DagError::Cycle);
-        }
-        // Kahn's algorithm to confirm acyclicity.
-        let mut indeg = pred_counts;
-        let mut queue: Vec<u32> = (0..n).filter(|&i| indeg[i as usize] == 0).collect();
-        let mut visited = 0usize;
-        while let Some(v) = queue.pop() {
-            visited += 1;
-            for &u in self.succs(v) {
-                indeg[u as usize] -= 1;
-                if indeg[u as usize] == 0 {
-                    queue.push(u);
-                }
-            }
-        }
-        if visited != self.works.len() {
-            return Err(DagError::Cycle);
-        }
-        Ok(())
+        let (works, offsets) = (self.works.clone(), self.succ_offsets.clone());
+        let again = JobDag::from_csr(works, offsets, self.succs.clone())?;
+        (again == *self).then_some(()).ok_or(DagError::Cycle)
     }
 }
 
@@ -447,24 +374,5 @@ mod tests {
         assert_eq!(dag.sinks_iter().collect::<Vec<_>>(), dag.sinks());
         assert_eq!(dag.sources(), vec![0]);
         assert_eq!(dag.sinks(), vec![3]);
-    }
-
-    #[test]
-    fn serde_bridge_roundtrips_in_memory() {
-        use super::{JobDag, JobDagRepr};
-        let mut b = DagBuilder::new();
-        let s = b.add_node(3);
-        let l = b.add_node(1);
-        let r = b.add_node(4);
-        b.add_edge(s, l).unwrap();
-        b.add_edge(s, r).unwrap();
-        let dag = b.build().unwrap();
-        let repr = JobDagRepr::from(dag.clone());
-        assert_eq!(repr.nodes.len(), 3);
-        assert_eq!(repr.nodes[0].succs, vec![l, r]);
-        assert_eq!(repr.nodes[2].pred_count, 1);
-        let back = JobDag::from(repr);
-        assert_eq!(back, dag);
-        assert!(back.validate().is_ok());
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::graph::JobDag;
 use parflow_time::{Rational, Ticks, Work};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identifier of a job within one problem instance (dense, 0-based).
@@ -18,7 +17,7 @@ pub type Weight = u64;
 /// — being non-clairvoyant — sees only the weight and, progressively, the
 /// ready nodes. The DAG is shared via `Arc` because adversarial and trace
 /// workloads release many structurally identical jobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Job {
     /// Dense job id (also the index in the instance's job vector).
     pub id: JobId,
@@ -70,7 +69,7 @@ impl Job {
 /// Construction sorts (stably) by arrival and re-assigns dense ids in
 /// arrival order, so `jobs[i].id == i` and arrivals are non-decreasing —
 /// every scheduler in this workspace relies on both.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Instance {
     jobs: Vec<Job>,
 }

@@ -37,7 +37,7 @@ pub use arena::{CursorArena, CursorId};
 pub use builder::DagBuilder;
 pub use cursor::{DagCursor, StepOutcome, UnitOutcome};
 pub use error::{DagError, ExecError};
-pub use graph::{JobDag, Node, NodeId};
+pub use graph::{JobDag, NodeId};
 pub use job::{Instance, Job, JobId, Weight};
 
 #[cfg(test)]

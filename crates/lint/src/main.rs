@@ -115,8 +115,7 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Render diagnostics as a JSON array (hand-rolled: the workspace builds
-/// offline, so no serde here).
+/// Render diagnostics as a JSON array (hand-rolled against a fixed schema).
 fn render_json(diags: &[parflow_lint::Diagnostic]) -> String {
     let mut out = String::from("[\n");
     for (i, d) in diags.iter().enumerate() {

@@ -1,7 +1,6 @@
 //! Flow-time statistics.
 
 use parflow_time::Rational;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics over a set of flow times.
 ///
@@ -10,13 +9,12 @@ use serde::{Deserialize, Serialize};
 /// reporting-only. Samples whose `f64` projection is non-finite (a NaN
 /// flow from a faulted or shed run, an overflow to infinity) are counted
 /// in [`FlowStats::nan`] and excluded from every other field.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowStats {
     /// Finite sample size (excludes [`FlowStats::nan`]).
     pub count: usize,
     /// Samples excluded as non-finite, kept out-of-band like the
     /// histogram's NaN bin so one bad flow cannot poison a whole cell.
-    #[serde(default)]
     pub nan: usize,
     /// Exact maximum flow (the paper's objective).
     pub max: Rational,
@@ -78,7 +76,7 @@ impl FlowStats {
 /// counted in [`SampleStats::nonfinite`], and the constructor returns
 /// `None` only when no finite samples remain. An all-NaN or empty cell is
 /// a *normal* outcome (a pruned config, a fully-shed run), not a bug.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampleStats {
     /// Finite samples summarized.
     pub count: usize,

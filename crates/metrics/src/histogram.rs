@@ -1,21 +1,18 @@
 //! Fixed-bin histograms with ASCII rendering (used to regenerate Figure 3).
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A histogram over `f64` samples with uniform bins on `[lo, hi)`; samples
 /// outside the range are clamped into the edge bins. NaN samples are
 /// counted separately (they are not data, but silently dropping them hides
 /// upstream bugs) and excluded from `total` and every probability.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
     counts: Vec<u64>,
     total: u64,
-    /// NaN samples seen by [`Histogram::add`]. `serde(default)` keeps
-    /// pre-existing serialized histograms loadable.
-    #[serde(default)]
+    /// NaN samples seen by [`Histogram::add`].
     nan: u64,
 }
 

@@ -21,10 +21,8 @@
 //!   key order, so two observed runs of a deterministic engine produce
 //!   byte-identical counter sections (wall-clock phase timings are the only
 //!   run-dependent part, and they are kept in a separate section).
-//! * **Hand-rolled JSON.** The offline build stubs out `serde_json`'s
-//!   serializer (see `vendor/offline-stubs/README.md`), so [`ObsReport`]
-//!   emits its fixed schema directly — same approach as the bench layer's
-//!   `BenchReport`.
+//! * **Hand-rolled JSON.** [`ObsReport`] emits its fixed schema directly —
+//!   same approach as the bench layer's `BenchReport`.
 //!
 //! ## Event taxonomy
 //!
@@ -462,9 +460,8 @@ fn json_escape(s: &str) -> String {
 impl ObsReport {
     /// Serialize to pretty JSON with a trailing newline.
     ///
-    /// Hand-rolled: the offline `serde_json` stub cannot serialize, and the
-    /// schema is fixed. Key order is deterministic (sorted labels; phases in
-    /// completion order).
+    /// Hand-rolled against the fixed schema. Key order is deterministic
+    /// (sorted labels; phases in completion order).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("{{\n  \"schema\": {},\n", self.schema));

@@ -1,6 +1,5 @@
 //! The wire protocol: one JSON object per line (jsonl), hand-rolled in
-//! both directions so the crate works offline (the vendored `serde_json`
-//! stub cannot serialize).
+//! both directions against a fixed schema.
 //!
 //! A submission line looks like
 //!

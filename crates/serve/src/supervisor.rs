@@ -539,16 +539,6 @@ impl Supervisor {
         }
     }
 
-    /// Admitted-but-unacknowledged jobs right now.
-    pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Jobs acknowledged (exactly-once) so far.
-    pub fn completed_jobs(&self) -> u64 {
-        self.completed.len() as u64
-    }
-
     /// Drain everything in flight (bounded by `drain_timeout_ms`), shut
     /// the fleet down, and produce the final report pair.
     pub fn finish(mut self) -> ServeReport {

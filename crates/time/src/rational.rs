@@ -6,7 +6,6 @@
 //! bit-deterministic and lets property tests assert equalities rather than
 //! approximate comparisons.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -38,7 +37,7 @@ pub fn lcm(a: i128, b: i128) -> i128 {
 /// Invariants: the denominator is strictly positive and `gcd(num, den) == 1`.
 /// Arithmetic panics on overflow (the simulator's magnitudes — work in units,
 /// times in ticks — stay far below `i128` range, so overflow indicates a bug).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Rational {
     num: i128,
     den: i128,

@@ -12,7 +12,6 @@
 //! multiplication, so no floating point enters the engine.
 
 use crate::rational::Rational;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Wall-clock time measured in integer ticks (the unit in which arrival
@@ -27,7 +26,7 @@ pub type Round = u64;
 ///
 /// Resource augmentation `s = 1 + ε` with rational `ε` is constructed via
 /// [`Speed::augmented`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Speed {
     num: u64,
     den: u64,
@@ -72,14 +71,7 @@ impl Speed {
     /// assert!(Speed::parse_eps("18446744073709551615/2").is_err());
     /// ```
     pub fn parse_eps(s: &str) -> Result<(u64, u64), String> {
-        let (num, den) = s.split_once('/').unwrap_or((s, "1"));
-        let part = |p: &str| p.parse::<u64>().map_err(|_| format!("bad eps `{s}`"));
-        let (num, den) = (part(num)?, part(den)?);
-        if den == 0 {
-            return Err(format!("bad eps `{s}`: zero denominator"));
-        }
-        let g = crate::rational::gcd(num as i128, den as i128) as u64;
-        let (num, den) = (num / g, den / g);
+        let (num, den) = parse_fraction("eps", s)?;
         if num.checked_add(den).is_none() {
             return Err(format!("bad eps `{s}`: 1 + eps overflows"));
         }
@@ -162,6 +154,40 @@ impl Speed {
     #[inline]
     pub fn rounds_in(&self, t: Ticks) -> Round {
         ((t as u128 * self.num as u128) / self.den as u128) as Round
+    }
+}
+
+/// Parse `A/B` or `A` (unsigned) into the reduced pair; a zero
+/// denominator is an error. `what` names the quantity in the message.
+fn parse_fraction(what: &str, s: &str) -> Result<(u64, u64), String> {
+    let (num, den) = s.split_once('/').unwrap_or((s, "1"));
+    let part = |p: &str| p.parse::<u64>().map_err(|_| format!("bad {what} `{s}`"));
+    let (num, den) = (part(num)?, part(den)?);
+    if den == 0 {
+        return Err(format!("bad {what} `{s}`: zero denominator"));
+    }
+    let g = crate::rational::gcd(num as i128, den as i128) as u64;
+    Ok((num / g, den / g))
+}
+
+/// A positive speed spelt `A/B` or `A`, with [`Speed::parse_eps`]'s
+/// grammar and checks.
+///
+/// ```
+/// use parflow_time::Speed;
+/// assert_eq!("22/20".parse(), Ok(Speed::new(11, 10)));
+/// assert_eq!("2".parse(), Ok(Speed::integer(2)));
+/// assert!("0".parse::<Speed>().is_err());
+/// assert!("1/0".parse::<Speed>().is_err());
+/// ```
+impl std::str::FromStr for Speed {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Speed, String> {
+        match parse_fraction("speed", s)? {
+            (0, _) => Err(format!("bad speed `{s}`: must be positive")),
+            (num, den) => Ok(Speed { num, den }),
+        }
     }
 }
 
@@ -278,6 +304,19 @@ mod tests {
         // 2 ticks of wall time contain 3 rounds at speed 3/2.
         assert_eq!(s.rounds_in(2), 3);
         assert_eq!(Speed::ONE.rounds_in(7), 7);
+    }
+
+    #[test]
+    fn speed_parsing() {
+        assert_eq!("2".parse(), Ok(Speed::integer(2)));
+        assert_eq!("11/10".parse(), Ok(Speed::new(11, 10)));
+        for bad in ["0", "0/3", "a/b", "1/0", "-1", "1/2/3", ""] {
+            assert!(bad.parse::<Speed>().is_err(), "{bad}");
+        }
+        // eps shares the grammar but admits 0.
+        assert_eq!(Speed::parse_eps("0/5"), Ok((0, 1)));
+        assert!(Speed::parse_eps("x").is_err());
+        assert!(Speed::parse_eps("-1/10").is_err());
     }
 
     #[test]

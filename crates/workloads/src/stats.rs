@@ -2,11 +2,10 @@
 //! experiment reports to characterize workloads before scheduling them.
 
 use parflow_dag::Instance;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary of one instance's shape: work, parallelism and arrival pattern.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InstanceStats {
     /// Number of jobs.
     pub n: usize,

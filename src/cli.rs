@@ -4,8 +4,8 @@
 //! ```text
 //! parflow simulate --dist bing --qps 1000 --jobs 5000 --scheduler steal-16-first
 //! parflow compare  --dist finance --qps 900 --jobs 5000
-//! parflow generate --dist lognormal --qps 1200 --jobs 1000 --out inst.json
-//! parflow analyze  --in inst.json --scheduler fifo --eps 1/10
+//! parflow generate --dist lognormal --qps 1200 --jobs 1000 --out inst.txt
+//! parflow analyze  --in inst.txt --scheduler fifo --eps 1/10
 //! parflow exec     --jobs 200 --m 4 --faults crash:3@1000,panic:0.01 --deadline 30s
 //! parflow exec     --stream --jobs 10000000 --policy steal-16-first
 //! parflow serve    run --input subs.jsonl --workers 2 --slo 5000
@@ -72,7 +72,7 @@ pub enum CliError {
     BadFlag(String, String),
     /// A required flag is missing.
     MissingFlag(String),
-    /// Filesystem / serde problem (message only, for testability).
+    /// Filesystem or instance-file problem (message only, for testability).
     Io(String),
 }
 
@@ -123,8 +123,8 @@ usage:
                    [--speed NUM[/DEN]] [--steals free|unit] [--seed N] [--grain N]
                    [--faults crash:W@R,slow:WxF,stall:W@R+D,blackhole:W,panic:P]
   parflow compare  <same workload flags>
-  parflow generate <same workload flags> --out FILE.json
-  parflow analyze  --in FILE.json [--scheduler S] [--m N] [--eps NUM/DEN]
+  parflow generate <same workload flags> --out FILE
+  parflow analyze  --in FILE [--scheduler S] [--m N] [--eps NUM/DEN]
   parflow exec     <workload flags> --policy admit-first|steal-<k>-first \\
                    [--faults SPEC] [--deadline 30s|500ms] [--compress N] [--iters-per-unit N] [--obs-json FILE]
   parflow exec     --stream [--certify] <workload flags> --policy fifo|admit-first|steal-<k>-first \\
@@ -133,39 +133,6 @@ usage:
   parflow sweep    [--grid SPEC|smoke|phase] [--out PATH] ...   (`parflow sweep --help`)
   parflow dot      --shape single|chain|diamond|parallel-for|fork-join|map-reduce|pipeline|adversarial [shape flags]
 flags are `--key value`; --stream and --certify also stand alone; unknown and repeated flags are errors";
-
-fn parse_speed(s: &str) -> Result<Speed, CliError> {
-    let err = || bad("speed", s);
-    if let Some((num, den)) = s.split_once('/') {
-        let num: u64 = num.parse().map_err(|_| err())?;
-        let den: u64 = den.parse().map_err(|_| err())?;
-        if num == 0 || den == 0 {
-            return Err(err());
-        }
-        Ok(Speed::new(num, den))
-    } else {
-        let v: u64 = s.parse().map_err(|_| err())?;
-        if v == 0 {
-            return Err(err());
-        }
-        Ok(Speed::integer(v))
-    }
-}
-
-fn parse_rational(key: &str, s: &str) -> Result<Rational, CliError> {
-    let err = || bad(key, s);
-    if let Some((num, den)) = s.split_once('/') {
-        let num: i128 = num.parse().map_err(|_| err())?;
-        let den: i128 = den.parse().map_err(|_| err())?;
-        if den == 0 {
-            return Err(err());
-        }
-        Ok(Rational::new(num, den))
-    } else {
-        let v: i128 = s.parse().map_err(|_| err())?;
-        Ok(Rational::from_int(v))
-    }
-}
 
 /// Parse a `--faults` specification: comma-separated entries of
 /// `crash:W@R`, `slow:WxF`, `stall:W@R+D`, `blackhole:W`, `panic:P`.
@@ -263,8 +230,8 @@ fn workload_from_flags(flags: &Args) -> Result<(WorkloadSpec, usize), CliError> 
 
 fn config_from_flags(flags: &Args, m: usize) -> Result<SimConfig, CliError> {
     let mut cfg = SimConfig::new(m);
-    if let Some(s) = flags.get::<String>("speed")? {
-        cfg = cfg.with_speed(parse_speed(&s)?);
+    if let Some(speed) = flags.get::<Speed>("speed")? {
+        cfg = cfg.with_speed(speed);
     }
     match flags.get_or("steals", "free".to_string())?.as_str() {
         "free" => cfg = cfg.with_free_steals(),
@@ -441,10 +408,11 @@ fn analyze_cmd(flags: &Args) -> Result<String, CliError> {
     reject_ignored_faults(flags, kind)?;
     let m: usize = flags.get_or("m", 16usize)?;
     let seed: u64 = flags.get_or("seed", 42u64)?;
-    let eps = parse_rational("eps", &flags.get_or("eps", "1/10".to_string())?)?;
-    if !eps.is_positive() {
-        return Err(bad("eps", eps));
-    }
+    let eps = flags.get_or("eps", "1/10".to_string())?;
+    let eps = match Speed::parse_eps(&eps) {
+        Ok((num, den)) if num > 0 => Rational::new(num.into(), den.into()),
+        _ => return Err(bad("eps", eps)),
+    };
     let cfg = config_from_flags(flags, m)?;
     flags.finish()?;
     let inst = trace_io::load_instance(&path).map_err(|e| CliError::Io(e.to_string()))?;
@@ -746,12 +714,6 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    /// True when a real `serde_json` is linked (the offline build stubs it
-    /// out; see vendor/offline-stubs/README.md).
-    fn serde_available() -> bool {
-        serde_json::from_str::<i32>("1").is_ok()
-    }
-
     #[test]
     fn no_command_errors() {
         assert!(matches!(run_cli(&[]), Err(CliError::UnknownCommand(_))));
@@ -814,13 +776,9 @@ mod tests {
 
     #[test]
     fn generate_and_analyze_roundtrip() {
-        if !serde_available() {
-            eprintln!("skipping: serde_json is stubbed in this offline build");
-            return;
-        }
         let dir = std::env::temp_dir().join("parflow_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wl.json");
+        let path = dir.join("wl");
         let path_s = path.to_str().unwrap();
         let out = run_cli(&argv(&format!(
             "generate --dist finance --qps 2000 --jobs 100 --out {path_s}"
@@ -866,11 +824,6 @@ mod tests {
 
     #[test]
     fn speed_parsing() {
-        assert_eq!(parse_speed("2").unwrap(), Speed::integer(2));
-        assert_eq!(parse_speed("11/10").unwrap(), Speed::new(11, 10));
-        assert!(parse_speed("0").is_err());
-        assert!(parse_speed("a/b").is_err());
-        // and through the full pipeline:
         let out = run_cli(&argv(
             "simulate --jobs 100 --m 4 --qps 2000 --scheduler fifo --speed 11/10",
         ))
@@ -1026,9 +979,15 @@ mod tests {
                 "{cmd}: {e:?}"
             );
         }
-        // eps must be a positive rational with a non-zero denominator.
-        assert!(parse_rational("eps", "1/0").is_err());
-        assert!(parse_rational("eps", "x").is_err());
+        // eps must be a positive fraction with a non-zero denominator;
+        // the flag is checked before the file is read.
+        for eps in ["1/0", "x", "-1/10", "0/5", "0"] {
+            let e = run_cli(&argv(&format!("analyze --in /no/such/file --eps {eps}")));
+            assert!(
+                matches!(e, Err(CliError::BadFlag(ref k, _)) if k == "eps"),
+                "{eps}: {e:?}"
+            );
+        }
     }
 
     // ---- --faults / --deadline parsing ----
