@@ -16,7 +16,7 @@ use parflow_workloads::{DistKind, WorkloadSpec};
 
 /// Aggregated backlog statistics for one policy.
 #[derive(Clone, Debug)]
-pub struct BacklogProfile {
+pub(crate) struct BacklogProfile {
     /// Policy name.
     pub policy: String,
     /// Peak global-queue length.
@@ -44,7 +44,7 @@ fn profile(policy: StealPolicy, samples: &[BacklogSample], max_flow: f64) -> Bac
 }
 
 /// Run both policies at the given load with backlog sampling.
-pub fn run(qps: f64, n_jobs: usize, seed: u64) -> Vec<BacklogProfile> {
+pub(crate) fn run(qps: f64, n_jobs: usize, seed: u64) -> Vec<BacklogProfile> {
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
     let cfg = SimConfig::new(PAPER_M).with_free_steals().with_sampling(64);
     [
@@ -60,7 +60,7 @@ pub fn run(qps: f64, n_jobs: usize, seed: u64) -> Vec<BacklogProfile> {
 }
 
 /// Render rows.
-pub fn table(points: &[BacklogProfile]) -> Table {
+pub(crate) fn table(points: &[BacklogProfile]) -> Table {
     let mut t = Table::new([
         "policy",
         "max queued",

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 /// One burstiness level.
 #[derive(Clone, Copy, Debug)]
-pub struct BurstPoint {
+pub(crate) struct BurstPoint {
     /// Jobs per burst (1 = periodic arrivals).
     pub burst: usize,
     /// FIFO max flow (ms).
@@ -55,7 +55,7 @@ fn bursty_instance(burst: usize, gap_per_job: u64, n_jobs: usize, seed: u64) -> 
 }
 
 /// Run the burstiness sweep at ~65 % average utilization.
-pub fn run(bursts: &[usize], n_jobs: usize, seed: u64) -> Vec<BurstPoint> {
+pub(crate) fn run(bursts: &[usize], n_jobs: usize, seed: u64) -> Vec<BurstPoint> {
     // gap chosen so that E[W]≈108 units / (gap·m) ≈ 0.65.
     let gap_per_job = 10;
     let cfg = SimConfig::new(PAPER_M).with_free_steals();
@@ -82,12 +82,12 @@ pub fn run(bursts: &[usize], n_jobs: usize, seed: u64) -> Vec<BurstPoint> {
 }
 
 /// Default burst sizes.
-pub fn default_bursts() -> Vec<usize> {
+pub(crate) fn default_bursts() -> Vec<usize> {
     vec![1, 4, 16, 64]
 }
 
 /// Render rows.
-pub fn table(points: &[BurstPoint]) -> Table {
+pub(crate) fn table(points: &[BurstPoint]) -> Table {
     let mut t = Table::new([
         "burst size",
         "OPT (ms)",

@@ -17,7 +17,7 @@ use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// One load level.
 #[derive(Clone, Copy, Debug)]
-pub struct EquiPoint {
+pub(crate) struct EquiPoint {
     /// Queries per second.
     pub qps: f64,
     /// FIFO max flow (ms).
@@ -33,7 +33,7 @@ pub struct EquiPoint {
 }
 
 /// Run the load sweep.
-pub fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<EquiPoint> {
+pub(crate) fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<EquiPoint> {
     let cfg = SimConfig::new(PAPER_M);
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     qps_list
@@ -58,7 +58,7 @@ pub fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<EquiPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[EquiPoint]) -> Table {
+pub(crate) fn table(points: &[EquiPoint]) -> Table {
     let mut t = Table::new([
         "QPS",
         "FIFO max (ms)",

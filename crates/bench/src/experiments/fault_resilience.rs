@@ -20,7 +20,7 @@ use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// One severity level of the fault sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultLevel {
+pub(crate) struct FaultLevel {
     /// Workers crashed (staggered, one every 500 rounds from round 500).
     pub crashes: usize,
     /// Additional workers slowed to half speed for the whole run.
@@ -31,7 +31,7 @@ pub struct FaultLevel {
 
 impl FaultLevel {
     /// Build the corresponding [`FaultPlan`] for a machine of `m` workers.
-    pub fn plan(&self, m: usize) -> FaultPlan {
+    pub(crate) fn plan(&self, m: usize) -> FaultPlan {
         assert!(self.crashes + self.slowdowns < m, "need a healthy survivor");
         let mut plan = FaultPlan::none();
         for i in 0..self.crashes {
@@ -45,7 +45,7 @@ impl FaultLevel {
 }
 
 /// The default severity ladder: fault-free, then increasingly hostile.
-pub fn default_levels() -> Vec<FaultLevel> {
+pub(crate) fn default_levels() -> Vec<FaultLevel> {
     vec![
         FaultLevel {
             crashes: 0,
@@ -77,7 +77,7 @@ pub fn default_levels() -> Vec<FaultLevel> {
 
 /// One `(policy, level)` data point.
 #[derive(Clone, Copy, Debug)]
-pub struct FaultPoint {
+pub(crate) struct FaultPoint {
     /// Steal-k threshold (0 = admit-first).
     pub k: u32,
     /// The severity level.
@@ -93,12 +93,12 @@ pub struct FaultPoint {
 }
 
 /// Run the sweep at the default size.
-pub fn run(levels: &[FaultLevel], qps: f64, seed: u64) -> Vec<FaultPoint> {
+pub(crate) fn run(levels: &[FaultLevel], qps: f64, seed: u64) -> Vec<FaultPoint> {
     run_sized(levels, qps, seed, jobs_per_point().min(20_000))
 }
 
 /// Run with an explicit job count.
-pub fn run_sized(levels: &[FaultLevel], qps: f64, seed: u64, n_jobs: usize) -> Vec<FaultPoint> {
+fn run_sized(levels: &[FaultLevel], qps: f64, seed: u64, n_jobs: usize) -> Vec<FaultPoint> {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
     let mut out = Vec::new();
@@ -132,7 +132,7 @@ pub fn run_sized(levels: &[FaultLevel], qps: f64, seed: u64, n_jobs: usize) -> V
 }
 
 /// Render rows.
-pub fn table(points: &[FaultPoint]) -> Table {
+pub(crate) fn table(points: &[FaultPoint]) -> Table {
     let mut t = Table::new([
         "crashes",
         "slow(0.5x)",

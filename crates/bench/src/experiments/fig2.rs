@@ -12,7 +12,7 @@ use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// The paper's QPS levels per workload (low / medium / high load).
-pub fn paper_qps(dist: DistKind) -> [f64; 3] {
+pub(crate) fn paper_qps(dist: DistKind) -> [f64; 3] {
     match dist {
         DistKind::Finance => [800.0, 900.0, 1000.0],
         _ => [800.0, 1000.0, 1200.0],
@@ -21,7 +21,7 @@ pub fn paper_qps(dist: DistKind) -> [f64; 3] {
 
 /// One Figure 2 data point.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig2Point {
+pub(crate) struct Fig2Point {
     /// Queries per second.
     pub qps: f64,
     /// Realized machine utilization.
@@ -36,18 +36,18 @@ pub struct Fig2Point {
 
 impl Fig2Point {
     /// `steal-k-first / OPT`.
-    pub fn steal_k_ratio(&self) -> f64 {
+    pub(crate) fn steal_k_ratio(&self) -> f64 {
         self.steal_k_ms / self.opt_ms
     }
 
     /// `admit-first / OPT`.
-    pub fn admit_ratio(&self) -> f64 {
+    pub(crate) fn admit_ratio(&self) -> f64 {
         self.admit_ms / self.opt_ms
     }
 }
 
 /// Run one workload's Figure 2 sweep.
-pub fn run(dist: DistKind, seed: u64) -> Vec<Fig2Point> {
+pub(crate) fn run(dist: DistKind, seed: u64) -> Vec<Fig2Point> {
     run_sized(dist, seed, jobs_per_point(), PAPER_M)
 }
 
@@ -85,7 +85,7 @@ fn run_sized(dist: DistKind, seed: u64, n_jobs: usize, m: usize) -> Vec<Fig2Poin
 }
 
 /// Render the paper-style rows.
-pub fn table(dist: DistKind, points: &[Fig2Point]) -> Table {
+pub(crate) fn table(dist: DistKind, points: &[Fig2Point]) -> Table {
     let mut t = Table::new([
         "workload",
         "QPS",

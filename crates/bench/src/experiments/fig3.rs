@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Histogram of `n` sampled request sizes (in ms) from a distribution.
-pub fn sample_histogram<D: WorkDistribution>(
+pub(crate) fn sample_histogram<D: WorkDistribution>(
     dist: &D,
     n: usize,
     seed: u64,
@@ -26,17 +26,17 @@ pub fn sample_histogram<D: WorkDistribution>(
 }
 
 /// Figure 3(a): the Bing work distribution over 5–205 ms.
-pub fn bing_histogram(n: usize, seed: u64) -> Histogram {
+pub(crate) fn bing_histogram(n: usize, seed: u64) -> Histogram {
     sample_histogram(&bing(), n, seed, 0.0, 210.0, 21)
 }
 
 /// Figure 3(b): the finance work distribution over 4–52 ms.
-pub fn finance_histogram(n: usize, seed: u64) -> Histogram {
+pub(crate) fn finance_histogram(n: usize, seed: u64) -> Histogram {
     sample_histogram(&finance(), n, seed, 0.0, 56.0, 14)
 }
 
 /// Render both panels as ASCII (what `repro fig3` prints).
-pub fn render(n: usize, seed: u64) -> String {
+pub(crate) fn render(n: usize, seed: u64) -> String {
     let mut out = String::new();
     out.push_str("Figure 3(a): Bing search server request work distribution (ms)\n");
     out.push_str(&bing_histogram(n, seed).render(40));

@@ -13,7 +13,7 @@ use parflow_workloads::{DistKind, ShapeKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// One grain data point.
 #[derive(Clone, Copy, Debug)]
-pub struct GrainPoint {
+pub(crate) struct GrainPoint {
     /// Chunk grain in work units (1 unit = 0.1 ms).
     pub grain: u64,
     /// Mean span of the generated jobs (units).
@@ -25,12 +25,12 @@ pub struct GrainPoint {
 }
 
 /// Grains swept by default: 0.1 ms to 12.8 ms per chunk.
-pub fn default_grains() -> Vec<u64> {
+pub(crate) fn default_grains() -> Vec<u64> {
     vec![1, 4, 10, 32, 128]
 }
 
 /// Run the sweep at the given load.
-pub fn run(grains: &[u64], qps: f64, n_jobs: usize, seed: u64) -> Vec<GrainPoint> {
+pub(crate) fn run(grains: &[u64], qps: f64, n_jobs: usize, seed: u64) -> Vec<GrainPoint> {
     let cfg = SimConfig::new(PAPER_M).with_free_steals();
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     super::par_map(grains.to_vec(), |grain| {
@@ -62,7 +62,7 @@ pub fn run(grains: &[u64], qps: f64, n_jobs: usize, seed: u64) -> Vec<GrainPoint
 }
 
 /// Render rows.
-pub fn table(points: &[GrainPoint]) -> Table {
+pub(crate) fn table(points: &[GrainPoint]) -> Table {
     let mut t = Table::new([
         "grain (units)",
         "grain (ms)",

@@ -12,7 +12,7 @@ use parflow_workloads::{DistKind, WorkloadSpec};
 
 /// Run the decomposition on a high-load Bing workload; `epsilon` is the
 /// analysis ε (numerator, denominator).
-pub fn run(
+pub(crate) fn run(
     n_jobs: usize,
     seed: u64,
     epsilon: (i128, i128),
@@ -25,7 +25,7 @@ pub fn run(
 }
 
 /// Render the analysis as a table.
-pub fn table(a: &parflow_core::IntervalAnalysis) -> Table {
+pub(crate) fn table(a: &parflow_core::IntervalAnalysis) -> Table {
     let mut t = Table::new(["interval", "start", "end", "length", "defining job"]);
     let beta = a.beta();
     for (i, iv) in a.intervals.iter().enumerate() {

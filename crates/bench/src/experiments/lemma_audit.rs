@@ -19,7 +19,7 @@ use parflow_workloads::{DistKind, WorkloadSpec};
 
 /// The audit summary.
 #[derive(Clone, Debug)]
-pub struct LemmaAudit {
+pub(crate) struct LemmaAudit {
     /// Worst job-wise ratio non-full-rounds / span under FIFO (bound: 1).
     pub fifo_nonfull_worst: f64,
     /// Whether the deterministic bound held exactly (it must).
@@ -33,7 +33,7 @@ pub struct LemmaAudit {
 }
 
 /// Run the audit on a loaded Bing workload.
-pub fn run(n_jobs: usize, seed: u64) -> LemmaAudit {
+pub(crate) fn run(n_jobs: usize, seed: u64) -> LemmaAudit {
     let qps = parflow_workloads::qps_for_utilization(DistKind::Bing, PAPER_M, 0.85);
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
     let cfg = SimConfig::new(PAPER_M).with_trace();
@@ -70,7 +70,7 @@ pub fn run(n_jobs: usize, seed: u64) -> LemmaAudit {
 }
 
 /// Render the audit.
-pub fn table(a: &LemmaAudit) -> Table {
+pub(crate) fn table(a: &LemmaAudit) -> Table {
     let mut t = Table::new(["quantity", "measured", "proof bound", "holds"]);
     t.row([
         "FIFO non-full rounds / span (worst job)".to_string(),

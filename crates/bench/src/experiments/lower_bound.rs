@@ -18,7 +18,7 @@ use parflow_workloads::lower_bound_instance;
 
 /// One row of the lower-bound sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct LbPoint {
+pub(crate) struct LbPoint {
     /// Number of processors (`m = Θ(log n)`).
     pub m: usize,
     /// Number of jobs.
@@ -33,20 +33,20 @@ pub struct LbPoint {
 
 impl LbPoint {
     /// Work stealing's competitive ratio on this instance.
-    pub fn ws_ratio(&self) -> f64 {
+    pub(crate) fn ws_ratio(&self) -> f64 {
         self.ws_max_flow / self.opt
     }
 }
 
 /// Number of jobs needed at `m` processors to observe a sequential
 /// execution w.h.p.: `⌈40·e^{m/10}⌉`, clamped to `max_n`.
-pub fn jobs_for_m(m: usize, max_n: usize) -> usize {
+pub(crate) fn jobs_for_m(m: usize, max_n: usize) -> usize {
     let n = (40.0 * (m as f64 / 10.0).exp()).ceil() as usize;
     n.clamp(16, max_n)
 }
 
 /// Run the sweep over processor counts.
-pub fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<LbPoint> {
+pub(crate) fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<LbPoint> {
     super::par_map(ms.to_vec(), |m| {
         let n = jobs_for_m(m, max_n);
         let inst = lower_bound_instance(n, m);
@@ -64,12 +64,12 @@ pub fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<LbPoint> {
 }
 
 /// Default sweep for `repro lower-bound`.
-pub fn default_ms() -> Vec<usize> {
+pub(crate) fn default_ms() -> Vec<usize> {
     vec![20, 40, 60, 80, 100]
 }
 
 /// Render rows.
-pub fn table(points: &[LbPoint]) -> Table {
+pub(crate) fn table(points: &[LbPoint]) -> Table {
     let mut t = Table::new([
         "m (=Θ(log n))",
         "n jobs",

@@ -20,7 +20,7 @@ use parflow_workloads::{DistKind, WorkloadSpec};
 
 /// One scheduler's norm profile.
 #[derive(Clone, Debug)]
-pub struct NormPoint {
+pub(crate) struct NormPoint {
     /// Scheduler name.
     pub scheduler: String,
     /// ℓ_1 norm of flows (ticks).
@@ -50,7 +50,7 @@ fn profile(name: &str, inst: &Instance, r: &SimResult) -> NormPoint {
 }
 
 /// Run the comparison on a medium-load Bing workload.
-pub fn run(n_jobs: usize, seed: u64) -> Vec<NormPoint> {
+pub(crate) fn run(n_jobs: usize, seed: u64) -> Vec<NormPoint> {
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, n_jobs, seed).generate();
     let cfg = SimConfig::new(PAPER_M);
     let cfg_free = SimConfig::new(PAPER_M).with_free_steals();
@@ -71,7 +71,7 @@ pub fn run(n_jobs: usize, seed: u64) -> Vec<NormPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[NormPoint]) -> Table {
+pub(crate) fn table(points: &[NormPoint]) -> Table {
     let mut t = Table::new([
         "scheduler",
         "l1 (sum)",

@@ -12,7 +12,7 @@ use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_S
 
 /// One machine size.
 #[derive(Clone, Copy, Debug)]
-pub struct ScalingPoint {
+pub(crate) struct ScalingPoint {
     /// Processors.
     pub m: usize,
     /// QPS used (scaled for fixed utilization).
@@ -26,12 +26,12 @@ pub struct ScalingPoint {
 }
 
 /// Default machine sizes.
-pub fn default_ms() -> Vec<usize> {
+pub(crate) fn default_ms() -> Vec<usize> {
     vec![4, 8, 16, 32, 64]
 }
 
 /// Run the sweep at ~65 % utilization on the Bing workload.
-pub fn run(ms: &[usize], n_jobs: usize, seed: u64) -> Vec<ScalingPoint> {
+pub(crate) fn run(ms: &[usize], n_jobs: usize, seed: u64) -> Vec<ScalingPoint> {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     super::par_map(ms.to_vec(), |m| {
         let qps = qps_for_utilization(DistKind::Bing, m, 0.65);
@@ -60,7 +60,7 @@ pub fn run(ms: &[usize], n_jobs: usize, seed: u64) -> Vec<ScalingPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[ScalingPoint]) -> Table {
+pub(crate) fn table(points: &[ScalingPoint]) -> Table {
     let mut t = Table::new([
         "m",
         "QPS (util 65%)",

@@ -22,11 +22,11 @@ use parflow_serve::supervisor::{ServeConfig, Supervisor};
 use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// Flow-time SLO for the soak: 2 simulated seconds.
-pub const SOAK_SLO_TICKS: u64 = 2 * TICKS_PER_SECOND as u64;
+pub(crate) const SOAK_SLO_TICKS: u64 = 2 * TICKS_PER_SECOND as u64;
 
 /// One utilization level of the soak sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct SoakPoint {
+pub(crate) struct SoakPoint {
     /// Target utilization of the modelled 16-slot machine.
     pub utilization: f64,
     /// The resulting arrival rate (jobs/s).
@@ -59,12 +59,12 @@ pub struct SoakPoint {
 }
 
 /// Default sweep: comfortable load, saturation, and 2x overload.
-pub fn default_utils() -> Vec<f64> {
+pub(crate) fn default_utils() -> Vec<f64> {
     vec![0.5, 0.8, 1.0, 1.4, 2.0]
 }
 
 /// Run the soak at an explicit stream length.
-pub fn run_sized(utils: &[f64], seed: u64, n_jobs: usize) -> Vec<SoakPoint> {
+pub(crate) fn run_sized(utils: &[f64], seed: u64, n_jobs: usize) -> Vec<SoakPoint> {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     let mut out = Vec::new();
     for &util in utils {
@@ -122,7 +122,7 @@ pub fn run_sized(utils: &[f64], seed: u64, n_jobs: usize) -> Vec<SoakPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[SoakPoint]) -> Table {
+pub(crate) fn table(points: &[SoakPoint]) -> Table {
     let mut t = Table::new([
         "util",
         "qps",

@@ -10,7 +10,7 @@ use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// One load level.
 #[derive(Clone, Copy, Debug)]
-pub struct StealAmountPoint {
+pub(crate) struct StealAmountPoint {
     /// Queries per second.
     pub qps: f64,
     /// steal-one max flow (ms).
@@ -26,7 +26,7 @@ pub struct StealAmountPoint {
 }
 
 /// Run the comparison (unit-cost steals, steal-k-first with k = 16).
-pub fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<StealAmountPoint> {
+pub(crate) fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<StealAmountPoint> {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     let policy = StealPolicy::StealKFirst { k: PAPER_K };
     qps_list
@@ -53,7 +53,7 @@ pub fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<StealAmountPoint> 
 }
 
 /// Render rows.
-pub fn table(points: &[StealAmountPoint]) -> Table {
+pub(crate) fn table(points: &[StealAmountPoint]) -> Table {
     let mut t = Table::new([
         "QPS",
         "steal-one (ms)",

@@ -13,7 +13,7 @@ use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// One `(k, qps)` data point.
 #[derive(Clone, Copy, Debug)]
-pub struct StealKPoint {
+pub(crate) struct StealKPoint {
     /// The k parameter (0 = admit-first).
     pub k: u32,
     /// Queries per second.
@@ -26,18 +26,18 @@ pub struct StealKPoint {
 
 impl StealKPoint {
     /// Ratio to OPT.
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         self.max_flow_ms / self.opt_ms
     }
 }
 
 /// Default k values swept.
-pub fn default_ks() -> Vec<u32> {
+pub(crate) fn default_ks() -> Vec<u32> {
     vec![0, 1, 4, 16, 64]
 }
 
 /// Run the sweep.
-pub fn run(ks: &[u32], qps_list: &[f64], seed: u64) -> Vec<StealKPoint> {
+pub(crate) fn run(ks: &[u32], qps_list: &[f64], seed: u64) -> Vec<StealKPoint> {
     run_sized(ks, qps_list, seed, jobs_per_point())
 }
 
@@ -72,7 +72,7 @@ fn run_sized(ks: &[u32], qps_list: &[f64], seed: u64, n_jobs: usize) -> Vec<Stea
 }
 
 /// Render rows.
-pub fn table(points: &[StealKPoint]) -> Table {
+pub(crate) fn table(points: &[StealKPoint]) -> Table {
     let mut t = Table::new(["QPS", "k", "max flow (ms)", "OPT (ms)", "ratio"]);
     for p in points {
         t.row([

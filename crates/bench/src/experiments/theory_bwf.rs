@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// One ε data point.
 #[derive(Clone, Copy, Debug)]
-pub struct BwfPoint {
+pub(crate) struct BwfPoint {
     /// ε (speed = 1 + ε).
     pub epsilon: f64,
     /// BWF max weighted flow (ticks·weight).
@@ -37,7 +37,7 @@ pub struct BwfPoint {
 }
 
 /// Attach random weights in `1..=max_weight` (uncorrelated with work).
-pub fn weighted_instance(n_jobs: usize, max_weight: u64, seed: u64) -> Instance {
+pub(crate) fn weighted_instance(n_jobs: usize, max_weight: u64, seed: u64) -> Instance {
     let spec = WorkloadSpec {
         dist: DistKind::Bing,
         shape: ShapeKind::ParallelFor { grain: 10 },
@@ -68,10 +68,10 @@ pub fn weighted_instance(n_jobs: usize, max_weight: u64, seed: u64) -> Instance 
 }
 
 /// ε values (exact fractions).
-pub const EPSILONS: [(u64, u64); 4] = [(1, 5), (1, 2), (1, 1), (2, 1)];
+pub(crate) const EPSILONS: [(u64, u64); 4] = [(1, 5), (1, 2), (1, 1), (2, 1)];
 
 /// Run the ε sweep.
-pub fn run(n_jobs: usize, max_weight: u64, seed: u64) -> Vec<BwfPoint> {
+pub(crate) fn run(n_jobs: usize, max_weight: u64, seed: u64) -> Vec<BwfPoint> {
     let inst = weighted_instance(n_jobs, max_weight, seed);
     let lb = opt_weighted_lower_bound(&inst, PAPER_M).to_f64();
     EPSILONS
@@ -96,7 +96,7 @@ pub fn run(n_jobs: usize, max_weight: u64, seed: u64) -> Vec<BwfPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[BwfPoint]) -> Table {
+pub(crate) fn table(points: &[BwfPoint]) -> Table {
     let mut t = Table::new([
         "epsilon",
         "BWF wF",

@@ -14,7 +14,7 @@ use parflow_workloads::{DistKind, WorkloadSpec};
 
 /// One ε data point.
 #[derive(Clone, Copy, Debug)]
-pub struct FifoPoint {
+pub(crate) struct FifoPoint {
     /// ε as a fraction (speed = 1 + ε).
     pub epsilon: f64,
     /// FIFO's max flow at speed `1+ε` (ticks).
@@ -28,10 +28,10 @@ pub struct FifoPoint {
 }
 
 /// ε values as exact fractions (numerator over denominator).
-pub const EPSILONS: [(u64, u64); 5] = [(1, 10), (1, 5), (1, 2), (1, 1), (2, 1)];
+pub(crate) const EPSILONS: [(u64, u64); 5] = [(1, 10), (1, 5), (1, 2), (1, 1), (2, 1)];
 
 /// Run the ε sweep on a near-saturation workload.
-pub fn run(n_jobs: usize, seed: u64) -> Vec<FifoPoint> {
+pub(crate) fn run(n_jobs: usize, seed: u64) -> Vec<FifoPoint> {
     // ≈ 95 % utilization at unit speed: QPS chosen against the bing mean.
     let qps = parflow_workloads::qps_for_utilization(DistKind::Bing, PAPER_M, 0.95);
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
@@ -55,7 +55,7 @@ pub fn run(n_jobs: usize, seed: u64) -> Vec<FifoPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[FifoPoint]) -> Table {
+pub(crate) fn table(points: &[FifoPoint]) -> Table {
     let mut t = Table::new([
         "epsilon",
         "speed",

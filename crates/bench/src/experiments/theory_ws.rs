@@ -15,7 +15,7 @@ use parflow_workloads::{DistKind, WorkloadSpec};
 
 /// One `(k, ε, n)` data point.
 #[derive(Clone, Copy, Debug)]
-pub struct WsPoint {
+pub(crate) struct WsPoint {
     /// steal-k-first parameter.
     pub k: u32,
     /// ε (speed = k + 1 + ε).
@@ -31,7 +31,7 @@ pub struct WsPoint {
 }
 
 /// Run the sweep: `k ∈ ks`, fixed ε = 1/2, growing n.
-pub fn run(ks: &[u32], ns: &[usize], seed: u64) -> Vec<WsPoint> {
+pub(crate) fn run(ks: &[u32], ns: &[usize], seed: u64) -> Vec<WsPoint> {
     let pairs: Vec<(u32, usize)> = ks
         .iter()
         .flat_map(|&k| ns.iter().map(move |&n| (k, n)))
@@ -65,7 +65,7 @@ pub fn run(ks: &[u32], ns: &[usize], seed: u64) -> Vec<WsPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[WsPoint]) -> Table {
+pub(crate) fn table(points: &[WsPoint]) -> Table {
     let mut t = Table::new([
         "k",
         "speed",

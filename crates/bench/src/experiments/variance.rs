@@ -14,7 +14,7 @@ use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
 
 /// Variance summary of one policy across seeds.
 #[derive(Clone, Debug)]
-pub struct VariancePoint {
+pub(crate) struct VariancePoint {
     /// Policy name.
     pub policy: String,
     /// Runs.
@@ -44,7 +44,7 @@ fn summarize(policy: &str, values_ms: &[f64]) -> VariancePoint {
 }
 
 /// Run `runs` seeds of each policy on the same instance.
-pub fn run(qps: f64, n_jobs: usize, runs: usize, seed: u64) -> Vec<VariancePoint> {
+pub(crate) fn run(qps: f64, n_jobs: usize, runs: usize, seed: u64) -> Vec<VariancePoint> {
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
     let cfg = SimConfig::new(PAPER_M).with_free_steals();
     let to_ms = 1000.0 / TICKS_PER_SECOND;
@@ -82,7 +82,7 @@ pub fn run(qps: f64, n_jobs: usize, runs: usize, seed: u64) -> Vec<VariancePoint
 }
 
 /// Render rows.
-pub fn table(points: &[VariancePoint]) -> Table {
+pub(crate) fn table(points: &[VariancePoint]) -> Table {
     let mut t = Table::new(["policy", "runs", "mean (ms)", "std (ms)", "min", "max"]);
     for p in points {
         t.row([

@@ -27,7 +27,7 @@ use parflow_workloads::lower_bound_instance;
 
 /// One row: the adversarial instance under the three machine models.
 #[derive(Clone, Copy, Debug)]
-pub struct VictimPoint {
+pub(crate) struct VictimPoint {
     /// Processors.
     pub m: usize,
     /// Jobs.
@@ -43,7 +43,7 @@ pub struct VictimPoint {
 }
 
 /// Run the sweep (same sizing as the lower-bound experiment).
-pub fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<VictimPoint> {
+pub(crate) fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<VictimPoint> {
     super::par_map(ms.to_vec(), |m| {
         let n = super::lower_bound::jobs_for_m(m, max_n);
         let inst = lower_bound_instance(n, m);
@@ -64,7 +64,7 @@ pub fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<VictimPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[VictimPoint]) -> Table {
+pub(crate) fn table(points: &[VictimPoint]) -> Table {
     let mut t = Table::new([
         "m",
         "n",

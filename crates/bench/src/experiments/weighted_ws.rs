@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 /// One load level.
 #[derive(Clone, Copy, Debug)]
-pub struct WeightedWsPoint {
+pub(crate) struct WeightedWsPoint {
     /// Queries per second.
     pub qps: f64,
     /// Centralized BWF max weighted flow (w·ms).
@@ -50,7 +50,7 @@ pub struct WeightedWsPoint {
 }
 
 /// Build the weighted instance: heavy-tailed weights uncorrelated with work.
-pub fn weighted_instance(qps: f64, n_jobs: usize, seed: u64) -> Instance {
+pub(crate) fn weighted_instance(qps: f64, n_jobs: usize, seed: u64) -> Instance {
     let base = WorkloadSpec {
         dist: DistKind::Bing,
         shape: ShapeKind::ParallelFor { grain: 10 },
@@ -77,7 +77,7 @@ pub fn weighted_instance(qps: f64, n_jobs: usize, seed: u64) -> Instance {
 }
 
 /// Run the comparison.
-pub fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<WeightedWsPoint> {
+pub(crate) fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<WeightedWsPoint> {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     let policy = StealPolicy::StealKFirst { k: PAPER_K };
     qps_list
@@ -107,7 +107,7 @@ pub fn run(qps_list: &[f64], n_jobs: usize, seed: u64) -> Vec<WeightedWsPoint> {
 }
 
 /// Render rows.
-pub fn table(points: &[WeightedWsPoint]) -> Table {
+pub(crate) fn table(points: &[WeightedWsPoint]) -> Table {
     let mut t = Table::new([
         "QPS",
         "BWF (w*ms)",

@@ -26,11 +26,6 @@ impl Reporter {
         })
     }
 
-    /// Whether CSV persistence is enabled.
-    pub fn writes_csv(&self) -> bool {
-        self.csv_dir.is_some()
-    }
-
     /// Print the table (rendered) and persist it if configured. Returns the
     /// CSV path when one was written.
     pub fn emit(&self, name: &str, table: &Table) -> io::Result<Option<PathBuf>> {
@@ -59,7 +54,6 @@ mod tests {
     #[test]
     fn stdout_only_writes_nothing() {
         let r = Reporter::stdout_only();
-        assert!(!r.writes_csv());
         assert_eq!(r.emit("x", &sample_table()).unwrap(), None);
     }
 
@@ -67,7 +61,6 @@ mod tests {
     fn csv_roundtrip() {
         let dir = std::env::temp_dir().join("parflow_reporter_test");
         let r = Reporter::with_csv_dir(&dir).unwrap();
-        assert!(r.writes_csv());
         let path = r.emit("sample", &sample_table()).unwrap().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "a,b\n1,2\n3,4\n");

@@ -10,7 +10,7 @@
 //! deliberately differs from [`WorkloadSpec::generate`], so a streaming
 //! run over a spec sees a different workload *realization* than the
 //! materialized run of the same spec — same distribution, different
-//! sample. Bit-identity claims are about [`InstanceReplay`] of a fixed
+//! sample. Bit-identity claims are about [`parflow_core::InstanceReplay`] of a fixed
 //! instance, which the differential tests use.
 
 use parflow_core::{
@@ -113,7 +113,7 @@ pub struct StreamRun {
 
 impl StreamRun {
     /// `max_flow / combined_lower_bound`, `None` when the bound is zero.
-    pub fn competitive_ratio(&self) -> Option<f64> {
+    pub(crate) fn competitive_ratio(&self) -> Option<f64> {
         let bound = self.opt.combined_lower_bound().to_f64();
         (bound > 0.0).then(|| self.summary.max_flow.to_f64() / bound)
     }
@@ -221,7 +221,7 @@ pub fn run_stream_ws_observed(
 
 /// Run the streaming centralized FIFO engine over the first `jobs` jobs of
 /// `spec` — the streaming counterpart of `simulate_fifo`.
-pub fn run_stream_fifo(
+pub(crate) fn run_stream_fifo(
     spec: &WorkloadSpec,
     config: &SimConfig,
     jobs: u64,
@@ -229,7 +229,7 @@ pub fn run_stream_fifo(
     run_stream_fifo_observed(spec, config, jobs, &mut NullRecorder)
 }
 
-/// [`run_stream_fifo`] with a [`Recorder`] attached.
+/// `run_stream_fifo` with a [`Recorder`] attached.
 pub fn run_stream_fifo_observed(
     spec: &WorkloadSpec,
     config: &SimConfig,

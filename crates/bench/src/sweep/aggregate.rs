@@ -23,9 +23,9 @@ use super::grid::{CellSpec, SweepPolicy, SWEEP_SCHEMA};
 /// Store line status: the cell was actually simulated.
 pub const STATUS_SIMULATED: &str = "simulated";
 /// Store line status: copied from a clustered representative.
-pub const STATUS_CLUSTERED: &str = "clustered";
+pub(crate) const STATUS_CLUSTERED: &str = "clustered";
 /// Store line status: skipped by the dominance pruner (empty cell).
-pub const STATUS_PRUNED: &str = "pruned";
+pub(crate) const STATUS_PRUNED: &str = "pruned";
 
 /// Measured outcome of one cell. `stats` is `None` for an *empty* cell —
 /// every flow sample was non-finite, or the cell was never simulated.
@@ -88,7 +88,7 @@ fn json_opt(v: Option<f64>) -> String {
 /// The store header: schema version, canonical grid spec, cell count.
 /// `--resume` refuses a store whose header differs (different grid ⇒
 /// different cell identities).
-pub fn header_line(canonical_grid: &str, cells: usize) -> String {
+pub(crate) fn header_line(canonical_grid: &str, cells: usize) -> String {
     format!("{{\"sweep\":{SWEEP_SCHEMA},\"grid\":\"{canonical_grid}\",\"cells\":{cells}}}")
 }
 
@@ -159,7 +159,7 @@ pub struct StoredCell {
 
 /// Result of loading a prior store for `--resume`.
 #[derive(Clone, Debug, Default)]
-pub struct StoreLoad {
+pub(crate) struct StoreLoad {
     /// Valid cell lines, by id.
     pub cells: BTreeMap<usize, StoredCell>,
     /// Lines dropped as torn or malformed (counted, never silently).
@@ -255,7 +255,7 @@ pub fn parse_cell_line(line: &str) -> Option<StoredCell> {
 /// order up to the first torn/malformed line; everything from that point
 /// on is dropped (torn tail from a crashed run), counted in
 /// [`StoreLoad::dropped`].
-pub fn parse_store(text: &str, want_header: &str) -> Result<StoreLoad, String> {
+pub(crate) fn parse_store(text: &str, want_header: &str) -> Result<StoreLoad, String> {
     let mut load = StoreLoad::default();
     let mut lines = text.lines();
     match lines.next() {
@@ -294,7 +294,7 @@ pub fn parse_store(text: &str, want_header: &str) -> Result<StoreLoad, String> {
 /// A crossover-table row: one (dist, m, ε, util) point with the mean
 /// max-flow (over finite replicas, ms) per policy class and the verdict.
 #[derive(Clone, Debug)]
-pub struct CrossoverRow {
+pub(crate) struct CrossoverRow {
     /// Distribution name.
     pub dist: String,
     /// Machine size.
@@ -316,7 +316,10 @@ pub struct CrossoverRow {
 /// Build the steal-k vs admit-first crossover table from final records.
 /// Pruned/empty cells simply contribute nothing — a policy with no finite
 /// replicas at a point shows as `-`.
-pub fn crossover_rows(cells: &[CellSpec], outcomes: &[Option<CellOutcome>]) -> Vec<CrossoverRow> {
+pub(crate) fn crossover_rows(
+    cells: &[CellSpec],
+    outcomes: &[Option<CellOutcome>],
+) -> Vec<CrossoverRow> {
     // (dist, m, eps, util-bits) → policy → (sum, n). Keyed by the util's
     // bit pattern so the BTreeMap ordering is total without float Ord.
     type PointKey = (String, usize, String, u64);
@@ -387,7 +390,7 @@ fn ms(v: Option<f64>) -> String {
 }
 
 /// Render the crossover table (also pasted into EXPERIMENTS.md).
-pub fn render_crossover(rows: &[CrossoverRow]) -> String {
+pub(crate) fn render_crossover(rows: &[CrossoverRow]) -> String {
     let mut t = Table::new([
         "dist",
         "m",
@@ -418,7 +421,7 @@ pub fn render_crossover(rows: &[CrossoverRow]) -> String {
 }
 
 /// The same grid reference as a Markdown table for EXPERIMENTS.md.
-pub fn render_crossover_markdown(rows: &[CrossoverRow]) -> String {
+pub(crate) fn render_crossover_markdown(rows: &[CrossoverRow]) -> String {
     let mut out = String::from(
         "| dist | m | eps | util | fifo (ms) | admit (ms) | best steal | steal (ms) | winner |\n\
          |---|---|---|---|---|---|---|---|---|\n",

@@ -24,7 +24,7 @@ use super::grid::CellSpec;
 /// Structural fingerprint of a cell: FNV-1a over the canonical rendering
 /// of every schedule-relevant field. Replica index and engine seed are
 /// included only when the policy is seed-dependent.
-pub fn fingerprint(cell: &CellSpec) -> u64 {
+pub(crate) fn fingerprint(cell: &CellSpec) -> u64 {
     let rep_part = if cell.policy.seed_dependent() {
         format!("r{}|s{:#x}", cell.rep, cell.engine_seed)
     } else {
@@ -47,7 +47,7 @@ pub fn fingerprint(cell: &CellSpec) -> u64 {
 
 /// Outcome of clustering one load level.
 #[derive(Clone, Debug, Default)]
-pub struct Clustering {
+pub(crate) struct Clustering {
     /// Cell id → representative id. Representatives map to themselves.
     pub rep_of: BTreeMap<usize, usize>,
     /// Cells that were folded into another cell's bucket.
@@ -58,7 +58,7 @@ pub struct Clustering {
 /// fingerprint; the lowest-id member of each bucket becomes its
 /// representative. Deterministic: depends only on cell contents and the
 /// (already canonical) enumeration order.
-pub fn cluster(cells: &[CellSpec]) -> Clustering {
+pub(crate) fn cluster(cells: &[CellSpec]) -> Clustering {
     let mut first_of: BTreeMap<u64, usize> = BTreeMap::new();
     let mut out = Clustering::default();
     for cell in cells {

@@ -15,7 +15,7 @@ use parflow_time::Speed;
 use parflow_workloads::{qps_for_utilization, DistKind};
 
 /// Results-store format version (the `"sweep"` header field).
-pub const SWEEP_SCHEMA: u32 = 1;
+pub(crate) const SWEEP_SCHEMA: u32 = 1;
 
 /// A scheduling policy swept over. `fifo` is the centralized control; the
 /// others run on the work-stealing engine.
@@ -57,12 +57,12 @@ impl SweepPolicy {
     /// Whether the simulated schedule depends on the engine seed. FIFO is
     /// deterministic, so its seed replicas are provably identical and the
     /// clusterer simulates only one representative.
-    pub fn seed_dependent(&self) -> bool {
+    pub(crate) fn seed_dependent(&self) -> bool {
         !matches!(self, SweepPolicy::Fifo)
     }
 
     /// The work-stealing policy, `None` for the centralized control.
-    pub fn steal_policy(&self) -> Option<StealPolicy> {
+    pub(crate) fn steal_policy(&self) -> Option<StealPolicy> {
         match self {
             SweepPolicy::Fifo => None,
             SweepPolicy::AdmitFirst => Some(StealPolicy::AdmitFirst),
@@ -138,7 +138,7 @@ impl CellSpec {
 
     /// The instance this cell simulates: cells sharing a key share one
     /// generated instance (and one OPT computation) in the fan-out stage.
-    pub fn instance_key(&self) -> String {
+    pub(crate) fn instance_key(&self) -> String {
         format!(
             "{}/u{}/m{}/j{}",
             self.dist.name(),
@@ -151,7 +151,7 @@ impl CellSpec {
     /// The pruner's family: everything but load level and seed replica.
     /// Once a family is dominated at some load, all its higher-load cells
     /// are skipped.
-    pub fn family(&self) -> String {
+    pub(crate) fn family(&self) -> String {
         format!(
             "{}/m{}/e{}/j{}/{}",
             self.dist.name(),
@@ -164,7 +164,7 @@ impl CellSpec {
 
     /// The dominance comparison group: the family minus policy. Policies
     /// within one group race on identical instances.
-    pub fn group(&self) -> String {
+    pub(crate) fn group(&self) -> String {
         format!(
             "{}/m{}/e{}/j{}",
             self.dist.name(),
@@ -184,11 +184,11 @@ fn eps_str(eps: (u64, u64)) -> String {
 }
 
 /// Named preset: the CI/test smoke grid (12 cells, sub-second).
-pub const PRESET_SMOKE: &str =
+pub(crate) const PRESET_SMOKE: &str =
     "dist=bing;util=0.6,0.9;policy=fifo,admit,steal:4;m=4;eps=0;seeds=2;jobs=300";
 
 /// Named preset: the phase-diagram grid behind EXPERIMENTS.md (720 cells).
-pub const PRESET_PHASE: &str = "dist=bing,finance;util=0.55,0.7,0.85,1.0,1.15;\
+pub(crate) const PRESET_PHASE: &str = "dist=bing,finance;util=0.55,0.7,0.85,1.0,1.15;\
 policy=fifo,admit,steal:1,steal:4,steal:16,steal:64;m=8,16;eps=0,1/10;seeds=3;jobs=2000";
 
 impl SweepGrid {
@@ -292,6 +292,19 @@ impl SweepGrid {
         if epss.is_empty() {
             epss.push((0, 1));
         }
+        // A finite util can still scale past f64 (`util=1e308` at m=16), so
+        // every cell's arrival rate must itself be finite and positive.
+        for &dist in &dists {
+            for (&m, &util) in ms.iter().flat_map(|m| utils.iter().map(move |u| (m, u))) {
+                let qps = qps_for_utilization(dist, m, util);
+                if !(qps.is_finite() && qps > 0.0) {
+                    let name = dist.name();
+                    return Err(format!(
+                        "util={util:?} at m={m} is no finite positive QPS ({name})"
+                    ));
+                }
+            }
+        }
         // Canonicalize: sort + dedup every axis so equivalent spellings
         // yield identical cell enumerations (and store headers).
         utils.sort_by(f64::total_cmp);
@@ -318,7 +331,7 @@ impl SweepGrid {
 
     /// The canonical spec string: parse-stable, embedded in the store
     /// header so `--resume` can refuse a mismatched grid.
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         let join = |parts: Vec<String>| parts.join(",");
         format!(
             "dist={};util={};policy={};m={};eps={};seeds={};jobs={};seed={:#x}",
@@ -334,7 +347,7 @@ impl SweepGrid {
     }
 
     /// Total cell count (`len` of [`SweepGrid::cells`]).
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         self.dists.len()
             * self.utils.len()
             * self.policies.len()
@@ -454,6 +467,10 @@ mod tests {
     fn bad_specs_error() {
         assert!(SweepGrid::parse("dist=bogus;util=1;policy=fifo").is_err());
         assert!(SweepGrid::parse("dist=bing;util=-1;policy=fifo").is_err());
+        assert!(
+            SweepGrid::parse("dist=bing;util=1e308;policy=fifo").is_err(),
+            "util x m overflows the arrival rate"
+        );
         assert!(SweepGrid::parse("dist=bing;util=1;policy=steal:x").is_err());
         assert!(SweepGrid::parse("dist=bing;util=1;policy=fifo;eps=1/0").is_err());
         assert!(

@@ -4,10 +4,10 @@
 //! (workload × load × policy × k × ε × m × seed replicas) into cells.
 //! [`run_sweep`] evaluates it level by level (ascending load):
 //!
-//! 1. **cluster** — [`cluster::cluster`] buckets structurally identical
+//! 1. **cluster** — `cluster::cluster` buckets structurally identical
 //!    cells (e.g. seed replicas of deterministic FIFO) so only one
 //!    representative per bucket is simulated;
-//! 2. **prune** — [`prune::Pruner`] skips whole policy families that were
+//! 2. **prune** — `prune::Pruner` skips whole policy families that were
 //!    already dominated at a lower load; pruned cells become *empty*
 //!    cells, not holes;
 //! 3. **fan-out** — surviving representatives are grouped by generated
@@ -25,9 +25,9 @@
 //! trusted from ambient state.
 
 pub mod aggregate;
-pub mod cluster;
+mod cluster;
 pub mod grid;
-pub mod prune;
+mod prune;
 
 use std::collections::BTreeMap;
 
@@ -176,7 +176,7 @@ impl SweepOutcome {
     }
 
     /// The steal-k vs admit-first crossover rows over the final records.
-    pub fn crossover(&self) -> Vec<CrossoverRow> {
+    pub(crate) fn crossover(&self) -> Vec<CrossoverRow> {
         let specs: Vec<CellSpec> = self.records.iter().map(|r| r.spec.clone()).collect();
         let outcomes: Vec<Option<CellOutcome>> = self.records.iter().map(|r| r.outcome).collect();
         crossover_rows(&specs, &outcomes)

@@ -23,7 +23,7 @@ use super::grid::CellSpec;
 /// Level-by-level dominance pruner. `factor ≤ 1` (or non-finite) disables
 /// pruning entirely.
 #[derive(Clone, Debug)]
-pub struct Pruner {
+pub(crate) struct Pruner {
     factor: f64,
     dead: BTreeSet<String>,
 }
@@ -31,7 +31,7 @@ pub struct Pruner {
 impl Pruner {
     /// A pruner that kills a family once it is `factor`× worse than its
     /// group's winner at any completed level.
-    pub fn new(factor: f64) -> Pruner {
+    pub(crate) fn new(factor: f64) -> Pruner {
         Pruner {
             factor,
             dead: BTreeSet::new(),
@@ -39,12 +39,12 @@ impl Pruner {
     }
 
     /// Whether this cell's family has been pruned at a lower level.
-    pub fn is_pruned(&self, cell: &CellSpec) -> bool {
+    pub(crate) fn is_pruned(&self, cell: &CellSpec) -> bool {
         self.dead.contains(&cell.family())
     }
 
     /// Families pruned so far.
-    pub fn pruned_families(&self) -> usize {
+    pub(crate) fn pruned_families(&self) -> usize {
         self.dead.len()
     }
 
@@ -52,7 +52,7 @@ impl Pruner {
     /// level, `None` for empty cells (no finite flows — already-pruned
     /// cells report `None` too and never resurrect a family). Returns the
     /// families newly pruned by this level.
-    pub fn observe_level<'a, I>(&mut self, level: I) -> Vec<String>
+    pub(crate) fn observe_level<'a, I>(&mut self, level: I) -> Vec<String>
     where
         I: IntoIterator<Item = (&'a CellSpec, Option<f64>)>,
     {

@@ -78,7 +78,7 @@ pub struct StallFault {
 
 impl StallFault {
     /// True if `round` lies inside the stall window.
-    pub fn covers(&self, round: u64) -> bool {
+    pub(crate) fn covers(&self, round: u64) -> bool {
         round >= self.from_round && round - self.from_round < self.duration
     }
 
@@ -190,7 +190,7 @@ impl FaultPlan {
 
     /// Largest round at which this plan still changes behaviour (used by
     /// engines to bound quiescent fast-forwarding).
-    pub fn last_scheduled_round(&self) -> Option<u64> {
+    pub(crate) fn last_scheduled_round(&self) -> Option<u64> {
         let crash = self.crashes.iter().map(|c| c.at_round).max();
         let stall = self
             .stalls
@@ -298,15 +298,19 @@ impl FaultPlan {
 /// [`SlowdownFault`]: a worker with rate `r` ppm accumulates `r` credits
 /// per round and may execute work whenever it holds a full [`PPM`] —
 /// exactly `⌊n·r/1e6⌋` working rounds in any window of `n`, no drift.
+/// The per-round reference loop ticks it; the stepper reads the same
+/// gate in closed form (see `FaultState`).
+#[cfg(any(test, feature = "reference-engine"))]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SlowdownGate {
+pub(crate) struct SlowdownGate {
     rate_ppm: u32,
     credit: u64,
 }
 
+#[cfg(any(test, feature = "reference-engine"))]
 impl SlowdownGate {
     /// Gate for a worker running at `rate_ppm` parts-per-million.
-    pub fn new(rate_ppm: u32) -> Self {
+    pub(crate) fn new(rate_ppm: u32) -> Self {
         SlowdownGate {
             rate_ppm: rate_ppm.min(PPM),
             credit: 0,
@@ -314,7 +318,7 @@ impl SlowdownGate {
     }
 
     /// Advance one round; true if the worker may execute this round.
-    pub fn tick(&mut self) -> bool {
+    pub(crate) fn tick(&mut self) -> bool {
         self.credit += self.rate_ppm as u64;
         if self.credit >= PPM as u64 {
             self.credit -= PPM as u64;
@@ -325,7 +329,7 @@ impl SlowdownGate {
     }
 
     /// True if this gate never blocks (full speed).
-    pub fn is_full_speed(&self) -> bool {
+    pub(crate) fn is_full_speed(&self) -> bool {
         self.rate_ppm == PPM
     }
 }
@@ -448,9 +452,9 @@ impl PanicSampler {
 /// A non-empty plan as the event-driven stepper (`crate::stream`) reads it,
 /// plus the fault side of one run.
 ///
-/// A worker's [`SlowdownGate`] ticks in every non-quiescent round in which
-/// it is alive and not stalled, whatever it does, so its state is a pure
-/// function of time: after `t` ticks it has opened `⌊t·rate/PPM⌋` times.
+/// A worker's slowdown gate (the reference loop's `SlowdownGate`) ticks
+/// in every non-quiescent round in which it is alive and not stalled,
+/// whatever it does, so its state is a pure function of time: after `t` ticks it has opened `⌊t·rate/PPM⌋` times.
 /// `ticks` holds that count at the start of round `settled`; the stepper
 /// advances it once per loop iteration, which lets any later round's gate
 /// be read, and a node's last round be computed, in closed form.

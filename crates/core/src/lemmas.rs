@@ -81,7 +81,7 @@ impl RoundActivity {
 
     /// Processor idling steps in the inclusive round range `[from, to]`,
     /// clamped to the trace length.
-    pub fn idling_in(&self, from: Round, to: Round) -> u64 {
+    pub(crate) fn idling_in(&self, from: Round, to: Round) -> u64 {
         let from = (from as usize).min(self.rounds());
         let to = ((to as usize) + 1).min(self.rounds());
         if from >= to {
@@ -101,7 +101,7 @@ impl RoundActivity {
     }
 
     /// Units of work executed in `[from, to]`.
-    pub fn work_in(&self, from: Round, to: Round) -> u64 {
+    pub(crate) fn work_in(&self, from: Round, to: Round) -> u64 {
         let from = (from as usize).min(self.rounds());
         let to = ((to as usize) + 1).min(self.rounds());
         if from >= to {

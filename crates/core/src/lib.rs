@@ -98,7 +98,7 @@ pub use dispatch::{ParseSchedulerError, SchedulerKind};
 pub use equi::{run_equi, simulate_equi};
 pub use fault::{
     CrashFault, FaultEvent, FaultKind, FaultPlan, JobStatus, PanicSampler, SlowdownFault,
-    SlowdownGate, StallFault, PPM,
+    StallFault, PPM,
 };
 pub use gantt::render_gantt;
 pub use interval::{analyze_intervals, Interval, IntervalAnalysis};

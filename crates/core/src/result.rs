@@ -31,7 +31,7 @@ pub struct JobOutcome {
 
 impl JobOutcome {
     /// Weighted flow `w_i · F_i`.
-    pub fn weighted_flow(&self) -> Rational {
+    pub(crate) fn weighted_flow(&self) -> Rational {
         self.flow.mul_ratio(self.weight as i128, 1)
     }
 }
@@ -58,14 +58,6 @@ pub struct EngineStats {
     pub injected_panics: u64,
     /// Processor-rounds lost to injected stalls and slowdowns.
     pub faulted_steps: u64,
-}
-
-impl EngineStats {
-    /// Processor *idling* steps in the paper's sense: rounds in which a
-    /// processor is not working on a job (stealing or idle).
-    pub fn idling_steps(&self) -> u64 {
-        self.steal_attempts + self.idle_steps
-    }
 }
 
 /// A sampled snapshot of work-stealing backlog state (see
@@ -130,13 +122,8 @@ impl SimResult {
     }
 
     /// The job achieving the maximum flow time.
-    pub fn argmax_flow(&self) -> Option<&JobOutcome> {
+    pub(crate) fn argmax_flow(&self) -> Option<&JobOutcome> {
         self.outcomes.iter().max_by_key(|o| o.flow)
-    }
-
-    /// The job achieving the maximum weighted flow time.
-    pub fn argmax_weighted_flow(&self) -> Option<&JobOutcome> {
-        self.outcomes.iter().max_by_key(|o| o.weighted_flow())
     }
 
     /// Mean flow time, as `f64` (reporting only).
@@ -251,20 +238,6 @@ mod tests {
         let r = result(vec![outcome(0, 0, 10, 4), outcome(1, 0, 1, 10)]);
         assert_eq!(r.max_flow(), Rational::from_int(10));
         assert_eq!(r.max_weighted_flow(), Rational::from_int(40));
-        assert_eq!(r.argmax_weighted_flow().unwrap().job, 0);
-    }
-
-    #[test]
-    fn idling_steps_sum() {
-        let s = EngineStats {
-            work_steps: 10,
-            steal_attempts: 3,
-            successful_steals: 1,
-            admissions: 2,
-            idle_steps: 4,
-            ..Default::default()
-        };
-        assert_eq!(s.idling_steps(), 7);
     }
 
     #[test]

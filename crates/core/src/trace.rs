@@ -191,12 +191,12 @@ impl ScheduleTrace {
     }
 
     /// Append one explicit round row.
-    pub fn push_row(&mut self, row: Vec<Action>) {
+    pub(crate) fn push_row(&mut self, row: Vec<Action>) {
         self.spans.push(TraceSpan::Busy(row));
     }
 
     /// Append `count` all-idle rounds, merging into a trailing idle span.
-    pub fn push_idle_rounds(&mut self, count: u64) {
+    pub(crate) fn push_idle_rounds(&mut self, count: u64) {
         if count == 0 {
             return;
         }

@@ -100,12 +100,6 @@ impl CursorArena {
         self.slots.len()
     }
 
-    /// Number of slots currently on the free list.
-    #[inline]
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
     /// Return every slot to the free list, keeping all buffer capacity.
     ///
     /// Bulk reset between independent runs sharing one arena (the batched
@@ -145,7 +139,6 @@ mod tests {
         assert_eq!(arena.capacity(), 2);
         arena.release(a);
         arena.release(b);
-        assert_eq!(arena.free_slots(), 2);
         // LIFO: last released comes back first.
         let c = arena.alloc(&dag);
         assert_eq!(c, b);
@@ -196,7 +189,6 @@ mod tests {
         arena.release(a);
         // One live slot, one free slot; recycle_all reclaims both.
         arena.recycle_all();
-        assert_eq!(arena.free_slots(), 2);
         assert_eq!(arena.capacity(), 2);
         // Slot 0 is handed out first and is indistinguishable from fresh.
         let c = arena.alloc(&dag);

@@ -202,7 +202,7 @@ impl JobDag {
     /// Node ids with no predecessors (the initially ready nodes), in
     /// increasing id order, without allocating.
     #[inline]
-    pub fn sources_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn sources_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.pred_counts
             .iter()
             .enumerate()
@@ -210,27 +210,12 @@ impl JobDag {
             .map(|(i, _)| i as NodeId)
     }
 
-    /// Node ids with no successors, in increasing id order, without
-    /// allocating.
-    #[inline]
-    pub fn sinks_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.num_nodes() as NodeId).filter(|&v| self.succs(v).is_empty())
-    }
-
     /// Node indices with no predecessors (the initially ready nodes).
     ///
-    /// Allocates a fresh `Vec`; hot paths should prefer
-    /// [`JobDag::sources_iter`].
+    /// Allocates a fresh `Vec`; the engines' hot paths use the crate's
+    /// allocation-free `sources_iter`.
     pub fn sources(&self) -> Vec<NodeId> {
         self.sources_iter().collect()
-    }
-
-    /// Node indices with no successors.
-    ///
-    /// Allocates a fresh `Vec`; hot paths should prefer
-    /// [`JobDag::sinks_iter`].
-    pub fn sinks(&self) -> Vec<NodeId> {
-        self.sinks_iter().collect()
     }
 
     /// A topological order over all nodes (stable across runs).
@@ -260,7 +245,6 @@ mod tests {
         assert_eq!(dag.total_work(), 5);
         assert_eq!(dag.span(), 5);
         assert_eq!(dag.sources(), vec![0]);
-        assert_eq!(dag.sinks(), vec![0]);
         assert!((dag.parallelism() - 1.0).abs() < 1e-12);
     }
 
@@ -277,7 +261,6 @@ mod tests {
         assert_eq!(dag.total_work(), 9);
         assert_eq!(dag.span(), 9);
         assert_eq!(dag.sources(), vec![0]);
-        assert_eq!(dag.sinks(), vec![2]);
     }
 
     #[test]
@@ -371,8 +354,6 @@ mod tests {
         b.add_edge(m2, t).unwrap();
         let dag = b.build().unwrap();
         assert_eq!(dag.sources_iter().collect::<Vec<_>>(), dag.sources());
-        assert_eq!(dag.sinks_iter().collect::<Vec<_>>(), dag.sinks());
         assert_eq!(dag.sources(), vec![0]);
-        assert_eq!(dag.sinks(), vec![3]);
     }
 }

@@ -9,7 +9,7 @@ pub type JobId = u32;
 
 /// Priority weight of a job. The unweighted objective uses `w_i = 1` for all
 /// jobs; weights are *not* assumed correlated with work (Section 7).
-pub type Weight = u64;
+pub(crate) type Weight = u64;
 
 /// One job of an online scheduling instance.
 ///

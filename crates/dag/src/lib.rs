@@ -38,7 +38,7 @@ pub use builder::DagBuilder;
 pub use cursor::{DagCursor, StepOutcome, UnitOutcome};
 pub use error::{DagError, ExecError};
 pub use graph::{JobDag, NodeId};
-pub use job::{Instance, Job, JobId, Weight};
+pub use job::{Instance, Job, JobId};
 
 #[cfg(test)]
 mod proptests {

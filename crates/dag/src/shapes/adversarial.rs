@@ -36,7 +36,7 @@ mod tests {
         assert_eq!(d.total_work(), 5); // m/10 + 1
         assert_eq!(d.span(), 2);
         assert_eq!(d.sources(), vec![0]);
-        assert_eq!(d.sinks().len(), 4);
+        assert_eq!(crate::shapes::sink_count(&d), 4);
     }
 
     #[test]

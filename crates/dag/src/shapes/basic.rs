@@ -98,7 +98,7 @@ mod tests {
         assert_eq!(d.total_work(), 15);
         assert_eq!(d.span(), 15);
         assert_eq!(d.sources().len(), 1);
-        assert_eq!(d.sinks().len(), 1);
+        assert_eq!(crate::shapes::sink_count(&d), 1);
     }
 
     #[test]

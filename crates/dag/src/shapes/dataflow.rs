@@ -79,7 +79,7 @@ mod tests {
         assert_eq!(d.span(), 2 + 10 + 5);
         assert!(d.validate().is_ok());
         assert_eq!(d.sources().len(), 1);
-        assert_eq!(d.sinks().len(), 1);
+        assert_eq!(crate::shapes::sink_count(&d), 1);
     }
 
     #[test]

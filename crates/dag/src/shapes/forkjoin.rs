@@ -84,7 +84,7 @@ mod tests {
     fn single_source_single_sink() {
         let d = fork_join(4, 2);
         assert_eq!(d.sources().len(), 1);
-        assert_eq!(d.sinks().len(), 1);
+        assert_eq!(crate::shapes::sink_count(&d), 1);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   conquer);
 //! * [`layered_random`] — random layered DAGs for property tests and
 //!   robustness experiments;
-//! * [`series_parallel_random`] — random nested fork-join (series-parallel)
-//!   DAGs, the structural class spawn/sync programs generate;
 //! * [`map_reduce`] / [`pipeline`] — dataflow shapes (scatter-gather with a
 //!   shuffle barrier; stage-parallel stream operators);
 //! * [`adversarial_tiny`] — the Section 5 lower-bound gadget (one root
@@ -21,11 +19,17 @@ mod basic;
 mod dataflow;
 mod forkjoin;
 mod layered;
-mod series_parallel;
 
 pub use adversarial::adversarial_tiny;
 pub use basic::{chain, diamond, parallel_for, single_node};
 pub use dataflow::{map_reduce, pipeline};
 pub use forkjoin::fork_join;
 pub use layered::{layered_random, LayeredParams};
-pub use series_parallel::{series_parallel_random, SpParams};
+
+/// Nodes with no successors, for the shape tests.
+#[cfg(test)]
+fn sink_count(d: &crate::JobDag) -> usize {
+    (0..d.num_nodes())
+        .filter(|&v| d.succs(v as crate::NodeId).is_empty())
+        .count()
+}

@@ -21,7 +21,7 @@ use crate::lexer::{find_word, Scrubbed};
 
 /// One `fn` definition found in the scanned file set.
 #[derive(Debug)]
-pub struct FnDef {
+pub(crate) struct FnDef {
     /// Function name (unqualified).
     pub name: String,
     /// Index into the scanned file list.
@@ -34,7 +34,7 @@ pub struct FnDef {
 
 /// The workspace call graph: definitions plus name-resolved edges.
 #[derive(Debug, Default)]
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// All definitions in scan order (files in input order, top to
     /// bottom within a file) — the graph's deterministic spine.
     pub defs: Vec<FnDef>,
@@ -63,7 +63,7 @@ const KEYWORDS: &[&str] = &[
 impl CallGraph {
     /// Build the graph over `scrubbed` (parallel to the scanned file
     /// list) and mark everything reachable from `entry_points`.
-    pub fn build(scrubbed: &[&Scrubbed], entry_points: &[String]) -> CallGraph {
+    pub(crate) fn build(scrubbed: &[&Scrubbed], entry_points: &[String]) -> CallGraph {
         let mut defs = Vec::new();
         for (fi, scr) in scrubbed.iter().enumerate() {
             scan_defs(fi, &scr.code, &mut defs);
@@ -117,7 +117,7 @@ impl CallGraph {
 /// file-scoped pass does not already govern. Inline allows and
 /// `allow-files` apply exactly as in the file-scoped pass; suppressing
 /// allows are recorded in `used`.
-pub fn transitive_panicking(
+pub(crate) fn transitive_panicking(
     files: &[(String, String)],
     scrubbed: &[Scrubbed],
     cfg: &crate::config::Config,

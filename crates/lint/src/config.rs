@@ -36,19 +36,19 @@ pub struct RuleCfg {
 
 impl RuleCfg {
     /// Is `rel_path` under one of this rule's `paths` entries?
-    pub fn in_paths(&self, rel_path: &str) -> bool {
+    pub(crate) fn in_paths(&self, rel_path: &str) -> bool {
         self.paths
             .iter()
             .any(|p| rel_path == p || rel_path.starts_with(&format!("{p}/")))
     }
 
     /// Is `rel_path` exempted wholesale by `allow-files`?
-    pub fn is_allow_filed(&self, rel_path: &str) -> bool {
+    pub(crate) fn is_allow_filed(&self, rel_path: &str) -> bool {
         self.allow_files.iter().any(|(p, _)| p == rel_path)
     }
 
     /// Does this rule govern `rel_path` (and not exempt it)?
-    pub fn applies_to(&self, rel_path: &str) -> bool {
+    pub(crate) fn applies_to(&self, rel_path: &str) -> bool {
         self.in_paths(rel_path) && !self.is_allow_filed(rel_path)
     }
 }

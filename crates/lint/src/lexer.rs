@@ -15,7 +15,7 @@
 
 /// Result of scrubbing one source file.
 #[derive(Debug)]
-pub struct Scrubbed {
+pub(crate) struct Scrubbed {
     /// Source with comment and literal contents blanked; identical line
     /// structure to the input.
     pub code: String,
@@ -29,7 +29,7 @@ pub struct Scrubbed {
 /// structure. Handles nested block comments, escapes, raw strings
 /// (`r"…"`, `r#"…"#`, and their `b`-prefixed forms) and the char-literal
 /// vs. lifetime ambiguity.
-pub fn scrub(src: &str) -> Scrubbed {
+pub(crate) fn scrub(src: &str) -> Scrubbed {
     let chars: Vec<char> = src.chars().collect();
     let n = chars.len();
     let mut out = String::with_capacity(src.len());
@@ -260,7 +260,7 @@ fn compute_test_mask(scrubbed: &str, num_lines: usize) -> Vec<bool> {
 /// Find word-bounded occurrences of `needle` in `hay`: the match may not
 /// be preceded or followed by an identifier character (when the needle's
 /// own endpoint is an identifier character).
-pub fn find_word(hay: &str, needle: &str) -> Vec<usize> {
+pub(crate) fn find_word(hay: &str, needle: &str) -> Vec<usize> {
     let hb = hay.as_bytes();
     let first_ident = needle
         .chars()

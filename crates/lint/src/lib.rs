@@ -12,20 +12,22 @@
 //! * **L3 `panicking`** — no `unwrap`/`expect`/panicking percentile calls
 //!   in engine hot paths and worker loops, *including* helpers reachable
 //!   from the declared engine entry points through the workspace call
-//!   graph (see [`callgraph`]);
+//!   graph (see `callgraph.rs`);
 //! * **L4 `rng`** — only declared files may construct or advance a seeded
 //!   RNG stream;
 //! * **L5 `counter-overflow`** — telemetry counters accumulate with
 //!   saturating/checked arithmetic, never bare `+=`;
 //! * **L6 `float-determinism`** — no order-dependent float accumulation
 //!   in golden-compared paths;
-//! * **`unused-allow`** — inline allows that no longer suppress anything
-//!   fail the lint.
+//! * **L7 `unused-allow`** — inline allows that no longer suppress anything
+//!   fail the lint;
+//! * **L8 `unused-pub`** — a `pub` fn, const or static that no other crate
+//!   names is made `pub(crate)`, or deleted when nothing names it.
 //!
 //! The linter runs in two passes: pass 1 lexes every collected file and
 //! applies the file-scoped rules; pass 2 builds a lightweight function
 //! call graph from the same lexer output and applies the reachability
-//! form of L3, then audits the inline allows.
+//! form of L3, then audits the inline allows. L8 reads the whole tree.
 //!
 //! Scope and file-level exemptions live in the workspace-root `lint.toml`;
 //! individual sites are excused with `// lint: allow(<rule>) <reason>`.
@@ -37,36 +39,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
-pub mod config;
-pub mod lexer;
-pub mod rules;
+mod callgraph;
+mod config;
+mod lexer;
+mod rules;
+mod unused_pub;
 
 pub use config::{Config, ConfigError, RuleCfg};
-pub use rules::{Diagnostic, RULES};
+pub use rules::Diagnostic;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Lint a set of in-memory files as one workspace: file-scoped rules on
 /// each file, then the call-graph reachability pass and the unused-allow
-/// audit across the whole set. Diagnostics come back sorted by
-/// (file, line, rule) — the linter's own output order is deterministic by
-/// construction.
+/// audit across the whole set, then L8 `unused-pub` with the same set as
+/// its readers. Diagnostics come back sorted by (file, line, rule) — the
+/// linter's own output order is deterministic by construction.
 pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {
-    let scrubbed: Vec<lexer::Scrubbed> = files.iter().map(|(_, s)| lexer::scrub(s)).collect();
-    let mut used = rules::UsedAllows::default();
-    let mut out = Vec::new();
-    for ((rel, source), scr) in files.iter().zip(&scrubbed) {
-        out.extend(rules::lint_file(rel, source, scr, cfg, &mut used));
-    }
-    out.extend(callgraph::transitive_panicking(
-        files, &scrubbed, cfg, &mut used,
-    ));
-    out.extend(rules::unused_allows(files, &scrubbed, cfg, &used));
-    out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    out.dedup();
-    out
+    let mut out = scoped_passes(files, cfg);
+    out.extend(unused_pub::unused_pub(files, cfg));
+    sorted(out)
 }
 
 /// Lint one in-memory file (used by the fixture self-tests). Single-file
@@ -75,12 +68,15 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic
     lint_files(&[(rel_path.to_string(), source.to_string())], cfg)
 }
 
-/// Walk the workspace under `root` and lint every `.rs` file any rule
-/// scopes (the union of all scopes is also the call-graph universe).
+/// Lint the workspace under `root`. The union of every rule's scope but
+/// `unused-pub`'s is the file set of the scoped passes and the call-graph
+/// universe (with test files in it, names would stop being
+/// workspace-unique and L3 edges would silently drop); `unused-pub` reads
+/// every `.rs` file of the tree except the lint's own fixtures.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Diagnostic>> {
     // Union of every rule's scope, deduplicated and ordered.
     let mut names: BTreeSet<String> = BTreeSet::new();
-    for rule in cfg.rules.values() {
+    for (_, rule) in cfg.rules.iter().filter(|(name, _)| *name != "unused-pub") {
         for p in &rule.paths {
             let abs = root.join(p);
             if abs.is_file() {
@@ -92,12 +88,51 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Diagnost
             // intent and files move between PRs.
         }
     }
-    let mut files = Vec::with_capacity(names.len());
-    for rel in names {
-        let source = std::fs::read_to_string(root.join(&rel))?;
-        files.push((rel, source));
+    let read = |names: BTreeSet<String>| -> std::io::Result<Vec<(String, String)>> {
+        let read_one = |rel: String| Ok((rel.clone(), std::fs::read_to_string(root.join(rel))?));
+        names.into_iter().map(read_one).collect()
+    };
+    let mut out = scoped_passes(&read(names)?, cfg);
+    if cfg.rules.contains_key("unused-pub") {
+        let mut tree = tree_rs(root)?;
+        tree.retain(|rel| !rel.starts_with("crates/lint/tests/fixtures/"));
+        out.extend(unused_pub::unused_pub(&read(tree)?, cfg));
     }
-    Ok(lint_files(&files, cfg))
+    Ok(sorted(out))
+}
+
+/// File-scoped rules, the call-graph reachability pass and the
+/// unused-allow audit over one file set.
+fn scoped_passes(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {
+    let scrubbed: Vec<lexer::Scrubbed> = files.iter().map(|(_, s)| lexer::scrub(s)).collect();
+    let mut used = rules::UsedAllows::default();
+    let mut out = Vec::new();
+    for ((rel, source), scr) in files.iter().zip(&scrubbed) {
+        out.extend(rules::lint_file(rel, source, scr, cfg, &mut used));
+    }
+    out.extend(callgraph::transitive_panicking(
+        files, &scrubbed, cfg, &mut used,
+    ));
+    out.extend(rules::unused_allows(files, &scrubbed, cfg, &used));
+    out
+}
+
+fn sorted(mut out: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    out.dedup();
+    out
+}
+
+/// Every `.rs` file under the tree's `src`, `tests`, `examples` and
+/// `crates` directories, workspace-relative.
+fn tree_rs(root: &Path) -> std::io::Result<BTreeSet<String>> {
+    let mut files = BTreeSet::new();
+    for dir in ["src", "tests", "examples", "crates"].map(|d| root.join(d)) {
+        if dir.is_dir() {
+            collect_rs(&dir, root, &mut files)?;
+        }
+    }
+    Ok(files)
 }
 
 fn collect_rs(dir: &Path, root: &Path, out: &mut BTreeSet<String>) -> std::io::Result<()> {
@@ -121,12 +156,7 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut BTreeSet<String>) -> std::io::R
 /// padding nor deleting comments moves the number), and the `pub` items
 /// among those; then two total rows.
 pub fn stats_table(root: &Path) -> std::io::Result<String> {
-    let mut files = BTreeSet::new();
-    for dir in ["src", "tests", "examples", "crates"].map(|d| root.join(d)) {
-        if dir.is_dir() {
-            collect_rs(&dir, root, &mut files)?;
-        }
-    }
+    let files = tree_rs(root)?;
     let add = |a: [usize; 3], b: [usize; 3]| [0, 1, 2].map(|i| a[i] + b[i]);
     let mut rows: BTreeMap<&str, [usize; 3]> = BTreeMap::new();
     for rel in &files {
@@ -155,26 +185,30 @@ pub fn stats_table(root: &Path) -> std::io::Result<String> {
 
 /// `[all lines, non-test code lines, pub items]` of one file. Only a file
 /// under `src/` has non-test lines; a `pub` item is a line that opens with
-/// `pub` and an item keyword, so `pub(crate)` items and `pub` fields do not
-/// count.
+/// `pub` and an item keyword (see [`pub_keyword`]).
 fn file_size(source: &str, in_src: bool) -> [usize; 3] {
-    const ITEM: &[&str] = &[
-        "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod", "use",
-        "unsafe", "async", "extern",
-    ];
     let mut size = [source.lines().count(), 0, 0];
     if in_src {
         let scrubbed = lexer::scrub(source);
         let live = scrubbed.code.lines().zip(&scrubbed.test_mask);
         for (line, _) in live.filter(|(l, is_test)| !**is_test && !l.trim().is_empty()) {
-            let mut words = line.split_whitespace();
-            let is_pub =
-                words.next() == Some("pub") && words.next().is_some_and(|w| ITEM.contains(&w));
             size[1] += 1;
-            size[2] += usize::from(is_pub);
+            size[2] += usize::from(pub_keyword(line).is_some());
         }
     }
     size
+}
+
+/// The item keyword of a scrubbed line that opens with `pub` and an item
+/// keyword, so `pub(crate)` items and `pub` fields are not `pub` lines.
+fn pub_keyword(line: &str) -> Option<&str> {
+    const ITEM: &[&str] = &[
+        "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod", "use",
+        "unsafe", "async", "extern",
+    ];
+    let mut words = line.split_whitespace();
+    (words.next() == Some("pub")).then_some(())?;
+    words.next().filter(|w| ITEM.contains(w))
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` containing

@@ -1,7 +1,7 @@
 //! The project rules.
 //!
 //! Each rule is a lexical token-pattern check over scrubbed source (see
-//! [`crate::lexer`]), scoped by `lint.toml` paths and overridable per
+//! `lexer.rs`), scoped by `lint.toml` paths and overridable per
 //! line with `// lint: allow(<rule>) <reason>` on the flagged line or the
 //! line above (the reason is mandatory). Test code (`#[cfg(test)]` /
 //! `#[test]` regions) is never linted: the rules protect production
@@ -11,11 +11,12 @@
 //! |---|---|
 //! | `nondeterminism` (L1) | engine/golden paths take no input from wall clocks, OS entropy, or hash iteration order |
 //! | `truncating-cast` (L2) | counters and accumulators never silently truncate (`u64 → u32` class; the PR 3 `failed_steals` saturation family) |
-//! | `panicking` (L3) | engine hot paths and worker loops never panic — including helpers merely *reachable* from the declared engine entry points (see [`crate::callgraph`]) |
+//! | `panicking` (L3) | engine hot paths and worker loops never panic — including helpers merely *reachable* from the declared engine entry points (see `callgraph.rs`) |
 //! | `rng` (L4) | only declared files may construct or advance a seeded RNG stream |
 //! | `counter-overflow` (L5) | telemetry counters use saturating/checked arithmetic, never bare `+=` (endless streaming runs overflow wrapping counters) |
 //! | `float-determinism` (L6) | no order-dependent `f64`/`f32` iterator accumulation in golden-compared paths without a pinned iteration order |
 //! | `unused-allow` | every `// lint: allow(...)` annotation still suppresses something; stale ones are configuration debt and fail the lint |
+//! | `unused-pub` (L8) | a `pub` fn, const or static is named by a reader outside its library (see `unused_pub.rs`; not a line rule) |
 //!
 //! See `docs/STATIC_ANALYSIS.md` for the full rule-to-invariant map.
 
@@ -26,7 +27,7 @@ use crate::lexer::{find_word, Scrubbed};
 /// `(file, 0-based annotation line, rule)` triples whose inline allow
 /// actually suppressed a diagnostic in this run. The `unused-allow` pass
 /// flags every annotation that is *not* in this set.
-pub type UsedAllows = BTreeSet<(String, usize, &'static str)>;
+pub(crate) type UsedAllows = BTreeSet<(String, usize, &'static str)>;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +55,7 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Rule slugs in reporting order.
-pub const RULES: &[&str] = &[
+pub(crate) const RULES: &[&str] = &[
     "nondeterminism",
     "truncating-cast",
     "panicking",
@@ -151,7 +152,7 @@ fn annotation_allows(comment: &str, rule: &str) -> bool {
 /// Run every file-scoped rule that `cfg` scopes onto `rel_path` over one
 /// file. Inline allows that actually suppress a finding are recorded in
 /// `used` for the later `unused-allow` pass.
-pub fn lint_file(
+pub(crate) fn lint_file(
     rel_path: &str,
     source: &str,
     scr: &Scrubbed,
@@ -273,7 +274,7 @@ pub fn lint_file(
 /// in scope must have suppressed at least one finding this run (recorded
 /// in `used`). Stale annotations are debt: they read as if a dangerous
 /// site were present and excused, when actually nothing is there.
-pub fn unused_allows(
+pub(crate) fn unused_allows(
     files: &[(String, String)],
     scrubbed: &[Scrubbed],
     cfg: &crate::config::Config,

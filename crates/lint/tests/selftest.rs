@@ -282,6 +282,76 @@ fn unused_allow_fixture_exact_diagnostics() {
 }
 
 #[test]
+fn unused_pub_two_crate_workspace_exact_diagnostics() {
+    // An in-memory workspace: library `a` (two files), its binary, and
+    // library `b`.
+    let a = "\
+pub fn shared() {}
+pub fn internal() {}
+pub fn test_only() {}
+pub fn twice() {}
+/// ```
+/// assert_eq!(a::DOC_ONLY, 1);
+/// ```
+pub const DOC_ONLY: u32 = 1;
+pub fn for_bin() {}
+pub fn dup() {}
+fn caller() {
+    internal();
+    dup();
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        super::test_only();
+    }
+}
+";
+    let a_mod = "pub fn dup() {}\n";
+    let a_bin = "fn main() {\n    a::for_bin();\n}\n";
+    let b = "pub fn twice() {\n    a::shared();\n}\n";
+    let files: Vec<(String, String)> = [
+        ("crates/a/src/lib.rs", a),
+        ("crates/a/src/m.rs", a_mod),
+        ("crates/a/src/main.rs", a_bin),
+        ("crates/b/src/lib.rs", b),
+    ]
+    .iter()
+    .map(|(p, s)| (p.to_string(), s.to_string()))
+    .collect();
+    let cfg = Config::parse("[unused-pub]\npaths = [\"crates/a/src\", \"crates/b/src\"]\n")
+        .expect("config");
+    let d = lint_files(&files, &cfg);
+    let got: Vec<(&str, usize, &str, &str)> = d
+        .iter()
+        .map(|x| (x.file.as_str(), x.line, x.rule, x.message.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (
+                "crates/a/src/lib.rs",
+                2,
+                "unused-pub",
+                "`pub fn internal` is named nowhere outside crate `a`: make it `pub(crate)`"
+            ),
+            (
+                "crates/a/src/lib.rs",
+                3,
+                "unused-pub",
+                "`pub fn test_only` is named nowhere outside its own tests: dead, delete it"
+            ),
+            // `shared` is used by crate `b`, `for_bin` by `a`'s binary,
+            // `DOC_ONLY` by a doc example; `twice` is defined in both
+            // crates and `dup` twice in `a`, so no definition of either
+            // is reported.
+        ],
+        "diagnostics: {d:#?}"
+    );
+}
+
+#[test]
 fn reasonless_allow_does_not_excuse_fixture_lines() {
     let cfg = Config::parse("[panicking]\npaths = [\"f.rs\"]\n").expect("config");
     let src = "// lint: allow(panicking)\nlet x = o.unwrap();\n";

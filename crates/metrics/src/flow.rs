@@ -47,7 +47,7 @@ impl FlowStats {
     /// the same degradation: non-finite samples are counted in `nan` and
     /// excluded, the sort is total-order, and the result is `None` only
     /// when no finite samples remain.
-    pub fn from_projected(max: Rational, samples: &[f64]) -> Option<FlowStats> {
+    pub(crate) fn from_projected(max: Rational, samples: &[f64]) -> Option<FlowStats> {
         let (vals, mean) = sorted_finite(samples)?;
         let pct = |q: f64| try_percentile_sorted(&vals, q).unwrap_or(f64::NAN);
         Some(FlowStats {
@@ -134,7 +134,7 @@ fn sorted_finite(xs: &[f64]) -> Option<(Vec<f64>, f64)> {
 ///
 /// Prefer this over [`percentile_sorted`] anywhere the inputs are not
 /// already validated — reporting paths should degrade, not panic.
-pub fn try_percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
+pub(crate) fn try_percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     if sorted.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
@@ -146,21 +146,12 @@ pub fn try_percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
 ///
 /// # Panics
 ///
-/// On an empty slice or out-of-range `q`; use [`try_percentile_sorted`]
-/// for a non-panicking variant.
+/// On an empty slice or out-of-range `q`; the crate's own summaries use
+/// the non-panicking `try_percentile_sorted`.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
     try_percentile_sorted(sorted, q).expect("validated above")
-}
-
-/// The competitive-style ratio `alg / lower_bound`, `None` when the bound is
-/// zero (empty instance).
-pub fn ratio_to_bound(alg: Rational, lower_bound: Rational) -> Option<f64> {
-    if lower_bound.is_zero() {
-        return None;
-    }
-    Some((alg / lower_bound).to_f64())
 }
 
 #[cfg(test)]
@@ -282,15 +273,5 @@ mod tests {
         assert!(SampleStats::from_samples(&[]).is_none());
         assert!(SampleStats::from_samples(&[f64::NAN, f64::NAN]).is_none());
         assert!(SampleStats::from_samples(&[f64::NEG_INFINITY]).is_none());
-    }
-
-    #[test]
-    fn ratio() {
-        assert_eq!(ratio_to_bound(r(10), r(4)), Some(2.5));
-        assert_eq!(ratio_to_bound(r(10), Rational::ZERO), None);
-        assert_eq!(
-            ratio_to_bound(Rational::new(3, 2), Rational::new(1, 2)),
-            Some(3.0)
-        );
     }
 }

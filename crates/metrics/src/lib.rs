@@ -13,9 +13,9 @@ mod norms;
 mod streaming;
 mod table;
 
-pub use flow::{percentile_sorted, ratio_to_bound, try_percentile_sorted, FlowStats, SampleStats};
+pub use flow::{percentile_sorted, FlowStats, SampleStats};
 pub use histogram::Histogram;
-pub use norms::{lk_norm, max_stretch, stretches};
+pub use norms::{lk_norm, max_stretch};
 pub use streaming::StreamingFlowStats;
 pub use table::Table;
 

@@ -51,7 +51,7 @@ pub fn lk_norm(flows: &[Rational], k: u32) -> f64 {
 
 /// Per-job stretch values `F_i / size_i` (both exact rationals in, `f64`
 /// out) where `sizes[i]` is the chosen size measure (`W_i` or `P_i`).
-pub fn stretches(flows: &[Rational], sizes: &[u64]) -> Vec<f64> {
+pub(crate) fn stretches(flows: &[Rational], sizes: &[u64]) -> Vec<f64> {
     assert_eq!(flows.len(), sizes.len(), "flows/sizes length mismatch");
     flows
         .iter()

@@ -14,8 +14,7 @@ use parflow_time::Rational;
 
 /// Running flow-time statistics over a stream of samples.
 ///
-/// Feed flows with [`record`](Self::record) (exact rationals) or
-/// [`record_f64`](Self::record_f64) (projected samples). Non-finite
+/// Feed flows with [`record`](Self::record) (exact rationals). Non-finite
 /// projections are tallied out-of-band like [`FlowStats::nan`], so one
 /// poisoned flow cannot skew a 10M-job summary.
 #[derive(Clone, Debug)]
@@ -53,24 +52,6 @@ impl StreamingFlowStats {
         }
         if self.count == 0 || self.max < flow {
             self.max = flow;
-        }
-        self.min = self.min.min(x);
-        self.count += 1;
-        self.sum += x;
-        self.hist.add(x);
-    }
-
-    /// Fold in a projected sample (no exact rational available). The exact
-    /// maximum is tracked through `Rational::from_int` of the ceiling, so
-    /// prefer [`record`](Self::record) when the rational exists.
-    pub fn record_f64(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.nan += 1;
-            return;
-        }
-        let approx = Rational::from_int(x.ceil() as i128);
-        if self.count == 0 || self.max < approx {
-            self.max = approx;
         }
         self.min = self.min.min(x);
         self.count += 1;
@@ -168,16 +149,6 @@ mod tests {
         assert!((p50 - 50.0).abs() <= 1.0, "p50 = {p50}");
         let p99 = s.quantile(0.99).unwrap();
         assert!((p99 - 99.0).abs() <= 1.0, "p99 = {p99}");
-    }
-
-    #[test]
-    fn nan_kept_out_of_band() {
-        let mut s = StreamingFlowStats::new(0.0, 10.0, 4);
-        s.record_f64(f64::NAN);
-        s.record_f64(3.0);
-        assert_eq!(s.nan(), 1);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.finish().unwrap().nan, 1);
     }
 
     #[test]

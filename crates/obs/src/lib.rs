@@ -358,10 +358,10 @@ impl Recorder for JsonRecorder {
 }
 
 /// Report format version.
-pub const OBS_SCHEMA: u32 = 1;
+pub(crate) const OBS_SCHEMA: u32 = 1;
 
 /// Number of uniform bins in a [`HistogramSummary`].
-pub const SUMMARY_BINS: usize = 16;
+pub(crate) const SUMMARY_BINS: usize = 16;
 
 /// Distribution summary: count, moments, percentiles and fixed-bin counts.
 /// Built on [`parflow_metrics::Histogram`], so NaN samples are counted
@@ -386,7 +386,7 @@ pub struct HistogramSummary {
     pub p95: f64,
     /// 99th percentile.
     pub p99: f64,
-    /// [`SUMMARY_BINS`] uniform bin counts over `[min, max]`.
+    /// 16 uniform bin counts over `[min, max]`.
     pub bins: Vec<u64>,
 }
 
@@ -429,7 +429,7 @@ impl HistogramSummary {
 /// distribution summaries and per-phase wall times.
 #[derive(Clone, Debug)]
 pub struct ObsReport {
-    /// Format version ([`OBS_SCHEMA`]).
+    /// Format version (1).
     pub schema: u32,
     /// `(label, value)` counters, sorted by label (`name` or `name[i]`).
     pub counters: Vec<(String, u64)>,

@@ -236,19 +236,6 @@ impl RuntimeResult {
             .collect()
     }
 
-    /// Job-latency histogram: `bins` uniform bins over `[0, max_flow]` in
-    /// milliseconds. Returns `None` for an empty run (no bin range).
-    pub fn flow_histogram(&self, bins: usize) -> Option<parflow_metrics::Histogram> {
-        let flows = self.flow_ms();
-        let hi = flows.iter().copied().fold(0.0_f64, f64::max);
-        if flows.is_empty() || hi <= 0.0 {
-            return None;
-        }
-        let mut h = parflow_metrics::Histogram::new(0.0, hi * (1.0 + 1e-9), bins);
-        h.extend(flows);
-        Some(h)
-    }
-
     /// Emit this result into a [`Recorder`]: `rt.*` aggregate counters,
     /// per-worker `rt.worker.*` counters, per-job `rt.job_flow_ms` latency
     /// samples (summarized as a histogram by the aggregating recorder),
@@ -365,24 +352,10 @@ pub struct FailedRun {
 
 impl FailedRun {
     /// A failure raised before the engine started (no partial results).
-    pub fn before_start(error: RuntimeError) -> Self {
+    pub(crate) fn before_start(error: RuntimeError) -> Self {
         FailedRun {
             error,
             partial: None,
-        }
-    }
-
-    /// Ids of jobs that did *not* reach a terminal completed/failed state,
-    /// in submission order — the re-admission set for a supervisor.
-    pub fn unfinished_jobs(&self) -> Vec<u32> {
-        match &self.partial {
-            None => Vec::new(),
-            Some(r) => r
-                .jobs
-                .iter()
-                .filter(|j| j.status == JobStatus::Aborted)
-                .map(|j| j.id)
-                .collect(),
         }
     }
 }
@@ -1369,40 +1342,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_run_reports_unfinished_jobs() {
-        // A hand-built failure: jobs 0 and 2 finished, 1 and 3 did not.
-        // `unfinished_jobs` is the supervisor's re-admission set.
-        let jobs = vec![
-            (JobStatus::Completed, 0),
-            (JobStatus::Aborted, 1),
-            (JobStatus::Failed, 2),
-            (JobStatus::Aborted, 3),
-        ]
-        .into_iter()
-        .map(|(status, id)| RtJobResult {
-            id,
-            flow: Duration::ZERO,
-            status,
-        })
-        .collect();
-        let partial = RuntimeResult {
-            jobs,
-            stats: RuntimeStats::default(),
-            worker_stats: Vec::new(),
-            elapsed: Duration::ZERO,
-            aborted: true,
-            fault_events: Vec::new(),
-        };
+    fn failed_run_displays_and_converts_to_its_error() {
         let failed = FailedRun {
             error: RuntimeError::WorkerPanicked(1),
-            partial: Some(Box::new(partial)),
+            partial: None,
         };
-        assert_eq!(failed.unfinished_jobs(), vec![1, 3]);
         assert_eq!(failed.to_string(), "worker thread 1 panicked");
         assert_eq!(RuntimeError::from(failed), RuntimeError::WorkerPanicked(1));
-        assert!(FailedRun::before_start(RuntimeError::SubmitterPanicked)
-            .unfinished_jobs()
-            .is_empty());
     }
 
     #[test]
@@ -1509,17 +1455,6 @@ mod tests {
         // Disabled recorder: nothing recorded, nothing perturbed.
         let mut null = parflow_obs::NullRecorder;
         r.observe_into(&mut null);
-    }
-
-    #[test]
-    fn flow_histogram_covers_all_jobs() {
-        let cfg = RuntimeConfig::new(2, RtPolicy::AdmitFirst);
-        let r = run_workload(&cfg, &burst_workload(5, 2, 2_000));
-        let h = r.flow_histogram(8).expect("non-empty run");
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.nan(), 0);
-        let empty = run_workload(&cfg, &[]);
-        assert!(empty.flow_histogram(8).is_none());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use executor::{
     run_workload, try_run_workload, FailedRun, RtJobResult, RtPolicy, RtWorkerStats, RuntimeConfig,
     RuntimeError, RuntimeResult, RuntimeStats, NS_PER_TICK,
 };
-pub use task::{spin_kernel, JobShape, JobSpec, JobState, Task, TaskKind};
+pub use task::{spin_kernel, JobShape, JobSpec};
 
 // Fault-injection vocabulary shared with the simulator, re-exported so
 // runtime users do not need a direct parflow-core dependency.

@@ -78,14 +78,14 @@ impl JobSpec {
     }
 
     /// Number of trackable tasks: leaves only (spawn strands are free).
-    pub fn leaf_tasks(&self) -> usize {
+    pub(crate) fn leaf_tasks(&self) -> usize {
         self.chunks
     }
 }
 
 /// Shared state of one in-flight job.
 #[derive(Debug)]
-pub struct JobState {
+pub(crate) struct JobState {
     /// Dense job index.
     pub id: u32,
     /// Chunks not yet finished.
@@ -116,7 +116,7 @@ pub struct JobState {
 
 impl JobState {
     /// Create the state for a job of `spec` shape.
-    pub fn new(id: u32, spec: JobSpec) -> Self {
+    pub(crate) fn new(id: u32, spec: JobSpec) -> Self {
         JobState {
             id,
             remaining: AtomicUsize::new(spec.leaf_tasks()),
@@ -133,7 +133,7 @@ impl JobState {
 
     /// Mark one chunk finished; returns true if this finished the job
     /// (last chunk, and no concurrent failure already ended it).
-    pub fn finish_chunk(&self, base: Instant) -> bool {
+    pub(crate) fn finish_chunk(&self, base: Instant) -> bool {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             if self.terminal.swap(true, Ordering::AcqRel) {
                 return false;
@@ -148,7 +148,7 @@ impl JobState {
 
     /// Mark the whole job failed (a chunk panicked); returns true the
     /// first time, when the caller must count the job as terminal.
-    pub fn fail(&self, base: Instant) -> bool {
+    pub(crate) fn fail(&self, base: Instant) -> bool {
         self.failed.store(true, Ordering::Release);
         if self.terminal.swap(true, Ordering::AcqRel) {
             return false;
@@ -159,7 +159,7 @@ impl JobState {
     }
 
     /// True once a chunk of this job has panicked.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
     }
 
@@ -168,14 +168,14 @@ impl JobState {
     /// An RMW on a line shared by every worker running this job: the
     /// executor calls it only when the sampler is armed or the job is
     /// [`JobShape::Poison`], the two cases in which the number is read.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.executed.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Terminal status, meaningful once the run is over: failed jobs are
     /// [`JobStatus::Failed`], finished ones [`JobStatus::Completed`], and
     /// anything still open when the run ended [`JobStatus::Aborted`].
-    pub fn status(&self) -> JobStatus {
+    pub(crate) fn status(&self) -> JobStatus {
         if self.failed.load(Ordering::Acquire) {
             JobStatus::Failed
         } else if self.completion_ns.load(Ordering::Acquire) > 0 {
@@ -187,7 +187,7 @@ impl JobState {
 
     /// Flow time in nanoseconds, if the job reached a terminal time
     /// (completion, or failure time for failed jobs).
-    pub fn flow_ns(&self) -> Option<u64> {
+    pub(crate) fn flow_ns(&self) -> Option<u64> {
         let done = self.completion_ns.load(Ordering::Acquire);
         if done == 0 {
             return None;
@@ -203,7 +203,7 @@ impl JobState {
 /// (12 bytes, no `Arc`) removes per-task refcount traffic from every
 /// deque push, steal and drop on the hot path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Task {
+pub(crate) struct Task {
     /// Owning job's dense index into the run's job-state slab.
     pub job: u32,
     /// What this task does.
@@ -212,7 +212,7 @@ pub struct Task {
 
 /// Task variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskKind {
+pub(crate) enum TaskKind {
     /// Execute one leaf chunk of spin work.
     Chunk,
     /// Spawn two subtasks (fork-join recursion); depth 1 spawns chunks.

@@ -171,7 +171,7 @@ impl AdmissionLedger {
     /// Everything written here is a pure function of the submission stream
     /// (never of worker count or timing), so it is safe to include in the
     /// digested merged report.
-    pub fn record_merged(&self, rec: &mut parflow_obs::AggregatingRecorder) {
+    pub(crate) fn record_merged(&self, rec: &mut parflow_obs::AggregatingRecorder) {
         use parflow_obs::Recorder;
         rec.counter("serve.submitted", self.submitted);
         rec.counter("serve.admitted", self.admitted);

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `emit` renders a deterministic submission stream (the workloads crate's
-//! [`JobSource`] under the hood) as jsonl; `run` replays jsonl from a file
+//! [`parflow_workloads::JobSource`] under the hood) as jsonl; `run` replays jsonl from a file
 //! or stdin (`--input -`); `tcp` serves live connections. All three are
 //! plain functions returning the text they would print, so they are
 //! unit-testable without process spawning. Flags follow the one grammar of
@@ -21,7 +21,6 @@ use crate::supervisor::{FaultSpec, ServeConfig, Supervisor};
 use parflow_obs::args::{ArgError, Args};
 use parflow_runtime::RuntimeError;
 use parflow_workloads::{DistKind, WorkloadSpec};
-use std::io::BufRead;
 
 const USAGE: &str = "usage: parflow-serve <emit|run|tcp> [--flag value ...]\n\
   emit: --n N --qps QPS --dist bing|finance|lognormal --seed S [--poison-every K]\n\
@@ -60,6 +59,12 @@ fn emit(args: &[String]) -> Result<String, RuntimeError> {
     let poison_every: u64 = flags.get_or("poison-every", 0).map_err(usage)?;
     let dist = flags.get_or("dist", DistKind::Bing).map_err(usage)?;
     flags.finish().map_err(usage)?;
+    if !(qps.is_finite() && qps > 0.0) {
+        return Err(usage(ArgError {
+            flag: "qps".into(),
+            problem: format!("must be a finite positive rate, got {qps}"),
+        }));
+    }
     let spec = WorkloadSpec::paper_fig2(dist, qps, n as usize, seed);
     let mut source = spec.job_source();
     let mut out = String::new();
@@ -169,15 +174,6 @@ fn run_tcp(args: &[String]) -> Result<String, RuntimeError> {
     report_out(sup, &reporting)
 }
 
-/// Count non-comment lines of a jsonl body (test helper for the binary).
-pub fn jsonl_lines(body: &str) -> usize {
-    body.as_bytes()
-        .lines()
-        .map_while(Result::ok)
-        .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +187,20 @@ mod tests {
         let a = run(&argv("emit --n 50 --qps 1500 --seed 7")).expect("emit");
         let b = run(&argv("emit --n 50 --qps 1500 --seed 7")).expect("emit");
         assert_eq!(a, b);
-        assert_eq!(jsonl_lines(&a), 50);
+        assert_eq!(a.lines().count(), 50);
         for line in a.lines() {
             crate::protocol::parse_submission(line).expect("emitted line parses");
         }
         let c = run(&argv("emit --n 50 --qps 1500 --seed 8")).expect("emit");
         assert_ne!(a, c, "seed must matter");
+    }
+
+    #[test]
+    fn emit_rejects_a_rate_that_is_not_finite_and_positive() {
+        for qps in ["0", "-5", "nan", "inf"] {
+            let err = run(&argv(&format!("emit --n 5 --qps {qps}"))).unwrap_err();
+            assert!(err.to_string().contains("--qps: must be"), "{qps}: {err}");
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn run_jsonl<R: BufRead>(sup: &mut Supervisor, reader: R) -> Result<IngestSt
 /// Serve jsonl submissions over TCP: accept `max_conns` connections
 /// sequentially, acking each line. The caller binds the listener (so
 /// tests can bind port 0) and finishes the supervisor afterwards.
-pub fn run_tcp_listener(
+pub(crate) fn run_tcp_listener(
     sup: &mut Supervisor,
     listener: &TcpListener,
     max_conns: usize,

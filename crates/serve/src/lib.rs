@@ -10,14 +10,13 @@
 //! * [`protocol`] — jsonl wire format with idempotent submission ids;
 //! * [`admission`] — a deterministic virtual-time ledger deciding
 //!   admit / shed / reject-SLO purely from the submission stream;
-//! * [`worker`] — the `WorkerHandle` trait and the in-process
-//!   `ThreadWorker` executor (bounded inbox, heartbeat, deterministic
-//!   crash hooks);
+//! * `worker` — the in-process `ThreadWorker` execution shard (bounded
+//!   inbox, heartbeat, deterministic crash hooks);
 //! * [`supervisor`] — sharding, death detection, capped-backoff restarts,
 //!   exactly-once re-admission, and the merged/live report split.
 //!
-//! [`ingest`] feeds a supervisor from a replayable jsonl source or a TCP
-//! socket, and [`cli`] is the shared command surface of the
+//! [`run_jsonl`] (in `ingest`) feeds a supervisor from a replayable jsonl
+//! source or a TCP socket, and [`cli`] is the shared command surface of the
 //! `parflow-serve` binary and the root `parflow serve` subcommand.
 //!
 //! **The determinism contract** (pinned by `tests/chaos.rs` and the CI
@@ -30,13 +29,12 @@
 
 pub mod admission;
 pub mod cli;
-pub mod ingest;
+mod ingest;
 pub mod protocol;
 pub mod supervisor;
-pub mod worker;
+mod worker;
 
 pub use admission::{AdmissionConfig, AdmissionLedger, Outcome};
-pub use ingest::{run_jsonl, run_tcp_listener, IngestStats};
+pub use ingest::{run_jsonl, IngestStats};
 pub use protocol::{parse_submission, ParseError, Submission};
 pub use supervisor::{FaultSpec, ServeConfig, ServeReport, Supervisor};
-pub use worker::{Completion, SubmitError, ThreadWorker, WorkOrder, WorkerConfig, WorkerHandle};

@@ -48,7 +48,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionLedger, Outcome};
 use crate::protocol::Submission;
-use crate::worker::{Completion, SubmitError, ThreadWorker, WorkOrder, WorkerConfig, WorkerHandle};
+use crate::worker::{Completion, SubmitError, ThreadWorker, WorkOrder, WorkerConfig};
 use parflow_obs::{AggregatingRecorder, ObsReport, Recorder};
 use parflow_runtime::RuntimeError;
 use parflow_time::Ticks;
@@ -69,7 +69,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// Parse a comma-separated `worker:after` list, e.g. `"0:5,2:9"`.
-    pub fn parse_list(s: &str) -> Result<Vec<FaultSpec>, String> {
+    pub(crate) fn parse_list(s: &str) -> Result<Vec<FaultSpec>, String> {
         let mut out = Vec::new();
         for part in s.split(',').filter(|p| !p.trim().is_empty()) {
             let mut halves = part.trim().splitn(2, ':');
@@ -528,8 +528,8 @@ impl Supervisor {
                         placed = true;
                         break;
                     }
-                    Err(SubmitError::Full(_)) => self.full[w] = true,
-                    Err(SubmitError::Dead(_)) => {} // next pump reaps it
+                    Err(SubmitError::Full) => self.full[w] = true,
+                    Err(SubmitError::Dead) => {} // next pump reaps it
                 }
             }
             if !placed {

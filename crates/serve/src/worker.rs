@@ -1,6 +1,5 @@
-//! The execution layer: `WorkerHandle` (what a supervisor needs from a
-//! worker) and `ThreadWorker` (the in-process implementation used by the
-//! binary, the tests and CI).
+//! The execution layer: `ThreadWorker`, one in-process execution shard
+//! (a thread with a bounded inbox), the only kind a supervisor runs.
 //!
 //! The contract is **at-least-once dispatch, at-most-once acknowledgement**:
 //! a worker may die holding unacknowledged orders (its inbox and its
@@ -25,7 +24,7 @@ use std::time::Duration;
 
 /// One unit of dispatched work (an admitted submission bound for a worker).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkOrder {
+pub(crate) struct WorkOrder {
     /// Submission id (the idempotency key acknowledgements carry back).
     pub id: u64,
     /// Service demand in work units.
@@ -36,7 +35,7 @@ pub struct WorkOrder {
 
 impl WorkOrder {
     /// Build an order from an admitted submission.
-    pub fn from_submission(sub: &Submission) -> WorkOrder {
+    pub(crate) fn from_submission(sub: &Submission) -> WorkOrder {
         WorkOrder {
             id: sub.id,
             work: sub.work,
@@ -47,7 +46,7 @@ impl WorkOrder {
 
 /// A finished job, acknowledged by the worker that ran it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Completion {
+pub(crate) struct Completion {
     /// Submission id of the finished job.
     pub id: u64,
     /// Kernel checksum (proof of execution; folded into live telemetry).
@@ -56,35 +55,19 @@ pub struct Completion {
     pub worker: usize,
 }
 
-/// Why a non-blocking submit did not take the order.
-#[derive(Debug)]
-pub enum SubmitError {
-    /// Inbox full — back off and retry; the order is handed back.
-    Full(WorkOrder),
-    /// The worker is gone — re-admit elsewhere; the order is handed back.
-    Dead(WorkOrder),
-}
-
-/// What a supervisor needs from an execution shard. Object-safe so
-/// supervisors can mix implementations (in-process threads today; a
-/// process or remote shard would implement the same surface).
-pub trait WorkerHandle {
-    /// Hand an order to the worker without blocking.
-    fn try_submit(&mut self, order: WorkOrder) -> Result<(), SubmitError>;
-    /// Append every acknowledgement produced since the last call to `out`
-    /// (a buffer the caller reuses, so draining allocates nothing).
-    fn drain_completions(&mut self, out: &mut Vec<Completion>);
-    /// Monotone liveness counter bumped by the worker loop (watchdog food).
-    fn heartbeat(&self) -> u64;
-    /// True once the worker thread has exited (crash or shutdown).
-    fn is_finished(&mut self) -> bool;
-    /// Ask the worker to stop, then join it. Idempotent.
-    fn shutdown(&mut self);
+/// Why a non-blocking submit did not take the order (the caller still
+/// holds it: `WorkOrder` is `Copy`).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum SubmitError {
+    /// Inbox full — back off and retry.
+    Full,
+    /// The worker is gone — re-admit elsewhere.
+    Dead,
 }
 
 /// Spawn parameters for one [`ThreadWorker`] incarnation.
 #[derive(Clone, Copy, Debug)]
-pub struct WorkerConfig {
+pub(crate) struct WorkerConfig {
     /// Worker index (stable across incarnations; used in telemetry).
     pub index: usize,
     /// Spin-kernel iterations per work unit (sizes real CPU burn).
@@ -98,8 +81,7 @@ pub struct WorkerConfig {
 /// In-process worker: a thread with a bounded inbox, an acknowledgement
 /// channel, a heartbeat, and a stop flag.
 #[derive(Debug)]
-pub struct ThreadWorker {
-    index: usize,
+pub(crate) struct ThreadWorker {
     inbox: Option<SyncSender<WorkOrder>>,
     acks: Receiver<Completion>,
     heartbeat: Arc<AtomicU64>,
@@ -109,7 +91,7 @@ pub struct ThreadWorker {
 
 impl ThreadWorker {
     /// Spawn one worker incarnation.
-    pub fn spawn(cfg: WorkerConfig) -> ThreadWorker {
+    pub(crate) fn spawn(cfg: WorkerConfig) -> ThreadWorker {
         let (inbox_tx, inbox_rx) = std::sync::mpsc::sync_channel::<WorkOrder>(cfg.inbox_cap.max(1));
         let (ack_tx, ack_rx) = std::sync::mpsc::channel::<Completion>();
         let heartbeat = Arc::new(AtomicU64::new(0));
@@ -155,7 +137,6 @@ impl ThreadWorker {
             }
         });
         ThreadWorker {
-            index,
             inbox: Some(inbox_tx),
             acks: ack_rx,
             heartbeat,
@@ -164,37 +145,36 @@ impl ThreadWorker {
         }
     }
 
-    /// Worker index (stable across incarnations).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-}
-
-impl WorkerHandle for ThreadWorker {
-    fn try_submit(&mut self, order: WorkOrder) -> Result<(), SubmitError> {
+    /// Hand an order to the worker without blocking.
+    pub(crate) fn try_submit(&mut self, order: WorkOrder) -> Result<(), SubmitError> {
         match &self.inbox {
-            None => Err(SubmitError::Dead(order)),
+            None => Err(SubmitError::Dead),
             Some(tx) => match tx.try_send(order) {
                 Ok(()) => Ok(()),
-                Err(TrySendError::Full(o)) => Err(SubmitError::Full(o)),
-                Err(TrySendError::Disconnected(o)) => Err(SubmitError::Dead(o)),
+                Err(TrySendError::Full(_)) => Err(SubmitError::Full),
+                Err(TrySendError::Disconnected(_)) => Err(SubmitError::Dead),
             },
         }
     }
 
-    fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+    /// Append every acknowledgement produced since the last call to `out`
+    /// (a buffer the caller reuses, so draining allocates nothing).
+    pub(crate) fn drain_completions(&mut self, out: &mut Vec<Completion>) {
         out.extend(self.acks.try_iter());
     }
 
-    fn heartbeat(&self) -> u64 {
+    /// Monotone liveness counter bumped by the worker loop (watchdog food).
+    pub(crate) fn heartbeat(&self) -> u64 {
         self.heartbeat.load(Ordering::Relaxed)
     }
 
-    fn is_finished(&mut self) -> bool {
+    /// True once the worker thread has exited (crash or shutdown).
+    pub(crate) fn is_finished(&mut self) -> bool {
         self.join.as_ref().map(|j| j.is_finished()).unwrap_or(true)
     }
 
-    fn shutdown(&mut self) {
+    /// Ask the worker to stop, then join it. Idempotent.
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         self.inbox = None; // disconnect wakes a blocked recv
         if let Some(join) = self.join.take() {
@@ -303,14 +283,12 @@ mod tests {
     fn dead_worker_reports_submit_dead() {
         let mut w = ThreadWorker::spawn(cfg(None));
         w.shutdown();
-        match w.try_submit(WorkOrder {
+        let order = WorkOrder {
             id: 1,
             work: 1,
             poison: false,
-        }) {
-            Err(SubmitError::Dead(o)) => assert_eq!(o.id, 1),
-            other => panic!("expected Dead, got {other:?}"),
-        }
+        };
+        assert_eq!(w.try_submit(order), Err(SubmitError::Dead));
     }
 
     #[test]
@@ -347,7 +325,7 @@ mod tests {
                 poison: false,
             }) {
                 Ok(()) => {}
-                Err(SubmitError::Full(_)) | Err(SubmitError::Dead(_)) => {
+                Err(SubmitError::Full | SubmitError::Dead) => {
                     saw_backpressure = true;
                     break;
                 }

@@ -24,7 +24,7 @@
 mod rational;
 mod speed;
 
-pub use rational::{gcd, lcm, Rational};
+pub use rational::Rational;
 pub use speed::{Round, Speed, Ticks};
 
 /// Work measured in integer units: the time a unit-speed processor needs to
@@ -68,15 +68,15 @@ mod proptests {
 
         #[test]
         fn div_inverse(a in arb_rational(), b in arb_rational()) {
-            prop_assume!(!b.is_zero());
+            prop_assume!(b != Rational::ZERO);
             prop_assert_eq!((a * b) / b, a);
         }
 
         #[test]
         fn normalized_invariant(a in arb_rational()) {
             prop_assert!(a.den() > 0);
-            if !a.is_zero() {
-                prop_assert_eq!(gcd(a.num(), a.den()), 1);
+            if a != Rational::ZERO {
+                prop_assert_eq!(rational::gcd(a.num(), a.den()), 1);
             }
         }
 

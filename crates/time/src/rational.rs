@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// Greatest common divisor (non-negative result).
 #[inline]
-pub fn gcd(mut a: i128, mut b: i128) -> i128 {
+pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
     a = a.abs();
     b = b.abs();
     while b != 0 {
@@ -21,15 +21,6 @@ pub fn gcd(mut a: i128, mut b: i128) -> i128 {
         b = t;
     }
     a
-}
-
-/// Least common multiple. Panics on overflow.
-#[inline]
-pub fn lcm(a: i128, b: i128) -> i128 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    (a / gcd(a, b)).checked_mul(b).expect("lcm overflow").abs()
 }
 
 /// An exact rational number with `i128` numerator and denominator.
@@ -95,28 +86,10 @@ impl Rational {
         self.num as f64 / self.den as f64
     }
 
-    /// True if the value is an integer.
-    #[inline]
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
-    /// True if the value is zero.
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.num == 0
-    }
-
     /// True if strictly positive.
     #[inline]
     pub fn is_positive(&self) -> bool {
         self.num > 0
-    }
-
-    /// True if strictly negative.
-    #[inline]
-    pub fn is_negative(&self) -> bool {
-        self.num < 0
     }
 
     /// Floor to an integer.
@@ -419,13 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn lcm_basics() {
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 6), 0);
-        assert_eq!(lcm(7, 13), 91);
-    }
-
-    #[test]
     fn normalization() {
         let r = Rational::new(6, 8);
         assert_eq!(r.num(), 3);
@@ -589,10 +555,7 @@ mod tests {
 
     #[test]
     fn integer_predicates() {
-        assert!(Rational::new(8, 4).is_integer());
-        assert!(!Rational::new(8, 3).is_integer());
-        assert!(Rational::ZERO.is_zero());
         assert!(Rational::ONE.is_positive());
-        assert!((-Rational::ONE).is_negative());
+        assert!(!(-Rational::ONE).is_positive());
     }
 }

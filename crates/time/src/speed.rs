@@ -109,7 +109,7 @@ impl Speed {
 
     /// Wall-clock time at which round `r` starts: `r · den / num`.
     #[inline]
-    pub fn round_start(&self, r: Round) -> Rational {
+    pub(crate) fn round_start(&self, r: Round) -> Rational {
         // Integer speeds produce integer round boundaries; skip the
         // rational normalization (this sits under every flow-time
         // computation the engines make).
@@ -147,13 +147,6 @@ impl Speed {
     #[inline]
     pub fn flow_time(&self, arrival: Ticks, last_round: Round) -> Rational {
         self.round_end(last_round) - Rational::from_int(arrival as i128)
-    }
-
-    /// Number of complete rounds that fit in `t` wall-clock ticks:
-    /// `floor(t · num / den)`.
-    #[inline]
-    pub fn rounds_in(&self, t: Ticks) -> Round {
-        ((t as u128 * self.num as u128) / self.den as u128) as Round
     }
 }
 
@@ -296,14 +289,6 @@ mod tests {
         assert_eq!(s.flow_time(0, 2), Rational::from_int(2));
         // Finish during round 0 → completion 2/3.
         assert_eq!(s.flow_time(0, 0), Rational::new(2, 3));
-    }
-
-    #[test]
-    fn rounds_in_window() {
-        let s = Speed::new(3, 2);
-        // 2 ticks of wall time contain 3 rounds at speed 3/2.
-        assert_eq!(s.rounds_in(2), 3);
-        assert_eq!(Speed::ONE.rounds_in(7), 7);
     }
 
     #[test]

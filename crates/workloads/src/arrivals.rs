@@ -1,30 +1,14 @@
 //! Arrival processes: when jobs are released.
 //!
-//! Two views of the same arrival models:
-//!
-//! * [`ArrivalProcess`] — the batch view: materialize `n` arrival times
-//!   into a `Vec` (what the finite experiment drivers consume);
-//! * [`ArrivalSource`] — the streaming view: an *endless*, pull-based,
-//!   seeded and therefore replayable stream of non-decreasing arrival
-//!   ticks. The simulator, the real executor bridge, the bench drivers and
-//!   the `parflow-serve` admission service all consume this one
-//!   abstraction, so a million-job stream never has to exist in memory.
-//!
-//! Every process's `arrivals` is implemented *by* its stream, so the two
-//! views are replay-identical by construction (and pinned by proptests):
-//! for any prefix length `n`, streaming `n` ticks from the same seed
-//! yields exactly the materialized vector.
+//! Every arrival model is an [`ArrivalSource`]: an *endless*, pull-based,
+//! seeded and therefore replayable stream of non-decreasing arrival ticks.
+//! The simulator, the real executor bridge, the bench drivers and the
+//! `parflow-serve` admission service all consume this one abstraction, so
+//! a million-job stream never has to exist in memory; a finite prefix is
+//! [`take_arrivals`].
 
 use parflow_time::Ticks;
 use rand::Rng;
-
-/// Generates a non-decreasing sequence of arrival times in ticks.
-pub trait ArrivalProcess {
-    /// Produce `n` arrival times, starting at tick 0.
-    fn arrivals<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Ticks>;
-    /// Name for reports.
-    fn name(&self) -> &'static str;
-}
 
 /// An endless, pull-based stream of non-decreasing arrival ticks.
 ///
@@ -32,7 +16,7 @@ pub trait ArrivalProcess {
 /// soak benches) can hold a `Box<dyn ArrivalSource>` chosen at runtime.
 /// Implementations carry their own RNG state; re-creating a stream from
 /// the same seed replays the same ticks.
-pub trait ArrivalSource {
+pub(crate) trait ArrivalSource {
     /// The next arrival time in ticks. Never decreases between calls.
     fn next_arrival(&mut self) -> Ticks;
     /// Name for reports.
@@ -50,7 +34,7 @@ impl<S: ArrivalSource + ?Sized> ArrivalSource for Box<S> {
 }
 
 /// Materialize the next `n` ticks of a stream (test/driver convenience).
-pub fn take_arrivals<S: ArrivalSource + ?Sized>(source: &mut S, n: usize) -> Vec<Ticks> {
+pub(crate) fn take_arrivals<S: ArrivalSource + ?Sized>(source: &mut S, n: usize) -> Vec<Ticks> {
     (0..n).map(|_| source.next_arrival()).collect()
 }
 
@@ -62,23 +46,22 @@ pub fn take_arrivals<S: ArrivalSource + ?Sized>(source: &mut S, n: usize) -> Vec
 /// `f64` before truncation to integer ticks (1 tick = 0.1 ms, fine enough
 /// that quantization is negligible at realistic rates).
 #[derive(Clone, Copy, Debug)]
-pub struct PoissonArrivals {
+pub(crate) struct PoissonArrivals {
     /// Mean inter-arrival time in ticks (`TICKS_PER_SECOND / QPS`).
     pub mean_gap: f64,
 }
 
 impl PoissonArrivals {
     /// From a rate in jobs per second (QPS) given the tick resolution.
-    pub fn from_qps(qps: f64, ticks_per_second: f64) -> Self {
+    pub(crate) fn from_qps(qps: f64, ticks_per_second: f64) -> Self {
         assert!(qps > 0.0, "QPS must be positive");
         PoissonArrivals {
             mean_gap: ticks_per_second / qps,
         }
     }
 
-    /// The streaming view, drawing from `rng` (one `gen_range` per tick —
-    /// the exact draws `arrivals` makes).
-    pub fn stream<R: Rng>(&self, rng: R) -> PoissonStream<R> {
+    /// The streaming view, drawing from `rng` (one `gen_range` per tick).
+    pub(crate) fn stream<R: Rng>(&self, rng: R) -> PoissonStream<R> {
         assert!(self.mean_gap > 0.0);
         PoissonStream {
             mean_gap: self.mean_gap,
@@ -90,7 +73,7 @@ impl PoissonArrivals {
 
 /// Streaming state of a [`PoissonArrivals`] process.
 #[derive(Clone, Debug)]
-pub struct PoissonStream<R> {
+pub(crate) struct PoissonStream<R> {
     mean_gap: f64,
     t: f64,
     rng: R,
@@ -108,27 +91,17 @@ impl<R: Rng> ArrivalSource for PoissonStream<R> {
     }
 }
 
-impl ArrivalProcess for PoissonArrivals {
-    fn arrivals<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<Ticks> {
-        take_arrivals(&mut self.stream(rng), n)
-    }
-
-    fn name(&self) -> &'static str {
-        "poisson"
-    }
-}
-
 /// Deterministic periodic arrivals with a fixed gap (used by the Section 5
 /// lower-bound instance: one job every `2m` steps).
 #[derive(Clone, Copy, Debug)]
-pub struct PeriodicArrivals {
+pub(crate) struct PeriodicArrivals {
     /// Fixed gap in ticks between consecutive jobs.
     pub gap: Ticks,
 }
 
 impl PeriodicArrivals {
     /// The streaming view (consumes no randomness).
-    pub fn stream(&self) -> PeriodicStream {
+    pub(crate) fn stream(&self) -> PeriodicStream {
         PeriodicStream {
             gap: self.gap,
             i: 0,
@@ -138,7 +111,7 @@ impl PeriodicArrivals {
 
 /// Streaming state of a [`PeriodicArrivals`] process.
 #[derive(Clone, Copy, Debug)]
-pub struct PeriodicStream {
+pub(crate) struct PeriodicStream {
     gap: Ticks,
     i: u64,
 }
@@ -155,68 +128,6 @@ impl ArrivalSource for PeriodicStream {
     }
 }
 
-impl ArrivalProcess for PeriodicArrivals {
-    fn arrivals<R: Rng + ?Sized>(&self, _rng: &mut R, n: usize) -> Vec<Ticks> {
-        take_arrivals(&mut self.stream(), n)
-    }
-
-    fn name(&self) -> &'static str {
-        "periodic"
-    }
-}
-
-/// Bursty arrivals: batches of `burst` simultaneous jobs every `gap` ticks.
-/// Stress-tests the global-queue path of work stealing.
-#[derive(Clone, Copy, Debug)]
-pub struct BurstArrivals {
-    /// Jobs per burst.
-    pub burst: usize,
-    /// Gap between bursts in ticks.
-    pub gap: Ticks,
-}
-
-impl BurstArrivals {
-    /// The streaming view (consumes no randomness).
-    pub fn stream(&self) -> BurstStream {
-        assert!(self.burst > 0);
-        BurstStream {
-            burst: self.burst as u64,
-            gap: self.gap,
-            i: 0,
-        }
-    }
-}
-
-/// Streaming state of a [`BurstArrivals`] process.
-#[derive(Clone, Copy, Debug)]
-pub struct BurstStream {
-    burst: u64,
-    gap: Ticks,
-    i: u64,
-}
-
-impl ArrivalSource for BurstStream {
-    fn next_arrival(&mut self) -> Ticks {
-        let t = (self.i / self.burst).saturating_mul(self.gap);
-        self.i += 1;
-        t
-    }
-
-    fn source_name(&self) -> &'static str {
-        "burst"
-    }
-}
-
-impl ArrivalProcess for BurstArrivals {
-    fn arrivals<R: Rng + ?Sized>(&self, _rng: &mut R, n: usize) -> Vec<Ticks> {
-        take_arrivals(&mut self.stream(), n)
-    }
-
-    fn name(&self) -> &'static str {
-        "burst"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,9 +138,9 @@ mod tests {
     #[test]
     fn poisson_mean_gap() {
         let p = PoissonArrivals { mean_gap: 10.0 };
-        let mut rng = SmallRng::seed_from_u64(1);
+        let rng = SmallRng::seed_from_u64(1);
         let n = 100_000;
-        let arr = p.arrivals(&mut rng, n);
+        let arr = take_arrivals(&mut p.stream(rng), n);
         assert_eq!(arr.len(), n);
         // Non-decreasing.
         assert!(arr.windows(2).all(|w| w[0] <= w[1]));
@@ -248,30 +159,26 @@ mod tests {
     #[test]
     fn poisson_deterministic_per_seed() {
         let p = PoissonArrivals { mean_gap: 7.0 };
-        let a = p.arrivals(&mut SmallRng::seed_from_u64(5), 100);
-        let b = p.arrivals(&mut SmallRng::seed_from_u64(5), 100);
+        let a = take_arrivals(&mut p.stream(SmallRng::seed_from_u64(5)), 100);
+        let b = take_arrivals(&mut p.stream(SmallRng::seed_from_u64(5)), 100);
         assert_eq!(a, b);
     }
 
     #[test]
     fn periodic() {
         let p = PeriodicArrivals { gap: 32 };
-        let arr = p.arrivals(&mut SmallRng::seed_from_u64(0), 4);
+        let arr = take_arrivals(&mut p.stream(), 4);
         assert_eq!(arr, vec![0, 32, 64, 96]);
     }
 
     #[test]
-    fn burst() {
-        let b = BurstArrivals { burst: 3, gap: 100 };
-        let arr = b.arrivals(&mut SmallRng::seed_from_u64(0), 7);
-        assert_eq!(arr, vec![0, 0, 0, 100, 100, 100, 200]);
-    }
-
-    #[test]
     fn names() {
-        assert_eq!(PoissonArrivals { mean_gap: 1.0 }.name(), "poisson");
-        assert_eq!(PeriodicArrivals { gap: 1 }.name(), "periodic");
-        assert_eq!(BurstArrivals { burst: 1, gap: 1 }.name(), "burst");
+        let poisson = PoissonArrivals { mean_gap: 1.0 }.stream(SmallRng::seed_from_u64(0));
+        assert_eq!(poisson.source_name(), "poisson");
+        assert_eq!(
+            PeriodicArrivals { gap: 1 }.stream().source_name(),
+            "periodic"
+        );
     }
 
     #[test]
@@ -300,40 +207,8 @@ mod tests {
         }
     }
 
-    // Satellite coverage: the trait-based stream replays identically to the
-    // materialized `ArrivalProcess` output for every process type, at any
-    // prefix length.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn poisson_stream_replays_materialized(seed in any::<u64>(),
-                                               n in 0usize..512,
-                                               gap in 0.1f64..1_000.0) {
-            let p = PoissonArrivals { mean_gap: gap };
-            let batch = p.arrivals(&mut SmallRng::seed_from_u64(seed), n);
-            let mut stream = p.stream(SmallRng::seed_from_u64(seed));
-            prop_assert_eq!(batch, take_arrivals(&mut stream, n));
-        }
-
-        #[test]
-        fn periodic_stream_replays_materialized(seed in any::<u64>(),
-                                                n in 0usize..512,
-                                                gap in 0u64..10_000) {
-            let p = PeriodicArrivals { gap };
-            let batch = p.arrivals(&mut SmallRng::seed_from_u64(seed), n);
-            prop_assert_eq!(batch, take_arrivals(&mut p.stream(), n));
-        }
-
-        #[test]
-        fn burst_stream_replays_materialized(seed in any::<u64>(),
-                                             n in 0usize..512,
-                                             burst in 1usize..32,
-                                             gap in 0u64..10_000) {
-            let p = BurstArrivals { burst, gap };
-            let batch = p.arrivals(&mut SmallRng::seed_from_u64(seed), n);
-            prop_assert_eq!(batch, take_arrivals(&mut p.stream(), n));
-        }
 
         #[test]
         fn stream_prefixes_nest(seed in any::<u64>(), n in 1usize..256) {

@@ -145,7 +145,7 @@ pub fn finance() -> HistogramDist {
 /// Implemented with a Box–Muller transform so we need no extra
 /// dependencies; sampling consumes exactly two uniforms per draw.
 #[derive(Clone, Copy, Debug)]
-pub struct LogNormalDist {
+pub(crate) struct LogNormalDist {
     /// Mean of the underlying normal (of ln-work-in-units).
     pub mu: f64,
     /// Standard deviation of the underlying normal.
@@ -159,7 +159,7 @@ pub struct LogNormalDist {
 impl LogNormalDist {
     /// The paper-scale log-normal: mean ≈ 10 ms (100 units) with a heavy
     /// tail (`σ = 1`), clamped to [0.5 ms, 1 s].
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         // mean = exp(mu + sigma²/2) = 100 units → mu = ln(100) − 0.5.
         LogNormalDist {
             mu: 100.0_f64.ln() - 0.5,
@@ -187,79 +187,6 @@ impl WorkDistribution for LogNormalDist {
 
     fn name(&self) -> &'static str {
         "log-normal"
-    }
-}
-
-/// Uniform work distribution over `[lo, hi]` (testing / ablations).
-#[derive(Clone, Copy, Debug)]
-pub struct UniformDist {
-    /// Inclusive lower bound.
-    pub lo: Work,
-    /// Inclusive upper bound.
-    pub hi: Work,
-}
-
-impl WorkDistribution for UniformDist {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Work {
-        rng.gen_range(self.lo..=self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) as f64 / 2.0
-    }
-
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-}
-
-/// Constant work (testing / adversarial instances).
-#[derive(Clone, Copy, Debug)]
-pub struct ConstantDist(
-    /// The constant work value.
-    pub Work,
-);
-
-impl WorkDistribution for ConstantDist {
-    fn sample<R: Rng + ?Sized>(&self, _rng: &mut R) -> Work {
-        self.0
-    }
-
-    fn mean(&self) -> f64 {
-        self.0 as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "constant"
-    }
-}
-
-/// A bounded Pareto distribution (extension beyond the paper: an even
-/// heavier tail than log-normal, for robustness experiments).
-#[derive(Clone, Copy, Debug)]
-pub struct ParetoDist {
-    /// Scale (minimum work).
-    pub xm: f64,
-    /// Shape α (smaller = heavier tail). Must be > 1 for a finite mean.
-    pub alpha: f64,
-    /// Clamp maximum.
-    pub max: Work,
-}
-
-impl WorkDistribution for ParetoDist {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Work {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let x = self.xm / u.powf(1.0 / self.alpha);
-        (x.round() as u64).clamp(1, self.max)
-    }
-
-    fn mean(&self) -> f64 {
-        assert!(self.alpha > 1.0, "Pareto mean undefined for alpha <= 1");
-        self.alpha * self.xm / (self.alpha - 1.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "pareto"
     }
 }
 
@@ -369,40 +296,6 @@ mod tests {
             let w = d.sample(&mut rng);
             assert!((10..=20).contains(&w));
         }
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = UniformDist { lo: 5, hi: 15 };
-        let mut rng = SmallRng::seed_from_u64(2);
-        for _ in 0..1000 {
-            let w = d.sample(&mut rng);
-            assert!((5..=15).contains(&w));
-        }
-        assert!((empirical_mean(&d, 100_000, 3) - 10.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let d = ConstantDist(42);
-        let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(d.sample(&mut rng), 42);
-        assert_eq!(d.mean(), 42.0);
-    }
-
-    #[test]
-    fn pareto_tail_heavier_than_uniform() {
-        let d = ParetoDist {
-            xm: 50.0,
-            alpha: 1.5,
-            max: 100_000,
-        };
-        let mut rng = SmallRng::seed_from_u64(9);
-        let samples: Vec<u64> = (0..100_000).map(|_| d.sample(&mut rng)).collect();
-        let over_10x = samples.iter().filter(|&&w| w > 500).count() as f64 / 1e5;
-        // P(X > 10·xm) = 10^{-α} ≈ 0.0316.
-        assert!((0.02..0.05).contains(&over_10x), "tail mass {over_10x}");
-        assert!(samples.iter().all(|&w| w >= 50));
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl WorkloadSpec {
 
     /// Generate the instance.
     ///
-    /// Implemented over the streaming [`ArrivalSource`] view; the draw
+    /// Implemented over the streaming arrival view; the draw
     /// order (all arrivals, then one work sample per job) is unchanged, so
     /// generated instances are byte-identical to the pre-stream layout.
     pub fn generate(&self) -> Instance {
@@ -195,21 +195,6 @@ impl WorkloadSpec {
             })
             .collect();
         Instance::new(jobs)
-    }
-
-    /// Predicted machine utilization at `m` processors:
-    /// `QPS · E[W] / (ticks-per-second · m)`. The DAG adds 2 units
-    /// (source + sink) per parallel-for job, included here.
-    pub fn expected_utilization(&self, m: usize) -> f64 {
-        let overhead = match self.shape {
-            ShapeKind::ParallelFor { .. } => 2.0,
-            _ => 0.0,
-        };
-        let rate = match self.qps {
-            Some(qps) => qps,
-            None => TICKS_PER_SECOND / self.period_ticks as f64,
-        };
-        rate * (self.dist.mean() + overhead) / (TICKS_PER_SECOND * m as f64)
     }
 }
 
@@ -261,11 +246,6 @@ impl JobSource {
     /// Jobs produced so far.
     pub fn produced(&self) -> u64 {
         self.produced
-    }
-
-    /// Name of the underlying arrival process.
-    pub fn arrival_name(&self) -> &'static str {
-        self.arrivals.source_name()
     }
 }
 
@@ -350,18 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_prediction_close_to_realized() {
-        let spec = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, 20_000, 7);
-        let inst = spec.generate();
-        let predicted = spec.expected_utilization(16);
-        let realized = inst.utilization(16).unwrap().to_f64();
-        assert!(
-            (predicted - realized).abs() / predicted < 0.05,
-            "predicted {predicted} vs realized {realized}"
-        );
-    }
-
-    #[test]
     fn fig2_loads_are_paper_like() {
         // QPS 800 / 1000 / 1200 on m=16 must give ≈ 53 / 66 / 80 %.
         for (qps, lo, hi) in [
@@ -369,7 +337,8 @@ mod tests {
             (1000.0, 0.58, 0.73),
             (1200.0, 0.70, 0.88),
         ] {
-            let u = WorkloadSpec::paper_fig2(DistKind::Bing, qps, 10, 0).expected_utilization(16);
+            let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, 5_000, 0).generate();
+            let u = inst.utilization(16).unwrap().to_f64();
             assert!((lo..hi).contains(&u), "qps {qps} → util {u}");
         }
     }
@@ -435,7 +404,6 @@ mod tests {
             prev = x.arrival;
         }
         assert_eq!(a.produced(), 5_000);
-        assert_eq!(a.arrival_name(), "poisson");
     }
 
     #[test]
@@ -449,7 +417,6 @@ mod tests {
             seed: 3,
         };
         let mut s = spec.job_source();
-        assert_eq!(s.arrival_name(), "periodic");
         for i in 0..10u64 {
             let j = s.next_job();
             assert_eq!(j.arrival, i * 50);

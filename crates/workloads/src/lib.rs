@@ -2,40 +2,32 @@
 //!
 //! Workload generation for the paper's experiments (Section 6):
 //!
-//! * [`dist`] — job work distributions: the digitized **Bing** web-search
-//!   and **finance** option-pricing histograms of Figure 3, the synthetic
-//!   **log-normal**, plus uniform/constant/Pareto for tests and ablations;
-//! * [`arrivals`] — Poisson (the paper's model), periodic and bursty
-//!   arrival processes;
-//! * [`gen`] — [`WorkloadSpec`]: distribution × shape × QPS × n → a
-//!   reproducible [`parflow_dag::Instance`], with utilization calibration;
-//! * [`lowerbound`] — the Section 5 adversarial instance;
-//! * [`trace_io`] — JSON persistence of instances.
+//! * work distributions ([`WorkDistribution`]): the digitized **Bing**
+//!   web-search and **finance** option-pricing histograms of Figure 3
+//!   ([`bing`], [`finance`]) and the synthetic **log-normal**;
+//! * arrivals: Poisson (the paper's model) and periodic streams;
+//! * [`WorkloadSpec`]: distribution × shape × QPS × n → a reproducible
+//!   [`parflow_dag::Instance`], or an endless [`JobSource`], with
+//!   utilization calibration ([`qps_for_utilization`]);
+//! * [`lower_bound_instance`] — the Section 5 adversarial instance;
+//! * [`trace_io`] — the instance file format.
 //!
 //! Units: 1 work unit = 1 tick = 0.1 ms ([`TICKS_PER_SECOND`] = 10 000).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
-pub mod dist;
-pub mod gen;
-pub mod lowerbound;
-pub mod stats;
+mod arrivals;
+mod dist;
+mod gen;
+mod lowerbound;
+mod stats;
 pub mod trace_io;
-
-pub use arrivals::{
-    take_arrivals, ArrivalProcess, ArrivalSource, BurstArrivals, BurstStream, PeriodicArrivals,
-    PeriodicStream, PoissonArrivals, PoissonStream,
-};
-pub use dist::{
-    bing, finance, ConstantDist, HistogramDist, LogNormalDist, ParetoDist, UniformDist,
-    WorkDistribution,
-};
+pub use dist::{bing, finance, HistogramDist, WorkDistribution};
 pub use gen::{
     qps_for_utilization, DistKind, JobSource, ShapeKind, StreamJob, WorkloadSpec, TICKS_PER_SECOND,
 };
-pub use lowerbound::{lemma_m_for_n, lower_bound_instance};
+pub use lowerbound::lower_bound_instance;
 pub use stats::InstanceStats;
 
 #[cfg(test)]
@@ -70,17 +62,8 @@ mod proptests {
             for _ in 0..64 {
                 prop_assert!(bing().sample(&mut rng) > 0);
                 prop_assert!(finance().sample(&mut rng) > 0);
-                prop_assert!(LogNormalDist::paper().sample(&mut rng) > 0);
+                prop_assert!(dist::LogNormalDist::paper().sample(&mut rng) > 0);
             }
-        }
-
-        #[test]
-        fn utilization_scales_linearly_with_qps(qps in 100.0f64..2000.0) {
-            let u1 = WorkloadSpec::paper_fig2(DistKind::Finance, qps, 10, 0)
-                .expected_utilization(16);
-            let u2 = WorkloadSpec::paper_fig2(DistKind::Finance, 2.0 * qps, 10, 0)
-                .expected_utilization(16);
-            prop_assert!((u2 - 2.0 * u1).abs() < 1e-9);
         }
 
         #[test]

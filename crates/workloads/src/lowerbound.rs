@@ -20,12 +20,6 @@ pub fn lower_bound_instance(n: usize, m: usize) -> Instance {
     Instance::new(jobs)
 }
 
-/// The number of machines the lemma pairs with `n` jobs: `m = log2(n)`,
-/// clamped to at least 10 so the gadget has at least one child task.
-pub fn lemma_m_for_n(n: usize) -> usize {
-    (usize::BITS - n.leading_zeros()) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,11 +45,5 @@ mod tests {
             let work = inst.jobs()[0].work();
             assert!(work <= 2 * m as u64);
         }
-    }
-
-    #[test]
-    fn lemma_m() {
-        assert_eq!(lemma_m_for_n(1024), 11);
-        assert_eq!(lemma_m_for_n(1 << 20), 21);
     }
 }

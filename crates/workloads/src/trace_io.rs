@@ -21,8 +21,8 @@
 //! edges do not have, and `load_instance(save_instance(i))` equals `i`
 //! job for job, topological order included.
 //!
-//! The reader never panics: every malformed input is a [`FormatError`]
-//! naming the line and column (1-based, in bytes) and the [`ErrorKind`].
+//! The reader never panics: every malformed input is a `FormatError`
+//! naming the line and column (1-based, in bytes) and what is wrong there.
 
 use parflow_dag::{DagError, Instance, Job, JobDag, NodeId};
 use std::fmt;
@@ -41,15 +41,15 @@ pub fn save_instance<P: AsRef<Path>>(instance: &Instance, path: P) -> io::Result
 }
 
 /// Read an instance file, checking every field and every job's DAG. A
-/// malformed file is an [`io::ErrorKind::InvalidData`] error wrapping a
-/// [`FormatError`].
+/// malformed file is an [`io::ErrorKind::InvalidData`] error whose message
+/// names the line, the column and what is wrong there.
 pub fn load_instance<P: AsRef<Path>>(path: P) -> io::Result<Instance> {
     decode(&fs::read(path)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// What is wrong with an instance file.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ErrorKind {
+pub(crate) enum ErrorKind {
     /// The file does not start with `parflow-instance`.
     NotAnInstance,
     /// A format version this reader does not know.
@@ -76,7 +76,7 @@ pub enum ErrorKind {
 
 /// A malformed instance file: where, and what.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FormatError {
+pub(crate) struct FormatError {
     /// 1-based line; the header is line 1, job `i` is line `i + 2`.
     pub line: usize,
     /// 1-based byte column within the line.

@@ -7,16 +7,15 @@
 //! executor, so the two layers can be compared on identical inputs.
 
 use parflow_dag::Instance;
-use parflow_runtime::{spin_kernel, JobSpec};
+use parflow_runtime::JobSpec;
 use parflow_workloads::TICKS_PER_SECOND;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How real time maps onto simulated ticks.
 #[derive(Clone, Copy, Debug)]
 pub struct BridgeConfig {
-    /// Spin-kernel iterations corresponding to one work unit
-    /// (calibrate with [`calibrate_iters_per_unit`], or pick a fixed value
-    /// for deterministic load generation).
+    /// Spin-kernel iterations corresponding to one work unit (a fixed value
+    /// keeps load generation deterministic).
     pub iters_per_unit: u64,
     /// Wall-clock seconds per simulated tick. `1.0 / TICKS_PER_SECOND`
     /// replays the workload in real time; smaller values compress it.
@@ -24,37 +23,14 @@ pub struct BridgeConfig {
 }
 
 impl BridgeConfig {
-    /// Replay in real time with the given per-unit spin count.
-    pub fn realtime(iters_per_unit: u64) -> Self {
-        assert!(iters_per_unit > 0);
-        BridgeConfig {
-            iters_per_unit,
-            seconds_per_tick: 1.0 / TICKS_PER_SECOND,
-        }
-    }
-
     /// Replay `factor`× faster than real time.
-    pub fn compressed(iters_per_unit: u64, factor: f64) -> Self {
+    pub(crate) fn compressed(iters_per_unit: u64, factor: f64) -> Self {
         assert!(factor > 0.0);
         BridgeConfig {
             iters_per_unit,
             seconds_per_tick: 1.0 / (TICKS_PER_SECOND * factor),
         }
     }
-}
-
-/// Measure how many spin-kernel iterations this machine executes in one
-/// work unit's worth of wall time (0.1 ms). The result varies with the
-/// host; use it when the runtime workload should saturate the machine the
-/// same way the simulated one does.
-pub fn calibrate_iters_per_unit() -> u64 {
-    // Time a fixed batch, then scale to 0.1 ms.
-    const BATCH: u64 = 2_000_000;
-    let start = Instant::now();
-    std::hint::black_box(spin_kernel(BATCH, 1));
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let iters_per_sec = BATCH as f64 / elapsed;
-    ((iters_per_sec * 1e-4) as u64).max(1)
 }
 
 /// Convert a simulated instance into a runtime workload.
@@ -82,11 +58,6 @@ mod tests {
     use parflow_workloads::{DistKind, WorkloadSpec};
 
     #[test]
-    fn calibration_is_positive() {
-        assert!(calibrate_iters_per_unit() >= 1);
-    }
-
-    #[test]
     fn workload_conversion_preserves_count_and_order() {
         let inst = WorkloadSpec::paper_fig2(DistKind::Finance, 1000.0, 50, 3).generate();
         let wl = instance_to_workload(&inst, &BridgeConfig::compressed(100, 10.0));
@@ -105,7 +76,7 @@ mod tests {
     #[test]
     fn time_compression_scales_offsets() {
         let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 500.0, 10, 1).generate();
-        let slow = instance_to_workload(&inst, &BridgeConfig::realtime(10));
+        let slow = instance_to_workload(&inst, &BridgeConfig::compressed(10, 1.0));
         let fast = instance_to_workload(&inst, &BridgeConfig::compressed(10, 100.0));
         let last_slow = slow.last().unwrap().0;
         let last_fast = fast.last().unwrap().0;

@@ -106,6 +106,21 @@ fn bad(key: &str, value: impl fmt::Display) -> CliError {
     CliError::BadFlag(key.into(), format!("bad value '{value}'"))
 }
 
+/// A `dot` shape size in `ok`, the range its generator accepts without
+/// asserting.
+fn size<T, R>(args: &Args, key: &str, default: T, ok: R) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd,
+    T::Err: fmt::Display,
+    R: std::ops::RangeBounds<T> + fmt::Debug,
+{
+    let v = args.get_or(key, default)?;
+    match ok.contains(&v) {
+        true => Ok(v),
+        false => Err(CliError::BadFlag(key.into(), format!("must be in {ok:?}"))),
+    }
+}
+
 fn require<T: std::str::FromStr>(args: &Args, key: &str) -> Result<T, CliError>
 where
     T::Err: fmt::Display,
@@ -654,24 +669,28 @@ fn exec_cmd(flags: &Args) -> Result<String, CliError> {
 fn dot_cmd(flags: &Args) -> Result<String, CliError> {
     let shape: String = require(flags, "shape")?;
     let dag = match shape.as_str() {
-        "single" => shapes::single_node(flags.get_or("work", 10u64)?),
-        "chain" => shapes::chain(flags.get_or("len", 4usize)?, flags.get_or("work", 2u64)?),
-        "diamond" => shapes::diamond(flags.get_or("width", 4usize)?, flags.get_or("work", 2u64)?),
+        "single" => shapes::single_node(size(flags, "work", 10, 1..)?),
+        "chain" => shapes::chain(size(flags, "len", 4, 1..)?, size(flags, "work", 2, 1..)?),
+        "diamond" => shapes::diamond(size(flags, "width", 4, 1..)?, size(flags, "work", 2, 1..)?),
         "parallel-for" => shapes::parallel_for(
-            flags.get_or("work", 40u64)?,
-            flags.get_or("chunks", 8usize)?,
+            size(flags, "work", 40, 1..)?,
+            size(flags, "chunks", 8, 1..)?,
         ),
-        "fork-join" => shapes::fork_join(flags.get_or("depth", 3u32)?, flags.get_or("leaf", 4u64)?),
+        // Past depth 24 the tree would exceed 16M nodes.
+        "fork-join" => shapes::fork_join(
+            size(flags, "depth", 3, ..=24)?,
+            size(flags, "leaf", 4, 1..)?,
+        ),
         "map-reduce" => shapes::map_reduce(
-            flags.get_or("mappers", 4usize)?,
-            flags.get_or("map-work", 5u64)?,
-            flags.get_or("reducers", 2usize)?,
-            flags.get_or("reduce-work", 3u64)?,
+            size(flags, "mappers", 4, 1..)?,
+            size(flags, "map-work", 5, 1..)?,
+            size(flags, "reducers", 2, 1..)?,
+            size(flags, "reduce-work", 3, 1..)?,
         ),
         "pipeline" => shapes::pipeline(
-            flags.get_or("stages", 3usize)?,
-            flags.get_or("items", 4usize)?,
-            flags.get_or("work", 2u64)?,
+            size(flags, "stages", 3, 1..)?,
+            size(flags, "items", 4, 1..)?,
+            size(flags, "work", 2, 1..)?,
         ),
         "adversarial" => shapes::adversarial_tiny(flags.get_or("m", 40usize)?),
         other => return Err(bad("shape", other)),
@@ -820,6 +839,51 @@ mod tests {
             run_cli(&argv("dot")),
             Err(CliError::MissingFlag(_))
         ));
+    }
+
+    /// `dot ARGS` is a `BadFlag` naming `flag`, where the shape generator
+    /// would assert.
+    fn dot_rejects(args: &str, flag: &str) {
+        match run_cli(&argv(&format!("dot {args}"))) {
+            Err(CliError::BadFlag(k, _)) => assert_eq!(k, flag, "{args}"),
+            other => panic!("{args}: expected BadFlag({flag}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dot_rejects_zero_work_single() {
+        dot_rejects("--shape single --work 0", "work");
+    }
+
+    #[test]
+    fn dot_rejects_empty_chain() {
+        dot_rejects("--shape chain --len 0", "len");
+    }
+
+    #[test]
+    fn dot_rejects_zero_width_diamond() {
+        dot_rejects("--shape diamond --width 0", "width");
+    }
+
+    #[test]
+    fn dot_rejects_zero_chunk_parallel_for() {
+        dot_rejects("--shape parallel-for --chunks 0", "chunks");
+    }
+
+    #[test]
+    fn dot_rejects_too_deep_fork_join() {
+        dot_rejects("--shape fork-join --depth 64", "depth");
+        assert!(run_cli(&argv("dot --shape fork-join --depth 0")).is_ok());
+    }
+
+    #[test]
+    fn dot_rejects_mapperless_map_reduce() {
+        dot_rejects("--shape map-reduce --mappers 0", "mappers");
+    }
+
+    #[test]
+    fn dot_rejects_stageless_pipeline() {
+        dot_rejects("--shape pipeline --stages 0", "stages");
     }
 
     #[test]
