@@ -1,9 +1,9 @@
 //! The multithreaded work-stealing executor.
 //!
 //! This is the systems-level counterpart of the paper's extended-TBB
-//! runtime: per-worker crossbeam deques (LIFO for the owner, FIFO steals
-//! from the other end), a global `Injector` used as the FIFO admission
-//! queue, and the two admission policies:
+//! runtime: per-worker Chase–Lev deques (`deque.rs`: LIFO for the owner,
+//! FIFO steals from the other end), a global FIFO admission queue, and the
+//! two admission policies:
 //!
 //! * **admit-first** — a worker whose deque is empty admits a queued job
 //!   whenever one exists and steals only otherwise;
@@ -54,12 +54,13 @@
 //!   worker thread, an invalid fault plan) instead of panicking in the
 //!   caller's thread.
 
+use crate::deque::{Deque, Steal, Stealer};
 use crate::task::{spin_kernel, JobShape, JobSpec, JobState, Task, TaskKind};
-use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
 use parflow_core::{FaultEvent, FaultKind, FaultPlan, JobStatus, PanicSampler, PPM};
 use parflow_obs::Recorder;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
@@ -277,7 +278,7 @@ impl RuntimeResult {
 /// via [`JobStatus`]).
 ///
 /// `#[non_exhaustive]`: the streaming admission service grows this
-/// vocabulary (ingest I/O, queue overflow); downstream matches must keep a
+/// vocabulary (ingest I/O); downstream matches must keep a
 /// wildcard arm so new failure modes cannot silently break callers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -296,16 +297,18 @@ pub enum RuntimeError {
     /// address. Checked up front so every `index as u32` in the engine is
     /// provably lossless.
     TooManyJobs(usize),
+    /// A job the executor cannot run: no chunks, or a fork-join job whose
+    /// `chunks` is not `2^depth`. Checked before any thread starts, since
+    /// such a job would hang the run or finish before all its leaves.
+    InvalidJob {
+        /// The job's position in the workload.
+        index: usize,
+        /// What is wrong with its [`JobSpec`].
+        problem: String,
+    },
     /// An I/O failure on a runtime-adjacent surface (submission ingest,
     /// report flush). Message only, so the error stays `Eq`-comparable.
     Io(String),
-    /// A bounded admission queue was full and the submission was shed.
-    /// Surfaced — never a silent drop — so supervisors can count and
-    /// re-route sheds.
-    ShedOverflow {
-        /// The queue bound that was hit.
-        capacity: usize,
-    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -318,13 +321,8 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::TooManyJobs(n) => {
                 write!(f, "workload has {n} jobs; job ids are dense u32 indices")
             }
+            RuntimeError::InvalidJob { index, problem } => write!(f, "job {index}: {problem}"),
             RuntimeError::Io(msg) => write!(f, "i/o failure: {msg}"),
-            RuntimeError::ShedOverflow { capacity } => {
-                write!(
-                    f,
-                    "admission queue full (capacity {capacity}); submission shed"
-                )
-            }
         }
     }
 }
@@ -335,7 +333,7 @@ impl std::error::Error for RuntimeError {}
 /// the `Err` payload of [`try_run_workload`].
 ///
 /// `partial` is `None` only for errors raised before any thread started
-/// (an invalid fault plan, an oversized workload). For mid-run failures it
+/// (an invalid fault plan or job, an oversized workload). For mid-run failures it
 /// holds the salvaged [`RuntimeResult`] — jobs that reached a terminal
 /// state keep their real statuses and flows, unfinished ones are marked
 /// [`JobStatus::Aborted`] — so a supervisor can re-admit *only* the truly
@@ -479,10 +477,10 @@ struct Shared {
     /// indices: no refcount traffic on deque pushes, steals or drops.
     states: Box<[JobState]>,
     /// Admission queue of job indices into `states`.
-    injector: Injector<u32>,
+    injector: Mutex<VecDeque<u32>>,
     /// Tasks drained from crashed workers' deques, adopted by survivors.
-    orphans: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
+    orphans: Mutex<VecDeque<Task>>,
+    stealers: Vec<Stealer>,
     done: AtomicBool,
     aborted: AtomicBool,
     /// Terminal (completed or failed) jobs.
@@ -505,14 +503,8 @@ impl Shared {
         self.base.elapsed().as_nanos() as u64 / NS_PER_TICK // lint: allow(truncating-cast) u64 nanoseconds wrap after ~584 years of run wall-clock
     }
 
-    /// The fault-event log. Every update is a single `push` or `take`, so
-    /// the data is valid even if a holder panicked: recover the guard.
-    fn events(&self) -> MutexGuard<'_, Vec<FaultEvent>> {
-        self.events.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn push_event(&self, kind: FaultKind, worker: Option<usize>, job: Option<u32>, detail: u64) {
-        self.events().push(FaultEvent {
+        lock(&self.events).push(FaultEvent {
             round: self.now_round(),
             worker,
             job,
@@ -548,6 +540,13 @@ impl Shared {
     }
 }
 
+/// Lock one of `Shared`'s mutexes. Each holds a queue or a log whose
+/// every update is a single push, pop or take, so the data is valid even
+/// if a holder panicked: recover the guard.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn round_to_duration(round: u64) -> Duration {
     Duration::from_nanos(round.saturating_mul(NS_PER_TICK))
 }
@@ -576,7 +575,7 @@ pub fn run_workload(config: &RuntimeConfig, workload: &[(Duration, JobSpec)]) ->
 }
 
 /// Fallible variant of [`run_workload`]: engine-level problems (invalid
-/// fault plan, a genuinely dead thread) come back as a [`FailedRun`]
+/// fault plan or job, a genuinely dead thread) come back as a [`FailedRun`]
 /// carrying the salvaged partial [`RuntimeResult`] instead of panicking
 /// and losing it. Job-level failures never produce an `Err` — they are
 /// reported per job via [`RtJobResult::status`].
@@ -594,6 +593,14 @@ pub fn try_run_workload(
             workload.len(),
         )));
     }
+    for (index, &(_, spec)) in workload.iter().enumerate() {
+        if let Some(problem) = spec.problem() {
+            return Err(FailedRun::before_start(RuntimeError::InvalidJob {
+                index,
+                problem,
+            }));
+        }
+    }
     let inject_panics =
         config.faults.panic_ppm > 0 || workload.iter().any(|&(_, s)| s.shape == JobShape::Poison);
     if inject_panics {
@@ -601,8 +608,13 @@ pub fn try_run_workload(
     }
 
     let n = workload.len();
-    let deques: Vec<Deque<Task>> = (0..config.workers).map(|_| Deque::new_lifo()).collect();
-    let stealers: Vec<Stealer<Task>> = deques.iter().map(|d| d.stealer()).collect();
+    // Every job is valid, so no deque ever holds more than the largest
+    // bound (`deque.rs`, "Capacity"): push never finds its ring full.
+    let bound = workload.iter().map(|&(_, s)| s.deque_bound()).max();
+    let deques: Vec<Deque> = (0..config.workers)
+        .map(|_| Deque::new(bound.unwrap_or_default()))
+        .collect();
+    let stealers: Vec<Stealer> = deques.iter().map(Deque::stealer).collect();
     let states: Vec<JobState> = workload
         .iter()
         .enumerate()
@@ -611,8 +623,8 @@ pub fn try_run_workload(
     let base = Instant::now();
     let shared = Arc::new(Shared {
         states: states.into_boxed_slice(),
-        injector: Injector::new(),
-        orphans: Injector::new(),
+        injector: Mutex::new(VecDeque::new()),
+        orphans: Mutex::new(VecDeque::new()),
         stealers,
         done: AtomicBool::new(n == 0),
         aborted: AtomicBool::new(false),
@@ -655,7 +667,7 @@ pub fn try_run_workload(
                     .arrival_ns
                     .store(arrival_stamp(offset), Ordering::Release);
                 shared.submitted.fetch_add(1, Ordering::Release);
-                shared.injector.push(i as u32); // lint: allow(truncating-cast) bounded by the TooManyJobs guard at run entry
+                lock(&shared.injector).push_back(i as u32); // lint: allow(truncating-cast) bounded by the TooManyJobs guard at run entry
             }
         })
     };
@@ -730,7 +742,7 @@ pub fn try_run_workload(
     }
 
     let end_ns = base.elapsed().as_nanos() as u64; // lint: allow(truncating-cast) u64 nanoseconds wrap after ~584 years of run wall-clock
-    let fault_events = std::mem::take(&mut *shared.events());
+    let fault_events = std::mem::take(&mut *lock(&shared.events));
     let jobs = shared
         .states
         .iter()
@@ -780,7 +792,7 @@ pub fn try_run_workload(
     }
 }
 
-fn execute(p: usize, task: Task, local: &Deque<Task>, shared: &Shared, rate_ppm: u32) {
+fn execute(p: usize, task: Task, local: &Deque, shared: &Shared, rate_ppm: u32) {
     let counters = &shared.counters[p];
     let job = &shared.states[task.job as usize];
     // Tasks of an already-failed job are dropped, not executed.
@@ -856,39 +868,34 @@ fn execute(p: usize, task: Task, local: &Deque<Task>, shared: &Shared, rate_ppm:
 
 /// Admit one job from the global queue, expanding its chunks onto `local`.
 /// Returns false if the queue was empty.
-fn try_admit(local: &Deque<Task>, shared: &Shared, counters: &WorkerCounters) -> bool {
-    loop {
-        match shared.injector.steal() {
-            Steal::Success(ji) => {
-                WorkerCounters::add(&counters.admissions, 1);
-                let job = &shared.states[ji as usize];
-                match job.shape {
-                    JobShape::Flat | JobShape::Poison => {
-                        for _ in 0..job.chunks {
-                            local.push(Task {
-                                job: ji,
-                                kind: TaskKind::Chunk,
-                            });
-                        }
-                    }
-                    JobShape::ForkJoin { depth } => {
-                        let kind = if depth == 0 {
-                            TaskKind::Chunk
-                        } else {
-                            TaskKind::Spawn { depth }
-                        };
-                        local.push(Task { job: ji, kind });
-                    }
-                }
-                return true;
+fn try_admit(local: &Deque, shared: &Shared, counters: &WorkerCounters) -> bool {
+    let Some(ji) = lock(&shared.injector).pop_front() else {
+        return false;
+    };
+    WorkerCounters::add(&counters.admissions, 1);
+    let job = &shared.states[ji as usize];
+    match job.shape {
+        JobShape::Flat | JobShape::Poison => {
+            for _ in 0..job.chunks {
+                local.push(Task {
+                    job: ji,
+                    kind: TaskKind::Chunk,
+                });
             }
-            Steal::Empty => return false,
-            Steal::Retry => continue,
+        }
+        JobShape::ForkJoin { depth } => {
+            let kind = if depth == 0 {
+                TaskKind::Chunk
+            } else {
+                TaskKind::Spawn { depth }
+            };
+            local.push(Task { job: ji, kind });
         }
     }
+    true
 }
 
-fn worker_loop(p: usize, local: &Deque<Task>, policy: RtPolicy, seed: u64, shared: &Shared) {
+fn worker_loop(p: usize, local: &Deque, policy: RtPolicy, seed: u64, shared: &Shared) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let counters = &shared.counters[p];
     let mut fails: u32 = 0;
@@ -925,7 +932,7 @@ fn worker_loop(p: usize, local: &Deque<Task>, policy: RtPolicy, seed: u64, share
             if crash_at.is_some_and(|at| elapsed >= at) {
                 let mut orphaned = 0u64;
                 while let Some(task) = local.pop() {
-                    shared.orphans.push(task);
+                    lock(&shared.orphans).push_back(task);
                     orphaned += 1;
                 }
                 WorkerCounters::add(&counters.orphaned_tasks, orphaned);
@@ -969,16 +976,14 @@ fn worker_loop(p: usize, local: &Deque<Task>, policy: RtPolicy, seed: u64, share
         // Adopt work orphaned by crashed workers before admitting or
         // stealing: reinjected tasks go to the front of the line, exactly
         // like the simulator's global orphan FIFO.
-        match shared.orphans.steal() {
-            Steal::Success(task) => {
-                fails = 0;
-                backoff.reset();
-                WorkerCounters::add(&counters.adopted_orphans, 1);
-                execute(p, task, local, shared, rate_ppm);
-                continue;
-            }
-            Steal::Retry => continue,
-            Steal::Empty => {}
+        // The guard is dropped with this statement, before the task runs.
+        let orphan = lock(&shared.orphans).pop_front();
+        if let Some(task) = orphan {
+            fails = 0;
+            backoff.reset();
+            WorkerCounters::add(&counters.adopted_orphans, 1);
+            execute(p, task, local, shared, rate_ppm);
+            continue;
         }
 
         let admit_now = match policy {
@@ -1351,13 +1356,65 @@ mod tests {
         assert_eq!(RuntimeError::from(failed), RuntimeError::WorkerPanicked(1));
     }
 
+    /// `bad` after a good job: refused before any thread starts, with no
+    /// partial result. Returns the problem the error names.
+    fn refused(bad: JobSpec) -> String {
+        let cfg = RuntimeConfig::new(2, RtPolicy::AdmitFirst);
+        let workload = [
+            (Duration::ZERO, JobSpec::split(100, 4)),
+            (Duration::ZERO, bad),
+        ];
+        match try_run_workload(&cfg, &workload) {
+            Err(FailedRun {
+                error: RuntimeError::InvalidJob { index: 1, problem },
+                partial: None,
+            }) => problem,
+            other => panic!("expected InvalidJob for job 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn job_without_chunks_is_refused() {
+        // Nothing would ever finish it: the run used to hang.
+        let problem = refused(JobSpec {
+            chunks: 0,
+            iters_per_chunk: 1,
+            shape: JobShape::Flat,
+        });
+        assert!(problem.contains("at least one chunk"), "{problem}");
+    }
+
+    #[test]
+    fn fork_join_with_more_chunks_than_leaves_is_refused() {
+        // Four leaves never bring five outstanding chunks to zero: a hang.
+        let problem = refused(JobSpec {
+            chunks: 5,
+            iters_per_chunk: 1,
+            shape: JobShape::ForkJoin { depth: 2 },
+        });
+        assert!(problem.contains("depth 2"), "{problem}");
+    }
+
+    #[test]
+    fn fork_join_with_fewer_chunks_than_leaves_is_refused() {
+        // Completed after three of four leaves, then the count wrapped.
+        let problem = refused(JobSpec {
+            chunks: 3,
+            iters_per_chunk: 1,
+            shape: JobShape::ForkJoin { depth: 2 },
+        });
+        assert!(problem.contains("not 3 chunks"), "{problem}");
+    }
+
     #[test]
     fn new_error_variants_display() {
         let io = RuntimeError::Io("listener refused".into());
         assert!(io.to_string().contains("listener refused"));
-        let shed = RuntimeError::ShedOverflow { capacity: 64 };
-        assert!(shed.to_string().contains("capacity 64"), "{shed}");
-        assert!(shed.to_string().contains("shed"));
+        let job = RuntimeError::InvalidJob {
+            index: 3,
+            problem: "a job needs at least one chunk".into(),
+        };
+        assert_eq!(job.to_string(), "job 3: a job needs at least one chunk");
         // std::error::Error source chain through FailedRun.
         let f = FailedRun::before_start(io.clone());
         let src = std::error::Error::source(&f).expect("source");

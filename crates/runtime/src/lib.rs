@@ -2,10 +2,11 @@
 //!
 //! A real multithreaded work-stealing runtime with a global FIFO admission
 //! queue — the systems-level counterpart of the paper's extended-TBB
-//! implementation (Section 6). Workers own crossbeam deques, steal from
-//! random victims, and admit jobs under either the **admit-first** or
-//! **steal-k-first** policy. Jobs are CPU-bound parallel-for loops; flow
-//! times are measured with wall-clock instants.
+//! implementation (Section 6). Workers own lock-free Chase–Lev deques
+//! (`deque.rs`, safe Rust), steal from random victims, and admit jobs
+//! under either the **admit-first** or **steal-k-first** policy. Jobs are
+//! CPU-bound parallel-for loops; flow times are measured with wall-clock
+//! instants.
 //!
 //! Use [`run_workload`] with a list of `(arrival offset, JobSpec)` pairs:
 //!
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod deque;
 mod executor;
 mod task;
 

@@ -55,7 +55,7 @@ impl JobSpec {
     /// `total_iters` of work in total.
     pub fn fork_join(total_iters: u64, depth: u32) -> Self {
         assert!(
-            depth <= 16,
+            depth <= MAX_FORK_JOIN_DEPTH,
             "fork-join depth {depth} would exceed 65k leaves"
         );
         let leaves = 1usize << depth;
@@ -81,7 +81,43 @@ impl JobSpec {
     pub(crate) fn leaf_tasks(&self) -> usize {
         self.chunks
     }
+
+    /// Why the executor cannot run this spec, if it cannot: no chunks
+    /// (nothing would ever finish the job), or a fork-join job whose
+    /// `chunks` is not its `2^depth` leaves (the job's count of unfinished
+    /// leaves would never reach zero, or would wrap past it).
+    pub(crate) fn problem(&self) -> Option<String> {
+        if self.chunks == 0 {
+            return Some("a job needs at least one chunk".into());
+        }
+        match self.shape {
+            JobShape::ForkJoin { depth }
+                if depth > MAX_FORK_JOIN_DEPTH || self.chunks != 1 << depth =>
+            {
+                Some(format!(
+                    "a fork-join job of depth {depth} has 2^{depth} leaves (depth at most \
+                     {MAX_FORK_JOIN_DEPTH}), not {} chunks",
+                    self.chunks
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    /// The most tasks one worker's deque holds at once for this job: all
+    /// of a flat job's chunks, or one task per fork-join level plus the
+    /// last leaf (see `deque.rs`). Meaningful for specs without a
+    /// `problem`.
+    pub(crate) fn deque_bound(&self) -> usize {
+        match self.shape {
+            JobShape::ForkJoin { depth } => depth as usize + 1,
+            JobShape::Flat | JobShape::Poison => self.chunks,
+        }
+    }
 }
+
+/// Deepest fork-join job: `2^16` leaves.
+const MAX_FORK_JOIN_DEPTH: u32 = 16;
 
 /// Shared state of one in-flight job.
 #[derive(Debug)]
@@ -199,9 +235,8 @@ impl JobState {
 /// A unit of schedulable work.
 ///
 /// Tasks carry only the owning job's dense index; workers resolve it
-/// against the executor's shared `JobState` slab. Keeping the task `Copy`
-/// (12 bytes, no `Arc`) removes per-task refcount traffic from every
-/// deque push, steal and drop on the hot path.
+/// against the executor's shared `JobState` slab. The task is `Copy` and
+/// packs into one `u64`, the word a deque slot holds (`deque.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Task {
     /// Owning job's dense index into the run's job-state slab.

@@ -217,8 +217,9 @@ fn counter_shards_monotone_sum_exact_total() {
 /// pops mean every pushed task is executed exactly once, regardless of
 /// which worker drains it.
 ///
-/// Mirrors the `Injector` admission path: `try_run_workload` seeds the
-/// injector, workers pop-or-steal until the latch fires.
+/// Mirrors the admission path: the submitter pushes job ids into
+/// `Shared::injector` (a `Mutex<VecDeque>`), workers pop until the latch
+/// fires.
 #[test]
 fn injector_admission_no_lost_tasks() {
     model(|| {
@@ -258,8 +259,10 @@ fn injector_admission_no_lost_tasks() {
 /// compare-exchange; exactly one wins and executes it.
 ///
 /// Mirrors the steal path: a chunk task is owned by whoever dequeues it,
-/// and crossbeam's `Steal::Success` is the claim. The model reduces that
-/// ownership transfer to its essential CAS.
+/// and the claim is the CAS on `top` in `src/deque.rs` (a thief's
+/// `Steal::Success`, or the owner's `pop` of the last task). The model
+/// reduces that ownership transfer to its essential CAS; the deque's own
+/// code is model-checked by the `loom_*` tests in `src/deque.rs`.
 #[test]
 fn steal_claim_single_winner() {
     model(|| {

@@ -18,7 +18,7 @@
 //!
 //! Death is detected two ways: the worker thread has exited
 //! (`is_finished`, the primary signal — a crashed loop returns), or the
-//! heartbeat watchdog sees no progress for `stall_polls` consecutive pumps
+//! heartbeat watchdog sees no progress for `STALL_POLLS` consecutive pumps
 //! while the worker holds work (a hung thread). On death the supervisor
 //! drains the dead worker's final acknowledgements, re-admits every
 //! unacknowledged order (poison stripped, so a poisoned job completes on
@@ -90,6 +90,13 @@ impl FaultSpec {
     }
 }
 
+/// Watchdog: pumps without heartbeat progress (while holding work) before
+/// a live-looking worker is declared hung.
+const STALL_POLLS: u64 = 100_000;
+
+/// Wall-clock bound on `finish`'s drain loop.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Supervisor configuration. `new(workers)` gives defaults sized for
 /// tests and the CLI; all fields are public for direct construction.
 #[derive(Clone, Debug)]
@@ -114,11 +121,6 @@ pub struct ServeConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Watchdog: pumps without heartbeat progress (while holding work)
-    /// before a live-looking worker is declared hung.
-    pub stall_polls: u64,
-    /// Wall-clock bound on `finish`'s drain loop.
-    pub drain_timeout_ms: u64,
     /// Deterministic kill schedule (first incarnations only).
     pub faults: Vec<FaultSpec>,
 }
@@ -138,8 +140,6 @@ impl ServeConfig {
             max_restarts: 3,
             backoff_base_ms: 1,
             backoff_cap_ms: 100,
-            stall_polls: 100_000,
-            drain_timeout_ms: 30_000,
             faults: Vec::new(),
         }
     }
@@ -350,7 +350,6 @@ impl Supervisor {
         self.apply_acks();
         // 2. Death detection: thread exit (primary) or heartbeat stall
         //    while holding work (hung-thread watchdog).
-        let stall_limit = self.cfg.stall_polls;
         let mut deaths = Vec::new();
         for (w, slot) in self.slots.iter_mut().enumerate() {
             let dead = match slot {
@@ -371,7 +370,7 @@ impl Supervisor {
                             *stalled = 0;
                         }
                         *last_hb = hb;
-                        *stalled > stall_limit
+                        *stalled > STALL_POLLS
                     }
                 }
                 _ => false,
@@ -539,10 +538,10 @@ impl Supervisor {
         }
     }
 
-    /// Drain everything in flight (bounded by `drain_timeout_ms`), shut
+    /// Drain everything in flight (bounded by `DRAIN_TIMEOUT`), shut
     /// the fleet down, and produce the final report pair.
     pub fn finish(mut self) -> ServeReport {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.drain_timeout_ms);
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         loop {
             self.pump();
             if self.outstanding.is_empty() && self.dispatch.is_empty() {

@@ -1,4 +1,4 @@
-//! The real multithreaded work-stealing executor (crossbeam deques + global
+//! The real multithreaded work-stealing executor (Chase–Lev deques + global
 //! FIFO admission), the systems counterpart of the simulator — analogous to
 //! the paper's extended-TBB implementation.
 //!

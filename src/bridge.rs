@@ -3,7 +3,7 @@
 //! wall-clock arrival offsets).
 //!
 //! This lets the *same* generated workload (e.g. the Figure 2 Bing
-//! instance) drive both the discrete-round simulator and the crossbeam
+//! instance) drive both the discrete-round simulator and the threaded
 //! executor, so the two layers can be compared on identical inputs.
 
 use parflow_dag::Instance;

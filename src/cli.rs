@@ -621,7 +621,17 @@ fn exec_cmd(flags: &Args) -> Result<String, CliError> {
     if inst.is_empty() {
         return Err(bad("jobs", 0));
     }
-    let wl = instance_to_workload(&inst, &BridgeConfig::compressed(iters, compress));
+    let bridge = BridgeConfig::compressed(iters, compress);
+    // Arrivals are sorted, so if the last offset is a `Duration` every one
+    // is: a tiny `--compress` stretches them past `Duration::MAX`.
+    let last = inst.jobs().last().map_or(0, |j| j.arrival) as f64 * bridge.seconds_per_tick;
+    if Duration::try_from_secs_f64(last).is_err() {
+        return Err(CliError::BadFlag(
+            "compress".into(),
+            format!("{compress:e} stretches arrival offsets past the longest Duration"),
+        ));
+    }
+    let wl = instance_to_workload(&inst, &bridge);
     obs.rec().span_end("exec.generate");
     obs.rec().span_begin("exec.run");
     let r = try_run_workload(&cfg, &wl).map_err(|e| match e.error {
@@ -1052,6 +1062,17 @@ mod tests {
                 "{eps}: {e:?}"
             );
         }
+    }
+
+    #[test]
+    fn compress_that_overflows_arrival_offsets_is_a_bad_flag() {
+        // Positive and finite, but 1e-300× "compression" puts every
+        // nonzero arrival past `Duration::MAX` (was a panic, exit 101).
+        let e = run_cli(&argv("exec --jobs 5 --m 2 --compress 1e-300")).unwrap_err();
+        assert!(
+            matches!(e, CliError::BadFlag(ref k, _) if k == "compress"),
+            "{e:?}"
+        );
     }
 
     // ---- --faults / --deadline parsing ----

@@ -14,7 +14,7 @@
 //!   Figure 1 interval analyzer;
 //! * [`workloads`] — the Bing / finance / log-normal workloads, Poisson
 //!   arrivals, and the Section 5 adversarial instance;
-//! * [`runtime`] — a real crossbeam-based work-stealing executor with the
+//! * [`runtime`] — a real Chase–Lev work-stealing executor with the
 //!   same admission policies, measuring wall-clock flow times;
 //! * [`metrics`] — flow statistics, histograms, tables;
 //! * [`obs`] — the structured observability layer (recorders, events,

@@ -1,4 +1,4 @@
-//! Integration tests of the real crossbeam-based runtime: completion,
+//! Integration tests of the real work-stealing runtime: completion,
 //! policy behaviour, and rough agreement with the simulator's qualitative
 //! claims (kept loose — wall-clock results are machine-dependent).
 
