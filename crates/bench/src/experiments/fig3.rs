@@ -27,12 +27,12 @@ pub(crate) fn sample_histogram<D: WorkDistribution>(
 
 /// Figure 3(a): the Bing work distribution over 5–205 ms.
 pub(crate) fn bing_histogram(n: usize, seed: u64) -> Histogram {
-    sample_histogram(&bing(), n, seed, 0.0, 210.0, 21)
+    sample_histogram(bing(), n, seed, 0.0, 210.0, 21)
 }
 
 /// Figure 3(b): the finance work distribution over 4–52 ms.
 pub(crate) fn finance_histogram(n: usize, seed: u64) -> Histogram {
-    sample_histogram(&finance(), n, seed, 0.0, 56.0, 14)
+    sample_histogram(finance(), n, seed, 0.0, 56.0, 14)
 }
 
 /// Render both panels as ASCII (what `repro fig3` prints).

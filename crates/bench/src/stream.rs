@@ -2,9 +2,10 @@
 //! probing, and high-level streaming runners for exec/serve-soak/sweep.
 //!
 //! The workloads crate's [`JobSource`] yields `(arrival, work)` scalars;
-//! the simulation core wants DAGs. [`SpecJobStream`] bridges them, caching
-//! built DAGs by work size (jobs of equal work share one `Arc<JobDag>`, so
-//! a 10M-job stream allocates O(distinct work values) DAGs, not O(n)).
+//! the simulation core wants DAGs. [`SpecJobStream`] bridges them through
+//! the workloads crate's [`DagCache`] (jobs of equal work share one
+//! `Arc<JobDag>`, so a 10M-job stream allocates O(distinct work values)
+//! DAGs, not O(n)).
 //!
 //! Note the stream layout caveat from [`JobSource`]: its RNG draw order
 //! deliberately differs from [`WorkloadSpec::generate`], so a streaming
@@ -18,13 +19,10 @@ use parflow_core::{
     OptTap, OptTracker, ScheduleTrace, SimConfig, StealPolicy, StreamError, StreamSummary,
     StreamedJob,
 };
-use parflow_dag::JobDag;
 use parflow_metrics::StreamingFlowStats;
 use parflow_obs::{NullRecorder, Recorder};
 use parflow_time::Rational;
-use parflow_workloads::{JobSource, ShapeKind, WorkloadSpec};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use parflow_workloads::{DagCache, JobSource, WorkloadSpec};
 
 /// Default percentile-histogram range for streaming flow stats: 1 ms bins
 /// up to 10 s (flows above saturate into the top bin; max stays exact).
@@ -32,21 +30,13 @@ pub const FLOW_HIST_HI_TICKS: f64 = 100_000.0;
 /// Bin count matching [`FLOW_HIST_HI_TICKS`] at 10-tick (1 ms) resolution.
 pub const FLOW_HIST_BINS: usize = 10_000;
 
-/// DAG-cache capacity: distinct work values seen before the cache resets.
-/// Work distributions quantize to ticks, so real workloads saturate a few
-/// thousand distinct values; the reset bounds worst-case memory for
-/// adversarial continuous distributions.
-const DAG_CACHE_CAP: usize = 4096;
-
 /// An endless [`JobStream`] over a [`WorkloadSpec`]'s [`JobSource`],
-/// capped at `limit` jobs, with a by-work DAG cache so structurally
-/// identical jobs share one DAG allocation.
+/// capped at `limit` jobs; jobs of equal work share one DAG allocation.
 pub struct SpecJobStream {
     source: JobSource,
-    shape: ShapeKind,
+    dags: DagCache,
     limit: u64,
     produced: u64,
-    dag_cache: BTreeMap<u64, Arc<JobDag>>,
 }
 
 impl SpecJobStream {
@@ -54,10 +44,9 @@ impl SpecJobStream {
     pub fn new(spec: &WorkloadSpec, limit: u64) -> Self {
         SpecJobStream {
             source: spec.job_source(),
-            shape: spec.shape,
+            dags: DagCache::new(spec.shape),
             limit,
             produced: 0,
-            dag_cache: BTreeMap::new(),
         }
     }
 }
@@ -69,20 +58,10 @@ impl JobStream for SpecJobStream {
         }
         self.produced += 1;
         let job = self.source.next_job();
-        let shape = self.shape;
-        if self.dag_cache.len() >= DAG_CACHE_CAP && !self.dag_cache.contains_key(&job.work) {
-            // Live jobs keep their Arcs; only the cache's references drop.
-            self.dag_cache.clear();
-        }
-        let dag = self
-            .dag_cache
-            .entry(job.work)
-            .or_insert_with(|| Arc::new(shape.build(job.work)))
-            .clone();
         Some(StreamedJob {
             arrival: job.arrival,
             weight: 1,
-            dag,
+            dag: self.dags.dag(job.work),
         })
     }
 }
@@ -251,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_stream_respects_limit_and_caches_dags() {
+    fn spec_stream_respects_limit() {
         let mut s = SpecJobStream::new(&spec(0), 50);
         let mut jobs = Vec::new();
         while let Some(j) = s.next_job() {
@@ -260,14 +239,6 @@ mod tests {
         assert_eq!(jobs.len(), 50);
         // Arrivals non-decreasing (engine contract).
         assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        // Equal-work jobs share a DAG allocation.
-        assert!(s.dag_cache.len() <= 50);
-        for j in &jobs {
-            let cached = s.dag_cache.get(&j.dag.total_work());
-            if let Some(d) = cached {
-                assert!(Arc::ptr_eq(d, &j.dag) || d.total_work() == j.dag.total_work());
-            }
-        }
     }
 
     #[test]

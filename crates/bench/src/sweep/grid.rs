@@ -12,7 +12,7 @@
 use parflow_core::StealPolicy;
 use parflow_obs::fnv1a64;
 use parflow_time::Speed;
-use parflow_workloads::{qps_for_utilization, DistKind};
+use parflow_workloads::{min_qps, qps_for_utilization, DistKind, ARRIVAL_CEILING};
 
 /// Results-store format version (the `"sweep"` header field).
 pub(crate) const SWEEP_SCHEMA: u32 = 1;
@@ -258,18 +258,6 @@ impl SweepGrid {
                 }
                 "jobs" => {
                     jobs = single(key, &vals)?;
-                    if jobs == 0 {
-                        return Err("jobs must be at least 1".to_string());
-                    }
-                    // Engines index jobs with u32 ids; past that the
-                    // streaming path returns TooManyJobs mid-run, so a
-                    // grid that can never complete is refused up front.
-                    if jobs as u64 > u32::MAX as u64 {
-                        return Err(format!(
-                            "jobs={jobs} exceeds the engine job-id space (max {})",
-                            u32::MAX
-                        ));
-                    }
                 }
                 "seed" => {
                     base_seed = single(key, &vals)?;
@@ -292,19 +280,6 @@ impl SweepGrid {
         if epss.is_empty() {
             epss.push((0, 1));
         }
-        // A finite util can still scale past f64 (`util=1e308` at m=16), so
-        // every cell's arrival rate must itself be finite and positive.
-        for &dist in &dists {
-            for (&m, &util) in ms.iter().flat_map(|m| utils.iter().map(move |u| (m, u))) {
-                let qps = qps_for_utilization(dist, m, util);
-                if !(qps.is_finite() && qps > 0.0) {
-                    let name = dist.name();
-                    return Err(format!(
-                        "util={util:?} at m={m} is no finite positive QPS ({name})"
-                    ));
-                }
-            }
-        }
         // Canonicalize: sort + dedup every axis so equivalent spellings
         // yield identical cell enumerations (and store headers).
         utils.sort_by(f64::total_cmp);
@@ -317,7 +292,7 @@ impl SweepGrid {
         ms.dedup();
         epss.sort_unstable();
         epss.dedup();
-        Ok(SweepGrid {
+        let grid = SweepGrid {
             dists,
             utils,
             policies,
@@ -326,7 +301,49 @@ impl SweepGrid {
             seeds,
             jobs,
             base_seed,
-        })
+        };
+        grid.check_jobs()?;
+        Ok(grid)
+    }
+
+    /// Whether every cell can run `self.jobs` jobs: at least one, within
+    /// the engines' `u32` job ids (past them the streaming path returns
+    /// TooManyJobs mid-run), at a finite positive rate (a finite util can
+    /// still scale past f64: `util=1e308` at m=16) whose arrivals stay under
+    /// the ceiling. Rerun after changing `jobs`.
+    pub(crate) fn check_jobs(&self) -> Result<(), String> {
+        let jobs = self.jobs;
+        if jobs == 0 {
+            return Err("jobs must be at least 1".to_string());
+        }
+        if jobs as u64 > u32::MAX as u64 {
+            return Err(format!(
+                "jobs={jobs} exceeds the engine job-id space (max {})",
+                u32::MAX
+            ));
+        }
+        for &dist in &self.dists {
+            for (&m, &util) in self
+                .ms
+                .iter()
+                .flat_map(|m| self.utils.iter().map(move |u| (m, u)))
+            {
+                let qps = qps_for_utilization(dist, m, util);
+                let name = dist.name();
+                if !(qps.is_finite() && qps > 0.0) {
+                    return Err(format!(
+                        "util={util:?} at m={m} is no finite positive QPS ({name})"
+                    ));
+                }
+                if qps < min_qps(jobs) {
+                    return Err(format!(
+                        "util={util:?} at m={m} is too slow: {jobs} arrivals could pass \
+                         tick {ARRIVAL_CEILING} ({name})"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The canonical spec string: parse-stable, embedded in the store
@@ -479,6 +496,16 @@ mod tests {
         );
         assert!(SweepGrid::parse("nonsense").is_err());
         assert!(SweepGrid::parse("dist=bing;util=1").is_err(), "no policies");
+    }
+
+    #[test]
+    fn util_whose_arrivals_could_pass_the_ceiling_errors() {
+        // The util at which a one-job Bing cell on m = 16 runs at `min_qps(1)`.
+        let at = min_qps(1) / qps_for_utilization(DistKind::Bing, 16, 1.0);
+        let grid = |u: f64| SweepGrid::parse(&format!("dist=bing;util={u:e};policy=fifo;jobs=1"));
+        assert!(grid(at * (1.0 + 1e-9)).is_ok());
+        let e = grid(at * (1.0 - 1e-9)).unwrap_err();
+        assert!(e.contains("too slow"), "{e}");
     }
 
     #[test]

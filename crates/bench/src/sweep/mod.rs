@@ -609,16 +609,8 @@ pub fn cli_main(args: &[String]) -> Result<String, String> {
         grid.seeds = s;
     }
     if let Some(j) = jobs {
-        if j == 0 {
-            return Err("--jobs must be at least 1".to_string());
-        }
-        if j as u64 > u32::MAX as u64 {
-            return Err(format!(
-                "--jobs {j} exceeds the engine job-id space (max {})",
-                u32::MAX
-            ));
-        }
         grid.jobs = j;
+        grid.check_jobs().map_err(|e| format!("--jobs: {e}"))?;
     }
     if resume && out_path.is_none() {
         return Err(format!("--resume needs --out\n{USAGE}"));

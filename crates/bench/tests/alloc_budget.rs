@@ -1,7 +1,8 @@
 //! Deterministic gates on the six engine probes: allocation ceilings and
 //! the exact `rounds` / `steal_attempts` of each series. A seventh probe
 //! holds the serve path (parse → ledger → dispatch → ack) to an
-//! allocations-per-submission ceiling and its merged digest.
+//! allocations-per-submission ceiling and its merged digest, and two more
+//! hold workload generation and the endless job source to theirs.
 //!
 //! None of this is a timing. Round, steal-attempt and allocation-event
 //! counts of a fixed (instance, config, seed) repeat exactly run to run,
@@ -23,6 +24,7 @@ use parflow_core::{
 use parflow_dag::{shapes, Instance, Job};
 use parflow_serve::{run_jsonl, ServeConfig, Submission, Supervisor};
 use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_SECOND};
+use std::hint::black_box;
 use std::sync::Arc;
 
 /// The probe instance: the default experiment seed (`base_seed()` with
@@ -45,9 +47,14 @@ const STREAM_FACTOR: u64 = 5;
 
 /// Steady-state budget of the materialized engines (arena recycling).
 const ALLOCS_PER_ROUND_CEILING: f64 = 0.005;
-/// Streaming budget: measured ~2 allocs/job (DAG build on cache miss +
-/// retirement bookkeeping); an O(n)-memory relapse shows up well above 4.
+/// Streaming budget: measured ~0.008 allocs/job (DAG builds on cache
+/// misses, slab and arena growth); an O(n)-memory relapse shows up well
+/// above 4.
 const STREAM_ALLOCS_PER_JOB_CEILING: f64 = 4.0;
+
+/// `generate` builds one DAG per distinct work and each histogram once per
+/// process: ~0.017 allocs/job measured, 15.2 when it built both per job.
+const GENERATE_ALLOCS_PER_JOB_CEILING: f64 = 0.05;
 
 /// One series as last recorded (PR 13): `rounds` and `steal_attempts` are
 /// exact; `allocs` is a ceiling base — a run may use at most twice as many.
@@ -140,7 +147,20 @@ fn engine_probes_stay_within_alloc_budget_and_reproduce_exact_counts() {
 
     // One Bing instance at QPS 1000 (the Figure 2 midpoint) drives the
     // three sequential series.
-    let inst = spec.generate();
+    let (inst, allocs) = counted(|| spec.generate());
+    let per_job = allocs as f64 / N as f64;
+    assert!(
+        per_job <= GENERATE_ALLOCS_PER_JOB_CEILING,
+        "generate: {per_job:.4} allocs/job above {GENERATE_ALLOCS_PER_JOB_CEILING}"
+    );
+    // The endless source behind every stream: no allocation per job.
+    let mut source = spec.job_source();
+    let ((), allocs) = counted(|| {
+        for _ in 0..N {
+            black_box(source.next_job());
+        }
+    });
+    assert_eq!(allocs, 0, "JobSource::next_job allocated");
 
     let (r, allocs) = counted(|| simulate_worksteal(&inst, &cfg, steal16, SEED));
     check_materialized(&WS_STEAL16, r.total_rounds, r.stats.steal_attempts, allocs);

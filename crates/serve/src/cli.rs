@@ -20,7 +20,7 @@ use crate::protocol::Submission;
 use crate::supervisor::{FaultSpec, ServeConfig, Supervisor};
 use parflow_obs::args::{ArgError, Args};
 use parflow_runtime::RuntimeError;
-use parflow_workloads::{DistKind, WorkloadSpec};
+use parflow_workloads::{min_qps, DistKind, WorkloadSpec, ARRIVAL_CEILING};
 
 const USAGE: &str = "usage: parflow-serve <emit|run|tcp> [--flag value ...]\n\
   emit: --n N --qps QPS --dist bing|finance|lognormal --seed S [--poison-every K]\n\
@@ -59,10 +59,13 @@ fn emit(args: &[String]) -> Result<String, RuntimeError> {
     let poison_every: u64 = flags.get_or("poison-every", 0).map_err(usage)?;
     let dist = flags.get_or("dist", DistKind::Bing).map_err(usage)?;
     flags.finish().map_err(usage)?;
-    if !(qps.is_finite() && qps > 0.0) {
+    if !(qps.is_finite() && qps > 0.0 && qps >= min_qps(n as usize)) {
         return Err(usage(ArgError {
             flag: "qps".into(),
-            problem: format!("must be a finite positive rate, got {qps}"),
+            problem: format!(
+                "must be a finite positive rate fast enough that {n} arrivals stay \
+                 under tick {ARRIVAL_CEILING}, got {qps:?}"
+            ),
         }));
     }
     let spec = WorkloadSpec::paper_fig2(dist, qps, n as usize, seed);
@@ -197,7 +200,8 @@ mod tests {
 
     #[test]
     fn emit_rejects_a_rate_that_is_not_finite_and_positive() {
-        for qps in ["0", "-5", "nan", "inf"] {
+        // 1e-300 once emitted arrivals saturated at u64::MAX ticks.
+        for qps in ["0", "-5", "nan", "inf", "1e-300"] {
             let err = run(&argv(&format!("emit --n 5 --qps {qps}"))).unwrap_err();
             assert!(err.to_string().contains("--qps: must be"), "{qps}: {err}");
         }

@@ -6,6 +6,7 @@
 
 use parflow_time::Work;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A distribution over job total work (in work units).
 pub trait WorkDistribution {
@@ -84,58 +85,64 @@ impl WorkDistribution for HistogramDist {
 /// Support 5–205 ms; heavily right-skewed with ≈60 % of requests at the
 /// 5 ms mode and a long tail out to 205 ms. Mean ≈ 10.6 ms, which at m=16
 /// and QPS ∈ {800, 1000, 1200} gives ≈ {53 %, 66 %, 80 %} utilization — the
-/// paper's low/medium/high load levels.
-pub fn bing() -> HistogramDist {
+/// paper's low/medium/high load levels. Built once per process.
+pub fn bing() -> &'static HistogramDist {
+    static BING: OnceLock<HistogramDist> = OnceLock::new();
     // (work in 0.1ms units, relative weight)
-    HistogramDist::new(
-        "bing",
-        vec![
-            (50, 0.62),    // 5 ms
-            (100, 0.19),   // 10 ms
-            (150, 0.07),   // 15 ms
-            (200, 0.035),  // 20 ms
-            (250, 0.02),   // 25 ms
-            (350, 0.015),  // 35 ms
-            (450, 0.010),  // 45 ms
-            (550, 0.008),  // 55 ms
-            (650, 0.006),  // 65 ms
-            (750, 0.004),  // 75 ms
-            (850, 0.003),  // 85 ms
-            (950, 0.0025), // 95 ms
-            (1050, 0.002), // 105 ms
-            (1250, 0.0012),
-            (1450, 0.0008),
-            (1650, 0.0005),
-            (1850, 0.0003),
-            (2050, 0.0002), // 205 ms
-        ],
-    )
+    BING.get_or_init(|| {
+        HistogramDist::new(
+            "bing",
+            vec![
+                (50, 0.62),    // 5 ms
+                (100, 0.19),   // 10 ms
+                (150, 0.07),   // 15 ms
+                (200, 0.035),  // 20 ms
+                (250, 0.02),   // 25 ms
+                (350, 0.015),  // 35 ms
+                (450, 0.010),  // 45 ms
+                (550, 0.008),  // 55 ms
+                (650, 0.006),  // 65 ms
+                (750, 0.004),  // 75 ms
+                (850, 0.003),  // 85 ms
+                (950, 0.0025), // 95 ms
+                (1050, 0.002), // 105 ms
+                (1250, 0.0012),
+                (1450, 0.0008),
+                (1650, 0.0005),
+                (1850, 0.0003),
+                (2050, 0.0002), // 205 ms
+            ],
+        )
+    })
 }
 
 /// The option-pricing finance-server work distribution, digitized from the
 /// paper's Figure 3(b) (source: Ren et al., ICAC 2013 \[26\]).
 ///
 /// Support 4–52 ms with an interior mode around 8–12 ms (≈45 % of the mass)
-/// and a light tail. Mean ≈ 10.8 ms.
-pub fn finance() -> HistogramDist {
-    HistogramDist::new(
-        "finance",
-        vec![
-            (40, 0.15),  // 4 ms
-            (80, 0.35),  // 8 ms
-            (120, 0.30), // 12 ms
-            (160, 0.08), // 16 ms
-            (200, 0.04), // 20 ms
-            (240, 0.02), // 24 ms
-            (280, 0.012),
-            (320, 0.008),
-            (360, 0.006),
-            (400, 0.004),
-            (440, 0.002),
-            (480, 0.0012),
-            (520, 0.0008), // 52 ms
-        ],
-    )
+/// and a light tail. Mean ≈ 10.8 ms. Built once per process.
+pub fn finance() -> &'static HistogramDist {
+    static FINANCE: OnceLock<HistogramDist> = OnceLock::new();
+    FINANCE.get_or_init(|| {
+        HistogramDist::new(
+            "finance",
+            vec![
+                (40, 0.15),  // 4 ms
+                (80, 0.35),  // 8 ms
+                (120, 0.30), // 12 ms
+                (160, 0.08), // 16 ms
+                (200, 0.04), // 20 ms
+                (240, 0.02), // 24 ms
+                (280, 0.012),
+                (320, 0.008),
+                (360, 0.006),
+                (400, 0.004),
+                (440, 0.002),
+                (480, 0.0012),
+                (520, 0.0008), // 52 ms
+            ],
+        )
+    })
 }
 
 /// A log-normal work distribution (the paper's synthetic workload).
@@ -204,7 +211,7 @@ mod tests {
     #[test]
     fn histogram_sampling_matches_mean() {
         let d = bing();
-        let emp = empirical_mean(&d, 200_000, 1);
+        let emp = empirical_mean(d, 200_000, 1);
         let analytic = d.mean();
         assert!(
             (emp - analytic).abs() / analytic < 0.03,

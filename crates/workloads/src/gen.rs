@@ -1,11 +1,14 @@
 //! Workload specification and instance generation.
 
-use crate::arrivals::{take_arrivals, ArrivalSource, PeriodicArrivals, PoissonArrivals};
+use crate::arrivals::{
+    take_arrivals, ArrivalSource, PeriodicArrivals, PoissonArrivals, ARRIVAL_CEILING,
+};
 use crate::dist::{bing, finance, LogNormalDist, WorkDistribution};
 use parflow_dag::{shapes, Instance, Job, JobDag};
 use parflow_time::Work;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Tick resolution: 1 tick = 0.1 ms, so 10 000 ticks per second. A job of
@@ -125,6 +128,42 @@ impl ShapeKind {
     }
 }
 
+/// Distinct works a [`DagCache`] holds before it starts over. Work
+/// distributions quantize to ticks, so real workloads saturate a few
+/// thousand distinct values; the reset bounds memory for adversarial
+/// continuous distributions.
+const DAG_CACHE_CAP: usize = 4096;
+
+/// Built DAGs of one [`ShapeKind`] by work. A job's DAG depends only on
+/// its work, so jobs of equal work share one `Arc<JobDag>`, and `n` jobs
+/// build O(distinct works) DAGs, not `n`.
+#[derive(Debug)]
+pub struct DagCache {
+    shape: ShapeKind,
+    dags: BTreeMap<Work, Arc<JobDag>>,
+}
+
+impl DagCache {
+    /// An empty cache for `shape`.
+    pub fn new(shape: ShapeKind) -> Self {
+        DagCache {
+            shape,
+            dags: BTreeMap::new(),
+        }
+    }
+
+    /// The DAG of a job of `work` units, built on first use.
+    pub fn dag(&mut self, work: Work) -> Arc<JobDag> {
+        if self.dags.len() >= DAG_CACHE_CAP && !self.dags.contains_key(&work) {
+            // Jobs keep their Arcs; only the cache's references drop.
+            self.dags.clear();
+        }
+        let shape = self.shape;
+        let built = || Arc::new(shape.build(work));
+        self.dags.entry(work).or_insert_with(built).clone()
+    }
+}
+
 /// A complete workload specification; `generate` turns it into an
 /// [`Instance`], deterministically for a given seed.
 #[derive(Clone, Copy, Debug)]
@@ -185,12 +224,12 @@ impl WorkloadSpec {
                 self.n_jobs,
             ),
         };
+        let mut dags = DagCache::new(self.shape);
         let jobs = arrivals
             .into_iter()
             .enumerate()
             .map(|(i, arrival)| {
-                let work = self.dist.sample(&mut rng);
-                let dag = Arc::new(self.shape.build(work));
+                let dag = dags.dag(self.dist.sample(&mut rng));
                 Job::new(i as u32, arrival, dag)
             })
             .collect();
@@ -289,6 +328,15 @@ pub fn qps_for_utilization(dist: DistKind, m: usize, target: f64) -> f64 {
     target * TICKS_PER_SECOND * m as f64 / dist.mean()
 }
 
+/// The slowest Poisson rate whose first `n_jobs` arrivals stay within
+/// [`ARRIVAL_CEILING`] whatever the draws: the uniform behind a gap is at
+/// least `f64::MIN_POSITIVE`, so one gap is at most `-ln` of that (≈ 708)
+/// mean gaps.
+pub fn min_qps(n_jobs: usize) -> f64 {
+    let max_gap_in_means = -f64::MIN_POSITIVE.ln();
+    n_jobs as f64 * max_gap_in_means * TICKS_PER_SECOND / ARRIVAL_CEILING as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +412,28 @@ mod tests {
         // 16 leaves → depth 4.
         assert_eq!(dag.span(), 10 + 2 * 4);
         assert!(dag.total_work() >= 160);
+    }
+
+    #[test]
+    fn equal_works_share_one_dag() {
+        use std::collections::BTreeSet;
+        let spec = WorkloadSpec::paper_fig2(DistKind::LogNormal, 1000.0, 2_000, 9);
+        // Through the cache directly, over sampled works: the first DAG of
+        // each work is the one every later job of that work gets.
+        let (mut source, mut dags) = (spec.job_source(), DagCache::new(spec.shape));
+        let mut first: BTreeMap<Work, Arc<JobDag>> = BTreeMap::new();
+        for _ in 0..spec.n_jobs {
+            let work = source.next_job().work;
+            let dag = dags.dag(work);
+            assert!(Arc::ptr_eq(first.entry(work).or_insert(dag.clone()), &dag));
+        }
+        assert!(first.len() < spec.n_jobs / 2, "log-normal works repeat");
+        // And in a generated instance: distinct `Arc`s == distinct works.
+        let inst = spec.generate();
+        let works: BTreeSet<Work> = inst.jobs().iter().map(|j| j.work()).collect();
+        let arcs: BTreeSet<*const JobDag> =
+            inst.jobs().iter().map(|j| Arc::as_ptr(&j.dag)).collect();
+        assert_eq!(arcs.len(), works.len());
     }
 
     #[test]

@@ -23,9 +23,11 @@ mod gen;
 mod lowerbound;
 mod stats;
 pub mod trace_io;
+pub use arrivals::ARRIVAL_CEILING;
 pub use dist::{bing, finance, HistogramDist, WorkDistribution};
 pub use gen::{
-    qps_for_utilization, DistKind, JobSource, ShapeKind, StreamJob, WorkloadSpec, TICKS_PER_SECOND,
+    min_qps, qps_for_utilization, DagCache, DistKind, JobSource, ShapeKind, StreamJob,
+    WorkloadSpec, TICKS_PER_SECOND,
 };
 pub use lowerbound::lower_bound_instance;
 pub use stats::InstanceStats;

@@ -12,19 +12,24 @@
 //! job    = arrival SP weight SP k (SP work){k} (SP degree){k} (SP succ){sum of degrees} LF
 //! ```
 //!
-//! Job `i` is the `i`-th job line, in non-decreasing arrival order, and
-//! there are exactly `n` of them. `weight ≥ 1`. The remaining fields are
+//! Job `i` is the `i`-th job line, in non-decreasing arrival order no
+//! later than [`ARRIVAL_CEILING`], and there are exactly `n` of them.
+//! `weight ≥ 1`. The remaining fields are
 //! the job DAG in [`JobDag`]'s own CSR layout: the `k` node works, the `k`
 //! out-degrees, then every node's successor ids in order. Nothing derived
 //! is stored — `topo_order`, `total_work`, `span` and the id are recomputed
 //! by [`JobDag::from_csr`] on load, so a file cannot claim a span its
 //! edges do not have, and `load_instance(save_instance(i))` equals `i`
-//! job for job, topological order included.
+//! job for job, topological order included. Jobs whose DAG fields are
+//! byte-identical load sharing one `Arc<JobDag>`, as generated jobs of
+//! equal work do.
 //!
 //! The reader never panics: every malformed input is a `FormatError`
 //! naming the line and column (1-based, in bytes) and what is wrong there.
 
+use crate::ARRIVAL_CEILING;
 use parflow_dag::{DagError, Instance, Job, JobDag, NodeId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -34,6 +39,8 @@ use ErrorKind::*;
 
 const MAGIC: &[u8] = b"parflow-instance";
 const VERSION: u64 = 1;
+/// The largest count, node id or degree a field may hold.
+const U32: u64 = u32::MAX as u64;
 
 /// Write an instance file (format above).
 pub fn save_instance<P: AsRef<Path>>(instance: &Instance, path: P) -> io::Result<()> {
@@ -68,7 +75,8 @@ pub(crate) enum ErrorKind {
     ZeroWeight,
     /// A job arriving before the job on the line above.
     UnsortedArrival,
-    /// A job count, node count, edge count or successor id past `u32`.
+    /// A job count, node count, edge count or successor id past `u32`,
+    /// or an arrival past [`ARRIVAL_CEILING`].
     TooLarge,
     /// The job's DAG fails [`JobDag::from_csr`].
     Dag(DagError),
@@ -140,7 +148,6 @@ fn push_u64(out: &mut Vec<u8>, mut v: u64) {
 
 /// Parse the bytes of an instance file.
 fn decode(bytes: &[u8]) -> Result<Instance, FormatError> {
-    const U32: u64 = u32::MAX as u64;
     let mut r = Reader {
         bytes,
         pos: MAGIC.len(),
@@ -155,12 +162,13 @@ fn decode(bytes: &[u8]) -> Result<Instance, FormatError> {
     let n = r.field(U32)? as usize;
     r.expect(b'\n')?;
     let mut jobs = Vec::with_capacity(n.min(bytes.len()));
+    let mut dags: BTreeMap<&[u8], Arc<JobDag>> = BTreeMap::new();
     for id in 0..n as u32 {
         if r.pos == bytes.len() {
             return Err(r.err(r.pos, CountMismatch));
         }
         let line_start = r.pos;
-        let arrival = r.num(u64::MAX)?;
+        let arrival = r.num(ARRIVAL_CEILING)?;
         if jobs.last().is_some_and(|j: &Job| arrival < j.arrival) {
             return Err(r.err(line_start, UnsortedArrival));
         }
@@ -169,29 +177,26 @@ fn decode(bytes: &[u8]) -> Result<Instance, FormatError> {
         if weight == 0 {
             return Err(r.err(at, ZeroWeight));
         }
-        let k = r.field(U32)? as usize;
-        // Capacities are bounded by the bytes left, so a lying count cannot
-        // reserve more than the file could hold.
-        let room = (bytes.len() - r.pos) / 2;
-        let mut works = Vec::with_capacity(k.min(room));
-        for _ in 0..k {
-            works.push(r.field(u64::MAX)?);
-        }
-        let mut offsets = Vec::with_capacity(k.min(room) + 1);
-        offsets.push(0u32);
-        let mut edges = 0u64;
-        for _ in 0..k {
-            let at = r.pos + 1;
-            edges += r.field(U32)?;
-            offsets.push(u32::try_from(edges).map_err(|_| r.err(at, TooLarge))?);
-        }
-        let mut succs = Vec::with_capacity((edges as usize).min(room));
-        for _ in 0..edges {
-            succs.push(r.field(U32)? as NodeId);
-        }
-        let dag = JobDag::from_csr(works, offsets, succs).map_err(|e| r.err(line_start, Dag(e)))?;
+        // A line whose DAG bytes repeat an earlier good line's shares its
+        // `Arc`: the same bytes cannot parse or fail differently.
+        let end = bytes[r.pos..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |i| r.pos + i);
+        let key = &bytes[r.pos..end];
+        let dag = match dags.get(key) {
+            Some(dag) => {
+                r.pos = end;
+                Arc::clone(dag)
+            }
+            None => {
+                let dag = Arc::new(r.dag(line_start)?);
+                dags.insert(key, Arc::clone(&dag));
+                dag
+            }
+        };
         r.expect(b'\n')?;
-        jobs.push(Job::weighted(id, arrival, weight, Arc::new(dag)));
+        jobs.push(Job::weighted(id, arrival, weight, dag));
     }
     if r.pos != bytes.len() {
         return Err(r.err(r.pos, CountMismatch));
@@ -206,6 +211,33 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
+    /// A job line's DAG: `k`, the works, the degrees and the successors,
+    /// checked by [`JobDag::from_csr`], whose refusal points at
+    /// `line_start`.
+    fn dag(&mut self, line_start: usize) -> Result<JobDag, FormatError> {
+        let k = self.field(U32)? as usize;
+        // Capacities are bounded by the bytes left, so a lying count cannot
+        // reserve more than the file could hold.
+        let room = (self.bytes.len() - self.pos) / 2;
+        let mut works = Vec::with_capacity(k.min(room));
+        for _ in 0..k {
+            works.push(self.field(u64::MAX)?);
+        }
+        let mut offsets = Vec::with_capacity(k.min(room) + 1);
+        offsets.push(0u32);
+        let mut edges = 0u64;
+        for _ in 0..k {
+            let at = self.pos + 1;
+            edges += self.field(U32)?;
+            offsets.push(u32::try_from(edges).map_err(|_| self.err(at, TooLarge))?);
+        }
+        let mut succs = Vec::with_capacity((edges as usize).min(room));
+        for _ in 0..edges {
+            succs.push(self.field(U32)? as NodeId);
+        }
+        JobDag::from_csr(works, offsets, succs).map_err(|e| self.err(line_start, Dag(e)))
+    }
+
     /// The error at byte `pos`. Lines are counted here, off the happy path.
     #[cold]
     fn err(&self, pos: usize, kind: ErrorKind) -> FormatError {
@@ -284,6 +316,7 @@ mod tests {
     use crate::lowerbound::lower_bound_instance;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     /// Job-for-job equality, DAGs (topological order included) compared
     /// whole.
@@ -394,6 +427,45 @@ mod tests {
         let e = decode(b"parflow-instance 1 1\n0 0 1 3 0\n").unwrap_err();
         assert_eq!(e.column, 3);
         assert!(e.to_string().contains("line 2, column 3"), "{e}");
+    }
+
+    #[test]
+    fn arrivals_stop_at_the_ceiling() {
+        let at = format!("parflow-instance 1 1\n{ARRIVAL_CEILING} 1 1 3 0\n");
+        assert_eq!(
+            decode(at.as_bytes()).unwrap().jobs()[0].arrival,
+            ARRIVAL_CEILING
+        );
+        let past = format!(
+            "parflow-instance 1 2\n0 1 1 3 0\n{} 1 1 3 0\n",
+            ARRIVAL_CEILING + 1
+        );
+        let e = decode(past.as_bytes()).unwrap_err();
+        assert_eq!((e.line, e.column, e.kind), (3, 1, TooLarge));
+    }
+
+    /// The distinct DAG allocations of `inst`.
+    fn distinct_dags(inst: &Instance) -> usize {
+        let ptrs: BTreeSet<*const JobDag> =
+            inst.jobs().iter().map(|j| Arc::as_ptr(&j.dag)).collect();
+        ptrs.len()
+    }
+
+    #[test]
+    fn equal_dag_lines_load_as_one_arc() {
+        let shared = WorkloadSpec::paper_fig2(DistKind::Bing, 2000.0, 300, 4).generate();
+        // The same jobs, each with a DAG of its own.
+        let fresh = Instance::new(
+            (shared.jobs().iter())
+                .map(|j| Job::weighted(j.id, j.arrival, j.weight, Arc::new((*j.dag).clone())))
+                .collect(),
+        );
+        assert_eq!(distinct_dags(&fresh), fresh.len());
+        assert_eq!(encode(&fresh), encode(&shared));
+        let back = decode(&encode(&fresh)).unwrap();
+        assert_same(&back, &shared);
+        assert_eq!(distinct_dags(&back), distinct_dags(&shared));
+        assert!(distinct_dags(&shared) <= 18, "one per Bing bin");
     }
 
     #[test]

@@ -55,7 +55,9 @@ use crate::core::{
 use crate::metrics::{FlowStats, Table};
 use crate::runtime::{try_run_workload, RuntimeConfig, RuntimeError};
 use crate::time::{Rational, Speed};
-use crate::workloads::{trace_io, DistKind, InstanceStats, ShapeKind, WorkloadSpec};
+use crate::workloads::{
+    min_qps, trace_io, DistKind, InstanceStats, ShapeKind, WorkloadSpec, ARRIVAL_CEILING,
+};
 use parflow_dag::{shapes, Instance};
 use parflow_obs::args::{ArgError, Args};
 use parflow_obs::{JsonRecorder, NullRecorder, Recorder};
@@ -106,8 +108,8 @@ fn bad(key: &str, value: impl fmt::Display) -> CliError {
     CliError::BadFlag(key.into(), format!("bad value '{value}'"))
 }
 
-/// A `dot` shape size in `ok`, the range its generator accepts without
-/// asserting.
+/// A size flag in `ok`, the range its consumer (a `dot` shape generator,
+/// the parallel-for grain) accepts.
 fn size<T, R>(args: &Args, key: &str, default: T, ok: R) -> Result<T, CliError>
 where
     T: std::str::FromStr + PartialOrd,
@@ -224,17 +226,25 @@ fn workload_from_flags(flags: &Args) -> Result<(WorkloadSpec, usize), CliError> 
         return Err(bad("qps", qps));
     }
     let jobs: usize = flags.get_or("jobs", 10_000)?;
+    if qps < min_qps(jobs) {
+        return Err(CliError::BadFlag(
+            "qps".into(),
+            format!(
+                "{qps:e} is too slow: {jobs} arrivals could pass tick {ARRIVAL_CEILING} \
+                 (want at least {:e})",
+                min_qps(jobs)
+            ),
+        ));
+    }
     let seed: u64 = flags.get_or("seed", 42u64)?;
-    let grain: u64 = flags.get_or("grain", 10u64)?;
+    let grain = size(flags, "grain", 10u64, 1..)?;
     let m: usize = flags.get_or("m", 16usize)?;
     if m == 0 {
         return Err(bad("m", 0));
     }
     let spec = WorkloadSpec {
         dist,
-        shape: ShapeKind::ParallelFor {
-            grain: grain.max(1),
-        },
+        shape: ShapeKind::ParallelFor { grain },
         qps: Some(qps),
         period_ticks: 0,
         n_jobs: jobs,
@@ -409,6 +419,9 @@ fn generate_cmd(flags: &Args) -> Result<String, CliError> {
     let out: String = require(flags, "out")?;
     flags.finish()?;
     let inst = spec.generate();
+    if inst.is_empty() {
+        return Err(bad("jobs", 0));
+    }
     trace_io::save_instance(&inst, &out).map_err(|e| CliError::Io(e.to_string()))?;
     Ok(format!(
         "wrote {} jobs ({} total work units) to {out}",
@@ -1062,6 +1075,43 @@ mod tests {
                 "{eps}: {e:?}"
             );
         }
+    }
+
+    #[test]
+    fn qps_whose_arrivals_could_pass_the_ceiling_is_a_bad_flag() {
+        // Slower rates once saturated arrivals at u64::MAX ticks: exit 101
+        // in the engines, and a hang in `exec`.
+        let spec = |qps: f64| {
+            let args = Args::parse(&argv(&format!("--qps {qps:e} --jobs 3")), &[]).unwrap();
+            workload_from_flags(&args)
+        };
+        assert!(spec(min_qps(3)).is_ok());
+        let e = spec(min_qps(3) * (1.0 - 1e-12)).unwrap_err();
+        assert!(
+            matches!(e, CliError::BadFlag(ref k, _) if k == "qps"),
+            "{e:?}"
+        );
+    }
+
+    #[test]
+    fn zero_grain_is_a_bad_flag() {
+        // Was silently run as grain 1.
+        let e = run_cli(&argv("simulate --scheduler fifo --grain 0 --jobs 5")).unwrap_err();
+        assert!(
+            matches!(e, CliError::BadFlag(ref k, _) if k == "grain"),
+            "{e:?}"
+        );
+    }
+
+    #[test]
+    fn generate_refuses_zero_jobs() {
+        // Was an empty file that `analyze` then refused.
+        let path = std::env::temp_dir().join("parflow_cli_zero_jobs");
+        let _ = std::fs::remove_file(&path);
+        let cmd = format!("generate --jobs 0 --out {}", path.display());
+        let e = run_cli(&argv(&cmd)).unwrap_err();
+        assert_eq!(e, CliError::BadFlag("jobs".into(), "bad value '0'".into()));
+        assert!(!path.exists());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use parflow::prelude::*;
 use parflow::workloads::trace_io::{load_instance, save_instance};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Save `inst` under `name` in a scratch directory and load it back.
 fn roundtrip(inst: &Instance, name: &str) -> Instance {
@@ -37,7 +39,14 @@ fn roundtrip_is_exact_job_for_job() {
             assert_eq!(*a.dag, *b.dag, "{name}: job {}", a.id);
             assert_eq!(a.dag.topo_order(), b.dag.topo_order());
         }
+        assert_eq!(distinct_dags(&back), distinct_dags(&inst), "{name}");
     }
+}
+
+/// The distinct `Arc<JobDag>` allocations of `inst`.
+fn distinct_dags(inst: &Instance) -> usize {
+    let ptrs: BTreeSet<_> = inst.jobs().iter().map(|j| Arc::as_ptr(&j.dag)).collect();
+    ptrs.len()
 }
 
 #[test]
