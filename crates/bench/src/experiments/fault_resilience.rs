@@ -13,7 +13,7 @@
 //! amplifies the capacity loss. The sweep quantifies both effects on the
 //! max flow time of *completed* jobs.
 
-use super::{jobs_per_point, PAPER_K, PAPER_M};
+use super::{PAPER_K, PAPER_M};
 use parflow_core::{simulate_worksteal, FaultPlan, SimConfig, StealPolicy};
 use parflow_metrics::Table;
 use parflow_workloads::{DistKind, WorkloadSpec, TICKS_PER_SECOND};
@@ -92,13 +92,8 @@ pub(crate) struct FaultPoint {
     pub n: usize,
 }
 
-/// Run the sweep at the default size.
-pub(crate) fn run(levels: &[FaultLevel], qps: f64, seed: u64) -> Vec<FaultPoint> {
-    run_sized(levels, qps, seed, jobs_per_point().min(20_000))
-}
-
-/// Run with an explicit job count.
-fn run_sized(levels: &[FaultLevel], qps: f64, seed: u64, n_jobs: usize) -> Vec<FaultPoint> {
+/// Run the sweep on `n_jobs` jobs.
+pub(crate) fn run(levels: &[FaultLevel], qps: f64, seed: u64, n_jobs: usize) -> Vec<FaultPoint> {
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, qps, n_jobs, seed).generate();
     let mut out = Vec::new();
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn fault_free_level_completes_everything() {
-        let pts = run_sized(
+        let pts = run(
             &[FaultLevel {
                 crashes: 0,
                 slowdowns: 0,
@@ -198,7 +193,7 @@ mod tests {
                 panic_ppm: 0,
             },
         ];
-        let pts = run_sized(&levels, 1000.0, 11, 4_000);
+        let pts = run(&levels, 1000.0, 11, 4_000);
         for k in [0u32, PAPER_K] {
             let healthy = pts
                 .iter()
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn panics_fail_some_jobs() {
-        let pts = run_sized(
+        let pts = run(
             &[FaultLevel {
                 crashes: 0,
                 slowdowns: 0,
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let pts = run_sized(&default_levels()[..2], 900.0, 1, 400);
+        let pts = run(&default_levels()[..2], 900.0, 1, 400);
         let rendered = table(&pts).render();
         assert!(rendered.contains("admit-first"));
         assert!(rendered.contains("steal-16-first"));

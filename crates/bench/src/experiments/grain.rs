@@ -30,10 +30,16 @@ pub(crate) fn default_grains() -> Vec<u64> {
 }
 
 /// Run the sweep at the given load.
-pub(crate) fn run(grains: &[u64], qps: f64, n_jobs: usize, seed: u64) -> Vec<GrainPoint> {
+pub(crate) fn run(
+    grains: &[u64],
+    qps: f64,
+    n_jobs: usize,
+    seed: u64,
+    threads: usize,
+) -> Vec<GrainPoint> {
     let cfg = SimConfig::new(PAPER_M).with_free_steals();
     let to_ms = 1000.0 / TICKS_PER_SECOND;
-    super::par_map(grains.to_vec(), |grain| {
+    super::par_map(threads, grains.to_vec(), |grain| {
         let spec = WorkloadSpec {
             dist: DistKind::Bing,
             shape: ShapeKind::ParallelFor { grain },
@@ -90,7 +96,7 @@ mod tests {
 
     #[test]
     fn span_grows_with_grain() {
-        let pts = run(&[1, 128], 1000.0, 1_000, 3);
+        let pts = run(&[1, 128], 1000.0, 1_000, 3, 2);
         assert!(pts[0].mean_span < pts[1].mean_span);
     }
 
@@ -98,7 +104,7 @@ mod tests {
     fn coarse_grain_hurts_tail_latency() {
         // 12.8 ms chunks make wide jobs nearly sequential: the max flow
         // should exceed the fine-grain (1 ms) configuration.
-        let pts = run(&[10, 128], 1100.0, 4_000, 7);
+        let pts = run(&[10, 128], 1100.0, 4_000, 7, 2);
         let fine = &pts[0];
         let coarse = &pts[1];
         assert!(
@@ -111,7 +117,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let pts = run(&[10], 800.0, 300, 1);
+        let pts = run(&[10], 800.0, 300, 1, 1);
         assert!(table(&pts).render().contains("grain (ms)"));
     }
 }

@@ -46,8 +46,8 @@ pub(crate) fn jobs_for_m(m: usize, max_n: usize) -> usize {
 }
 
 /// Run the sweep over processor counts.
-pub(crate) fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<LbPoint> {
-    super::par_map(ms.to_vec(), |m| {
+pub(crate) fn run(ms: &[usize], max_n: usize, seed: u64, threads: usize) -> Vec<LbPoint> {
+    super::par_map(threads, ms.to_vec(), |m| {
         let n = jobs_for_m(m, max_n);
         let inst = lower_bound_instance(n, m);
         let cfg = SimConfig::new(m);
@@ -105,7 +105,7 @@ mod tests {
     fn ws_ratio_grows_with_m() {
         // The core lower-bound phenomenon: WS max flow grows with m while
         // FIFO stays flat. Use modest sizes for test speed.
-        let pts = run(&[20, 60], 20_000, 11);
+        let pts = run(&[20, 60], 20_000, 11, 2);
         assert_eq!(pts.len(), 2);
         // FIFO finishes every gadget in ≈ 2 steps (span) at every m.
         for p in &pts {
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let pts = run(&[20], 1_000, 3);
+        let pts = run(&[20], 1_000, 3, 1);
         let t = table(&pts);
         assert_eq!(t.len(), 1);
         assert!(t.render().contains("WS ratio"));

@@ -31,12 +31,12 @@ pub(crate) struct WsPoint {
 }
 
 /// Run the sweep: `k ∈ ks`, fixed ε = 1/2, growing n.
-pub(crate) fn run(ks: &[u32], ns: &[usize], seed: u64) -> Vec<WsPoint> {
+pub(crate) fn run(ks: &[u32], ns: &[usize], seed: u64, threads: usize) -> Vec<WsPoint> {
     let pairs: Vec<(u32, usize)> = ks
         .iter()
         .flat_map(|&k| ns.iter().map(move |&n| (k, n)))
         .collect();
-    super::par_map(pairs, |(k, n)| {
+    super::par_map(threads, pairs, |(k, n)| {
         // Speed = k + 1 + ε with ε = 1/2 → (2k + 3) / 2.
         let speed = Speed::new(2 * (k as u64) + 3, 2);
         let epsilon = 0.5;
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn normalized_value_stays_bounded() {
-        let pts = run(&[0, 2], &[500, 2_000], 3);
+        let pts = run(&[0, 2], &[500, 2_000], 3, 2);
         assert_eq!(pts.len(), 4);
         for p in &pts {
             // Theorem ceiling with the paper's constant: 65/ε² = 260.
@@ -111,7 +111,7 @@ mod tests {
     fn growth_with_n_is_sublinear() {
         // The w.h.p. bound implies max flow grows like max{OPT, ln n}, so
         // quadrupling n must not quadruple the normalized value.
-        let pts = run(&[1], &[500, 2_000], 7);
+        let pts = run(&[1], &[500, 2_000], 7, 2);
         let (small, large) = (pts[0].normalized, pts[1].normalized);
         assert!(
             large <= small * 4.0,
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let pts = run(&[0], &[200], 1);
+        let pts = run(&[0], &[200], 1, 1);
         assert!(table(&pts).render().contains("normalized"));
     }
 }

@@ -43,8 +43,8 @@ pub(crate) struct VictimPoint {
 }
 
 /// Run the sweep (same sizing as the lower-bound experiment).
-pub(crate) fn run(ms: &[usize], max_n: usize, seed: u64) -> Vec<VictimPoint> {
-    super::par_map(ms.to_vec(), |m| {
+pub(crate) fn run(ms: &[usize], max_n: usize, seed: u64, threads: usize) -> Vec<VictimPoint> {
+    super::par_map(threads, ms.to_vec(), |m| {
         let n = super::lower_bound::jobs_for_m(m, max_n);
         let inst = lower_bound_instance(n, m);
         let flow = |cfg: &SimConfig| {
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn decomposition_of_the_lower_bound() {
-        let pts = run(&[40, 60], 20_000, 3);
+        let pts = run(&[40, 60], 20_000, 3, 2);
         for p in &pts {
             // Paper model: some gadget goes (nearly) sequential.
             assert!(p.uniform_unit >= p.m as f64 / 10.0, "{p:?}");
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let pts = run(&[20], 1_000, 1);
+        let pts = run(&[20], 1_000, 1, 1);
         assert!(table(&pts).render().contains("TBB-like"));
     }
 }

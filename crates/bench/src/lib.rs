@@ -6,7 +6,9 @@
 //! order; among them:
 //!
 //! * `fig2-bing` / `fig2-finance` / `fig2-lognormal` — max flow vs QPS,
-//!   three workloads × three schedulers (Figure 2 a/b/c);
+//!   three workloads × three schedulers (Figure 2 a/b/c), run as
+//!   [`sweep`] grids like `steal-k`, `theory-fifo`, `variance` and
+//!   `scaling`;
 //! * `fig3` — the Bing and finance work distributions (Figure 3 a/b);
 //! * `lower-bound` — the Lemma 5.1 `Ω(log n)` construction;
 //! * `theory-fifo` — Theorem 3.1 (FIFO, `3/ε` ceiling);

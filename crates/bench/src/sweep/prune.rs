@@ -38,6 +38,11 @@ impl Pruner {
         }
     }
 
+    /// Whether the factor prunes at all (`factor > 1` and finite).
+    pub(crate) fn is_active(&self) -> bool {
+        self.factor.is_finite() && self.factor > 1.0
+    }
+
     /// Whether this cell's family has been pruned at a lower level.
     pub(crate) fn is_pruned(&self, cell: &CellSpec) -> bool {
         self.dead.contains(&cell.family())
@@ -56,7 +61,7 @@ impl Pruner {
     where
         I: IntoIterator<Item = (&'a CellSpec, Option<f64>)>,
     {
-        if !(self.factor.is_finite() && self.factor > 1.0) {
+        if !self.is_active() {
             return Vec::new();
         }
         // Best (minimum over replicas) max-flow per family, then the
