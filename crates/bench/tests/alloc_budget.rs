@@ -27,8 +27,8 @@ use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_S
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// The probe instance: the default experiment seed (`base_seed()` with
-/// `PARFLOW_SEED` unset), 20 000 jobs, the paper's m = 16. Fixed here, not
+/// The probe instance: the default experiment seed (`Ctx::from_env`'s
+/// seed with `PARFLOW_SEED` unset), 20 000 jobs, the paper's m = 16. Fixed here, not
 /// read from the environment, so the exact counts below hold.
 const SEED: u64 = 0x9af1;
 const N: usize = 20_000;
