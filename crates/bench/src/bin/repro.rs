@@ -16,11 +16,11 @@
 //! experiment names; `--obs-json PATH` times every experiment as an
 //! observability phase, runs instrumented engine + runtime probes, and
 //! writes the `parflow-obs` run report (counters, per-worker telemetry,
-//! latency histograms, phase wall times); `--stream [--jobs N]` runs the
-//! streaming trajectory. Flags and names mix in any order; an unknown or
-//! repeated flag is a usage error before anything runs.
-//! `--jobs` is read only by `--stream` and `serve-soak`; given without
-//! either it is a usage error.
+//! latency histograms, phase wall times). Flags and names mix in any
+//! order; an unknown or repeated flag is a usage error before anything
+//! runs. `--jobs N` is read only by `serve-soak`; given without it, it is
+//! a usage error. The streaming trajectory is `parflow exec --stream
+//! --jobs N`.
 //! Environment: `PARFLOW_JOBS=100000` for paper-scale runs, `PARFLOW_SEED`
 //! to reseed, `PARFLOW_THREADS` to size the experiment-point thread pool,
 //! each decimal or `0x` hex. Each is read once, before any experiment
@@ -32,58 +32,28 @@ use parflow_bench::experiments::{banner, Ctx, EXPERIMENTS};
 use parflow_bench::{probes, Reporter};
 use parflow_obs::args::{ArgError, Args};
 use parflow_obs::{AggregatingRecorder, Recorder};
-use parflow_workloads::DistKind;
 use std::cell::RefCell;
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("repro: {msg}");
-    eprintln!(
-        "usage: repro [--csv DIR] [--obs-json PATH] [--stream] [--jobs N] [--list] [EXPERIMENT...]"
-    );
+    eprintln!("usage: repro [--csv DIR] [--obs-json PATH] [--jobs N] [--list] [EXPERIMENT...]");
     std::process::exit(2);
-}
-
-/// `--stream`: the streaming trajectory, `--jobs` (default 1M) Bing jobs.
-fn stream_trajectory(c: &Ctx) {
-    let jobs = c.jobs.unwrap_or(1_000_000);
-    banner(&format!(
-        "Streaming trajectory (--stream): {jobs} Bing QPS-1000 jobs, O(active) memory"
-    ));
-    let spec = parflow_workloads::WorkloadSpec::paper_fig2(
-        DistKind::Bing,
-        1000.0,
-        c.jobs_per_point,
-        c.seed,
-    );
-    let cfg = parflow_core::SimConfig::new(16).with_free_steals();
-    let t = std::time::Instant::now();
-    let run = parflow_bench::stream::run_stream_ws(
-        &spec,
-        &cfg,
-        parflow_core::StealPolicy::StealKFirst { k: 16 },
-        c.seed,
-        jobs,
-    )
-    .unwrap_or_else(|e| usage_error(&format!("stream failed: {e}")));
-    println!("{}", run.render(cfg.m, t.elapsed().as_secs_f64(), None));
 }
 
 /// The parsed invocation (everything but `sweep`, which has its own).
 struct Cli {
     csv: Option<String>,
     obs_json: Option<String>,
-    stream: bool,
     jobs: Option<u64>,
     list: bool,
     names: Vec<String>,
 }
 
 fn read_cli(raw: &[String]) -> Result<Cli, ArgError> {
-    let flags = Args::parse(raw, &["stream", "list"])?;
+    let flags = Args::parse(raw, &["list"])?;
     let cli = Cli {
         csv: flags.get("csv")?,
         obs_json: flags.get("obs-json")?,
-        stream: flags.flag("stream"),
         jobs: flags.get("jobs")?,
         list: flags.flag("list"),
         names: flags.positionals().to_vec(),
@@ -118,15 +88,10 @@ fn main() {
             "unknown experiment `{name}` (run `repro --list` for names)"
         ));
     }
-    // `--stream` with no experiment names runs only the streaming
-    // trajectory (at `--jobs 10000000` the full suite would otherwise ride
-    // along); with names it augments them (serve-soak honors `--jobs`).
-    let stream_only = cli.stream && cli.names.is_empty();
-    let want = |name: &str| {
-        !stream_only && (cli.names.is_empty() || cli.names.iter().any(|a| a == name || a == "all"))
-    };
-    if cli.jobs.is_some() && !cli.stream && !want("serve-soak") {
-        usage_error("--jobs: only --stream and serve-soak read it");
+    let want =
+        |name: &str| cli.names.is_empty() || cli.names.iter().any(|a| a == name || a == "all");
+    if cli.jobs.is_some() && !want("serve-soak") {
+        usage_error("--jobs: only serve-soak reads it");
     }
     if cli.list {
         for (name, _) in EXPERIMENTS {
@@ -162,10 +127,6 @@ fn main() {
         if want(name) {
             phase(name, &mut || run(&ctx));
         }
-    }
-
-    if cli.stream {
-        phase("stream-trajectory", &mut || stream_trajectory(&ctx));
     }
 
     if let (Some(path), Some(cell)) = (cli.obs_json, obs.as_ref()) {

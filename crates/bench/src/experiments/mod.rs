@@ -51,7 +51,7 @@ pub struct Ctx {
     /// Width of the experiment thread pool (`PARFLOW_THREADS`, default the
     /// machine's available parallelism; `1` runs serially).
     pub threads: usize,
-    /// `--jobs`: lifts serve-soak's default cap and sizes `--stream`.
+    /// `--jobs`: lifts serve-soak's default cap.
     pub jobs: Option<u64>,
 }
 

@@ -1,5 +1,6 @@
 //! Streaming bench adapter: [`WorkloadSpec`] → core [`JobStream`], peak-RSS
-//! probing, and high-level streaming runners for exec/serve-soak/sweep.
+//! probing, and the one streaming runner, [`run_stream`], behind
+//! `parflow exec --stream` and `sweep --stream`.
 //!
 //! The workloads crate's [`JobSource`] yields `(arrival, work)` scalars;
 //! the simulation core wants DAGs. [`SpecJobStream`] bridges them through
@@ -14,14 +15,14 @@
 //! sample. Bit-identity claims are about [`parflow_core::InstanceReplay`] of a fixed
 //! instance, which the differential tests use.
 
+use parflow_certify::{certify_stream_summary, CertReport};
 use parflow_core::{
-    run_priority_stream_observed, run_worksteal_stream_observed, Fifo, JobOutcome, JobStream,
-    OptTap, OptTracker, ScheduleTrace, SimConfig, StealPolicy, StreamError, StreamSummary,
-    StreamedJob,
+    run_priority_stream, run_worksteal_stream_observed, Fifo, JobOutcome, JobStream, OptTap,
+    OptTracker, SimConfig, StealPolicy, StreamError, StreamSummary, StreamedJob,
 };
 use parflow_metrics::StreamingFlowStats;
-use parflow_obs::{NullRecorder, Recorder};
-use parflow_time::Rational;
+use parflow_obs::Recorder;
+use parflow_time::{Rational, Speed};
 use parflow_workloads::{DagCache, JobSource, WorkloadSpec};
 
 /// Default percentile-histogram range for streaming flow stats: 1 ms bins
@@ -97,11 +98,31 @@ impl StreamRun {
         (bound > 0.0).then(|| self.summary.max_flow.to_f64() / bound)
     }
 
-    /// The streaming report of `exec --stream` and `repro --stream`, no
-    /// trailing newline: throughput over `wall_s` seconds on `m` workers,
-    /// flow percentiles, the live OPT ratio, the `certificate` line if
-    /// there is one, retirement counters and peak RSS. CI greps these
-    /// lines and `parflow-certify stream-summary` parses them.
+    /// The P5 certificate of this run at `speed`: the exact max flow must
+    /// dominate the live OPT bound (see [`certify_stream_summary`]).
+    /// Skipped when a fault fired, as [`parflow_certify::certify_run`]
+    /// skips faulted runs: the fault-free model does not apply, and a
+    /// failed job's flow is no service flow to hold P5 to.
+    pub fn certify(&self, speed: Speed) -> CertReport {
+        let (s, stats) = (&self.summary, &self.summary.stats);
+        let fired = !s.fault_events.is_empty()
+            || stats.crashed_workers + stats.reinjected_tasks + stats.injected_panics > 0
+            || stats.faulted_steps > 0;
+        if fired {
+            return CertReport {
+                skipped: Some(
+                    "fault-injected run: the fault-free feasibility model does not apply".into(),
+                ),
+                ..CertReport::default()
+            };
+        }
+        certify_stream_summary(speed, s.jobs, s.max_flow, self.opt.combined_lower_bound())
+    }
+
+    /// The streaming report of `exec --stream`, no trailing newline:
+    /// throughput over `wall_s` seconds on `m` workers, flow percentiles,
+    /// the live OPT ratio, the `certificate` line if there is one,
+    /// retirement counters and peak RSS. CI greps these lines.
     pub fn render(&self, m: usize, wall_s: f64, certificate: Option<&str>) -> String {
         let s = &self.summary;
         let to_ms = 1000.0 / parflow_workloads::TICKS_PER_SECOND;
@@ -142,26 +163,32 @@ impl StreamRun {
     }
 }
 
-/// The engine's result, as the streaming entry points of the core return it.
-type EngineResult = Result<(StreamSummary, Option<ScheduleTrace>), StreamError>;
-
-/// Drive `engine` over the first `jobs` jobs of `spec`, folding flows into
-/// streaming stats and OPT bounds on the fly.
-fn run_stream(
+/// Run the first `jobs` jobs of `spec` through the streaming engine —
+/// work stealing under `policy`, or centralized FIFO (the streaming
+/// counterpart of `simulate_fifo`) when `policy` is `None` — folding
+/// flows into streaming stats and OPT bounds on the fly. `rec` gets the
+/// engine's taxonomy plus its `*.stream.*` retirement counters.
+pub fn run_stream(
     spec: &WorkloadSpec,
-    m: usize,
+    config: &SimConfig,
+    policy: Option<StealPolicy>,
+    seed: u64,
     jobs: u64,
-    engine: impl FnOnce(&mut OptTap<SpecJobStream>, &mut dyn FnMut(&JobOutcome)) -> EngineResult,
+    rec: &mut dyn Recorder,
 ) -> Result<StreamRun, StreamError> {
-    let mut tap = OptTap::new(SpecJobStream::new(spec, jobs), m);
+    let mut tap = OptTap::new(SpecJobStream::new(spec, jobs), config.m);
     let mut flows = StreamingFlowStats::new(0.0, FLOW_HIST_HI_TICKS, FLOW_HIST_BINS);
     let mut max_completed_flow = Rational::ZERO;
-    let (summary, _) = engine(&mut tap, &mut |o| {
+    let sink = &mut |o: &JobOutcome| {
         flows.record(o.flow);
         if o.status.is_completed() {
             max_completed_flow = max_completed_flow.max(o.flow);
         }
-    })?;
+    };
+    let (summary, _) = match policy {
+        Some(p) => run_worksteal_stream_observed(&mut tap, config, p, seed, sink, rec)?,
+        None => run_priority_stream(&mut tap, config, &Fifo, sink, rec)?,
+    };
     let (_, opt) = tap.into_parts();
     Ok(StreamRun {
         summary,
@@ -171,58 +198,10 @@ fn run_stream(
     })
 }
 
-/// Run the streaming work-stealing engine over the first `jobs` jobs of
-/// `spec`.
-pub fn run_stream_ws(
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    policy: StealPolicy,
-    seed: u64,
-    jobs: u64,
-) -> Result<StreamRun, StreamError> {
-    run_stream_ws_observed(spec, config, policy, seed, jobs, &mut NullRecorder)
-}
-
-/// [`run_stream_ws`] with a [`Recorder`] attached (engine taxonomy plus
-/// the `ws.stream.*` retirement counters).
-pub fn run_stream_ws_observed(
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    policy: StealPolicy,
-    seed: u64,
-    jobs: u64,
-    rec: &mut dyn Recorder,
-) -> Result<StreamRun, StreamError> {
-    run_stream(spec, config.m, jobs, |tap, sink| {
-        run_worksteal_stream_observed(tap, config, policy, seed, sink, rec)
-    })
-}
-
-/// Run the streaming centralized FIFO engine over the first `jobs` jobs of
-/// `spec` — the streaming counterpart of `simulate_fifo`.
-pub(crate) fn run_stream_fifo(
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    jobs: u64,
-) -> Result<StreamRun, StreamError> {
-    run_stream_fifo_observed(spec, config, jobs, &mut NullRecorder)
-}
-
-/// `run_stream_fifo` with a [`Recorder`] attached.
-pub fn run_stream_fifo_observed(
-    spec: &WorkloadSpec,
-    config: &SimConfig,
-    jobs: u64,
-    rec: &mut dyn Recorder,
-) -> Result<StreamRun, StreamError> {
-    run_stream(spec, config.m, jobs, |tap, sink| {
-        run_priority_stream_observed(tap, config, &Fifo, sink, rec)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parflow_obs::NullRecorder;
     use parflow_workloads::DistKind;
 
     fn spec(n: usize) -> WorkloadSpec {
@@ -243,12 +222,13 @@ mod tests {
 
     #[test]
     fn stream_run_produces_consistent_stats() {
-        let run = run_stream_ws(
+        let run = run_stream(
             &spec(0),
             &SimConfig::new(4).with_free_steals(),
-            StealPolicy::StealKFirst { k: 16 },
+            Some(StealPolicy::StealKFirst { k: 16 }),
             42,
             400,
+            &mut NullRecorder,
         )
         .expect("streams cleanly");
         assert_eq!(run.summary.jobs, 400);
@@ -265,9 +245,18 @@ mod tests {
 
     #[test]
     fn fifo_stream_run_completes() {
-        let run = run_stream_fifo(&spec(0), &SimConfig::new(4), 200).expect("streams cleanly");
+        let run = run_stream(
+            &spec(0),
+            &SimConfig::new(4),
+            None,
+            0,
+            200,
+            &mut NullRecorder,
+        )
+        .expect("streams cleanly");
         assert_eq!(run.summary.jobs, 200);
         assert!(run.competitive_ratio().expect("bound positive") >= 1.0 - 1e-9);
+        assert!(run.certify(Speed::ONE).is_clean());
     }
 
     #[test]

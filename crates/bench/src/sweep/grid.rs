@@ -484,6 +484,8 @@ mod tests {
     fn bad_specs_error() {
         assert!(SweepGrid::parse("dist=bogus;util=1;policy=fifo").is_err());
         assert!(SweepGrid::parse("dist=bing;util=-1;policy=fifo").is_err());
+        assert!(SweepGrid::parse("dist=bing;util=inf;policy=fifo").is_err());
+        assert!(SweepGrid::parse("dist=bing;util=1;policy=bwf").is_err());
         assert!(
             SweepGrid::parse("dist=bing;util=1e308;policy=fifo").is_err(),
             "util x m overflows the arrival rate"

@@ -45,10 +45,11 @@ use parflow_core::{
     SimConfig,
 };
 use parflow_obs::args::{ArgError, Args};
+use parflow_obs::NullRecorder;
 use parflow_workloads::{WorkloadSpec, TICKS_PER_SECOND};
 
 use crate::experiments::{env_threads, par_map};
-use crate::stream::{run_stream_fifo, run_stream_ws};
+use crate::stream::run_stream;
 use aggregate::{
     cell_line, crossover_rows, header_line, parse_store, render_crossover,
     render_crossover_markdown, CellOutcome, CrossoverRow, StoreLoad, STATUS_CLUSTERED,
@@ -288,26 +289,19 @@ fn run_instance(
         let mut out: Vec<(usize, CellOutcome)> = Vec::with_capacity(job.cells.len());
         for cell in &job.cells {
             let cfg = engine_config(cell);
-            let run = match cell.policy.steal_policy() {
-                Some(policy) => run_stream_ws(&spec, &cfg, policy, cell.engine_seed, jobs_n),
-                None => run_stream_fifo(&spec, &cfg, jobs_n),
-            };
+            let run = run_stream(
+                &spec,
+                &cfg,
+                cell.policy.steal_policy(),
+                cell.engine_seed,
+                jobs_n,
+                &mut NullRecorder,
+            );
             let outcome = match run {
                 Ok(run) => {
-                    if certify {
-                        let report = parflow_certify::certify_stream_summary(
-                            cell.speed(),
-                            run.summary.jobs,
-                            run.summary.max_flow,
-                            run.opt.combined_lower_bound(),
-                        );
-                        if !report.is_clean() {
-                            return Err(format!(
-                                "--certify: cell {}: {}",
-                                cell.id,
-                                report.render()
-                            ));
-                        }
+                    let report = certify.then(|| run.certify(cell.speed()));
+                    if let Some(report) = report.filter(|r| !r.is_clean()) {
+                        return Err(format!("--certify: cell {}: {}", cell.id, report.render()));
                     }
                     stream_outcome(&run)
                 }
@@ -692,20 +686,27 @@ mod tests {
     fn certified_sweep_is_clean_and_store_identical() {
         // Certification re-runs spot-checked cells with tracing; the
         // measured store must be byte-identical to an uncertified run
-        // (certification is observation, never perturbation).
-        let grid = tiny_grid();
-        let plain = run_sweep(&grid, None, &SweepOptions::default()).unwrap();
-        let certified = run_sweep(
-            &grid,
-            None,
-            &SweepOptions {
-                certify: true,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(plain.store(), certified.store());
-        assert_eq!(plain.summary, certified.summary);
+        // (certification is observation, never perturbation). The second
+        // grid spells each dist and policy every way the shared parsers
+        // accept; the spellings fold to 3 dists x 3 policies.
+        let spellings = "dist=log-normal,lognormal,Bing,finance;util=0.6;m=2;jobs=60;\
+                         policy=steal-4-first,steal:4,admit-first,fifo";
+        let spellings = SweepGrid::parse(spellings).unwrap();
+        assert_eq!(spellings.cell_count(), 9);
+        for grid in [tiny_grid(), spellings] {
+            let plain = run_sweep(&grid, None, &SweepOptions::default()).unwrap();
+            let certified = run_sweep(
+                &grid,
+                None,
+                &SweepOptions {
+                    certify: true,
+                    ..SweepOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(plain.store(), certified.store());
+            assert_eq!(plain.summary, certified.summary);
+        }
     }
 
     #[test]

@@ -17,11 +17,12 @@
 
 use parflow_bench::alloc_probe::alloc_count;
 use parflow_bench::experiments::{PAPER_K, PAPER_M};
-use parflow_bench::stream::run_stream_ws;
+use parflow_bench::stream::run_stream;
 use parflow_core::{
     run_priority, simulate_batched, simulate_worksteal, Fifo, ReplicaSpec, SimConfig, StealPolicy,
 };
 use parflow_dag::{shapes, Instance, Job};
+use parflow_obs::NullRecorder;
 use parflow_serve::{run_jsonl, ServeConfig, Submission, Supervisor};
 use parflow_workloads::{qps_for_utilization, DistKind, WorkloadSpec, TICKS_PER_SECOND};
 use std::hint::black_box;
@@ -130,8 +131,15 @@ fn engine_probes_stay_within_alloc_budget_and_reproduce_exact_counts() {
     let stream_jobs = N as u64 * STREAM_FACTOR;
     let spec = WorkloadSpec::paper_fig2(DistKind::Bing, 1000.0, N, SEED);
     let (run, allocs) = counted(|| {
-        run_stream_ws(&spec, &cfg, steal16, SEED, stream_jobs)
-            .expect("probe spec is fault-free and sorted")
+        run_stream(
+            &spec,
+            &cfg,
+            Some(steal16),
+            SEED,
+            stream_jobs,
+            &mut NullRecorder,
+        )
+        .expect("probe spec is fault-free and sorted")
     });
     check(
         &STREAM_WS,

@@ -44,17 +44,19 @@ fn list_is_the_experiment_table_and_names_validate_against_it() {
 
 #[test]
 fn flags_and_names_mix_and_a_bare_flag_does_not_eat_a_name() {
-    let out = repro(&["--stream", "fig3", "--jobs", "300"]);
+    // A name after the bare `--list` is still a name: it is checked
+    // against the table, so a good one lists and a bad one is refused.
+    let out = repro(&["--list", "fig3", "--csv", "unused"]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Figure 3"), "{stdout}");
-    assert!(
-        stdout.contains("streamed 300 jobs on 16 workers"),
-        "{stdout}"
+    assert_eq!(out.stdout, repro(&["--list"]).stdout);
+    assert_usage_error(
+        &repro(&["--list", "nosuch"]),
+        "--list nosuch",
+        "unknown experiment `nosuch`",
     );
 }
 
@@ -69,6 +71,8 @@ fn bad_invocations_exit_2_before_any_experiment() {
         ),
         (&["fig3", "--jobs", "many"][..], "--jobs: bad value 'many'"),
         (&["fig3", "nosuch"][..], "unknown experiment `nosuch`"),
+        // The streaming trajectory is `parflow exec --stream`.
+        (&["--stream", "fig3"][..], "--stream: unknown flag"),
         (
             &["sweep", "--grid", "smoke", "--bogus", "1"][..],
             "--bogus: unknown flag",
@@ -87,9 +91,9 @@ fn jobs_flag_is_rejected_where_nothing_reads_it() {
     assert_usage_error(
         &repro(&["fig2-bing", "--jobs", "7"]),
         "fig2-bing --jobs 7",
-        "--jobs: only --stream and serve-soak read it",
+        "--jobs: only serve-soak reads it",
     );
-    // `serve-soak` and `--stream` read it; `--list` names serve-soak too.
+    // `serve-soak` reads it; `--list` names serve-soak too.
     assert!(repro(&["--list", "--jobs", "7"]).status.success());
     assert!(repro(&["serve-soak", "--list", "--jobs", "7"])
         .status

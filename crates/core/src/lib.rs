@@ -113,9 +113,8 @@ pub use opt::{
 pub use result::{BacklogSample, EngineStats, JobOutcome, SimResult};
 
 pub use stream::{
-    run_priority_stream, run_priority_stream_observed, run_worksteal_stream,
-    run_worksteal_stream_observed, run_worksteal_stream_with_base, InstanceReplay, JobStream,
-    OptTap, RetirementStats, StreamError, StreamSummary, StreamedJob,
+    run_priority_stream, run_worksteal_stream, run_worksteal_stream_observed, InstanceReplay,
+    JobStream, OptTap, RetirementStats, StreamError, StreamSummary, StreamedJob,
 };
 pub use trace::{Action, ScheduleTrace, TraceChecker, TraceSpan, TraceViolation};
 #[cfg(feature = "reference-engine")]

@@ -433,10 +433,9 @@ pub fn run_worksteal_stream_observed<S: JobStream>(
 }
 
 /// [`run_worksteal_stream_observed`] with job ids starting at `id_base`
-/// instead of 0. Exists so the `TooManyJobs` id-space guard is testable at
-/// the `u32::MAX` boundary without streaming 4 billion jobs first.
-#[doc(hidden)]
-pub fn run_worksteal_stream_with_base<S: JobStream>(
+/// instead of 0, so the unit tests reach the `TooManyJobs` id-space guard
+/// at the `u32::MAX` boundary without streaming 4 billion jobs first.
+fn run_worksteal_stream_with_base<S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
     policy: StealPolicy,
@@ -1451,21 +1450,11 @@ fn step_lanes<S: JobStream, const F: bool>(
 /// Simulate a centralized priority scheduler over a [`JobStream`] —
 /// the streaming counterpart of [`crate::run_priority`], bit-identical on
 /// instance replays, O(active + m) live memory. Outcomes go to `sink` in
-/// completion order; `config.faults` must be empty.
-pub fn run_priority_stream<P: JobPriority, S: JobStream>(
-    stream: &mut S,
-    config: &SimConfig,
-    policy: &P,
-    sink: &mut dyn FnMut(&JobOutcome),
-) -> Result<(StreamSummary, Option<ScheduleTrace>), StreamError> {
-    run_priority_stream_observed(stream, config, policy, sink, &mut NullRecorder)
-}
-
-/// [`run_priority_stream`] with a [`Recorder`] attached: emits the same
+/// completion order; `config.faults` must be empty. `rec` gets the same
 /// `central.*` taxonomy as the materialized engine plus `central.stream.*`
 /// retirement counters (no per-job `central.flow_ticks` samples — sample
 /// from the sink).
-pub fn run_priority_stream_observed<P: JobPriority, S: JobStream>(
+pub fn run_priority_stream<P: JobPriority, S: JobStream>(
     stream: &mut S,
     config: &SimConfig,
     policy: &P,
@@ -1519,7 +1508,7 @@ pub(crate) fn emit_central_counters(
 }
 
 /// The centralized priority-list loop: the one stepper behind
-/// `run_priority_stream*` and (over [`InstanceReplay`]) behind
+/// `run_priority_stream` and (over [`InstanceReplay`]) behind
 /// `run_priority*`. Fault plans are not its business: it never reads
 /// `config.faults`.
 ///
@@ -1794,8 +1783,14 @@ mod tests {
         let (batch, _) = crate::run_priority(&inst, &cfg, &Fifo);
         let mut outs = Vec::new();
         let mut replay = InstanceReplay::new(&inst);
-        let (sum, _) = run_priority_stream(&mut replay, &cfg, &Fifo, &mut |o| outs.push(o.clone()))
-            .expect("streams cleanly");
+        let (sum, _) = run_priority_stream(
+            &mut replay,
+            &cfg,
+            &Fifo,
+            &mut |o| outs.push(o.clone()),
+            &mut NullRecorder,
+        )
+        .expect("streams cleanly");
         assert_eq!(sum.stats, batch.stats);
         assert_eq!(sum.total_rounds, batch.total_rounds);
         assert_eq!(sum.max_flow, batch.max_flow());
@@ -1862,6 +1857,34 @@ mod tests {
     }
 
     #[test]
+    fn ids_that_end_exactly_at_u32_max_run_the_base_zero_schedule() {
+        // Six jobs from base MAX - 5 fill the id space exactly; the run is
+        // the base-0 schedule with every outcome id shifted by the base.
+        let inst = inst_seq(&[(0, 3), (4, 3), (8, 3), (12, 3), (16, 3), (20, 3)]);
+        let run = |base: u64| {
+            let mut ids = Vec::new();
+            let (sum, _) = run_worksteal_stream_with_base(
+                &mut InstanceReplay::new(&inst),
+                &SimConfig::new(2),
+                StealPolicy::StealKFirst { k: 2 },
+                7,
+                &mut |o| ids.push(o.job as u64 - base),
+                &mut NullRecorder,
+                base,
+            )
+            .expect("ids fit in u32");
+            (sum, ids)
+        };
+        let top = u32::MAX as u64 - 5;
+        let ((sum_top, ids_top), (sum_zero, ids_zero)) = (run(top), run(0));
+        assert_eq!(sum_top.stats, sum_zero.stats);
+        assert_eq!(sum_top.max_flow, sum_zero.max_flow);
+        assert_eq!(sum_top.total_rounds, sum_zero.total_rounds);
+        assert_eq!(ids_top, ids_zero);
+        assert_eq!(ids_top.iter().max(), Some(&5));
+    }
+
+    #[test]
     fn unsorted_stream_is_rejected() {
         struct Unsorted(u32);
         impl JobStream for Unsorted {
@@ -1891,8 +1914,14 @@ mod tests {
         let plan = FaultPlan::none().crash(1, 2).with_panic_ppm(300_000);
         let cfg = SimConfig::new(2).with_faults(plan);
         let inst = inst_seq(&[(0, 4), (1, 3), (1, 5), (6, 2)]);
-        let err = run_priority_stream(&mut InstanceReplay::new(&inst), &cfg, &Fifo, &mut |_| {})
-            .expect_err("the centralized engines model a reliable machine");
+        let err = run_priority_stream(
+            &mut InstanceReplay::new(&inst),
+            &cfg,
+            &Fifo,
+            &mut |_| {},
+            &mut NullRecorder,
+        )
+        .expect_err("the centralized engines model a reliable machine");
         assert_eq!(err, StreamError::FaultsUnsupported);
         let policy = StealPolicy::AdmitFirst;
         let (batch, _) = crate::run_worksteal(&inst, &cfg, policy, 1);

@@ -225,7 +225,9 @@ fn workload_from_flags(flags: &Args) -> Result<(WorkloadSpec, usize), CliError> 
     if qps <= 0.0 || !qps.is_finite() {
         return Err(bad("qps", qps));
     }
-    let jobs: usize = flags.get_or("jobs", 10_000)?;
+    // Past `u32::MAX` the engines run out of job ids, which a stream
+    // would only report after 2^32 pulls.
+    let jobs = size(flags, "jobs", 10_000usize, ..=u32::MAX as usize)?;
     if qps < min_qps(jobs) {
         return Err(CliError::BadFlag(
             "qps".into(),
@@ -546,50 +548,23 @@ fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
     let jobs = spec.n_jobs as u64;
     let rec = obs.rec();
     let started = std::time::Instant::now(); // lint: allow(nondeterminism) wall-clock jobs/s reporting only; the schedule is seed-deterministic
-    let run = match policy {
-        None => parflow_bench::stream::run_stream_fifo_observed(&spec, &cfg, jobs, rec),
-        Some(p) => parflow_bench::stream::run_stream_ws_observed(&spec, &cfg, p, seed, jobs, rec),
-    }
-    .map_err(|e| CliError::Io(format!("stream: {e}")))?;
+    let run = parflow_bench::stream::run_stream(&spec, &cfg, policy, seed, jobs, rec)
+        .map_err(|e| CliError::Io(format!("stream: {e}")))?;
     let wall = started.elapsed().as_secs_f64();
-    let (stats, events) = (&run.summary.stats, run.summary.fault_events.len());
-    let fired = events > 0
-        || stats.crashed_workers + stats.reinjected_tasks + stats.injected_panics > 0
-        || stats.faulted_steps > 0;
-    let certificate = if certify && fired {
-        // As `certify_run` does: the fault-free model does not apply, and
-        // a failed job's flow is no service flow to hold P5 to.
-        let reason = "fault-injected run: the fault-free feasibility model does not apply";
-        let skipped = parflow_certify::CertReport {
-            skipped: Some(reason.into()),
-            ..Default::default()
-        };
-        Some(skipped.render())
-    } else if certify {
-        // Exact-arithmetic P5 check: at speed 1 the streamed max flow can
-        // never beat the OPT lower bound over the same arrivals. A
-        // violation is a hard error (broken engine or tracker), not a line
-        // in the report.
-        let report = parflow_certify::certify_stream_summary(
-            cfg.speed,
-            run.summary.jobs,
-            run.summary.max_flow,
-            run.opt.combined_lower_bound(),
-        );
-        if !report.is_clean() {
-            return Err(CliError::Io(report.render()));
-        }
-        Some(report.render())
-    } else {
-        None
+    // A P5 violation is a hard error (broken engine or tracker), not a
+    // line in the report; a faulted run's certificate says it was skipped.
+    let certificate = match certify.then(|| run.certify(cfg.speed)) {
+        Some(report) if report.violation.is_some() => return Err(CliError::Io(report.render())),
+        report => report.map(|report| report.render()),
     };
     let mut out = run.render(m, wall, certificate.as_deref());
     if !cfg.faults.is_empty() {
+        let stats = &run.summary.stats;
         let failed = stats.injected_panics;
         out.push_str(&format!(
             "\nfaults: {}/{} jobs completed, {failed} failed (max completed flow {:.2} ms); \
              {} crashed workers, {} reinjected tasks, {} injected panics, {} faulted steps, \
-             {events} fault events",
+             {} fault events",
             run.summary.jobs - failed,
             run.summary.jobs,
             run.max_completed_flow.to_f64() * 1000.0 / crate::workloads::TICKS_PER_SECOND,
@@ -597,6 +572,7 @@ fn exec_stream_cmd(flags: &Args) -> Result<String, CliError> {
             stats.reinjected_tasks,
             stats.injected_panics,
             stats.faulted_steps,
+            run.summary.fault_events.len(),
         ));
     }
     obs.flush(&mut out)?;
@@ -1112,6 +1088,22 @@ mod tests {
         let e = run_cli(&argv(&cmd)).unwrap_err();
         assert_eq!(e, CliError::BadFlag("jobs".into(), "bad value '0'".into()));
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn jobs_past_the_u32_job_ids_is_a_bad_flag() {
+        for cmd in [
+            "exec --stream --jobs 4294967297",
+            "simulate --scheduler fifo --jobs 4294967297",
+            "generate --jobs 4294967296 --out /nonexistent/never-written",
+        ] {
+            let e = run_cli(&argv(cmd)).unwrap_err();
+            assert!(
+                matches!(e, CliError::BadFlag(ref k, _) if k == "jobs"),
+                "{cmd}: {e:?}"
+            );
+            assert!(e.to_string().starts_with("--jobs: "), "{cmd}: {e}");
+        }
     }
 
     #[test]

@@ -13,15 +13,14 @@
 //! themselves the streaming steppers over a replay, so comparing against
 //! them would compare a stepper with itself. Likewise the incremental
 //! [`OptTracker`] must equal the batch lower bounds after every single
-//! arrival, and the `u32` job-id space must fail closed (satellite of the
-//! sweep grid's jobs-axis validation).
+//! arrival. (The `u32` job-id boundary is a unit test of the core's
+//! stream module, which can start ids near `u32::MAX`.)
 
 use parflow::core::{
     combined_lower_bound, opt_flows, opt_max_flow, run_priority, run_priority_reference,
     run_priority_stream, run_worksteal, run_worksteal_reference, run_worksteal_stream,
-    run_worksteal_stream_with_base, span_lower_bound, BiggestWeightFirst, FaultPlan, Fifo,
-    InstanceReplay, JobPriority, JobStream, Lifo, OptTracker, ShortestJobFirst, SimConfig,
-    StreamError, StreamedJob, PPM,
+    span_lower_bound, BiggestWeightFirst, FaultPlan, Fifo, InstanceReplay, JobPriority, JobStream,
+    Lifo, OptTracker, ShortestJobFirst, SimConfig, StreamError, StreamedJob, PPM,
 };
 use parflow::prelude::*;
 use proptest::prelude::*;
@@ -128,8 +127,14 @@ fn assert_priority_prefix_identical<P: JobPriority>(
     );
     let mut outs = Vec::new();
     let mut replay = InstanceReplay::prefix(inst, n);
-    let (sum, trace) = run_priority_stream(&mut replay, cfg, policy, &mut |o| outs.push(o.clone()))
-        .expect("replay of an instance is sorted and fault-free");
+    let (sum, trace) = run_priority_stream(
+        &mut replay,
+        cfg,
+        policy,
+        &mut |o| outs.push(o.clone()),
+        &mut NullRecorder,
+    )
+    .expect("replay of an instance is sorted and fault-free");
     assert_eq!(sum.jobs, n as u64, "{name} prefix {n}: jobs");
     assert_eq!(sum.stats, batch.stats, "{name} prefix {n}: stats");
     assert_eq!(
@@ -283,74 +288,6 @@ proptest! {
     }
 }
 
-/// Satellite regression: the `u32` job-id space fails closed. Seeding the
-/// stream near the top of the id space (as a resharded producer would)
-/// must surface `TooManyJobs` with the first id that did not fit, instead
-/// of silently wrapping — and a stream that stops exactly at `u32::MAX`
-/// must still run to completion.
-#[test]
-fn job_id_overflow_is_a_checked_error() {
-    let inst = Instance::new(
-        (0..6)
-            .map(|i| Job::new(i, i as u64 * 4, Arc::new(shapes::single_node(3))))
-            .collect(),
-    );
-    let cfg = SimConfig::new(2);
-    let policy = StealPolicy::StealKFirst { k: 2 };
-
-    // Base chosen so ids MAX-2, MAX-1, MAX fit and the 4th job overflows.
-    let base = u32::MAX as u64 - 2;
-    let mut replay = InstanceReplay::new(&inst);
-    let err = run_worksteal_stream_with_base(
-        &mut replay,
-        &cfg,
-        policy,
-        7,
-        &mut |_| {},
-        &mut NullRecorder,
-        base,
-    )
-    .expect_err("4th id exceeds u32");
-    assert_eq!(err, StreamError::TooManyJobs(u32::MAX as u64 + 1));
-
-    // Exactly filling the id space is fine, and the run is the same
-    // schedule as a base-0 run with every outcome id shifted by the base.
-    let top = u32::MAX as u64 - 5;
-    let mut shifted_ids = Vec::new();
-    let mut replay = InstanceReplay::new(&inst);
-    let (sum_top, _) = run_worksteal_stream_with_base(
-        &mut replay,
-        &cfg,
-        policy,
-        7,
-        &mut |o| shifted_ids.push(o.job),
-        &mut NullRecorder,
-        top,
-    )
-    .expect("ids end exactly at u32::MAX");
-    let mut base_ids = Vec::new();
-    let mut replay = InstanceReplay::new(&inst);
-    let (sum_zero, _) = run_worksteal_stream_with_base(
-        &mut replay,
-        &cfg,
-        policy,
-        7,
-        &mut |o| base_ids.push(o.job),
-        &mut NullRecorder,
-        0,
-    )
-    .expect("base 0 streams cleanly");
-    assert_eq!(sum_top.stats, sum_zero.stats);
-    assert_eq!(sum_top.max_flow, sum_zero.max_flow);
-    assert_eq!(sum_top.total_rounds, sum_zero.total_rounds);
-    let unshifted: Vec<u32> = shifted_ids
-        .iter()
-        .map(|id| (*id as u64 - top) as u32)
-        .collect();
-    assert_eq!(unshifted, base_ids);
-    assert_eq!(*shifted_ids.iter().max().unwrap(), u32::MAX);
-}
-
 /// An out-of-order stream is rejected with the offending pull index, not
 /// simulated wrong.
 #[test]
@@ -404,7 +341,13 @@ fn zero_weight_job_is_a_checked_error() {
     .expect_err("third job has weight 0");
     assert_eq!(err, StreamError::ZeroWeight { index: 2 });
     assert!(err.to_string().contains("weight 0"));
-    let err = run_priority_stream(&mut ThirdWeightless(0), &cfg, &Fifo, &mut |_| {})
-        .expect_err("third job has weight 0");
+    let err = run_priority_stream(
+        &mut ThirdWeightless(0),
+        &cfg,
+        &Fifo,
+        &mut |_| {},
+        &mut NullRecorder,
+    )
+    .expect_err("third job has weight 0");
     assert_eq!(err, StreamError::ZeroWeight { index: 2 });
 }
