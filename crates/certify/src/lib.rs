@@ -9,7 +9,7 @@
 //! | Invariant | Checked property |
 //! |-----------|------------------|
 //! | **P1 precedence** | no node receives a unit before its arrival or before every DAG predecessor completed in a strictly earlier round; every node receives exactly `work` units |
-//! | **P2 capacity**   | every explicit round row covers exactly `m` processors; RLE idle spans never skip rounds in which an arrived job was incomplete; trace action counts equal the engine's reported counters |
+//! | **P2 capacity**   | every span covers at least one round and every busy row exactly `m` processors; RLE idle spans never skip rounds in which an arrived job was incomplete; trace action counts equal the engine's reported counters |
 //! | **P3 policy**     | admit-first never steals or idles past a non-empty global queue; steal-k-first admits only after `k` consecutive failed steals; FIFO admission order is respected |
 //! | **P4 flow accounting** | every reported start/completion round, completion time and flow is recomputed exactly from the trace |
 //! | **P5 lower bound** | at speed 1 the observed max flow dominates the independently recomputed `combined_lower_bound`; every job's flow dominates `span / speed` |
@@ -21,8 +21,8 @@
 //! feasibility model above is fault-free); certifying one yields a
 //! [`CertReport::skipped`] reason, never a false violation.
 //!
-//! The feasibility facts themselves — all of P1 and P2's row width — are
-//! not implemented here: the certifier drives the one
+//! The feasibility facts themselves — all of P1 and P2's span shape —
+//! are not implemented here: the certifier drives the one
 //! [`TraceChecker`] that also sits behind `ScheduleTrace::validate`, and
 //! turns its [`TraceViolation`] into a [`Violation`] in one function.
 //! What lives in this crate is policy and accounting: the admission-queue
@@ -30,10 +30,13 @@
 //! job's reported outcome, checked at the round of its last unit from
 //! the first and last work round the checker reports (P4, P5).
 //!
+//! A busy span repeating one row for many rounds is replayed round by
+//! round, exactly as its expansion, so a broken trace gets the finding
+//! its expansion gets.
+//!
 //! Policy conformance (P3) replays the global admission queue from the
 //! trace alone: arrivals enter at round start, workers act in index
-//! order, and an admission is the first-ever unit of work on a job (an
-//! explicit `Action::Admit`, which no engine records, is rejected). Two
+//! order, and an admission is the first-ever unit of work on a job. Two
 //! engine behaviours are *not* reconstructable from a trace and are
 //! deliberately unchecked: steal victim choice (the trace does not name
 //! victims) and the free-steal-cost probe counter (free probes leave no
@@ -202,12 +205,16 @@ fn violation(
 }
 
 /// The one place a feasibility fact found by the shared
-/// [`TraceChecker`] becomes a certifier finding: row width is P2,
+/// [`TraceChecker`] becomes a certifier finding: span shape is P2,
 /// everything else P1; the locus carries over, plus the worker when the
 /// fact is about one work unit.
 fn from_trace(v: TraceViolation, worker: Option<usize>) -> Violation {
     use TraceViolation as T;
     let (round, job, message) = match v {
+        T::EmptySpan { round } => {
+            let message = "span covers no rounds".to_string();
+            return violation(Invariant::Capacity, Some(round), None, None, message);
+        }
         T::BadRowWidth { round, width, m } => {
             let message = format!("row covers {width} processors, machine has {m}");
             return violation(Invariant::Capacity, Some(round), None, None, message);
@@ -309,7 +316,13 @@ impl<'a> Replay<'a> {
             let start = self.checker.span(span).map_err(|v| from_trace(v, None))?;
             match span {
                 TraceSpan::Idle { count } => self.idle_span(start, *count)?,
-                TraceSpan::Busy(row) => self.busy_row(start, row)?,
+                TraceSpan::Busy { row, rounds } => {
+                    self.busy_row(start, row)?;
+                    for _ in 1..*rounds {
+                        let r = self.checker.next_round();
+                        self.busy_row(r, row)?;
+                    }
+                }
             }
         }
         self.checker.finish().map_err(|v| from_trace(v, None))?;
@@ -544,16 +557,6 @@ impl<'a> Replay<'a> {
                     // resets the counter on every work step (an admission
                     // is one), and on a successful steal.
                     self.failed_steals[p] = 0;
-                }
-                Action::Admit { job } => {
-                    return Err(violation(
-                        Invariant::Policy,
-                        Some(r),
-                        Some(p),
-                        Some(job),
-                        "explicit admit action: an admission is the job's first unit of work"
-                            .to_string(),
-                    ));
                 }
                 Action::Steal { hit } => self.steal(r, p, hit)?,
                 Action::Idle => self.idle_worker(r, p)?,

@@ -14,11 +14,15 @@
 //!    `tests/trace_fuzz.rs` and the P1 / P2 trace mutants below are
 //!    rejected by `ScheduleTrace::validate` *and* by `certify_run`, at the
 //!    same job and round.
+//! 4. **Spans replay as their expansion** — a busy span mutated in its
+//!    round count is rejected at the round, worker and job where its
+//!    expansion breaks the model (`tests/trace_fuzz.rs` holds every
+//!    verdict to that of the trace split into one-round spans).
 
 use parflow_certify::{certify_run, certify_stream_summary, CertReport, Invariant};
 use parflow_core::{
     run_priority, run_worksteal, Action, Fifo, ScheduleTrace, SimConfig, SimResult, StealPolicy,
-    TraceViolation,
+    TraceSpan, TraceViolation,
 };
 use parflow_dag::{shapes, Instance, Job};
 use parflow_time::{Rational, Speed};
@@ -272,7 +276,9 @@ fn validate_and_certify_reject_the_same_job_and_round() {
             let found = bad.validate(inst).expect_err(name);
             use TraceViolation as T;
             let (invariant, round, job) = match found {
-                T::BadRowWidth { round, .. } => (Invariant::Capacity, Some(round), None),
+                T::EmptySpan { round } | T::BadRowWidth { round, .. } => {
+                    (Invariant::Capacity, Some(round), None)
+                }
                 T::IncompleteNode { job, .. } => (Invariant::Precedence, None, Some(job)),
                 T::UnknownTarget { round, job, .. }
                 | T::EarlyStart { round, job }
@@ -426,4 +432,111 @@ fn report_rendering_names_the_locus() {
     assert!(line.contains("job 0"), "{line}");
     let clean = CertReport::default();
     assert!(clean.render().contains("clean"), "{}", clean.render());
+}
+
+/// Run `inst` traced (work stealing under `policy`, or FIFO for `None`),
+/// check it clean, set the round counts of its spans with `mutate`, and
+/// return the one finding.
+fn span_mutant(
+    inst: &Instance,
+    cfg: &SimConfig,
+    policy: Option<StealPolicy>,
+    mutate: impl FnOnce(&mut Vec<TraceSpan>),
+) -> parflow_certify::Violation {
+    let (result, trace) = match policy {
+        Some(policy) => run_worksteal(inst, cfg, policy, 1),
+        None => run_priority(inst, cfg, &Fifo),
+    };
+    let mut trace = trace.expect("trace requested");
+    assert!(certify_run(inst, cfg, policy, &result, &trace).is_clean());
+    mutate(&mut trace.spans);
+    let report = certify_run(inst, cfg, policy, &result, &trace);
+    report.violation.expect("mutant must be rejected")
+}
+
+/// The round count of a busy or idle span.
+fn rounds_of(span: &mut TraceSpan) -> &mut u64 {
+    match span {
+        TraceSpan::Busy { rounds, .. } => rounds,
+        TraceSpan::Idle { count } => count,
+    }
+}
+
+/// Span mutant 1: a span one round longer than a node's remaining
+/// work. Jobs of 4 and 2 units share the first two rounds; a third round
+/// of that row over-executes job 1 — P1 at that round and worker.
+#[test]
+fn span_past_a_nodes_work_violates_precedence() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(4))),
+        Job::new(1, 0, Arc::new(shapes::single_node(2))),
+    ]);
+    let cfg = SimConfig::new(2).with_trace();
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+        assert_eq!(*rounds_of(&mut spans[0]), 2);
+        *rounds_of(&mut spans[0]) += 1;
+    });
+    assert_eq!(v.invariant, Invariant::Precedence, "{v}");
+    assert_eq!(
+        (v.round, v.worker, v.job),
+        (Some(2), Some(1), Some(1)),
+        "{v}"
+    );
+    assert!(v.message.contains("over-executed"), "{v}");
+}
+
+/// Span mutant 2: under free steals, the first row `[job 0, idle]`
+/// stretched over the whole trace keeps worker 1 idle through round 5,
+/// where job 1 becomes eligible — P3 at that round, naming job 1.
+#[test]
+fn idle_row_across_an_arrival_violates_policy() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(10))),
+        Job::new(1, 5, Arc::new(shapes::single_node(2))),
+    ]);
+    let cfg = SimConfig::new(2).with_free_steals().with_trace();
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+        let total = spans.iter_mut().map(|s| *rounds_of(s)).sum();
+        spans.truncate(1);
+        *rounds_of(&mut spans[0]) = total;
+    });
+    assert_eq!(v.invariant, Invariant::Policy, "{v}");
+    assert_eq!(
+        (v.round, v.worker, v.job),
+        (Some(5), Some(1), Some(1)),
+        "{v}"
+    );
+}
+
+/// Span mutant 3: FIFO's first span one round too long shifts job 1
+/// (arriving at 3) a round later than the engine reported — P4 at job 1,
+/// before the trace's extra unit over-executes job 0. A span of no
+/// rounds is P2.
+#[test]
+fn span_off_by_one_violates_flow_accounting() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(10))),
+        Job::new(1, 3, Arc::new(shapes::single_node(2))),
+    ]);
+    let cfg = SimConfig::new(2).with_trace();
+    let v = span_mutant(&inst, &cfg, None, |spans| {
+        assert_eq!(*rounds_of(&mut spans[0]), 3);
+        *rounds_of(&mut spans[0]) += 1;
+    });
+    assert_eq!(v.invariant, Invariant::FlowAccounting, "{v}");
+    assert_eq!((v.round, v.worker, v.job), (None, None, Some(1)), "{v}");
+    assert!(v.message.contains("start_round 3"), "{v}");
+
+    // A span of no rounds has no expansion to compare with.
+    let (result, trace) = run_priority(&inst, &cfg, &Fifo);
+    let mut trace = trace.expect("trace requested");
+    *rounds_of(&mut trace.spans[1]) = 0;
+    assert_eq!(
+        trace.validate(&inst),
+        Err(TraceViolation::EmptySpan { round: 3 })
+    );
+    let empty = certify_run(&inst, &cfg, None, &result, &trace).violation;
+    let empty = empty.expect("an empty span must be rejected");
+    assert_eq!(empty.invariant, Invariant::Capacity, "{empty}");
+    assert_eq!(empty.round, Some(3), "{empty}");
 }

@@ -270,7 +270,7 @@ pub fn run_priority_reference<P: JobPriority>(
                 .map(|&(job, node)| Action::Work { job, node })
                 .collect();
             row.resize(m, Action::Idle);
-            t.push_row(row);
+            t.push_row(&row, 1);
         }
 
         round += 1;
@@ -432,7 +432,7 @@ mod tests {
         let (r, trace) = run_priority(&inst, &SimConfig::new(3).with_trace(), &Fifo);
         let trace = trace.unwrap();
         assert!(trace.validate(&inst).is_ok());
-        let (w, _, _, _) = trace.action_counts();
+        let (w, _, _) = trace.action_counts();
         assert_eq!(w, r.stats.work_steps);
         assert_eq!(w, inst.total_work());
     }

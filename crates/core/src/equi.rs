@@ -46,6 +46,7 @@ pub fn run_equi(instance: &Instance, config: &SimConfig) -> (SimResult, Option<S
 
     let mut claimed: Vec<(JobId, NodeId)> = Vec::new();
     let mut ready_buf: Vec<NodeId> = Vec::new();
+    let mut row: Vec<Action> = Vec::new();
 
     while completed < n {
         assert!(round <= safety_cap, "EQUI engine exceeded round cap");
@@ -150,12 +151,14 @@ pub fn run_equi(instance: &Instance, config: &SimConfig) -> (SimResult, Option<S
         stats.idle_steps += (m - claimed.len()) as u64;
         last_busy_round = round;
         if let Some(t) = trace.as_mut() {
-            let mut row: Vec<Action> = claimed
-                .iter()
-                .map(|&(job, node)| Action::Work { job, node })
-                .collect();
+            row.clear();
+            row.extend(
+                claimed
+                    .iter()
+                    .map(|&(job, node)| Action::Work { job, node }),
+            );
             row.resize(m, Action::Idle);
-            t.push_row(row);
+            t.push_row(&row, 1);
         }
         round += 1;
     }

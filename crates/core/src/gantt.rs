@@ -15,7 +15,7 @@ fn job_symbol(job: JobId) -> char {
 /// Render rounds `[from, to)` of a trace as an ASCII Gantt chart.
 ///
 /// Symbols: a letter = working on that job (letters cycle per job id),
-/// `*` = steal attempt, `+` = admission, `.` = idle. A header row marks
+/// `*` = steal attempt, `.` = idle. A header row marks
 /// every tenth round; a legend lists the jobs appearing in the window.
 ///
 /// Intended for small windows (`to − from` up to ~120 columns).
@@ -49,12 +49,6 @@ pub fn render_gantt(trace: &ScheduleTrace, from: Round, to: Round) -> String {
                     job_symbol(*job)
                 }
                 Some(Action::Steal { .. }) => '*',
-                Some(Action::Admit { job }) => {
-                    if !seen.contains(job) {
-                        seen.push(*job);
-                    }
-                    '+'
-                }
                 Some(Action::Idle) | None => '.',
             };
             out.push(c);

@@ -24,7 +24,7 @@
 
 use crate::interval::analyze_intervals;
 use crate::result::SimResult;
-use crate::trace::{Action, ScheduleTrace};
+use crate::trace::{Action, ScheduleTrace, TraceSpan};
 use parflow_dag::{Instance, JobId};
 use parflow_time::{Rational, Round};
 
@@ -48,15 +48,17 @@ impl RoundActivity {
         let n_rounds = trace.num_rounds() as usize;
         let mut work = Vec::with_capacity(n_rounds);
         let mut idling = Vec::with_capacity(n_rounds);
-        for row in trace.rounds() {
-            // `None` = an idle round from a run-length-encoded idle span.
-            let w = row.map_or(0, |r| {
-                r.iter()
+        for span in &trace.spans {
+            let w = match span {
+                TraceSpan::Busy { row, .. } => row
+                    .iter()
                     .filter(|a| matches!(a, Action::Work { .. }))
-                    .count() as u32 // lint: allow(truncating-cast) bounded by the row width m; 2^32 processors unrepresentable
-            });
-            work.push(w);
-            idling.push(m as u32 - w); // lint: allow(truncating-cast) m is the processor count; 2^32 processors unrepresentable
+                    .count() as u32, // lint: allow(truncating-cast) bounded by the row width m; 2^32 processors unrepresentable
+                TraceSpan::Idle { .. } => 0,
+            };
+            let rounds = span.rounds() as usize;
+            work.extend(std::iter::repeat_n(w, rounds));
+            idling.extend(std::iter::repeat_n(m as u32 - w, rounds)); // lint: allow(truncating-cast) m is the processor count; 2^32 processors unrepresentable
         }
         let mut prefix_idling = Vec::with_capacity(work.len() + 1);
         let mut prefix_nonfull = Vec::with_capacity(work.len() + 1);

@@ -176,7 +176,7 @@ mod proptests {
             let (result, trace) = run_priority(&inst, &cfg, &Fifo);
             let trace = trace.unwrap();
             prop_assert_eq!(trace.validate(&inst), Ok(()));
-            let (w, _, _, _) = trace.action_counts();
+            let (w, _, _) = trace.action_counts();
             prop_assert_eq!(w, inst.total_work());
             prop_assert_eq!(result.outcomes.len(), inst.len());
         }

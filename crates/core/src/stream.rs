@@ -1218,6 +1218,7 @@ fn step_lanes<S: JobStream, const F: bool>(
         st.faults = Some(Box::new(FaultState::new(plan, m, seed)));
     }
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
+    let mut row: Vec<Action> = Vec::new();
     let mut samples: Vec<BacklogSample> = Vec::new();
     let se = config.sample_every;
 
@@ -1366,7 +1367,7 @@ fn step_lanes<S: JobStream, const F: bool>(
             st.jump(round, round + 1);
         }
         let completions = st.min_done == round;
-        let mut row: Vec<Action> = Vec::new();
+        row.clear();
         if config.record_trace {
             row.extend((0..m).map(|p| {
                 let (sid, node) = st.buf.cur[p];
@@ -1421,7 +1422,7 @@ fn step_lanes<S: JobStream, const F: bool>(
         st.advance_faults(round, round + 1, false);
         last_busy_round = round;
         if let Some(t) = trace.as_mut() {
-            t.push_row(row);
+            t.push_row(&row, 1);
         }
         round += 1;
     }
@@ -1543,6 +1544,7 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
     let mut ready_scratch: Vec<NodeId> = Vec::new();
     let mut stats = EngineStats::default();
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
+    let mut row: Vec<Action> = Vec::new();
     let mut obs = HorizonObs::default();
 
     let mut released: u64 = 0;
@@ -1702,15 +1704,14 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
         last_busy_round = last;
 
         if let Some(t) = trace.as_mut() {
-            let mut row: Vec<Action> = claimed
-                .iter()
-                .map(|&(_, job, node)| Action::Work { job, node })
-                .collect();
+            row.clear();
+            row.extend(
+                claimed
+                    .iter()
+                    .map(|&(_, job, node)| Action::Work { job, node }),
+            );
             row.resize(m, Action::Idle);
-            for _ in 1..delta {
-                t.push_row(row.clone());
-            }
-            t.push_row(row);
+            t.push_row(&row, delta);
         }
 
         round += delta;

@@ -9,10 +9,12 @@
 //! `parflow-certify` drives the same checker and adds policy and
 //! accounting on top.
 //!
-//! All-idle rounds (quiescent gaps between arrivals) are run-length encoded
-//! as a single [`TraceSpan::Idle`] entry instead of `gap` copies of
-//! `vec![Action::Idle; m]`, so a trace of a sparse instance costs O(busy
-//! rounds), not O(total rounds).
+//! A trace is run-length encoded: each maximal run of identical
+//! consecutive rows is one [`TraceSpan::Busy`] carrying its round count,
+//! and each run of all-idle rounds (quiescent gaps between arrivals) one
+//! [`TraceSpan::Idle`]. So a trace costs O(distinct consecutive rows),
+//! not O(total rounds); the checker still replays a busy span round by
+//! round, exactly as its expansion.
 
 use crate::bits::BitWords;
 use parflow_dag::{Instance, Job, JobId, NodeId};
@@ -35,11 +37,6 @@ pub enum Action {
         /// Whether the attempt found work.
         hit: bool,
     },
-    /// Admitted a job from the global queue (work stealing only).
-    Admit {
-        /// Job admitted.
-        job: JobId,
-    },
     /// Nothing to do.
     Idle,
 }
@@ -47,8 +44,14 @@ pub enum Action {
 /// A run of consecutive rounds in a [`ScheduleTrace`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceSpan {
-    /// One explicit round: what each of the `m` processors did.
-    Busy(Vec<Action>),
+    /// `rounds` consecutive rounds in which each of the `m` processors
+    /// did what `row` says.
+    Busy {
+        /// What each processor did in every round of the span.
+        row: Vec<Action>,
+        /// Number of rounds this span covers.
+        rounds: u64,
+    },
     /// `count` consecutive rounds in which every processor idled.
     Idle {
         /// Number of all-idle rounds this span covers.
@@ -58,10 +61,11 @@ pub enum TraceSpan {
 
 /// A complete record of a simulated schedule, as a sequence of rounds.
 ///
-/// Busy rounds are stored explicitly; all-idle spans are run-length
-/// encoded. Use [`ScheduleTrace::rounds`] to iterate per-round rows
-/// (idle rounds yield `None`), or [`ScheduleTrace::to_dense`] for the
-/// expanded `rounds[r][p]` form.
+/// Runs of identical rows and of all-idle rounds are run-length encoded
+/// (the canonical form every engine records and
+/// [`ScheduleTrace::from_dense`] rebuilds). Use [`ScheduleTrace::rounds`]
+/// to iterate per-round rows (idle rounds yield `None`), or
+/// [`ScheduleTrace::to_dense`] for the expanded `rounds[r][p]` form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleTrace {
     /// Number of processors.
@@ -76,6 +80,11 @@ pub struct ScheduleTrace {
 /// [`ScheduleTrace::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceViolation {
+    /// A span covers no rounds.
+    EmptySpan {
+        /// Round the span would start at.
+        round: Round,
+    },
     /// A round row has the wrong number of processor entries.
     BadRowWidth {
         /// Offending round.
@@ -142,6 +151,7 @@ pub enum TraceViolation {
 impl fmt::Display for TraceViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TraceViolation::EmptySpan { round } => write!(f, "round {round}: span of no rounds"),
             TraceViolation::BadRowWidth { round, width, m } => {
                 write!(f, "round {round}: row covers {width} of {m} processors")
             }
@@ -179,20 +189,24 @@ impl ScheduleTrace {
         }
     }
 
-    /// Total number of rounds covered (busy rows plus RLE idle rounds).
+    /// Total number of rounds covered (busy and idle spans).
     pub fn num_rounds(&self) -> u64 {
-        self.spans
-            .iter()
-            .map(|s| match s {
-                TraceSpan::Busy(_) => 1,
-                TraceSpan::Idle { count } => *count,
-            })
-            .sum()
+        self.spans.iter().map(TraceSpan::rounds).sum()
     }
 
-    /// Append one explicit round row.
-    pub(crate) fn push_row(&mut self, row: Vec<Action>) {
-        self.spans.push(TraceSpan::Busy(row));
+    /// Append `rounds` rounds of `row`, merging into a trailing busy span
+    /// of the same row; the row is copied only when it differs.
+    pub(crate) fn push_row(&mut self, row: &[Action], rounds: u64) {
+        match self.spans.last_mut() {
+            Some(TraceSpan::Busy {
+                row: last,
+                rounds: r,
+            }) if last.as_slice() == row => *r += rounds,
+            _ => self.spans.push(TraceSpan::Busy {
+                row: row.to_vec(),
+                rounds,
+            }),
+        }
     }
 
     /// Append `count` all-idle rounds, merging into a trailing idle span.
@@ -210,46 +224,52 @@ impl ScheduleTrace {
     /// Iterate rounds in order. Busy rounds yield `Some(row)`, RLE idle
     /// rounds yield `None` (semantically a row of `m` idles).
     pub fn rounds(&self) -> impl Iterator<Item = Option<&[Action]>> {
-        self.spans.iter().flat_map(|s| match s {
-            TraceSpan::Busy(row) => itertools_repeat_row(Some(row.as_slice()), 1),
-            TraceSpan::Idle { count } => itertools_repeat_row(None, *count),
+        self.spans.iter().flat_map(|s| {
+            let row = match s {
+                TraceSpan::Busy { row, .. } => Some(row.as_slice()),
+                TraceSpan::Idle { .. } => None,
+            };
+            std::iter::repeat_n(row, s.rounds() as usize)
         })
     }
 
     /// Expand to the dense `rounds[r][p]` form (idle spans materialized).
     pub fn to_dense(&self) -> Vec<Vec<Action>> {
-        let mut out = Vec::new();
-        for row in self.rounds() {
-            match row {
-                Some(r) => out.push(r.to_vec()),
-                None => out.push(vec![Action::Idle; self.m]),
-            }
-        }
-        out
+        let idle = vec![Action::Idle; self.m];
+        self.rounds()
+            .map(|row| row.unwrap_or(&idle).to_vec())
+            .collect()
     }
 
-    /// Build a trace from dense rows (the inverse of
-    /// [`ScheduleTrace::to_dense`]; all-idle rows are re-encoded).
+    /// Build the canonical trace of dense rows (the inverse of
+    /// [`ScheduleTrace::to_dense`]): all-idle rows and runs of equal
+    /// rows are re-encoded.
     pub fn from_dense(m: usize, speed: Speed, rows: Vec<Vec<Action>>) -> Self {
         let mut t = ScheduleTrace::new(m, speed);
         for row in rows {
             if !row.is_empty() && row.len() == m && row.iter().all(|a| *a == Action::Idle) {
                 t.push_idle_rounds(1);
             } else {
-                t.push_row(row);
+                t.push_row(&row, 1);
             }
         }
         t
     }
 
     /// Exhaustively validate this trace against `instance`: a fold of
-    /// every span, and every work unit of every busy row, through one
+    /// every span, and every work unit of every round, through one
     /// [`TraceChecker`].
     pub fn validate(&self, instance: &Instance) -> Result<(), TraceViolation> {
         let mut checker = TraceChecker::new(instance, self.m, self.speed);
         for span in &self.spans {
             checker.span(span)?;
-            if let TraceSpan::Busy(row) = span {
+            let TraceSpan::Busy { row, rounds } = span else {
+                continue;
+            };
+            for r in 0..*rounds {
+                if r > 0 {
+                    checker.next_round();
+                }
                 for action in row {
                     if let Action::Work { job, node } = *action {
                         checker.work(job, node)?;
@@ -260,25 +280,34 @@ impl ScheduleTrace {
         checker.finish()
     }
 
-    /// Count processor-rounds by action type: (work, steals, admits, idle).
-    pub fn action_counts(&self) -> (u64, u64, u64, u64) {
-        let (mut w, mut s, mut a, mut i) = (0, 0, 0, 0);
+    /// Count processor-rounds by action type: (work, steals, idle).
+    pub fn action_counts(&self) -> (u64, u64, u64) {
+        let (mut w, mut s, mut i) = (0, 0, 0);
         for span in &self.spans {
             match span {
                 TraceSpan::Idle { count } => i += count * self.m as u64,
-                TraceSpan::Busy(row) => {
+                TraceSpan::Busy { row, rounds } => {
                     for act in row {
                         match act {
-                            Action::Work { .. } => w += 1,
-                            Action::Steal { .. } => s += 1,
-                            Action::Admit { .. } => a += 1,
-                            Action::Idle => i += 1,
+                            Action::Work { .. } => w += rounds,
+                            Action::Steal { .. } => s += rounds,
+                            Action::Idle => i += rounds,
                         }
                     }
                 }
             }
         }
-        (w, s, a, i)
+        (w, s, i)
+    }
+}
+
+impl TraceSpan {
+    /// Number of rounds the span covers.
+    pub(crate) fn rounds(&self) -> u64 {
+        match self {
+            TraceSpan::Busy { rounds, .. } => *rounds,
+            TraceSpan::Idle { count } => *count,
+        }
     }
 }
 
@@ -310,11 +339,13 @@ struct LiveJob {
 /// The feasibility model, replayed one span and one work unit at a time.
 ///
 /// Enter each [`TraceSpan`] through [`TraceChecker::span`] (which keeps
-/// the running round), feed every `Work` action of a busy row, in
+/// the running round), feed every `Work` action of a busy span's row, in
 /// processor order, through [`TraceChecker::work`], and close the trace
-/// with [`TraceChecker::finish`]. Checked, independently of any engine
-/// state:
-/// 1. every explicit round row covers all `m` processors;
+/// with [`TraceChecker::finish`]. Each further round of a busy span is
+/// [`TraceChecker::next_round`] and the row's units again.
+/// Checked, independently of any engine state:
+/// 1. every span covers at least one round, and every busy row all `m`
+///    processors;
 /// 2. no job is worked on before its arrival becomes visible
 ///    (`arrival ≤ round-start`);
 /// 3. no node runs on two processors in the same round;
@@ -329,7 +360,8 @@ pub struct TraceChecker<'a> {
     jobs: &'a [Job],
     m: usize,
     speed: Speed,
-    /// First round of the span entered last.
+    /// The round being fed: the first of the span entered last, unless
+    /// [`TraceChecker::next_round`] moved on.
     round: Round,
     /// First round of the span to enter next.
     next_round: Round,
@@ -361,25 +393,35 @@ impl<'a> TraceChecker<'a> {
         }
     }
 
-    /// Enter the next span and return the round it starts at; a busy row
-    /// must be `m` wide.
+    /// Enter the next span and return the round it starts at; a span
+    /// must cover a round, and a busy row be `m` wide.
     pub fn span(&mut self, span: &TraceSpan) -> Result<Round, TraceViolation> {
         self.round = self.next_round;
-        self.next_round += match span {
-            TraceSpan::Idle { count } => *count,
-            TraceSpan::Busy(row) if row.len() == self.m => 1,
-            TraceSpan::Busy(row) => {
+        if let TraceSpan::Busy { row, .. } = span {
+            if row.len() != self.m {
                 return Err(TraceViolation::BadRowWidth {
                     round: self.round,
                     width: row.len(),
                     m: self.m,
-                })
+                });
             }
-        };
+        }
+        if span.rounds() == 0 {
+            return Err(TraceViolation::EmptySpan { round: self.round });
+        }
+        self.next_round += span.rounds();
         Ok(self.round)
     }
 
-    /// One unit of work on `node` of `job` in the busy row entered last.
+    /// Move on to the next round of the busy span entered last, to feed
+    /// its row's units again; returns that round.
+    pub fn next_round(&mut self) -> Round {
+        debug_assert!(self.round + 1 < self.next_round);
+        self.round += 1;
+        self.round
+    }
+
+    /// One unit of work on `node` of `job` in the round being fed.
     ///
     /// Returns whether this was the job's first unit and, when it was its
     /// last, the round of its first.
@@ -479,15 +521,6 @@ impl<'a> TraceChecker<'a> {
     }
 }
 
-/// Repeat a row reference `count` times (names the closure-free type so
-/// both `flat_map` arms agree).
-fn itertools_repeat_row(
-    row: Option<&[Action]>,
-    count: u64,
-) -> std::iter::RepeatN<Option<&[Action]>> {
-    std::iter::repeat_n(row, count as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,7 +535,7 @@ mod tests {
     fn trace(m: usize, rounds: Vec<Vec<Action>>) -> ScheduleTrace {
         let mut t = ScheduleTrace::new(m, Speed::ONE);
         for row in rounds {
-            t.push_row(row);
+            t.push_row(&row, 1);
         }
         t
     }
@@ -518,7 +551,7 @@ mod tests {
             ],
         );
         assert_eq!(t.validate(&inst), Ok(()));
-        assert_eq!(t.action_counts(), (2, 0, 0, 0));
+        assert_eq!(t.action_counts(), (2, 0, 0));
     }
 
     #[test]
@@ -666,13 +699,13 @@ mod tests {
         // Idle gaps are RLE'd, merge with adjacent idle pushes, and
         // round-trip through the dense form.
         let mut t = ScheduleTrace::new(2, Speed::ONE);
-        t.push_row(vec![Action::Work { job: 0, node: 0 }, Action::Idle]);
+        t.push_row(&[Action::Work { job: 0, node: 0 }, Action::Idle], 1);
         t.push_idle_rounds(3);
         t.push_idle_rounds(2);
-        t.push_row(vec![Action::Work { job: 0, node: 1 }, Action::Idle]);
+        t.push_row(&[Action::Work { job: 0, node: 1 }, Action::Idle], 1);
         assert_eq!(t.spans.len(), 3, "adjacent idle spans merged");
         assert_eq!(t.num_rounds(), 7);
-        assert_eq!(t.action_counts(), (2, 0, 0, 12));
+        assert_eq!(t.action_counts(), (2, 0, 12));
 
         let dense = t.to_dense();
         assert_eq!(dense.len(), 7);
@@ -688,9 +721,9 @@ mod tests {
         let dag = Arc::new(shapes::chain(2, 1));
         let inst = Instance::new(vec![Job::new(0, 0, dag)]);
         let mut t = ScheduleTrace::new(1, Speed::ONE);
-        t.push_row(vec![Action::Work { job: 0, node: 0 }]);
+        t.push_row(&[Action::Work { job: 0, node: 0 }], 1);
         t.push_idle_rounds(4);
-        t.push_row(vec![Action::Work { job: 0, node: 1 }]);
+        t.push_row(&[Action::Work { job: 0, node: 1 }], 1);
         assert_eq!(t.validate(&inst), Ok(()));
         assert_eq!(
             ScheduleTrace::from_dense(1, Speed::ONE, t.to_dense()).validate(&inst),
@@ -713,7 +746,10 @@ mod tests {
         let mut checker = TraceChecker::new(&inst, 1, Speed::ONE);
         for job in 0..JOBS {
             for node in 0..3 {
-                let row = TraceSpan::Busy(vec![Action::Work { job, node }]);
+                let row = TraceSpan::Busy {
+                    row: vec![Action::Work { job, node }],
+                    rounds: 1,
+                };
                 assert_eq!(checker.span(&row), Ok(3 * job as u64 + node as u64));
                 let first_round = 3 * job as u64;
                 assert_eq!(
@@ -746,7 +782,7 @@ mod tests {
         let mut t = trace(M, vec![alone(0), wide.collect(), alone(M as NodeId + 1)]);
         assert_eq!(t.validate(&inst), Ok(()));
         // The same row with one node on two processors is caught at it.
-        let TraceSpan::Busy(row) = &mut t.spans[1] else {
+        let TraceSpan::Busy { row, .. } = &mut t.spans[1] else {
             panic!("row 1 is busy");
         };
         row[M - 1] = row[0];
@@ -757,6 +793,55 @@ mod tests {
                 job: 0,
                 node: 1
             })
+        );
+    }
+
+    #[test]
+    fn equal_rows_merge_into_one_span_and_replay_as_their_expansion() {
+        // Job 0: a chain of two 5-unit nodes; job 1 (arriving at 2): a
+        // 3-unit node. Rows repeat while no node runs out.
+        let inst = Instance::new(vec![
+            Job::new(0, 0, Arc::new(shapes::chain(2, 5))),
+            Job::new(1, 2, Arc::new(shapes::single_node(3))),
+        ]);
+        let (a, b) = (
+            Action::Work { job: 0, node: 0 },
+            Action::Work { job: 1, node: 0 },
+        );
+        let mut t = ScheduleTrace::new(2, Speed::ONE);
+        t.push_row(&[a, Action::Idle], 2);
+        t.push_row(&[a, b], 1);
+        t.push_row(&[a, b], 2);
+        t.push_row(&[Action::Work { job: 0, node: 1 }, Action::Idle], 5);
+        assert_eq!(t.spans.len(), 3, "equal consecutive rows merged");
+        assert_eq!(t.num_rounds(), 10);
+        assert_eq!(t.action_counts(), (13, 0, 7));
+        assert_eq!(ScheduleTrace::from_dense(2, Speed::ONE, t.to_dense()), t);
+        assert_eq!(t.validate(&inst), Ok(()));
+
+        // One round too many: the replay finds the over-execution where
+        // the expansion has it.
+        let mut long = t.clone();
+        let TraceSpan::Busy { rounds, .. } = &mut long.spans[1] else {
+            panic!("span 1 is busy");
+        };
+        *rounds += 1;
+        let over = Err(TraceViolation::OverExecution {
+            round: 5,
+            job: 0,
+            node: 0,
+        });
+        assert_eq!(long.validate(&inst), over);
+        let dense = ScheduleTrace::from_dense(2, Speed::ONE, long.to_dense());
+        assert_eq!(dense.validate(&inst), over);
+
+        long.spans[1] = TraceSpan::Busy {
+            row: vec![a, b],
+            rounds: 0,
+        };
+        assert_eq!(
+            long.validate(&inst),
+            Err(TraceViolation::EmptySpan { round: 2 })
         );
     }
 }

@@ -906,7 +906,7 @@ mod reference {
 
             last_busy_round = round;
             if let Some(t) = trace.as_mut() {
-                t.push_row(row);
+                t.push_row(&row, 1);
             }
             round += 1;
         }
@@ -1175,7 +1175,7 @@ mod tests {
         );
         let trace = trace.unwrap();
         assert!(trace.validate(&inst).is_ok());
-        let (w, s, _, _) = trace.action_counts();
+        let (w, s, _) = trace.action_counts();
         assert_eq!(w, r.stats.work_steps);
         assert_eq!(s, r.stats.steal_attempts);
     }
@@ -1362,7 +1362,7 @@ mod tests {
             );
             let trace = trace.unwrap();
             assert!(trace.validate(&inst).is_ok(), "{}", policy.name());
-            let (w, s, _, _) = trace.action_counts();
+            let (w, s, _) = trace.action_counts();
             assert_eq!(w, r.stats.work_steps);
             // Free steals never appear as round actions.
             assert_eq!(s, 0);

@@ -132,7 +132,7 @@ fn trace_work_counts_match_stats() {
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 2000.0, 50, 9).generate();
     let cfg = SimConfig::new(4).with_trace();
     let (result, trace) = run_worksteal(&inst, &cfg, StealPolicy::StealKFirst { k: 4 }, 3);
-    let (w, s, _a, i) = trace.unwrap().action_counts();
+    let (w, s, i) = trace.unwrap().action_counts();
     assert_eq!(w, result.stats.work_steps);
     assert_eq!(s, result.stats.steal_attempts);
     assert_eq!(i, result.stats.idle_steps);

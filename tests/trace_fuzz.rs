@@ -3,14 +3,24 @@
 //! the guard — a validator that silently accepts broken schedules would
 //! void all the property tests built on it.
 //!
-//! Traces store idle stretches run-length encoded, so corruptions are
-//! applied to the dense expansion and re-encoded with
-//! [`ScheduleTrace::from_dense`] — which also exercises that round trip.
+//! Traces store runs of equal rows and idle stretches run-length
+//! encoded, so corruptions are applied to the dense expansion and
+//! re-encoded with [`ScheduleTrace::from_dense`] — which also exercises
+//! that round trip. The last test holds the encoding itself to its
+//! expansion: the reference engines' rows, and the same verdicts from
+//! `validate` and `certify_run` on a trace and on its one-round split.
 
-use parflow::core::{run_priority, run_worksteal, Action, Fifo, SimConfig, StealPolicy};
+use parflow::core::{
+    run_priority, run_priority_reference, run_worksteal, run_worksteal_reference, Action, Fifo,
+    JobPriority, Lifo, ScheduleTrace, ShortestJobFirst, SimConfig, SimResult, StealPolicy,
+    TraceSpan,
+};
 use parflow::prelude::*;
+use parflow_certify::certify_run;
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn traced_run(seed: u64) -> (Instance, parflow::core::ScheduleTrace) {
     let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 2000.0, 40, seed).generate();
@@ -148,4 +158,152 @@ fn truncating_the_tail_is_caught() {
         removed_work = row.iter().any(|a| matches!(a, Action::Work { .. }));
     }
     assert!(reencode(&trace, rows).validate(&inst).is_err());
+}
+
+/// The same trace with every busy span split into one-round spans,
+/// written through the public `spans` field: the expansion a span's
+/// replay must be indistinguishable from.
+fn split(t: &ScheduleTrace) -> ScheduleTrace {
+    let one = |row: &Vec<Action>| TraceSpan::Busy {
+        row: row.clone(),
+        rounds: 1,
+    };
+    let spans = t.spans.iter().flat_map(|s| match s {
+        TraceSpan::Busy { row, rounds } => vec![one(row); *rounds as usize],
+        idle => vec![idle.clone()],
+    });
+    ScheduleTrace {
+        m: t.m,
+        speed: t.speed,
+        spans: spans.collect(),
+    }
+}
+
+/// The six corruptions of the tests above applied to `dense`, at
+/// positions drawn from `rng` where those tests pick one.
+fn corruptions(
+    inst: &Instance,
+    dense: &[Vec<Action>],
+    rng: &mut SmallRng,
+) -> Vec<Vec<Vec<Action>>> {
+    let m = dense.first().map_or(1, Vec::len);
+    let positions = work_positions(dense);
+    let pick = |rng: &mut SmallRng| positions[rng.gen_range(0..positions.len())];
+    let mut out = Vec::new();
+    let (r, p) = pick(rng);
+    let mut rows = dense.to_vec();
+    rows[r][p] = Action::Idle;
+    out.push(rows);
+    let &(r, p) = positions.last().expect("a schedule works");
+    let mut rows = dense.to_vec();
+    let mut row = vec![Action::Idle; m];
+    row[0] = rows[r][p];
+    rows.push(row);
+    out.push(rows);
+    let (r, p) = pick(rng);
+    let mut rows = dense.to_vec();
+    rows[r][p] = Action::Work {
+        job: inst.len() as u32 + 5,
+        node: 0,
+    };
+    out.push(rows);
+    let late = inst.jobs().iter().max_by_key(|j| j.arrival).expect("jobs");
+    let mut rows = dense.to_vec();
+    let mut row = vec![Action::Idle; m];
+    row[0] = Action::Work {
+        job: late.id,
+        node: late.dag.sources()[0],
+    };
+    rows.insert(0, row);
+    out.push(rows);
+    let mut rows = dense.to_vec();
+    rows.swap(rng.gen_range(0..dense.len()), rng.gen_range(0..dense.len()));
+    out.push(rows);
+    let mut rows = dense.to_vec();
+    while let Some(row) = rows.pop() {
+        if row.iter().any(|a| matches!(a, Action::Work { .. })) {
+            break;
+        }
+    }
+    out.push(rows);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every engine records the canonical encoding of the rows its
+    /// per-round reference produces, and `validate` and `certify_run`
+    /// reach the same verdict — invariant, job, worker and round — on a
+    /// trace and on its one-round split, clean and after each corruption.
+    #[test]
+    fn spans_replay_as_their_expansion(
+        seed in any::<u64>(),
+        njobs in 1usize..7,
+        spread in 0u64..40,
+        m in 1usize..5,
+        fast in any::<bool>()
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let jobs = (0..njobs)
+            .map(|i| {
+                let dag = match rng.gen_range(0..4u8) {
+                    0 => shapes::single_node(rng.gen_range(1..25)),
+                    1 => shapes::chain(rng.gen_range(1..5), rng.gen_range(1..6)),
+                    2 => shapes::parallel_for(rng.gen_range(1..30), rng.gen_range(1..6)),
+                    _ => shapes::fork_join(rng.gen_range(0..4), rng.gen_range(1..5)),
+                };
+                Job::new(i as u32, rng.gen_range(0..=spread), Arc::new(dag))
+            })
+            .collect();
+        let inst = Instance::new(jobs);
+        let speed = if fast { Speed::new(3, 2) } else { Speed::ONE };
+        let base = SimConfig::new(m).with_speed(speed).with_trace();
+
+        let mut runs = Vec::new();
+        for (result, trace, reference) in [
+            centralized(&inst, &base, &Fifo),
+            centralized(&inst, &base, &Lifo),
+            centralized(&inst, &base, &ShortestJobFirst),
+        ] {
+            runs.push((base.clone(), None, result, trace, reference));
+        }
+        for policy in [StealPolicy::AdmitFirst, StealPolicy::StealKFirst { k: 2 }] {
+            for free in [false, true] {
+                let cfg = if free { base.clone().with_free_steals() } else { base.clone() };
+                let (result, trace) = run_worksteal(&inst, &cfg, policy, seed);
+                let (_, reference) =
+                    run_worksteal_reference(&inst, &cfg, policy, seed, &mut NullRecorder);
+                runs.push((cfg, Some(policy), result, trace, reference));
+            }
+        }
+
+        for (cfg, policy, result, trace, reference) in &runs {
+            let trace = trace.as_ref().expect("traced");
+            let dense = reference.as_ref().expect("traced").to_dense();
+            prop_assert_eq!(&trace.to_dense(), &dense);
+            prop_assert_eq!(&ScheduleTrace::from_dense(m, speed, dense.clone()), trace);
+            let verdict = |t: &ScheduleTrace| {
+                let report = certify_run(&inst, cfg, *policy, result, t);
+                (t.validate(&inst), report.render())
+            };
+            let clean = verdict(trace);
+            prop_assert!(clean.0.is_ok() && clean.1.contains("certify: clean"), "{:?}", clean);
+            prop_assert_eq!(&verdict(&split(trace)), &clean);
+            for rows in corruptions(&inst, &dense, &mut rng) {
+                let bad = ScheduleTrace::from_dense(m, speed, rows);
+                prop_assert_eq!(verdict(&bad), verdict(&split(&bad)));
+            }
+        }
+    }
+}
+
+/// A centralized run and its per-round reference.
+fn centralized<P: JobPriority>(
+    inst: &Instance,
+    cfg: &SimConfig,
+    policy: &P,
+) -> (SimResult, Option<ScheduleTrace>, Option<ScheduleTrace>) {
+    let (result, trace) = run_priority(inst, cfg, policy);
+    (result, trace, run_priority_reference(inst, cfg, policy).1)
 }
