@@ -250,7 +250,6 @@ pub fn run_priority_reference<P: JobPriority>(
                             weight: job.weight,
                             start_round: started[jid as usize].expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
                             completion_round: round,
-                            completion: speed.round_end(round),
                             flow: speed.flow_time(job.arrival, round),
                             status: JobStatus::Completed,
                         });

@@ -137,7 +137,6 @@ pub fn run_equi(instance: &Instance, config: &SimConfig) -> (SimResult, Option<S
                             weight: job.weight,
                             start_round: started[jid as usize].expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
                             completion_round: round,
-                            completion: speed.round_end(round),
                             flow: speed.flow_time(job.arrival, round),
                             status: JobStatus::Completed,
                         });

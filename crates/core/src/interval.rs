@@ -103,7 +103,7 @@ pub fn analyze_intervals(result: &SimResult, epsilon: Rational) -> Option<Interv
     let max_job = result.argmax_flow()?;
     let flow = max_job.flow;
     let arrival = Rational::from_int(max_job.arrival as i128);
-    let completion = max_job.completion;
+    let completion = max_job.completion();
     let eps_flow = epsilon * flow;
 
     // Earliest arrival among jobs alive "right before" time t: arrived
@@ -112,7 +112,7 @@ pub fn analyze_intervals(result: &SimResult, epsilon: Rational) -> Option<Interv
         result
             .outcomes
             .iter()
-            .filter(|o| Rational::from_int(o.arrival as i128) < t && o.completion >= t)
+            .filter(|o| Rational::from_int(o.arrival as i128) < t && o.completion() >= t)
             .map(|o| (Rational::from_int(o.arrival as i128), o.job))
             .min()
     };

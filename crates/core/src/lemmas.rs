@@ -231,7 +231,7 @@ pub fn interval_accounting(
     let available: u64 = result
         .outcomes
         .iter()
-        .filter(|o| Rational::from_int(o.arrival as i128) <= c_i && o.completion >= t_beta)
+        .filter(|o| Rational::from_int(o.arrival as i128) <= c_i && o.completion() >= t_beta)
         .map(|o| instance.jobs()[o.job as usize].work())
         .sum();
 

@@ -5,6 +5,9 @@ use parflow_dag::JobId;
 use parflow_time::{Rational, Round, Speed, Ticks};
 
 /// Outcome of one job in a simulated schedule.
+///
+/// Only what cannot be recomputed is stored: the completion time `c_i` is
+/// derived as `F_i + r_i` by [`JobOutcome::completion`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobOutcome {
     /// The job's id (dense, in arrival order).
@@ -19,9 +22,8 @@ pub struct JobOutcome {
     pub start_round: Round,
     /// Round during which the job's last node finished.
     pub completion_round: Round,
-    /// Completion wall-clock time `c_i` (end of `completion_round`).
-    pub completion: Rational,
-    /// Flow time `F_i = c_i − r_i`.
+    /// Flow time `F_i = c_i − r_i`, where `c_i` is the end of
+    /// `completion_round`.
     pub flow: Rational,
     /// How the job ended. [`JobStatus::Completed`] in fault-free runs; for
     /// [`JobStatus::Failed`] / [`JobStatus::Aborted`] jobs the completion
@@ -29,7 +31,21 @@ pub struct JobOutcome {
     pub status: JobStatus,
 }
 
+// 80 bytes: `flow` (32, two `i128`s), `arrival`, `weight`, `start_round`,
+// `completion_round` (8 each), `job` (4), `status` (1), padding to the
+// 16-byte alignment of `i128` (11).
+const _: () = assert!(size_of::<JobOutcome>() == 80);
+// `status` has spare values, so `None` needs no tag byte and
+// `Vec<Option<JobOutcome>>` collects into `Vec<JobOutcome>` in place.
+const _: () = assert!(size_of::<Option<JobOutcome>>() == size_of::<JobOutcome>());
+
 impl JobOutcome {
+    /// Completion wall-clock time `c_i = F_i + r_i` (end of
+    /// `completion_round`).
+    pub fn completion(&self) -> Rational {
+        self.flow + Rational::from_int(self.arrival as i128)
+    }
+
     /// Weighted flow `w_i · F_i`.
     pub(crate) fn weighted_flow(&self) -> Rational {
         self.flow.mul_ratio(self.weight as i128, 1)
@@ -139,7 +155,7 @@ impl SimResult {
     pub fn makespan(&self) -> Rational {
         self.outcomes
             .iter()
-            .map(|o| o.completion)
+            .map(JobOutcome::completion)
             .max()
             .unwrap_or(Rational::ZERO)
     }
@@ -194,7 +210,6 @@ mod tests {
             weight,
             start_round: 0,
             completion_round: 0,
-            completion: Rational::from_int(arrival as i128) + Rational::from_int(flow),
             flow: Rational::from_int(flow),
             status: JobStatus::Completed,
         }

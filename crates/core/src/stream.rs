@@ -718,7 +718,6 @@ impl<const F: bool> WsLanes<'_, F> {
             weight: slot.job.weight,
             start_round: slot.started.expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
             completion_round: round,
-            completion: speed.round_end(round),
             flow: speed.flow_time(slot.job.arrival, round),
             status,
         };
@@ -1688,7 +1687,6 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
                         weight: slot.job.weight,
                         start_round: slot.started.expect("job executed"), // lint: allow(panicking) invariant: start_round is recorded before any execution
                         completion_round: last,
-                        completion: speed.round_end(last),
                         flow: speed.flow_time(slot.job.arrival, last),
                         status: JobStatus::Completed,
                     };

@@ -885,7 +885,6 @@ mod reference {
                             weight: job.weight,
                             start_round: started[jid as usize].expect("job admitted"), // lint: allow(panicking) invariant: start_round is recorded at admission, before execution
                             completion_round: round,
-                            completion: speed.round_end(round),
                             flow: speed.flow_time(job.arrival, round),
                             status: [JobStatus::Completed, JobStatus::Failed][usize::from(failed)],
                         });

@@ -121,7 +121,7 @@ impl Speed {
 
     /// Wall-clock time at which round `r` ends (start of round `r+1`).
     #[inline]
-    pub fn round_end(&self, r: Round) -> Rational {
+    pub(crate) fn round_end(&self, r: Round) -> Rational {
         self.round_start(r + 1)
     }
 

@@ -4,7 +4,9 @@
 //! trace.
 
 use parflow::core::{
-    run_priority, run_worksteal, BiggestWeightFirst, Fifo, Lifo, SimConfig, StealPolicy,
+    run_priority, run_priority_reference, run_priority_stream, run_worksteal,
+    run_worksteal_reference, run_worksteal_stream, BiggestWeightFirst, Fifo, InstanceReplay,
+    JobOutcome, JobPriority, Lifo, ShortestJobFirst, SimConfig, StealPolicy,
 };
 use parflow::prelude::*;
 use parflow::workloads::lower_bound_instance;
@@ -136,4 +138,76 @@ fn trace_work_counts_match_stats() {
     assert_eq!(w, result.stats.work_steps);
     assert_eq!(s, result.stats.steal_attempts);
     assert_eq!(i, result.stats.idle_steps);
+}
+
+/// `c_i = F_i + r_i` is derived, not stored, so check that it lands where
+/// the engine put it: at the end of the completion round, i.e.
+/// `c_i · num/den == completion_round + 1` exactly.
+fn assert_completions_end_rounds(what: &str, speed: Speed, outcomes: &[JobOutcome]) {
+    let (num, den) = (speed.num() as i128, speed.den() as i128);
+    for o in outcomes {
+        assert_eq!(
+            o.completion().mul_ratio(num, den),
+            Rational::from_int(o.completion_round as i128 + 1),
+            "{what} at {speed}: job {}",
+            o.job
+        );
+    }
+}
+
+#[test]
+fn every_engine_completes_jobs_at_round_ends() {
+    fn centralized<P: JobPriority>(
+        inst: &Instance,
+        cfg: &SimConfig,
+        policy: &P,
+    ) -> [Vec<JobOutcome>; 3] {
+        let mut streamed = Vec::new();
+        run_priority_stream(
+            &mut InstanceReplay::new(inst),
+            cfg,
+            policy,
+            &mut |o| streamed.push(o.clone()),
+            &mut NullRecorder,
+        )
+        .unwrap();
+        [
+            run_priority(inst, cfg, policy).0.outcomes,
+            run_priority_reference(inst, cfg, policy).0.outcomes,
+            streamed,
+        ]
+    }
+    for (name, inst) in workloads() {
+        for speed in [Speed::ONE, Speed::new(3, 2)] {
+            let cfg = SimConfig::new(4).with_speed(speed);
+            for policy in [StealPolicy::AdmitFirst, StealPolicy::StealKFirst { k: 16 }] {
+                let what = format!("{name} {}", policy.name());
+                let mut streamed = Vec::new();
+                run_worksteal_stream(&mut InstanceReplay::new(&inst), &cfg, policy, 5, &mut |o| {
+                    streamed.push(o.clone())
+                })
+                .unwrap();
+                let materialized = run_worksteal(&inst, &cfg, policy, 5).0.outcomes;
+                let reference = run_worksteal_reference(&inst, &cfg, policy, 5, &mut NullRecorder);
+                for outcomes in [materialized, reference.0.outcomes, streamed] {
+                    assert_eq!(outcomes.len(), inst.len(), "{what}");
+                    assert_completions_end_rounds(&what, speed, &outcomes);
+                }
+            }
+            let runs = [
+                ("fifo", centralized(&inst, &cfg, &Fifo)),
+                ("lifo", centralized(&inst, &cfg, &Lifo)),
+                ("sjf", centralized(&inst, &cfg, &ShortestJobFirst)),
+                ("bwf", centralized(&inst, &cfg, &BiggestWeightFirst)),
+            ];
+            for (policy, results) in runs {
+                for outcomes in results {
+                    assert_eq!(outcomes.len(), inst.len(), "{name} {policy}");
+                    assert_completions_end_rounds(&format!("{name} {policy}"), speed, &outcomes);
+                }
+            }
+            let equi = simulate_equi(&inst, &cfg).outcomes;
+            assert_completions_end_rounds(&format!("{name} equi"), speed, &equi);
+        }
+    }
 }
