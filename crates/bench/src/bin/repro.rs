@@ -9,7 +9,7 @@
 //! or `all`, runs every one.
 //!
 //! `repro sweep --grid <spec|smoke|phase> --out store.jsonl [--resume]`
-//! runs the mega-sweep harness (cluster → prune → fan-out → aggregate)
+//! runs the mega-sweep harness (cluster → fan-out → aggregate)
 //! instead of the named experiments; see `parflow_bench::sweep`.
 //!
 //! Flags: `--csv DIR` persists every table as CSV; `--list` enumerates

@@ -71,14 +71,13 @@ pub(super) fn scaling(jobs: usize, seed: u64) -> SweepGrid {
     grid(spec, jobs, seed)
 }
 
-/// Run `grid` on `threads` threads with pruning, streaming and
-/// certification off, so every cell is simulated (or clustered) on a
+/// Run `grid` on `threads` threads with streaming and certification
+/// off, so every cell is simulated (or clustered) on a
 /// materialized instance.
 pub(super) fn run(grid: &SweepGrid, threads: usize) -> Vec<CellRecord> {
     // The default options stream and certify nothing.
     let opts = SweepOptions {
         threads,
-        prune_factor: 0.0,
         ..SweepOptions::default()
     };
     run_sweep(grid, None, &opts)

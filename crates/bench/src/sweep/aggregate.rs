@@ -10,9 +10,8 @@
 //! from a parsed representative) is byte-identical to the line a fresh
 //! run would have written — the property the determinism proptests pin.
 //!
-//! Empty cells are normal: a pruned family or an all-non-finite sample
-//! set yields `null` statistics fields, never a panic (see
-//! docs/OBSERVABILITY.md).
+//! Empty cells are normal: an all-non-finite sample set yields `null`
+//! statistics fields, never a panic (see docs/OBSERVABILITY.md).
 
 use std::collections::BTreeMap;
 
@@ -24,8 +23,6 @@ use super::grid::{CellSpec, SweepPolicy, SWEEP_SCHEMA};
 pub const STATUS_SIMULATED: &str = "simulated";
 /// Store line status: copied from a clustered representative.
 pub(crate) const STATUS_CLUSTERED: &str = "clustered";
-/// Store line status: skipped by the dominance pruner (empty cell).
-pub(crate) const STATUS_PRUNED: &str = "pruned";
 
 /// Measured outcome of one cell. `stats` is `None` for an *empty* cell —
 /// every flow sample was non-finite, or the cell was never simulated.
@@ -94,7 +91,8 @@ pub(crate) fn header_line(canonical_grid: &str, cells: usize) -> String {
 
 /// One store line for a cell, in the fixed schema order. `source` is the
 /// representative's id for clustered cells, `None` otherwise. `outcome`
-/// is `None` for pruned cells.
+/// is `None` for a cell without a measured outcome (every statistic is
+/// written `null`).
 pub fn cell_line(
     spec: &CellSpec,
     status: &str,
@@ -146,11 +144,11 @@ pub fn cell_line(
 pub struct StoredCell {
     /// Cell id.
     pub id: usize,
-    /// `simulated` | `clustered` | `pruned`.
+    /// `simulated` | `clustered`.
     pub status: String,
     /// Representative id for clustered cells.
     pub source: Option<usize>,
-    /// Parsed outcome (`None` for pruned cells).
+    /// Parsed outcome (`None` when the line's `opt_ms` is `null`).
     pub outcome: Option<CellOutcome>,
     /// The verbatim line, re-emitted on resume to guarantee byte
     /// identity with the original run.
@@ -203,7 +201,7 @@ pub fn parse_cell_line(line: &str) -> Option<StoredCell> {
     }
     let id = usize_field(line, "cell")?;
     let status = str_field(line, "status")?;
-    if ![STATUS_SIMULATED, STATUS_CLUSTERED, STATUS_PRUNED].contains(&status.as_str()) {
+    if ![STATUS_SIMULATED, STATUS_CLUSTERED].contains(&status.as_str()) {
         return None;
     }
     let source = match raw_field(line, "source")? {
@@ -314,7 +312,7 @@ pub(crate) struct CrossoverRow {
 }
 
 /// Build the steal-k vs admit-first crossover table from final records.
-/// Pruned/empty cells simply contribute nothing — a policy with no finite
+/// Empty cells simply contribute nothing — a policy with no finite
 /// replicas at a point shows as `-`.
 pub(crate) fn crossover_rows(
     cells: &[CellSpec],
@@ -484,12 +482,14 @@ mod tests {
         );
         let back = parse_cell_line(&line).unwrap().outcome.unwrap();
         assert_eq!(back, empty);
-        // Pruned: no outcome at all.
-        let pruned = cell_line(&cells[2], STATUS_PRUNED, None, None);
-        assert!(pruned.contains("\"opt_ms\":null"));
-        let parsed = parse_cell_line(&pruned).unwrap();
-        assert!(parsed.outcome.is_none());
-        assert_eq!(parsed.status, STATUS_PRUNED);
+        // No outcome at all: every statistic is null.
+        let none = cell_line(&cells[2], STATUS_CLUSTERED, Some(0), None);
+        assert!(none.contains("\"opt_ms\":null"));
+        assert!(parse_cell_line(&none).unwrap().outcome.is_none());
+        // `pruned` (written by the removed dominance pruner) is off-schema:
+        // `--resume` drops such a line and everything after it.
+        let pruned = none.replace("\"clustered\"", "\"pruned\"");
+        assert!(parse_cell_line(&pruned).is_none());
     }
 
     #[test]

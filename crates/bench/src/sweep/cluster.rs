@@ -45,7 +45,7 @@ pub(crate) fn fingerprint(cell: &CellSpec) -> u64 {
     fnv1a64(tag.as_bytes())
 }
 
-/// Outcome of clustering one load level.
+/// Outcome of clustering a grid's cells.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Clustering {
     /// Cell id → representative id. Representatives map to themselves.
@@ -54,7 +54,7 @@ pub(crate) struct Clustering {
     pub folded: usize,
 }
 
-/// Cluster a slice of cells (one load level). Buckets are keyed by
+/// Cluster a slice of cells. Buckets are keyed by
 /// fingerprint; the lowest-id member of each bucket becomes its
 /// representative. Deterministic: depends only on cell contents and the
 /// (already canonical) enumeration order.

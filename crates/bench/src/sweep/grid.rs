@@ -3,11 +3,10 @@
 //!
 //! A [`SweepGrid`] is parsed from a compact `key=value;…` spec string (or a
 //! named preset) and enumerated into [`CellSpec`]s in a *fixed* nested
-//! order — ascending load level first, so the pruner can consume completed
-//! levels before higher loads are dispatched. The enumeration index is the
-//! cell's identity in the results store; everything downstream (clustering,
-//! pruning, resume) keys off it, so the order is part of the store schema
-//! and must never change for a given canonical spec.
+//! order, ascending load level first. The enumeration index is the cell's
+//! identity in the results store; everything downstream (clustering,
+//! resume) keys off it, so the order is part of the store schema and must
+//! never change for a given canonical spec.
 
 use parflow_core::StealPolicy;
 use parflow_obs::fnv1a64;
@@ -78,9 +77,9 @@ impl SweepPolicy {
 pub struct SweepGrid {
     /// Work distributions.
     pub dists: Vec<DistKind>,
-    /// Target utilizations (the load axis), ascending — these are the
-    /// pruner's levels. QPS is derived per (dist, m) so every machine size
-    /// sees the same relative load.
+    /// Target utilizations (the load axis), ascending; a cell's `level` is
+    /// its position here. QPS is derived per (dist, m) so every machine
+    /// size sees the same relative load.
     pub utils: Vec<f64>,
     /// Policies swept.
     pub policies: Vec<SweepPolicy>,
@@ -144,32 +143,6 @@ impl CellSpec {
             self.dist.name(),
             self.util,
             self.m,
-            self.jobs
-        )
-    }
-
-    /// The pruner's family: everything but load level and seed replica.
-    /// Once a family is dominated at some load, all its higher-load cells
-    /// are skipped.
-    pub(crate) fn family(&self) -> String {
-        format!(
-            "{}/m{}/e{}/j{}/{}",
-            self.dist.name(),
-            self.m,
-            self.eps_str(),
-            self.jobs,
-            self.policy.name()
-        )
-    }
-
-    /// The dominance comparison group: the family minus policy. Policies
-    /// within one group race on identical instances.
-    pub(crate) fn group(&self) -> String {
-        format!(
-            "{}/m{}/e{}/j{}",
-            self.dist.name(),
-            self.m,
-            self.eps_str(),
             self.jobs
         )
     }

@@ -1,42 +1,35 @@
-//! Mega-sweep harness: cluster → prune → fan-out → aggregate.
+//! Mega-sweep harness: cluster → fan-out → aggregate.
 //!
 //! A [`grid::SweepGrid`] enumerates the cartesian product over
 //! (workload × load × policy × k × ε × m × seed replicas) into cells.
-//! [`run_sweep`] evaluates it level by level (ascending load) when it
-//! prunes, and as one batch of all levels when it does not:
+//! [`run_sweep`] evaluates every cell of every load level as one batch:
 //!
 //! 1. **cluster** — `cluster::cluster` buckets structurally identical
 //!    cells (e.g. seed replicas of deterministic FIFO) so only one
 //!    representative per bucket is simulated;
-//! 2. **prune** — `prune::Pruner` skips whole policy families that were
-//!    already dominated at a lower load; pruned cells become *empty*
-//!    cells, not holes;
-//! 3. **fan-out** — surviving representatives are grouped by generated
+//! 2. **fan-out** — representatives are grouped by generated
 //!    instance and dispatched across the experiment thread pool; the
 //!    work-stealing replicas of one instance share one replica-driver
 //!    call ([`parflow_core::simulate_batched`]: one set of stepper buffers
 //!    for the whole group), or one per chunk when there are fewer groups
 //!    than threads;
-//! 4. **aggregate** — every cell (simulated, clustered, pruned, reused)
-//!    streams into one jsonl store ([`aggregate`]) with a stable schema.
+//! 3. **aggregate** — every cell (simulated, clustered, reused) streams
+//!    into one jsonl store ([`aggregate`]) with a stable schema.
 //!
 //! The store is byte-identical across thread counts and across
 //! fresh-vs-`--resume` runs: results are keyed and emitted in cell-id
-//! order, resumed lines are re-emitted verbatim, and prune decisions are
-//! recomputed from the (identical) per-level outcomes rather than
-//! trusted from ambient state.
+//! order, and resumed lines are re-emitted verbatim.
 //!
 //! Two kinds of caller run it: the `sweep` subcommand ([`cli_main`], behind
 //! `repro sweep` and `parflow sweep`), which writes the store, and the
 //! grid-shaped `repro` experiments (Figure 2, `steal-k`, `theory-fifo`,
-//! `variance`, `scaling`; `experiments::grids`), which run an unpruned,
+//! `variance`, `scaling`; `experiments::grids`), which run a
 //! materialized, uncertified grid and project its [`CellRecord`]s into a
 //! table.
 
 pub mod aggregate;
 mod cluster;
 pub mod grid;
-mod prune;
 
 use std::collections::BTreeMap;
 
@@ -53,11 +46,10 @@ use crate::stream::run_stream;
 use aggregate::{
     cell_line, crossover_rows, header_line, parse_store, render_crossover,
     render_crossover_markdown, CellOutcome, CrossoverRow, StoreLoad, STATUS_CLUSTERED,
-    STATUS_PRUNED, STATUS_SIMULATED,
+    STATUS_SIMULATED,
 };
 use cluster::cluster;
 use grid::{CellSpec, SweepGrid};
-use prune::Pruner;
 
 /// Tunables for one sweep run.
 #[derive(Clone, Debug)]
@@ -67,8 +59,6 @@ pub struct SweepOptions {
     /// inside the sweep) so determinism tests can pin both sides of a
     /// comparison.
     pub threads: usize,
-    /// Dominance-prune factor; ≤ 1 disables pruning.
-    pub prune_factor: f64,
     /// Stream cells through the O(active)-memory engines instead of
     /// materializing instances. Enables `jobs` counts that would not fit
     /// in memory; flow statistics come from the streaming layer (exact
@@ -90,7 +80,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             threads: 1,
-            prune_factor: 4.0,
             stream: false,
             certify: false,
         }
@@ -102,11 +91,12 @@ impl Default for SweepOptions {
 pub struct CellRecord {
     /// The grid point.
     pub spec: CellSpec,
-    /// `simulated` | `clustered` | `pruned`.
+    /// `simulated` | `clustered`.
     pub status: String,
     /// Representative id for clustered cells.
     pub source: Option<usize>,
-    /// Measured outcome; `None` for pruned cells.
+    /// Measured outcome; `None` when a resumed line, or its
+    /// representative's, carries none (`"opt_ms":null`).
     pub outcome: Option<CellOutcome>,
     /// Whether the cell was reloaded from a prior store (`--resume`).
     pub reused: bool,
@@ -143,8 +133,6 @@ pub struct SweepSummary {
     pub simulated: usize,
     /// Cells folded into a clustered representative.
     pub clustered: usize,
-    /// Cells skipped by the dominance pruner (empty cells).
-    pub pruned: usize,
     /// Cells reloaded verbatim from the prior store.
     pub reused: usize,
     /// Engine runs actually executed this invocation.
@@ -155,8 +143,6 @@ pub struct SweepSummary {
     pub empty: usize,
     /// Non-finite flow samples counted out-of-band across all cells.
     pub nan_samples: usize,
-    /// Policy families killed by the pruner.
-    pub pruned_families: usize,
     /// Torn/malformed prior-store lines dropped during `--resume`.
     pub dropped_lines: usize,
 }
@@ -165,18 +151,16 @@ impl SweepSummary {
     /// One-line human rendering for CLI output and logs.
     pub fn render(&self) -> String {
         format!(
-            "cells={} simulated={} clustered={} pruned={} reused={} \
-executed={} instances={} empty={} nan_samples={} pruned_families={} dropped_lines={}",
+            "cells={} simulated={} clustered={} reused={} \
+executed={} instances={} empty={} nan_samples={} dropped_lines={}",
             self.cells,
             self.simulated,
             self.clustered,
-            self.pruned,
             self.reused,
             self.executed,
             self.instances,
             self.empty,
             self.nan_samples,
-            self.pruned_families,
             self.dropped_lines,
         )
     }
@@ -214,22 +198,14 @@ impl SweepOutcome {
     }
 }
 
-/// What to do with one cell, decided per level before fan-out.
+/// What to do with one cell, decided before fan-out.
 enum Disposition {
     /// Reload the stored line verbatim.
     Reuse(aggregate::StoredCell),
-    /// Emit an empty pruned cell.
-    Prune,
     /// Copy the representative's outcome after it resolves.
     Member(usize),
     /// Simulate for real.
     Simulate,
-}
-
-/// Work sent to one fan-out worker: all to-simulate cells that share one
-/// generated instance (and therefore one OPT computation).
-struct InstanceJob {
-    cells: Vec<CellSpec>,
 }
 
 fn outcome_of(result: &parflow_core::SimResult, opt_ms: f64) -> CellOutcome {
@@ -261,20 +237,21 @@ fn stream_outcome(run: &crate::stream::StreamRun) -> CellOutcome {
     }
 }
 
-/// Simulate one instance group: generate the instance once, run its
-/// work-stealing cells through one replica-driver call per chunk (one
-/// chunk per thread of `threads`), and the FIFO cells through the
-/// centralized engine. With `certify`, one
+/// Simulate one instance group (the to-simulate cells that share one
+/// generated instance, and so one OPT computation): generate the instance
+/// once, run its work-stealing cells through one replica-driver call per
+/// chunk (one chunk per thread of `threads`), and the FIFO cells through
+/// the centralized engine. With `certify`, one
 /// work-stealing cell and one FIFO cell per group are re-run with
 /// tracing and machine-checked against the paper invariants (P1–P5);
 /// streaming cells get the P5 lower-bound check on their exact max flow.
 fn run_instance(
-    job: &InstanceJob,
+    cells: &[CellSpec],
     threads: usize,
     stream: bool,
     certify: bool,
 ) -> Result<Vec<(usize, CellOutcome)>, String> {
-    let Some(first) = job.cells.first() else {
+    let Some(first) = cells.first() else {
         return Ok(Vec::new());
     };
     let spec = WorkloadSpec::paper_fig2(first.dist, first.qps, first.jobs, first.workload_seed);
@@ -286,8 +263,8 @@ fn run_instance(
         // only mean a broken invariant — it degrades to an empty cell
         // (counted by `SweepSummary::empty`) instead of panicking.
         let jobs_n = first.jobs as u64;
-        let mut out: Vec<(usize, CellOutcome)> = Vec::with_capacity(job.cells.len());
-        for cell in &job.cells {
+        let mut out: Vec<(usize, CellOutcome)> = Vec::with_capacity(cells.len());
+        for cell in cells {
             let cfg = engine_config(cell);
             let run = run_stream(
                 &spec,
@@ -315,9 +292,9 @@ fn run_instance(
     let to_ms = 1000.0 / TICKS_PER_SECOND;
     let opt_ms = opt_max_flow(&instance, first.m).to_f64() * to_ms;
     let mut ws: Vec<(usize, ReplicaSpec)> = Vec::new();
-    let mut out: Vec<(usize, CellOutcome)> = Vec::with_capacity(job.cells.len());
+    let mut out: Vec<(usize, CellOutcome)> = Vec::with_capacity(cells.len());
     let mut fifo_certified = false;
-    for cell in &job.cells {
+    for cell in cells {
         let cfg = engine_config(cell);
         match cell.policy.steal_policy() {
             Some(policy) => ws.push((cell.id, ReplicaSpec::new(cfg, policy, cell.engine_seed))),
@@ -410,140 +387,88 @@ pub fn run_sweep(
         grid.canonical()
     };
     let header = header_line(&canonical, cells.len());
-    let load = match prior {
+    let mut load = match prior {
         Some(text) => parse_store(text, &header)?,
         None => StoreLoad::default(),
     };
-    let mut pruner = Pruner::new(opts.prune_factor);
-    let mut records: Vec<Option<CellRecord>> = cells.iter().map(|_| None).collect();
+    let clustering = cluster(&cells);
     let mut summary = SweepSummary {
         cells: cells.len(),
         dropped_lines: load.dropped,
         ..SweepSummary::default()
     };
 
-    // A level waits for the lower ones only to be pruned by them; without
-    // pruning the whole grid is one batch and one fan-out, so the instance
-    // groups of every level share the pool.
-    let batches: Vec<&[CellSpec]> = if pruner.is_active() {
-        cells.chunk_by(|a, b| a.level == b.level).collect()
-    } else {
-        vec![&cells[..]]
-    };
-    for level_cells in batches {
-        let clustering = cluster(level_cells);
+    // Disposition pass, in id order. Reuse wins over everything (the
+    // stored line is the ground truth this run must reproduce).
+    let disposition: Vec<Disposition> = cells
+        .iter()
+        .map(|cell| match load.cells.remove(&cell.id) {
+            Some(stored) => Disposition::Reuse(stored),
+            None => match clustering.rep_of.get(&cell.id) {
+                Some(&rep) if rep != cell.id => Disposition::Member(rep),
+                _ => Disposition::Simulate,
+            },
+        })
+        .collect();
 
-        // Disposition pass, in id order. Reuse wins over everything (the
-        // stored line is the ground truth this run must reproduce);
-        // pruning is checked before clustering so members of a pruned
-        // family never wait on a representative that will not run.
-        let mut disposition: BTreeMap<usize, Disposition> = BTreeMap::new();
-        for cell in level_cells {
-            let d = if let Some(stored) = load.cells.get(&cell.id) {
-                Disposition::Reuse(stored.clone())
-            } else if pruner.is_pruned(cell) {
-                Disposition::Prune
-            } else {
-                match clustering.rep_of.get(&cell.id) {
-                    Some(&rep) if rep != cell.id => Disposition::Member(rep),
-                    _ => Disposition::Simulate,
-                }
-            };
-            disposition.insert(cell.id, d);
+    // Fan the to-simulate cells out, grouped by shared instance; the
+    // instance groups of every load level share the pool.
+    let mut groups: BTreeMap<String, Vec<CellSpec>> = BTreeMap::new();
+    for (cell, d) in cells.iter().zip(&disposition) {
+        if matches!(d, Disposition::Simulate) {
+            groups
+                .entry(cell.instance_key())
+                .or_default()
+                .push(cell.clone());
         }
-
-        // Fan the to-simulate cells out, grouped by shared instance.
-        let mut groups: BTreeMap<String, InstanceJob> = BTreeMap::new();
-        for cell in level_cells {
-            if matches!(disposition.get(&cell.id), Some(Disposition::Simulate)) {
-                groups
-                    .entry(cell.instance_key())
-                    .or_insert_with(|| InstanceJob { cells: Vec::new() })
-                    .cells
-                    .push(cell.clone());
-            }
-        }
-        summary.instances += groups.len();
-        let jobs: Vec<InstanceJob> = groups.into_values().collect();
-        // Threads the groups leave idle split each group's replicas (one
-        // group of 20 on 2 threads runs as two chunks of 10); results come
-        // back in id order whatever the split.
-        let split = (opts.threads / jobs.len().max(1)).max(1);
-        let results = par_map(opts.threads, jobs, |job| {
-            run_instance(&job, split, opts.stream, opts.certify)
-        });
-        let mut simulated: BTreeMap<usize, CellOutcome> = BTreeMap::new();
-        for group in results {
-            for (id, outcome) in group? {
-                summary.executed += 1;
-                simulated.insert(id, outcome);
-            }
-        }
-
-        // Materialize records: representatives and reused lines first,
-        // clustered members second (they read their representative).
-        for cell in level_cells {
-            let record = match disposition.get(&cell.id) {
-                Some(Disposition::Reuse(stored)) => CellRecord {
-                    spec: cell.clone(),
-                    status: stored.status.clone(),
-                    source: stored.source,
-                    outcome: stored.outcome,
-                    reused: true,
-                    line: stored.line.clone(),
-                },
-                Some(Disposition::Prune) => CellRecord::fresh(cell, STATUS_PRUNED, None, None),
-                Some(Disposition::Simulate) => {
-                    let outcome = simulated.get(&cell.id).copied();
-                    CellRecord::fresh(cell, STATUS_SIMULATED, None, outcome)
-                }
-                Some(Disposition::Member(_)) | None => continue,
-            };
-            records[cell.id] = Some(record);
-        }
-        for cell in level_cells {
-            let Some(Disposition::Member(rep)) = disposition.get(&cell.id) else {
-                continue;
-            };
-            // A representative always has a lower id and was filled
-            // above; a missing one (foreign store) degrades to an empty
-            // clustered cell rather than failing the run.
-            let outcome = records
-                .get(*rep)
-                .and_then(|r| r.as_ref())
-                .and_then(|r| r.outcome);
-            records[cell.id] = Some(CellRecord::fresh(
-                cell,
-                STATUS_CLUSTERED,
-                Some(*rep),
-                outcome,
-            ));
-        }
-
-        // Feed the completed level to the pruner for higher loads (a no-op
-        // when it is inactive).
-        let observations = level_cells.iter().map(|cell| {
-            let max_ms = records
-                .get(cell.id)
-                .and_then(|r| r.as_ref())
-                .and_then(|r| r.outcome)
-                .and_then(|o| o.max_ms());
-            (cell, max_ms)
-        });
-        pruner.observe_level(observations);
     }
-    summary.pruned_families = pruner.pruned_families();
+    summary.instances = groups.len();
+    let jobs: Vec<Vec<CellSpec>> = groups.into_values().collect();
+    // Threads the groups leave idle split each group's replicas (one
+    // group of 20 on 2 threads runs as two chunks of 10); results come
+    // back in id order whatever the split.
+    let split = (opts.threads / jobs.len().max(1)).max(1);
+    let results = par_map(opts.threads, jobs, |group| {
+        run_instance(&group, split, opts.stream, opts.certify)
+    });
+    let mut simulated: BTreeMap<usize, CellOutcome> = BTreeMap::new();
+    for group in results {
+        for (id, outcome) in group? {
+            summary.executed += 1;
+            simulated.insert(id, outcome);
+        }
+    }
 
-    let final_records = records
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.ok_or(format!("internal: cell {i} was never dispositioned")))
-        .collect::<Result<Vec<CellRecord>, String>>()?;
-    for r in &final_records {
-        match r.status.as_str() {
-            STATUS_SIMULATED => summary.simulated += 1,
-            STATUS_CLUSTERED => summary.clustered += 1,
-            _ => summary.pruned += 1,
+    // Materialize records in id order. A clustered member copies its
+    // representative's outcome: the representative has the lower id, so
+    // its record is already built.
+    let mut records: Vec<CellRecord> = Vec::with_capacity(cells.len());
+    for (cell, d) in cells.iter().zip(disposition) {
+        let record = match d {
+            Disposition::Reuse(stored) => CellRecord {
+                spec: cell.clone(),
+                status: stored.status,
+                source: stored.source,
+                outcome: stored.outcome,
+                reused: true,
+                line: stored.line,
+            },
+            Disposition::Simulate => {
+                let outcome = simulated.get(&cell.id).copied();
+                CellRecord::fresh(cell, STATUS_SIMULATED, None, outcome)
+            }
+            Disposition::Member(rep) => {
+                let outcome = records.get(rep).and_then(|r| r.outcome);
+                CellRecord::fresh(cell, STATUS_CLUSTERED, Some(rep), outcome)
+            }
+        };
+        records.push(record);
+    }
+    for r in &records {
+        if r.status == STATUS_SIMULATED {
+            summary.simulated += 1;
+        } else {
+            summary.clustered += 1;
         }
         if r.reused {
             summary.reused += 1;
@@ -557,20 +482,21 @@ pub fn run_sweep(
     }
     Ok(SweepOutcome {
         header,
-        records: final_records,
+        records,
         summary,
     })
 }
 
 const USAGE: &str = "usage: sweep [--grid SPEC|smoke|phase] [--out PATH] [--resume]
-             [--threads N] [--prune-factor F] [--seeds N] [--jobs N]
+             [--threads N] [--seeds N] [--jobs N]
              [--stream] [--certify] [--no-table] [--markdown]
 
-Runs the cluster -> prune -> fan-out -> aggregate mega-sweep and writes a
-jsonl store (header + one line per grid cell, in cell-id order). With
---resume, cells already present in --out are reloaded verbatim and only
-the remainder is simulated; a torn trailing line from a crashed run is
-dropped (and counted) automatically. --stream runs every cell through the
+Runs the cluster -> fan-out -> aggregate mega-sweep and writes a jsonl
+store (header + one line per grid cell, in cell-id order). With --resume,
+cells already present in --out are reloaded verbatim and only the
+remainder is simulated; from the first torn or malformed line on (a
+crashed run's torn tail, or a `pruned` line from an older store) every
+line is dropped, counted in dropped_lines and re-simulated. --stream runs every cell through the
 O(active)-memory streaming engines (exact max flow, incremental OPT),
 enabling --jobs counts that would not fit in memory; streaming stores are
 header-tagged and cannot be resumed into materialized ones. --certify
@@ -591,9 +517,6 @@ pub fn cli_main(args: &[String]) -> Result<String, String> {
     let threads: Option<usize> = flags.get("threads").map_err(usage)?;
     let opts = SweepOptions {
         threads: threads.map_or_else(env_threads, Ok)?,
-        prune_factor: flags
-            .get_or("prune-factor", SweepOptions::default().prune_factor)
-            .map_err(usage)?,
         stream: flags.flag("stream"),
         certify: flags.flag("certify"),
     };
@@ -670,7 +593,7 @@ mod tests {
         let s = out.summary;
         assert_eq!(s.cells, grid.cell_count());
         assert_eq!(out.records.len(), s.cells);
-        assert_eq!(s.simulated + s.clustered + s.pruned, s.cells);
+        assert_eq!(s.simulated + s.clustered, s.cells);
         // FIFO seed replicas cluster: one fold per (util, fifo) pair.
         assert!(
             s.clustered >= 2,
@@ -724,38 +647,12 @@ mod tests {
 
     #[test]
     fn store_is_thread_count_invariant() {
-        let grid = tiny_grid();
-        let one = run_sweep(
-            &grid,
-            None,
-            &SweepOptions {
-                threads: 1,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        let many = run_sweep(
-            &grid,
-            None,
-            &SweepOptions {
-                threads: 7,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(one.store(), many.store());
-        assert_eq!(one.summary, many.summary);
-    }
-
-    #[test]
-    fn unpruned_grid_runs_as_one_batch_with_a_stable_store() {
-        // Without pruning every level fans out at once (7 threads over 2
-        // groups also split each group's replicas); the store must not
-        // depend on the thread count or on resuming a torn prefix.
+        // Every level fans out at once (7 threads over 2 groups also split
+        // each group's replicas); the store must not depend on the thread
+        // count or on resuming a torn prefix.
         let grid = tiny_grid();
         let opts = |threads| SweepOptions {
             threads,
-            prune_factor: 0.0,
             ..SweepOptions::default()
         };
         let one = run_sweep(&grid, None, &opts(1)).unwrap();
@@ -786,12 +683,31 @@ mod tests {
         let fresh = run_sweep(&grid, None, &opts).unwrap();
         let store = fresh.store();
         // Tear mid-way through the last line (a crashed writer).
-        let torn = &store[..store.len() - 40];
-        let resumed = run_sweep(&grid, Some(torn), &opts).unwrap();
-        assert_eq!(resumed.store(), store);
-        assert!(resumed.summary.dropped_lines >= 1);
-        assert!(resumed.summary.reused > 0);
-        assert!(resumed.summary.executed < fresh.summary.executed);
+        let torn = store[..store.len() - 40].to_string();
+        // An older store's `pruned` line is off-schema: it and every line
+        // after it are dropped, counted and re-simulated.
+        let mid = store.lines().count() / 2;
+        let pruned: String = store
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                let line = if i == mid {
+                    line.replace("\"status\":\"simulated\"", "\"status\":\"pruned\"")
+                        .replace("\"status\":\"clustered\"", "\"status\":\"pruned\"")
+                } else {
+                    line.to_string()
+                };
+                line + "\n"
+            })
+            .collect();
+        assert!(pruned.contains("\"status\":\"pruned\""));
+        for prior in [torn, pruned] {
+            let resumed = run_sweep(&grid, Some(&prior), &opts).unwrap();
+            assert_eq!(resumed.store(), store);
+            assert!(resumed.summary.dropped_lines >= 1);
+            assert!(resumed.summary.reused > 0);
+            assert!(resumed.summary.executed < fresh.summary.executed);
+        }
     }
 
     #[test]
@@ -804,36 +720,6 @@ mod tests {
         let err = run_sweep(&other, Some(&fresh.store()), &opts);
         assert!(err.is_err());
         assert!(err.err().into_iter().any(|e| e.contains("does not match")));
-    }
-
-    #[test]
-    fn aggressive_pruning_yields_empty_cells_not_panics() {
-        let grid = tiny_grid();
-        // factor barely above 1: anything that loses a level gets pruned.
-        let out = run_sweep(
-            &grid,
-            None,
-            &SweepOptions {
-                prune_factor: 1.0001,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            out.summary.pruned > 0,
-            "expected prunes: {}",
-            out.summary.render()
-        );
-        assert!(out.summary.pruned_families > 0);
-        // Pruned cells are empty, present, and parseable.
-        for r in &out.records {
-            if r.status == STATUS_PRUNED {
-                assert!(r.outcome.is_none());
-                assert!(aggregate::parse_cell_line(&r.line).is_some());
-            }
-        }
-        // The store still covers every cell.
-        assert_eq!(out.store().lines().count(), grid.cell_count() + 1);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use std::sync::OnceLock;
 fn opts(threads: usize) -> SweepOptions {
     SweepOptions {
         threads,
-        prune_factor: 4.0,
         stream: false,
         certify: false,
     }

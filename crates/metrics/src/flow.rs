@@ -75,7 +75,7 @@ impl FlowStats {
 /// `from_samples` never panics: NaN and ±∞ samples are excluded and
 /// counted in [`SampleStats::nonfinite`], and the constructor returns
 /// `None` only when no finite samples remain. An all-NaN or empty cell is
-/// a *normal* outcome (a pruned config, a fully-shed run), not a bug.
+/// a *normal* outcome (a fully-shed run), not a bug.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampleStats {
     /// Finite samples summarized.

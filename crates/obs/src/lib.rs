@@ -395,7 +395,7 @@ impl HistogramSummary {
     pub fn from_samples(name: &str, xs: &[f64]) -> Self {
         // Degrade, never panic: an empty or all-non-finite sample set
         // reports NaN fields (rendered `null` in the JSON report) and empty
-        // bins — empty cells are normal once a sweep pruner skips configs.
+        // bins — a sweep cell with no finite samples is a normal outcome.
         let stats = SampleStats::from_samples(xs);
         let mut bins = vec![0; SUMMARY_BINS];
         if let Some(s) = &stats {

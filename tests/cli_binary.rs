@@ -54,6 +54,10 @@ fn misspelt_and_repeated_flags_exit_2_naming_the_flag() {
         ),
         (&["serve", "emit", "--qsp", "5"][..], "--qsp"),
         (&["sweep", "--grid", "smoke", "--seedz", "2"][..], "--seedz"),
+        (
+            &["sweep", "--grid", "smoke", "--prune-factor", "4"][..],
+            "--prune-factor",
+        ),
         (&["compare", "--m", "4", "--m", "8"][..], "--m"),
     ] {
         let out = parflow(args);
