@@ -30,9 +30,12 @@
 //! job's reported outcome, checked at the round of its last unit from
 //! the first and last work round the checker reports (P4, P5).
 //!
-//! A busy span repeating one row for many rounds is replayed round by
-//! round, exactly as its expansion, so a broken trace gets the finding
-//! its expansion gets.
+//! A busy span repeating one row for many rounds goes through the
+//! checker's one window path: its first and last rounds are replayed
+//! unit by unit, and the rounds between are counted in O(m) when neither
+//! the checker nor the policy replay could find anything in them, else
+//! replayed round by round. So a broken trace gets the finding its
+//! expansion gets.
 //!
 //! Policy conformance (P3) replays the global admission queue from the
 //! trace alone: arrivals enter at round start, workers act in index
@@ -317,10 +320,14 @@ impl<'a> Replay<'a> {
             match span {
                 TraceSpan::Idle { count } => self.idle_span(start, *count)?,
                 TraceSpan::Busy { row, rounds } => {
-                    self.busy_row(start, row)?;
-                    for _ in 1..*rounds {
-                        let r = self.checker.next_round();
+                    let mut round = Some(start);
+                    while let Some(r) = round {
                         self.busy_row(r, row)?;
+                        let window = r == start && *rounds > 2 && self.quiet(r, row, rounds - 2);
+                        round = self.checker.next_round(row, window);
+                        if round.is_some_and(|next| next > r + 1) {
+                            self.tally(row, rounds - 2);
+                        }
                     }
                 }
             }
@@ -557,6 +564,40 @@ impl<'a> Replay<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Whether no P3 check can fire in the `rounds` rounds of `row` after
+    /// round `r`, just replayed: the row only works; or it holds no steal
+    /// hit, no arrival becomes eligible in those rounds, and the queue is
+    /// empty or every other worker is a steal-k thief staying short of
+    /// `k`. (Round `r` already rejected a steal without a policy or under
+    /// free steals.)
+    fn quiet(&self, r: Round, row: &[Action], rounds: u64) -> bool {
+        let works = |a: &Action| matches!(a, Action::Work { .. });
+        let next = self.instance.jobs().get(self.next_release);
+        let arrives = next.is_some_and(|job| self.speed.arrived_by_round(job.arrival, r + rounds));
+        match self.policy {
+            _ if row.iter().all(works) => true,
+            _ if arrives || row.contains(&Action::Steal { hit: true }) => false,
+            _ if self.queue.is_empty() => true,
+            Some(StealPolicy::StealKFirst { k }) => (row.iter().zip(&self.failed_steals))
+                .all(|(a, &c)| works(a) || *a != Action::Idle && c + rounds <= k as u64),
+            _ => false,
+        }
+    }
+
+    /// Count `rounds` more rounds of `row`, which [`Replay::quiet`] passed
+    /// and the checker applied.
+    fn tally(&mut self, row: &[Action], rounds: u64) {
+        for (a, c) in row.iter().zip(&mut self.failed_steals) {
+            match a {
+                Action::Work { .. } => self.work_units += rounds,
+                Action::Steal { .. } => {
+                    (self.steal_actions, *c) = (self.steal_actions + rounds, *c + rounds)
+                }
+                Action::Idle => self.idle_units += rounds,
+            }
+        }
     }
 
     /// A recorded steal attempt by worker `p` at round `r`.

@@ -15,9 +15,11 @@
 //!    rejected by `ScheduleTrace::validate` *and* by `certify_run`, at the
 //!    same job and round.
 //! 4. **Spans replay as their expansion** — a busy span mutated in its
-//!    round count is rejected at the round, worker and job where its
-//!    expansion breaks the model (`tests/trace_fuzz.rs` holds every
-//!    verdict to that of the trace split into one-round spans).
+//!    round count or its row is rejected at the round, worker and job
+//!    where its expansion breaks the model, with the same finding as the
+//!    mutant split into one-round spans — whether the window path
+//!    applies the span's middle rounds at once or replays them
+//!    (`tests/trace_fuzz.rs` holds every verdict to the split too).
 
 use parflow_certify::{certify_run, certify_stream_summary, CertReport, Invariant};
 use parflow_core::{
@@ -435,8 +437,8 @@ fn report_rendering_names_the_locus() {
 }
 
 /// Run `inst` traced (work stealing under `policy`, or FIFO for `None`),
-/// check it clean, set the round counts of its spans with `mutate`, and
-/// return the one finding.
+/// check it clean, mutate its spans, and return the one finding, which
+/// must be that of the mutant's one-round split.
 fn span_mutant(
     inst: &Instance,
     cfg: &SimConfig,
@@ -450,8 +452,14 @@ fn span_mutant(
     let mut trace = trace.expect("trace requested");
     assert!(certify_run(inst, cfg, policy, &result, &trace).is_clean());
     mutate(&mut trace.spans);
-    let report = certify_run(inst, cfg, policy, &result, &trace);
-    report.violation.expect("mutant must be rejected")
+    let found = |t: &ScheduleTrace| certify_run(inst, cfg, policy, &result, t).violation;
+    let v = found(&trace).expect("mutant must be rejected");
+    assert_eq!(
+        found(&split(&trace)),
+        Some(v.clone()),
+        "the split disagrees"
+    );
+    v
 }
 
 /// The round count of a busy or idle span.
@@ -539,4 +547,147 @@ fn span_off_by_one_violates_flow_accounting() {
     let empty = empty.expect("an empty span must be rejected");
     assert_eq!(empty.invariant, Invariant::Capacity, "{empty}");
     assert_eq!(empty.round, Some(3), "{empty}");
+}
+
+/// `trace` with every busy span split into one-round spans: the expansion
+/// a span's replay must be indistinguishable from.
+fn split(trace: &ScheduleTrace) -> ScheduleTrace {
+    let spans = trace.spans.iter().flat_map(|s| match s {
+        TraceSpan::Busy { row, rounds } => {
+            let one = TraceSpan::Busy {
+                row: row.clone(),
+                rounds: 1,
+            };
+            vec![one; *rounds as usize]
+        }
+        idle => vec![idle.clone()],
+    });
+    ScheduleTrace {
+        spans: spans.collect(),
+        ..trace.clone()
+    }
+}
+
+/// Window mutant 1: unit-step steal-3-first with two queued jobs and
+/// nothing to steal burns rounds 0..3 in one span of misses. Stretched,
+/// both thieves reach 3 failures with the queue still holding job 0, and
+/// worker 0 steals again in round 3 — whether the window covers the
+/// span's middle rounds (4 rounds) or the pre-check sends it round by
+/// round (5, 8).
+#[test]
+fn steal_k_span_past_k_failures_violates_policy() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(1))),
+        Job::new(1, 0, Arc::new(shapes::single_node(1))),
+    ]);
+    let cfg = SimConfig::new(2).with_trace();
+    let policy = StealPolicy::StealKFirst { k: 3 };
+    for rounds in [4, 5, 8] {
+        let v = span_mutant(&inst, &cfg, Some(policy), |spans| {
+            *rounds_of(&mut spans[0]) = rounds;
+        });
+        assert_eq!(v.invariant, Invariant::Policy, "{v}");
+        assert_eq!(
+            (v.round, v.worker, v.job),
+            (Some(3), Some(0), Some(0)),
+            "{v}"
+        );
+        assert!(v.message.contains("stole with 3 ≥ k = 3"), "{v}");
+    }
+}
+
+/// Window mutant 2: under free steals the row `[job 0, idle]` stretched
+/// past round 5, where job 1 becomes eligible: worker 1 idles beside a
+/// queued job in round 5 — the span's last round (6 rounds) or strictly
+/// inside it (7, 9).
+#[test]
+fn free_steal_span_across_an_arrival_violates_policy() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(10))),
+        Job::new(1, 5, Arc::new(shapes::single_node(2))),
+    ]);
+    let cfg = SimConfig::new(2).with_free_steals().with_trace();
+    for rounds in [6, 7, 9] {
+        let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+            *rounds_of(&mut spans[0]) = rounds;
+        });
+        assert_eq!(v.invariant, Invariant::Policy, "{v}");
+        assert_eq!(
+            (v.round, v.worker, v.job),
+            (Some(5), Some(1), Some(1)),
+            "{v}"
+        );
+        assert!(v.message.contains("idled"), "{v}");
+    }
+}
+
+/// Window mutant 3: jobs of 10 and 6 units share six rounds; the shared
+/// row stretched to 7 or 12 rounds over-executes job 1 in round 6.
+#[test]
+fn span_outlasting_a_nodes_work_violates_precedence() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(10))),
+        Job::new(1, 0, Arc::new(shapes::single_node(6))),
+    ]);
+    let cfg = SimConfig::new(2).with_trace();
+    for rounds in [7, 12] {
+        let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+            *rounds_of(&mut spans[0]) = rounds;
+        });
+        assert_eq!(v.invariant, Invariant::Precedence, "{v}");
+        assert_eq!(
+            (v.round, v.worker, v.job),
+            (Some(6), Some(1), Some(1)),
+            "{v}"
+        );
+        assert!(v.message.contains("over-executed"), "{v}");
+    }
+}
+
+/// Window mutant 3b: FIFO runs jobs of 4 and 3 units back to back on one
+/// processor; job 1's row put over job 0's 4 rounds ends job 1 inside
+/// the span, in round 2, where its outcome is checked: P4 there, before
+/// the over-execution of round 3.
+#[test]
+fn span_ending_a_job_inside_checks_its_outcome_there() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(4))),
+        Job::new(1, 0, Arc::new(shapes::single_node(3))),
+    ]);
+    let cfg = SimConfig::new(1).with_trace();
+    let v = span_mutant(&inst, &cfg, None, |spans| {
+        assert_eq!(*rounds_of(&mut spans[0]), 4);
+        spans[0] = TraceSpan::Busy {
+            row: vec![Action::Work { job: 1, node: 0 }],
+            rounds: 4,
+        };
+    });
+    assert_eq!(v.invariant, Invariant::FlowAccounting, "{v}");
+    assert_eq!((v.round, v.worker, v.job), (None, None, Some(1)), "{v}");
+    assert!(v.message.contains("start_round 4"), "{v}");
+}
+
+/// Window mutant 4: a 5-unit job runs on worker 0 while workers 1 and
+/// 2 miss, one span of 5 rounds; worker 2's misses turned into hits are
+/// 5 hits the engine never reported — P2, counting every round of the
+/// span, which the window never applies to a row with a hit.
+#[test]
+fn repeated_steal_hit_row_counts_every_round() {
+    let inst = Instance::new(vec![Job::new(0, 0, Arc::new(shapes::single_node(5)))]);
+    let cfg = SimConfig::new(3).with_trace();
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+        assert_eq!(*rounds_of(&mut spans[0]), 5);
+        let TraceSpan::Busy { row, .. } = &mut spans[0] else {
+            panic!("span 0 is busy");
+        };
+        assert_eq!(row[2], Action::Steal { hit: false });
+        row[2] = Action::Steal { hit: true };
+    });
+    assert_eq!(v.invariant, Invariant::Capacity, "{v}");
+    assert_eq!((v.round, v.worker, v.job), (None, None, None), "{v}");
+    assert!(
+        v.message
+            .contains("trace shows 5 successful_steals, engine reported 0"),
+        "{v}"
+    );
 }

@@ -623,6 +623,17 @@ impl<const F: bool> WsLanes<'_, F> {
         (slot.job.id, first_round + slot.job.dag.work(task.1) - 1)
     }
 
+    /// What worker `p` does in a round it is not visited in: a unit of
+    /// its node if it holds one and acts, else `miss`.
+    fn unvisited(&self, p: usize, miss: Action) -> Action {
+        let (sid, node) = self.buf.cur[p];
+        if self.buf.busy.get(p) && self.f().is_none_or(|f| f.act.get(p)) {
+            let job = self.buf.slab.get(sid).job.id;
+            return Action::Work { job, node };
+        }
+        miss
+    }
+
     /// Worker `p` stays busy on its node through round `d`.
     #[inline]
     fn hold(&mut self, p: usize, d: Round) {
@@ -1158,8 +1169,12 @@ pub(crate) fn step_worksteal<S: JobStream>(
 /// ([`WsLanes::idle_lockout`]) the idle ones are not visited either: the
 /// engine jumps straight to the next completion or arrival, and in a
 /// completion round inside the lockout only the completing workers act.
-/// With `record_trace` every round stays explicit, every idle worker is
-/// visited and skipped workers' rows come from the `cur` column.
+/// A fault-free traced run steps exactly so: one row, kept across rounds,
+/// says what each worker does when not visited — work on its `cur` node,
+/// or an idle worker's miss (a failed unit-cost steal, an idle round
+/// under free steals) — so a jump is one span of that row, and an
+/// explicit round rewrites only the workers it visits. A faulted traced
+/// run keeps every round explicit and rebuilds its row each round.
 ///
 /// Faults (`F`) add events and masks, not a second loop: crash rounds and
 /// stall edges bound every jump, an explicit round visits only the idle
@@ -1217,7 +1232,15 @@ fn step_lanes<S: JobStream, const F: bool>(
         st.faults = Some(Box::new(FaultState::new(plan, m, seed)));
     }
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
-    let mut row: Vec<Action> = Vec::new();
+    let miss = match config.steal_cost {
+        StealCost::UnitStep => Action::Steal { hit: false },
+        StealCost::Free => Action::Idle,
+    };
+    let mut row: Vec<Action> = vec![miss; if trace.is_some() { m } else { 0 }];
+    // Visited workers whose action may not be what they do next round
+    // unvisited: one that acquired, stole (a hit works the node from the
+    // next round) or completed.
+    let mut stale: Vec<usize> = Vec::new();
     let mut samples: Vec<BacklogSample> = Vec::new();
     let se = config.sample_every;
 
@@ -1321,9 +1344,9 @@ fn step_lanes<S: JobStream, const F: bool>(
             if let Some(f) = st.faults.as_deref_mut().filter(|_| F) {
                 f.begin_round(round);
             }
-            // A traced run keeps every round explicit and every worker
-            // visited.
-            locked_until = if config.record_trace {
+            // A faulted traced run keeps every round explicit and every
+            // worker visited (its certifier skips it).
+            locked_until = if F && trace.is_some() {
                 round
             } else {
                 st.idle_lockout(round, next_arrival_round)
@@ -1334,6 +1357,9 @@ fn step_lanes<S: JobStream, const F: bool>(
             if !quiescent {
                 st.jump(round, t);
                 last_busy_round = t - 1;
+                if let Some(tr) = trace.as_mut() {
+                    tr.push_row(&row, t - round);
+                }
             }
             st.advance_faults(round, t, quiescent);
             // Backlog state is constant at the top of every round of the
@@ -1366,19 +1392,9 @@ fn step_lanes<S: JobStream, const F: bool>(
             st.jump(round, round + 1);
         }
         let completions = st.min_done == round;
-        row.clear();
-        if config.record_trace {
-            row.extend((0..m).map(|p| {
-                let (sid, node) = st.buf.cur[p];
-                if st.buf.busy.get(p) && st.f().is_none_or(|f| f.act.get(p)) {
-                    Action::Work {
-                        job: st.buf.slab.get(sid).job.id,
-                        node,
-                    }
-                } else {
-                    Action::Idle
-                }
-            }));
+        if F && trace.is_some() {
+            row.clear();
+            row.extend((0..m).map(|p| st.unvisited(p, Action::Idle)));
         }
         for wi in 0..st.buf.busy.words().len() {
             let mut idle = if idle_locked {
@@ -1400,8 +1416,9 @@ fn step_lanes<S: JobStream, const F: bool>(
                 let p = (wi << 6) | w.trailing_zeros() as usize;
                 w &= w - 1;
                 let action = st.visit(p, round, sink);
-                if config.record_trace {
+                if trace.is_some() {
                     row[p] = action;
+                    stale.extend((action != miss).then_some(p));
                 }
                 if let Some(f) = st.faults.as_deref_mut().filter(|_| F) {
                     w |= f.revisit.take_word(wi);
@@ -1422,6 +1439,9 @@ fn step_lanes<S: JobStream, const F: bool>(
         last_busy_round = round;
         if let Some(t) = trace.as_mut() {
             t.push_row(&row, 1);
+            for p in stale.drain(..) {
+                row[p] = st.unvisited(p, miss);
+            }
         }
         round += 1;
     }

@@ -13,8 +13,11 @@
 //! consecutive rows is one [`TraceSpan::Busy`] carrying its round count,
 //! and each run of all-idle rounds (quiescent gaps between arrivals) one
 //! [`TraceSpan::Idle`]. So a trace costs O(distinct consecutive rows),
-//! not O(total rounds); the checker still replays a busy span round by
-//! round, exactly as its expansion.
+//! not O(total rounds). The checker feeds a busy span's first and last
+//! rounds unit by unit; the rounds between are applied in O(m) when an
+//! O(m) pre-check shows no check can fire in them, and replayed round by
+//! round otherwise — so a span gets exactly the finding its expansion
+//! gets.
 
 use crate::bits::BitWords;
 use parflow_dag::{Instance, Job, JobId, NodeId};
@@ -262,19 +265,18 @@ impl ScheduleTrace {
     pub fn validate(&self, instance: &Instance) -> Result<(), TraceViolation> {
         let mut checker = TraceChecker::new(instance, self.m, self.speed);
         for span in &self.spans {
-            checker.span(span)?;
-            let TraceSpan::Busy { row, rounds } = span else {
+            let start = checker.span(span)?;
+            let TraceSpan::Busy { row, .. } = span else {
                 continue;
             };
-            for r in 0..*rounds {
-                if r > 0 {
-                    checker.next_round();
-                }
+            let mut round = Some(start);
+            while let Some(r) = round {
                 for action in row {
                     if let Action::Work { job, node } = *action {
                         checker.work(job, node)?;
                     }
                 }
+                round = checker.next_round(row, r == start);
             }
         }
         checker.finish()
@@ -342,7 +344,8 @@ struct LiveJob {
 /// the running round), feed every `Work` action of a busy span's row, in
 /// processor order, through [`TraceChecker::work`], and close the trace
 /// with [`TraceChecker::finish`]. Each further round of a busy span is
-/// [`TraceChecker::next_round`] and the row's units again.
+/// [`TraceChecker::next_round`] and the row's units again; it may skip
+/// to the span's last round.
 /// Checked, independently of any engine state:
 /// 1. every span covers at least one round, and every busy row all `m`
 ///    processors;
@@ -413,12 +416,48 @@ impl<'a> TraceChecker<'a> {
         Ok(self.round)
     }
 
-    /// Move on to the next round of the busy span entered last, to feed
-    /// its row's units again; returns that round.
-    pub fn next_round(&mut self) -> Round {
-        debug_assert!(self.round + 1 < self.next_round);
+    /// Move on from the round just fed (every unit of `row` accepted) to
+    /// the next round of the busy span `row` entered last, to feed its
+    /// units again; `None` past the span's last round.
+    ///
+    /// `window` says the caller's own checks cannot fire in the rounds
+    /// strictly between this one and the span's last. If the checker's
+    /// cannot either — every node of the row belongs to a live job and
+    /// keeps more units than those rounds, so none starts, completes or
+    /// over-runs in them — they are applied at once and the span's last
+    /// round is returned.
+    pub fn next_round(&mut self, row: &[Action], window: bool) -> Option<Round> {
+        let last = self.next_round - 1;
+        let between = last.checked_sub(self.round + 1)?;
         self.round += 1;
-        self.round
+        if window && between > 0 && self.units(row, between, None) {
+            self.units(row, between, Some(last));
+            self.round = last;
+        }
+        Some(self.round)
+    }
+
+    /// Whether every node `row` works on belongs to a live job and keeps
+    /// more than `rounds` units; with `stamp`, also give each of them
+    /// those `rounds` units, the last in the round before `stamp`.
+    fn units(&mut self, row: &[Action], rounds: u64, stamp: Option<Round>) -> bool {
+        for action in row {
+            if let Action::Work { job, node } = *action {
+                let Ok(at) = self.live.binary_search_by_key(&job, |&(j, _)| j) else {
+                    return false;
+                };
+                let state = &mut self.slabs[self.live[at].1];
+                let n = &mut state.nodes[node as usize];
+                if self.jobs[job as usize].dag.work(node) - n.executed <= rounds {
+                    return false;
+                }
+                if let Some(stamp) = stamp {
+                    (n.executed, n.stamp) = (n.executed + rounds, stamp);
+                    state.remaining -= rounds;
+                }
+            }
+        }
+        true
     }
 
     /// One unit of work on `node` of `job` in the round being fed.
@@ -431,13 +470,8 @@ impl<'a> TraceChecker<'a> {
         node: NodeId,
     ) -> Result<(bool, Option<Round>), TraceViolation> {
         let round = self.round;
-        let dag = match self.jobs.get(job as usize) {
-            Some(j) if (node as usize) < j.dag.num_nodes() => {
-                if !self.speed.arrived_by_round(j.arrival, round) {
-                    return Err(TraceViolation::EarlyStart { round, job });
-                }
-                &j.dag
-            }
+        let (arrival, dag) = match self.jobs.get(job as usize) {
+            Some(j) if (node as usize) < j.dag.num_nodes() => (j.arrival, &j.dag),
             _ => return Err(TraceViolation::UnknownTarget { round, job, node }),
         };
         if self.completed.get(job as usize) {
@@ -445,6 +479,11 @@ impl<'a> TraceChecker<'a> {
         }
         let (at, first) = match self.live.binary_search_by_key(&job, |&(j, _)| j) {
             Ok(at) => (at, false),
+            // Rounds are fed in order, so a job's first unit is the one
+            // that has to be visible.
+            Err(_) if !self.speed.arrived_by_round(arrival, round) => {
+                return Err(TraceViolation::EarlyStart { round, job });
+            }
             Err(at) => {
                 let slab = self.free.pop().unwrap_or_else(|| {
                     self.slabs.push(LiveJob::default());

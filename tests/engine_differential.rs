@@ -407,6 +407,60 @@ fn edge_k_burn_jump_stops_one_round_before_the_admission() {
 }
 
 #[test]
+fn edge_traced_k_burn_is_one_span_of_misses() {
+    use parflow::core::{Action, TraceSpan};
+    // Unit-step steal-3-first, two workers, three queued jobs and nothing
+    // stealable. Both workers burn rounds 0..3 and admit jobs 0 and 1 in
+    // round 3; job 1 ends in round 4, and worker 1 burns rounds 5..8
+    // beside the busy worker 0 before admitting job 2. The traced run
+    // takes both burn jumps: each window is one span of its row, idlers
+    // missing, and the schedule certifies clean.
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(8))),
+        Job::new(1, 0, Arc::new(shapes::single_node(2))),
+        Job::new(2, 0, Arc::new(shapes::single_node(2))),
+    ]);
+    let policy = StealPolicy::StealKFirst { k: 3 };
+    let (r, t) = edge_case(&inst, &SimConfig::new(2), policy, 7, "traced k-burn");
+    let miss = Action::Steal { hit: false };
+    let on = |job| Action::Work { job, node: 0 };
+    let busy = |row: Vec<Action>, rounds| TraceSpan::Busy { row, rounds };
+    assert_eq!(
+        t.spans,
+        vec![
+            busy(vec![miss, miss], 3),
+            busy(vec![on(0), on(1)], 2),
+            busy(vec![on(0), miss], 3),
+            busy(vec![on(0), on(2)], 2),
+            busy(vec![on(0), miss], 1),
+        ]
+    );
+    assert_eq!(r.outcomes[2].start_round, 8);
+    assert_eq!(r.stats.steal_attempts, 10);
+}
+
+#[test]
+fn edge_idle_locked_round_records_the_idlers_misses() {
+    use parflow::core::{Action, TraceSpan};
+    // A chain of two 3-unit nodes on two unit-step workers. Worker 1 is
+    // locked out while worker 0 runs each node (nothing stealable, the
+    // queue empty), also in the completion rounds 2 and 5, where only
+    // worker 0 is visited: worker 1's row there is still a failed steal.
+    let inst = one_job(shapes::chain(2, 3));
+    let (r, t) = edge_case(
+        &inst,
+        &SimConfig::new(2),
+        StealPolicy::AdmitFirst,
+        7,
+        "idle-locked round",
+    );
+    let row = |node| vec![Action::Work { job: 0, node }, Action::Steal { hit: false }];
+    let busy = |row, rounds| TraceSpan::Busy { row, rounds };
+    assert_eq!(t.spans, vec![busy(row(0), 3), busy(row(1), 3)]);
+    assert_eq!(r.stats.steal_attempts, 6);
+}
+
+#[test]
 fn edge_steal_half_refills_the_thiefs_deque_mid_round() {
     use parflow::core::Action;
     // Worker 0 holds 16 chunks after round 0. In round 1 worker 1 takes
