@@ -22,20 +22,22 @@
 //! [`CertReport::skipped`] reason, never a false violation.
 //!
 //! The feasibility facts themselves — all of P1 and P2's span shape —
-//! are not implemented here: the certifier drives the one
-//! [`TraceChecker`] that also sits behind `ScheduleTrace::validate`, and
-//! turns its [`TraceViolation`] into a [`Violation`] in one function.
-//! What lives in this crate is policy and accounting: the admission-queue
-//! replay (P3), idle-span conservation and counter tallies (P2), and each
-//! job's reported outcome, checked at the round of its last unit from
-//! the first and last work round the checker reports (P4, P5).
+//! are not implemented here: the certifier drives the one checker that
+//! also sits behind `ScheduleTrace::validate`, through
+//! [`ScheduleTrace::replay`], and turns its [`TraceViolation`] into a
+//! [`Violation`] in one function. What lives in this crate is policy and
+//! accounting, as the replay's [`RunHooks`]: the admission-queue replay
+//! (P3), idle-span conservation and counter tallies (P2), and each job's
+//! reported outcome, checked at the round of its last unit from the
+//! first and last work round the checker reports (P4, P5).
 //!
-//! A busy span repeating one row for many rounds goes through the
-//! checker's one window path: its first and last rounds are replayed
-//! unit by unit, and the rounds between are counted in O(m) when neither
-//! the checker nor the policy replay could find anything in them, else
-//! replayed round by round. So a broken trace gets the finding its
-//! expansion gets.
+//! The replay consumes per-worker runs, not units: each worker's current
+//! action and the round it began. Tallies add a run's length when it
+//! closes, a failed-steal streak grows by it, and the P3 checks of a
+//! steal or idle run are made when it opens and again at the rounds
+//! where they could first fail — the next arrival, or a steal-k streak
+//! reaching `k` — so a broken trace gets the finding a unit-by-unit
+//! replay of its expansion gets, at the same round and worker.
 //!
 //! Policy conformance (P3) replays the global admission queue from the
 //! trace alone: arrivals enter at round start, workers act in index
@@ -52,8 +54,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use parflow_core::{
-    combined_lower_bound, Action, AdmissionOrder, JobStatus, ScheduleTrace, SimConfig, SimResult,
-    StealCost, StealPolicy, TraceChecker, TraceSpan, TraceViolation,
+    combined_lower_bound, Action, AdmissionOrder, JobStatus, RunHooks, ScheduleTrace, SimConfig,
+    SimResult, StealCost, StealPolicy, TraceViolation,
 };
 use parflow_dag::{Instance, JobId};
 use parflow_time::{Rational, Round, Speed};
@@ -207,8 +209,8 @@ fn violation(
     }
 }
 
-/// The one place a feasibility fact found by the shared
-/// [`TraceChecker`] becomes a certifier finding: span shape is P2,
+/// The one place a feasibility fact found by the shared checker becomes
+/// a certifier finding: span shape is P2,
 /// everything else P1; the locus carries over, plus the worker when the
 /// fact is about one work unit.
 fn from_trace(v: TraceViolation, worker: Option<usize>) -> Violation {
@@ -252,10 +254,10 @@ fn from_trace(v: TraceViolation, worker: Option<usize>) -> Violation {
     violation(Invariant::Precedence, round, worker, Some(job), message)
 }
 
-/// What the certifier adds to the [`TraceChecker`] it drives: the
-/// admission-queue replay and failed-steal streaks (P3), idle-span
-/// conservation and action tallies (P2), and each job's reported outcome
-/// against its first and last work round (P4, P5).
+/// What the certifier adds to the checker it drives, as its
+/// [`RunHooks`]: the admission-queue replay and failed-steal streaks
+/// (P3), idle-span conservation and action tallies (P2), and each job's
+/// reported outcome against its first and last work round (P4, P5).
 struct Replay<'a> {
     instance: &'a Instance,
     result: &'a SimResult,
@@ -264,14 +266,16 @@ struct Replay<'a> {
     policy: Option<StealPolicy>,
     unit_steals: bool,
     fifo_admission: bool,
-    checker: TraceChecker<'a>,
     /// Next not-yet-released arrival index (jobs are arrival-sorted).
     next_release: usize,
+    /// The first round that job is eligible in (`Round::MAX`: none left).
+    next_eligible: Round,
     /// Released-but-unadmitted jobs, in release (= id) order.
     queue: VecDeque<JobId>,
     /// Admitted jobs that still have unexecuted units.
     live_admitted: usize,
-    /// Consecutive failed steal attempts per worker (unit-step replay).
+    /// Consecutive failed steal attempts per worker before its current
+    /// run.
     failed_steals: Vec<u64>,
     /// Largest recomputed flow over the jobs completed so far.
     max_flow: Rational,
@@ -298,8 +302,10 @@ impl<'a> Replay<'a> {
             policy,
             unit_steals: matches!(cfg.steal_cost, StealCost::UnitStep),
             fifo_admission: matches!(cfg.admission, AdmissionOrder::Fifo),
-            checker: TraceChecker::new(instance, cfg.m, cfg.speed),
             next_release: 0,
+            next_eligible: instance.jobs().first().map_or(Round::MAX, |job| {
+                cfg.speed.first_round_at_or_after(job.arrival)
+            }),
             queue: VecDeque::new(),
             live_admitted: 0,
             failed_steals: vec![0; cfg.m],
@@ -312,27 +318,10 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Replay the whole trace, then close it: P1 completeness, the P2
-    /// counter cross-check, and the global halves of P4 and P5.
+    /// Replay the whole trace, then close it: the P2 counter cross-check,
+    /// and the global halves of P4 and P5.
     fn run(&mut self, trace: &ScheduleTrace) -> Result<(), Violation> {
-        for span in &trace.spans {
-            let start = self.checker.span(span).map_err(|v| from_trace(v, None))?;
-            match span {
-                TraceSpan::Idle { count } => self.idle_span(start, *count)?,
-                TraceSpan::Busy { row, rounds } => {
-                    let mut round = Some(start);
-                    while let Some(r) = round {
-                        self.busy_row(r, row)?;
-                        let window = r == start && *rounds > 2 && self.quiet(r, row, rounds - 2);
-                        round = self.checker.next_round(row, window);
-                        if round.is_some_and(|next| next > r + 1) {
-                            self.tally(row, rounds - 2);
-                        }
-                    }
-                }
-            }
-        }
-        self.checker.finish().map_err(|v| from_trace(v, None))?;
+        trace.replay(self.instance, self)?;
 
         let fail =
             |invariant, message: String| Err(violation(invariant, None, None, None, message));
@@ -378,118 +367,20 @@ impl<'a> Replay<'a> {
     /// queue.
     fn release_arrivals(&mut self, r: Round) {
         let jobs = self.instance.jobs();
-        while let Some(job) = jobs.get(self.next_release) {
-            if !self.speed.arrived_by_round(job.arrival, r) {
-                break;
-            }
-            self.queue.push_back(job.id);
+        while self.next_eligible <= r {
+            self.queue.push_back(jobs[self.next_release].id);
             self.next_release += 1;
+            self.next_eligible = jobs.get(self.next_release).map_or(Round::MAX, |job| {
+                self.speed.first_round_at_or_after(job.arrival)
+            });
         }
-    }
-
-    /// An RLE idle span covering rounds `[start, start + count)`. The
-    /// engines only fast-forward when the system is fully drained, so an
-    /// arrived-but-incomplete job anywhere inside the span breaks work
-    /// conservation (P2): every scheduler in this workspace is greedy.
-    fn idle_span(&mut self, start: Round, count: u64) -> Result<(), Violation> {
-        self.release_arrivals(start);
-        let fail = |round, job, message: String| {
-            Err(violation(
-                Invariant::Capacity,
-                Some(round),
-                None,
-                job,
-                message,
-            ))
-        };
-        if self.live_admitted > 0 {
-            let live = self.live_admitted;
-            return fail(
-                start,
-                None,
-                format!("idle span of {count} rounds while {live} admitted job(s) are incomplete"),
-            );
-        }
-        if let Some(&job) = self.queue.front() {
-            return fail(
-                start,
-                Some(job),
-                format!("idle span of {count} rounds while the global queue holds an arrived job"),
-            );
-        }
-        // An arrival whose first eligible round falls strictly inside the
-        // span: a greedy engine would have woken exactly at that round.
-        if let Some(job) = self.instance.jobs().get(self.next_release) {
-            let eligible = self.speed.first_round_at_or_after(job.arrival);
-            if eligible < start + count {
-                return fail(
-                    eligible,
-                    Some(job.id),
-                    "idle span covers a round in which a new job became eligible".to_string(),
-                );
-            }
-        }
-        for c in &mut self.failed_steals {
-            *c = c.saturating_add(count);
-        }
-        self.idle_units += count * self.m as u64;
-        Ok(())
-    }
-
-    /// Worker `p` admits `job` — its first-ever unit of work — at round
-    /// `r`: pop it from the replayed queue and check policy conformance.
-    fn admit(&mut self, r: Round, p: usize, job: JobId) -> Result<(), Violation> {
-        let fail = |message: String| {
-            Err(violation(
-                Invariant::Policy,
-                Some(r),
-                Some(p),
-                Some(job),
-                message,
-            ))
-        };
-        let queued = if self.fifo_admission && self.policy.is_some() {
-            match self.queue.front() {
-                Some(&front) if front == job => Some(0),
-                Some(&front) => {
-                    return fail(format!(
-                        "admitted out of FIFO order (queue front is job {front})"
-                    ))
-                }
-                None => return fail("admitted from an empty global queue".to_string()),
-            }
-        } else {
-            self.queue.iter().position(|&q| q == job)
-        };
-        match (queued, self.policy) {
-            (Some(pos), _) => {
-                self.queue.remove(pos);
-            }
-            (None, Some(_)) => {
-                return fail("admitted a job that is not in the global queue".to_string())
-            }
-            // Centralized engines have no admission policy to conform to;
-            // the queue only feeds the idle-span work-conservation check.
-            (None, None) => {}
-        }
-        if let (true, Some(StealPolicy::StealKFirst { k })) = (self.unit_steals, self.policy) {
-            let c = self.failed_steals[p];
-            if c < k as u64 {
-                return fail(format!(
-                    "admitted after {c} consecutive failed steals (policy requires {k})"
-                ));
-            }
-        }
-        self.live_admitted += 1;
-        self.admissions += 1;
-        Ok(())
     }
 
     /// P4 and the per-job half of P5 for `job`, whose units the trace
     /// places in rounds `first ..= last`: every reported outcome field is
     /// recomputed exactly, and a span of `P_i` units serializes over
     /// ≥ `P_i` rounds, so `F_i ≥ P_i / s` at any speed `s`.
-    fn job_done(&mut self, job: JobId, first: Round, last: Round) -> Result<(), Violation> {
+    fn check_outcome(&mut self, job: JobId, first: Round, last: Round) -> Result<(), Violation> {
         let (spec, o) = (
             &self.instance.jobs()[job as usize],
             &self.result.outcomes[job as usize],
@@ -538,151 +429,230 @@ impl<'a> Replay<'a> {
         Ok(())
     }
 
-    /// One explicit busy row at round `r`, workers in index order.
-    fn busy_row(&mut self, r: Round, row: &[Action]) -> Result<(), Violation> {
-        self.release_arrivals(r);
-        for (p, action) in row.iter().enumerate() {
-            match *action {
-                Action::Work { job, node } => {
-                    let unit = self.checker.work(job, node);
-                    let (first, done) = unit.map_err(|v| from_trace(v, Some(p)))?;
-                    if first {
-                        self.admit(r, p, job)?;
-                    }
-                    if let Some(first_round) = done {
-                        self.live_admitted -= 1;
-                        self.job_done(job, first_round, r)?;
-                    }
-                    self.work_units += 1;
-                    // A failed-steal streak is *consecutive*: the engine
-                    // resets the counter on every work step (an admission
-                    // is one), and on a successful steal.
-                    self.failed_steals[p] = 0;
-                }
-                Action::Steal { hit } => self.steal(r, p, hit)?,
-                Action::Idle => self.idle_worker(r, p)?,
-            }
+    /// Consecutive failed steals of worker `p` before it acts in round
+    /// `r` of its run of `action` since `first`.
+    fn failed(&self, p: usize, action: Action, first: Round, r: Round) -> u64 {
+        let before = self.failed_steals[p];
+        match action {
+            Action::Steal { hit: false } => before.saturating_add(r - first),
+            Action::Steal { hit: true } if r > first => 0,
+            _ => before,
         }
-        Ok(())
     }
 
-    /// Whether no P3 check can fire in the `rounds` rounds of `row` after
-    /// round `r`, just replayed: the row only works; or it holds no steal
-    /// hit, no arrival becomes eligible in those rounds, and the queue is
-    /// empty or every other worker is a steal-k thief staying short of
-    /// `k`. (Round `r` already rejected a steal without a policy or under
-    /// free steals.)
-    fn quiet(&self, r: Round, row: &[Action], rounds: u64) -> bool {
-        let works = |a: &Action| matches!(a, Action::Work { .. });
-        let next = self.instance.jobs().get(self.next_release);
-        let arrives = next.is_some_and(|job| self.speed.arrived_by_round(job.arrival, r + rounds));
+    /// Whether an idle-handed worker with `failed` consecutive failed
+    /// steals must admit from a non-empty queue. Under free steals (both
+    /// policies) and unit-step admit-first it always reaches the
+    /// admission attempt; unit-step steal-k idles never occur (the worker
+    /// steals), so an idle there is only provably wrong past the k
+    /// threshold.
+    fn must_admit(&self, failed: u64) -> bool {
         match self.policy {
-            _ if row.iter().all(works) => true,
-            _ if arrives || row.contains(&Action::Steal { hit: true }) => false,
-            _ if self.queue.is_empty() => true,
-            Some(StealPolicy::StealKFirst { k }) => (row.iter().zip(&self.failed_steals))
-                .all(|(a, &c)| works(a) || *a != Action::Idle && c + rounds <= k as u64),
-            _ => false,
+            None => false,
+            _ if !self.unit_steals => true,
+            Some(StealPolicy::AdmitFirst) => true,
+            Some(StealPolicy::StealKFirst { k }) => failed >= k as u64,
         }
     }
+}
 
-    /// Count `rounds` more rounds of `row`, which [`Replay::quiet`] passed
-    /// and the checker applied.
-    fn tally(&mut self, row: &[Action], rounds: u64) {
-        for (a, c) in row.iter().zip(&mut self.failed_steals) {
-            match a {
-                Action::Work { .. } => self.work_units += rounds,
-                Action::Steal { .. } => {
-                    (self.steal_actions, *c) = (self.steal_actions + rounds, *c + rounds)
-                }
-                Action::Idle => self.idle_units += rounds,
-            }
-        }
+impl RunHooks for Replay<'_> {
+    type Error = Violation;
+
+    fn infeasible(&mut self, v: TraceViolation, worker: Option<usize>) -> Violation {
+        from_trace(v, worker)
     }
 
-    /// A recorded steal attempt by worker `p` at round `r`.
-    fn steal(&mut self, r: Round, p: usize, hit: bool) -> Result<(), Violation> {
-        let Some(policy) = self.policy else {
-            return Err(violation(
-                Invariant::Policy,
-                Some(r),
-                Some(p),
+    /// An RLE idle span covering rounds `[start, start + count)`. The
+    /// engines only fast-forward when the system is fully drained, so an
+    /// arrived-but-incomplete job anywhere inside the span breaks work
+    /// conservation (P2): every scheduler in this workspace is greedy.
+    fn idle_span(&mut self, start: Round, count: u64) -> Result<(), Violation> {
+        self.release_arrivals(start);
+        let fail = |round, job, message: String| {
+            Err(violation(
+                Invariant::Capacity,
+                Some(round),
                 None,
-                "steal action in a centralized trace".to_string(),
-            ));
+                job,
+                message,
+            ))
         };
-        if !self.unit_steals {
-            return Err(violation(
-                Invariant::Policy,
-                Some(r),
-                Some(p),
+        if self.live_admitted > 0 {
+            let live = self.live_admitted;
+            return fail(
+                start,
                 None,
-                "steal action recorded under the free steal-cost model".to_string(),
-            ));
+                format!("idle span of {count} rounds while {live} admitted job(s) are incomplete"),
+            );
         }
-        if let Some(&front) = self.queue.front() {
-            match policy {
-                StealPolicy::AdmitFirst => {
-                    return Err(violation(
-                        Invariant::Policy,
-                        Some(r),
-                        Some(p),
-                        Some(front),
-                        "stole while the global queue is non-empty (admit-first)".to_string(),
-                    ));
-                }
-                StealPolicy::StealKFirst { k } => {
-                    let c = self.failed_steals[p];
-                    if c >= k as u64 {
-                        return Err(violation(
-                            Invariant::Policy,
-                            Some(r),
-                            Some(p),
-                            Some(front),
-                            format!(
-                                "stole with {c} ≥ k = {k} failed attempts while the queue is non-empty"
-                            ),
-                        ));
-                    }
-                }
+        if let Some(&job) = self.queue.front() {
+            return fail(
+                start,
+                Some(job),
+                format!("idle span of {count} rounds while the global queue holds an arrived job"),
+            );
+        }
+        // An arrival whose first eligible round falls strictly inside the
+        // span: a greedy engine would have woken exactly at that round.
+        if let Some(job) = self.instance.jobs().get(self.next_release) {
+            let eligible = self.next_eligible;
+            if eligible < start + count {
+                return fail(
+                    eligible,
+                    Some(job.id),
+                    "idle span covers a round in which a new job became eligible".to_string(),
+                );
             }
         }
-        self.steal_actions += 1;
-        if hit {
-            self.steal_hits += 1;
-            self.failed_steals[p] = 0;
-        } else {
-            self.failed_steals[p] = self.failed_steals[p].saturating_add(1);
+        for c in &mut self.failed_steals {
+            *c = c.saturating_add(count);
         }
+        self.idle_units += count * self.m as u64;
         Ok(())
     }
 
-    /// A recorded idle by worker `p` at round `r` inside a busy row.
-    fn idle_worker(&mut self, r: Round, p: usize) -> Result<(), Violation> {
-        if self.policy.is_some() && !self.queue.is_empty() {
-            // Under free steals (both policies) and unit-step admit-first
-            // an idle-handed worker always reaches the admission attempt;
-            // unit-step steal-k idles never occur (the worker steals), so
-            // an idle there is only provably wrong past the k threshold.
-            let must_admit = !self.unit_steals
-                || match self.policy {
-                    Some(StealPolicy::AdmitFirst) => true,
-                    Some(StealPolicy::StealKFirst { k }) => self.failed_steals[p] >= k as u64,
-                    None => false,
-                };
-            if must_admit {
-                let front = self.queue.front().copied();
-                return Err(violation(
-                    Invariant::Policy,
-                    Some(r),
-                    Some(p),
-                    front,
-                    "worker idled while the global queue holds an admissible job".to_string(),
+    /// Tally a run, and carry worker `p`'s failed-steal streak past it: a
+    /// streak is *consecutive*, so the engine resets it on every work
+    /// step (an admission is one) and on a successful steal.
+    fn close(&mut self, p: usize, action: Action, rounds: u64) {
+        let streak = &mut self.failed_steals[p];
+        match action {
+            Action::Work { .. } => (self.work_units, *streak) = (self.work_units + rounds, 0),
+            Action::Steal { hit: true } => {
+                self.steal_actions += rounds;
+                self.steal_hits += rounds;
+                *streak = 0;
+            }
+            Action::Steal { hit: false } => {
+                self.steal_actions += rounds;
+                *streak = streak.saturating_add(rounds);
+            }
+            Action::Idle => self.idle_units += rounds,
+        }
+    }
+
+    /// Worker `p` admits `job` — its first-ever unit of work — at round
+    /// `r`: pop it from the replayed queue and check policy conformance.
+    fn admit(&mut self, r: Round, p: usize, job: JobId) -> Result<(), Violation> {
+        self.release_arrivals(r);
+        let fail = |message: String| {
+            Err(violation(
+                Invariant::Policy,
+                Some(r),
+                Some(p),
+                Some(job),
+                message,
+            ))
+        };
+        let queued = if self.fifo_admission && self.policy.is_some() {
+            match self.queue.front() {
+                Some(&front) if front == job => Some(0),
+                Some(&front) => {
+                    return fail(format!(
+                        "admitted out of FIFO order (queue front is job {front})"
+                    ))
+                }
+                None => return fail("admitted from an empty global queue".to_string()),
+            }
+        } else {
+            self.queue.iter().position(|&q| q == job)
+        };
+        match (queued, self.policy) {
+            (Some(pos), _) => {
+                self.queue.remove(pos);
+            }
+            (None, Some(_)) => {
+                return fail("admitted a job that is not in the global queue".to_string())
+            }
+            // Centralized engines have no admission policy to conform to;
+            // the queue only feeds the idle-span work-conservation check.
+            (None, None) => {}
+        }
+        if let (true, Some(StealPolicy::StealKFirst { k })) = (self.unit_steals, self.policy) {
+            let c = self.failed_steals[p];
+            if c < k as u64 {
+                return fail(format!(
+                    "admitted after {c} consecutive failed steals (policy requires {k})"
                 ));
             }
         }
-        self.idle_units += 1;
+        self.live_admitted += 1;
+        self.admissions += 1;
         Ok(())
+    }
+
+    fn job_done(&mut self, r: Round, _p: usize, job: JobId, first: Round) -> Result<(), Violation> {
+        self.live_admitted -= 1;
+        self.check_outcome(job, first, r)
+    }
+
+    /// Worker `p` steals or idles at round `r`: P3 against the queue.
+    fn act(&mut self, r: Round, p: usize, action: Action, first: Round) -> Result<(), Violation> {
+        self.release_arrivals(r);
+        let fail = |job, message: &str| {
+            let message = message.to_string();
+            Err(violation(Invariant::Policy, Some(r), Some(p), job, message))
+        };
+        let front = self.queue.front().copied();
+        let failed = self.failed(p, action, first, r);
+        if action == Action::Idle {
+            if front.is_some() && self.must_admit(failed) {
+                return fail(
+                    front,
+                    "worker idled while the global queue holds an admissible job",
+                );
+            }
+            return Ok(());
+        }
+        let Some(policy) = self.policy else {
+            return fail(None, "steal action in a centralized trace");
+        };
+        if !self.unit_steals {
+            return fail(
+                None,
+                "steal action recorded under the free steal-cost model",
+            );
+        }
+        match (front, policy) {
+            (Some(_), StealPolicy::AdmitFirst) => fail(
+                front,
+                "stole while the global queue is non-empty (admit-first)",
+            ),
+            (Some(_), StealPolicy::StealKFirst { k }) if failed >= k as u64 => {
+                let message = format!(
+                    "stole with {failed} ≥ k = {k} failed attempts while the queue is non-empty"
+                );
+                fail(front, &message)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// A steal or idle run can only fail while the queue holds a job: from
+    /// now if it does, else from the next arrival on; a steal-k thief only
+    /// once its streak reaches `k`. A steal where none may be is due now.
+    fn due(&self, p: usize, action: Action, first: Round, from: Round) -> Round {
+        if action != Action::Idle && (self.policy.is_none() || !self.unit_steals) {
+            return from;
+        }
+        let queued = if !self.queue.is_empty() {
+            from
+        } else if self.next_eligible < Round::MAX {
+            self.next_eligible.max(from)
+        } else {
+            return Round::MAX;
+        };
+        let streak = self.failed_steals[p];
+        match (action, self.policy) {
+            (Action::Idle, _) if self.must_admit(streak) => queued,
+            (Action::Steal { .. }, Some(StealPolicy::AdmitFirst)) => queued,
+            (Action::Steal { hit: false }, Some(StealPolicy::StealKFirst { k })) => {
+                queued.max(first + (k as u64).saturating_sub(streak))
+            }
+            (Action::Steal { hit: true }, Some(StealPolicy::StealKFirst { k: 0 })) => queued,
+            _ => Round::MAX,
+        }
     }
 }
 

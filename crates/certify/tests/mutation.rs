@@ -1,6 +1,6 @@
 //! Mutation harness for the certifier.
 //!
-//! Three obligations, mirroring docs/STATIC_ANALYSIS.md:
+//! Four obligations, mirroring docs/STATIC_ANALYSIS.md:
 //!
 //! 1. **Soundness on real schedules** — every trace produced by the
 //!    engines across random instances, policies, steal-cost models and
@@ -12,14 +12,16 @@
 //!    downstream cascade instead of the root cause fails these tests.
 //! 3. **One checker behind both fuzz surfaces** — the corruptions of
 //!    `tests/trace_fuzz.rs` and the P1 / P2 trace mutants below are
-//!    rejected by `ScheduleTrace::validate` *and* by `certify_run`, at the
-//!    same job and round.
-//! 4. **Spans replay as their expansion** — a busy span mutated in its
-//!    round count or its row is rejected at the round, worker and job
-//!    where its expansion breaks the model, with the same finding as the
-//!    mutant split into one-round spans — whether the window path
-//!    applies the span's middle rounds at once or replays them
-//!    (`tests/trace_fuzz.rs` holds every verdict to the split too).
+//!    rejected by `ScheduleTrace::validate` *and* by `certify_run`, each
+//!    with the finding of the per-unit oracle (`oracle/mod.rs`) on the
+//!    mutant's dense rows.
+//! 4. **Runs replay as their expansion** — a trace mutated at a span or
+//!    run boundary is rejected at the round, worker and job where its
+//!    expansion breaks the model: the certifier's rendered finding equals
+//!    the oracle's on the dense rows (`tests/trace_fuzz.rs` holds every
+//!    engine's verdicts to the oracle too).
+
+mod oracle;
 
 use parflow_certify::{certify_run, certify_stream_summary, CertReport, Invariant};
 use parflow_core::{
@@ -32,6 +34,12 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// The canonical trace of mutated dense rows, which the mutants keep
+/// `m` wide.
+fn encode(trace: &ScheduleTrace, rows: Vec<Vec<Action>>) -> ScheduleTrace {
+    ScheduleTrace::from_dense(trace.m, trace.speed, rows).expect("m-wide rows")
+}
 
 /// A random small instance of mixed DAG shapes and arrival patterns
 /// (same population as the differential suites).
@@ -138,7 +146,7 @@ fn swapped_spans_violate_precedence() {
     let (inst, cfg, result, trace) = chain_baseline();
     let mut rows = trace.to_dense();
     rows.swap(0, 1);
-    let mutated = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+    let mutated = encode(&trace, rows);
     let v = expect_violation(&inst, &cfg, &result, &mutated);
     assert_eq!(v.invariant, Invariant::Precedence, "{v}");
     assert_eq!(v.round, Some(0), "{v}");
@@ -154,22 +162,35 @@ fn dropped_completion_violates_precedence_completeness() {
     let (inst, cfg, result, trace) = chain_baseline();
     let mut rows = trace.to_dense();
     rows.pop();
-    let mutated = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+    let mutated = encode(&trace, rows);
     let v = expect_violation(&inst, &cfg, &result, &mutated);
     assert_eq!(v.invariant, Invariant::Precedence, "{v}");
     assert_eq!(v.job, Some(0), "{v}");
     assert!(v.message.contains("incomplete"), "{v}");
 }
 
-/// Mutation 3: exceed capacity. A round row with m+1 busy processors is
-/// rejected as P2 at exactly that round.
+/// Mutation 3: exceed capacity. A round row with m+1 busy processors has
+/// no encoding: the trace arena holds `m`-wide rows only, so
+/// `from_dense` refuses it as P2's row width at exactly that round — the
+/// finding the per-unit oracle gives the dense rows.
 #[test]
 fn exceeded_capacity_violates_capacity() {
     let (inst, cfg, result, trace) = chain_baseline();
     let mut rows = trace.to_dense();
     rows[1].push(Action::Work { job: 0, node: 1 });
-    let mutated = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
-    let v = expect_violation(&inst, &cfg, &result, &mutated);
+    let refused = ScheduleTrace::from_dense(trace.m, trace.speed, rows.clone());
+    let width = TraceViolation::BadRowWidth {
+        round: 1,
+        width: 2,
+        m: 1,
+    };
+    assert_eq!(refused, Err(width.clone()));
+    assert_eq!(
+        oracle::validate(&inst, trace.m, trace.speed, &rows),
+        Err(width)
+    );
+    let report = oracle::certify(&inst, &cfg, Some(StealPolicy::AdmitFirst), &result, &rows);
+    let v = report.violation.expect("the oracle rejects it");
     assert_eq!(v.invariant, Invariant::Capacity, "{v}");
     assert_eq!(v.round, Some(1), "{v}");
     assert!(v.message.contains("row covers 2 processors"), "{v}");
@@ -190,7 +211,7 @@ fn same_round_pair_violates_precedence() {
         Action::Work { job: 0, node: 0 },
         Action::Work { job: 0, node: 1 },
     ]];
-    let mutated = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+    let mutated = encode(&trace, rows);
     let v = expect_violation(&inst, &cfg, &result, &mutated);
     assert_eq!(v.invariant, Invariant::Precedence, "{v}");
     assert_eq!(v.round, Some(0), "{v}");
@@ -198,12 +219,14 @@ fn same_round_pair_violates_precedence() {
     assert!(v.message.contains("predecessor"), "{v}");
 }
 
-/// The six corruptions of `tests/trace_fuzz.rs` and the four P1 / P2
-/// trace mutants above, each through both entry points of the one
-/// `TraceChecker`: `validate` and `certify_run` must reject the trace at
-/// the same job and round, row width as P2 and everything else as P1.
+/// The six corruptions of `tests/trace_fuzz.rs` and the three P1 trace
+/// mutants above that encode, each through both entry points of the one
+/// checker: `validate` and `certify_run` must reject the trace with the
+/// per-unit oracle's finding on its dense rows — `validate`'s violation
+/// and `certify_run`'s rendered line — and agree with each other on the
+/// job and round.
 #[test]
-fn validate_and_certify_reject_the_same_job_and_round() {
+fn validate_and_certify_reject_with_the_oracles_finding() {
     type Rows = Vec<Vec<Action>>;
     type Corruption = (&'static str, fn(&mut Rows));
     fn on(job: u32, node: u32) -> Action {
@@ -239,13 +262,12 @@ fn validate_and_certify_reject_the_same_job_and_round() {
         ("truncate the tail", drop_last_row),
     ];
 
-    // The certifier's own P1 / P2 mutants run on work-stealing schedules
-    // under admit-first.
+    // The certifier's own P1 mutants run on work-stealing schedules under
+    // admit-first.
     let (chain_inst, chain_cfg, chain_result, chain_trace) = chain_baseline();
     let mutants: Vec<Corruption> = vec![
         ("swapped spans", |rows| rows.swap(0, 1)),
         ("dropped completion", drop_last_row),
-        ("exceeded capacity", |rows| rows[1].push(on(0, 1))),
     ];
     let pair_inst = Instance::new(vec![Job::new(0, 0, Arc::new(shapes::chain(2, 1)))]);
     let pair_cfg = SimConfig::new(2).with_trace();
@@ -274,8 +296,13 @@ fn validate_and_certify_reject_the_same_job_and_round() {
         for (name, corrupt) in corruptions {
             let mut rows = trace.to_dense();
             corrupt(&mut rows);
-            let bad = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+            let bad = encode(trace, rows.clone());
             let found = bad.validate(inst).expect_err(name);
+            assert_eq!(
+                Err(found.clone()),
+                oracle::validate(inst, trace.m, trace.speed, &rows),
+                "{name}: validate disagrees with the oracle"
+            );
             use TraceViolation as T;
             let (invariant, round, job) = match found {
                 T::EmptySpan { round } | T::BadRowWidth { round, .. } => {
@@ -291,6 +318,11 @@ fn validate_and_certify_reject_the_same_job_and_round() {
                 }
             };
             let report = certify_run(inst, cfg, policy, result, &bad);
+            assert_eq!(
+                report.render(),
+                oracle::certify(inst, cfg, policy, result, &rows).render(),
+                "{name}: certify_run disagrees with the oracle"
+            );
             let v = report
                 .violation
                 .unwrap_or_else(|| panic!("{name}: validate says {found}, certify says clean"));
@@ -302,7 +334,7 @@ fn validate_and_certify_reject_the_same_job_and_round() {
             cases += 1;
         }
     }
-    assert_eq!(cases, 10);
+    assert_eq!(cases, 9);
 }
 
 /// Mutation 5: corrupt a reported flow. The trace is untouched; the
@@ -367,7 +399,7 @@ fn idle_past_nonempty_queue_violates_policy() {
             Action::Work { job: 1, node: 0 },
         ],
     ];
-    let mutated = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+    let mutated = encode(&trace, rows);
     let v = expect_violation(&inst, &cfg, &result, &mutated);
     assert_eq!(v.invariant, Invariant::Policy, "{v}");
     assert_eq!(v.round, Some(0), "{v}");
@@ -419,7 +451,7 @@ fn report_rendering_names_the_locus() {
     let (inst, cfg, result, trace) = chain_baseline();
     let mut rows = trace.to_dense();
     rows.swap(0, 1);
-    let mutated = ScheduleTrace::from_dense(trace.m, trace.speed, rows);
+    let mutated = encode(&trace, rows);
     let report = certify_run(
         &inst,
         &cfg,
@@ -437,29 +469,27 @@ fn report_rendering_names_the_locus() {
 }
 
 /// Run `inst` traced (work stealing under `policy`, or FIFO for `None`),
-/// check it clean, mutate its spans, and return the one finding, which
-/// must be that of the mutant's one-round split.
+/// check it clean, mutate it, and return the one finding, whose rendered
+/// line must be the per-unit oracle's on the mutant's dense rows.
 fn span_mutant(
     inst: &Instance,
     cfg: &SimConfig,
     policy: Option<StealPolicy>,
-    mutate: impl FnOnce(&mut Vec<TraceSpan>),
+    mutate: impl FnOnce(&mut ScheduleTrace),
 ) -> parflow_certify::Violation {
     let (result, trace) = match policy {
         Some(policy) => run_worksteal(inst, cfg, policy, 1),
         None => run_priority(inst, cfg, &Fifo),
     };
     let mut trace = trace.expect("trace requested");
-    assert!(certify_run(inst, cfg, policy, &result, &trace).is_clean());
-    mutate(&mut trace.spans);
-    let found = |t: &ScheduleTrace| certify_run(inst, cfg, policy, &result, t).violation;
-    let v = found(&trace).expect("mutant must be rejected");
-    assert_eq!(
-        found(&split(&trace)),
-        Some(v.clone()),
-        "the split disagrees"
-    );
-    v
+    let clean = certify_run(inst, cfg, policy, &result, &trace);
+    assert!(clean.is_clean(), "{}", clean.render());
+    mutate(&mut trace);
+    let report = certify_run(inst, cfg, policy, &result, &trace);
+    let dense = trace.to_dense();
+    let expected = oracle::certify(inst, cfg, policy, &result, &dense);
+    assert_eq!(report.render(), expected.render(), "the oracle disagrees");
+    report.violation.expect("mutant must be rejected")
 }
 
 /// The round count of a busy or idle span.
@@ -480,7 +510,8 @@ fn span_past_a_nodes_work_violates_precedence() {
         Job::new(1, 0, Arc::new(shapes::single_node(2))),
     ]);
     let cfg = SimConfig::new(2).with_trace();
-    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |trace| {
+        let spans = &mut trace.spans;
         assert_eq!(*rounds_of(&mut spans[0]), 2);
         *rounds_of(&mut spans[0]) += 1;
     });
@@ -503,7 +534,8 @@ fn idle_row_across_an_arrival_violates_policy() {
         Job::new(1, 5, Arc::new(shapes::single_node(2))),
     ]);
     let cfg = SimConfig::new(2).with_free_steals().with_trace();
-    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |trace| {
+        let spans = &mut trace.spans;
         let total = spans.iter_mut().map(|s| *rounds_of(s)).sum();
         spans.truncate(1);
         *rounds_of(&mut spans[0]) = total;
@@ -527,7 +559,8 @@ fn span_off_by_one_violates_flow_accounting() {
         Job::new(1, 3, Arc::new(shapes::single_node(2))),
     ]);
     let cfg = SimConfig::new(2).with_trace();
-    let v = span_mutant(&inst, &cfg, None, |spans| {
+    let v = span_mutant(&inst, &cfg, None, |trace| {
+        let spans = &mut trace.spans;
         assert_eq!(*rounds_of(&mut spans[0]), 3);
         *rounds_of(&mut spans[0]) += 1;
     });
@@ -549,31 +582,11 @@ fn span_off_by_one_violates_flow_accounting() {
     assert_eq!(empty.round, Some(3), "{empty}");
 }
 
-/// `trace` with every busy span split into one-round spans: the expansion
-/// a span's replay must be indistinguishable from.
-fn split(trace: &ScheduleTrace) -> ScheduleTrace {
-    let spans = trace.spans.iter().flat_map(|s| match s {
-        TraceSpan::Busy { row, rounds } => {
-            let one = TraceSpan::Busy {
-                row: row.clone(),
-                rounds: 1,
-            };
-            vec![one; *rounds as usize]
-        }
-        idle => vec![idle.clone()],
-    });
-    ScheduleTrace {
-        spans: spans.collect(),
-        ..trace.clone()
-    }
-}
-
-/// Window mutant 1: unit-step steal-3-first with two queued jobs and
+/// Span mutant 4: unit-step steal-3-first with two queued jobs and
 /// nothing to steal burns rounds 0..3 in one span of misses. Stretched,
 /// both thieves reach 3 failures with the queue still holding job 0, and
-/// worker 0 steals again in round 3 — whether the window covers the
-/// span's middle rounds (4 rounds) or the pre-check sends it round by
-/// round (5, 8).
+/// worker 0 steals again in round 3 — the span's last round (4 rounds)
+/// or a streak limit due strictly inside it (5, 8).
 #[test]
 fn steal_k_span_past_k_failures_violates_policy() {
     let inst = Instance::new(vec![
@@ -583,8 +596,8 @@ fn steal_k_span_past_k_failures_violates_policy() {
     let cfg = SimConfig::new(2).with_trace();
     let policy = StealPolicy::StealKFirst { k: 3 };
     for rounds in [4, 5, 8] {
-        let v = span_mutant(&inst, &cfg, Some(policy), |spans| {
-            *rounds_of(&mut spans[0]) = rounds;
+        let v = span_mutant(&inst, &cfg, Some(policy), |trace| {
+            *rounds_of(&mut trace.spans[0]) = rounds;
         });
         assert_eq!(v.invariant, Invariant::Policy, "{v}");
         assert_eq!(
@@ -596,7 +609,7 @@ fn steal_k_span_past_k_failures_violates_policy() {
     }
 }
 
-/// Window mutant 2: under free steals the row `[job 0, idle]` stretched
+/// Span mutant 5: under free steals the row `[job 0, idle]` stretched
 /// past round 5, where job 1 becomes eligible: worker 1 idles beside a
 /// queued job in round 5 — the span's last round (6 rounds) or strictly
 /// inside it (7, 9).
@@ -608,8 +621,8 @@ fn free_steal_span_across_an_arrival_violates_policy() {
     ]);
     let cfg = SimConfig::new(2).with_free_steals().with_trace();
     for rounds in [6, 7, 9] {
-        let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
-            *rounds_of(&mut spans[0]) = rounds;
+        let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |trace| {
+            *rounds_of(&mut trace.spans[0]) = rounds;
         });
         assert_eq!(v.invariant, Invariant::Policy, "{v}");
         assert_eq!(
@@ -621,7 +634,7 @@ fn free_steal_span_across_an_arrival_violates_policy() {
     }
 }
 
-/// Window mutant 3: jobs of 10 and 6 units share six rounds; the shared
+/// Span mutant 6: jobs of 10 and 6 units share six rounds; the shared
 /// row stretched to 7 or 12 rounds over-executes job 1 in round 6.
 #[test]
 fn span_outlasting_a_nodes_work_violates_precedence() {
@@ -631,8 +644,8 @@ fn span_outlasting_a_nodes_work_violates_precedence() {
     ]);
     let cfg = SimConfig::new(2).with_trace();
     for rounds in [7, 12] {
-        let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
-            *rounds_of(&mut spans[0]) = rounds;
+        let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |trace| {
+            *rounds_of(&mut trace.spans[0]) = rounds;
         });
         assert_eq!(v.invariant, Invariant::Precedence, "{v}");
         assert_eq!(
@@ -644,10 +657,10 @@ fn span_outlasting_a_nodes_work_violates_precedence() {
     }
 }
 
-/// Window mutant 3b: FIFO runs jobs of 4 and 3 units back to back on one
-/// processor; job 1's row put over job 0's 4 rounds ends job 1 inside
-/// the span, in round 2, where its outcome is checked: P4 there, before
-/// the over-execution of round 3.
+/// Span mutant 7: FIFO runs jobs of 4 and 3 units back to back on one
+/// processor; job 1 put over job 0's 4 rounds ends job 1 inside the
+/// run, in round 2, where its outcome is checked: P4 there, before the
+/// over-execution of round 3.
 #[test]
 fn span_ending_a_job_inside_checks_its_outcome_there() {
     let inst = Instance::new(vec![
@@ -655,33 +668,32 @@ fn span_ending_a_job_inside_checks_its_outcome_there() {
         Job::new(1, 0, Arc::new(shapes::single_node(3))),
     ]);
     let cfg = SimConfig::new(1).with_trace();
-    let v = span_mutant(&inst, &cfg, None, |spans| {
-        assert_eq!(*rounds_of(&mut spans[0]), 4);
-        spans[0] = TraceSpan::Busy {
-            row: vec![Action::Work { job: 1, node: 0 }],
-            rounds: 4,
-        };
+    let v = span_mutant(&inst, &cfg, None, |trace| {
+        assert_eq!(*rounds_of(&mut trace.spans[0]), 4);
+        let mut rows = trace.to_dense();
+        rows[..4].fill(vec![Action::Work { job: 1, node: 0 }]);
+        *trace = encode(trace, rows);
     });
     assert_eq!(v.invariant, Invariant::FlowAccounting, "{v}");
     assert_eq!((v.round, v.worker, v.job), (None, None, Some(1)), "{v}");
     assert!(v.message.contains("start_round 4"), "{v}");
 }
 
-/// Window mutant 4: a 5-unit job runs on worker 0 while workers 1 and
-/// 2 miss, one span of 5 rounds; worker 2's misses turned into hits are
-/// 5 hits the engine never reported — P2, counting every round of the
-/// span, which the window never applies to a row with a hit.
+/// Span mutant 8: a 5-unit job runs on worker 0 while workers 1 and 2
+/// miss, one span of 5 rounds; worker 2's misses turned into hits are 5
+/// hits the engine never reported — P2, counting every round of the run.
 #[test]
 fn repeated_steal_hit_row_counts_every_round() {
     let inst = Instance::new(vec![Job::new(0, 0, Arc::new(shapes::single_node(5)))]);
     let cfg = SimConfig::new(3).with_trace();
-    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |spans| {
-        assert_eq!(*rounds_of(&mut spans[0]), 5);
-        let TraceSpan::Busy { row, .. } = &mut spans[0] else {
-            panic!("span 0 is busy");
-        };
-        assert_eq!(row[2], Action::Steal { hit: false });
-        row[2] = Action::Steal { hit: true };
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |trace| {
+        assert_eq!(*rounds_of(&mut trace.spans[0]), 5);
+        let mut rows = trace.to_dense();
+        for row in &mut rows[..5] {
+            assert_eq!(row[2], Action::Steal { hit: false });
+            row[2] = Action::Steal { hit: true };
+        }
+        *trace = encode(trace, rows);
     });
     assert_eq!(v.invariant, Invariant::Capacity, "{v}");
     assert_eq!((v.round, v.worker, v.job), (None, None, None), "{v}");
@@ -690,4 +702,152 @@ fn repeated_steal_hit_row_counts_every_round() {
             .contains("trace shows 5 successful_steals, engine reported 0"),
         "{v}"
     );
+}
+
+/// Run mutant 1: FIFO runs a 2-unit job 0 on processor 0 and a 6-unit
+/// job 1 on processor 1 from round 0; processor 1 keeps job 1 through
+/// round 5. Processor 0 also running job 1 in round 2 opens a run on a
+/// node whose older run sits on the higher-index processor: the second
+/// unit of round 2 is processor 1's — P1 there, once.
+#[test]
+fn node_opened_below_an_older_run_is_concurrent_at_the_higher_worker() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(2))),
+        Job::new(1, 0, Arc::new(shapes::single_node(6))),
+    ]);
+    let cfg = SimConfig::new(2).with_trace();
+    let v = span_mutant(&inst, &cfg, None, |trace| {
+        let mut rows = trace.to_dense();
+        let job1 = Action::Work { job: 1, node: 0 };
+        assert!(rows[..6].iter().all(|row| row[1] == job1));
+        assert_eq!(rows[2][0], Action::Idle);
+        rows[2][0] = job1;
+        *trace = encode(trace, rows);
+    });
+    assert_eq!(v.invariant, Invariant::Precedence, "{v}");
+    assert_eq!(
+        (v.round, v.worker, v.job),
+        (Some(2), Some(1), Some(1)),
+        "{v}"
+    );
+    assert!(v.message.contains("two processors"), "{v}");
+}
+
+/// Run mutant 2: FIFO runs jobs of 5, 8 and 3 units side by side on
+/// three processors. The first row stretched over 8 rounds leaves job
+/// 2's run due to over-run in round 3, inside the span, ahead of job 0's
+/// over-run in round 5 on the lower-index processor 0.
+#[test]
+fn over_execution_due_inside_a_span_comes_first() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::single_node(5))),
+        Job::new(1, 0, Arc::new(shapes::single_node(8))),
+        Job::new(2, 0, Arc::new(shapes::single_node(3))),
+    ]);
+    let cfg = SimConfig::new(3).with_trace();
+    let v = span_mutant(&inst, &cfg, None, |trace| {
+        assert_eq!(*rounds_of(&mut trace.spans[0]), 3);
+        *rounds_of(&mut trace.spans[0]) = 8;
+    });
+    assert_eq!(v.invariant, Invariant::Precedence, "{v}");
+    assert_eq!(
+        (v.round, v.worker, v.job),
+        (Some(3), Some(2), Some(2)),
+        "{v}"
+    );
+    assert!(v.message.contains("over-executed"), "{v}");
+}
+
+/// Run mutant 3: under free steals, processors 1 and 2 idle from round
+/// 0 while processor 0 runs a chain of two 5-unit nodes; job 1 arrives
+/// at 7 and processor 1 admits it. With its two rounds of job 1 idled
+/// away, one idle run spans rounds 0..10 across the span boundary at 5,
+/// and job 1's arrival falls strictly inside the second span: P3 at
+/// round 7, at the lowest idle processor, naming job 1.
+#[test]
+fn arrival_inside_a_free_steal_idle_run_violates_policy() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(shapes::chain(2, 5))),
+        Job::new(1, 7, Arc::new(shapes::single_node(2))),
+    ]);
+    let cfg = SimConfig::new(3).with_free_steals().with_trace();
+    let v = span_mutant(&inst, &cfg, Some(StealPolicy::AdmitFirst), |trace| {
+        let mut rows = trace.to_dense();
+        assert_eq!(rows[7][1], Action::Work { job: 1, node: 0 });
+        for row in &mut rows[7..9] {
+            row[1] = Action::Idle;
+        }
+        *trace = encode(trace, rows);
+        assert_eq!(*rounds_of(&mut trace.spans[1]), 5, "one span from 5 to 10");
+    });
+    assert_eq!(v.invariant, Invariant::Policy, "{v}");
+    assert_eq!(
+        (v.round, v.worker, v.job),
+        (Some(7), Some(1), Some(1)),
+        "{v}"
+    );
+    assert!(v.message.contains("idled"), "{v}");
+}
+
+/// Run mutant 4 (a clean one): under FIFO, job 0's fork preempts job 1
+/// in round 1, and job 1 resumes in round 3 beside job 0's longer branch,
+/// which keeps its processor — so job 1 resumes on the other processor.
+/// A node that moves between runs is feasible, and certifies clean, as
+/// the oracle has it.
+#[test]
+fn fifo_node_resumed_on_another_processor_certifies_clean() {
+    let inst = Instance::new(vec![
+        Job::new(0, 0, Arc::new(forked(&[1, 2, 5]))),
+        Job::new(1, 0, Arc::new(shapes::single_node(10))),
+    ]);
+    let cfg = SimConfig::new(2).with_trace();
+    let (result, trace) = run_priority(&inst, &cfg, &Fifo);
+    let trace = trace.expect("trace requested");
+    let rows = trace.to_dense();
+    let job1 = Action::Work { job: 1, node: 0 };
+    assert_eq!(rows[0][1], job1, "job 1 starts on processor 1");
+    assert!(!rows[1].contains(&job1), "job 0's fork preempts it");
+    assert_eq!(rows[3][0], job1, "and it resumes on processor 0");
+    assert_eq!(rows[3][1], Action::Work { job: 0, node: 2 });
+    let report = certify_run(&inst, &cfg, None, &result, &trace);
+    assert!(report.is_clean(), "{}", report.render());
+    let expected = oracle::certify(&inst, &cfg, None, &result, &rows);
+    assert_eq!(report.render(), expected.render());
+}
+
+/// Run mutant 5 (a clean one): a 6-unit node that FIFO runs on processor
+/// 0 is moved to processor 1 for its first three rounds, so it passes
+/// from a higher-index worker to a lower-index one mid-run. Worker 0
+/// opens the node in round 3 before worker 1's run on it closes; the
+/// three units of that run still count, and the trace certifies clean,
+/// as the oracle has it.
+#[test]
+fn node_moved_to_a_lower_processor_mid_run_certifies_clean() {
+    let inst = Instance::new(vec![Job::new(0, 0, Arc::new(shapes::single_node(6)))]);
+    let cfg = SimConfig::new(2).with_trace();
+    let (result, trace) = run_priority(&inst, &cfg, &Fifo);
+    let trace = trace.expect("trace requested");
+    let mut rows = trace.to_dense();
+    let work = Action::Work { job: 0, node: 0 };
+    assert!(rows.iter().all(|row| *row == [work, Action::Idle]));
+    for row in &mut rows[..3] {
+        row.swap(0, 1);
+    }
+    let moved = encode(&trace, rows.clone());
+    let report = certify_run(&inst, &cfg, None, &result, &moved);
+    assert!(report.is_clean(), "{}", report.render());
+    let expected = oracle::certify(&inst, &cfg, None, &result, &rows);
+    assert_eq!(report.render(), expected.render());
+    assert_eq!(moved.validate(&inst), Ok(()));
+}
+
+/// A source of `works[0]` units forking into one node per further entry.
+fn forked(works: &[u64]) -> parflow_dag::JobDag {
+    let mut b = parflow_dag::DagBuilder::new();
+    let source = b.add_node(works[0]);
+    for &w in &works[1..] {
+        let v = b.add_node(w);
+        b.add_edge(source, v).expect("acyclic");
+    }
+    b.build().expect("valid DAG")
 }

@@ -143,8 +143,11 @@ pub fn run_priority_observed<P: JobPriority>(
     (result, trace)
 }
 
-/// The original round-by-round engine, kept verbatim as the behavioural
-/// reference for the event-horizon stepper behind [`run_priority`].
+/// The original round-by-round engine, kept as the behavioural reference
+/// for the event-horizon stepper behind [`run_priority`]. Its trace labels
+/// processors the stepper's way by searching the previous round's row: a
+/// node that ran there keeps its processor, and new claims take the free
+/// processors in claim order.
 ///
 /// Compiled only for tests and under the `reference-engine` feature (used
 /// by the cross-crate differential suite); production callers always get
@@ -179,6 +182,7 @@ pub fn run_priority_reference<P: JobPriority>(
 
     let mut claimed: Vec<(JobId, NodeId)> = Vec::new();
     let mut ready_buf: Vec<NodeId> = Vec::new();
+    let mut prev: Vec<Action> = vec![Action::Idle; m];
 
     while completed < n {
         assert!(round <= safety_cap, "centralized engine exceeded round cap");
@@ -200,6 +204,7 @@ pub fn run_priority_reference<P: JobPriority>(
             stats.idle_steps += gap * m as u64;
             if let Some(t) = trace.as_mut() {
                 t.push_idle_rounds(gap);
+                prev.fill(Action::Idle);
             }
             round = target;
             continue;
@@ -264,12 +269,21 @@ pub fn run_priority_reference<P: JobPriority>(
         last_busy_round = round;
 
         if let Some(t) = trace.as_mut() {
-            let mut row: Vec<Action> = claimed
-                .iter()
-                .map(|&(job, node)| Action::Work { job, node })
-                .collect();
-            row.resize(m, Action::Idle);
+            let mut row = vec![Action::Idle; m];
+            let mut new = Vec::new();
+            for &(job, node) in claimed.iter() {
+                let work = Action::Work { job, node };
+                match prev.iter().position(|&a| a == work) {
+                    Some(p) => row[p] = work,
+                    None => new.push(work),
+                }
+            }
+            let free: Vec<usize> = (0..m).filter(|&p| row[p] == Action::Idle).collect();
+            for (p, work) in free.into_iter().zip(new) {
+                row[p] = work;
+            }
             t.push_row(&row, 1);
+            prev = row;
         }
 
         round += 1;
@@ -519,7 +533,7 @@ mod tests {
                 assert_eq!(fast.outcomes, slow.outcomes, "m={m} s={speed}");
                 assert_eq!(fast.stats, slow.stats, "m={m} s={speed}");
                 assert_eq!(fast.total_rounds, slow.total_rounds, "m={m} s={speed}");
-                assert_eq!(ft.unwrap().spans, st.unwrap().spans, "m={m} s={speed}");
+                assert_eq!(ft, st, "m={m} s={speed}");
 
                 let (fast_b, _) = run_priority(&inst, &cfg, &BiggestWeightFirst);
                 let (slow_b, _) = run_priority_reference(&inst, &cfg, &BiggestWeightFirst);

@@ -33,23 +33,23 @@ pub fn render_gantt(trace: &ScheduleTrace, from: Round, to: Round) -> String {
     }
     out.push('\n');
 
-    // Materialize the window once (the trace stores idle stretches
-    // run-length encoded; `rounds()` yields `None` for idle rounds).
-    let window: Vec<Option<&[Action]>> = trace.rounds().skip(from).take(to - from).collect();
+    // Materialize the window once (the trace stores its rows as cells
+    // and idle stretches run-length encoded).
+    let window = trace.dense(from, to);
 
     let mut seen: Vec<JobId> = Vec::new();
     for p in 0..trace.m {
         let _ = write!(out, "  P{p:<3} ");
         for row in &window {
-            let c = match row.and_then(|r| r.get(p)) {
-                Some(Action::Work { job, .. }) => {
-                    if !seen.contains(job) {
-                        seen.push(*job);
+            let c = match row[p] {
+                Action::Work { job, .. } => {
+                    if !seen.contains(&job) {
+                        seen.push(job);
                     }
-                    job_symbol(*job)
+                    job_symbol(job)
                 }
-                Some(Action::Steal { .. }) => '*',
-                Some(Action::Idle) | None => '.',
+                Action::Steal { .. } => '*',
+                Action::Idle => '.',
             };
             out.push(c);
         }

@@ -24,7 +24,7 @@
 
 use crate::interval::analyze_intervals;
 use crate::result::SimResult;
-use crate::trace::{Action, ScheduleTrace, TraceSpan};
+use crate::trace::ScheduleTrace;
 use parflow_dag::{Instance, JobId};
 use parflow_time::{Rational, Round};
 
@@ -48,15 +48,8 @@ impl RoundActivity {
         let n_rounds = trace.num_rounds() as usize;
         let mut work = Vec::with_capacity(n_rounds);
         let mut idling = Vec::with_capacity(n_rounds);
-        for span in &trace.spans {
-            let w = match span {
-                TraceSpan::Busy { row, .. } => row
-                    .iter()
-                    .filter(|a| matches!(a, Action::Work { .. }))
-                    .count() as u32, // lint: allow(truncating-cast) bounded by the row width m; 2^32 processors unrepresentable
-                TraceSpan::Idle { .. } => 0,
-            };
-            let rounds = span.rounds() as usize;
+        for (w, rounds) in trace.working() {
+            let (w, rounds) = (w as u32, rounds as usize); // lint: allow(truncating-cast) bounded by the row width m; 2^32 processors unrepresentable
             work.extend(std::iter::repeat_n(w, rounds));
             idling.extend(std::iter::repeat_n(m as u32 - w, rounds)); // lint: allow(truncating-cast) m is the processor count; 2^32 processors unrepresentable
         }

@@ -116,7 +116,7 @@ pub use stream::{
     run_priority_stream, run_worksteal_stream, run_worksteal_stream_observed, InstanceReplay,
     JobStream, OptTap, RetirementStats, StreamError, StreamSummary, StreamedJob,
 };
-pub use trace::{Action, ScheduleTrace, TraceChecker, TraceSpan, TraceViolation};
+pub use trace::{Action, RowId, RunHooks, ScheduleTrace, TraceSpan, TraceViolation};
 #[cfg(feature = "reference-engine")]
 pub use worksteal::run_worksteal_reference;
 pub use worksteal::{run_worksteal, run_worksteal_observed, simulate_worksteal, StealPolicy};

@@ -46,7 +46,7 @@ use crate::config::{AdmissionOrder, SimConfig, StealAmount, StealCost, VictimStr
 use crate::fault::{FaultEvent, FaultKind, FaultState, JobStatus};
 use crate::opt::OptTracker;
 use crate::result::{BacklogSample, EngineStats, JobOutcome, SimResult};
-use crate::trace::{Action, ScheduleTrace};
+use crate::trace::{self, Action, ScheduleTrace};
 use crate::worksteal::{
     advance_scan, burn_failed_attempts, burn_uniform_draws, emit_ws_counters, pick_victim,
     StealPolicy, WorkerObs,
@@ -1236,7 +1236,7 @@ fn step_lanes<S: JobStream, const F: bool>(
         StealCost::UnitStep => Action::Steal { hit: false },
         StealCost::Free => Action::Idle,
     };
-    let mut row: Vec<Action> = vec![miss; if trace.is_some() { m } else { 0 }];
+    let mut row: Vec<u64> = vec![trace::cell(miss); if trace.is_some() { m } else { 0 }];
     // Visited workers whose action may not be what they do next round
     // unvisited: one that acquired, stole (a hit works the node from the
     // next round) or completed.
@@ -1358,7 +1358,7 @@ fn step_lanes<S: JobStream, const F: bool>(
                 st.jump(round, t);
                 last_busy_round = t - 1;
                 if let Some(tr) = trace.as_mut() {
-                    tr.push_row(&row, t - round);
+                    tr.push_cells(&row, t - round);
                 }
             }
             st.advance_faults(round, t, quiescent);
@@ -1394,7 +1394,7 @@ fn step_lanes<S: JobStream, const F: bool>(
         let completions = st.min_done == round;
         if F && trace.is_some() {
             row.clear();
-            row.extend((0..m).map(|p| st.unvisited(p, Action::Idle)));
+            row.extend((0..m).map(|p| trace::cell(st.unvisited(p, Action::Idle))));
         }
         for wi in 0..st.buf.busy.words().len() {
             let mut idle = if idle_locked {
@@ -1417,7 +1417,7 @@ fn step_lanes<S: JobStream, const F: bool>(
                 w &= w - 1;
                 let action = st.visit(p, round, sink);
                 if trace.is_some() {
-                    row[p] = action;
+                    row[p] = trace::cell(action);
                     stale.extend((action != miss).then_some(p));
                 }
                 if let Some(f) = st.faults.as_deref_mut().filter(|_| F) {
@@ -1438,9 +1438,9 @@ fn step_lanes<S: JobStream, const F: bool>(
         st.advance_faults(round, round + 1, false);
         last_busy_round = round;
         if let Some(t) = trace.as_mut() {
-            t.push_row(&row, 1);
+            t.push_cells(&row, 1);
             for p in stale.drain(..) {
-                row[p] = st.unvisited(p, miss);
+                row[p] = trace::cell(st.unvisited(p, miss));
             }
         }
         round += 1;
@@ -1541,7 +1541,12 @@ pub(crate) fn emit_central_counters(
 /// assignment once, derives the span `Δ = min(next arrival, earliest node
 /// completion)` and consumes all `Δ` rounds in one bulk update —
 /// bit-identical to the round-by-round `run_priority_reference`, in
-/// `O(events)` instead of `O(rounds)` assignment work.
+/// `O(events)` instead of `O(rounds)` assignment work. A traced run
+/// labels processors stickily: a node keeps the processor it ran on in
+/// the previous round, so it runs as one per-worker run until it
+/// completes or is preempted, and new claims fill the free processors in
+/// claim order (a per-node label names the processor the node last got,
+/// and holds while the previous row's cell there is the node's own).
 pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
     mut puller: Puller<'_, S>,
     config: &SimConfig,
@@ -1563,7 +1568,12 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
     let mut ready_scratch: Vec<NodeId> = Vec::new();
     let mut stats = EngineStats::default();
     let mut trace = config.record_trace.then(|| ScheduleTrace::new(m, speed));
-    let mut row: Vec<Action> = Vec::new();
+    // Tracing only: this horizon's row and the previous one's, the
+    // claims that take a free processor, and per slab slot and node the
+    // processor the node last ran on.
+    let (mut cells, mut before): (Vec<u64>, Vec<u64>) = Default::default();
+    let mut fresh: Vec<usize> = Vec::new();
+    let mut labels: Vec<Vec<usize>> = Vec::new();
     let mut obs = HorizonObs::default();
 
     let mut released: u64 = 0;
@@ -1598,6 +1608,16 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
                 cursor,
                 started: None,
             });
+            if trace.is_some() {
+                let at = sid as usize;
+                if labels.len() <= at {
+                    labels.resize_with(at + 1, Vec::new);
+                }
+                let nodes = slab.get(sid).job.dag.num_nodes();
+                if labels[at].len() < nodes {
+                    labels[at].resize(nodes, 0);
+                }
+            }
             let pos = active.partition_point(|&(k, _)| k < key);
             active.insert(pos, (key, sid));
             released += 1;
@@ -1722,14 +1742,34 @@ pub(crate) fn step_priority<P: JobPriority, S: JobStream>(
         last_busy_round = last;
 
         if let Some(t) = trace.as_mut() {
-            row.clear();
-            row.extend(
-                claimed
-                    .iter()
-                    .map(|&(_, job, node)| Action::Work { job, node }),
-            );
-            row.resize(m, Action::Idle);
-            t.push_row(&row, delta);
+            // A node that ran in the previous round keeps its processor:
+            // its label names the processor whose cell there is its own.
+            // A label left by another job, or by this node before it was
+            // preempted, names a cell that is not. New claims take the
+            // free processors in claim order.
+            cells.clear();
+            cells.resize(m, trace::IDLE);
+            fresh.clear();
+            for (i, &(sid, job, node)) in claimed.iter().enumerate() {
+                let c = trace::cell(Action::Work { job, node });
+                let p = labels[sid as usize][node as usize];
+                if before.get(p) == Some(&c) {
+                    cells[p] = c;
+                } else {
+                    fresh.push(i);
+                }
+            }
+            let mut free = 0;
+            for &i in &fresh {
+                let (sid, job, node) = claimed[i];
+                while cells[free] != trace::IDLE {
+                    free += 1;
+                }
+                cells[free] = trace::cell(Action::Work { job, node });
+                labels[sid as usize][node as usize] = free;
+            }
+            t.push_cells(&cells, delta);
+            std::mem::swap(&mut cells, &mut before);
         }
 
         round += delta;

@@ -65,7 +65,7 @@ fn assert_identical<P: JobPriority>(inst: &Instance, cfg: &SimConfig, policy: &P
     match (fast_trace, slow_trace) {
         (None, None) => {}
         (Some(f), Some(s)) => {
-            assert_eq!(f.spans, s.spans, "{name}: trace spans");
+            assert_eq!(f, s, "{name}: trace");
             assert_eq!(f.validate(inst), Ok(()), "{name}: trace validity");
         }
         _ => panic!("{name}: trace presence mismatch"),
@@ -116,7 +116,7 @@ proptest! {
         prop_assert_eq!(a.outcomes, b.outcomes);
         prop_assert_eq!(a.stats, b.stats);
         prop_assert_eq!(a.total_rounds, b.total_rounds);
-        prop_assert_eq!(ta.unwrap().spans, tb.unwrap().spans);
+        prop_assert_eq!(ta, tb);
     }
 
     /// Drive an arena slot and a fresh cursor in lockstep through random

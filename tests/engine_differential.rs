@@ -74,7 +74,7 @@ fn assert_identical<P: JobPriority>(inst: &Instance, cfg: &SimConfig, policy: &P
     match (fast_trace, slow_trace) {
         (None, None) => {}
         (Some(f), Some(s)) => {
-            assert_eq!(f.spans, s.spans, "{name}: trace spans");
+            assert_eq!(f, s, "{name}: trace");
             assert_eq!(f.validate(inst), Ok(()), "{name}: trace validity");
             // Independent machine-check of the paper invariants (P1–P5)
             // on the agreed-upon schedule.
@@ -137,6 +137,88 @@ fn single_processor_long_chain_is_bit_identical() {
         let cfg = SimConfig::new(1).with_speed(speed).with_trace();
         assert_identical(&inst, &cfg, &Fifo, "chain-gap");
     }
+}
+
+/// The stepper's traced labels are the reference's, for every priority
+/// policy, at speed 1 and 3/2.
+#[test]
+fn sticky_labels_match_the_reference_across_policies_and_speeds() {
+    for seed in 0..24u64 {
+        let inst = gen_instance(seed, 2 + seed as usize % 10, 3 * seed);
+        for speed in [Speed::ONE, Speed::new(3, 2)] {
+            for m in [2usize, 3, 5] {
+                let cfg = SimConfig::new(m).with_speed(speed).with_trace();
+                assert_identical(&inst, &cfg, &Fifo, "fifo");
+                assert_identical(&inst, &cfg, &Lifo, "lifo");
+                assert_identical(&inst, &cfg, &ShortestJobFirst, "sjf");
+                assert_identical(&inst, &cfg, &BiggestWeightFirst, "bwf");
+            }
+        }
+    }
+}
+
+/// Every `(job, node)` that runs in two consecutive rounds runs on one
+/// processor in both: a centralized trace moves a node only when it was
+/// preempted in between.
+#[test]
+fn a_running_node_keeps_its_processor() {
+    for seed in 0..24u64 {
+        let inst = gen_instance(seed, 2 + seed as usize % 12, 2 * seed);
+        for m in [2usize, 4] {
+            let cfg = SimConfig::new(m).with_trace();
+            for (name, trace) in [
+                ("fifo", run_priority(&inst, &cfg, &Fifo).1),
+                ("lifo", run_priority(&inst, &cfg, &Lifo).1),
+                ("sjf", run_priority(&inst, &cfg, &ShortestJobFirst).1),
+                ("bwf", run_priority(&inst, &cfg, &BiggestWeightFirst).1),
+            ] {
+                let rows = trace.expect("traced").to_dense();
+                for (r, pair) in rows.windows(2).enumerate() {
+                    for (p, a) in pair[1].iter().enumerate() {
+                        if let Some(q) = pair[0].iter().position(|b| b == a) {
+                            assert!(
+                                !matches!(a, parflow::core::Action::Work { .. }) || q == p,
+                                "{name} seed {seed} m {m}: {a:?} moved from {q} to {p} in round {}",
+                                r + 1
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// On a Bing instance every node runs as one per-worker run under FIFO:
+/// the trace's work runs are as many as its node runs.
+#[test]
+fn fifo_work_runs_are_node_runs() {
+    use parflow::core::Action;
+    let inst = WorkloadSpec::paper_fig2(DistKind::Bing, 1500.0, 300, 5).generate();
+    let (_, trace) = run_priority(&inst, &SimConfig::new(8).with_trace(), &Fifo);
+    let rows = trace.expect("traced").to_dense();
+    let idle = vec![Action::Idle; 8];
+    let (mut work_runs, mut node_runs) = (0, 0);
+    for (r, row) in rows.iter().enumerate() {
+        let prev = r.checked_sub(1).map_or(&idle, |q| &rows[q]);
+        for (p, a) in row.iter().enumerate() {
+            if let Action::Work { .. } = a {
+                work_runs += usize::from(prev[p] != *a);
+                node_runs += usize::from(!prev.contains(a));
+            }
+        }
+    }
+    assert!(node_runs > 300, "{node_runs} node runs");
+    assert_eq!(work_runs, node_runs);
+}
+
+/// The canonical trace on `m` processors of `(row, rounds)` spans.
+fn expand(m: usize, spans: &[(Vec<parflow::core::Action>, usize)]) -> parflow::core::ScheduleTrace {
+    let rows = spans
+        .iter()
+        .flat_map(|(row, rounds)| std::iter::repeat_n(row.clone(), *rounds))
+        .collect();
+    parflow::core::ScheduleTrace::from_dense(m, Speed::ONE, rows).expect("m-wide rows")
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +490,7 @@ fn edge_k_burn_jump_stops_one_round_before_the_admission() {
 
 #[test]
 fn edge_traced_k_burn_is_one_span_of_misses() {
-    use parflow::core::{Action, TraceSpan};
+    use parflow::core::Action;
     // Unit-step steal-3-first, two workers, three queued jobs and nothing
     // stealable. Both workers burn rounds 0..3 and admit jobs 0 and 1 in
     // round 3; job 1 ends in round 4, and worker 1 burns rounds 5..8
@@ -424,24 +506,22 @@ fn edge_traced_k_burn_is_one_span_of_misses() {
     let (r, t) = edge_case(&inst, &SimConfig::new(2), policy, 7, "traced k-burn");
     let miss = Action::Steal { hit: false };
     let on = |job| Action::Work { job, node: 0 };
-    let busy = |row: Vec<Action>, rounds| TraceSpan::Busy { row, rounds };
-    assert_eq!(
-        t.spans,
-        vec![
-            busy(vec![miss, miss], 3),
-            busy(vec![on(0), on(1)], 2),
-            busy(vec![on(0), miss], 3),
-            busy(vec![on(0), on(2)], 2),
-            busy(vec![on(0), miss], 1),
-        ]
-    );
+    let spans = [
+        (vec![miss, miss], 3),
+        (vec![on(0), on(1)], 2),
+        (vec![on(0), miss], 3),
+        (vec![on(0), on(2)], 2),
+        (vec![on(0), miss], 1),
+    ];
+    assert_eq!(t.spans.len(), spans.len());
+    assert_eq!(t, expand(2, &spans));
     assert_eq!(r.outcomes[2].start_round, 8);
     assert_eq!(r.stats.steal_attempts, 10);
 }
 
 #[test]
 fn edge_idle_locked_round_records_the_idlers_misses() {
-    use parflow::core::{Action, TraceSpan};
+    use parflow::core::Action;
     // A chain of two 3-unit nodes on two unit-step workers. Worker 1 is
     // locked out while worker 0 runs each node (nothing stealable, the
     // queue empty), also in the completion rounds 2 and 5, where only
@@ -455,8 +535,8 @@ fn edge_idle_locked_round_records_the_idlers_misses() {
         "idle-locked round",
     );
     let row = |node| vec![Action::Work { job: 0, node }, Action::Steal { hit: false }];
-    let busy = |row, rounds| TraceSpan::Busy { row, rounds };
-    assert_eq!(t.spans, vec![busy(row(0), 3), busy(row(1), 3)]);
+    assert_eq!(t.spans.len(), 2);
+    assert_eq!(t, expand(2, &[(row(0), 3), (row(1), 3)]));
     assert_eq!(r.stats.steal_attempts, 6);
 }
 

@@ -7,13 +7,16 @@
 //! encoded, so corruptions are applied to the dense expansion and
 //! re-encoded with [`ScheduleTrace::from_dense`] — which also exercises
 //! that round trip. The last test holds the encoding itself to its
-//! expansion: the reference engines' rows, and the same verdicts from
-//! `validate` and `certify_run` on a trace and on its one-round split.
+//! expansion: the reference engines' rows, and the verdicts of
+//! `validate` and `certify_run`, clean and after each corruption, to
+//! those of the per-unit oracle on the dense rows.
+
+#[path = "../crates/certify/tests/oracle/mod.rs"]
+mod oracle;
 
 use parflow::core::{
     run_priority, run_priority_reference, run_worksteal, run_worksteal_reference, Action, Fifo,
     JobPriority, Lifo, ScheduleTrace, ShortestJobFirst, SimConfig, SimResult, StealPolicy,
-    TraceSpan,
 };
 use parflow::prelude::*;
 use parflow_certify::certify_run;
@@ -38,7 +41,7 @@ fn reencode(
     t: &parflow::core::ScheduleTrace,
     rows: Vec<Vec<Action>>,
 ) -> parflow::core::ScheduleTrace {
-    parflow::core::ScheduleTrace::from_dense(t.m, t.speed, rows)
+    parflow::core::ScheduleTrace::from_dense(t.m, t.speed, rows).expect("m-wide rows")
 }
 
 /// Indices of all Work actions in the dense rows.
@@ -160,25 +163,6 @@ fn truncating_the_tail_is_caught() {
     assert!(reencode(&trace, rows).validate(&inst).is_err());
 }
 
-/// The same trace with every busy span split into one-round spans,
-/// written through the public `spans` field: the expansion a span's
-/// replay must be indistinguishable from.
-fn split(t: &ScheduleTrace) -> ScheduleTrace {
-    let one = |row: &Vec<Action>| TraceSpan::Busy {
-        row: row.clone(),
-        rounds: 1,
-    };
-    let spans = t.spans.iter().flat_map(|s| match s {
-        TraceSpan::Busy { row, rounds } => vec![one(row); *rounds as usize],
-        idle => vec![idle.clone()],
-    });
-    ScheduleTrace {
-        m: t.m,
-        speed: t.speed,
-        spans: spans.collect(),
-    }
-}
-
 /// The six corruptions of the tests above applied to `dense`, at
 /// positions drawn from `rng` where those tests pick one.
 fn corruptions(
@@ -234,8 +218,9 @@ proptest! {
 
     /// Every engine records the canonical encoding of the rows its
     /// per-round reference produces, and `validate` and `certify_run`
-    /// reach the same verdict — invariant, job, worker and round — on a
-    /// trace and on its one-round split, clean and after each corruption.
+    /// reach the per-unit oracle's verdict on the dense rows — the same
+    /// violation, and the same rendered line naming invariant, round,
+    /// worker and job — clean and after each corruption.
     #[test]
     fn spans_replay_as_their_expansion(
         seed in any::<u64>(),
@@ -282,17 +267,21 @@ proptest! {
             let trace = trace.as_ref().expect("traced");
             let dense = reference.as_ref().expect("traced").to_dense();
             prop_assert_eq!(&trace.to_dense(), &dense);
-            prop_assert_eq!(&ScheduleTrace::from_dense(m, speed, dense.clone()), trace);
-            let verdict = |t: &ScheduleTrace| {
+            prop_assert_eq!(&ScheduleTrace::from_dense(m, speed, dense.clone()), &Ok(trace.clone()));
+            let library = |t: &ScheduleTrace| {
                 let report = certify_run(&inst, cfg, *policy, result, t);
                 (t.validate(&inst), report.render())
             };
-            let clean = verdict(trace);
+            let oracle = |rows: &[Vec<Action>]| {
+                let report = oracle::certify(&inst, cfg, *policy, result, rows);
+                (oracle::validate(&inst, m, speed, rows), report.render())
+            };
+            let clean = library(trace);
             prop_assert!(clean.0.is_ok() && clean.1.contains("certify: clean"), "{:?}", clean);
-            prop_assert_eq!(&verdict(&split(trace)), &clean);
+            prop_assert_eq!(&oracle(&dense), &clean);
             for rows in corruptions(&inst, &dense, &mut rng) {
-                let bad = ScheduleTrace::from_dense(m, speed, rows);
-                prop_assert_eq!(verdict(&bad), verdict(&split(&bad)));
+                let bad = ScheduleTrace::from_dense(m, speed, rows.clone()).expect("m-wide rows");
+                prop_assert_eq!(library(&bad), oracle(&rows));
             }
         }
     }
